@@ -37,14 +37,12 @@ from .modemap import CrossingFit, fit_avoided_crossing, mode_map
 class MemoryArray:
     """Calibrated cells sharing one feedline, ordered by target frequency.
 
-    tap_spacings are carried for bookkeeping only; the composition model
-    ignores tap-to-tap standing waves.
+    The composition model ignores tap-to-tap standing waves.
     """
 
     cells: tuple[MemoryCell, ...]
     targets: tuple[float, ...]
     z_ref: float = 50.0
-    tap_spacings: tuple[float, ...] = ()
 
     def __post_init__(self):
         if len(self.cells) != len(self.targets) or not self.cells:

@@ -1,7 +1,7 @@
 """Geometry calibration against target resonances.
 
-Calibration pins three knobs with nested 1-D bisection root-finds
-(relative tolerance 1e-9 on each scalar):
+Calibration pins three knobs with nested Brent root-finds (relative
+tolerance 1e-9 on each scalar):
 
   (i)   sc_len       -> the isolated storage-cavity branch resonates at f_sc
   (ii)  tcr_half_len -> the isolated TCR resonates at f_tcr_on with the
@@ -21,10 +21,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .cell import MemoryCell, sc_mode_estimate, tcr_mode_estimate
 from .jjfet import On, jj_series_impedance
-from .resonance import find_resonances
+from .resonance import db, find_resonances, half_depth_window
 from .twoport import (
     SHORT,
     SeriesCapacitor,
@@ -66,25 +67,19 @@ class CalibrationTargets:
         return self.f_tcr_on if self.f_tcr_on is not None else self.f_sc
 
 
-def bisect(fn, lo: float, hi: float, rtol: float = 1e-9, stage: str = "") -> float:
-    """Bisection root of fn on [lo, hi]; raises CalibrationError otherwise."""
-    flo, fhi = fn(lo), fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise CalibrationError(f"{stage or 'bisection'}: root not bracketed")
-    while hi - lo > rtol * abs(0.5 * (lo + hi)):
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def find_root(fn, lo: float, hi: float, stage: str) -> float:
+    """Brent root of fn on [lo, hi] to 1e-9 relative.
+
+    Raises CalibrationError naming `stage` when fn(lo) and fn(hi) have the
+    same sign; an error raised by fn itself propagates unchanged.
+    """
+    try:
+        # xtol=1e-300: the tolerance is relative only, whatever the unit of x
+        return brentq(fn, lo, hi, xtol=1e-300, rtol=1e-9)
+    except ValueError as err:
+        if "different signs" not in str(err):
+            raise
+        raise CalibrationError(f"{stage}: root not bracketed") from None
 
 
 # ------------------------- isolated branches -------------------------
@@ -146,7 +141,7 @@ def _reactance_root(reactance, f_estimate: float, span=(0.6, 1.1), n_scan: int =
     )
     if got is None:
         raise CalibrationError(f"{stage}: no series resonance near estimate")
-    return bisect(reactance, got[0], got[1], stage=stage)
+    return find_root(reactance, got[0], got[1], stage)
 
 
 def sc_branch_resonance(cell: MemoryCell) -> float:
@@ -193,16 +188,10 @@ def measure_isolated_tcr(cell: MemoryCell, l_j: float):
     for _ in range(4):
         grid = np.linspace(f0 - width / 2, f0 + width / 2, 1601)
         freqs, s21 = isolated_tcr_trace(cell, l_j, grid)
-        db = 20 * np.log10(np.clip(np.abs(s21), 1e-300, None))
-        i = int(np.argmin(db))
-        half = db[i] / 2
-        lo = i
-        while lo > 0 and db[lo - 1] < half:
-            lo -= 1
-        hi = i
-        while hi < len(db) - 1 and db[hi + 1] < half:
-            hi += 1
-        fwhm = max(freqs[min(hi, len(db) - 1)] - freqs[max(lo, 0)], grid[1] - grid[0])
+        s21_db = db(s21)
+        i = int(np.argmin(s21_db))
+        lo, hi = half_depth_window(s21_db, i)
+        fwhm = max(freqs[hi] - freqs[lo], grid[1] - grid[0])
         new_width = 24.0 * fwhm
         f0 = freqs[i]
         if new_width > 0.7 * width:
@@ -237,7 +226,7 @@ def calibrate_geometry(targets: CalibrationTargets, seed: MemoryCell) -> MemoryC
     def sc_err(length):
         return sc_branch_resonance(replace(seed, sc_len=length)) - targets.f_sc
 
-    sc_len = bisect(sc_err, 0.5 * quarter, 1.5 * quarter, stage="storage cavity length")
+    sc_len = find_root(sc_err, 0.5 * quarter, 1.5 * quarter, "storage cavity length")
     base = replace(seed, sc_len=sc_len)
 
     # (ii) TCR half length for a given input capacitor
@@ -252,8 +241,8 @@ def calibrate_geometry(targets: CalibrationTargets, seed: MemoryCell) -> MemoryC
                 - targets.tcr_target
             )
 
-        return bisect(err, 0.4 * quarter_tcr, 1.2 * quarter_tcr,
-                      stage="coupling resonator length")
+        return find_root(err, 0.4 * quarter_tcr, 1.2 * quarter_tcr,
+                         "coupling resonator length")
 
     # (iii) input capacitor for the coupling-Q target
     def qc_err(log_c):
@@ -263,7 +252,7 @@ def calibrate_geometry(targets: CalibrationTargets, seed: MemoryCell) -> MemoryC
         return math.log10(peak.q_coupling / targets.q_c)
 
     lo, hi = _grow_bracket(qc_err, math.log10(seed.c_in), step=0.25, limit=8.0)
-    log_c = bisect(qc_err, lo, hi, rtol=1e-9, stage="input capacitor")
+    log_c = find_root(qc_err, lo, hi, "input capacitor")
     c_in = 10.0 ** log_c
     return replace(base, c_in=c_in, tcr_half_len=half_len_for(c_in))
 

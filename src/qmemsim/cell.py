@@ -16,8 +16,10 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .jjfet import JjFet, JjState, Off, jj_series_impedance
+from .resonance import db, find_resonances, local_minima
 from .twoport import (
     SHORT,
     C0,
@@ -139,15 +141,6 @@ def frequency_sweep(cell: MemoryCell, state: JjState, f_grid):
 # ------------------------- adaptive sweeps -------------------------
 
 
-def _local_minima(db, floor_db):
-    n = len(db)
-    return [
-        i
-        for i in range(1, n - 1)
-        if db[i] <= db[i - 1] and db[i] < db[i + 1] and -db[i] >= floor_db
-    ]
-
-
 def adaptive_sweep(
     cell: MemoryCell,
     state: JjState,
@@ -180,9 +173,8 @@ def adaptive_sweep(
 
     step_now = coarse_step
     for _ in range(stages):
-        db = 20.0 * np.log10(np.clip(np.abs(s21), 1e-300, None))
-        minima = _local_minima(db, detect_db)
-        if not minima:
+        minima = local_minima(db(s21), detect_db)
+        if len(minima) == 0:
             break
         step_next = step_now / refine
         windows = []
@@ -200,29 +192,8 @@ def adaptive_sweep(
 
 
 # ------------------------- analytic mode estimates -------------------------
-
-
-def _bisect_root(fn, lo, hi, rtol: float = 1e-9, max_iter: int = 200) -> float:
-    """Plain bisection for a bracketed sign change; relative tolerance."""
-    flo, fhi = fn(lo), fn(hi)
-    if flo == 0:
-        return lo
-    if fhi == 0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise ValueError("root not bracketed")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if fm == 0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-        if hi - lo <= rtol * abs(mid):
-            break
-    return 0.5 * (lo + hi)
+# Roots are refined to 1e-9 relative; xtol=1e-300 switches off brentq's
+# absolute tolerance, which would swamp it.
 
 
 def sc_quarterwave_frequency(cell: MemoryCell) -> float:
@@ -244,7 +215,7 @@ def sc_mode_estimate(cell: MemoryCell) -> float:
             2.0 * math.pi * f * cell.c_couple
         )
 
-    return _bisect_root(g, 1e-3 * f_qw, f_qw * (1.0 - 1e-12))
+    return brentq(g, 1e-3 * f_qw, f_qw * (1.0 - 1e-12), xtol=1e-300, rtol=1e-9)
 
 
 def tcr_mode_estimate(cell: MemoryCell, l_j: float) -> float:
@@ -264,7 +235,7 @@ def tcr_mode_estimate(cell: MemoryCell, l_j: float) -> float:
     def g(f):
         return 2.0 * cell.z0 / math.tan(beta * f * h) - 2.0 * math.pi * f * l_j
 
-    return _bisect_root(g, 1e-3 * f_bare, f_bare * (1.0 - 1e-12))
+    return brentq(g, 1e-3 * f_bare, f_bare * (1.0 - 1e-12), xtol=1e-300, rtol=1e-9)
 
 
 def off_split_mode_estimates(cell: MemoryCell) -> tuple[float, float]:
@@ -286,7 +257,7 @@ def off_split_mode_estimates(cell: MemoryCell) -> tuple[float, float]:
             phi = math.atan(cell.z0 * 2.0 * math.pi * f * c_end)
             return beta_at * f * h + phi - math.pi
 
-        return _bisect_root(g, 0.3 * f_bare, 1.05 * f_bare)
+        return brentq(g, 0.3 * f_bare, 1.05 * f_bare, xtol=1e-300, rtol=1e-9)
 
     return loaded(cell.c_couple), loaded(cell.c_in)
 
@@ -301,8 +272,6 @@ def off_state_spectrum(cell: MemoryCell, band=(1e9, 16e9), min_depth_db: float =
 
     Returns (peaks, (freqs, s21)).
     """
-    from .resonance import find_resonances
-
     state = Off(cell.jj.r_off)
     focus = []
     f_sc = sc_mode_estimate(cell)

@@ -45,7 +45,7 @@ from .dynamics import (
 from .extract import ExtractionError, extract_coupled_mode_params
 from .jjfet import Off, On
 from .modemap import fit_avoided_crossing, mode_map
-from .resonance import find_resonances
+from .resonance import db, find_resonances
 
 
 class UsageError(ValueError):
@@ -179,7 +179,7 @@ def _cmd_spectrum(args, cfg: Config) -> int:
         freqs.tolist(),
         s21.real.tolist(),
         s21.imag.tolist(),
-        (20.0 * np.log10(np.clip(np.abs(s21), 1e-300, None))).tolist(),
+        db(s21).tolist(),
     )
     _write_csv(args.out, ["f_hz", "re_s21", "im_s21", "abs_s21_db"], rows)
     _write_report(args.report, "spectrum", cfg, {"peaks": _peak_summary(peaks)})
@@ -377,7 +377,7 @@ def _cmd_array_spectrum(args, cfg: Config) -> int:
         freqs.tolist(),
         s21.real.tolist(),
         s21.imag.tolist(),
-        (20.0 * np.log10(np.clip(np.abs(s21), 1e-300, None))).tolist(),
+        db(s21).tolist(),
     )
     _write_csv(args.out, ["f_hz", "re_s21", "im_s21", "abs_s21_db"], rows)
     peaks = find_resonances(freqs, s21, min_depth_db=cfg.sweep.min_depth_db)

@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .calibrate import (
     CalibrationError,
@@ -137,14 +138,10 @@ def off_state_residual_coupling(
         return ResidualCoupling(0.0, 0.0, kappa_a, None, True)
     i = ups[int(np.argmin(np.abs(fs[ups] - f_est)))]
 
-    lo, hi = fs[i], fs[i + 1]
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _sc_loop_impedance(cell, state, mid, source).imag < 0:
-            lo = mid
-        else:
-            hi = mid
-    f0 = 0.5 * (lo + hi)
+    f0 = brentq(
+        lambda f: _sc_loop_impedance(cell, state, f, source).imag,
+        fs[i], fs[i + 1], xtol=1e-300, rtol=4 * np.finfo(float).eps,
+    )
 
     transfer = _feedline_current_transfer(cell, state, f0, source)
     df = 1e-6 * f0

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import brentq, least_squares
 
 from .cell import (
     MemoryCell,
@@ -204,25 +204,13 @@ def hybridized_map(l_grid, coeffs, f_b: float, g: float) -> ModeMap:
 
 
 def _bracketed_root(fn, grid, pick_near: float):
-    vals = np.array([fn(x) for x in grid])
+    """Root of fn in the sign change of fn(grid) nearest `pick_near`, or None."""
+    vals = fn(grid)
     sign_change = np.where(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     if len(sign_change) == 0:
         return None
     i = sign_change[np.argmin(np.abs(grid[sign_change] - pick_near))]
-    lo, hi = grid[i], grid[i + 1]
-    flo = fn(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * abs(mid):
-            break
-    return 0.5 * (lo + hi)
+    return brentq(fn, grid[i], grid[i + 1], xtol=1e-300, rtol=1e-12)
 
 
 def fit_avoided_crossing(mode_map: ModeMap) -> CrossingFit:

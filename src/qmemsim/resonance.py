@@ -16,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-_DB_FLOOR = -300.0  # clip for exact zeros of |S21|
-
 
 def notch_s21_model(f, f0, q_loaded, q_coupling):
     """Complex notch response; baseline 1 away from resonance."""
@@ -47,8 +45,21 @@ class ResonancePeak:
             raise ValueError("loaded Q must be positive")
 
 
-def _db(s21):
-    return 20.0 * np.log10(np.clip(np.abs(s21), 10 ** (_DB_FLOOR / 20.0), None))
+def db(s21):
+    """|S21| in dB; exact zeros clip to 1e-300 instead of giving -inf."""
+    return 20.0 * np.log10(np.clip(np.abs(s21), 1e-300, None))
+
+
+def local_minima(db, min_depth_db):
+    """Indices of interior dips of a dB trace at least `min_depth_db` deep.
+
+    A dip is a point no higher than its left neighbour and strictly below
+    its right one, so a flat-bottomed dip is reported once, at its right end.
+    """
+    db = np.asarray(db)
+    mid = db[1:-1]
+    hit = (mid <= db[:-2]) & (mid < db[2:]) & (-mid >= min_depth_db)
+    return np.flatnonzero(hit) + 1
 
 
 def _parabolic_vertex(x, y):
@@ -63,7 +74,7 @@ def _parabolic_vertex(x, y):
     return v if x0 < v < x2 else x1
 
 
-def _half_depth_window(db, i):
+def half_depth_window(db, i):
     """Index range [lo, hi] where the dip stays below half its dB depth."""
     half = db[i] / 2.0
     lo = i
@@ -91,7 +102,7 @@ def _fit_notch(f, s21, f0_init, ql_init, qc_init):
             bounds=([0.5, 0.0, 0.0], [1.5, 12.0, 14.0]),
             xtol=1e-14, ftol=1e-14, gtol=1e-14,
         )
-    except Exception:
+    except ValueError:  # infeasible start or non-finite residuals
         return None
     if not res.success:
         return None
@@ -127,36 +138,31 @@ def find_resonances(freqs, s21, min_depth_db: float = 0.05):
     if np.any(np.diff(freqs) <= 0):
         raise ValueError("freqs must be strictly increasing")
 
-    db = _db(s21)
+    s21_db = db(s21)
     n = len(freqs)
-    idx = [
-        i
-        for i in range(1, n - 1)
-        if db[i] <= db[i - 1] and db[i] < db[i + 1] and -db[i] >= min_depth_db
-    ]
 
     peaks = []
-    for i in idx:
-        lo, hi = _half_depth_window(db, i)
-        f0_par = _parabolic_vertex(freqs[i - 1 : i + 2], db[i - 1 : i + 2])
+    for i in local_minima(s21_db, min_depth_db):
+        lo, hi = half_depth_window(s21_db, i)
+        f0_par = _parabolic_vertex(freqs[i - 1 : i + 2], s21_db[i - 1 : i + 2])
         fwhm = max(freqs[hi] - freqs[lo], freqs[i + 1] - freqs[i - 1])
         wlo = np.searchsorted(freqs, f0_par - 5.0 * fwhm)
         whi = np.searchsorted(freqs, f0_par + 5.0 * fwhm)
         wlo = max(0, min(wlo, i - 3))
         whi = min(n, max(whi, i + 4))
         ql_init = max(f0_par / fwhm, 10.0)
-        depth_lin = 1.0 - 10.0 ** (db[i] / 20.0)
+        depth_lin = 1.0 - 10.0 ** (s21_db[i] / 20.0)
         qc_init = ql_init / min(max(depth_lin, 1e-6), 1.0)
         fit = _fit_notch(freqs[wlo:whi], s21[wlo:whi], f0_par, ql_init, qc_init)
         if fit is None:
-            peaks.append(ResonancePeak(f0=f0_par, depth_db=-db[i]))
+            peaks.append(ResonancePeak(f0=f0_par, depth_db=-s21_db[i]))
             continue
         f0, ql, qc = fit
         inv_qi = 1.0 / ql - 1.0 / qc
         qi = 1.0 / inv_qi if inv_qi > 1e-9 / ql else None
         peaks.append(
             ResonancePeak(
-                f0=f0, depth_db=-db[i], q_loaded=ql, q_coupling=qc, q_internal=qi
+                f0=f0, depth_db=-s21_db[i], q_loaded=ql, q_coupling=qc, q_internal=qi
             )
         )
 

@@ -5,8 +5,8 @@ import pytest
 from qmemsim.calibrate import (
     CalibrationError,
     CalibrationTargets,
-    bisect,
     calibrate_geometry,
+    find_root,
     isolated_sc_trace,
     measure_isolated_tcr,
     sc_branch_resonance,
@@ -17,24 +17,33 @@ from tests.conftest import ANCHOR, Q_C, TARGETS
 
 
 class TestBisect:
+    """find_root, the calibration's bracketed root-finder."""
+
     def test_finds_root(self):
-        root = bisect(lambda x: x * x - 2.0, 0.0, 2.0)
+        root = find_root(lambda x: x * x - 2.0, 0.0, 2.0, "test")
         assert root == pytest.approx(np.sqrt(2.0), rel=1e-9)
 
     def test_unbracketed_raises_with_stage(self):
         with pytest.raises(CalibrationError, match="storage"):
-            bisect(lambda x: x + 10.0, 0.0, 1.0, stage="storage cavity length")
+            find_root(lambda x: x + 10.0, 0.0, 1.0, "storage cavity length")
+
+    def test_error_inside_fn_propagates(self):
+        def fn(x):
+            raise ValueError("boom")
+
+        with pytest.raises(ValueError, match="boom"):
+            find_root(fn, 0.0, 1.0, "storage cavity length")
 
 
 class TestCalibratedCell:
     def test_sc_resonance_hits_target(self, cell):
-        # bisection at 1e-9 relative on the length leaves ~10 Hz on the
+        # a root-find at 1e-9 relative on the length leaves ~10 Hz on the
         # frequency, far inside the 1 MHz calibration tolerance
         assert sc_branch_resonance(cell) == pytest.approx(TARGETS[0], abs=100.0)
 
     def test_sc_resonance_independent_oracle(self, cell):
         # notch fit of the directly tapped cavity branch, an independent
-        # measurement path from the calibration's reactance bisection
+        # measurement path from the calibration's reactance root-find
         f0 = TARGETS[0]
         grid = np.linspace(f0 - 30e6, f0 + 30e6, 12001)
         freqs, s21 = isolated_sc_trace(cell, grid)

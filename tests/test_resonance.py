@@ -1,8 +1,16 @@
 """Notch-model fitting: recovery against its own generator."""
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from qmemsim.resonance import ResonancePeak, find_resonances, notch_s21_model
+from qmemsim import resonance
+from qmemsim.resonance import (
+    ResonancePeak,
+    _fit_notch,
+    find_resonances,
+    local_minima,
+    notch_s21_model,
+)
 
 
 def synth_grid(f0, ql, span_lw=25.0, n=1201):
@@ -92,6 +100,52 @@ class TestTraceHandling:
         peaks = find_resonances(freqs, s21)
         assert len(peaks) == 1
         assert peaks[0].f0 == pytest.approx(f0, rel=1e-6)
+
+
+class TestFitNotch:
+    f0, ql, qc = 6.55e9, 1e4, 2e4
+
+    def trace(self):
+        freqs = synth_grid(self.f0, self.ql, span_lw=5.0, n=201)
+        return freqs, notch_s21_model(freqs, self.f0, self.ql, self.qc)
+
+    def test_start_outside_bounds_returns_none(self):
+        # log10(1e20) lies beyond the Q_c bound: least_squares rejects x0
+        freqs, s21 = self.trace()
+        assert _fit_notch(freqs, s21, self.f0, self.ql, 1e20) is None
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken_model(*args):
+            raise AttributeError("bug in the residuals")
+
+        monkeypatch.setattr(resonance, "notch_s21_model", broken_model)
+        freqs, s21 = self.trace()
+        with pytest.raises(AttributeError, match="bug"):
+            _fit_notch(freqs, s21, self.f0, self.ql, self.qc)
+
+
+def _local_minima_loop(db, min_depth_db):
+    """The per-index loop that local_minima replaced; kept as its reference."""
+    return [
+        i
+        for i in range(1, len(db) - 1)
+        if db[i] <= db[i - 1] and db[i] < db[i + 1] and -db[i] >= min_depth_db
+    ]
+
+
+# few distinct levels, so plateaus, ties and depths equal to the threshold
+# are common
+_levels = st.sampled_from([0.0, -0.01, -0.05, -0.5, -3.0, -20.0])
+
+
+@given(
+    db=st.lists(st.one_of(_levels, st.floats(-60.0, 1.0)), max_size=40),
+    min_depth_db=st.one_of(st.sampled_from([0.0, 0.01, 0.05, 0.5, 3.0]),
+                           st.floats(0.0, 60.0)),
+)
+def test_local_minima_matches_loop(db, min_depth_db):
+    got = local_minima(np.array(db, dtype=float), min_depth_db)
+    assert got.tolist() == _local_minima_loop(db, min_depth_db)
 
 
 def test_peak_validation():
