@@ -23,17 +23,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .cell import MemoryCell, sc_mode_estimate, tcr_mode_estimate
-from .jjfet import On, jj_series_impedance
-from .resonance import db, find_resonances, half_depth_window
-from .twoport import (
-    SHORT,
-    SeriesCapacitor,
-    SeriesImpedance,
-    chain_abcd,
-    notch_s21,
-    terminate,
+from .cell import (
+    MemoryCell,
+    sc_branch_impedance,
+    sc_mode_estimate,
+    tcr_chain,
+    tcr_mode_estimate,
 )
+from .jjfet import On
+from .resonance import db, find_resonances, half_depth_window
+from .twoport import SHORT, chain_abcd, notch_s21, terminate
 
 
 class CalibrationError(RuntimeError):
@@ -85,23 +84,9 @@ def find_root(fn, lo: float, hi: float, stage: str) -> float:
 # ------------------------- isolated branches -------------------------
 
 
-def _sc_branch_impedance(cell: MemoryCell, f):
-    """SC branch [c_couple, stub] seen from the TCR-side coupling node."""
-    chain = [SeriesCapacitor(cell.c_couple), cell.line(cell.sc_len)]
-    return terminate(chain_abcd(chain, f), cell.sc_termination)
-
-
 def _tcr_branch_impedance(cell: MemoryCell, l_j: float, f):
     """Isolated TCR branch seen from the feedline tap (SC node grounded)."""
-    jj = cell.jj
-    chain = [
-        SeriesCapacitor(cell.c_in),
-        cell.line(cell.tcr_half_len),
-        SeriesImpedance(lambda ff: jj_series_impedance(On(l_j), jj.c_j, jj.r_sub, ff)),
-        cell.line(cell.tcr_half_len),
-        SeriesCapacitor(cell.c_couple),
-    ]
-    return terminate(chain_abcd(chain, f), SHORT)
+    return terminate(chain_abcd(tcr_chain(cell, On(l_j)), f), SHORT)
 
 
 def _up_crossing(reactance, lo: float, hi: float, near: float, n_scan: int,
@@ -148,7 +133,7 @@ def sc_branch_resonance(cell: MemoryCell) -> float:
     """Resonance (Hz) of the isolated storage-cavity branch."""
     est = sc_mode_estimate(cell)
     return _reactance_root(
-        lambda f: _sc_branch_impedance(cell, f).imag, est,
+        lambda f: sc_branch_impedance(cell, f).imag, est,
         span=(0.9, 1.02), n_scan=200, stage="storage cavity",
     )
 
@@ -172,7 +157,7 @@ def isolated_tcr_trace(cell: MemoryCell, l_j: float, f_grid):
 def isolated_sc_trace(cell: MemoryCell, f_grid):
     """Feedline transmission of the storage-cavity branch tapped directly."""
     f_grid = np.asarray(f_grid, dtype=float)
-    z = _sc_branch_impedance(cell, f_grid)
+    z = sc_branch_impedance(cell, f_grid)
     return f_grid, notch_s21(z, cell.z0)
 
 

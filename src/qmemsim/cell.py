@@ -13,7 +13,7 @@ quarter-wave stub.  Transmission past the tap follows the notch formula of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -27,7 +27,6 @@ from .twoport import (
     Load,
     SeriesCapacitor,
     SeriesImpedance,
-    Short,
     chain_abcd,
     notch_s21,
     terminate,
@@ -46,7 +45,8 @@ class MemoryCell:
     c_couple : farad, TCR-SC coupling capacitor
     sc_len : m, storage-cavity stub length
     line_atten : nepers/m, uniform line attenuation
-    sc_termination : stub termination (shorted far end)
+
+    The storage-cavity stub is always shorted at its far end.
     """
 
     z0: float
@@ -57,7 +57,6 @@ class MemoryCell:
     c_couple: float
     sc_len: float
     line_atten: float = 0.0
-    sc_termination: Short = field(default_factory=lambda: SHORT)
 
     def __post_init__(self):
         if self.z0 <= 0 or self.eps_eff < 1:
@@ -66,8 +65,6 @@ class MemoryCell:
             raise ValueError("cell lengths and capacitances must be positive")
         if self.line_atten < 0:
             raise ValueError("line attenuation must be non-negative")
-        if not isinstance(self.sc_termination, Short):
-            raise ValueError("storage cavity must be short-terminated")
 
     @property
     def phase_velocity(self) -> float:
@@ -103,7 +100,18 @@ def tcr_chain(cell: MemoryCell, state: JjState) -> list:
 
 def sc_stub_impedance(cell: MemoryCell, f):
     """Input impedance of the shorted storage-cavity stub at f (Hz)."""
-    return terminate(chain_abcd([cell.line(cell.sc_len)], f), cell.sc_termination)
+    return terminate(chain_abcd([cell.line(cell.sc_len)], f), SHORT)
+
+
+def sc_branch_impedance(cell: MemoryCell, f):
+    """Storage-cavity branch (coupling capacitor + shorted stub), ohm.
+
+    Seen from the TCR-side coupling node.  Tapped directly on the feedline
+    it is the isolated cavity branch of calibration; in series with the
+    depleted coupler it closes the gate-OFF cavity loop.
+    """
+    chain = [SeriesCapacitor(cell.c_couple), cell.line(cell.sc_len)]
+    return terminate(chain_abcd(chain, f), SHORT)
 
 
 def cell_shunt_impedance(cell: MemoryCell, state: JjState, f):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -66,6 +67,12 @@ def _write_csv(path, header, rows):
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+
+
+def _write_trace_csv(path, freqs, s21):
+    """Complex transmission trace: frequency, real, imaginary, |S21| in dB."""
+    rows = zip(freqs.tolist(), s21.real.tolist(), s21.imag.tolist(), db(s21).tolist())
+    _write_csv(path, ["f_hz", "re_s21", "im_s21", "abs_s21_db"], rows)
 
 
 def _write_report(path, command: str, cfg: Config | None, summary: dict, warnings=()):
@@ -133,15 +140,7 @@ def _cmd_calibrate(args, cfg: Config) -> int:
     if cfg.calibration is None:
         raise UsageError("config has no 'calibration' section")
     cell = calibrate_geometry(cfg.calibration, cfg.cell)
-    out_cfg = Config(
-        cell=cell,
-        calibration=cfg.calibration,
-        sweep=cfg.sweep,
-        modemap=cfg.modemap,
-        dynamics=cfg.dynamics,
-        array_targets=cfg.array_targets,
-        array_q_c=cfg.array_q_c,
-    )
+    out_cfg = replace(cfg, cell=cell)
     if args.out is None:
         json.dump(config_to_dict(out_cfg), sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
@@ -175,13 +174,7 @@ def _cmd_spectrum(args, cfg: Config) -> int:
             detect_db=cfg.sweep.min_depth_db / 2,
         )
         peaks = find_resonances(freqs, s21, min_depth_db=cfg.sweep.min_depth_db)
-    rows = zip(
-        freqs.tolist(),
-        s21.real.tolist(),
-        s21.imag.tolist(),
-        db(s21).tolist(),
-    )
-    _write_csv(args.out, ["f_hz", "re_s21", "im_s21", "abs_s21_db"], rows)
+    _write_trace_csv(args.out, freqs, s21)
     _write_report(args.report, "spectrum", cfg, {"peaks": _peak_summary(peaks)})
     return 0
 
@@ -204,6 +197,13 @@ def _cmd_modemap(args, cfg: Config) -> int:
     grid = np.linspace(lo, hi, n)
     mm = mode_map(cfg.cell, grid, min_depth_db=cfg.sweep.min_depth_db)
     fit = fit_avoided_crossing(mm)
+    # the fit falls back to a grid end when a 2g detuning point lies off the grid
+    warnings = [
+        f"window_h {side} edge clipped to the grid end {float(end):.6g} H"
+        for side, edge, end in (("lower", fit.window[0], mm.l[0]),
+                                ("upper", fit.window[1], mm.l[-1]))
+        if edge == end
+    ]
     _write_csv(
         args.out,
         ["l_j_h", "f_mode1_hz", "f_mode2_hz"],
@@ -220,6 +220,7 @@ def _cmd_modemap(args, cfg: Config) -> int:
             "rows": len(mm.rows),
             "flagged": [{"l_j_h": l, "reason": r} for l, r in mm.flagged],
         },
+        warnings,
     )
     return 0
 
@@ -243,12 +244,8 @@ def _cmd_swap(args, cfg: Config) -> int:
     g_ang = system.g_on
     t_swap = swap_duration(g_ang)
     pulses = PulseSequence()
-    const_g = CoupledModeSystem(
-        omega_a=system.omega_a, omega_b=system.omega_b,
-        kappa_ext=system.kappa_ext, kappa_int_a=system.kappa_int_a,
-        gamma_b=system.gamma_b, g_on=g_ang,
-        g_of_t=lambda t: np.full_like(np.asarray(t, dtype=float), g_ang),
-    )
+    # no gate pulses: the coupling holds the OFF floor, here set to g_on
+    const_g = replace(system, g_off=g_ang)
     dt = cfg.dynamics.dt_fraction_of_guard * max_stable_dt(const_g, pulses)
     traj = evolve(const_g, pulses, (0.0, 2.0 * t_swap), dt, a0=1.0, b0=0.0)
     rows = zip(
@@ -271,7 +268,7 @@ def _cmd_swap(args, cfg: Config) -> int:
     return 0
 
 
-def _load_schedule(path, cfg: Config) -> AccessSchedule:
+def _load_schedule(path) -> AccessSchedule:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -330,7 +327,7 @@ def _require_array(cfg: Config):
 
 
 def _cmd_protocol(args, cfg: Config) -> int:
-    schedule = _load_schedule(args.schedule, cfg)
+    schedule = _load_schedule(args.schedule)
     array = _require_array(cfg)
     report = run_schedule(array, schedule)
     _write_csv(
@@ -373,13 +370,7 @@ def _cmd_array_spectrum(args, cfg: Config) -> int:
     n = max(int(round((band[1] - band[0]) / step)), 8)
     grid = np.linspace(band[0], band[1], n + 1)
     freqs, s21 = array_spectrum(array, states, grid)
-    rows = zip(
-        freqs.tolist(),
-        s21.real.tolist(),
-        s21.imag.tolist(),
-        db(s21).tolist(),
-    )
-    _write_csv(args.out, ["f_hz", "re_s21", "im_s21", "abs_s21_db"], rows)
+    _write_trace_csv(args.out, freqs, s21)
     peaks = find_resonances(freqs, s21, min_depth_db=cfg.sweep.min_depth_db)
     _write_report(args.report, "array-spectrum", cfg, {"peaks": _peak_summary(peaks)})
     return 0

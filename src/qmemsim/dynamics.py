@@ -200,7 +200,6 @@ class CoupledModeSystem:
     kappa_int_a : rad/s, coupler internal loss rate
     gamma_b : rad/s, cavity internal loss rate
     g_on, g_off : rad/s, gate-ON coupling and gate-OFF residual floor
-    g_of_t : optional callable overriding the gate-derived schedule
     """
 
     omega_a: float
@@ -210,7 +209,6 @@ class CoupledModeSystem:
     gamma_b: float = 0.0
     g_on: float = 0.0
     g_off: float = 0.0
-    g_of_t: object | None = None
 
     def __post_init__(self):
         for name in ("omega_a", "omega_b", "kappa_ext", "kappa_int_a",
@@ -263,10 +261,6 @@ def max_stable_dt(system: CoupledModeSystem, pulses: PulseSequence) -> float:
         system.g_on,
         system.g_off,
     ]
-    if system.g_of_t is not None:
-        lo, hi = pulses.span()
-        if hi > lo:
-            rates.append(float(np.max(np.abs(system.g_of_t(np.linspace(lo, hi, 2048))))))
     m = max(rates)
     return math.inf if m == 0 else TWO_PI / (50.0 * m)
 
@@ -313,9 +307,7 @@ def evolve(
     h = (t1 - t0) / n_steps
     half_grid = t0 + 0.5 * h * np.arange(2 * n_steps + 1)
 
-    g_fn = system.g_of_t
-    if g_fn is None:
-        g_fn = coupling_schedule(pulses.gate_pulses, system.g_on, system.g_off)
+    g_fn = coupling_schedule(pulses.gate_pulses, system.g_on, system.g_off)
     g_arr = np.asarray(g_fn(half_grid), dtype=float)
     if pulses.rf is not None:
         ain_arr = np.asarray(pulses.rf.baseband(half_grid), dtype=complex)

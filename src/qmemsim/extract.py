@@ -14,15 +14,17 @@ from scipy.optimize import brentq
 
 from .calibrate import (
     CalibrationError,
+    _up_crossing,
     isolated_sc_trace,
     measure_isolated_tcr,
     sc_branch_resonance,
 )
-from .cell import MemoryCell
+from .cell import MemoryCell, sc_branch_impedance, tcr_chain
 from .dynamics import TWO_PI, CoupledModeSystem
 from .jjfet import Off, josephson_inductance
 from .modemap import CrossingFit, fit_avoided_crossing, mode_map
 from .resonance import find_resonances
+from .twoport import Load, chain_abcd, terminate
 
 
 class ExtractionError(RuntimeError):
@@ -64,11 +66,9 @@ def _coupler_linewidth(cell: MemoryCell, l_on: float) -> tuple[float, float, flo
 
 
 def _back_chain(cell: MemoryCell, state):
-    from .cell import jj_element
-    from .twoport import SeriesCapacitor
-
-    half = cell.line(cell.tcr_half_len)
-    return [half, jj_element(cell, state), half, SeriesCapacitor(cell.c_in)]
+    """The coupler seen from the coupling node: the TCR chain read backwards
+    without its coupling capacitor, ending at the input capacitor."""
+    return tcr_chain(cell, state)[-2::-1]
 
 
 def _sc_loop_impedance(cell: MemoryCell, state, f, source: float):
@@ -78,12 +78,8 @@ def _sc_loop_impedance(cell: MemoryCell, state, f, source: float):
     other looks back through the split coupler and input capacitor into a
     feedline of the given source resistance (z0/2 for the matched line).
     """
-    from .twoport import Load, SeriesCapacitor, chain_abcd, terminate
-
     back = terminate(chain_abcd(_back_chain(cell, state), f), Load(source))
-    fwd_chain = [SeriesCapacitor(cell.c_couple), cell.line(cell.sc_len)]
-    fwd = terminate(chain_abcd(fwd_chain, f), cell.sc_termination)
-    return back + fwd
+    return back + sc_branch_impedance(cell, f)
 
 
 def _feedline_current_transfer(cell: MemoryCell, state, f0: float, source: float):
@@ -93,8 +89,6 @@ def _feedline_current_transfer(cell: MemoryCell, state, f0: float, source: float
     ABCD chain gives the current reaching the feedline termination as
     I2 = a - c Z_back (determinant 1).
     """
-    from .twoport import Load, chain_abcd, terminate
-
     tp = chain_abcd(_back_chain(cell, state), f0)
     z_back = terminate(tp, Load(source))
     return abs(tp.a - tp.c * z_back)
@@ -131,24 +125,17 @@ def off_state_residual_coupling(
         return ResidualCoupling(0.0, 0.0, kappa_a, None, True)
     source = cell.z0 / 2.0
 
-    fs = np.linspace(0.99 * f_est, 1.01 * f_est, 4001)
-    x = np.asarray(_sc_loop_impedance(cell, state, fs, source)).imag
-    ups = np.where((x[:-1] < 0) & (x[1:] >= 0))[0]
-    if len(ups) == 0:
-        return ResidualCoupling(0.0, 0.0, kappa_a, None, True)
-    i = ups[int(np.argmin(np.abs(fs[ups] - f_est)))]
+    def reactance(f):
+        return _sc_loop_impedance(cell, state, f, source).imag
 
-    f0 = brentq(
-        lambda f: _sc_loop_impedance(cell, state, f, source).imag,
-        fs[i], fs[i + 1], xtol=1e-300, rtol=4 * np.finfo(float).eps,
-    )
+    bracket = _up_crossing(reactance, 0.99 * f_est, 1.01 * f_est, f_est, 4001, depth=0)
+    if bracket is None:
+        return ResidualCoupling(0.0, 0.0, kappa_a, None, True)
+    f0 = brentq(reactance, *bracket, xtol=1e-300, rtol=4 * np.finfo(float).eps)
 
     transfer = _feedline_current_transfer(cell, state, f0, source)
     df = 1e-6 * f0
-    dx_dw = (
-        _sc_loop_impedance(cell, state, f0 + df, source).imag
-        - _sc_loop_impedance(cell, state, f0 - df, source).imag
-    ) / (TWO_PI * 2.0 * df)
+    dx_dw = (reactance(f0 + df) - reactance(f0 - df)) / (TWO_PI * 2.0 * df)
     if dx_dw <= 0:
         return ResidualCoupling(0.0, 0.0, kappa_a, None, True)
     kappa_sc = transfer**2 * source / (0.5 * dx_dw)

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .twoport import INFINITE_IMPEDANCE
+
 #: Magnetic flux quantum h/2e, Wb (CODATA).
 PHI0 = 2.067833848e-15
 
@@ -189,20 +191,19 @@ def gate_to_state(jj: JjFet, v_g: float,
     return On(l_j=josephson_inductance(i_c, jj.phi))
 
 
-#: Impedance marker for an exactly self-resonant lossless junction.
-INFINITE_JUNCTION = complex(math.inf, 0.0)
-
-
 def jj_series_impedance(state: JjState, c_j: float, r_sub: float, f):
     """Series impedance (ohm) of the junction RLC element at f (Hz).
 
     On: parallel combination of the inductance, the junction capacitance
     and the subgap resistance.  Off: channel resistance parallel to the
     junction capacitance.  r_sub = inf and c_j = 0 are accepted limits.
+    An exactly self-resonant lossless junction gives the infinite-impedance
+    marker.  A scalar f gives a numpy scalar.
     """
-    if np.any(np.asarray(f) <= 0):
+    f = np.asarray(f, dtype=float)
+    if np.any(f <= 0):
         raise ValueError("frequency must be positive")
-    w = 2.0 * np.pi * np.asarray(f, dtype=float)
+    w = 2.0 * np.pi * f
     if isinstance(state, On):
         y = 1.0 / (1j * w * state.l_j) + 1j * w * c_j
         if math.isfinite(r_sub):
@@ -211,8 +212,5 @@ def jj_series_impedance(state: JjState, c_j: float, r_sub: float, f):
         y = 1.0 / state.r + 1j * w * c_j
     else:
         raise TypeError(f"unknown junction state: {state!r}")
-    if np.ndim(f) == 0:
-        y = complex(y)
-        return INFINITE_JUNCTION if y == 0 else 1.0 / y
-    with np.errstate(divide="ignore"):
-        return np.where(y == 0, INFINITE_JUNCTION, 1.0 / np.where(y == 0, 1.0, y))
+    resonant = y == 0
+    return np.where(resonant, INFINITE_IMPEDANCE, 1.0 / np.where(resonant, 1.0, y))[()]

@@ -4,7 +4,11 @@ Conventions:
   Frequencies in Hz, impedances in ohm, admittances in siemens, lengths in
   meters, attenuation in nepers/m.  All functions are pure; element values
   are immutable after construction.  Every function accepts either a scalar
-  frequency or a 1-D numpy array of frequencies and broadcasts elementwise.
+  frequency or a numpy array of frequencies and broadcasts elementwise.
+  There is one code path: a scalar goes through the same array code as a
+  vector and comes back as a numpy scalar (numpy.complex128 is a subclass
+  of complex).  Zero denominators and the infinite-impedance marker are
+  masked, never branched on.
 """
 from __future__ import annotations
 
@@ -172,24 +176,16 @@ def element_abcd(e: Element, f) -> TwoPort:
         return TwoPort(cosh_gl, e.z0 * sinh_gl, sinh_gl / e.z0, cosh_gl)
     if isinstance(e, SeriesCapacitor):
         z = 1.0 / (2j * np.pi * f * e.c_val)
-        return TwoPort(_ones_like(z), z, _zeros_like(z), _ones_like(z))
+        return TwoPort(1.0, z, 0.0, 1.0)
     if isinstance(e, SeriesImpedance):
         z = e.z(f)
         _check_finite(z, "series impedance")
-        return TwoPort(_ones_like(z), z, _zeros_like(z), _ones_like(z))
+        return TwoPort(1.0, z, 0.0, 1.0)
     if isinstance(e, ShuntAdmittance):
         y = e.y(f)
         _check_finite(y, "shunt admittance")
-        return TwoPort(_ones_like(y), _zeros_like(y), y, _ones_like(y))
+        return TwoPort(1.0, 0.0, y, 1.0)
     raise TypeError(f"unknown element type: {type(e).__name__}")
-
-
-def _ones_like(x):
-    return np.ones_like(x) if np.ndim(x) else 1.0
-
-
-def _zeros_like(x):
-    return np.zeros_like(x) if np.ndim(x) else 0.0
 
 
 def _check_finite(v, what: str):
@@ -217,39 +213,29 @@ def terminate(tp: TwoPort, termination) -> complex:
     """Input impedance of a two-port closed by the given termination.
 
     Z_in = (a*Z_L + b) / (c*Z_L + d); Short uses Z_L = 0 (b/d), Open uses
-    the analytic limit a/c.  An exact division by zero (ideal lossless stub
-    at resonance) yields the infinite-impedance marker, not an exception.
+    the analytic limit a/c, and so does every infinite entry of a Load.  An
+    exact division by zero (ideal lossless stub at resonance) and a
+    non-finite quotient yield the infinite-impedance marker, not an
+    exception.
     """
     if isinstance(termination, Short):
         num, den = tp.b, tp.d
     elif isinstance(termination, Open):
         num, den = tp.a, tp.c
     elif isinstance(termination, Load):
-        zl = termination.z
-        if np.ndim(zl) == 0 and is_infinite_impedance(complex(zl)):
-            num, den = tp.a, tp.c
-        else:
-            num = tp.a * zl + tp.b
-            den = tp.c * zl + tp.d
+        zl = np.asarray(termination.z, dtype=complex)
+        open_end = ~np.isfinite(zl)
+        zl = np.where(open_end, 0.0, zl)
+        num = np.where(open_end, tp.a, tp.a * zl + tp.b)
+        den = np.where(open_end, tp.c, tp.c * zl + tp.d)
     else:
         raise TypeError(f"unknown termination: {termination!r}")
-    return _safe_div(num, den)
-
-
-def _safe_div(num, den):
-    """Elementwise num/den with 0 denominators mapped to the inf marker."""
-    if np.ndim(num) == 0 and np.ndim(den) == 0:
-        if den == 0:
-            return INFINITE_IMPEDANCE
-        z = complex(num) / complex(den)
-        return z if math.isfinite(z.real) and math.isfinite(z.imag) else INFINITE_IMPEDANCE
     num = np.asarray(num, dtype=complex)
     den = np.asarray(den, dtype=complex)
-    num, den = np.broadcast_arrays(num, den)
     bad = den == 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(bad, INFINITE_IMPEDANCE, num / np.where(bad, 1.0, den))
-    return z
+    with np.errstate(over="ignore"):
+        z = num / np.where(bad, 1.0, den)
+    return np.where(bad | ~np.isfinite(z), INFINITE_IMPEDANCE, z)[()]
 
 
 def input_impedance(chain, termination, f) -> complex:
@@ -265,13 +251,6 @@ def notch_s21(z_shunt, z_ref: float):
     """
     if z_ref <= 0:
         raise ValueError("reference impedance must be positive")
-    if np.ndim(z_shunt) == 0:
-        z = complex(z_shunt)
-        if z == 0:
-            return 0.0 + 0.0j
-        if is_infinite_impedance(z):
-            return 1.0 + 0.0j
-        return 1.0 / (1.0 + z_ref / (2.0 * z))
     z = np.asarray(z_shunt, dtype=complex)
     zero = z == 0
     inf = ~np.isfinite(z)
@@ -279,7 +258,7 @@ def notch_s21(z_shunt, z_ref: float):
     s21 = 1.0 / (1.0 + z_ref / (2.0 * safe))
     s21 = np.where(zero, 0.0, s21)
     s21 = np.where(inf, 1.0, s21)
-    return s21
+    return s21[()]
 
 
 @dataclass(frozen=True)

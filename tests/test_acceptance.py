@@ -144,7 +144,7 @@ def test_criterion_6_swap_dynamics():
         g = TWO_PI * 300e6
         system = CoupledModeSystem(
             omega_a=TWO_PI * 6.55e9, omega_b=TWO_PI * 6.55e9, kappa_ext=0.0,
-            g_on=g, g_of_t=lambda t: np.full_like(np.asarray(t, dtype=float), g),
+            g_on=g, g_off=g,
         )
         idle = PulseSequence()
         guard = max_stable_dt(system, idle)
@@ -166,8 +166,7 @@ def test_criterion_6_swap_dynamics():
 
         slow = CoupledModeSystem(
             omega_a=TWO_PI * 6.55e9, omega_b=TWO_PI * 6.55e9, kappa_ext=0.0,
-            g_on=TWO_PI * 50e6,
-            g_of_t=lambda t: np.full_like(np.asarray(t, dtype=float), TWO_PI * 50e6),
+            g_on=TWO_PI * 50e6, g_off=TWO_PI * 50e6,
         )
         dt = 0.04e-9
         traj = evolve(slow, idle, (0.0, 1e4 * dt), dt,

@@ -90,10 +90,18 @@ class TestModemapCommand:
         code = main(["modemap", str(seed_path), "--l-grid", "10pH,500pH,61",
                      "--out", str(out), "--report", str(rep)])
         assert code == 0
-        summary = json.loads(rep.read_text())["summary"]
+        report = json.loads(rep.read_text())
+        summary = report["summary"]
         lo, hi = summary["window_h"]
         assert lo < 250e-12 and hi > 175e-12
         assert 100e6 <= summary["g_hz"] <= 500e6
+        # on this grid the bare coupler stays within 2g of f_b at both ends,
+        # so both window edges are grid ends and the report says so
+        assert (lo, hi) == (10e-12, 500e-12)
+        assert report["warnings"] == [
+            "window_h lower edge clipped to the grid end 1e-11 H",
+            "window_h upper edge clipped to the grid end 5e-10 H",
+        ]
         header, rows = read_csv(out)
         assert header == ["l_j_h", "f_mode1_hz", "f_mode2_hz"]
         assert len(rows) == 61

@@ -29,9 +29,7 @@ def rabi_system(g_hz, **kw):
     g = TWO_PI * g_hz
     kw.setdefault("kappa_ext", 0.0)
     return CoupledModeSystem(
-        omega_a=W0, omega_b=W0, g_on=g,
-        g_of_t=lambda t: np.full_like(np.asarray(t, dtype=float), g),
-        **kw,
+        omega_a=W0, omega_b=W0, g_on=g, g_off=g, **kw,
     )
 
 
@@ -56,8 +54,7 @@ class TestSwapDuration:
 class TestRabi:
     def test_decoupled_amplitude_constant(self):
         sys_ = CoupledModeSystem(
-            omega_a=W0, omega_b=W0, kappa_ext=0.0,
-            g_of_t=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+            omega_a=W0, omega_b=W0, kappa_ext=0.0, g_off=0.0,
         )
         traj = evolve(sys_, IDLE, (0.0, 50e-9), 0.05e-9, a0=1.0)
         assert np.max(np.abs(np.abs(traj.a) - 1.0)) < 1e-9
@@ -99,8 +96,7 @@ class TestRabi:
         g = TWO_PI * 100e6
         delta = 10.0 * g
         sys_ = CoupledModeSystem(
-            omega_a=W0, omega_b=W0 + delta, kappa_ext=0.0, g_on=g,
-            g_of_t=lambda t: np.full_like(np.asarray(t, dtype=float), g),
+            omega_a=W0, omega_b=W0 + delta, kappa_ext=0.0, g_on=g, g_off=g,
         )
         dt = 0.25 * max_stable_dt(sys_, IDLE)
         traj = evolve(sys_, IDLE, (0.0, 30 * swap_duration(g)), dt, a0=1.0)

@@ -10,13 +10,13 @@ import math
 import numpy as np
 import pytest
 
-from qmemsim.calibrate import (
-    _sc_branch_impedance,
-    _tcr_branch_impedance,
-    sc_branch_resonance,
-    tcr_branch_resonance,
+from qmemsim.calibrate import _tcr_branch_impedance, sc_branch_resonance, tcr_branch_resonance
+from qmemsim.cell import (
+    off_split_mode_estimates,
+    sc_branch_impedance,
+    sc_mode_estimate,
+    tcr_mode_estimate,
 )
-from qmemsim.cell import off_split_mode_estimates, sc_mode_estimate, tcr_mode_estimate
 from qmemsim.extract import _sc_loop_impedance, off_state_residual_coupling
 from qmemsim.jjfet import Off
 from qmemsim.modemap import fit_avoided_crossing, hybridized_map
@@ -65,7 +65,7 @@ def _off_split(which):
 
 def _sc_branch(request):
     cell = request.getfixturevalue("cell")
-    return (lambda f: _sc_branch_impedance(cell, f).imag,
+    return (lambda f: sc_branch_impedance(cell, f).imag,
             sc_branch_resonance(cell), 1e-9)
 
 

@@ -4,6 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from qmemsim.calibrate import _tcr_branch_impedance
+from qmemsim.cell import cell_shunt_impedance
+from qmemsim.jjfet import Off, On
 from qmemsim.twoport import (
     C0,
     IDENTITY,
@@ -23,6 +26,7 @@ from qmemsim.twoport import (
     notch_s21,
     to_sparams,
 )
+from tests.conftest import ANCHOR
 
 RNG = np.random.default_rng(20240817)
 
@@ -197,6 +201,11 @@ class TestInputImpedance:
         assert input_impedance([line], Load(INFINITE_IMPEDANCE), f) == pytest.approx(
             input_impedance([line], OPEN, f)
         )
+        freqs = np.linspace(4e9, 6e9, 5)
+        markers = np.full(freqs.shape, INFINITE_IMPEDANCE)
+        np.testing.assert_array_equal(
+            input_impedance([line], Load(markers), freqs), input_impedance([line], OPEN, freqs)
+        )
 
 
 class TestNotch:
@@ -256,7 +265,7 @@ def test_chain_abcd_matches_manual_cascade():
     assert chain_abcd(chain, f) == manual
 
 
-def test_vectorized_matches_scalar():
+def test_vectorized_matches_scalar(cell):
     chain = [
         SeriesCapacitor(5e-15),
         LineSection(50.0, 6.45, 3e-3, atten=1e-3),
@@ -266,3 +275,15 @@ def test_vectorized_matches_scalar():
     z_vec = input_impedance(chain, SHORT, freqs)
     for i, f in enumerate(freqs):
         assert z_vec[i] == pytest.approx(input_impedance(chain, SHORT, float(f)), rel=1e-12)
+
+    # the cell's branches, junction included, through the one network path
+    branches = [
+        lambda f: cell_shunt_impedance(cell, On(ANCHOR), f),
+        lambda f: cell_shunt_impedance(cell, Off(cell.jj.r_off), f),
+        lambda f: _tcr_branch_impedance(cell, ANCHOR, f),
+    ]
+    freqs = np.linspace(5e9, 8e9, 31)
+    for branch in branches:
+        z_vec = branch(freqs)
+        z_sca = np.array([branch(float(f)) for f in freqs])
+        assert np.all(np.abs(z_sca - z_vec) <= 1e-12 * (np.abs(z_vec) + cell.z0))
