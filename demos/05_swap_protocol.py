@@ -20,7 +20,6 @@ import numpy as np
 
 from qmemsim import (
     TWO_PI,
-    On,
     RfPulse,
     read_protocol,
     swap_duration,
@@ -56,7 +55,7 @@ rf = RfPulse(
     start=0.0,
     duration=3.0 / system.kappa_ext,
 )
-written = write_protocol(system, rf, gate_on_level=On(fit.l_cross))
+written = write_protocol(system, rf)
 print(f"write fidelity (stored / peak loaded energy): {written.fidelity:.4f}")
 
 # %% [markdown]
@@ -74,7 +73,7 @@ print(f"residual cavity-feedline rate in OFF state: {residual.kappa_sc_ext / TWO
 # Reading returns the stored photon through the feedline:
 
 # %%
-read = read_protocol(system, gate_on_level=On(fit.l_cross))
+read = read_protocol(system)
 print(f"read recovered fraction: {read.recovered_fraction:.4f}")
 
 # %%

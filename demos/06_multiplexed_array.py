@@ -35,7 +35,7 @@ models = _cell_models(array)
 
 # %%
 grid = np.linspace(6.0e9, 7.1e9, 22001)
-_, s_on = array_spectrum(array, [On(m.l_on) for m in models], grid)
+_, s_on = array_spectrum(array, [On(m.fit.l_cross) for m in models], grid)
 peaks = find_resonances(grid, s_on, min_depth_db=1.0)
 print(f"all-ON composed spectrum: {len(peaks)} dips")
 print("  " + "  ".join(f"{p.f0 / 1e9:.3f}" for p in peaks), "GHz")

@@ -29,7 +29,6 @@ from .dynamics import (
     write_protocol,
 )
 from .extract import extract_coupled_mode_params, full_accumulation_inductance
-from .jjfet import On
 from .modemap import CrossingFit, fit_avoided_crossing, mode_map
 
 
@@ -160,7 +159,6 @@ class ScheduleReport:
 class _CellModel:
     system: CoupledModeSystem
     fit: CrossingFit
-    l_on: float
 
 
 def _cell_models(array: MemoryArray, l_grid=None) -> list[_CellModel]:
@@ -169,7 +167,7 @@ def _cell_models(array: MemoryArray, l_grid=None) -> list[_CellModel]:
         grid = l_grid if l_grid is not None else np.linspace(10e-12, 500e-12, 41)
         fit = fit_avoided_crossing(mode_map(cell, grid))
         system = extract_coupled_mode_params(cell, fit.l_cross, fit=fit)
-        models.append(_CellModel(system=system, fit=fit, l_on=fit.l_cross))
+        models.append(_CellModel(system=system, fit=fit))
     return models
 
 
@@ -266,14 +264,12 @@ def run_schedule(
                 duration=duration,
                 envelope=Gauss(sigma=duration / 5.0),
             )
-            result = write_protocol(
-                sys_i, rf, gate_on_level=On(model.l_on), gate_at=0.5 * duration
-            )
+            result = write_protocol(sys_i, rf, gate_at=0.5 * duration)
             fidelities.append(result.fidelity)
             traj = result.trajectory
             drive = rf
         else:
-            result = read_protocol(sys_i, gate_on_level=On(model.l_on))
+            result = read_protocol(sys_i)
             fidelities.append(result.recovered_fraction)
             traj = result.trajectory
             times, a_out = result.emitted

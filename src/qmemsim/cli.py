@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .array import AccessOp, AccessSchedule, build_array, array_spectrum, run_schedule
+from .array import build_array, array_spectrum, run_schedule
 from .calibrate import (
     CalibrationError,
     calibrate_geometry,
@@ -32,6 +32,7 @@ from .config import (
     config_to_dict,
     example_config,
     load_config,
+    load_schedule,
     parse_quantity,
     save_config,
 )
@@ -268,54 +269,6 @@ def _cmd_swap(args, cfg: Config) -> int:
     return 0
 
 
-def _load_schedule(path) -> AccessSchedule:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"schedule is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict) or set(raw) - {"ops"}:
-        raise UsageError("schedule root must be an object with a single 'ops' list")
-    ops = []
-    errors: list[str] = []
-    for i, entry in enumerate(raw.get("ops", [])):
-        where = f"ops[{i}]"
-        if not isinstance(entry, dict):
-            errors.append(f"{where}: expected an object")
-            continue
-        unknown = set(entry) - {"op", "cell_index", "start", "rf_carrier",
-                                "rf_amplitude", "rf_duration"}
-        if unknown:
-            errors.append(f"{where}: unknown keys {sorted(unknown)}")
-        kind = entry.get("op")
-        if kind not in ("write", "read"):
-            errors.append(f"{where}.op: expected 'write' or 'read'")
-            continue
-        idx = entry.get("cell_index")
-        if not isinstance(idx, int) or idx < 0:
-            errors.append(f"{where}.cell_index: expected a non-negative integer")
-            continue
-        start = parse_quantity(entry.get("start", "0 ns"), "time", f"{where}.start", errors) \
-            if "start" in entry else 0.0
-        carrier = None
-        if "rf_carrier" in entry:
-            carrier = parse_quantity(entry["rf_carrier"], "frequency", f"{where}.rf_carrier", errors)
-        duration = None
-        if "rf_duration" in entry:
-            duration = parse_quantity(entry["rf_duration"], "time", f"{where}.rf_duration", errors)
-        amplitude = entry.get("rf_amplitude", 1.0)
-        if not isinstance(amplitude, (int, float)) or isinstance(amplitude, bool):
-            errors.append(f"{where}.rf_amplitude: expected a number")
-            continue
-        ops.append(AccessOp(
-            op=kind, cell_index=idx, start=start,
-            rf_carrier=carrier, rf_amplitude=float(amplitude), rf_duration=duration,
-        ))
-    if errors:
-        raise UsageError("invalid schedule:\n  - " + "\n  - ".join(errors))
-    return AccessSchedule(ops=tuple(ops))
-
-
 def _require_array(cfg: Config):
     if not cfg.array_targets:
         raise UsageError("config has no 'array' section with targets")
@@ -327,7 +280,7 @@ def _require_array(cfg: Config):
 
 
 def _cmd_protocol(args, cfg: Config) -> int:
-    schedule = _load_schedule(args.schedule)
+    schedule = load_schedule(args.schedule)
     array = _require_array(cfg)
     report = run_schedule(array, schedule)
     _write_csv(

@@ -1,22 +1,31 @@
-"""Configuration files with explicit unit suffixes.
+"""Configuration and schedule files with explicit unit suffixes.
 
-Configs are JSON.  Every dimensioned value is a string with a mandatory
+Both are JSON.  Every dimensioned value is a string with a mandatory
 unit suffix from a fixed table ("220 pH", "6.55 GHz"); unknown suffixes
 and unknown keys are rejected, and validation reports every violation at
 once, not just the first.  Dimensionless values (eps_eff, quality
-factors, amplitudes) are plain numbers; the attenuation constant carries
-its unit in the key name (nepers/m).
+factors, amplitudes) are plain finite numbers; the attenuation constant
+carries its unit in the key name (nepers/m).
+
+The field tables below are the file format: one row per JSON key gives
+the field it sets and its unit family (None for a plain number).  One
+reader and one writer walk them, so a key, its unit and its default are
+each written once.  Keys left out of a file take their value from the
+default objects (`_DEFAULT_CELL`, `_DEFAULT_CALIBRATION` and the settings
+dataclasses).
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
-from .calibrate import CalibrationTargets
+from .array import AccessOp, AccessSchedule
+from .calibrate import CalibrationTargets, calibrate_geometry
 from .cell import MemoryCell
-from .jjfet import GateModel, JjFet, Linear, Logistic, critical_current_for_inductance
+from .jjfet import JjFet, Linear, Logistic, critical_current_for_inductance
 
 #: suffix -> (decimal exponent of the scale, unit family); all scales are
 #: exact powers of ten so values are converted by shifting the decimal
@@ -52,7 +61,7 @@ _CANONICAL = {
 
 
 class ConfigError(ValueError):
-    """Invalid configuration; the message lists every violation found."""
+    """Invalid config or schedule file; the message lists every violation found."""
 
 
 def _scaled_float(num_text: str, exp10: int) -> float:
@@ -135,13 +144,14 @@ def _expect_number(raw, key: str, errors: list[str]) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         errors.append(f"{key}: expected a plain number, got {raw!r}")
         return math.nan
-    return float(raw)
-
-
-def _check_keys(raw: dict, allowed, where: str, errors: list[str]):
-    for k in raw:
-        if k not in allowed:
-            errors.append(f"{where}: unknown key {k!r}")
+    try:
+        value = float(raw)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        errors.append(f"{key}: expected a finite number, got {raw!r}")
+        return math.nan
+    return value
 
 
 # ------------------------- config model -------------------------
@@ -153,6 +163,10 @@ class SweepSettings:
     coarse_step: float = 2e6
     min_depth_db: float = 0.01
 
+    def __post_init__(self):
+        if not self.band[0] < self.band[1]:
+            raise ValueError("band lo must be below hi")
+
 
 @dataclass(frozen=True)
 class ModeMapSettings:
@@ -160,12 +174,24 @@ class ModeMapSettings:
     l_max: float = 500e-12
     points: int = 61
 
+    def __post_init__(self):
+        if not 0 < self.l_min < self.l_max:
+            raise ValueError("requires 0 < l_min < l_max")
+        if not isinstance(self.points, int) or self.points < 2:
+            raise ValueError("points must be an integer >= 2")
+
 
 @dataclass(frozen=True)
 class DynamicsSettings:
     dt_fraction_of_guard: float = 0.25
     rf_amplitude: float = 1.0
     gate_rise: float = 50e-12
+
+    def __post_init__(self):
+        if not 0 < self.dt_fraction_of_guard <= 1:
+            raise ValueError("dt_fraction_of_guard must lie in (0, 1]")
+        if self.gate_rise < 0:
+            raise ValueError("gate_rise must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -179,261 +205,251 @@ class Config:
     array_q_c: float = 2000.0
 
 
-def _parse_gate(raw, errors) -> GateModel:
-    allowed = {"v_pinch", "v_on", "shape"}
-    _check_keys(raw, allowed, "cell.jj.gate", errors)
-    v_pinch = parse_quantity(raw.get("v_pinch", "-2000 mV"), "voltage", "cell.jj.gate.v_pinch", errors)
-    v_on = parse_quantity(raw.get("v_on", "0 mV"), "voltage", "cell.jj.gate.v_on", errors)
-    shape_raw = raw.get("shape", "linear")
-    shape: Linear | Logistic = Linear()
-    if isinstance(shape_raw, str):
-        if shape_raw != "linear":
-            errors.append("cell.jj.gate.shape: expected 'linear' or {'logistic': steepness}")
-    elif isinstance(shape_raw, dict) and set(shape_raw) == {"logistic"}:
-        k = _expect_number(shape_raw["logistic"], "cell.jj.gate.shape.logistic", errors)
-        if not math.isnan(k) and k > 0:
-            shape = Logistic(steepness=k)
-        elif not math.isnan(k):
-            errors.append("cell.jj.gate.shape.logistic: steepness must be positive")
-    else:
-        errors.append("cell.jj.gate.shape: expected 'linear' or {'logistic': steepness}")
+#: the cell a config describes where its file leaves keys out
+_DEFAULT_CELL = MemoryCell(
+    z0=50.0, eps_eff=6.45, c_in=20e-15, tcr_half_len=4.2e-3,
+    jj=JjFet(i_c_max=1e-6), c_couple=40e-15, sc_len=4.3e-3, line_atten=5e-4,
+)
+#: the targets of a calibration section where it leaves keys out
+_DEFAULT_CALIBRATION = CalibrationTargets(f_sc=6.55e9, l_anchor=220e-12, q_c=2000.0)
+
+
+# ------------------------- reader and writer -------------------------
+
+
+class _Custom(NamedTuple):
+    """A value that is neither a quantity nor a plain number."""
+
+    read: Callable  # (JSON value, key path, errors) -> value
+    write: Callable  # value -> JSON value
+
+
+def _failed(value) -> bool:
+    """True for the NaN a reader returns after reporting an error."""
+    values = value if isinstance(value, tuple) else (value,)
+    return any(isinstance(v, float) and math.isnan(v) for v in values)
+
+
+def _read(raw, table, where: str, errors: list[str]) -> dict:
+    """The fields a section's JSON object sets, parsed through its table.
+
+    A row whose field is None names a sub-object whose fields belong to
+    the parent (the config's array section).
+    """
+    if not isinstance(raw, dict):
+        errors.append(f"{where}: expected an object, got {raw!r}")
+        return {}
+    keys = [key for key, _, _ in table]
+    errors.extend(f"{where or 'config'}: unknown key {k!r}" for k in raw if k not in keys)
+    kw = {}
+    for key, name, kind in table:
+        if key not in raw:
+            continue
+        path = f"{where}.{key}" if where else key
+        if name is None:
+            kw.update(_read(raw[key], kind, path, errors))
+        elif kind is None:
+            kw[name] = _expect_number(raw[key], path, errors)
+        elif isinstance(kind, str):
+            kw[name] = parse_quantity(raw[key], kind, path, errors)
+        else:
+            kw[name] = kind.read(raw[key], path, errors)
+    return kw
+
+
+def _write(obj, table) -> dict:
+    """JSON form of obj through its table; None fields are left out."""
+    out = {}
+    for key, name, kind in table:
+        if name is None:
+            out[key] = _write(obj, kind)
+            continue
+        value = getattr(obj, name)
+        if value is None:
+            continue
+        if kind is None:
+            out[key] = value
+        elif isinstance(kind, str):
+            out[key] = format_quantity(value, kind)
+        else:
+            out[key] = kind.write(value)
+    return out
+
+
+def _build(default, kw: dict, where: str, errors: list[str]):
+    """default with the parsed fields kw, checked by its __post_init__.
+
+    Returns default itself when a field failed to parse (already
+    reported) or the dataclass rejects the values ("<where>: <reason>").
+    """
+    if any(_failed(v) for v in kw.values()):
+        return default
+    try:
+        return replace(default, **kw)
+    except ValueError as exc:
+        errors.append(f"{where}: {exc}")
+        return default
+
+
+def _section(table, default) -> _Custom:
+    """A nested object: its own table, keys left out taken from default."""
+    return _Custom(
+        read=lambda raw, where, errors: _build(default, _read(raw, table, where, errors),
+                                               where, errors),
+        write=lambda obj: _write(obj, table),
+    )
+
+
+def _read_band(raw, where, errors):
+    if not (isinstance(raw, list) and len(raw) == 2):
+        errors.append(f"{where}: expected a [lo, hi] pair")
+        return math.nan
+    return tuple(parse_quantity(f, "frequency", f"{where}[{i}]", errors) for i, f in enumerate(raw))
+
+
+def _read_targets(raw, where, errors):
+    if not isinstance(raw, list):
+        errors.append(f"{where}: expected a list")
+        return math.nan
+    targets = tuple(
+        parse_quantity(f, "frequency", f"{where}[{i}]", errors) for i, f in enumerate(raw)
+    )
+    if any(b <= a for a, b in zip(targets, targets[1:])):
+        errors.append(f"{where}: must be strictly increasing")
+        return math.nan
+    return targets
+
+
+def _read_shape(raw, where, errors):
+    if raw == "linear":
+        return Linear()
+    if isinstance(raw, dict) and set(raw) == {"logistic"}:
+        k = _expect_number(raw["logistic"], f"{where}.logistic", errors)
+        if k > 0:
+            return Logistic(steepness=k)
+        if not math.isnan(k):
+            errors.append(f"{where}.logistic: steepness must be positive")
+        return math.nan
+    errors.append(f"{where}: expected 'linear' or {{'logistic': steepness}}")
+    return math.nan
+
+
+def _read_integer(raw, where, errors):
+    if isinstance(raw, int):
+        return raw
+    errors.append(f"{where}: expected an integer, got {raw!r}")
+    return math.nan
+
+
+def _write_frequencies(values) -> list[str]:
+    return [format_quantity(f, "frequency") for f in values]
+
+
+# ------------------------- the file formats -------------------------
+# Rows are (JSON key, field, kind).  The kind is a unit family, None for a
+# plain number, or a _Custom; a row with field None holds a nested table.
+
+_GATE = (
+    ("v_pinch", "v_pinch", "voltage"),
+    ("v_on", "v_on", "voltage"),
+    ("shape", "shape", _Custom(
+        _read_shape,
+        lambda shape: "linear" if isinstance(shape, Linear) else {"logistic": shape.steepness},
+    )),
+)
+_JJ = (
+    ("i_c_max", "i_c_max", "current"),
+    ("c_j", "c_j", "capacitance"),
+    ("r_off", "r_off", "resistance"),
+    ("r_sub", "r_sub", "resistance"),
+    ("gate", "gate", _section(_GATE, _DEFAULT_CELL.jj.gate)),
+)
+_CELL = (
+    ("z0", "z0", "resistance"),
+    ("eps_eff", "eps_eff", None),
+    ("line_atten_np_per_m", "line_atten", None),
+    ("c_in", "c_in", "capacitance"),
+    ("c_couple", "c_couple", "capacitance"),
+    ("tcr_half_len", "tcr_half_len", "length"),
+    ("sc_len", "sc_len", "length"),
+    ("jj", "jj", _section(_JJ, _DEFAULT_CELL.jj)),
+)
+_CALIBRATION = (
+    ("f_sc", "f_sc", "frequency"),
+    ("l_anchor", "l_anchor", "inductance"),
+    ("q_c", "q_c", None),
+    ("f_tcr_on", "f_tcr_on", "frequency"),
+)
+_SWEEP = (
+    ("band", "band", _Custom(_read_band, _write_frequencies)),
+    ("coarse_step", "coarse_step", "frequency"),
+    ("min_depth_db", "min_depth_db", None),
+)
+_MODEMAP = (
+    ("l_min", "l_min", "inductance"),
+    ("l_max", "l_max", "inductance"),
+    ("points", "points", _Custom(_read_integer, int)),
+)
+_DYNAMICS = (
+    ("dt_fraction_of_guard", "dt_fraction_of_guard", None),
+    ("rf_amplitude", "rf_amplitude", None),
+    ("gate_rise", "gate_rise", "time"),
+)
+_ARRAY = (
+    ("targets", "array_targets", _Custom(_read_targets, _write_frequencies)),
+    ("q_c", "array_q_c", None),
+)
+_CONFIG = (
+    ("cell", "cell", _section(_CELL, _DEFAULT_CELL)),
+    ("calibration", "calibration", _section(_CALIBRATION, _DEFAULT_CALIBRATION)),
+    ("sweep", "sweep", _section(_SWEEP, SweepSettings())),
+    ("modemap", "modemap", _section(_MODEMAP, ModeMapSettings())),
+    ("dynamics", "dynamics", _section(_DYNAMICS, DynamicsSettings())),
+    ("array", None, _ARRAY),
+)
+#: One schedule operation.  "op" and "cell_index" have no default and are
+#: checked by load_schedule.
+_OP = (
+    ("start", "start", "time"),
+    ("rf_carrier", "rf_carrier", "frequency"),
+    ("rf_amplitude", "rf_amplitude", None),
+    ("rf_duration", "rf_duration", "time"),
+)
+
+
+def _raise_if(errors: list[str], what: str):
     if errors:
-        return GateModel(-2.0, 0.0)
-    try:
-        return GateModel(v_pinch=v_pinch, v_on=v_on, shape=shape)
-    except ValueError as exc:
-        errors.append(f"cell.jj.gate: {exc}")
-        return GateModel(-2.0, 0.0)
+        raise ConfigError(f"invalid {what}:\n  - " + "\n  - ".join(errors))
 
 
-def _parse_jj(raw, errors) -> JjFet:
-    allowed = {"i_c_max", "c_j", "r_off", "r_sub", "gate"}
-    _check_keys(raw, allowed, "cell.jj", errors)
-    kw = dict(
-        i_c_max=parse_quantity(raw.get("i_c_max", "1 uA"), "current", "cell.jj.i_c_max", errors),
-        c_j=parse_quantity(raw.get("c_j", "1 fF"), "capacitance", "cell.jj.c_j", errors),
-        r_off=parse_quantity(raw.get("r_off", "1000 ohm"), "resistance", "cell.jj.r_off", errors),
-        r_sub=parse_quantity(raw.get("r_sub", "1000000 ohm"), "resistance", "cell.jj.r_sub", errors),
-        gate=_parse_gate(raw.get("gate", {}), errors),
-    )
-    if any(isinstance(v, float) and math.isnan(v) for v in kw.values()):
-        return JjFet(i_c_max=1e-6)
-    try:
-        return JjFet(**kw)
-    except ValueError as exc:
-        errors.append(f"cell.jj: {exc}")
-        return JjFet(i_c_max=1e-6)
-
-
-def _parse_cell(raw, errors) -> MemoryCell:
-    allowed = {
-        "z0", "eps_eff", "line_atten_np_per_m", "c_in", "c_couple",
-        "tcr_half_len", "sc_len", "jj",
-    }
-    _check_keys(raw, allowed, "cell", errors)
-    kw = dict(
-        z0=parse_quantity(raw.get("z0", "50 ohm"), "resistance", "cell.z0", errors),
-        eps_eff=_expect_number(raw.get("eps_eff", 6.45), "cell.eps_eff", errors),
-        c_in=parse_quantity(raw.get("c_in", "20 fF"), "capacitance", "cell.c_in", errors),
-        c_couple=parse_quantity(raw.get("c_couple", "40 fF"), "capacitance", "cell.c_couple", errors),
-        tcr_half_len=parse_quantity(raw.get("tcr_half_len", "4.2 mm"), "length", "cell.tcr_half_len", errors),
-        sc_len=parse_quantity(raw.get("sc_len", "4.3 mm"), "length", "cell.sc_len", errors),
-        line_atten=_expect_number(raw.get("line_atten_np_per_m", 5e-4), "cell.line_atten_np_per_m", errors),
-        jj=_parse_jj(raw.get("jj", {}), errors),
-    )
-    if any(isinstance(v, float) and math.isnan(v) for v in kw.values()):
-        return _fallback_cell()
-    try:
-        return MemoryCell(**kw)
-    except ValueError as exc:
-        errors.append(f"cell: {exc}")
-        return _fallback_cell()
-
-
-def _fallback_cell() -> MemoryCell:
-    return MemoryCell(
-        z0=50.0, eps_eff=6.45, c_in=20e-15, tcr_half_len=4.2e-3,
-        jj=JjFet(i_c_max=1e-6), c_couple=40e-15, sc_len=4.3e-3,
-    )
+def _load_json(path, what: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def parse_config(raw: dict) -> Config:
     """Validate a parsed JSON dict; raises ConfigError listing all faults."""
-    errors: list[str] = []
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    allowed = {"cell", "calibration", "sweep", "modemap", "dynamics", "array"}
-    _check_keys(raw, allowed, "config", errors)
-
-    cell = _parse_cell(raw.get("cell", {}), errors)
-
-    calibration = None
-    if "calibration" in raw:
-        c = raw["calibration"]
-        _check_keys(c, {"f_sc", "l_anchor", "q_c", "f_tcr_on"}, "calibration", errors)
-        f_sc = parse_quantity(c.get("f_sc", "6.55 GHz"), "frequency", "calibration.f_sc", errors)
-        l_anchor = parse_quantity(c.get("l_anchor", "220 pH"), "inductance", "calibration.l_anchor", errors)
-        q_c = _expect_number(c.get("q_c", 2000.0), "calibration.q_c", errors)
-        f_tcr = None
-        if "f_tcr_on" in c:
-            f_tcr = parse_quantity(c["f_tcr_on"], "frequency", "calibration.f_tcr_on", errors)
-        if not any(math.isnan(x) for x in (f_sc, l_anchor, q_c)):
-            try:
-                calibration = CalibrationTargets(f_sc=f_sc, l_anchor=l_anchor, q_c=q_c, f_tcr_on=f_tcr)
-            except ValueError as exc:
-                errors.append(f"calibration: {exc}")
-
-    sweep = SweepSettings()
-    if "sweep" in raw:
-        s = raw["sweep"]
-        _check_keys(s, {"band", "coarse_step", "min_depth_db"}, "sweep", errors)
-        band = s.get("band", ["5.8 GHz", "7.4 GHz"])
-        if not (isinstance(band, list) and len(band) == 2):
-            errors.append("sweep.band: expected a [lo, hi] pair")
-            band = ["5.8 GHz", "7.4 GHz"]
-        lo = parse_quantity(band[0], "frequency", "sweep.band[0]", errors)
-        hi = parse_quantity(band[1], "frequency", "sweep.band[1]", errors)
-        step = parse_quantity(s.get("coarse_step", "2 MHz"), "frequency", "sweep.coarse_step", errors)
-        depth = _expect_number(s.get("min_depth_db", 0.01), "sweep.min_depth_db", errors)
-        if not any(math.isnan(x) for x in (lo, hi, step, depth)):
-            if not lo < hi:
-                errors.append("sweep.band: lo must be below hi")
-            else:
-                sweep = SweepSettings(band=(lo, hi), coarse_step=step, min_depth_db=depth)
-
-    modemap = ModeMapSettings()
-    if "modemap" in raw:
-        m = raw["modemap"]
-        _check_keys(m, {"l_min", "l_max", "points"}, "modemap", errors)
-        l_min = parse_quantity(m.get("l_min", "10 pH"), "inductance", "modemap.l_min", errors)
-        l_max = parse_quantity(m.get("l_max", "500 pH"), "inductance", "modemap.l_max", errors)
-        pts = m.get("points", 61)
-        if not isinstance(pts, int) or pts < 2:
-            errors.append("modemap.points: expected an integer >= 2")
-            pts = 61
-        if not any(math.isnan(x) for x in (l_min, l_max)):
-            if not 0 < l_min < l_max:
-                errors.append("modemap: requires 0 < l_min < l_max")
-            else:
-                modemap = ModeMapSettings(l_min=l_min, l_max=l_max, points=pts)
-
-    dynamics = DynamicsSettings()
-    if "dynamics" in raw:
-        d = raw["dynamics"]
-        _check_keys(d, {"dt_fraction_of_guard", "rf_amplitude", "gate_rise"}, "dynamics", errors)
-        frac = _expect_number(d.get("dt_fraction_of_guard", 0.25), "dynamics.dt_fraction_of_guard", errors)
-        amp = _expect_number(d.get("rf_amplitude", 1.0), "dynamics.rf_amplitude", errors)
-        rise = parse_quantity(d.get("gate_rise", "50 ps"), "time", "dynamics.gate_rise", errors)
-        if not any(math.isnan(x) for x in (frac, amp, rise)):
-            if not 0 < frac <= 1:
-                errors.append("dynamics.dt_fraction_of_guard: must lie in (0, 1]")
-            elif rise < 0:
-                errors.append("dynamics.gate_rise: must be non-negative")
-            else:
-                dynamics = DynamicsSettings(dt_fraction_of_guard=frac, rf_amplitude=amp, gate_rise=rise)
-
-    array_targets: tuple[float, ...] = ()
-    array_q_c = 2000.0
-    if "array" in raw:
-        a = raw["array"]
-        _check_keys(a, {"targets", "q_c"}, "array", errors)
-        targets_raw = a.get("targets", [])
-        if not isinstance(targets_raw, list):
-            errors.append("array.targets: expected a list")
-            targets_raw = []
-        targets = [
-            parse_quantity(t, "frequency", f"array.targets[{i}]", errors)
-            for i, t in enumerate(targets_raw)
-        ]
-        array_q_c = _expect_number(a.get("q_c", 2000.0), "array.q_c", errors)
-        if targets and not any(math.isnan(t) for t in targets):
-            if any(b <= a_ for a_, b in zip(targets, targets[1:])):
-                errors.append("array.targets: must be strictly increasing")
-            else:
-                array_targets = tuple(targets)
-
-    if errors:
-        raise ConfigError("invalid configuration:\n  - " + "\n  - ".join(errors))
-    return Config(
-        cell=cell,
-        calibration=calibration,
-        sweep=sweep,
-        modemap=modemap,
-        dynamics=dynamics,
-        array_targets=array_targets,
-        array_q_c=array_q_c,
-    )
+    errors: list[str] = []
+    cfg = _build(Config(cell=_DEFAULT_CELL), _read(raw, _CONFIG, "", errors), "config", errors)
+    _raise_if(errors, "configuration")
+    return cfg
 
 
 def load_config(path) -> Config:
     """Read and validate a JSON config file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"not valid JSON: {exc}") from exc
-    return parse_config(raw)
+    return parse_config(_load_json(path, "config"))
 
 
 def config_to_dict(cfg: Config) -> dict:
     """Serialize a Config back to its JSON form (lossless round trip)."""
-    cell = cfg.cell
-    jj = cell.jj
-    shape = "linear" if isinstance(jj.gate.shape, Linear) else {"logistic": jj.gate.shape.steepness}
-    out = {
-        "cell": {
-            "z0": format_quantity(cell.z0, "resistance"),
-            "eps_eff": cell.eps_eff,
-            "line_atten_np_per_m": cell.line_atten,
-            "c_in": format_quantity(cell.c_in, "capacitance"),
-            "c_couple": format_quantity(cell.c_couple, "capacitance"),
-            "tcr_half_len": format_quantity(cell.tcr_half_len, "length"),
-            "sc_len": format_quantity(cell.sc_len, "length"),
-            "jj": {
-                "i_c_max": format_quantity(jj.i_c_max, "current"),
-                "c_j": format_quantity(jj.c_j, "capacitance"),
-                "r_off": format_quantity(jj.r_off, "resistance"),
-                "r_sub": format_quantity(jj.r_sub, "resistance"),
-                "gate": {
-                    "v_pinch": format_quantity(jj.gate.v_pinch, "voltage"),
-                    "v_on": format_quantity(jj.gate.v_on, "voltage"),
-                    "shape": shape,
-                },
-            },
-        },
-        "sweep": {
-            "band": [
-                format_quantity(cfg.sweep.band[0], "frequency"),
-                format_quantity(cfg.sweep.band[1], "frequency"),
-            ],
-            "coarse_step": format_quantity(cfg.sweep.coarse_step, "frequency"),
-            "min_depth_db": cfg.sweep.min_depth_db,
-        },
-        "modemap": {
-            "l_min": format_quantity(cfg.modemap.l_min, "inductance"),
-            "l_max": format_quantity(cfg.modemap.l_max, "inductance"),
-            "points": cfg.modemap.points,
-        },
-        "dynamics": {
-            "dt_fraction_of_guard": cfg.dynamics.dt_fraction_of_guard,
-            "rf_amplitude": cfg.dynamics.rf_amplitude,
-            "gate_rise": format_quantity(cfg.dynamics.gate_rise, "time"),
-        },
-    }
-    if cfg.calibration is not None:
-        cal = {
-            "f_sc": format_quantity(cfg.calibration.f_sc, "frequency"),
-            "l_anchor": format_quantity(cfg.calibration.l_anchor, "inductance"),
-            "q_c": cfg.calibration.q_c,
-        }
-        if cfg.calibration.f_tcr_on is not None:
-            cal["f_tcr_on"] = format_quantity(cfg.calibration.f_tcr_on, "frequency")
-        out["calibration"] = cal
-    if cfg.array_targets:
-        out["array"] = {
-            "targets": [format_quantity(t, "frequency") for t in cfg.array_targets],
-            "q_c": cfg.array_q_c,
-        }
+    out = _write(cfg, _CONFIG)
+    if not cfg.array_targets:  # a config without an array has no array section
+        del out["array"]
     return out
 
 
@@ -449,21 +465,38 @@ def config_hash(cfg: Config) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def load_schedule(path) -> AccessSchedule:
+    """Read and validate a JSON schedule file: {"ops": [operation, ...]}."""
+    raw = _load_json(path, "schedule")
+    if not (isinstance(raw, dict) and set(raw) <= {"ops"}
+            and isinstance(raw.get("ops", []), list)):
+        raise ConfigError("schedule root must be an object with a single 'ops' list")
+    ops = []
+    errors: list[str] = []
+    for i, entry in enumerate(raw.get("ops", [])):
+        where = f"ops[{i}]"
+        if not isinstance(entry, dict):
+            errors.append(f"{where}: expected an object")
+            continue
+        entry = dict(entry)
+        kind, index = entry.pop("op", None), entry.pop("cell_index", None)
+        kw = _read(entry, _OP, where, errors)
+        if kind not in ("write", "read"):
+            errors.append(f"{where}.op: expected 'write' or 'read'")
+        elif not isinstance(index, int) or index < 0:
+            errors.append(f"{where}.cell_index: expected a non-negative integer")
+        else:
+            ops.append(AccessOp(op=kind, cell_index=index, **kw))
+    _raise_if(errors, "schedule")
+    return AccessSchedule(ops=tuple(ops))
+
+
 # ------------------------- shipped example -------------------------
 
 
 def example_template() -> MemoryCell:
     """Uncalibrated template cell the example config is derived from."""
-    return MemoryCell(
-        z0=50.0,
-        eps_eff=6.45,
-        c_in=20e-15,
-        tcr_half_len=4.2e-3,
-        jj=JjFet(i_c_max=critical_current_for_inductance(220e-12)),
-        c_couple=40e-15,
-        sc_len=4.3e-3,
-        line_atten=5e-4,
-    )
+    return replace(_DEFAULT_CELL, jj=JjFet(i_c_max=critical_current_for_inductance(220e-12)))
 
 
 def example_config(calibrated: bool = True) -> Config:
@@ -473,15 +506,11 @@ def example_config(calibrated: bool = True) -> Config:
     6.55 GHz target so spectra and mode maps reproduce the anchored
     behavior out of the box.
     """
-    targets = CalibrationTargets(f_sc=6.55e9, l_anchor=220e-12, q_c=2000.0)
     cell = example_template()
     if calibrated:
-        from .calibrate import calibrate_geometry
-
-        cell = calibrate_geometry(targets, cell)
+        cell = calibrate_geometry(_DEFAULT_CALIBRATION, cell)
     return Config(
         cell=cell,
-        calibration=targets,
+        calibration=_DEFAULT_CALIBRATION,
         array_targets=(6.55e9, 6.65e9, 6.70e9, 6.75e9),
-        array_q_c=2000.0,
     )

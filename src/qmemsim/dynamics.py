@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jjfet import JjState, On
 
 TWO_PI = 2.0 * math.pi
 
@@ -124,7 +123,6 @@ class GatePulse:
     start: float
     duration: float
     rise: float = 0.0
-    level: JjState = field(default_factory=lambda: On(220e-12))
 
     def __post_init__(self):
         if self.duration <= 0:
@@ -164,17 +162,15 @@ class PulseSequence:
 def coupling_schedule(gate_pulses, g_on: float, g_off: float):
     """Piecewise-linear g(t) from gate pulses; OFF floor outside pulses.
 
-    An ON pulse ramps g_off -> g_on over `rise`, holds, and ramps back.
-    Explicit Off-level pulses hold the floor.  Returns a vectorized
-    callable.
+    Each pulse ramps g_off -> g_on over `rise`, holds, and ramps back.
+    Returns a vectorized callable.
     """
     xs: list[float] = []
     ys: list[float] = []
     for p in sorted(gate_pulses, key=lambda q: q.start):
-        target = g_on if isinstance(p.level, On) else g_off
         rise = max(p.rise, 1e-18)  # exact steps still resolve below any dt
         xs += [p.start, p.start + rise, p.end, p.end + rise]
-        ys += [g_off, target, target, g_off]
+        ys += [g_off, g_on, g_on, g_off]
 
     if not xs:
         return lambda t: np.full_like(np.asarray(t, dtype=float), g_off)
@@ -372,11 +368,7 @@ class ReadResult:
 def write_protocol(
     system: CoupledModeSystem,
     rf: RfPulse,
-    gate_on_level: JjState | None = None,
-    gate_rise: float = 0.0,
     gate_at: float | None = None,
-    settle: float | None = None,
-    dt: float | None = None,
     engage_gate: bool = True,
 ) -> WriteResult:
     """Load the coupler through the feedline, then swap into the cavity.
@@ -390,17 +382,12 @@ def write_protocol(
     measurement) over the same time window.
     """
     t_swap = swap_duration(system.g_on) if system.g_on > 0 else rf.duration
-    level = gate_on_level if gate_on_level is not None else On(220e-12)
     t_gate = gate_at if gate_at is not None else rf.end
-    gates = ()
-    if engage_gate:
-        gates = (GatePulse(start=t_gate, duration=t_swap, rise=gate_rise, level=level),)
-    if settle is None:
-        settle = max(2.0 * t_swap, 0.02 * rf.duration)
+    gates = (GatePulse(start=t_gate, duration=t_swap),) if engage_gate else ()
+    settle = max(2.0 * t_swap, 0.02 * rf.duration)
     pulses = PulseSequence(rf=rf, gate_pulses=gates)
-    t_end = max(rf.end, t_gate + (t_swap if engage_gate else 0.0) + gate_rise) + settle
-    if dt is None:
-        dt = 0.25 * max_stable_dt(system, pulses)
+    t_end = max(rf.end, t_gate + (t_swap if engage_gate else 0.0)) + settle
+    dt = 0.25 * max_stable_dt(system, pulses)
     traj = evolve(system, pulses, (min(0.0, rf.start), t_end), dt)
     peak = float(np.max(traj.e_a))
     if peak == 0.0:
@@ -410,10 +397,7 @@ def write_protocol(
 
 def read_protocol(
     system: CoupledModeSystem,
-    gate_on_level: JjState | None = None,
-    gate_rise: float = 0.0,
     emit_time: float | None = None,
-    dt: float | None = None,
 ) -> ReadResult:
     """Swap the stored excitation back to the coupler and emit it.
 
@@ -427,14 +411,9 @@ def read_protocol(
     t_swap = swap_duration(system.g_on)
     if emit_time is None:
         emit_time = 8.0 / system.kappa_ext if system.kappa_ext > 0 else 10.0 * t_swap
-    level = gate_on_level if gate_on_level is not None else On(220e-12)
-    pulses = PulseSequence(
-        rf=None,
-        gate_pulses=(GatePulse(start=0.0, duration=t_swap, rise=gate_rise, level=level),),
-    )
-    if dt is None:
-        dt = 0.25 * max_stable_dt(system, pulses)
-    traj = evolve(system, pulses, (0.0, t_swap + gate_rise + emit_time), dt, a0=0.0, b0=1.0)
+    pulses = PulseSequence(rf=None, gate_pulses=(GatePulse(start=0.0, duration=t_swap),))
+    dt = 0.25 * max_stable_dt(system, pulses)
+    traj = evolve(system, pulses, (0.0, t_swap + emit_time), dt, a0=0.0, b0=1.0)
     emitted_power = np.abs(traj.a_out) ** 2
     recovered = float(np.trapezoid(emitted_power, traj.times))
     return ReadResult(

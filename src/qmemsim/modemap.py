@@ -14,7 +14,6 @@ f_a(l) and coupling g (linear frequency, half the minimum splitting).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,21 +184,22 @@ class CrossingFit:
 
     def branches(self, l_j):
         """Model hybridized branches (f_minus, f_plus) at l_j."""
-        fa = self.bare_coupler(l_j)
-        fb = self.f_cross
-        mid = 0.5 * (fa + fb)
-        gap = np.sqrt(0.25 * (fa - fb) ** 2 + self.g**2)
-        return mid - gap, mid + gap
+        return _hybridize(self.bare_coupler(l_j), self.f_cross, self.g)
+
+
+def _hybridize(fa, fb, g):
+    """Branches (lower, upper) of bare modes fa and fb coupled by g."""
+    mid = 0.5 * (fa + fb)
+    gap = np.sqrt(0.25 * (fa - fb) ** 2 + g**2)
+    return mid - gap, mid + gap
 
 
 def hybridized_map(l_grid, coeffs, f_b: float, g: float) -> ModeMap:
     """Closed-form two-mode map; the oracle generator for the fit."""
     rows = []
     for l_j in np.asarray(l_grid, dtype=float):
-        fa = float(np.polyval(coeffs, l_j))
-        mid = 0.5 * (fa + f_b)
-        gap = math.sqrt(0.25 * (fa - f_b) ** 2 + g**2)
-        rows.append(ModeMapRow(float(l_j), mid - gap, mid + gap))
+        lo, hi = _hybridize(float(np.polyval(coeffs, l_j)), f_b, g)
+        rows.append(ModeMapRow(float(l_j), float(lo), float(hi)))
     return ModeMap(rows=tuple(rows))
 
 
@@ -231,15 +231,8 @@ def fit_avoided_crossing(mode_map: ModeMap) -> CrossingFit:
     coeffs0 = np.polyfit(l / 1e-12, fa0, 3)  # per-pH powers for conditioning
     g0 = 0.5 * np.min(f2 - f1) / scale
 
-    def model(p):
-        fb, g = p[0], p[1]
-        fa = np.polyval(p[2:], l / 1e-12)
-        mid = 0.5 * (fa + fb)
-        gap = np.sqrt(0.25 * (fa - fb) ** 2 + g**2)
-        return mid - gap, mid + gap
-
     def residuals(p):
-        lo, hi = model(p)
+        lo, hi = _hybridize(np.polyval(p[2:], l / 1e-12), p[0], p[1])
         return np.concatenate([lo - f1 / scale, hi - f2 / scale])
 
     p0 = np.concatenate([[fb0, g0], coeffs0])

@@ -203,7 +203,7 @@ def test_criterion_8_array_spectrum_and_crosstalk(array, array_models):
         from qmemsim.jjfet import On
 
         grid = np.linspace(6.0e9, 7.1e9, 22001)
-        states = [On(m.l_on) for m in array_models]
+        states = [On(m.fit.l_cross) for m in array_models]
         _, composed = array_spectrum(array, states, grid)
         composed_peaks = find_resonances(grid, composed, min_depth_db=1.0)
         assert len(composed_peaks) >= 4

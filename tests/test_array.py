@@ -44,7 +44,7 @@ class TestBuildArray:
 class TestArraySpectrum:
     def test_all_on_shows_doublets(self, array, array_models):
         grid = np.linspace(6.0e9, 7.1e9, 22001)
-        states = [On(m.l_on) for m in array_models]
+        states = [On(m.fit.l_cross) for m in array_models]
         _, s21 = array_spectrum(array, states, grid)
         from qmemsim.resonance import find_resonances
 
@@ -58,7 +58,7 @@ class TestArraySpectrum:
 
     def test_composition_product(self, array, array_models):
         grid = np.linspace(6.3e9, 6.8e9, 2001)
-        states = [On(m.l_on) for m in array_models]
+        states = [On(m.fit.l_cross) for m in array_models]
         _, combined = array_spectrum(array, states, grid)
         product = np.ones_like(grid, dtype=complex)
         for cell_i, st in zip(array.cells, states):
@@ -70,7 +70,7 @@ class TestArraySpectrum:
         # combined = lone trace times a near-unity background (the OFF
         # cells rotate the phase slowly but leave the magnitude intact)
         grid = np.linspace(6.2e9, 6.9e9, 3001)
-        states = [On(array_models[0].l_on)] + [Off(1000.0)] * 3
+        states = [On(array_models[0].fit.l_cross)] + [Off(1000.0)] * 3
         _, combined = array_spectrum(array, states, grid)
         _, lone = frequency_sweep(array.cells[0], states[0], grid)
         background = np.abs(combined) / np.clip(np.abs(lone), 1e-12, None)

@@ -142,6 +142,13 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "c_in" in err and "sc_len" in err
 
+    def test_section_that_is_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"cell": 5}))
+        assert main(["spectrum", str(path), "--state", "off"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cell: expected an object" in err
+
     def test_numerical_failure_exit_code(self, tmp_path):
         cfg = example_config(calibrated=False)
         raw = config_to_dict(cfg)

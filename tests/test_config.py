@@ -1,19 +1,27 @@
-"""Config parsing: units, validation, lossless round trips."""
+"""Config and schedule parsing: units, validation, lossless round trips."""
+import json
+from pathlib import Path
+
 import pytest
 
+from qmemsim.array import AccessOp
 from qmemsim.config import (
     Config,
     ConfigError,
     config_hash,
     config_to_dict,
+    example_config,
     example_template,
     format_quantity,
     load_config,
+    load_schedule,
     parse_config,
     parse_quantity,
     save_config,
 )
 from qmemsim.jjfet import Logistic
+
+SEED_CONFIG = Path(__file__).resolve().parents[1] / "bench" / "data" / "seed_config.json"
 
 
 def minimal_raw():
@@ -125,6 +133,29 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="increasing"):
             parse_config(raw)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("cell", "eps_eff", float("nan")),
+        ("calibration", "q_c", float("inf")),
+        ("calibration", "q_c", float("-inf")),
+        ("array", "q_c", 10**400),
+    ], ids=["nan", "inf", "-inf", "int-beyond-float"])
+    def test_non_finite_number_rejected(self, section, key, value):
+        raw = minimal_raw()
+        raw.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match=f"{section}.{key}: expected a finite number"):
+            parse_config(raw)
+
+    @pytest.mark.parametrize("raw, where", [
+        ({"cell": 5}, "cell"),
+        ({"sweep": "x"}, "sweep"),
+        ({"calibration": []}, "calibration"),
+        ({"array": 3}, "array"),
+        ({"cell": {"jj": {"gate": None}}}, "cell.jj.gate"),
+    ])
+    def test_section_that_is_not_an_object_rejected(self, raw, where):
+        with pytest.raises(ConfigError, match=f"{where}: expected an object"):
+            parse_config(raw)
+
     def test_calibration_section(self):
         raw = minimal_raw()
         raw["calibration"] = {"f_sc": "6.55 GHz", "l_anchor": "220 pH", "q_c": 2000.0}
@@ -169,3 +200,70 @@ class TestRoundTrip:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="JSON"):
             load_config(path)
+
+
+class TestOnDiskFormat:
+    def test_example_config_keys_and_units(self):
+        assert config_to_dict(example_config(calibrated=False)) == {
+            "cell": {
+                "z0": "50 ohm",
+                "eps_eff": 6.45,
+                "line_atten_np_per_m": 0.0005,
+                "c_in": "20 fF",
+                "c_couple": "40 fF",
+                "tcr_half_len": "4.2 mm",
+                "sc_len": "4.3 mm",
+                "jj": {
+                    "i_c_max": "1.495936265463341 uA",
+                    "c_j": "1 fF",
+                    "r_off": "1000 ohm",
+                    "r_sub": "1e+06 ohm",
+                    "gate": {"v_pinch": "-2000 mV", "v_on": "0 mV", "shape": "linear"},
+                },
+            },
+            "calibration": {"f_sc": "6.55 GHz", "l_anchor": "220 pH", "q_c": 2000.0},
+            "sweep": {"band": ["5.8 GHz", "7.4 GHz"], "coarse_step": "0.002 GHz",
+                      "min_depth_db": 0.01},
+            "modemap": {"l_min": "10 pH", "l_max": "500 pH", "points": 61},
+            "dynamics": {"dt_fraction_of_guard": 0.25, "rf_amplitude": 1.0,
+                         "gate_rise": "0.05 ns"},
+            "array": {"targets": ["6.55 GHz", "6.65 GHz", "6.7 GHz", "6.75 GHz"],
+                      "q_c": 2000.0},
+        }
+
+    def test_seed_config_file_round_trips(self):
+        assert config_to_dict(load_config(SEED_CONFIG)) == json.loads(SEED_CONFIG.read_text())
+
+
+class TestLoadSchedule:
+    def write(self, tmp_path, raw):
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps(raw, allow_nan=True))
+        return path
+
+    def test_readme_example(self, tmp_path):
+        path = self.write(tmp_path, {"ops": [
+            {"op": "write", "cell_index": 0},
+            {"op": "read", "cell_index": 0, "start": "5000 ns"},
+        ]})
+        assert load_schedule(path).ops == (
+            AccessOp(op="write", cell_index=0),
+            AccessOp(op="read", cell_index=0, start=5e-6),
+        )
+
+    @pytest.mark.parametrize("op, message", [
+        ({"op": "erase", "cell_index": 0}, "ops[0].op"),
+        ({"op": "write", "cell_index": -1}, "ops[0].cell_index"),
+        ({"op": "write", "cell_index": 0, "rf_amplitude": float("nan")}, "ops[0].rf_amplitude"),
+        ({"op": "write", "cell_index": 0, "start": "5 GHz"}, "ops[0].start"),
+        ({"op": "write", "cell_index": 0, "banana": 1}, "banana"),
+    ])
+    def test_invalid_op_names_key(self, tmp_path, op, message):
+        with pytest.raises(ConfigError) as err:
+            load_schedule(self.write(tmp_path, {"ops": [op]}))
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize("raw", [{"ops": 5}, [], {"ops": [], "extra": 1}])
+    def test_root_must_hold_an_ops_list(self, tmp_path, raw):
+        with pytest.raises(ConfigError, match="'ops' list"):
+            load_schedule(self.write(tmp_path, raw))

@@ -20,7 +20,6 @@ from qmemsim.dynamics import (
     swap_duration,
     write_protocol,
 )
-from qmemsim.jjfet import Off, On
 
 W0 = TWO_PI * 6.55e9
 
@@ -168,12 +167,6 @@ class TestCouplingSchedule:
         assert g(10e-9 - 1e-15) == 0.0
         assert g(10e-9 + 1e-15) == pytest.approx(1e9)
 
-    def test_explicit_off_level_holds_floor(self):
-        g = coupling_schedule(
-            (GatePulse(start=10e-9, duration=5e-9, rise=0.0, level=Off(1000.0)),), 1e9, 2e3
-        )
-        assert g(12e-9) == pytest.approx(2e3)
-
     def test_overlapping_pulses_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
             PulseSequence(gate_pulses=(
@@ -190,7 +183,7 @@ class TestWriteProtocol:
     def test_lossless_rectangular_fidelity(self):
         sys_ = self.make_system()
         rf = RfPulse(carrier=W0 / TWO_PI, amplitude=1.0, start=0.0, duration=3.0 / sys_.kappa_ext)
-        result = write_protocol(sys_, rf, gate_on_level=On(220e-12))
+        result = write_protocol(sys_, rf)
         assert result.fidelity >= 0.99
 
     def test_gate_never_on_is_isolating(self):
@@ -218,7 +211,7 @@ class TestReadProtocol:
         sys_ = CoupledModeSystem(
             omega_a=W0, omega_b=W0, kappa_ext=TWO_PI * 5e6, g_on=TWO_PI * 300e6
         )
-        result = read_protocol(sys_, gate_on_level=On(220e-12))
+        result = read_protocol(sys_)
         assert result.recovered_fraction >= 0.95
 
     def test_no_port_means_no_recovery(self):
@@ -231,8 +224,8 @@ class TestReadProtocol:
             omega_a=W0, omega_b=W0, kappa_ext=TWO_PI * 5e6, g_on=TWO_PI * 300e6
         )
         rf = RfPulse(carrier=W0 / TWO_PI, amplitude=1.0, start=0.0, duration=3.0 / sys_.kappa_ext)
-        written = write_protocol(sys_, rf, gate_on_level=On(220e-12))
-        read = read_protocol(sys_, gate_on_level=On(220e-12))
+        written = write_protocol(sys_, rf)
+        read = read_protocol(sys_)
         assert written.fidelity * read.recovered_fraction >= written.fidelity**2
 
     def test_emitted_waveform_reusable_as_drive(self):
