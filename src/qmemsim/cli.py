@@ -398,14 +398,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
 
-    if args.seed_config:
-        save_config(example_config(), args.seed_config)
-        return 0
-    if args.command is None:
+    if args.command is None and not args.seed_config:
         parser.print_usage(sys.stderr)
         return 1
 
     try:
+        if args.seed_config:
+            save_config(example_config(), args.seed_config)
+            return 0
         cfg = load_config(args.config)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -413,7 +413,7 @@ def main(argv=None) -> int:
 
     try:
         return _COMMANDS[args.command](args, cfg)
-    except (UsageError, ConfigError) as exc:
+    except (UsageError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (CalibrationError, ExtractionError, ArithmeticError, ValueError) as exc:

@@ -149,6 +149,22 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "cell: expected an object" in err
 
+    def test_missing_schedule_file(self, seed_path, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        assert main(["protocol", str(seed_path), str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nope.json" in err
+
+    def test_out_path_in_missing_directory(self, seed_path, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "trace.csv"
+        assert main(["spectrum", str(seed_path), "--state", "off", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no-such-dir" in err
+
+    def test_seed_config_in_missing_directory(self, tmp_path, capsys):
+        assert main(["--seed-config", str(tmp_path / "no-such-dir" / "seed.json")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_numerical_failure_exit_code(self, tmp_path):
         cfg = example_config(calibrated=False)
         raw = config_to_dict(cfg)

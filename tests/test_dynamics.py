@@ -1,9 +1,15 @@
 """Two-mode dynamics: analytic checks, protocols, integrator quality."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import qmemsim
 from qmemsim.dynamics import (
     TWO_PI,
     CoupledModeSystem,
@@ -13,6 +19,8 @@ from qmemsim.dynamics import (
     Rect,
     RfPulse,
     SampledDrive,
+    _frame_carrier,
+    _rk4_step,
     coupling_schedule,
     evolve,
     max_stable_dt,
@@ -148,6 +156,205 @@ class TestIntegratorContract:
         t2 = evolve(sys_, IDLE, (0.0, 10e-9), dt, a0=1.0)
         assert np.array_equal(t1.a, t2.a)
         assert np.array_equal(t1.b, t2.b)
+
+    def test_non_finite_state_raises(self):
+        sys_ = CoupledModeSystem(omega_a=W0, omega_b=W0, kappa_ext=TWO_PI * 1e6,
+                                 g_on=TWO_PI * 100e6, g_off=1e3)
+        # one gate ramp, so both the scanned and the stepped paths see NaN
+        pulses = PulseSequence(gate_pulses=(GatePulse(start=5e-9, duration=5e-9, rise=1e-9),))
+        dt = 0.25 * max_stable_dt(sys_, pulses)
+        with pytest.raises(ArithmeticError, match="diverged"):
+            evolve(sys_, pulses, (0.0, 20e-9), dt, a0=complex("nan"))
+
+
+def _evolve_loop(system, pulses, t_span, dt, a0=0.0, b0=0.0):
+    """_rk4_step over every step on evolve's grid; the reference for the
+    segment scan in evolve."""
+    t0, t1 = t_span
+    n_steps = max(int(math.ceil((t1 - t0) / dt - 1e-9)), 1)
+    h = (t1 - t0) / n_steps
+    half_grid = t0 + 0.5 * h * np.arange(2 * n_steps + 1)
+    w_d = _frame_carrier(system, pulses)
+    ca = -(1j * (system.omega_a - w_d) + 0.5 * (system.kappa_ext + system.kappa_int_a))
+    cb = -(1j * (system.omega_b - w_d) + 0.5 * system.gamma_b)
+    root_k = math.sqrt(system.kappa_ext)
+    gs = coupling_schedule(pulses.gate_pulses, system.g_on, system.g_off)(half_grid).tolist()
+    fs = ([0.0] * len(gs) if pulses.rf is None
+          else np.asarray(pulses.rf.baseband(half_grid), dtype=complex).tolist())
+    a, b = complex(a0), complex(b0)
+    out = np.empty((n_steps + 1, 2), dtype=complex)
+    out[0] = a, b
+    for n in range(n_steps):
+        window = slice(2 * n, 2 * n + 3)
+        a, b = _rk4_step(a, b, h, ca, cb, root_k, gs[window], fs[window])
+        out[n + 1] = a, b
+    return out
+
+
+def _assert_matches_loop(system, pulses, t_span, dt, a0=0.0, b0=0.0):
+    traj = evolve(system, pulses, t_span, dt, a0=a0, b0=b0)
+    ref = _evolve_loop(system, pulses, t_span, dt, a0=a0, b0=b0)
+    assert len(traj.times) == len(ref)
+    peak = np.max(np.abs(ref))
+    assert np.max(np.abs(traj.a - ref[:, 0])) <= 1e-12 * peak
+    assert np.max(np.abs(traj.b - ref[:, 1])) <= 1e-12 * peak
+
+
+RATE = TWO_PI * 100e6  # scale of every rate the strategy draws
+
+
+@st.composite
+def driven_systems(draw):
+    """(system, pulses, t_span, dt, a0, b0) with gate edges, ramps, the
+    drives evolve accepts and at most 4000 steps."""
+    g_on = RATE * draw(st.floats(0.05, 1.0))
+    g_off = draw(st.sampled_from([0.0, 1e-4 * g_on, g_on]))
+    system = CoupledModeSystem(
+        omega_a=W0 + RATE * draw(st.floats(-1.0, 1.0)),
+        omega_b=W0 + RATE * draw(st.floats(-1.0, 1.0)),
+        kappa_ext=RATE * draw(st.sampled_from([0.0, 0.01, 0.3, 1.0])),
+        kappa_int_a=RATE * draw(st.sampled_from([0.0, 0.02])),
+        gamma_b=RATE * draw(st.sampled_from([0.0, 0.01])),
+        g_on=g_on,
+        g_off=g_off,
+    )
+    unit = TWO_PI / RATE  # one period of the base rate
+    t_end = unit * draw(st.floats(0.5, 12.0))
+    gates = []
+    t = 0.0
+    for _ in range(draw(st.integers(0, 2))):
+        start = t + draw(st.floats(0.0, 0.3)) * t_end
+        duration = draw(st.floats(0.02, 0.3)) * t_end
+        rise = draw(st.sampled_from([0.0, 0.0, 0.01, 0.05])) * t_end
+        if start + duration + rise > t_end:
+            break
+        gates.append(GatePulse(start=start, duration=duration, rise=rise))
+        t = start + duration + rise
+    kind = draw(st.sampled_from(["none", "rect", "gauss", "sampled"]))
+    carrier = W0 / TWO_PI
+    if kind == "none":
+        rf = None
+    elif kind == "sampled":
+        times = np.linspace(0.0, t_end, draw(st.integers(2, 40)))
+        values = np.exp(1j * times / unit) * np.linspace(1.0, 0.2, len(times))
+        rf = SampledDrive(carrier=carrier, times=times, values=values)
+    else:
+        duration = draw(st.floats(0.1, 1.0)) * t_end
+        envelope = Rect() if kind == "rect" else Gauss(sigma=duration / 5.0)
+        rf = RfPulse(carrier=carrier, amplitude=1e4, start=0.0, duration=duration,
+                     envelope=envelope)
+    pulses = PulseSequence(rf=rf, gate_pulses=tuple(gates))
+    guard = max_stable_dt(system, pulses)
+    dt = max(guard * draw(st.floats(0.1, 1.0)), t_end / 4000)
+    a0 = draw(st.sampled_from([0.0, 1.0, 0.6 - 0.8j]))
+    b0 = draw(st.sampled_from([0.0, 1j]))
+    return system, pulses, (0.0, t_end), dt, a0, b0
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=driven_systems())
+def test_scan_matches_step_loop(case):
+    system, pulses, span, dt, a0, b0 = case
+    _assert_matches_loop(system, pulses, span, dt, a0=a0, b0=b0)
+
+
+def _named_case(name):
+    g = TWO_PI * 20e6
+    kappa = TWO_PI * 4e6
+    base = CoupledModeSystem(omega_a=W0, omega_b=W0 + TWO_PI * 1e6, kappa_ext=kappa,
+                             kappa_int_a=TWO_PI * 0.1e6, gamma_b=TWO_PI * 0.05e6,
+                             g_on=g, g_off=1e3)
+    carrier = W0 / TWO_PI
+    gauss = RfPulse(carrier=carrier, amplitude=1e4, start=0.0, duration=400e-9,
+                    envelope=Gauss(sigma=80e-9))
+    gate = (GatePulse(start=200e-9, duration=12.5e-9),)
+    if name == "ramps":
+        pulses = PulseSequence(rf=gauss, gate_pulses=(
+            GatePulse(start=100e-9, duration=12.5e-9, rise=2e-9),
+            GatePulse(start=300e-9, duration=12.5e-9, rise=0.5e-9),
+        ))
+        return base, pulses, (0.0, 450e-9), 1.0, 0.0
+    if name == "exceptional_point":
+        # delta = 0 and g = kappa / 4: the propagator's eigenvectors coincide
+        ep = CoupledModeSystem(omega_a=W0, omega_b=W0, kappa_ext=kappa,
+                               g_on=kappa / 4.0, g_off=kappa / 4.0)
+        return ep, PulseSequence(rf=gauss), (0.0, 450e-9), 1.0, 0.0
+    if name == "g_off_zero":
+        sys_ = CoupledModeSystem(omega_a=W0, omega_b=W0, kappa_ext=kappa, g_on=g, g_off=0.0)
+        return sys_, PulseSequence(rf=gauss, gate_pulses=gate), (0.0, 450e-9), 1.0, 0.0
+    if name == "one_step":
+        return base, PulseSequence(), (0.0, 1e-12), 0.3, 1.0
+    if name == "no_drive":
+        return base, PulseSequence(gate_pulses=gate), (0.0, 450e-9), 0.0, 1.0
+    if name == "gaussian":
+        return base, PulseSequence(rf=gauss, gate_pulses=gate), (0.0, 450e-9), 1.0, 0.0
+    if name == "sampled":
+        times = np.linspace(0.0, 300e-9, 301)
+        drive = SampledDrive(carrier=carrier, times=times,
+                             values=1e4 * np.exp(-((times - 150e-9) / 50e-9) ** 2 + 3j * times / 300e-9))
+        return base, PulseSequence(rf=drive, gate_pulses=gate), (0.0, 450e-9), 0.0, 1j
+    assert name == "long_hold"
+    # constant coupling: the whole span is one segment
+    hold = CoupledModeSystem(omega_a=W0, omega_b=W0 + TWO_PI * 1e6, kappa_ext=TWO_PI * 0.2e6,
+                             gamma_b=TWO_PI * 0.01e6, g_on=g, g_off=g)
+    drive = RfPulse(carrier=carrier, amplitude=1e3, start=0.0, duration=15e-6,
+                    envelope=Gauss(sigma=3e-6))
+    return hold, PulseSequence(rf=drive), (0.0, 15e-6), 1.0, 0.0
+
+
+@pytest.mark.parametrize("name", ["ramps", "exceptional_point", "g_off_zero", "one_step",
+                                  "no_drive", "gaussian", "sampled", "long_hold"])
+def test_scan_matches_step_loop_named(name):
+    system, pulses, span, a0, b0 = _named_case(name)
+    dt = 0.25 * max_stable_dt(system, pulses)
+    if name == "long_hold":
+        assert (span[1] - span[0]) / dt >= 50_000
+    _assert_matches_loop(system, pulses, span, dt, a0=a0, b0=b0)
+
+
+def _energy_residual(system, pulses, traj):
+    """Input-output energy balance (Gardiner & Collett, PRA 31, 3761):
+    int |a_in|^2 - int |a_out|^2 = dE + int (k_int |a|^2 + g_b |b|^2) dt.
+    Returns (|residual|, input energy + initial energy)."""
+    t = traj.times
+    a_in = (np.zeros_like(traj.a) if pulses.rf is None
+            else np.asarray(pulses.rf.baseband(t), dtype=complex))
+    e_in = np.trapezoid(np.abs(a_in) ** 2, t)
+    e_out = np.trapezoid(np.abs(traj.a_out) ** 2, t)
+    energy = traj.e_a + traj.e_b
+    lost = np.trapezoid(system.kappa_int_a * traj.e_a + system.gamma_b * traj.e_b, t)
+    residual = (e_in - e_out) - (energy[-1] - energy[0]) - lost
+    return abs(residual), e_in + energy[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=driven_systems())
+def test_energy_balance(case):
+    system, pulses, span, dt, a0, b0 = case
+    # a rectangular edge inside a step costs O(h / duration) in the
+    # trapezoid sums, so the span is cut at least as fine as the protocols'
+    # quarter guard and into at least 50k steps
+    dt = min(0.25 * max_stable_dt(system, pulses), (span[1] - span[0]) / 50_000)
+    traj = evolve(system, pulses, span, dt, a0=a0, b0=b0)
+    residual, scale = _energy_residual(system, pulses, traj)
+    assert residual <= 1e-3 * scale
+
+
+@pytest.mark.parametrize("name", ["ramps", "exceptional_point", "gaussian", "sampled"])
+def test_energy_balance_named(name):
+    system, pulses, span, a0, b0 = _named_case(name)
+    traj = evolve(system, pulses, span, 0.25 * max_stable_dt(system, pulses), a0=a0, b0=b0)
+    residual, scale = _energy_residual(system, pulses, traj)
+    assert residual <= 1e-3 * scale
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    src = str(Path(qmemsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, qmemsim.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 class TestCouplingSchedule:
