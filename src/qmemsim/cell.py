@@ -167,6 +167,10 @@ def adaptive_sweep(
     force dense windows independent of detection, for features too narrow
     for the coarse grid.
 
+    Each frequency is evaluated once: a stage sweeps only the points it
+    adds and merges them into the grid, so s21 equals a single
+    :func:`frequency_sweep` over the returned grid.
+
     Returns (freqs, s21) on the merged grid.
     """
     lo, hi = band
@@ -191,10 +195,14 @@ def adaptive_sweep(
                 grid[min(i + 1, len(grid) - 1)] - grid[max(i - 1, 0)], step_next
             )
             windows.append(np.arange(grid[i] - span, grid[i] + span, step_next))
-        new = np.unique(np.concatenate(windows))
-        new = new[(new > lo) & (new < hi)]
-        grid = np.union1d(grid, new)
-        _, s21 = frequency_sweep(cell, state, grid)
+        new = np.concatenate(windows)
+        new = np.setdiff1d(new[(new > lo) & (new < hi)], grid)
+        if len(new):
+            _, s21_new = frequency_sweep(cell, state, new)
+            grid = np.concatenate([grid, new])
+            order = np.argsort(grid, kind="stable")
+            grid = grid[order]
+            s21 = np.concatenate([s21, s21_new])[order]
         step_now = step_next
     return grid, s21
 

@@ -176,7 +176,12 @@ def _cmd_spectrum(args, cfg: Config) -> int:
         )
         peaks = find_resonances(freqs, s21, min_depth_db=cfg.sweep.min_depth_db)
     _write_trace_csv(args.out, freqs, s21)
-    _write_report(args.report, "spectrum", cfg, {"peaks": _peak_summary(peaks)})
+    warnings = [
+        f"peak at {p.f0:.5e} Hz: notch fit failed; f0 from parabolic interpolation"
+        for p in peaks
+        if p.q_loaded is None
+    ]
+    _write_report(args.report, "spectrum", cfg, {"peaks": _peak_summary(peaks)}, warnings)
     return 0
 
 

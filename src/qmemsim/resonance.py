@@ -8,6 +8,12 @@ interpolation, then fit to the complex notch model
 with loaded quality factor Q_l, coupling quality factor Q_c and resonance
 frequency f0.  The internal quality factor follows from
 1/Q_i = 1/Q_l - 1/Q_c.
+
+Each fit is seeded in closed form by the inverse-S21 linearization
+1/(1 - S21) = Q_c/Q_l + 2j Q_c (f - f0)/f0 (Megrant et al., APL 100,
+113510 (2012)) and refined by Levenberg-Marquardt with an analytic
+Jacobian.  The seed alone is not the answer: the cell is not an exact
+Lorentzian, and the seed's Q values can be off by parts in 1e3.
 """
 from __future__ import annotations
 
@@ -87,24 +93,85 @@ def half_depth_window(db, i):
     return lo, hi
 
 
+# (f0 scale, log10 Q_l, log10 Q_c) box an accepted fit must lie in
+_BOX_LO = np.array([0.5, 0.0, 0.0])
+_BOX_HI = np.array([1.5, 12.0, 14.0])
+
+
+def _in_box(p):
+    return bool(np.all((_BOX_LO <= p) & (p <= _BOX_HI)))
+
+
+def _linear_seed(f, s21):
+    """Closed-form (f0, Q_l, Q_c) from the inverse-S21 linearization.
+
+    The notch model inverts to a straight line in f,
+    1/(1 - S21) = Q_c/Q_l + 2j Q_c (f - f0)/f0, solved here by one
+    |1 - S21|-weighted complex least squares in x = (f - f_c)/f_c about the
+    window centre f_c.  None when 1 - S21 has an exact zero or a non-finite
+    sample, or when the line gives no finite positive Q.
+    """
+    d = 1.0 - s21
+    if not np.all(np.isfinite(d) & (d != 0)):
+        return None
+    f_c = 0.5 * (f[0] + f[-1])
+    x = (f - f_c) / f_c
+    w = np.abs(d)
+    (a, b), *_ = np.linalg.lstsq(
+        np.stack([w, w * x], axis=1).astype(complex), w / d, rcond=None
+    )
+    # a = Q_c/Q_l + 2j Q_c (f_c - f0)/f0 and b = 2j Q_c f_c/f0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        qc = 0.5 * (b.imag - a.imag)
+        ql = qc / a.real
+        f0 = f_c * (1.0 - a.imag / b.imag)
+    if not (np.isfinite([f0, ql, qc]).all() and ql > 0 and qc > 0):
+        return None
+    return f0, ql, qc
+
+
+def _notch_jacobian(p, f, f0_init):
+    """Jacobian of the stacked (real, imag) notch residuals of :func:`_fit_notch`.
+
+    Columns are the derivatives in p = (f0 / f0_init, log10 Q_l, log10 Q_c).
+    """
+    f0, ql, qc = p[0] * f0_init, 10.0 ** p[1], 10.0 ** p[2]
+    u = 1.0 + 2j * ql * (f - f0) / f0
+    k = (ql / qc) / u  # the model is 1 - k
+    ln10 = np.log(10.0)
+    cols = np.stack([-2j * ql * f / (p[0] * f0) * k / u, -ln10 * k / u, ln10 * k], axis=1)
+    return np.concatenate([cols.real, cols.imag])
+
+
 def _fit_notch(f, s21, f0_init, ql_init, qc_init):
-    """Least-squares fit of the complex notch model; None on failure."""
+    """Least-squares fit of the complex notch model; None on failure.
+
+    Parameters are (f0 / f0_init, log10 Q_l, log10 Q_c).  The start is the
+    closed-form :func:`_linear_seed` when it lies in the box, else the
+    caller's estimate; Levenberg-Marquardt with the analytic Jacobian then
+    refines it.  A start or result outside the box counts as a failure.
+    """
 
     def residuals(p):
         model = notch_s21_model(f, p[0] * f0_init, 10.0 ** p[1], 10.0 ** p[2])
         r = model - s21
         return np.concatenate([r.real, r.imag])
 
-    p0 = np.array([1.0, np.log10(ql_init), np.log10(qc_init)])
+    seed = _linear_seed(f, s21)
+    if seed is not None:
+        p0 = np.array([seed[0] / f0_init, np.log10(seed[1]), np.log10(seed[2])])
+    if seed is None or not _in_box(p0):
+        p0 = np.array([1.0, np.log10(ql_init), np.log10(qc_init)])
+        if not _in_box(p0):
+            return None
     try:
         res = least_squares(
-            residuals, p0,
-            bounds=([0.5, 0.0, 0.0], [1.5, 12.0, 14.0]),
+            residuals, p0, jac=lambda p: _notch_jacobian(p, f, f0_init), method="lm",
             xtol=1e-14, ftol=1e-14, gtol=1e-14,
         )
-    except ValueError:  # infeasible start or non-finite residuals
+    except ValueError:  # non-finite residuals at the start
         return None
-    if not res.success:
+    if not (res.success and _in_box(res.x)):
         return None
     f0 = res.x[0] * f0_init
     ql = 10.0 ** res.x[1]

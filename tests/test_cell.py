@@ -4,7 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qmemsim import cell as cell_module
 from qmemsim.cell import (
     MemoryCell,
     adaptive_sweep,
@@ -120,6 +122,43 @@ class TestSweeps:
         cell = make_cell()
         freqs, _ = adaptive_sweep(cell, On(220e-12), (6.0e9, 7.2e9))
         assert np.all(np.diff(freqs) > 0)
+
+    def test_adaptive_sweep_evaluates_each_point_once(self, monkeypatch):
+        evaluated = []
+
+        def counting_sweep(cell, state, f_grid):
+            evaluated.append(len(f_grid))
+            return frequency_sweep(cell, state, f_grid)
+
+        monkeypatch.setattr(cell_module, "frequency_sweep", counting_sweep)
+        freqs, _ = adaptive_sweep(make_cell(), On(220e-12), (6.0e9, 7.2e9))
+        assert len(evaluated) > 1  # the refinement stages ran
+        assert sum(evaluated) == len(freqs)
+
+
+_focus = st.tuples(
+    st.floats(6.0e9, 7.0e9),  # centre
+    st.floats(1e5, 5e6),      # half width
+    st.floats(2e3, 2e5),      # step
+).filter(lambda w: w[1] / w[2] <= 500)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    lo=st.floats(5.6e9, 6.6e9),
+    width=st.floats(5e7, 1.2e9),
+    state=st.one_of(st.floats(10e-12, 500e-12).map(On), st.just(Off(1000.0))),
+    focus=st.lists(_focus, max_size=2),
+    stages=st.integers(0, 4),
+    refine=st.integers(2, 12),
+)
+def test_adaptive_sweep_matches_one_sweep_of_its_grid(lo, width, state, focus, stages, refine):
+    cell = make_cell(line_atten=5e-4)
+    freqs, s21 = adaptive_sweep(
+        cell, state, (lo, lo + width), stages=stages, refine=refine, focus=focus
+    )
+    _, ref = frequency_sweep(cell, state, freqs)
+    assert s21.tobytes() == ref.tobytes()
 
 
 class TestOffState:

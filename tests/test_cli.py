@@ -59,6 +59,19 @@ class TestSpectrumCommand:
         split = [p for p in peaks if 11.5e9 <= p["f0_hz"] <= 14.5e9]
         assert len(split) == 2
 
+    def test_fit_fallback_is_warned(self, seed_path, tmp_path):
+        out = tmp_path / "off.csv"
+        rep = tmp_path / "off.json"
+        assert main(["spectrum", str(seed_path), "--state", "off",
+                     "--out", str(out), "--report", str(rep)]) == 0
+        report = json.loads(rep.read_text())
+        unfit = [p["f0_hz"] for p in report["summary"]["peaks"] if p["q_loaded"] is None]
+        assert unfit  # the shallow 13.45 GHz peak of the seed config
+        assert report["warnings"] == [
+            f"peak at {f:.5e} Hz: notch fit failed; f0 from parabolic interpolation"
+            for f in unfit
+        ]
+
     def test_bad_state_argument(self, seed_path):
         assert main(["spectrum", str(seed_path), "--state", "on:220"]) == 1
         assert main(["spectrum", str(seed_path), "--state", "maybe"]) == 1

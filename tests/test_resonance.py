@@ -1,12 +1,15 @@
 """Notch-model fitting: recovery against its own generator."""
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import least_squares
 
 from qmemsim import resonance
 from qmemsim.resonance import (
     ResonancePeak,
     _fit_notch,
+    _linear_seed,
+    _notch_jacobian,
     find_resonances,
     local_minima,
     notch_s21_model,
@@ -110,9 +113,28 @@ class TestFitNotch:
         return freqs, notch_s21_model(freqs, self.f0, self.ql, self.qc)
 
     def test_start_outside_bounds_returns_none(self):
-        # log10(1e20) lies beyond the Q_c bound: least_squares rejects x0
+        # an exact S21 = 1 sample leaves no closed-form seed, so the caller's
+        # start is used; log10(1e20) lies beyond the Q_c bound
         freqs, s21 = self.trace()
+        s21[0] = 1.0
+        assert _linear_seed(freqs, s21) is None
+        assert _fit_notch(freqs, s21, self.f0, self.ql, self.qc) is not None
         assert _fit_notch(freqs, s21, self.f0, self.ql, 1e20) is None
+
+    def test_result_outside_bounds_returns_none(self, monkeypatch):
+        # the exact optimum Q_l = 0.5 lies below the log10 Q_l >= 0 bound
+        freqs = np.linspace(0.7 * self.f0, 1.3 * self.f0, 201)
+        s21 = notch_s21_model(freqs, self.f0, 0.5, 1.0)
+        results = []
+
+        def spy(*args, **kwargs):
+            results.append(least_squares(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(resonance, "least_squares", spy)
+        assert _fit_notch(freqs, s21, self.f0, 10.0, 20.0) is None
+        assert results[-1].success
+        assert results[-1].x[1] == pytest.approx(np.log10(0.5))
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken_model(*args):
@@ -122,6 +144,41 @@ class TestFitNotch:
         freqs, s21 = self.trace()
         with pytest.raises(AttributeError, match="bug"):
             _fit_notch(freqs, s21, self.f0, self.ql, self.qc)
+
+
+@settings(deadline=None)
+@given(
+    f0=st.floats(1e9, 2e10),
+    ql=st.floats(10.0, 1e6),
+    ratio=st.floats(1.0, 1e3),
+    n=st.integers(7, 401),
+    shift=st.floats(-3.0, 3.0),  # window centre offset from f0, in linewidths
+)
+def test_linear_seed_recovers_exact_model(f0, ql, ratio, n, shift):
+    freqs = synth_grid(f0, ql, span_lw=5.0, n=n) + shift * f0 / ql
+    seed = _linear_seed(freqs, notch_s21_model(freqs, f0, ql, ql * ratio))
+    assert seed == pytest.approx((f0, ql, ql * ratio), rel=1e-9)
+
+
+@pytest.mark.parametrize("ql, ratio", [(52.0, 1.3), (1e4, 2.0), (1e6, 1e3)])
+def test_jacobian_matches_central_differences(ql, ratio):
+    f0 = 6.55e9
+    freqs = synth_grid(f0, ql, span_lw=5.0, n=101)
+    s21 = notch_s21_model(freqs, f0, ql, ql * ratio)
+    f0_init = f0 * (1.0 + 0.1 / ql)
+    p = np.array([1.0 - 0.2 / ql, np.log10(ql) + 0.01, np.log10(ql * ratio) - 0.02])
+
+    def residuals(p):
+        r = notch_s21_model(freqs, p[0] * f0_init, 10.0 ** p[1], 10.0 ** p[2]) - s21
+        return np.concatenate([r.real, r.imag])
+
+    steps = (1e-4 / ql, 1e-4, 1e-4)
+    fd = np.stack(
+        [(residuals(p + h * e) - residuals(p - h * e)) / (2.0 * h) for h, e in zip(steps, np.eye(3))],
+        axis=1,
+    )
+    err = np.max(np.abs(_notch_jacobian(p, freqs, f0_init) - fd), axis=0)
+    assert np.all(err <= 1e-6 * np.max(np.abs(fd), axis=0))
 
 
 def _local_minima_loop(db, min_depth_db):
