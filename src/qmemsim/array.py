@@ -161,11 +161,10 @@ class _CellModel:
     fit: CrossingFit
 
 
-def _cell_models(array: MemoryArray, l_grid=None) -> list[_CellModel]:
+def _cell_models(array: MemoryArray) -> list[_CellModel]:
     models = []
     for cell in array.cells:
-        grid = l_grid if l_grid is not None else np.linspace(10e-12, 500e-12, 41)
-        fit = fit_avoided_crossing(mode_map(cell, grid))
+        fit = fit_avoided_crossing(mode_map(cell, np.linspace(10e-12, 500e-12, 41)))
         system = extract_coupled_mode_params(cell, fit.l_cross, fit=fit)
         models.append(_CellModel(system=system, fit=fit))
     return models
@@ -238,7 +237,6 @@ def run_schedule(
     n = len(array)
     crosstalk = np.zeros((n, n))
     np.fill_diagonal(crosstalk, 1.0)
-    seen = set()
     fidelities = []
 
     for op in schedule.ops:
@@ -286,10 +284,7 @@ def run_schedule(
             if j == i:
                 continue
             deposit_j = _idle_deposit(models[j], drive, t_span, dt)
-            ratio = deposit_j / deposit_i
-            key = (i, j)
-            crosstalk[i, j] = max(crosstalk[i, j], ratio) if key in seen else ratio
-            seen.add(key)
+            crosstalk[i, j] = max(crosstalk[i, j], deposit_j / deposit_i)
 
     return ScheduleReport(fidelities=tuple(fidelities), crosstalk=crosstalk)
 

@@ -134,6 +134,14 @@ def _peak_summary(peaks):
     ]
 
 
+def _fit_fallback_warnings(peaks):
+    return [
+        f"peak at {p.f0:.5e} Hz: notch fit failed; f0 from parabolic interpolation"
+        for p in peaks
+        if p.q_loaded is None
+    ]
+
+
 # ------------------------- commands -------------------------
 
 
@@ -176,12 +184,8 @@ def _cmd_spectrum(args, cfg: Config) -> int:
         )
         peaks = find_resonances(freqs, s21, min_depth_db=cfg.sweep.min_depth_db)
     _write_trace_csv(args.out, freqs, s21)
-    warnings = [
-        f"peak at {p.f0:.5e} Hz: notch fit failed; f0 from parabolic interpolation"
-        for p in peaks
-        if p.q_loaded is None
-    ]
-    _write_report(args.report, "spectrum", cfg, {"peaks": _peak_summary(peaks)}, warnings)
+    _write_report(args.report, "spectrum", cfg, {"peaks": _peak_summary(peaks)},
+                  _fit_fallback_warnings(peaks))
     return 0
 
 
@@ -210,6 +214,7 @@ def _cmd_modemap(args, cfg: Config) -> int:
                                 ("upper", fit.window[1], mm.l[-1]))
         if edge == end
     ]
+    warnings += [f"row at l_j {l_j:.6g} H flagged: {reason}" for l_j, reason in mm.flagged]
     _write_csv(
         args.out,
         ["l_j_h", "f_mode1_hz", "f_mode2_hz"],
@@ -330,7 +335,8 @@ def _cmd_array_spectrum(args, cfg: Config) -> int:
     freqs, s21 = array_spectrum(array, states, grid)
     _write_trace_csv(args.out, freqs, s21)
     peaks = find_resonances(freqs, s21, min_depth_db=cfg.sweep.min_depth_db)
-    _write_report(args.report, "array-spectrum", cfg, {"peaks": _peak_summary(peaks)})
+    _write_report(args.report, "array-spectrum", cfg, {"peaks": _peak_summary(peaks)},
+                  _fit_fallback_warnings(peaks))
     return 0
 
 

@@ -15,13 +15,12 @@ small OFF floor (from the depleted-junction spectrum).  Amplitudes are
 normalized to sqrt(photons); drives to sqrt(photons/s).  Integration is
 fixed-step classical RK4 for deterministic, reproducible trajectories.
 
-The system is linear and g(t) is piecewise constant, so over a run of
-steps at one coupling each RK4 step is the exact affine map
-x_{n+1} = x_n + Q x_n + r_n, with Q = P - I for the RK4 propagator P and
-r_n a fixed combination of the drive at the step's three stage times.
-evolve() runs such runs as a blocked scan in numpy and only the steps
-whose coupling changes inside the step (gate edges and ramps) one by
-one; the result matches the step-by-step loop to round-off.
+The system is linear, so each RK4 step is the exact affine map
+x_{n+1} = x_n + Q x_n + r_n, with Q and the drive weights in r_n read off
+one application of the RK4 stage formula.  evolve() cuts the step grid at
+the steps whose sampled coupling changes (gate edges and ramps, one step
+each) and runs every piece, one step or many, as a blocked scan in numpy;
+the result matches the step-by-step loop to round-off.
 """
 from __future__ import annotations
 
@@ -269,9 +268,9 @@ def max_stable_dt(system: CoupledModeSystem, pulses: PulseSequence) -> float:
     return math.inf if m == 0 else TWO_PI / (50.0 * m)
 
 
-def _rk4_step(a, b, h, ca, cb, root_k, g, f):
-    """One classical RK4 step of (a, b); g and f hold the coupling and the
-    drive at the step's start, midpoint and end."""
+def _rk4_increment(a, b, h, ca, cb, root_k, g, f):
+    """Change of (a, b) over one classical RK4 step; g and f hold the
+    coupling and the drive at the step's start, midpoint and end."""
     g0, g1, g2 = g
     f0, f1, f2 = f
     k1a = ca * a - 1j * g0 * b + root_k * f0
@@ -289,8 +288,8 @@ def _rk4_step(a, b, h, ca, cb, root_k, g, f):
     k4a = ca * a3 - 1j * g2 * b3 + root_k * f2
     k4b = cb * b3 - 1j * g2 * a3
     return (
-        a + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a),
-        b + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b),
+        (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a),
+        (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b),
     )
 
 
@@ -313,10 +312,13 @@ def _powers_minus_identity(q: np.ndarray, count: int) -> np.ndarray:
 
 
 def _scan_segment(x, s, e, h, ca, cb, root_k, g, ain):
-    """Steps s..e-1 at constant coupling g, written into rows s+1..e of x.
+    """Steps s..e-1, each with the couplings g at its start, midpoint and
+    end, written into rows s+1..e of x.
 
-    Each step is x_{n+1} = x_n + Q x_n + r_n.  The steps are cut into B
-    blocks of K ~ sqrt(e - s): K vectorized steps over all blocks from a
+    Each step is x_{n+1} = x_n + Q x_n + r_n with r_n = m0 f(t_n) +
+    m1 f(t_n + h/2) + m2 f(t_n + h); Q and the m are the increment of one
+    RK4 step on the basis (x_a, x_b, f0, f1, f2).  The steps are cut into
+    B blocks of K ~ sqrt(e - s): K vectorized steps over all blocks from a
     zero state, then one pass over the blocks adds x0 + (P^(k+1) - I) x0
     for the state x0 carried in from the previous block.  x needs K - 1
     padding rows past row e; what they hold never reaches rows s+1..e.
@@ -324,22 +326,22 @@ def _scan_segment(x, s, e, h, ca, cb, root_k, g, ain):
     length = e - s
     k_len = math.isqrt(length)
     n_blocks = -(-length // k_len)
-    ha = h * np.array([[ca, -1j * g], [-1j * g, cb]])
-    ha2 = ha @ ha
-    ha3 = ha2 @ ha
-    q = ha + ha2 / 2.0 + ha3 / 6.0 + (ha3 @ ha) / 24.0
-    # r_n = m0 f(t_n) + m1 f(t_n + h/2) + m2 f(t_n + h), m2 = (c6, 0)
-    c6 = h * root_k / 6.0
-    eye = np.eye(2)
-    m0 = c6 * (eye + ha + ha2 / 2.0 + ha3 / 4.0)[:, 0]
-    m1 = c6 * (4.0 * eye + 2.0 * ha + ha2 / 2.0)[:, 0]
+    # Q is read off the increment, never formed as P - I: subtracting I
+    # would bias every step by its round-off
+    step_map = np.array([
+        _rk4_increment(e[0], e[1], h, ca, cb, root_k, g, e[2:])
+        for e in np.eye(5).tolist()
+    ]).T
+    q = step_map[:, :2]
+    m0, m1, m2 = step_map[:, 2], step_map[:, 3], step_map[:, 4]
     f0, f1, f2 = (ain[2 * s + j:2 * e + j:2] for j in range(3))
     rows = x[s + 1:e + 1]
     # elementwise, not a matmul over a strided window: that copies the drive
     for c in (0, 1):
         np.multiply(f0, m0[c], out=rows[:, c])
         rows[:, c] += m1[c] * f1
-    rows[:, 0] += c6 * f2
+    # the drive at the step end enters only k4 of a: m2 is (h root_k / 6, 0)
+    rows[:, 0] += m2[0] * f2
 
     z = x[s + 1:s + 1 + n_blocks * k_len].reshape(n_blocks, k_len, 2)
     step = np.empty((n_blocks, 2), dtype=complex)
@@ -371,7 +373,7 @@ def evolve(
     dt must satisfy the resolution guard of max_stable_dt() and t_span
     must cover every pulse; violations raise ValueError (with a suggested
     step).  The step is trimmed so the span divides evenly; results are
-    deterministic.  Runs of steps at constant coupling are evaluated as
+    deterministic.  Every run of steps at one coupling is evaluated as
     one exact recurrence (see the module docstring).
     """
     t0, t1 = t_span
@@ -411,20 +413,12 @@ def evolve(
     # rows are the states (a, b) at each step; padded for the last block
     x = np.zeros((n_steps + math.isqrt(n_steps), 2), dtype=complex)
     x[0] = a0, b0
-    # steps whose three coupling samples agree form the scanned segments
-    flat = (g_arr[0:-1:2] == g_arr[1::2]) & (g_arr[1::2] == g_arr[2::2])
-    bounds = [0, *(np.flatnonzero(flat[1:] != flat[:-1]) + 1).tolist(), n_steps]
+    # a step whose coupling samples differ is a run of its own; the steps
+    # between such steps hold one coupling
+    edges = np.flatnonzero(g_arr[1:] != g_arr[:-1]) // 2
+    bounds = np.unique(np.concatenate(([0, n_steps], edges, edges + 1))).tolist()
     for s, e in zip(bounds, bounds[1:]):
-        if flat[s]:
-            _scan_segment(x, s, e, h, ca, cb, root_k, g_arr[2 * s], ain_arr)
-            continue
-        gs = g_arr[2 * s:2 * e + 1].tolist()
-        fs = ain_arr[2 * s:2 * e + 1].tolist()
-        a, b = complex(x[s, 0]), complex(x[s, 1])
-        for j in range(e - s):
-            window = slice(2 * j, 2 * j + 3)
-            a, b = _rk4_step(a, b, h, ca, cb, root_k, gs[window], fs[window])
-            x[s + j + 1] = a, b
+        _scan_segment(x, s, e, h, ca, cb, root_k, g_arr[2 * s:2 * s + 3].tolist(), ain_arr)
 
     x = x[:n_steps + 1]
     if not np.isfinite(x).all():

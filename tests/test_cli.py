@@ -1,10 +1,14 @@
 """CLI surface: exit codes, CSV formats, determinism."""
 import json
+from dataclasses import replace
 
 import pytest
 
+from qmemsim import cli
 from qmemsim.cli import main
 from qmemsim.config import config_to_dict, example_config
+from qmemsim.modemap import hybridized_map
+from qmemsim.resonance import ResonancePeak
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +123,58 @@ class TestModemapCommand:
         assert header == ["l_j_h", "f_mode1_hz", "f_mode2_hz"]
         assert len(rows) == 61
         assert all(float(r[1]) < float(r[2]) for r in rows)
+
+
+    def test_flagged_rows_are_warned(self, seed_path, tmp_path, monkeypatch):
+        def flagged_map(cell, grid, min_depth_db):
+            # closed-form map crossing f_b = 6.6 GHz at 200 pH, one row flagged
+            mm = hybridized_map(grid, (0.0, 0.0, -2e6 / 1e-12, 7.0e9), 6.6e9, 250e6)
+            return replace(mm, flagged=((3e-10, "1 resonance(s) in band"),))
+
+        monkeypatch.setattr(cli, "mode_map", flagged_map)
+        rep = tmp_path / "map.json"
+        assert main(["modemap", str(seed_path), "--l-grid", "10pH,500pH,41",
+                     "--out", str(tmp_path / "map.csv"), "--report", str(rep)]) == 0
+        report = json.loads(rep.read_text())
+        assert report["summary"]["flagged"] == [
+            {"l_j_h": 3e-10, "reason": "1 resonance(s) in band"}
+        ]
+        assert report["warnings"][-1] == "row at l_j 3e-10 H flagged: 1 resonance(s) in band"
+
+
+class TestArraySpectrumCommand:
+    # coarse_step 2 MHz / 4 over the 300 MHz band: 600 intervals
+    BAND = ["--band", "6.5GHz,6.8GHz"]
+
+    def test_trace_and_peaks(self, seed_path, tmp_path):
+        out = tmp_path / "array.csv"
+        rep = tmp_path / "array.json"
+        assert main(["array-spectrum", str(seed_path), *self.BAND,
+                     "--out", str(out), "--report", str(rep)]) == 0
+        header, rows = read_csv(out)
+        assert header == ["f_hz", "re_s21", "im_s21", "abs_s21_db"]
+        assert len(rows) == 601
+        assert float(rows[0][0]) == 6.5e9 and float(rows[-1][0]) == 6.8e9
+        report = json.loads(rep.read_text())
+        peaks = report["summary"]["peaks"]
+        assert peaks
+        assert report["warnings"] == [
+            f"peak at {p['f0_hz']:.5e} Hz: notch fit failed; f0 from parabolic interpolation"
+            for p in peaks
+            if p["q_loaded"] is None
+        ]
+
+    def test_fit_fallback_is_warned(self, seed_path, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "find_resonances",
+                            lambda freqs, s21, min_depth_db: [ResonancePeak(6.6e9, 3.0)])
+        rep = tmp_path / "array.json"
+        assert main(["array-spectrum", str(seed_path), *self.BAND,
+                     "--out", str(tmp_path / "array.csv"), "--report", str(rep)]) == 0
+        report = json.loads(rep.read_text())
+        assert report["summary"]["peaks"][0]["q_loaded"] is None
+        assert report["warnings"] == [
+            "peak at 6.60000e+09 Hz: notch fit failed; f0 from parabolic interpolation"
+        ]
 
 
 class TestSwapCommand:

@@ -20,7 +20,7 @@ from qmemsim.dynamics import (
     RfPulse,
     SampledDrive,
     _frame_carrier,
-    _rk4_step,
+    _rk4_increment,
     coupling_schedule,
     evolve,
     max_stable_dt,
@@ -160,20 +160,27 @@ class TestIntegratorContract:
     def test_non_finite_state_raises(self):
         sys_ = CoupledModeSystem(omega_a=W0, omega_b=W0, kappa_ext=TWO_PI * 1e6,
                                  g_on=TWO_PI * 100e6, g_off=1e3)
-        # one gate ramp, so both the scanned and the stepped paths see NaN
+        # one gate ramp, so both the one-step runs at the ramps and the
+        # long runs between them carry the NaN
         pulses = PulseSequence(gate_pulses=(GatePulse(start=5e-9, duration=5e-9, rise=1e-9),))
         dt = 0.25 * max_stable_dt(sys_, pulses)
         with pytest.raises(ArithmeticError, match="diverged"):
             evolve(sys_, pulses, (0.0, 20e-9), dt, a0=complex("nan"))
 
 
-def _evolve_loop(system, pulses, t_span, dt, a0=0.0, b0=0.0):
-    """_rk4_step over every step on evolve's grid; the reference for the
-    segment scan in evolve."""
+def _half_grid(t_span, dt):
+    """evolve's sample times: every step's start, midpoint and end."""
     t0, t1 = t_span
     n_steps = max(int(math.ceil((t1 - t0) / dt - 1e-9)), 1)
-    h = (t1 - t0) / n_steps
-    half_grid = t0 + 0.5 * h * np.arange(2 * n_steps + 1)
+    return t0 + 0.5 * ((t1 - t0) / n_steps) * np.arange(2 * n_steps + 1)
+
+
+def _evolve_loop(system, pulses, t_span, dt, a0=0.0, b0=0.0):
+    """One _rk4_increment per step over evolve's grid; the reference for
+    the segment scan in evolve."""
+    half_grid = _half_grid(t_span, dt)
+    n_steps = len(half_grid) // 2
+    h = (t_span[1] - t_span[0]) / n_steps
     w_d = _frame_carrier(system, pulses)
     ca = -(1j * (system.omega_a - w_d) + 0.5 * (system.kappa_ext + system.kappa_int_a))
     cb = -(1j * (system.omega_b - w_d) + 0.5 * system.gamma_b)
@@ -186,7 +193,8 @@ def _evolve_loop(system, pulses, t_span, dt, a0=0.0, b0=0.0):
     out[0] = a, b
     for n in range(n_steps):
         window = slice(2 * n, 2 * n + 3)
-        a, b = _rk4_step(a, b, h, ca, cb, root_k, gs[window], fs[window])
+        da, db = _rk4_increment(a, b, h, ca, cb, root_k, gs[window], fs[window])
+        a, b = a + da, b + db
         out[n + 1] = a, b
     return out
 
@@ -282,6 +290,26 @@ def _named_case(name):
     if name == "g_off_zero":
         sys_ = CoupledModeSystem(omega_a=W0, omega_b=W0, kappa_ext=kappa, g_on=g, g_off=0.0)
         return sys_, PulseSequence(rf=gauss, gate_pulses=gate), (0.0, 450e-9), 1.0, 0.0
+    if name in ("edge_on_sample", "sub_step_pulse", "edges_first_last"):
+        span = (0.0, 450e-9)
+        t = _half_grid(span, 0.25 * max_stable_dt(base, PulseSequence(rf=gauss)))
+        h = 2.0 * (t[1] - t[0])
+        if name == "edge_on_sample":
+            # rise exactly on a step boundary, fall near a step midpoint
+            gates = (GatePulse(start=t[800], duration=t[851] - t[800]),)
+        elif name == "sub_step_pulse":
+            # on only at the midpoint sample of step 400
+            gates = (GatePulse(start=t[800] + 0.3 * h, duration=0.4 * h),)
+        else:
+            gates = (GatePulse(start=0.0, duration=12.5e-9),
+                     GatePulse(start=t[-1] - 12.5e-9 - 0.2 * h, duration=12.5e-9))
+        pulses = PulseSequence(rf=gauss, gate_pulses=gates)
+        g_samples = coupling_schedule(gates, base.g_on, base.g_off)(t)
+        edges = set((np.flatnonzero(np.diff(g_samples)) // 2).tolist())
+        assert edges == {"edge_on_sample": {400, 425},
+                         "sub_step_pulse": {400},
+                         "edges_first_last": {0, 50, len(t) // 2 - 51, len(t) // 2 - 1}}[name]
+        return base, pulses, span, 1.0, 0.0
     if name == "one_step":
         return base, PulseSequence(), (0.0, 1e-12), 0.3, 1.0
     if name == "no_drive":
@@ -303,7 +331,8 @@ def _named_case(name):
 
 
 @pytest.mark.parametrize("name", ["ramps", "exceptional_point", "g_off_zero", "one_step",
-                                  "no_drive", "gaussian", "sampled", "long_hold"])
+                                  "no_drive", "gaussian", "sampled", "long_hold",
+                                  "edge_on_sample", "sub_step_pulse", "edges_first_last"])
 def test_scan_matches_step_loop_named(name):
     system, pulses, span, a0, b0 = _named_case(name)
     dt = 0.25 * max_stable_dt(system, pulses)
