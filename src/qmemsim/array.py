@@ -207,9 +207,9 @@ def _validate_schedule(array: MemoryArray, schedule: AccessSchedule,
                 raise ValueError(f"operations on cell {idx} must not overlap")
 
 
-def _idle_deposit(model: _CellModel, drive, t_span, dt) -> float:
+def _idle_deposit(model: _CellModel, drive, t_span, dt, dt_fraction) -> float:
     pulses = PulseSequence(rf=drive)
-    dt_j = min(dt, 0.25 * max_stable_dt(model.system, pulses))
+    dt_j = min(dt, dt_fraction * max_stable_dt(model.system, pulses))
     traj = evolve(model.system, pulses, t_span, dt_j)
     return float(np.max(traj.e_a))
 
@@ -218,6 +218,7 @@ def run_schedule(
     array: MemoryArray,
     schedule: AccessSchedule,
     models: list[_CellModel] | None = None,
+    dt_fraction: float = 0.25,
 ) -> ScheduleReport:
     """Simulate every scheduled operation and accumulate crosstalk.
 
@@ -225,7 +226,9 @@ def run_schedule(
     cell's reduced model; simultaneously every other cell is driven by the
     same feedline field (the input pulse for writes, the emitted field for
     reads) with its gate OFF.  Entries of the crosstalk matrix take the
-    worst case over operations addressing the same cell.
+    worst case over operations addressing the same cell.  Every cell
+    steps at dt_fraction of its resolution guard, or at the addressed
+    cell's step if that is finer.
     """
     _validate_schedule(array, schedule, None)
     if not schedule.ops:
@@ -262,12 +265,13 @@ def run_schedule(
                 duration=duration,
                 envelope=Gauss(sigma=duration / 5.0),
             )
-            result = write_protocol(sys_i, rf, gate_at=0.5 * duration)
+            result = write_protocol(sys_i, rf, gate_at=0.5 * duration,
+                                    dt_fraction=dt_fraction)
             fidelities.append(result.fidelity)
             traj = result.trajectory
             drive = rf
         else:
-            result = read_protocol(sys_i)
+            result = read_protocol(sys_i, dt_fraction=dt_fraction)
             fidelities.append(result.recovered_fraction)
             traj = result.trajectory
             times, a_out = result.emitted
@@ -283,7 +287,7 @@ def run_schedule(
         for j in range(n):
             if j == i:
                 continue
-            deposit_j = _idle_deposit(models[j], drive, t_span, dt)
+            deposit_j = _idle_deposit(models[j], drive, t_span, dt, dt_fraction)
             crosstalk[i, j] = max(crosstalk[i, j], deposit_j / deposit_i)
 
     return ScheduleReport(fidelities=tuple(fidelities), crosstalk=crosstalk)

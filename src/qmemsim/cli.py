@@ -292,7 +292,7 @@ def _require_array(cfg: Config):
 def _cmd_protocol(args, cfg: Config) -> int:
     schedule = load_schedule(args.schedule)
     array = _require_array(cfg)
-    report = run_schedule(array, schedule)
+    report = run_schedule(array, schedule, dt_fraction=cfg.dynamics.dt_fraction_of_guard)
     _write_csv(
         args.out,
         ["op_index", "op", "cell_index", "start_s", "fidelity"],

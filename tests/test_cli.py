@@ -271,3 +271,22 @@ class TestProtocolCommand:
         xt_header, xt_rows = read_csv(xt)
         assert len(xt_rows) == 4 and len(xt_header) == 4
         assert float(xt_rows[0][0]) == 1.0
+
+    def test_step_fraction_is_read(self, seed_path, tmp_path):
+        sched = tmp_path / "sched.json"
+        sched.write_text(json.dumps({"ops": [{"op": "write", "cell_index": 0}]}))
+        raw = json.loads(seed_path.read_text())
+        assert raw["dynamics"]["dt_fraction_of_guard"] == 0.25
+        raw["dynamics"]["dt_fraction_of_guard"] = 0.125
+        fine_cfg = tmp_path / "fine.json"
+        fine_cfg.write_text(json.dumps(raw))
+        csvs = []
+        for cfg in (seed_path, fine_cfg):
+            out = tmp_path / f"fid-{cfg.stem}.csv"
+            assert main(["protocol", str(cfg), str(sched), "--out", str(out)]) == 0
+            csvs.append(read_csv(out))
+        (_, coarse), (_, fine) = csvs
+        assert coarse != fine
+        # a finer step moves the fidelity only through the step grid: where
+        # the gate edges fall and where max |a|^2 is sampled
+        assert float(fine[0][4]) == pytest.approx(float(coarse[0][4]), rel=1e-3)

@@ -1,8 +1,10 @@
 """Two-mode dynamics: analytic checks, protocols, integrator quality."""
+import itertools
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from qmemsim.dynamics import (
     Rect,
     RfPulse,
     SampledDrive,
+    _block_len,
     _frame_carrier,
     _rk4_increment,
     coupling_schedule,
@@ -266,6 +269,26 @@ def test_scan_matches_step_loop(case):
     _assert_matches_loop(system, pulses, span, dt, a0=a0, b0=b0)
 
 
+# constant-coupling segments whose block layout sits on the scan's edges,
+# each a test on (steps per block K, blocks B, steps in the last block)
+BLOCK_CASES = {
+    "one_block": lambda k, b, last: b == 1,
+    "unit_blocks": lambda k, b, last: k == 1 and b > 1,
+    "last_block_full": lambda k, b, last: k > 2 and last == k,
+    "last_block_short": lambda k, b, last: k > 2 and last == k - 1,
+    "last_block_over": lambda k, b, last: k > 2 and last == 1,
+}
+
+
+def _block_case_steps(name):
+    """Smallest step count whose scan has the layout BLOCK_CASES names."""
+    for n in itertools.count(1):
+        k = _block_len(n)
+        b = -(-n // k)
+        if BLOCK_CASES[name](k, b, n - (b - 1) * k):
+            return n
+
+
 def _named_case(name):
     g = TWO_PI * 20e6
     kappa = TWO_PI * 4e6
@@ -321,6 +344,17 @@ def _named_case(name):
         drive = SampledDrive(carrier=carrier, times=times,
                              values=1e4 * np.exp(-((times - 150e-9) / 50e-9) ** 2 + 3j * times / 300e-9))
         return base, PulseSequence(rf=drive, gate_pulses=gate), (0.0, 450e-9), 0.0, 1j
+    if name in BLOCK_CASES:
+        # one constant-coupling segment of exactly n steps; a0 and b0 both
+        # nonzero, so every block's carry-in reaches both modes
+        sys_ = CoupledModeSystem(omega_a=W0, omega_b=W0 + TWO_PI * 1e6, kappa_ext=kappa,
+                                 kappa_int_a=TWO_PI * 0.1e6, gamma_b=TWO_PI * 0.05e6,
+                                 g_on=g, g_off=g)
+        n = _block_case_steps(name)
+        span = (0.0, n * 0.25 * max_stable_dt(sys_, PulseSequence(rf=gauss)))
+        drive = RfPulse(carrier=carrier, amplitude=1e4, start=0.0, duration=span[1],
+                        envelope=Gauss(sigma=span[1] / 5.0))
+        return sys_, PulseSequence(rf=drive), span, 0.6 - 0.8j, 1j
     assert name == "long_hold"
     # constant coupling: the whole span is one segment
     hold = CoupledModeSystem(omega_a=W0, omega_b=W0 + TWO_PI * 1e6, kappa_ext=TWO_PI * 0.2e6,
@@ -332,13 +366,33 @@ def _named_case(name):
 
 @pytest.mark.parametrize("name", ["ramps", "exceptional_point", "g_off_zero", "one_step",
                                   "no_drive", "gaussian", "sampled", "long_hold",
-                                  "edge_on_sample", "sub_step_pulse", "edges_first_last"])
+                                  "edge_on_sample", "sub_step_pulse", "edges_first_last",
+                                  *BLOCK_CASES])
 def test_scan_matches_step_loop_named(name):
     system, pulses, span, a0, b0 = _named_case(name)
     dt = 0.25 * max_stable_dt(system, pulses)
     if name == "long_hold":
         assert (span[1] - span[0]) / dt >= 50_000
+    if name in BLOCK_CASES:
+        n = len(_half_grid(span, dt)) // 2
+        assert n == _block_case_steps(name)
     _assert_matches_loop(system, pulses, span, dt, a0=a0, b0=b0)
+
+
+def test_evolve_peak_memory():
+    # the scan keeps one full-size scratch buffer; a second one would show
+    # here as about 10 x 16 bytes per step, and in the benchmark's peak RSS
+    system, pulses, span, a0, b0 = _named_case("long_hold")
+    dt = 0.25 * max_stable_dt(system, pulses)
+    n = len(evolve(system, pulses, span, dt, a0=a0, b0=b0).times)
+    assert n == 60_001
+    tracemalloc.start()
+    try:
+        evolve(system, pulses, span, dt, a0=a0, b0=b0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 16 * n
 
 
 def _energy_residual(system, pulses, traj):
