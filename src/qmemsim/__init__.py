@@ -53,7 +53,6 @@ from .dynamics import (
     SampledDrive,
     Trajectory,
     WriteResult,
-    coupling_schedule,
     evolve,
     max_stable_dt,
     read_protocol,

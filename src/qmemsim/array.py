@@ -228,7 +228,7 @@ def run_schedule(
     reads) with its gate OFF.  Entries of the crosstalk matrix take the
     worst case over operations addressing the same cell.  Every cell
     steps at dt_fraction of its resolution guard, or at the addressed
-    cell's step if that is finer.
+    cell's largest step if that is finer.
     """
     _validate_schedule(array, schedule, None)
     if not schedule.ops:
@@ -283,7 +283,7 @@ def run_schedule(
         if deposit_i <= 0.0:
             continue
         t_span = (float(traj.times[0]), float(traj.times[-1]))
-        dt = float(traj.times[1] - traj.times[0])
+        dt = float(np.max(np.diff(traj.times)))
         for j in range(n):
             if j == i:
                 continue

@@ -17,9 +17,9 @@ fixed-step classical RK4 for deterministic, reproducible trajectories.
 
 The system is linear, so each RK4 step is the exact affine map
 x_{n+1} = x_n + Q x_n + r_n, with Q and the drive weights in r_n read off
-one application of the RK4 stage formula.  evolve() cuts the step grid at
-the steps whose sampled coupling changes (gate edges and ramps, one step
-each) and runs every piece, one step or many, as a blocked scan in numpy:
+one application of the RK4 stage formula.  g(t) changes only at the gate
+edges, so evolve() cuts the span there and runs each piece at its one
+coupling, in even steps of at most dt, as a blocked scan in numpy:
 blocks of about sqrt(N / 8) steps run from a zero state side by side, a
 scalar pass carries the state from block to block, and one matrix product
 lifts every block onto its carried-in state.  The result matches the
@@ -128,17 +128,14 @@ class SampledDrive:
 
 @dataclass(frozen=True)
 class GatePulse:
-    """One DC gate pulse with linear rise/fall ramps of length `rise`."""
+    """One DC gate pulse: g_on over [start, end), switched instantly."""
 
     start: float
     duration: float
-    rise: float = 0.0
 
     def __post_init__(self):
         if self.duration <= 0:
             raise ValueError("gate pulse duration must be positive")
-        if self.rise < 0:
-            raise ValueError("gate rise time must be non-negative")
 
     @property
     def end(self) -> float:
@@ -167,31 +164,6 @@ class PulseSequence:
         if not starts:
             return 0.0, 0.0
         return min(starts), max(ends)
-
-
-def coupling_schedule(gate_pulses, g_on: float, g_off: float):
-    """Piecewise-linear g(t) from gate pulses; OFF floor outside pulses.
-
-    Each pulse ramps g_off -> g_on over `rise`, holds, and ramps back.
-    Returns a vectorized callable.
-    """
-    xs: list[float] = []
-    ys: list[float] = []
-    for p in sorted(gate_pulses, key=lambda q: q.start):
-        rise = max(p.rise, 1e-18)  # exact steps still resolve below any dt
-        xs += [p.start, p.start + rise, p.end, p.end + rise]
-        ys += [g_off, g_on, g_on, g_off]
-
-    if not xs:
-        return lambda t: np.full_like(np.asarray(t, dtype=float), g_off)
-
-    xp = np.array(xs)
-    fp = np.array(ys)
-
-    def g_of_t(t):
-        return np.interp(np.asarray(t, dtype=float), xp, fp, left=g_off, right=g_off)
-
-    return g_of_t
 
 
 # ------------------------- coupled-mode system -------------------------
@@ -272,24 +244,23 @@ def max_stable_dt(system: CoupledModeSystem, pulses: PulseSequence) -> float:
 
 
 def _rk4_increment(a, b, h, ca, cb, root_k, g, f):
-    """Change of (a, b) over one classical RK4 step; g and f hold the
-    coupling and the drive at the step's start, midpoint and end."""
-    g0, g1, g2 = g
+    """Change of (a, b) over one classical RK4 step at coupling g; f holds
+    the drive at the step's start, midpoint and end."""
     f0, f1, f2 = f
-    k1a = ca * a - 1j * g0 * b + root_k * f0
-    k1b = cb * b - 1j * g0 * a
+    k1a = ca * a - 1j * g * b + root_k * f0
+    k1b = cb * b - 1j * g * a
     a1 = a + 0.5 * h * k1a
     b1 = b + 0.5 * h * k1b
-    k2a = ca * a1 - 1j * g1 * b1 + root_k * f1
-    k2b = cb * b1 - 1j * g1 * a1
+    k2a = ca * a1 - 1j * g * b1 + root_k * f1
+    k2b = cb * b1 - 1j * g * a1
     a2 = a + 0.5 * h * k2a
     b2 = b + 0.5 * h * k2b
-    k3a = ca * a2 - 1j * g1 * b2 + root_k * f1
-    k3b = cb * b2 - 1j * g1 * a2
+    k3a = ca * a2 - 1j * g * b2 + root_k * f1
+    k3b = cb * b2 - 1j * g * a2
     a3 = a + h * k3a
     b3 = b + h * k3b
-    k4a = ca * a3 - 1j * g2 * b3 + root_k * f2
-    k4b = cb * b3 - 1j * g2 * a3
+    k4a = ca * a3 - 1j * g * b3 + root_k * f2
+    k4b = cb * b3 - 1j * g * a3
     return (
         (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a),
         (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b),
@@ -327,8 +298,8 @@ def _block_len(length: int) -> int:
 
 
 def _scan_segment(x, s, e, h, ca, cb, root_k, g, ain):
-    """Steps s..e-1, each with the couplings g at its start, midpoint and
-    end, written into rows s+1..e of x.
+    """Steps s..e-1 of length h at coupling g, written into rows s+1..e
+    of x; ain holds the drive on the half-step grid.
 
     Each step is x_{n+1} = x_n + Q x_n + r_n with r_n = m0 f(t_n) +
     m1 f(t_n + h/2) + m2 f(t_n + h); Q and the m are the increment of one
@@ -405,9 +376,9 @@ def evolve(
 
     dt must satisfy the resolution guard of max_stable_dt() and t_span
     must cover every pulse; violations raise ValueError (with a suggested
-    step).  The step is trimmed so the span divides evenly; results are
-    deterministic.  Every run of steps at one coupling is evaluated as
-    one exact recurrence (see the module docstring).
+    step).  The span is cut at every gate edge, and each piece runs at its
+    one coupling in even steps of at most dt, as one exact recurrence (see
+    the module docstring); results are deterministic.
     """
     t0, t1 = t_span
     if not t1 > t0:
@@ -432,12 +403,23 @@ def evolve(
     cb = -(1j * delta_b + 0.5 * system.gamma_b)
     root_k = math.sqrt(system.kappa_ext)
 
-    n_steps = max(int(math.ceil((t1 - t0) / dt - 1e-9)), 1)
-    h = (t1 - t0) / n_steps
-    half_grid = t0 + 0.5 * h * np.arange(2 * n_steps + 1)
-
-    g_fn = coupling_schedule(pulses.gate_pulses, system.g_on, system.g_off)
-    g_arr = np.asarray(g_fn(half_grid), dtype=float)
+    # g(t) changes only at the gate edges: one coupling per piece
+    cuts = [t0, *sorted({t for p in pulses.gate_pulses for t in (p.start, p.end)
+                         if t0 < t < t1}), t1]
+    pieces = []  # (first step, end step, piece start, step, coupling)
+    n_steps = 0
+    for ta, tb in zip(cuts, cuts[1:]):
+        n = max(int(math.ceil((tb - ta) / dt - 1e-9)), 1)
+        mid = 0.5 * (ta + tb)
+        on = any(p.start <= mid < p.end for p in pulses.gate_pulses)
+        pieces.append((n_steps, n_steps + n, ta, (tb - ta) / n,
+                       system.g_on if on else system.g_off))
+        n_steps += n
+    # each step's start, midpoint and end; a later piece overwrites the
+    # sample it shares with the one before, so that sample is the edge
+    half_grid = np.empty(2 * n_steps + 1)
+    for s, e, ta, h, _ in pieces:
+        half_grid[2 * s:2 * e + 1] = ta + 0.5 * h * np.arange(2 * (e - s) + 1)
     if pulses.rf is not None:
         ain_arr = np.asarray(pulses.rf.baseband(half_grid), dtype=complex)
     else:
@@ -446,17 +428,13 @@ def evolve(
     # rows are the states (a, b) at each step; padded for the last block
     x = np.zeros((n_steps + _block_len(n_steps), 2), dtype=complex)
     x[0] = a0, b0
-    # a step whose coupling samples differ is a run of its own; the steps
-    # between such steps hold one coupling
-    edges = np.flatnonzero(g_arr[1:] != g_arr[:-1]) // 2
-    bounds = np.unique(np.concatenate(([0, n_steps], edges, edges + 1))).tolist()
-    for s, e in zip(bounds, bounds[1:]):
-        _scan_segment(x, s, e, h, ca, cb, root_k, g_arr[2 * s:2 * s + 3].tolist(), ain_arr)
+    for s, e, _, h, g in pieces:
+        _scan_segment(x, s, e, h, ca, cb, root_k, g, ain_arr)
 
     x = x[:n_steps + 1]
     if not np.isfinite(x).all():
         raise ArithmeticError("trajectory diverged; reduce dt")
-    times = t0 + h * np.arange(n_steps + 1)
+    times = half_grid[0::2].copy()
     a_out = ain_arr[0::2] - root_k * x[:, 0]
     return Trajectory(times=times, a=x[:, 0], b=x[:, 1], a_out=a_out)
 

@@ -287,6 +287,6 @@ class TestProtocolCommand:
             csvs.append(read_csv(out))
         (_, coarse), (_, fine) = csvs
         assert coarse != fine
-        # a finer step moves the fidelity only through the step grid: where
-        # the gate edges fall and where max |a|^2 is sampled
+        # a finer step moves the fidelity only through RK4's truncation
+        # error and where max |a|^2 is sampled
         assert float(fine[0][4]) == pytest.approx(float(coarse[0][4]), rel=1e-3)

@@ -24,7 +24,6 @@ from qmemsim.dynamics import (
     _block_len,
     _frame_carrier,
     _rk4_increment,
-    coupling_schedule,
     evolve,
     max_stable_dt,
     read_protocol,
@@ -95,6 +94,23 @@ class TestRabi:
         order = math.log2(errs[0] / errs[1])
         assert 3.5 <= order <= 4.5
 
+    def test_gated_exchange_converges(self):
+        # gate edges inside steps of the ungated grid: the exchange runs for
+        # exactly the gate's duration, so RK4 keeps its fourth order
+        sys_ = CoupledModeSystem(omega_a=W0, omega_b=W0, kappa_ext=0.0, g_on=TWO_PI * 300e6)
+        t_swap = swap_duration(sys_.g_on)
+        gate = GatePulse(start=0.3137 * t_swap, duration=0.5 * t_swap)
+        pulses = PulseSequence(gate_pulses=(gate,))
+        guard = max_stable_dt(sys_, pulses)
+        errs = []
+        for dt in (guard / 2, guard / 4):
+            traj = evolve(sys_, pulses, (0.0, 1.5 * t_swap), dt, a0=1.0)
+            theta = sys_.g_on * (np.clip(traj.times, gate.start, gate.end) - gate.start)
+            errs.append(max(np.max(np.abs(traj.a - np.cos(theta))),
+                            np.max(np.abs(traj.b + 1j * np.sin(theta)))))
+        assert errs[1] <= 1e-8
+        assert math.log2(errs[0] / errs[1]) >= 3.5
+
     def test_energy_conservation_ten_thousand_steps(self):
         sys_ = rabi_system(50e6)
         dt = 0.04e-9
@@ -135,7 +151,7 @@ class TestIntegratorContract:
         )
         pulses = PulseSequence(
             rf=RfPulse(carrier=6.55e9, amplitude=1.0, start=0.0, duration=200e-9),
-            gate_pulses=(GatePulse(start=200e-9, duration=12.5e-9, rise=1e-9),),
+            gate_pulses=(GatePulse(start=200e-9, duration=12.5e-9),),
         )
         dt = 0.25 * max_stable_dt(sys_, pulses)
         base = evolve(sys_, pulses, (0.0, 250e-9), dt)
@@ -163,40 +179,50 @@ class TestIntegratorContract:
     def test_non_finite_state_raises(self):
         sys_ = CoupledModeSystem(omega_a=W0, omega_b=W0, kappa_ext=TWO_PI * 1e6,
                                  g_on=TWO_PI * 100e6, g_off=1e3)
-        # one gate ramp, so both the one-step runs at the ramps and the
-        # long runs between them carry the NaN
-        pulses = PulseSequence(gate_pulses=(GatePulse(start=5e-9, duration=5e-9, rise=1e-9),))
+        # the gate cuts the span into three pieces, at g_off, g_on and
+        # g_off: the NaN carries through each of them
+        pulses = PulseSequence(gate_pulses=(GatePulse(start=5e-9, duration=5e-9),))
         dt = 0.25 * max_stable_dt(sys_, pulses)
         with pytest.raises(ArithmeticError, match="diverged"):
             evolve(sys_, pulses, (0.0, 20e-9), dt, a0=complex("nan"))
 
 
 def _half_grid(t_span, dt):
-    """evolve's sample times: every step's start, midpoint and end."""
+    """evolve's sample times on an ungated span: every step's start,
+    midpoint and end."""
     t0, t1 = t_span
     n_steps = max(int(math.ceil((t1 - t0) / dt - 1e-9)), 1)
     return t0 + 0.5 * ((t1 - t0) / n_steps) * np.arange(2 * n_steps + 1)
 
 
-def _evolve_loop(system, pulses, t_span, dt, a0=0.0, b0=0.0):
-    """One _rk4_increment per step over evolve's grid; the reference for
-    the segment scan in evolve."""
-    half_grid = _half_grid(t_span, dt)
-    n_steps = len(half_grid) // 2
-    h = (t_span[1] - t_span[0]) / n_steps
+def _evolve_loop(system, pulses, t_span, dt, times, a0=0.0, b0=0.0):
+    """One _rk4_increment per step over the step grid `times` of an evolve
+    call, with g from the gate pulses at each step's midpoint: the
+    reference for the piecewise scan in evolve.  Checks the grid first:
+    it spans t_span, every gate edge inside the span is a grid point, and
+    no step exceeds dt."""
+    t0, t1 = t_span
+    assert times[0] == t0 and abs(times[-1] - t1) <= 1e-12 * (t1 - t0)
+    edges = {t for p in pulses.gate_pulses for t in (p.start, p.end) if t0 < t < t1}
+    assert edges <= set(times.tolist())
+    steps = np.diff(times)
+    assert np.all(steps > 0) and np.max(steps) <= dt * (1.0 + 1e-9)
+    mids = 0.5 * (times[:-1] + times[1:])
+    # the coupling is g_on inside a gate pulse and the g_off floor outside
+    gs = [system.g_on if any(p.start <= m < p.end for p in pulses.gate_pulses)
+          else system.g_off for m in mids.tolist()]
+    samples = np.stack([times[:-1], mids, times[1:]], axis=1)
+    fs = (np.zeros(samples.shape, dtype=complex) if pulses.rf is None
+          else np.asarray(pulses.rf.baseband(samples), dtype=complex)).tolist()
     w_d = _frame_carrier(system, pulses)
     ca = -(1j * (system.omega_a - w_d) + 0.5 * (system.kappa_ext + system.kappa_int_a))
     cb = -(1j * (system.omega_b - w_d) + 0.5 * system.gamma_b)
     root_k = math.sqrt(system.kappa_ext)
-    gs = coupling_schedule(pulses.gate_pulses, system.g_on, system.g_off)(half_grid).tolist()
-    fs = ([0.0] * len(gs) if pulses.rf is None
-          else np.asarray(pulses.rf.baseband(half_grid), dtype=complex).tolist())
     a, b = complex(a0), complex(b0)
-    out = np.empty((n_steps + 1, 2), dtype=complex)
+    out = np.empty((len(times), 2), dtype=complex)
     out[0] = a, b
-    for n in range(n_steps):
-        window = slice(2 * n, 2 * n + 3)
-        da, db = _rk4_increment(a, b, h, ca, cb, root_k, gs[window], fs[window])
+    for n, (h, g, f) in enumerate(zip(steps.tolist(), gs, fs)):
+        da, db = _rk4_increment(a, b, h, ca, cb, root_k, g, f)
         a, b = a + da, b + db
         out[n + 1] = a, b
     return out
@@ -204,11 +230,11 @@ def _evolve_loop(system, pulses, t_span, dt, a0=0.0, b0=0.0):
 
 def _assert_matches_loop(system, pulses, t_span, dt, a0=0.0, b0=0.0):
     traj = evolve(system, pulses, t_span, dt, a0=a0, b0=b0)
-    ref = _evolve_loop(system, pulses, t_span, dt, a0=a0, b0=b0)
-    assert len(traj.times) == len(ref)
+    ref = _evolve_loop(system, pulses, t_span, dt, traj.times, a0=a0, b0=b0)
     peak = np.max(np.abs(ref))
     assert np.max(np.abs(traj.a - ref[:, 0])) <= 1e-12 * peak
     assert np.max(np.abs(traj.b - ref[:, 1])) <= 1e-12 * peak
+    return traj
 
 
 RATE = TWO_PI * 100e6  # scale of every rate the strategy draws
@@ -216,8 +242,8 @@ RATE = TWO_PI * 100e6  # scale of every rate the strategy draws
 
 @st.composite
 def driven_systems(draw):
-    """(system, pulses, t_span, dt, a0, b0) with gate edges, ramps, the
-    drives evolve accepts and at most 4000 steps."""
+    """(system, pulses, t_span, dt, a0, b0) with gate edges, the drives
+    evolve accepts and at most 4000 steps."""
     g_on = RATE * draw(st.floats(0.05, 1.0))
     g_off = draw(st.sampled_from([0.0, 1e-4 * g_on, g_on]))
     system = CoupledModeSystem(
@@ -236,11 +262,10 @@ def driven_systems(draw):
     for _ in range(draw(st.integers(0, 2))):
         start = t + draw(st.floats(0.0, 0.3)) * t_end
         duration = draw(st.floats(0.02, 0.3)) * t_end
-        rise = draw(st.sampled_from([0.0, 0.0, 0.01, 0.05])) * t_end
-        if start + duration + rise > t_end:
+        if start + duration > t_end:
             break
-        gates.append(GatePulse(start=start, duration=duration, rise=rise))
-        t = start + duration + rise
+        gates.append(GatePulse(start=start, duration=duration))
+        t = start + duration
     kind = draw(st.sampled_from(["none", "rect", "gauss", "sampled"]))
     carrier = W0 / TWO_PI
     if kind == "none":
@@ -268,6 +293,10 @@ def test_scan_matches_step_loop(case):
     system, pulses, span, dt, a0, b0 = case
     _assert_matches_loop(system, pulses, span, dt, a0=a0, b0=b0)
 
+
+# gate edges placed on a grid sample, inside one step, and in the first
+# and the last step of the ungated span's grid
+GRID_CUT_CASES = ("edge_on_sample", "sub_step_pulse", "edges_first_last")
 
 # constant-coupling segments whose block layout sits on the scan's edges,
 # each a test on (steps per block K, blocks B, steps in the last block)
@@ -299,12 +328,6 @@ def _named_case(name):
     gauss = RfPulse(carrier=carrier, amplitude=1e4, start=0.0, duration=400e-9,
                     envelope=Gauss(sigma=80e-9))
     gate = (GatePulse(start=200e-9, duration=12.5e-9),)
-    if name == "ramps":
-        pulses = PulseSequence(rf=gauss, gate_pulses=(
-            GatePulse(start=100e-9, duration=12.5e-9, rise=2e-9),
-            GatePulse(start=300e-9, duration=12.5e-9, rise=0.5e-9),
-        ))
-        return base, pulses, (0.0, 450e-9), 1.0, 0.0
     if name == "exceptional_point":
         # delta = 0 and g = kappa / 4: the propagator's eigenvectors coincide
         ep = CoupledModeSystem(omega_a=W0, omega_b=W0, kappa_ext=kappa,
@@ -313,26 +336,22 @@ def _named_case(name):
     if name == "g_off_zero":
         sys_ = CoupledModeSystem(omega_a=W0, omega_b=W0, kappa_ext=kappa, g_on=g, g_off=0.0)
         return sys_, PulseSequence(rf=gauss, gate_pulses=gate), (0.0, 450e-9), 1.0, 0.0
-    if name in ("edge_on_sample", "sub_step_pulse", "edges_first_last"):
+    if name in GRID_CUT_CASES:
         span = (0.0, 450e-9)
+        # gate edges placed against the grid of the ungated span
         t = _half_grid(span, 0.25 * max_stable_dt(base, PulseSequence(rf=gauss)))
         h = 2.0 * (t[1] - t[0])
         if name == "edge_on_sample":
-            # rise exactly on a step boundary, fall near a step midpoint
+            # rise exactly on a step boundary, fall on a step midpoint
             gates = (GatePulse(start=t[800], duration=t[851] - t[800]),)
         elif name == "sub_step_pulse":
-            # on only at the midpoint sample of step 400
+            # a pulse shorter than one step, inside step 400
             gates = (GatePulse(start=t[800] + 0.3 * h, duration=0.4 * h),)
         else:
+            # on from the span's start; off 0.2 step before its end
             gates = (GatePulse(start=0.0, duration=12.5e-9),
                      GatePulse(start=t[-1] - 12.5e-9 - 0.2 * h, duration=12.5e-9))
-        pulses = PulseSequence(rf=gauss, gate_pulses=gates)
-        g_samples = coupling_schedule(gates, base.g_on, base.g_off)(t)
-        edges = set((np.flatnonzero(np.diff(g_samples)) // 2).tolist())
-        assert edges == {"edge_on_sample": {400, 425},
-                         "sub_step_pulse": {400},
-                         "edges_first_last": {0, 50, len(t) // 2 - 51, len(t) // 2 - 1}}[name]
-        return base, pulses, span, 1.0, 0.0
+        return base, PulseSequence(rf=gauss, gate_pulses=gates), span, 1.0, 0.0
     if name == "one_step":
         return base, PulseSequence(), (0.0, 1e-12), 0.3, 1.0
     if name == "no_drive":
@@ -364,24 +383,41 @@ def _named_case(name):
     return hold, PulseSequence(rf=drive), (0.0, 15e-6), 1.0, 0.0
 
 
-@pytest.mark.parametrize("name", ["ramps", "exceptional_point", "g_off_zero", "one_step",
+@pytest.mark.parametrize("name", ["exceptional_point", "g_off_zero", "one_step",
                                   "no_drive", "gaussian", "sampled", "long_hold",
-                                  "edge_on_sample", "sub_step_pulse", "edges_first_last",
-                                  *BLOCK_CASES])
+                                  *GRID_CUT_CASES, *BLOCK_CASES])
 def test_scan_matches_step_loop_named(name):
     system, pulses, span, a0, b0 = _named_case(name)
     dt = 0.25 * max_stable_dt(system, pulses)
     if name == "long_hold":
         assert (span[1] - span[0]) / dt >= 50_000
+    traj = _assert_matches_loop(system, pulses, span, dt, a0=a0, b0=b0)
     if name in BLOCK_CASES:
-        n = len(_half_grid(span, dt)) // 2
-        assert n == _block_case_steps(name)
-    _assert_matches_loop(system, pulses, span, dt, a0=a0, b0=b0)
+        assert len(traj.times) - 1 == _block_case_steps(name)
+    if name in GRID_CUT_CASES:
+        times = traj.times.tolist()
+        t = _half_grid(span, dt)
+        h = 2.0 * (t[1] - t[0])  # the ungated span's step
+        gates = pulses.gate_pulses
+        if name == "edge_on_sample":
+            assert {gates[0].start, gates[0].end} <= set(times)
+        elif name == "sub_step_pulse":
+            # the pulse is one step of 0.4 h
+            k = times.index(gates[0].start)
+            assert times[k + 1] == gates[0].end
+            assert (times[k + 1] - times[k]) / h == pytest.approx(0.4, rel=1e-9)
+        else:
+            # the first pulse starts at the span's start and is no cut; the
+            # last step runs from the last pulse's end to the span's end
+            assert {gates[0].end, gates[1].start, gates[1].end} <= set(times)
+            assert times[-2] == gates[1].end
+            assert (times[-1] - times[-2]) / h == pytest.approx(0.2, rel=1e-9)
 
 
 def test_evolve_peak_memory():
-    # the scan keeps one full-size scratch buffer; a second one would show
-    # here as about 10 x 16 bytes per step, and in the benchmark's peak RSS
+    # the scan keeps one full-size scratch buffer and there is no sampled
+    # coupling array; either one more would show here as about 8.5 x 16
+    # bytes per step, and in the benchmark's peak RSS
     system, pulses, span, a0, b0 = _named_case("long_hold")
     dt = 0.25 * max_stable_dt(system, pulses)
     n = len(evolve(system, pulses, span, dt, a0=a0, b0=b0).times)
@@ -392,7 +428,7 @@ def test_evolve_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 9 * 16 * n
+    assert peak <= 8 * 16 * n
 
 
 def _energy_residual(system, pulses, traj):
@@ -423,7 +459,7 @@ def test_energy_balance(case):
     assert residual <= 1e-3 * scale
 
 
-@pytest.mark.parametrize("name", ["ramps", "exceptional_point", "gaussian", "sampled"])
+@pytest.mark.parametrize("name", ["exceptional_point", "gaussian", "sampled"])
 def test_energy_balance_named(name):
     system, pulses, span, a0, b0 = _named_case(name)
     traj = evolve(system, pulses, span, 0.25 * max_stable_dt(system, pulses), a0=a0, b0=b0)
@@ -441,22 +477,6 @@ def test_import_leaves_scipy_signal_unloaded():
 
 
 class TestCouplingSchedule:
-    def test_off_floor_outside_pulses(self):
-        g = coupling_schedule((GatePulse(start=10e-9, duration=5e-9, rise=1e-9),), 1e9, 2e3)
-        assert g(0.0) == 2e3
-        assert g(50e-9) == 2e3
-
-    def test_plateau_and_ramps(self):
-        g = coupling_schedule((GatePulse(start=10e-9, duration=5e-9, rise=1e-9),), 1e9, 0.0)
-        assert g(12e-9) == pytest.approx(1e9)
-        assert g(10.5e-9) == pytest.approx(0.5e9)
-        assert g(15.5e-9) == pytest.approx(0.5e9)
-
-    def test_zero_rise_is_effectively_instant(self):
-        g = coupling_schedule((GatePulse(start=10e-9, duration=5e-9, rise=0.0),), 1e9, 0.0)
-        assert g(10e-9 - 1e-15) == 0.0
-        assert g(10e-9 + 1e-15) == pytest.approx(1e9)
-
     def test_overlapping_pulses_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
             PulseSequence(gate_pulses=(
@@ -527,6 +547,24 @@ class TestReadProtocol:
         drive = SampledDrive(carrier=W0 / TWO_PI, times=times, values=a_out)
         assert drive.baseband(times[3]) == pytest.approx(a_out[3])
         assert drive.baseband(times[-1] + 1.0) == 0.0
+
+
+def test_gated_protocols_converge_in_step():
+    # a cell-0-like seed-array write (gaussian drive, gate at its peak) and
+    # read: with the gate edges on the step grid, a 4x finer step moves
+    # neither result beyond RK4's own error
+    w = TWO_PI * 6.544e9
+    sys_ = CoupledModeSystem(omega_a=w, omega_b=w, kappa_ext=TWO_PI * 3.2e6,
+                             kappa_int_a=TWO_PI * 25e3, gamma_b=TWO_PI * 18e3,
+                             g_on=TWO_PI * 240e6, g_off=TWO_PI * 9.5e3)
+    rf = RfPulse(carrier=w / TWO_PI, amplitude=1.0, start=0.0, duration=1.2e-6,
+                 envelope=Gauss(sigma=0.24e-6))
+    coarse, fine = (write_protocol(sys_, rf, gate_at=0.6e-6, dt_fraction=f).fidelity
+                    for f in (0.25, 0.0625))
+    assert coarse == pytest.approx(fine, rel=1e-7)
+    coarse, fine = (read_protocol(sys_, dt_fraction=f).recovered_fraction
+                    for f in (0.25, 0.0625))
+    assert coarse == pytest.approx(fine, rel=1e-7)
 
 
 class TestEnvelopes:
