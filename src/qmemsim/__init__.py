@@ -26,7 +26,6 @@ from .calibrate import (
     CalibrationTargets,
     calibrate_geometry,
     isolated_sc_trace,
-    isolated_tcr_trace,
     measure_isolated_tcr,
     sc_branch_resonance,
     tcr_branch_resonance,

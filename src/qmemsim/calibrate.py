@@ -6,8 +6,9 @@ tolerance 1e-9 on each scalar):
   (i)   sc_len       -> the isolated storage-cavity branch resonates at f_sc
   (ii)  tcr_half_len -> the isolated TCR resonates at f_tcr_on with the
                         junction at the anchor inductance
-  (iii) c_in         -> the isolated TCR's coupling quality factor matches
-                        the q_c target (re-solving (ii) for every trial)
+  (iii) c_in         -> the isolated TCR's coupling quality factor, from its
+                        complex roots, matches the q_c target (re-solving
+                        (ii) for every trial)
 
 "Isolated" branches terminate the coupling capacitor in a short: a series
 branch at its own resonance presents zero impedance to the partner node,
@@ -31,7 +32,7 @@ from .cell import (
     tcr_mode_estimate,
 )
 from .jjfet import On
-from .resonance import db, find_resonances, half_depth_window
+from .resonance import complex_zeros, peak_from_roots
 from .twoport import SHORT, chain_abcd, notch_s21, terminate
 
 
@@ -147,13 +148,6 @@ def tcr_branch_resonance(cell: MemoryCell, l_j: float) -> float:
     )
 
 
-def isolated_tcr_trace(cell: MemoryCell, l_j: float, f_grid):
-    """Feedline transmission of the isolated TCR branch alone."""
-    f_grid = np.asarray(f_grid, dtype=float)
-    z = _tcr_branch_impedance(cell, l_j, f_grid)
-    return f_grid, notch_s21(z, cell.z0)
-
-
 def isolated_sc_trace(cell: MemoryCell, f_grid):
     """Feedline transmission of the storage-cavity branch tapped directly."""
     f_grid = np.asarray(f_grid, dtype=float)
@@ -162,34 +156,21 @@ def isolated_sc_trace(cell: MemoryCell, f_grid):
 
 
 def measure_isolated_tcr(cell: MemoryCell, l_j: float):
-    """Notch fit of the isolated TCR dip; returns a ResonancePeak.
+    """Notch resonance of the isolated TCR branch; returns a ResonancePeak.
 
-    Two-stage windowing: a wide coarse window locates the dip and its
-    half-depth width, then a window of ~24 linewidths is refit densely so
-    the fit conditions well from Q ~ 10 up to Q ~ 1e6.
+    The zero of the branch impedance Z and the pole of 2Z + z0 are polished
+    from the reactance root of tcr_branch_resonance(), within 1% of it.
     """
-    f0 = tcr_branch_resonance(cell, l_j)
-    width = 0.12 * f0
-    for _ in range(4):
-        grid = np.linspace(f0 - width / 2, f0 + width / 2, 1601)
-        freqs, s21 = isolated_tcr_trace(cell, l_j, grid)
-        s21_db = db(s21)
-        i = int(np.argmin(s21_db))
-        lo, hi = half_depth_window(s21_db, i)
-        fwhm = max(freqs[hi] - freqs[lo], grid[1] - grid[0])
-        new_width = 24.0 * fwhm
-        f0 = freqs[i]
-        if new_width > 0.7 * width:
-            break
-        width = new_width
-    grid = np.linspace(f0 - width / 2, f0 + width / 2, 1601)
-    freqs, s21 = isolated_tcr_trace(cell, l_j, grid)
-    peaks = find_resonances(freqs, s21, min_depth_db=1e-4)
-    if not peaks:
-        raise CalibrationError("coupling resonator: isolated dip not found")
-    peak = max(peaks, key=lambda p: p.depth_db)
+    f_r = tcr_branch_resonance(cell, l_j)
+    f_zero, f_pole = complex_zeros(
+        lambda f: _tcr_branch_impedance(cell, l_j, f) + [0.0, 0.5 * cell.z0],
+        [f_r, f_r], 0.99 * f_r, 1.01 * f_r,
+    )
+    if np.isnan(f_zero) or np.isnan(f_pole):
+        raise CalibrationError("coupling resonator: complex root left its bracket")
+    peak = peak_from_roots(f_zero, f_pole)
     if peak.q_coupling is None:
-        raise CalibrationError("coupling resonator: notch fit did not converge")
+        raise CalibrationError("coupling resonator: no positive coupling rate")
     return peak
 
 

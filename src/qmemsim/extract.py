@@ -1,8 +1,8 @@
 """Bridge from the circuit model to the reduced coupled-mode system.
 
 Mode frequencies and the coupling come from the avoided-crossing fit's
-bare branches; decay rates come from notch fits of the isolated branches;
-the gate-OFF coupling floor comes from the depleted-junction spectrum.
+bare branches; decay rates come from complex-frequency roots of the isolated
+branches; the gate-OFF coupling floor comes from the depleted-junction loop.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from scipy.optimize import brentq
 from .calibrate import (
     CalibrationError,
     _up_crossing,
-    isolated_sc_trace,
     measure_isolated_tcr,
     sc_branch_resonance,
 )
@@ -23,7 +22,7 @@ from .cell import MemoryCell, sc_branch_impedance, tcr_chain
 from .dynamics import TWO_PI, CoupledModeSystem
 from .jjfet import Off, josephson_inductance
 from .modemap import CrossingFit, fit_avoided_crossing, mode_map
-from .resonance import find_resonances
+from .resonance import complex_zeros
 from .twoport import Load, chain_abcd, terminate
 
 
@@ -58,8 +57,6 @@ def full_accumulation_inductance(cell: MemoryCell) -> float:
 def _coupler_linewidth(cell: MemoryCell, l_on: float) -> tuple[float, float, float]:
     """(f0, kappa_ext, kappa_int) of the isolated coupler dip, rad/s rates."""
     peak = measure_isolated_tcr(cell, l_on)
-    if peak.q_coupling is None:
-        raise ExtractionError("coupler coupling rate: notch fit did not converge")
     kappa_ext = TWO_PI * peak.f0 / peak.q_coupling
     kappa_int = TWO_PI * peak.f0 / peak.q_internal if peak.q_internal else 0.0
     return peak.f0, kappa_ext, kappa_int
@@ -149,25 +146,12 @@ def off_state_residual_coupling(
 
 
 def _cavity_internal_rate(cell: MemoryCell) -> float:
-    """gamma_b (rad/s) from a notch fit of the directly tapped cavity branch."""
-    f0 = sc_branch_resonance(cell)
-    width = 0.01 * f0
-    for _ in range(4):
-        grid = np.linspace(f0 - width / 2, f0 + width / 2, 1601)
-        freqs, s21 = isolated_sc_trace(cell, grid)
-        peaks = [p for p in find_resonances(freqs, s21, min_depth_db=1e-3)
-                 if p.q_loaded is not None]
-        if peaks:
-            peak = max(peaks, key=lambda p: p.depth_db)
-            lw = peak.f0 / peak.q_loaded
-            if width <= 40.0 * lw or width < 1e4:
-                if peak.q_internal is None:
-                    return 0.0
-                return TWO_PI * peak.f0 / peak.q_internal
-            f0, width = peak.f0, 24.0 * lw
-        else:
-            width *= 0.1
-    raise ExtractionError("cavity internal rate: dip not resolved")
+    """gamma_b = 4 pi Im f_z (rad/s) of the directly tapped cavity branch's zero f_z."""
+    f_r = sc_branch_resonance(cell)
+    f_zero = complex_zeros(lambda f: sc_branch_impedance(cell, f), f_r, 0.99 * f_r, 1.01 * f_r)
+    if np.isnan(f_zero):
+        raise ExtractionError("cavity internal rate: complex zero left its bracket")
+    return 2.0 * TWO_PI * f_zero.imag
 
 
 def extract_coupled_mode_params(

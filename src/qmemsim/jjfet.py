@@ -115,12 +115,12 @@ class GateModel:
 
 @dataclass(frozen=True)
 class On:
-    """Accumulation: junction is an inductor of l_j henry."""
+    """Accumulation: junction is an inductor of l_j henry (or an array of them)."""
 
     l_j: float
 
     def __post_init__(self):
-        if self.l_j <= 0:
+        if np.any(np.asarray(self.l_j) <= 0):
             raise ValueError("ON-state inductance must be positive")
 
 
@@ -198,11 +198,11 @@ def jj_series_impedance(state: JjState, c_j: float, r_sub: float, f):
     and the subgap resistance.  Off: channel resistance parallel to the
     junction capacitance.  r_sub = inf and c_j = 0 are accepted limits.
     An exactly self-resonant lossless junction gives the infinite-impedance
-    marker.  A scalar f gives a numpy scalar.
+    marker.  A scalar f gives a numpy scalar; f may be complex (Re f > 0).
     """
-    f = np.asarray(f, dtype=float)
-    if np.any(f <= 0):
-        raise ValueError("frequency must be positive")
+    f = np.asarray(f)
+    if np.any(f.real <= 0):
+        raise ValueError("frequency must have a positive real part")
     w = 2.0 * np.pi * f
     if isinstance(state, On):
         y = 1.0 / (1j * w * state.l_j) + 1j * w * c_j

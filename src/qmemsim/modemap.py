@@ -1,9 +1,8 @@
 """Mode map over junction inductance and the avoided-crossing fit.
 
-mode_map() sweeps the cell for every inductance on a grid and records the
-two lowest notch resonances in band.  Narrow far-detuned dips would slip
-through a uniform coarse grid, so each row reuses the previous row's peak
-positions as focused dense windows (mode tracking).
+mode_map() records, for every inductance on a grid, the two lowest
+resonances in band as complex zeros of the cell's shunt impedance: seeded
+at the upward crossings of one Im Z scan of all rows, polished all at once.
 
 fit_avoided_crossing() fits the two-branch hybridization model
 
@@ -19,14 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, least_squares
 
-from .cell import (
-    MemoryCell,
-    adaptive_sweep,
-    sc_mode_estimate,
-    tcr_mode_estimate,
-)
+from .cell import MemoryCell, cell_shunt_impedance, sc_mode_estimate, tcr_mode_estimate
 from .jjfet import On
-from .resonance import ResonancePeak, find_resonances
+from .resonance import complex_zeros, peak_from_roots
 
 
 @dataclass(frozen=True)
@@ -89,22 +83,7 @@ def default_band(cell: MemoryCell, l_grid) -> tuple[float, float]:
     return 0.90 * f_lo, 1.10 * f_hi
 
 
-def _row_peaks(cell, l_j, band, focus, min_depth_db):
-    freqs, s21 = adaptive_sweep(
-        cell, On(l_j), band, detect_db=min_depth_db / 2, focus=focus
-    )
-    peaks = [p for p in find_resonances(freqs, s21, min_depth_db=min_depth_db)
-             if band[0] < p.f0 < band[1]]
-    return peaks[:2]
-
-
-def _focus_from(peaks: list[ResonancePeak]):
-    windows = []
-    for p in peaks:
-        lw = p.f0 / p.q_loaded if p.q_loaded else 1e6
-        half = max(15.0 * lw, 4e7)
-        windows.append((p.f0, half, max(lw / 8.0, 2e3)))
-    return windows
+SCAN_POINTS = 1601  #: band-grid points of the Im Z scan that seeds every row
 
 
 def mode_map(cell: MemoryCell, l_grid, f_band=None, min_depth_db: float = 0.01) -> ModeMap:
@@ -114,10 +93,10 @@ def mode_map(cell: MemoryCell, l_grid, f_band=None, min_depth_db: float = 0.01) 
     ----------
     l_grid : strictly increasing inductances, henry
     f_band : (lo, hi) Hz; derived from the geometry when omitted
-    min_depth_db : detection threshold passed to the peak finder
+    min_depth_db : least notch depth -dB|S21(f0)| of a kept resonance
 
-    Grid points where two dips could not be resolved are flagged and
-    excluded, never silently dropped.
+    Grid points where two dips could not be resolved, or where a root left
+    its bracket first, are flagged and excluded, never silently dropped.
     """
     l_grid = np.asarray(l_grid, dtype=float)
     if l_grid.ndim != 1 or len(l_grid) < 2:
@@ -126,20 +105,34 @@ def mode_map(cell: MemoryCell, l_grid, f_band=None, min_depth_db: float = 0.01) 
         raise ValueError("l_grid must be positive and strictly increasing")
     band = f_band if f_band is not None else default_band(cell, l_grid)
 
-    rows = []
-    flagged = []
-    tracked: list[ResonancePeak] = []
-    for l_j in l_grid:
-        focus = _focus_from(tracked) if tracked else [
-            (sc_mode_estimate(cell), 5e7, 1e4),
-            (tcr_mode_estimate(cell, l_j), 2e8, 1e5),
-        ]
-        peaks = _row_peaks(cell, l_j, band, focus, min_depth_db)
-        if len(peaks) < 2:
-            flagged.append((float(l_j), f"{len(peaks)} resonance(s) in band"))
-            continue
-        rows.append(ModeMapRow(float(l_j), peaks[0].f0, peaks[1].f0))
-        tracked = peaks
+    f = np.linspace(band[0], band[1], SCAN_POINTS)
+    # eight rows per network call keep its temporaries near 2 MB
+    x = np.concatenate([cell_shunt_impedance(cell, On(l[:, None]), f).imag
+                        for l in np.split(l_grid, range(8, len(l_grid), 8))])
+    row, i = np.nonzero((x[:, :-1] < 0) & (x[:, 1:] >= 0))
+    seeds = f[i] - x[row, i] * (f[i + 1] - f[i]) / (x[row, i + 1] - x[row, i])
+    # scan intervals widened by half a step: disjoint brackets
+    lo, hi = f[i] - 0.5 * (f[1] - f[0]), f[i + 1] + 0.5 * (f[1] - f[0])
+    state = On(l_grid[row])
+    # zeros of Z (row 0) and of Z + z0/2, the notch poles (row 1)
+    f_zero, f_pole = complex_zeros(
+        lambda s: cell_shunt_impedance(cell, state, s) + [[0.0], [0.5 * cell.z0]],
+        np.stack([seeds, seeds]), lo, hi)
+    rows, flagged = [], []
+    for k, l_j in enumerate(l_grid):
+        kept = []
+        for seed, fz, fp in zip(seeds[row == k], f_zero[row == k], f_pole[row == k]):
+            if np.isnan(fz) or np.isnan(fp):
+                flagged.append((float(l_j), f"root seeded at {seed:.6g} Hz left its bracket"))
+                break
+            peak = peak_from_roots(fz, fp)
+            if band[0] < peak.f0 < band[1] and peak.depth_db >= min_depth_db:
+                kept.append(peak.f0)
+            if len(kept) == 2:
+                rows.append(ModeMapRow(float(l_j), *kept))
+                break
+        else:
+            flagged.append((float(l_j), f"{len(kept)} resonance(s) in band"))
     return ModeMap(rows=tuple(rows), flagged=tuple(flagged))
 
 

@@ -1,4 +1,4 @@
-"""Resonance extraction from |S21| traces.
+"""Resonances from |S21| traces and from complex-frequency circuit roots.
 
 Dips are located as local minima of |S21| in dB, refined by parabolic
 interpolation, then fit to the complex notch model
@@ -14,6 +14,8 @@ Each fit is seeded in closed form by the inverse-S21 linearization
 113510 (2012)) and refined by Levenberg-Marquardt with an analytic
 Jacobian.  The seed alone is not the answer: the cell is not an exact
 Lorentzian, and the seed's Q values can be off by parts in 1e3.
+The circuit itself gives the same parameters as complex roots (Pozar,
+Microwave Engineering, 6.1): see complex_zeros() and peak_from_roots().
 """
 from __future__ import annotations
 
@@ -245,3 +247,48 @@ def find_resonances(freqs, s21, min_depth_db: float = 0.05):
                 continue
         merged.append(p)
     return merged
+
+
+def complex_zeros(fn, seeds, lo, hi):
+    """Complex zeros of an analytic, elementwise fn by Newton's method from real seeds.
+
+    fn is called on shape (3, *seeds.shape): each root and its central-difference
+    neighbours.  A root stops once its own step is at most 4 ulps, so scalar and
+    vector calls agree bit for bit.  A root whose real part leaves its bracket
+    [lo, hi], or that has not converged in 60 steps, comes back nan.
+    """
+    seeds = np.asarray(seeds, dtype=float)
+    z, active = seeds.astype(complex), np.ones(seeds.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(60):
+            at = np.where(np.isnan(z), seeds, z)  # a failed root's step is dropped
+            h = 2.0**-27 * at.real
+            f_mid, f_up, f_down = fn(np.stack([at, at + h, at - h]))
+            step = f_mid * (2.0 * h) / (f_up - f_down)
+            z = np.where(active, z - step, z)
+            left = active & ~(np.isfinite(z) & (lo <= z.real) & (z.real <= hi))
+            z[left] = np.nan
+            active &= ~left & (np.abs(step) > 4.0 * np.finfo(float).eps * np.abs(z))
+            if not active.any():
+                break
+    z[active] = np.nan
+    return z[()]
+
+
+def peak_from_roots(f_zero, f_pole) -> ResonancePeak:
+    """Notch resonance from the zero f0 (1 + j/2Q_i) of a shunt branch Z and the
+    pole f0 (1 + j/2Q_l) of 2Z + z0 (Probst et al., RSI 86, 024706 (2015)).
+
+    Each Q is Re f / (2 Im f); Q_i is None when Im f_zero == 0, and
+    1/Q_c = 1/Q_l - 1/Q_i (None unless positive).  depth_db = -dB|S21(f0)|
+    = -dB(Q_l/Q_i) of the notch model.
+    """
+    fz, fp = complex(f_zero), complex(f_pole)
+    if not (fz.imag >= 0 and fp.imag > 0):  # nan fails too
+        raise ValueError("a passive branch has Im f_zero >= 0 and Im f_pole > 0")
+    ql = fp.real / (2.0 * fp.imag)
+    if fz.imag == 0:  # lossless: Q_c = Q_l
+        return ResonancePeak(fz.real, -float(db(0.0)), ql, ql, None)
+    qi = fz.real / (2.0 * fz.imag)
+    qc = 1.0 / (1.0 / ql - 1.0 / qi) if qi > ql else None
+    return ResonancePeak(fz.real, -float(db(ql / qi)), ql, qc, qi)

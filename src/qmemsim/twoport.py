@@ -161,14 +161,14 @@ OPEN = Open()
 
 
 def element_abcd(e: Element, f) -> TwoPort:
-    """ABCD matrix of a single element at frequency f (Hz, f > 0).
+    """ABCD matrix of a single element at frequency f (Hz, Re f > 0; analytic in f).
 
     Line section: a = d = cosh(gl), b = z0 sinh(gl), c = sinh(gl)/z0 with
     g = atten + j*beta (reduces to cos/sin for lossless lines).  Series Z:
     [[1, Z], [0, 1]].  Shunt Y: [[1, 0], [Y, 1]].
     """
-    if np.any(np.asarray(f) <= 0):
-        raise ValueError("frequency must be positive")
+    if np.any(np.real(f) <= 0):
+        raise ValueError("frequency must have a positive real part")
     if isinstance(e, LineSection):
         gl = (e.atten + 1j * e.beta(f)) * e.length
         cosh_gl = np.cosh(gl)

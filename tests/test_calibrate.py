@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from qmemsim import calibrate
 from qmemsim.calibrate import (
     CalibrationError,
     CalibrationTargets,
@@ -97,3 +98,9 @@ class TestFailures:
     def test_target_validation(self):
         with pytest.raises(ValueError):
             CalibrationTargets(f_sc=-1.0, l_anchor=ANCHOR, q_c=Q_C)
+
+    def test_root_outside_its_bracket_names_stage(self, cell, monkeypatch):
+        monkeypatch.setattr(calibrate, "complex_zeros",
+                            lambda fn, seeds, lo, hi: np.full(2, np.nan + 0j))
+        with pytest.raises(CalibrationError, match="coupling resonator"):
+            measure_isolated_tcr(cell, ANCHOR)

@@ -199,6 +199,24 @@ class TestSwapCommand:
         assert main(["swap", str(seed_path)]) == 1
         assert main(["swap", str(seed_path), "--g", "300MHz", "--from-fit"]) == 1
 
+    def test_from_fit_maps_with_the_configured_depth(self, seed_path, tmp_path, monkeypatch):
+        # swap --from-fit must map the same rows as modemap, so it must pass
+        # sweep.min_depth_db on
+        raw = json.loads(seed_path.read_text())
+        raw["sweep"]["min_depth_db"] = 0.5
+        cfg = tmp_path / "deep.json"
+        cfg.write_text(json.dumps(raw))
+        seen = []
+
+        def recording_map(cell, grid, **kwargs):
+            seen.append(kwargs)
+            # closed-form map crossing f_b = 6.6 GHz at 200 pH
+            return hybridized_map(grid, (0.0, 0.0, -2e6 / 1e-12, 7.0e9), 6.6e9, 250e6)
+
+        monkeypatch.setattr(cli, "mode_map", recording_map)
+        assert main(["swap", str(cfg), "--from-fit", "--out", str(tmp_path / "s.csv")]) == 0
+        assert seen == [{"min_depth_db": 0.5}]
+
 
 class TestErrorPaths:
     def test_missing_config_file(self, tmp_path):

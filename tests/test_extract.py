@@ -1,14 +1,20 @@
 """Circuit-to-coupled-mode extraction and the OFF-state residual."""
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from qmemsim import extract
+from qmemsim.calibrate import isolated_sc_trace
 from qmemsim.dynamics import TWO_PI
 from qmemsim.extract import (
+    ExtractionError,
+    _cavity_internal_rate,
     extract_coupled_mode_params,
     full_accumulation_inductance,
     off_state_residual_coupling,
 )
+from qmemsim.resonance import find_resonances
 from tests.conftest import ANCHOR, Q_C, TARGETS
 
 
@@ -32,6 +38,19 @@ class TestExtraction:
         system = extract_coupled_mode_params(cell.lossless(), crossing.l_cross, fit=crossing)
         assert system.kappa_int_a == 0.0
         assert system.gamma_b == 0.0
+
+    def test_cavity_rate_matches_a_dense_notch_fit(self, cell, cell_system):
+        # gamma_b = 4 pi Im f_z against 2 pi f0 / Q_i of a trace fit, an
+        # independent path; Q_i ~ 1600 Q_l here, so the fit's Q_i is coarse
+        f0 = TARGETS[0]
+        freqs, s21 = isolated_sc_trace(cell, np.linspace(f0 - 20e6, f0 + 20e6, 4001))
+        fit = max(find_resonances(freqs, s21, min_depth_db=1e-3), key=lambda p: p.depth_db)
+        assert cell_system.gamma_b == pytest.approx(TWO_PI * fit.f0 / fit.q_internal, rel=2e-3)
+
+    def test_cavity_zero_outside_its_bracket_raises(self, cell, monkeypatch):
+        monkeypatch.setattr(extract, "complex_zeros", lambda fn, seeds, lo, hi: np.nan + 0j)
+        with pytest.raises(ExtractionError, match="cavity internal rate"):
+            _cavity_internal_rate(cell)
 
     def test_l_on_outside_sweep_rejected(self, cell, crossing):
         import numpy as np

@@ -190,6 +190,40 @@ class TestSeriesImpedance:
         assert z == pytest.approx(1 / y, rel=1e-12)
 
 
+class TestComplexFrequency:
+    STATES = (On(220e-12), Off(1000.0))
+
+    def test_real_f_unchanged_and_scalar_equals_vector(self):
+        # the real-f arithmetic of the ON/OFF admittance, written out
+        f = np.linspace(4e9, 9e9, 11)
+        w = 2.0 * np.pi * f
+        for state, y in zip(self.STATES, (1.0 / (1j * w * 220e-12) + 1j * w * 1e-15 + 1.0 / 1e6,
+                                          1.0 / 1000.0 + 1j * w * 1e-15)):
+            vec = jj_series_impedance(state, 1e-15, 1e6, f)
+            assert np.array_equal(vec, 1.0 / y)
+            assert np.array_equal(vec, [jj_series_impedance(state, 1e-15, 1e6, x) for x in f])
+
+    def test_complex_f_is_the_analytic_continuation(self):
+        f = 6.5e9 + 2e6j
+        w = 2.0 * np.pi * f
+        z = jj_series_impedance(On(220e-12), 1e-15, 1e6, f)
+        assert z == pytest.approx(1.0 / (1.0 / (1j * w * 220e-12) + 1j * w * 1e-15 + 1e-6),
+                                  rel=1e-14)
+
+    @pytest.mark.parametrize("f", [0.0 + 1e9j, -6.5e9 + 1e3j, np.array([6.5e9, -1.0 + 0j])])
+    def test_non_positive_real_part_raises(self, f):
+        for state in self.STATES:
+            with pytest.raises(ValueError, match="positive real part"):
+                jj_series_impedance(state, 1e-15, 1e6, f)
+
+    def test_on_array_validated_elementwise(self):
+        assert np.array_equal(On(np.array([1e-10, 2e-10])).l_j, [1e-10, 2e-10])
+        with pytest.raises(ValueError):
+            On(np.array([1e-10, -1e-12]))
+        with pytest.raises(ValueError):
+            On(np.array([[1e-10], [0.0]]))
+
+
 def test_jjfet_validation():
     with pytest.raises(ValueError):
         JjFet(i_c_max=0.0)

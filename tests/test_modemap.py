@@ -2,9 +2,11 @@
 import numpy as np
 import pytest
 
+from qmemsim import modemap
 from qmemsim.modemap import (
     ModeMap,
     ModeMapRow,
+    default_band,
     fit_avoided_crossing,
     hybridized_map,
     mode_map,
@@ -93,6 +95,13 @@ class TestCellModeMap:
         assert abs(rows[lo].f_mode1 - f_b) < abs(rows[lo].f_mode2 - f_b)
         assert abs(rows[hi].f_mode2 - f_b) < abs(rows[hi].f_mode1 - f_b)
 
+    @pytest.mark.parametrize("k", [0, 17, 30, 59])
+    def test_rows_do_not_depend_on_their_neighbours(self, cell, k):
+        grid = np.linspace(10e-12, 500e-12, 61)
+        band = default_band(cell, grid)
+        alone = mode_map(cell, grid[k : k + 2], band)
+        assert alone.rows[0] == mode_map(cell, grid, band).rows[k]
+
     def test_splitting_large_when_detuned(self, standard_map, crossing):
         sp_min = np.min(standard_map.splitting)
         first, last = standard_map.rows[0], standard_map.rows[-1]
@@ -140,6 +149,27 @@ class TestValidation:
         )
         with pytest.raises(ValueError):
             ModeMap(rows=rows)
+
+    @pytest.mark.parametrize("band, min_depth_db", [((1e9, 2e9), 0.01), (None, 1e3)])
+    def test_rows_without_two_dips_are_flagged(self, cell, band, min_depth_db):
+        # no zero in a 1-2 GHz band; no notch of the lossy cell is 1000 dB deep
+        mm = mode_map(cell, np.linspace(100e-12, 300e-12, 3), band, min_depth_db)
+        assert mm.rows == ()
+        assert [reason for _, reason in mm.flagged] == ["0 resonance(s) in band"] * 3
+
+    def test_root_that_left_its_bracket_flags_its_row(self, cell, monkeypatch):
+        real = modemap.complex_zeros
+
+        def lose_first_root(fn, seeds, lo, hi):
+            roots = real(fn, seeds, lo, hi)
+            roots[:, 0] = np.nan
+            return roots
+
+        monkeypatch.setattr(modemap, "complex_zeros", lose_first_root)
+        mm = mode_map(cell, np.linspace(100e-12, 300e-12, 3))
+        assert len(mm.rows) == 2
+        assert mm.flagged[0][0] == 100e-12
+        assert "left its bracket" in mm.flagged[0][1]
 
     def test_grid_validation(self, cell):
         with pytest.raises(ValueError):

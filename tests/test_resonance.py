@@ -1,19 +1,24 @@
-"""Notch-model fitting: recovery against its own generator."""
+"""Notch-model fitting and complex-frequency roots, against closed forms."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import least_squares
 
 from qmemsim import resonance
+from qmemsim.calibrate import _tcr_branch_impedance, measure_isolated_tcr, tcr_branch_resonance
 from qmemsim.resonance import (
     ResonancePeak,
     _fit_notch,
     _linear_seed,
     _notch_jacobian,
+    complex_zeros,
     find_resonances,
     local_minima,
     notch_s21_model,
+    peak_from_roots,
 )
+from qmemsim.twoport import notch_s21
+from tests.conftest import ANCHOR
 
 
 def synth_grid(f0, ql, span_lw=25.0, n=1201):
@@ -210,3 +215,96 @@ def test_peak_validation():
         ResonancePeak(f0=-1.0, depth_db=3.0)
     with pytest.raises(ValueError):
         ResonancePeak(f0=6e9, depth_db=3.0, q_loaded=-5.0)
+
+
+class TestComplexRoots:
+    """complex_zeros and peak_from_roots against closed forms and notch fits."""
+
+    Z0 = 50.0
+
+    def series_rlc(self, r, l, c):
+        def z(f):
+            w = 2.0 * np.pi * f
+            return r + 1j * w * l + 1.0 / (1j * w * c)
+
+        return z
+
+    def closed_form_root(self, r, l, c):
+        """f of the zero of R + jwL + 1/jwC: w = jR/2L + sqrt(1/LC - R^2/4L^2)."""
+        return (1j * r / (2 * l) + np.sqrt(1 / (l * c) - r**2 / (4 * l**2))) / (2 * np.pi)
+
+    def test_series_rlc_closed_form(self):
+        r, l, c = 0.2, 1e-6, 5.9e-19  # f0 ~ 6.55 GHz, Q_i ~ 2e5, Q_l ~ 1.6e3
+        f_r = 1.0 / (2 * np.pi * np.sqrt(l * c))
+        z = self.series_rlc(r, l, c)
+        f_zero, f_pole = complex_zeros(lambda f: z(f) + [0.0, self.Z0 / 2], [f_r, f_r],
+                                       0.99 * f_r, 1.01 * f_r)
+        want_zero = self.closed_form_root(r, l, c)
+        want_pole = self.closed_form_root(r + self.Z0 / 2, l, c)
+        assert abs(f_zero - want_zero) <= 1e-12 * abs(want_zero.imag)
+        assert abs(f_pole - want_pole) <= 1e-12 * abs(want_pole.imag)
+
+        peak = peak_from_roots(f_zero, f_pole)
+        qi = want_zero.real / (2 * want_zero.imag)
+        ql = want_pole.real / (2 * want_pole.imag)
+        assert peak.f0 == pytest.approx(want_zero.real, rel=1e-12)
+        assert peak.q_internal == pytest.approx(qi, rel=1e-12)
+        assert peak.q_loaded == pytest.approx(ql, rel=1e-12)
+        assert peak.q_coupling == pytest.approx(1 / (1 / ql - 1 / qi), rel=1e-12)
+        assert peak.depth_db == pytest.approx(-20 * np.log10(ql / qi), rel=1e-12)
+
+    def test_lossless_branch_has_real_zero(self, cell):
+        lossless = cell.lossless()
+        f_r = tcr_branch_resonance(lossless, ANCHOR)
+        f_zero = complex_zeros(lambda f: _tcr_branch_impedance(lossless, ANCHOR, f), f_r,
+                               0.99 * f_r, 1.01 * f_r)
+        assert f_zero.imag == 0.0
+        peak = measure_isolated_tcr(lossless, ANCHOR)
+        assert peak.q_internal is None
+        assert peak.q_coupling == peak.q_loaded
+
+    def test_root_that_leaves_its_bracket_is_nan(self):
+        # zeros at every whole GHz; from 6.51 GHz the first Newton step
+        # overshoots to about 16.6 GHz
+        def fn(f):
+            return np.sin(np.pi * f / 1e9)
+
+        assert round(float(complex_zeros(fn, 6.51e9, 1e9, 1e11).real) / 1e9) not in (6, 7)
+        assert np.isnan(complex_zeros(fn, 6.51e9, 5.9e9, 7.1e9))
+        both = complex_zeros(fn, [6.51e9, 6.02e9], [5.9e9, 5.5e9], [7.1e9, 6.5e9])
+        assert np.isnan(both[0])
+        assert both[1] == complex_zeros(fn, 6.02e9, 5.5e9, 6.5e9)
+        assert both[1] == pytest.approx(6e9, rel=1e-15)
+
+    def test_root_not_converged_is_nan(self):
+        # no zero at all: the iteration runs out of steps inside its bracket
+        assert np.isnan(complex_zeros(lambda f: np.exp(1j * f / 1e9), 6.5e9, 0.0, 1e12))
+
+    def test_scalar_and_vector_calls_agree_bitwise(self, cell):
+        # seeds far from the 6.55 GHz dip leave the bracket: nan, also bitwise
+        seeds = np.linspace(6.45e9, 6.65e9, 9)
+
+        def z(f):
+            return _tcr_branch_impedance(cell, ANCHOR, f)
+
+        vec = complex_zeros(z, seeds, 6.0e9, 7.0e9)
+        assert 0 < np.sum(np.isfinite(vec)) < len(seeds)
+        scalar = [complex_zeros(z, seed, 6.0e9, 7.0e9) for seed in seeds]
+        assert np.array_equal(vec, scalar, equal_nan=True)
+
+    def test_seed_cell_matches_a_dense_notch_fit(self, cell):
+        peak = measure_isolated_tcr(cell, ANCHOR)
+        lw = peak.f0 / peak.q_loaded
+        freqs = np.linspace(peak.f0 - 12 * lw, peak.f0 + 12 * lw, 4001)
+        s21 = notch_s21(_tcr_branch_impedance(cell, ANCHOR, freqs), cell.z0)
+        fit = max(find_resonances(freqs, s21, min_depth_db=1e-4), key=lambda p: p.depth_db)
+        assert peak.f0 == pytest.approx(fit.f0, rel=1e-6)
+        assert peak.q_loaded == pytest.approx(fit.q_loaded, rel=1e-3)
+        assert peak.q_coupling == pytest.approx(fit.q_coupling, rel=1e-3)
+        assert peak.f0 == pytest.approx(tcr_branch_resonance(cell, ANCHOR), rel=1e-9)
+
+    def test_non_passive_roots_rejected(self):
+        with pytest.raises(ValueError):
+            peak_from_roots(6.5e9 - 1e3j, 6.5e9 + 1e6j)
+        with pytest.raises(ValueError):
+            peak_from_roots(6.5e9 + 1e3j, complex(np.nan, np.nan))

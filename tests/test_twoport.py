@@ -265,6 +265,51 @@ def test_chain_abcd_matches_manual_cascade():
     assert chain_abcd(chain, f) == manual
 
 
+class TestComplexFrequency:
+    ELEMENTS = (
+        SeriesCapacitor(5e-15),
+        LineSection(50.0, 6.45, 3e-3, atten=1e-3),
+        SeriesImpedance(lambda f: 1j * 2 * np.pi * f * 220e-12),
+        ShuntAdmittance(lambda f: 1e-3 + 2j * np.pi * f * 1e-14),
+    )
+
+    def test_real_f_unchanged_and_scalar_equals_vector(self):
+        f = np.linspace(4e9, 8e9, 9)
+        line = element_abcd(self.ELEMENTS[1], f)
+        # the real-f arithmetic of a line section, written out
+        gl = (1e-3 + 1j * (2.0 * np.pi * f * math.sqrt(6.45) / C0)) * 3e-3
+        assert np.array_equal(line.a, np.cosh(gl)) and np.array_equal(line.b, 50.0 * np.sinh(gl))
+        cap = element_abcd(self.ELEMENTS[0], f)
+        assert np.array_equal(cap.b, 1.0 / (2j * np.pi * f * 5e-15))
+        for e in self.ELEMENTS:
+            vec = element_abcd(e, f)
+            for i, x in enumerate(f):
+                one = element_abcd(e, float(x))
+                assert all(np.array_equal(np.broadcast_to(getattr(vec, k), f.shape)[i],
+                                          getattr(one, k)) for k in "abcd")
+
+    def test_complex_f_is_the_analytic_continuation(self):
+        f = 6.5e9 + 3e6j
+        line = element_abcd(self.ELEMENTS[1], f)
+        gl = (1e-3 + 1j * 2 * np.pi * f * math.sqrt(6.45) / C0) * 3e-3
+        assert line.a == pytest.approx(np.cosh(gl), rel=1e-14)
+        assert element_abcd(self.ELEMENTS[0], f).b == pytest.approx(1 / (2j * np.pi * f * 5e-15))
+
+    @pytest.mark.parametrize("f", [0.0 + 1e9j, -6.5e9 + 1e3j, np.array([6.5e9, -1.0 + 0j])])
+    def test_non_positive_real_part_raises(self, f):
+        for e in self.ELEMENTS:
+            with pytest.raises(ValueError, match="positive real part"):
+                element_abcd(e, f)
+
+    def test_junction_rows_broadcast_bitwise(self, cell):
+        l = np.linspace(10e-12, 500e-12, 7)
+        f = np.linspace(5.8e9, 7.4e9, 201)
+        z = cell_shunt_impedance(cell, On(l[:, None]), f)
+        assert z.shape == (7, 201)
+        for k, l_j in enumerate(l):
+            assert np.array_equal(z[k], cell_shunt_impedance(cell, On(float(l_j)), f))
+
+
 def test_vectorized_matches_scalar(cell):
     chain = [
         SeriesCapacitor(5e-15),
