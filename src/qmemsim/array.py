@@ -14,7 +14,7 @@ from typing import Literal
 
 import numpy as np
 
-from .calibrate import CalibrationTargets, calibrate_geometry, measure_isolated_tcr
+from .calibrate import CalibrationTargets, calibrate_cells
 from .cell import MemoryCell, frequency_sweep
 from .dynamics import (
     TWO_PI,
@@ -70,8 +70,9 @@ def build_array(
     """Calibrate one cell per target frequency on a shared feedline.
 
     The anchor inductance defaults to the template junction's
-    full-accumulation value.  The addressability precondition (pairwise
-    spacing above 10 loaded linewidths) is verified, not assumed.
+    full-accumulation value.  The cells are calibrated in lockstep; the
+    addressability precondition (pairwise spacing above 10 loaded
+    linewidths) is verified, not assumed.
     """
     targets = tuple(float(t) for t in targets)
     if any(b <= a for a, b in zip(targets, targets[1:])):
@@ -79,17 +80,11 @@ def build_array(
     if l_anchor is None:
         l_anchor = full_accumulation_inductance(template)
 
-    cells = []
-    linewidths = []
-    for f_t in targets:
-        cell = calibrate_geometry(
-            CalibrationTargets(f_sc=f_t, l_anchor=l_anchor, q_c=q_c), template
-        )
-        cells.append(cell)
-        peak = measure_isolated_tcr(cell, l_anchor)
-        linewidths.append(peak.f0 / peak.q_loaded)
-
-    lw_max = max(linewidths)
+    cells, peaks = calibrate_cells(
+        [CalibrationTargets(f_sc=f_t, l_anchor=l_anchor, q_c=q_c) for f_t in targets],
+        template,
+    )
+    lw_max = max(peak.f0 / peak.q_loaded for peak in peaks)
     for i in range(len(targets) - 1):
         spacing = targets[i + 1] - targets[i]
         if spacing <= 10.0 * lw_max:

@@ -1,14 +1,17 @@
 """Geometry calibration against target resonances.
 
-Calibration pins three knobs with nested Brent root-finds (relative
-tolerance 1e-9 on each scalar):
+Calibration pins three knobs at the target frequencies, each a root found
+by find_root (Chandrupatla's method, relative tolerance 1e-9):
 
-  (i)   sc_len       -> the isolated storage-cavity branch resonates at f_sc
-  (ii)  tcr_half_len -> the isolated TCR resonates at f_tcr_on with the
+  (i)   sc_len       -> Im Z of the isolated storage-cavity branch is 0 at f_sc
+  (ii)  tcr_half_len -> Im Z of the isolated TCR is 0 at f_tcr_on with the
                         junction at the anchor inductance
   (iii) c_in         -> the isolated TCR's coupling quality factor, from its
                         complex roots, matches the q_c target (re-solving
                         (ii) for every trial)
+
+All cells of an array are solved in lockstep, one network call per step;
+a cell's roots depend only on its own values, bit for bit.
 
 "Isolated" branches terminate the coupling capacitor in a short: a series
 branch at its own resonance presents zero impedance to the partner node,
@@ -22,7 +25,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .cell import (
     MemoryCell,
@@ -32,12 +34,10 @@ from .cell import (
     tcr_mode_estimate,
 )
 from .jjfet import On
-from .resonance import complex_zeros, peak_from_roots
+from .resonance import CalibrationError, ResonancePeak, complex_zeros, find_root, peak_from_roots
 from .twoport import SHORT, chain_abcd, notch_s21, terminate
 
-
-class CalibrationError(RuntimeError):
-    """A calibration stage could not bracket or refine its root."""
+SCAN_POINTS = 200  #: points per row of the at-target sc_len and tcr_half_len scans
 
 
 @dataclass(frozen=True)
@@ -67,85 +67,66 @@ class CalibrationTargets:
         return self.f_tcr_on if self.f_tcr_on is not None else self.f_sc
 
 
-def find_root(fn, lo: float, hi: float, stage: str) -> float:
-    """Brent root of fn on [lo, hi] to 1e-9 relative.
-
-    Raises CalibrationError naming `stage` when fn(lo) and fn(hi) have the
-    same sign; an error raised by fn itself propagates unchanged.
-    """
-    try:
-        # xtol=1e-300: the tolerance is relative only, whatever the unit of x
-        return brentq(fn, lo, hi, xtol=1e-300, rtol=1e-9)
-    except ValueError as err:
-        if "different signs" not in str(err):
-            raise
-        raise CalibrationError(f"{stage}: root not bracketed") from None
-
-
 # ------------------------- isolated branches -------------------------
 
 
-def _tcr_branch_impedance(cell: MemoryCell, l_j: float, f):
+def _tcr_branch_impedance(cell: MemoryCell, l_j, f):
     """Isolated TCR branch seen from the feedline tap (SC node grounded)."""
     return terminate(chain_abcd(tcr_chain(cell, On(l_j)), f), SHORT)
 
 
-def _up_crossing(reactance, lo: float, hi: float, near: float, n_scan: int,
-                 depth: int = 6):
-    """Bracket of the upward Im(Z) zero crossing nearest `near`.
+def _up_crossing(reactance, near, span, n_scan: int, depth: int = 6):
+    """Per row, the bracket (a, b) of the upward Im(Z) zero crossing nearest `near`.
 
-    A series-resonance zero can sit arbitrarily close below a reactance
-    pole (weak end coupling); when the coarse scan only shows the pole's
-    downward jump, the interval below it is rescanned at finer spacing.
+    reactance maps an (n, n_scan) grid over [span[0], span[1]] * near to
+    Im(Z), one row per entry of near.  Im(Z) rises with frequency and line
+    length except at its poles, where it falls from + to -: no bracket.  A
+    zero closer below its pole than one scan step (weak end coupling) hides
+    in a step where Im(Z) falls while negative; that step is rescanned, up
+    to `depth` times.  Rows without a crossing get nan.
     """
-    fs = np.linspace(lo, hi, n_scan)
-    xs = np.asarray(reactance(fs))
-    up = np.where((xs[:-1] < 0) & (xs[1:] >= 0))[0]
-    if len(up):
-        i = up[np.argmin(np.abs(fs[up] - near))]
-        return fs[i], fs[i + 1]
-    if depth == 0:
-        return None
-    down = np.where((xs[:-1] > 0) & (xs[1:] <= 0))[0]
-    if len(down) == 0:
-        return None
-    step = fs[1] - fs[0]
-    for i in down[np.argsort(np.abs(fs[down] - near))]:
-        got = _up_crossing(
-            reactance, max(lo, fs[i] - 2 * step), fs[i + 1], near, n_scan, depth - 1
-        )
-        if got is not None:
-            return got
-    return None
+    near = np.asarray(near, dtype=float)
+    lo, hi, rows = span[0] * near, span[1] * near, np.arange(len(near))
+    a = b = np.full(near.shape, np.nan)
+    scanning = np.ones(near.shape, dtype=bool)
+    for _ in range(depth + 1):
+        s = np.linspace(lo, hi, n_scan, axis=-1)
+        x = reactance(s)
+        dist = np.abs(0.5 * (s[:, :-1] + s[:, 1:]) - near[:, None])
+        up = (x[:, :-1] < 0) & (x[:, 1:] >= 0)
+        hidden = (x[:, :-1] < 0) & (x[:, 1:] < x[:, :-1])
+        i = np.argmin(np.where(up, dist, np.inf), axis=1)
+        found = scanning & up.any(axis=1)
+        a, b = np.where(found, s[rows, i], a), np.where(found, s[rows, i + 1], b)
+        scanning &= ~found & hidden.any(axis=1)
+        if not scanning.any():
+            break
+        i = np.argmin(np.where(hidden, dist, np.inf), axis=1)
+        lo, hi = np.where(scanning, s[rows, i], lo), np.where(scanning, s[rows, i + 1], hi)
+    return a, b
 
 
-def _reactance_root(reactance, f_estimate: float, span=(0.6, 1.1), n_scan: int = 600,
-                    stage: str = "") -> float:
-    """Series-resonance frequency: upward zero crossing of Im(Z) near an estimate."""
-    got = _up_crossing(
-        reactance, span[0] * f_estimate, span[1] * f_estimate, f_estimate, n_scan
-    )
-    if got is None:
-        raise CalibrationError(f"{stage}: no series resonance near estimate")
-    return find_root(reactance, got[0], got[1], stage)
+def _series_resonance(reactance, near, span, n_scan: int, stage: str):
+    """Per row, the zero bracketed by _up_crossing() to 1e-9 relative;
+    raises CalibrationError naming `stage` when a row has none."""
+    a, b = _up_crossing(reactance, near, span, n_scan)
+    if np.isnan(a).any():
+        raise CalibrationError(f"{stage}: no series resonance in range")
+    return find_root(lambda x: reactance(x[:, None])[:, 0], a, b, stage)
 
 
 def sc_branch_resonance(cell: MemoryCell) -> float:
     """Resonance (Hz) of the isolated storage-cavity branch."""
-    est = sc_mode_estimate(cell)
-    return _reactance_root(
-        lambda f: sc_branch_impedance(cell, f).imag, est,
-        span=(0.9, 1.02), n_scan=200, stage="storage cavity",
-    )
+    return float(_series_resonance(lambda f: sc_branch_impedance(cell, f).imag,
+                                   [sc_mode_estimate(cell)], (0.9, 1.02), 200,
+                                   "storage cavity")[0])
 
 
 def tcr_branch_resonance(cell: MemoryCell, l_j: float) -> float:
     """Resonance (Hz) of the isolated TCR branch with the junction at l_j."""
-    est = tcr_mode_estimate(cell, l_j)
-    return _reactance_root(
-        lambda f: _tcr_branch_impedance(cell, l_j, f).imag, est,
-        span=(0.6, 1.1), n_scan=600, stage="coupling resonator",
-    )
+    return float(_series_resonance(lambda f: _tcr_branch_impedance(cell, l_j, f).imag,
+                                   [tcr_mode_estimate(cell, l_j)], (0.6, 1.1), 600,
+                                   "coupling resonator")[0])
 
 
 def isolated_sc_trace(cell: MemoryCell, f_grid):
@@ -155,93 +136,96 @@ def isolated_sc_trace(cell: MemoryCell, f_grid):
     return f_grid, notch_s21(z, cell.z0)
 
 
-def measure_isolated_tcr(cell: MemoryCell, l_j: float):
-    """Notch resonance of the isolated TCR branch; returns a ResonancePeak.
-
-    The zero of the branch impedance Z and the pole of 2Z + z0 are polished
-    from the reactance root of tcr_branch_resonance(), within 1% of it.
-    """
-    f_r = tcr_branch_resonance(cell, l_j)
-    f_zero, f_pole = complex_zeros(
+def _isolated_tcr_peaks(cell: MemoryCell, l_j, f_r) -> list[ResonancePeak]:
+    """Notch resonance of the isolated TCR branch per reactance root in f_r:
+    the zero of Z and the pole of 2Z + z0, polished within 1% of the root.
+    cell and l_j broadcast against f_r[:, None]."""
+    f_r = np.asarray(f_r, dtype=float)[:, None]
+    roots = complex_zeros(
         lambda f: _tcr_branch_impedance(cell, l_j, f) + [0.0, 0.5 * cell.z0],
-        [f_r, f_r], 0.99 * f_r, 1.01 * f_r,
-    )
-    if np.isnan(f_zero) or np.isnan(f_pole):
+        np.hstack([f_r, f_r]), 0.99 * f_r, 1.01 * f_r,
+    ).reshape(-1, 2)
+    if np.isnan(roots).any():
         raise CalibrationError("coupling resonator: complex root left its bracket")
-    peak = peak_from_roots(f_zero, f_pole)
-    if peak.q_coupling is None:
+    peaks = [peak_from_roots(f_zero, f_pole) for f_zero, f_pole in roots]
+    if any(peak.q_coupling is None for peak in peaks):
         raise CalibrationError("coupling resonator: no positive coupling rate")
-    return peak
+    return peaks
+
+
+def measure_isolated_tcr(cell: MemoryCell, l_j: float) -> ResonancePeak:
+    """Notch resonance of the isolated TCR branch, polished from the root of
+    tcr_branch_resonance(); returns a ResonancePeak."""
+    return _isolated_tcr_peaks(cell, l_j, [tcr_branch_resonance(cell, l_j)])[0]
 
 
 # ------------------------- calibration driver -------------------------
 
 
-def calibrate_geometry(targets: CalibrationTargets, seed: MemoryCell) -> MemoryCell:
-    """Solve the cell geometry for the calibration targets.
+def calibrate_cells(targets, seed: MemoryCell):
+    """Solve one cell geometry per CalibrationTargets entry, all in lockstep.
 
-    Returns a new MemoryCell; c_couple, the junction and the loss
-    parameters are carried over from the seed unchanged.  Raises
-    CalibrationError naming the failing stage when a root cannot be
-    bracketed.
+    Returns (cells, peaks): new MemoryCells, c_couple, junction and losses
+    carried over from the seed, and each one's isolated-TCR ResonancePeak at
+    its anchor.  Raises CalibrationError naming a stage that fails.
     """
-    v = seed.phase_velocity
-    quarter = v / (4.0 * targets.f_sc)
+    f_sc, f_tcr, l_anchor, q_c = (np.array([getattr(t, k) for t in targets], dtype=float)
+                                  for k in ("f_sc", "tcr_target", "l_anchor", "q_c"))
+    quarter, quarter_tcr = (seed.phase_velocity / (4.0 * f) for f in (f_sc, f_tcr))
+    sc_len = _series_resonance(
+        lambda l: sc_branch_impedance(replace(seed, sc_len=l), f_sc[:, None]).imag,
+        quarter, (0.5, 1.5), SCAN_POINTS, "storage cavity length",
+    )
 
-    # (i) storage-cavity length
-    def sc_err(length):
-        return sc_branch_resonance(replace(seed, sc_len=length)) - targets.f_sc
+    def solve(c_in):
+        """Stage (ii) for input capacitors c_in, and the peaks it gives."""
+        def reactance(h):
+            trial = replace(seed, c_in=c_in[:, None], tcr_half_len=h)
+            return _tcr_branch_impedance(trial, l_anchor[:, None], f_tcr[:, None]).imag
 
-    sc_len = find_root(sc_err, 0.5 * quarter, 1.5 * quarter, "storage cavity length")
-    base = replace(seed, sc_len=sc_len)
+        h = _series_resonance(reactance, quarter_tcr, (0.4, 1.2), SCAN_POINTS,
+                              "coupling resonator length")
+        trial = replace(seed, c_in=c_in[:, None], tcr_half_len=h[:, None])
+        return h, _isolated_tcr_peaks(trial, l_anchor[:, None], f_tcr)
 
-    # (ii) TCR half length for a given input capacitor
-    quarter_tcr = v / (4.0 * targets.tcr_target)
-
-    def half_len_for(c_in):
-        trial = replace(base, c_in=c_in)
-
-        def err(h):
-            return (
-                tcr_branch_resonance(replace(trial, tcr_half_len=h), targets.l_anchor)
-                - targets.tcr_target
-            )
-
-        return find_root(err, 0.4 * quarter_tcr, 1.2 * quarter_tcr,
-                         "coupling resonator length")
-
-    # (iii) input capacitor for the coupling-Q target
     def qc_err(log_c):
-        c_in = 10.0 ** log_c
-        trial = replace(base, c_in=c_in, tcr_half_len=half_len_for(c_in))
-        peak = measure_isolated_tcr(trial, targets.l_anchor)
-        return math.log10(peak.q_coupling / targets.q_c)
+        return np.log10(np.array([p.q_coupling for p in solve(10.0 ** log_c)[1]]) / q_c)
 
-    lo, hi = _grow_bracket(qc_err, math.log10(seed.c_in), step=0.25, limit=8.0)
-    log_c = find_root(qc_err, lo, hi, "input capacitor")
-    c_in = 10.0 ** log_c
-    return replace(base, c_in=c_in, tcr_half_len=half_len_for(c_in))
+    bracket = _grow_bracket(qc_err, np.full(len(q_c), math.log10(seed.c_in)), 0.25, 8.0)
+    c_in = 10.0 ** find_root(qc_err, *bracket, "input capacitor")
+    tcr_half_len, peaks = solve(c_in)
+    return [replace(seed, sc_len=float(a), tcr_half_len=float(h), c_in=float(c))
+            for a, h, c in zip(sc_len, tcr_half_len, c_in)], peaks
 
 
-def _grow_bracket(fn, x0: float, step: float, limit: float):
-    """Walk outward from x0 until fn changes sign; returns the bracket.
+def calibrate_geometry(targets: CalibrationTargets, seed: MemoryCell) -> MemoryCell:
+    """Solve the cell geometry for the calibration targets: the one-cell
+    case of calibrate_cells(), with the same carry-over and errors."""
+    return calibrate_cells([targets], seed)[0][0]
 
-    An evaluation failing beyond a physically sensible range counts as
-    the end of the walk: the target root is not bracketed.
+
+def _grow_bracket(fn, x0, step: float, limit: float):
+    """Per element, walk outward from x0 until fn changes sign; returns (lo, hi).
+
+    fn decreases in x, so each element walks the way the sign of fn(x0)
+    points, in steps growing 1.6x.  A CalibrationError from fn (beyond a
+    sensible range) ends the walk, unbracketed.
     """
-    f0 = fn(x0)
-    if f0 == 0.0:
-        return x0, x0
-    direction = 1.0 if f0 > 0 else -1.0  # fn is decreasing in x here
-    x, fx = x0, f0
-    while abs(x - x0) < limit:
-        x_next = x + direction * step
+    fx = fn(x0)
+    x, lo, hi = x0, x0, x0  # an exact zero at x0 is its own bracket
+    walking, direction, walked = fx != 0.0, np.where(fx > 0, 1.0, -1.0), 0.0
+    while walking.any() and walked < limit:
+        x_next = np.where(walking, x + direction * step, x)
         try:
             f_next = fn(x_next)
         except CalibrationError:
             break
-        if (f_next > 0) != (fx > 0) or f_next == 0.0:
-            return (x, x_next) if x < x_next else (x_next, x)
-        x, fx = x_next, f_next
-        step *= 1.6
-    raise CalibrationError("input capacitor: root not bracketed")
+        flip = walking & (((f_next > 0) != (fx > 0)) | (f_next == 0.0))
+        lo = np.where(flip, np.minimum(x, x_next), lo)
+        hi = np.where(flip, np.maximum(x, x_next), hi)
+        x, fx = np.where(walking, x_next, x), np.where(walking, f_next, fx)
+        walking &= ~flip
+        walked, step = walked + step, step * 1.6
+    if walking.any():
+        raise CalibrationError("input capacitor: root not bracketed")
+    return lo, hi

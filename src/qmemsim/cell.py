@@ -16,10 +16,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .jjfet import JjFet, JjState, Off, jj_series_impedance
-from .resonance import db, find_resonances, local_minima
+from .resonance import db, find_resonances, find_root, local_minima
 from .twoport import (
     SHORT,
     C0,
@@ -46,7 +45,8 @@ class MemoryCell:
     sc_len : m, storage-cavity stub length
     line_atten : nepers/m, uniform line attenuation
 
-    The storage-cavity stub is always shorted at its far end.
+    The storage-cavity stub is always shorted at its far end.  Array
+    lengths and capacitances, broadcast against f, make a batch of cells.
     """
 
     z0: float
@@ -61,7 +61,8 @@ class MemoryCell:
     def __post_init__(self):
         if self.z0 <= 0 or self.eps_eff < 1:
             raise ValueError("cell requires z0 > 0 and eps_eff >= 1")
-        if min(self.c_in, self.tcr_half_len, self.c_couple, self.sc_len) <= 0:
+        if any((np.asarray(v) <= 0).any()
+               for v in (self.c_in, self.tcr_half_len, self.c_couple, self.sc_len)):
             raise ValueError("cell lengths and capacitances must be positive")
         if self.line_atten < 0:
             raise ValueError("line attenuation must be non-negative")
@@ -208,8 +209,7 @@ def adaptive_sweep(
 
 
 # ------------------------- analytic mode estimates -------------------------
-# Roots are refined to 1e-9 relative; xtol=1e-300 switches off brentq's
-# absolute tolerance, which would swamp it.
+# Roots are refined to find_root's default 1e-9 relative tolerance.
 
 
 def sc_quarterwave_frequency(cell: MemoryCell) -> float:
@@ -224,58 +224,31 @@ def sc_mode_estimate(cell: MemoryCell) -> float:
     the bare quarter-wave frequency.
     """
     f_qw = sc_quarterwave_frequency(cell)
-    beta = 2.0 * math.pi * math.sqrt(cell.eps_eff) / C0
-
-    def g(f):
-        return cell.z0 * math.tan(beta * f * cell.sc_len) - 1.0 / (
-            2.0 * math.pi * f * cell.c_couple
-        )
-
-    return brentq(g, 1e-3 * f_qw, f_qw * (1.0 - 1e-12), xtol=1e-300, rtol=1e-9)
+    a = 1.0 / (2.0 * math.pi * cell.c_couple * cell.z0 * f_qw)  # u = f/f_qw: tan(pi u/2) = a/u
+    lo = (1.0 - 1e-6) * math.pi * a / (2.0 + math.pi * a)  # tan t <= 1 / (pi/2 - t)
+    hi = min((1.0 + 1e-6) * math.sqrt(2.0 * a / math.pi), 1.0 - 1e-12)  # tan t >= t
+    return float(f_qw * find_root(lambda u: np.tan(0.5 * math.pi * u) - a / u, lo, hi,
+                                  "storage cavity estimate"))
 
 
-def tcr_mode_estimate(cell: MemoryCell, l_j: float) -> float:
+def tcr_mode_estimate(cell: MemoryCell, l_j):
     """Half-wave mode of the junction-split TCR, ignoring end loading, Hz.
 
     Resonance condition for the symmetric split resonator: each open-ended
     half of length h presents -j z0 cot(beta h) at the junction, so
     omega L = 2 z0 cot(beta h).  The root is unique below the bare
     half-wave frequency v / (4 h) and decreases with growing inductance.
+    An array l_j gives one estimate per entry.
     """
-    if l_j <= 0:
+    l_j = np.asarray(l_j)
+    if np.any(l_j <= 0):
         raise ValueError("inductance must be positive")
-    h = cell.tcr_half_len
-    f_bare = cell.phase_velocity / (4.0 * h)
-    beta = 2.0 * math.pi * math.sqrt(cell.eps_eff) / C0
-
-    def g(f):
-        return 2.0 * cell.z0 / math.tan(beta * f * h) - 2.0 * math.pi * f * l_j
-
-    return brentq(g, 1e-3 * f_bare, f_bare * (1.0 - 1e-12), xtol=1e-300, rtol=1e-9)
-
-
-def off_split_mode_estimates(cell: MemoryCell) -> tuple[float, float]:
-    """Half-wave frequencies of the two TCR sections in the OFF state, Hz.
-
-    With the junction resistive, each section behaves as a shorter
-    open-open half-wave cavity near v / (2 h); end-capacitor loading pulls
-    the section facing the coupling capacitor further down.  These are
-    coarse window centers for the OFF-state spectrum, not fit results.
-    """
-    h = cell.tcr_half_len
-    v = cell.phase_velocity
-    f_bare = v / (2.0 * h)
-    beta_at = 2.0 * math.pi * math.sqrt(cell.eps_eff) / C0
-
-    def loaded(c_end):
-        # end capacitor adds an electrical length atan(z0 / |Z_c|)
-        def g(f):
-            phi = math.atan(cell.z0 * 2.0 * math.pi * f * c_end)
-            return beta_at * f * h + phi - math.pi
-
-        return brentq(g, 0.3 * f_bare, 1.05 * f_bare, xtol=1e-300, rtol=1e-9)
-
-    return loaded(cell.c_couple), loaded(cell.c_in)
+    f_bare = cell.phase_velocity / (4.0 * cell.tcr_half_len)
+    b = math.pi * f_bare * l_j / cell.z0  # u = f / f_bare: cot(pi u / 2) = b u
+    lo = (1.0 - 1e-6) * math.pi / (math.pi + 2.0 * b)  # cot t >= pi/2 - t
+    hi = np.minimum((1.0 + 1e-6) * np.sqrt(2.0 / (math.pi * b)), 1.0 - 1e-12)  # cot t <= 1/t
+    return f_bare * find_root(lambda u: 1.0 / np.tan(0.5 * math.pi * u) - b * u, lo, hi,
+                              "coupling resonator estimate")
 
 
 def off_state_spectrum(cell: MemoryCell, band=(1e9, 16e9), min_depth_db: float = 0.01):

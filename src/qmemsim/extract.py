@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .calibrate import (
     CalibrationError,
@@ -22,7 +21,7 @@ from .cell import MemoryCell, sc_branch_impedance, tcr_chain
 from .dynamics import TWO_PI, CoupledModeSystem
 from .jjfet import Off, josephson_inductance
 from .modemap import CrossingFit, fit_avoided_crossing, mode_map
-from .resonance import complex_zeros
+from .resonance import complex_zeros, find_root
 from .twoport import Load, chain_abcd, terminate
 
 
@@ -125,10 +124,10 @@ def off_state_residual_coupling(
     def reactance(f):
         return _sc_loop_impedance(cell, state, f, source).imag
 
-    bracket = _up_crossing(reactance, 0.99 * f_est, 1.01 * f_est, f_est, 4001, depth=0)
-    if bracket is None:
+    (a,), (b,) = _up_crossing(reactance, [f_est], (0.99, 1.01), 4001, depth=0)
+    if np.isnan(a):
         return ResidualCoupling(0.0, 0.0, kappa_a, None, True)
-    f0 = brentq(reactance, *bracket, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+    f0 = float(find_root(reactance, a, b, "cavity loop", rtol=4 * np.finfo(float).eps))
 
     transfer = _feedline_current_transfer(cell, state, f0, source)
     df = 1e-6 * f0

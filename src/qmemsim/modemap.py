@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
+from scipy.optimize import least_squares
 
 from .cell import MemoryCell, cell_shunt_impedance, sc_mode_estimate, tcr_mode_estimate
 from .jjfet import On
-from .resonance import complex_zeros, peak_from_roots
+from .resonance import complex_zeros, find_root, peak_from_roots
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,8 @@ class ModeMap:
 def default_band(cell: MemoryCell, l_grid) -> tuple[float, float]:
     """Frequency band wide enough to hold both modes over the whole sweep."""
     f_sc = sc_mode_estimate(cell)
-    f_lo = min(tcr_mode_estimate(cell, max(l_grid)), f_sc)
-    f_hi = max(tcr_mode_estimate(cell, min(l_grid)), f_sc)
-    return 0.90 * f_lo, 1.10 * f_hi
+    f_at_max_l, f_at_min_l = tcr_mode_estimate(cell, np.array([max(l_grid), min(l_grid)]))
+    return 0.90 * float(min(f_at_max_l, f_sc)), 1.10 * float(max(f_at_min_l, f_sc))
 
 
 SCAN_POINTS = 1601  #: band-grid points of the Im Z scan that seeds every row
@@ -203,7 +202,7 @@ def _bracketed_root(fn, grid, pick_near: float):
     if len(sign_change) == 0:
         return None
     i = sign_change[np.argmin(np.abs(grid[sign_change] - pick_near))]
-    return brentq(fn, grid[i], grid[i + 1], xtol=1e-300, rtol=1e-12)
+    return float(find_root(fn, grid[i], grid[i + 1], "crossing fit", rtol=1e-12))
 
 
 def fit_avoided_crossing(mode_map: ModeMap) -> CrossingFit:

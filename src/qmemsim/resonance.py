@@ -25,6 +25,50 @@ import numpy as np
 from scipy.optimize import least_squares
 
 
+class CalibrationError(RuntimeError):
+    """A calibration stage could not bracket or refine its root."""
+
+
+def find_root(fn, lo, hi, stage: str, rtol: float = 1e-9):
+    """Elementwise root of fn on the brackets [lo, hi] by Chandrupatla's method
+    (Adv. Eng. Software 28, 145 (1997)), for fn mapping an array to its shape.
+
+    Each element stops on its own, at an exact zero or once its bracket is
+    narrower than rtol times its best end, which is returned.  Raises
+    CalibrationError naming `stage` when an element is not bracketed, meets
+    a non-finite value or takes over 2100 steps (a root near 0 may take one
+    per binary order of magnitude); an error raised by fn propagates.
+    """
+    x1, x2 = (x.astype(float) for x in np.broadcast_arrays(lo, hi))
+    f1, f2 = fn(x1), fn(x2)
+    if not np.all(np.sign(f1) * np.sign(f2) <= 0):  # nan fails too
+        raise CalibrationError(f"{stage}: root not bracketed")
+    x3, f3, atol = x1, f1, 4.0 * np.finfo(float).tiny  # x3 = x1: the first step bisects
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(2100):
+            # [()] keeps a 0-d problem on numpy scalars, whose arithmetic is cheaper
+            xm, dx = np.where(abs(f1) < abs(f2), x1, x2)[()], x2 - x1
+            tol = rtol * abs(xm) + atol
+            active = (abs(dx) >= tol) & (f1 != 0) & (f2 != 0)
+            if not active.any():
+                return xm
+            a, b = f1 - f2, f3 - f2
+            xi, phi = -dx / (x3 - x2), a / b
+            t = np.where((1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi)),
+                         f1 / b * (f3 / a + (x3 - x1) / dx * f2 / (f3 - f1)), 0.5)
+            tl = 0.5 * tol / abs(dx)
+            x = np.where(active, x1 + np.minimum(np.maximum(t, tl), 1.0 - tl) * dx, xm)[()]
+            f = fn(x)
+            if not np.isfinite(f).all():
+                raise CalibrationError(f"{stage}: non-finite value inside the bracket")
+            # a converged element re-evaluates its best end and keeps it
+            same = np.sign(f) == np.sign(f1)
+            x3, f3 = np.where(same, x1, x2)[()], np.where(same, f1, f2)[()]
+            x2, f2 = np.where(active & ~same, x1, x2)[()], np.where(active & ~same, f1, f2)[()]
+            x1, f1 = x, f
+    raise CalibrationError(f"{stage}: no convergence in 2100 steps")
+
+
 def notch_s21_model(f, f0, q_loaded, q_coupling):
     """Complex notch response; baseline 1 away from resonance."""
     return 1.0 - (q_loaded / q_coupling) / (1.0 + 2j * q_loaded * (f - f0) / f0)

@@ -6,9 +6,10 @@ Conventions:
   are immutable after construction.  Every function accepts either a scalar
   frequency or a numpy array of frequencies and broadcasts elementwise.
   There is one code path: a scalar goes through the same array code as a
-  vector and comes back as a numpy scalar (numpy.complex128 is a subclass
-  of complex).  Zero denominators and the infinite-impedance marker are
-  masked, never branched on.
+  vector, as a 1-element array (numpy-scalar arithmetic rounds differently),
+  and comes back as a numpy scalar (a subclass of complex).  Zero
+  denominators and the infinite-impedance marker are masked, never branched
+  on.
 """
 from __future__ import annotations
 
@@ -68,7 +69,7 @@ class LineSection:
 
     z0 : ohm, characteristic impedance (> 0)
     eps_eff : effective permittivity (>= 1)
-    length : m (> 0)
+    length : m (> 0; an array broadcasts against f)
     atten : nepers/m, uniform attenuation constant (>= 0)
     """
 
@@ -82,7 +83,7 @@ class LineSection:
             raise ValueError("line z0 must be positive")
         if self.eps_eff < 1:
             raise ValueError("line eps_eff must be >= 1")
-        if self.length <= 0:
+        if (np.asarray(self.length) <= 0).any():
             raise ValueError("line length must be positive")
         if self.atten < 0:
             raise ValueError("line atten must be non-negative")
@@ -107,12 +108,12 @@ class SeriesImpedance:
 
 @dataclass(frozen=True)
 class SeriesCapacitor:
-    """Series capacitor, c_val in farad (> 0)."""
+    """Series capacitor, c_val in farad (> 0; an array broadcasts against f)."""
 
     c_val: float
 
     def __post_init__(self):
-        if self.c_val <= 0:
+        if (np.asarray(self.c_val) <= 0).any():
             raise ValueError("capacitance must be positive")
 
 
@@ -206,7 +207,10 @@ def cascade(ports) -> TwoPort:
 
 def chain_abcd(chain, f) -> TwoPort:
     """Cascade ABCD of a list of elements at f."""
-    return cascade([element_abcd(e, f) for e in chain])
+    tp = cascade([element_abcd(e, np.atleast_1d(f)) for e in chain])
+    if np.ndim(f):
+        return tp
+    return TwoPort(*(v[0] if np.shape(v) == (1,) else v for v in (tp.a, tp.b, tp.c, tp.d)))
 
 
 def terminate(tp: TwoPort, termination) -> complex:
@@ -218,24 +222,26 @@ def terminate(tp: TwoPort, termination) -> complex:
     non-finite quotient yield the infinite-impedance marker, not an
     exception.
     """
+    entries = [tp.a, tp.b, tp.c, tp.d]
+    if isinstance(termination, Load):
+        entries.append(termination.z)
+    shape = np.broadcast_shapes(*map(np.shape, entries))
+    a, b, c, d, *zl = (np.atleast_1d(np.asarray(v, dtype=complex)) for v in entries)
     if isinstance(termination, Short):
-        num, den = tp.b, tp.d
+        num, den = b, d
     elif isinstance(termination, Open):
-        num, den = tp.a, tp.c
+        num, den = a, c
     elif isinstance(termination, Load):
-        zl = np.asarray(termination.z, dtype=complex)
-        open_end = ~np.isfinite(zl)
-        zl = np.where(open_end, 0.0, zl)
-        num = np.where(open_end, tp.a, tp.a * zl + tp.b)
-        den = np.where(open_end, tp.c, tp.c * zl + tp.d)
+        open_end = ~np.isfinite(zl[0])
+        zl = np.where(open_end, 0.0, zl[0])
+        num = np.where(open_end, a, a * zl + b)
+        den = np.where(open_end, c, c * zl + d)
     else:
         raise TypeError(f"unknown termination: {termination!r}")
-    num = np.asarray(num, dtype=complex)
-    den = np.asarray(den, dtype=complex)
     bad = den == 0
     with np.errstate(over="ignore"):
         z = num / np.where(bad, 1.0, den)
-    return np.where(bad | ~np.isfinite(z), INFINITE_IMPEDANCE, z)[()]
+    return np.where(bad | ~np.isfinite(z), INFINITE_IMPEDANCE, z).reshape(shape)[()]
 
 
 def input_impedance(chain, termination, f) -> complex:

@@ -1,8 +1,12 @@
 """Geometry calibration: target matching, idempotence, failure reporting."""
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qmemsim import calibrate
+from qmemsim import calibrate, twoport
+from qmemsim.array import build_array
 from qmemsim.calibrate import (
     CalibrationError,
     CalibrationTargets,
@@ -34,6 +38,48 @@ class TestBisect:
 
         with pytest.raises(ValueError, match="boom"):
             find_root(fn, 0.0, 1.0, "storage cavity length")
+
+    @pytest.mark.parametrize("rtol", [1e-9, 1e-12, 4 * np.finfo(float).eps])
+    def test_each_element_lands_on_its_sign_change(self, rtol):
+        c = np.array([1e-6, 0.5, 2.0, 3.0, 7e5])
+
+        def fn(x):
+            return x**3 - c
+
+        root = find_root(fn, np.zeros(5), np.full(5, 200.0), "test", rtol=rtol)
+        assert root.shape == (5,)
+        assert np.all(fn(root * (1.0 - rtol)) * fn(root * (1.0 + rtol)) <= 0)
+
+    def test_one_unbracketed_element_raises_with_stage(self):
+        with pytest.raises(CalibrationError, match="coupling resonator length"):
+            find_root(lambda x: x - np.array([0.5, 2.0, 0.25]), np.zeros(3), np.ones(3),
+                      "coupling resonator length")
+
+    def test_error_inside_fn_propagates_from_a_vector(self):
+        def fn(x):
+            if np.any(x > 0.7):
+                raise ValueError("boom")
+            return x - 0.5
+
+        with pytest.raises(ValueError, match="boom"):
+            find_root(fn, np.zeros(2), np.array([0.6, 1.0]), "storage cavity length")
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.1, 10.0)), min_size=1,
+                    max_size=6))
+    def test_vector_elements_equal_their_own_solves(self, cases):
+        # an element's iterates depend only on its own values
+        r, k = (np.array(v) for v in zip(*cases))
+
+        def fn(x, r=r, k=k):
+            return (x - r) * (k + (x - r) ** 2)
+
+        lo, hi = r - 5.0, r + 2.0 * k
+        together = find_root(fn, lo, hi, "test")
+        for i in range(len(r)):
+            alone = find_root(lambda x: fn(x, r[i:i + 1], k[i:i + 1]), lo[i:i + 1],
+                              hi[i:i + 1], "test")
+            assert together[i] == alone[0]
 
 
 class TestCalibratedCell:
@@ -71,6 +117,39 @@ class TestCalibratedCell:
         # the solved stub is near (slightly below) the bare lambda/4 length
         bare = cell.phase_velocity / (4.0 * TARGETS[0])
         assert 0.9 * bare < cell.sc_len < bare
+
+
+class TestLockstep:
+    @settings(max_examples=4, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+        st.floats(1500.0, 3500.0),
+        st.floats(190e-12, 250e-12),
+    )
+    def test_array_cells_equal_single_calibrations(self, template, offsets, q_c, l_anchor):
+        # the benchmark's band plan: 6.40-6.90 GHz, at least 60 MHz apart
+        free = 0.5e9 - 60e6 * (len(offsets) - 1)
+        targets = [6.40e9 + 60e6 * i + free * o for i, o in enumerate(sorted(offsets))]
+        array = build_array(targets, template, l_anchor=l_anchor, q_c=q_c)
+        for cell_i, f_t in zip(array.cells, targets):
+            alone = calibrate_geometry(
+                CalibrationTargets(f_sc=f_t, l_anchor=l_anchor, q_c=q_c), template)
+            assert cell_i == alone
+
+    def test_network_calls_bounded(self, template, monkeypatch):
+        # nested scalar root-finds made about 2,600 calls on this plan
+        calls = []
+        original = twoport.chain_abcd
+
+        def counted(chain, f):
+            calls.append(np.size(f))
+            return original(chain, f)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qmemsim") and getattr(module, "chain_abcd", None) is original:
+                monkeypatch.setattr(module, "chain_abcd", counted)
+        build_array(TARGETS, template, l_anchor=ANCHOR, q_c=Q_C)
+        assert 0 < len(calls) <= 300
 
 
 class TestFourTargets:

@@ -12,7 +12,6 @@ from qmemsim.cell import (
     adaptive_sweep,
     cell_shunt_impedance,
     frequency_sweep,
-    off_split_mode_estimates,
     off_state_spectrum,
     sc_mode_estimate,
     sc_quarterwave_frequency,
@@ -162,12 +161,6 @@ def test_adaptive_sweep_matches_one_sweep_of_its_grid(lo, width, state, focus, s
 
 
 class TestOffState:
-    def test_split_modes_near_double_frequency(self, cell):
-        est = off_split_mode_estimates(cell)
-        f_tcr_on = tcr_mode_estimate(cell, 220e-12)
-        for f in est:
-            assert 1.7 * f_tcr_on < f < 2.3 * f_tcr_on
-
     def test_two_split_resonances_in_band(self, cell):
         peaks, _ = off_state_spectrum(cell)
         in_band = [p for p in peaks if 11.5e9 <= p.f0 <= 14.5e9]

@@ -6,13 +6,20 @@ tolerance.  The analytic estimates are checked against their resonance
 equations written out independently here.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qmemsim.calibrate import _tcr_branch_impedance, sc_branch_resonance, tcr_branch_resonance
+from qmemsim.calibrate import (
+    SCAN_POINTS,
+    CalibrationTargets,
+    _tcr_branch_impedance,
+    calibrate_geometry,
+    sc_branch_resonance,
+    tcr_branch_resonance,
+)
 from qmemsim.cell import (
-    off_split_mode_estimates,
     sc_branch_impedance,
     sc_mode_estimate,
     tcr_mode_estimate,
@@ -21,7 +28,7 @@ from qmemsim.extract import _sc_loop_impedance, off_state_residual_coupling
 from qmemsim.jjfet import Off
 from qmemsim.modemap import fit_avoided_crossing, hybridized_map
 from qmemsim.twoport import C0
-from tests.conftest import ANCHOR
+from tests.conftest import ANCHOR, Q_C, TARGETS
 
 
 def _beta(cell):
@@ -47,20 +54,6 @@ def _tcr_estimate(request):
                 - 2.0 * math.pi * f * ANCHOR)
 
     return g, tcr_mode_estimate(cell, ANCHOR), 1e-9
-
-
-def _off_split(which):
-    def case(request):
-        cell = request.getfixturevalue("cell")
-        c_end = (cell.c_couple, cell.c_in)[which]
-
-        def g(f):  # beta h + atan(z0 omega c_end) = pi
-            return (_beta(cell) * f * cell.tcr_half_len
-                    + math.atan(cell.z0 * 2.0 * math.pi * f * c_end) - math.pi)
-
-        return g, off_split_mode_estimates(cell)[which], 1e-9
-
-    return case
 
 
 def _sc_branch(request):
@@ -114,8 +107,6 @@ def _crossing(point):
 CASES = {
     "cell.sc_mode_estimate": _sc_estimate,
     "cell.tcr_mode_estimate": _tcr_estimate,
-    "cell.off_split_coupling_side": _off_split(0),
-    "cell.off_split_input_side": _off_split(1),
     "calibrate.sc_branch_resonance": _sc_branch,
     "calibrate.tcr_branch_resonance": _tcr_branch,
     "extract.residual_f_sc": _residual_f_sc,
@@ -137,3 +128,42 @@ def test_crossing_point_on_bare_branch(crossing):
     assert crossing.bare_coupler(crossing.l_cross) == pytest.approx(
         crossing.f_cross, rel=1e-12
     )
+
+
+# ------------------------- at-target calibration roots -------------------------
+
+
+@pytest.fixture(scope="module")
+def weak_cell(template):
+    """Calibrated cell whose 1 fF coupling capacitor puts the storage cavity's
+    zero at the target closer below its reactance pole than one scan step."""
+    targets = CalibrationTargets(f_sc=TARGETS[0], l_anchor=ANCHOR, q_c=Q_C)
+    return calibrate_geometry(targets, replace(template, c_couple=1e-15))
+
+
+def _at_target_reactance(cell, knob):
+    """Im Z of the isolated branch that `knob` tunes, at the target, over the knob."""
+    if knob == "sc_len":
+        return lambda x: sc_branch_impedance(replace(cell, sc_len=x), TARGETS[0]).imag
+    return lambda x: _tcr_branch_impedance(replace(cell, tcr_half_len=x), ANCHOR, TARGETS[0]).imag
+
+
+@pytest.mark.parametrize("which, knob, steps", [
+    # scan steps from the zero up to its pole: sc_len scans a span of one
+    # quarter wave, tcr_half_len one of 0.8 (its zero sits at 0.90-0.93)
+    ("cell", "sc_len", 11),
+    ("cell", "tcr_half_len", 4),
+    ("weak_cell", "sc_len", 1),
+    ("weak_cell", "tcr_half_len", 4),
+])
+def test_at_target_root_is_the_zero_below_its_pole(request, which, knob, steps):
+    cell = request.getfixturevalue(which)
+    x = _at_target_reactance(cell, knob)
+    root = getattr(cell, knob)
+    # Im Z rises through a zero and falls through a pole
+    assert x(root * (1.0 - 1e-9)) < 0.0 <= x(root * (1.0 + 1e-9))
+    quarter = cell.phase_velocity / (4.0 * TARGETS[0])
+    step = (1.0 if knob == "sc_len" else 0.8) * quarter / (SCAN_POINTS - 1)
+    assert x(root + steps * step) < 0.0  # past the pole
+    if steps > 1:
+        assert x(root + (steps - 1) * step) > 0.0  # not yet
