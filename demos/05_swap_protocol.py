@@ -34,8 +34,16 @@ cell = calibrate_geometry(
     CalibrationTargets(f_sc=6.55e9, l_anchor=220e-12, q_c=2000.0),
     example_template(),
 )
+
+# %% [markdown]
+# The reduced model lives at the avoided crossing: the mode-map fit gives
+# the closest approach `l_cross`, the bare frequencies and g; the
+# extraction adds the decay rates from complex roots of the isolated
+# branches at that junction inductance, and the gate-OFF floor g_off.
+
+# %%
 fit = fit_avoided_crossing(mode_map(cell, np.linspace(10e-12, 500e-12, 41)))
-system = extract_coupled_mode_params(cell, fit.l_cross, fit=fit)
+system = extract_coupled_mode_params(cell, fit)
 
 print("reduced model at the crossing:")
 print(f"  g/2pi        = {system.g_on / TWO_PI / 1e6:6.1f} MHz")

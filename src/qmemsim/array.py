@@ -160,7 +160,7 @@ def _cell_models(array: MemoryArray) -> list[_CellModel]:
     models = []
     for cell in array.cells:
         fit = fit_avoided_crossing(mode_map(cell, np.linspace(10e-12, 500e-12, 41)))
-        system = extract_coupled_mode_params(cell, fit.l_cross, fit=fit)
+        system = extract_coupled_mode_params(cell, fit)
         models.append(_CellModel(system=system, fit=fit))
     return models
 

@@ -251,17 +251,17 @@ def tcr_mode_estimate(cell: MemoryCell, l_j):
                               "coupling resonator estimate")
 
 
-def off_state_spectrum(cell: MemoryCell, band=(1e9, 16e9), min_depth_db: float = 0.01):
+def off_state_spectrum(cell: MemoryCell, min_depth_db: float = 0.01):
     """Resonances of the cell with the junction fully depleted.
 
-    Sweeps the band with the junction as Off(r_off); the split-TCR modes
+    Sweeps 1-16 GHz with the junction as Off(r_off); the split-TCR modes
     appear near twice the ON-state TCR frequency, and the storage cavity
     survives as a strongly undercoupled narrow feature that needs a
     focused window to resolve.
 
     Returns (peaks, (freqs, s21)).
     """
-    state = Off(cell.jj.r_off)
+    state, band = Off(cell.jj.r_off), (1e9, 16e9)
     focus = []
     f_sc = sc_mode_estimate(cell)
     if band[0] < f_sc < band[1]:

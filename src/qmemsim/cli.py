@@ -251,7 +251,7 @@ def _cmd_swap(args, cfg: Config) -> int:
     else:
         grid = np.linspace(cfg.modemap.l_min, cfg.modemap.l_max, cfg.modemap.points)
         fit = fit_avoided_crossing(mode_map(cfg.cell, grid, min_depth_db=cfg.sweep.min_depth_db))
-        system = extract_coupled_mode_params(cfg.cell, fit.l_cross, fit=fit, l_grid=grid)
+        system = extract_coupled_mode_params(cfg.cell, fit)
     g_ang = system.g_on
     t_swap = swap_duration(g_ang)
     pulses = PulseSequence()

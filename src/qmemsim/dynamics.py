@@ -487,23 +487,19 @@ def write_protocol(
     return WriteResult(fidelity=float(traj.e_b[-1]) / peak, trajectory=traj)
 
 
-def read_protocol(
-    system: CoupledModeSystem,
-    emit_time: float | None = None,
-    dt_fraction: float = 0.25,
-) -> ReadResult:
+def read_protocol(system: CoupledModeSystem, dt_fraction: float = 0.25) -> ReadResult:
     """Swap the stored excitation back to the coupler and emit it.
 
     Starts from b = 1, a = 0; the gate is ON for one swap duration, then
-    OFF while the excitation leaves through the feedline.  The recovered
-    fraction is the emitted energy integral normalized to the stored
-    energy.  The step is dt_fraction of the resolution guard.
+    OFF while the excitation leaves through the feedline for 8 / kappa_ext
+    (10 swap durations without a port).  The recovered fraction is the
+    emitted energy integral normalized to the stored energy.  The step is
+    dt_fraction of the resolution guard.
     """
     if system.g_on <= 0:
         raise ValueError("read protocol requires a positive gate-ON coupling")
     t_swap = swap_duration(system.g_on)
-    if emit_time is None:
-        emit_time = 8.0 / system.kappa_ext if system.kappa_ext > 0 else 10.0 * t_swap
+    emit_time = 8.0 / system.kappa_ext if system.kappa_ext > 0 else 10.0 * t_swap
     pulses = PulseSequence(rf=None, gate_pulses=(GatePulse(start=0.0, duration=t_swap),))
     dt = dt_fraction * max_stable_dt(system, pulses)
     traj = evolve(system, pulses, (0.0, t_swap + emit_time), dt, a0=0.0, b0=1.0)

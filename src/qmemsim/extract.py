@@ -1,8 +1,9 @@
 """Bridge from the circuit model to the reduced coupled-mode system.
 
-Mode frequencies and the coupling come from the avoided-crossing fit's
-bare branches; decay rates come from complex-frequency roots of the isolated
-branches; the gate-OFF coupling floor comes from the depleted-junction loop.
+At the avoided-crossing fit's closest approach, mode frequencies and the
+coupling come from the fit's bare branches; decay rates come from complex
+roots of the isolated branches, the cavity's seeded by sc_mode_estimate();
+the gate-OFF coupling floor comes from the depleted-junction loop.
 """
 from __future__ import annotations
 
@@ -11,16 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibrate import (
-    CalibrationError,
-    _up_crossing,
-    measure_isolated_tcr,
-    sc_branch_resonance,
-)
-from .cell import MemoryCell, sc_branch_impedance, tcr_chain
+from .calibrate import CalibrationError, _up_crossing, measure_isolated_tcr
+from .cell import MemoryCell, sc_branch_impedance, sc_mode_estimate, tcr_chain
 from .dynamics import TWO_PI, CoupledModeSystem
 from .jjfet import Off, josephson_inductance
-from .modemap import CrossingFit, fit_avoided_crossing, mode_map
+from .modemap import CrossingFit
 from .resonance import complex_zeros, find_root
 from .twoport import Load, chain_abcd, terminate
 
@@ -53,14 +49,6 @@ def full_accumulation_inductance(cell: MemoryCell) -> float:
     return josephson_inductance(cell.jj.i_c_max, cell.jj.phi)
 
 
-def _coupler_linewidth(cell: MemoryCell, l_on: float) -> tuple[float, float, float]:
-    """(f0, kappa_ext, kappa_int) of the isolated coupler dip, rad/s rates."""
-    peak = measure_isolated_tcr(cell, l_on)
-    kappa_ext = TWO_PI * peak.f0 / peak.q_coupling
-    kappa_int = TWO_PI * peak.f0 / peak.q_internal if peak.q_internal else 0.0
-    return peak.f0, kappa_ext, kappa_int
-
-
 def _back_chain(cell: MemoryCell, state):
     """The coupler seen from the coupling node: the TCR chain read backwards
     without its coupling capacitor, ending at the input capacitor."""
@@ -90,9 +78,7 @@ def _feedline_current_transfer(cell: MemoryCell, state, f0: float, source: float
     return abs(tp.a - tp.c * z_back)
 
 
-def off_state_residual_coupling(
-    cell: MemoryCell, kappa_a: float | None = None
-) -> ResidualCoupling:
+def off_state_residual_coupling(cell: MemoryCell, kappa_a: float) -> ResidualCoupling:
     """Residual TCR-SC coupling with the junction fully depleted.
 
     With the junction resistive the cavity's feedline dip is far below any
@@ -107,15 +93,13 @@ def off_state_residual_coupling(
 
     The reduced model reproduces that decay through a damped coupler when
     4 g_off^2 / kappa_a = kappa_sc, hence g_off = sqrt(kappa_sc kappa_a)/2.
+    The loop resonance is bracketed within 1% of sc_mode_estimate().
     Removing the path (c_couple -> 0, or an open junction) removes the
     loop resonance or the current transfer and the result tends to zero.
     """
-    if kappa_a is None:
-        _, k_ext, k_int = _coupler_linewidth(cell, full_accumulation_inductance(cell))
-        kappa_a = k_ext + k_int
     state = Off(cell.jj.r_off)
     try:
-        f_est = sc_branch_resonance(cell)
+        f_est = sc_mode_estimate(cell)
     except CalibrationError:
         # no resolvable cavity branch (vanishing coupling capacitor)
         return ResidualCoupling(0.0, 0.0, kappa_a, None, True)
@@ -146,45 +130,28 @@ def off_state_residual_coupling(
 
 def _cavity_internal_rate(cell: MemoryCell) -> float:
     """gamma_b = 4 pi Im f_z (rad/s) of the directly tapped cavity branch's zero f_z."""
-    f_r = sc_branch_resonance(cell)
+    f_r = sc_mode_estimate(cell)
     f_zero = complex_zeros(lambda f: sc_branch_impedance(cell, f), f_r, 0.99 * f_r, 1.01 * f_r)
     if np.isnan(f_zero):
         raise ExtractionError("cavity internal rate: complex zero left its bracket")
     return 2.0 * TWO_PI * f_zero.imag
 
 
-def extract_coupled_mode_params(
-    cell: MemoryCell,
-    l_on: float,
-    fit: CrossingFit | None = None,
-    l_grid=None,
-) -> CoupledModeSystem:
-    """Reduce a calibrated cell to its coupled-mode parameters at l_on.
-
-    fit : a previously computed avoided-crossing fit; derived from a
-        fresh mode map over `l_grid` (default 41 points spanning
-        10-500 pH) when omitted.
+def extract_coupled_mode_params(cell: MemoryCell, fit: CrossingFit) -> CoupledModeSystem:
+    """Reduce a calibrated cell to its coupled-mode parameters at the fitted
+    crossing fit.l_cross, the coupler's rates taken with the junction there.
 
     Raises ExtractionError naming the rate that could not be derived.
     """
-    if fit is None:
-        if l_grid is None:
-            l_grid = np.linspace(10e-12, 500e-12, 41)
-        fit = fit_avoided_crossing(mode_map(cell, l_grid))
-    if l_grid is not None and not (min(l_grid) <= l_on <= max(l_grid)):
-        raise ExtractionError("l_on lies outside the swept inductance range")
-
-    omega_a = TWO_PI * float(fit.bare_coupler(l_on))
-    omega_b = TWO_PI * fit.f_cross
-    _, kappa_ext, kappa_int = _coupler_linewidth(cell, l_on)
-    gamma_b = _cavity_internal_rate(cell)
-    residual = off_state_residual_coupling(cell, kappa_a=kappa_ext + kappa_int)
+    peak = measure_isolated_tcr(cell, fit.l_cross)
+    kappa_ext = TWO_PI * peak.f0 / peak.q_coupling
+    kappa_int = TWO_PI * peak.f0 / peak.q_internal if peak.q_internal else 0.0
     return CoupledModeSystem(
-        omega_a=omega_a,
-        omega_b=omega_b,
+        omega_a=TWO_PI * float(fit.bare_coupler(fit.l_cross)),
+        omega_b=TWO_PI * fit.f_cross,
         kappa_ext=kappa_ext,
         kappa_int_a=kappa_int,
-        gamma_b=gamma_b,
+        gamma_b=_cavity_internal_rate(cell),
         g_on=TWO_PI * fit.g,
-        g_off=residual.g_off,
+        g_off=off_state_residual_coupling(cell, kappa_ext + kappa_int).g_off,
     )

@@ -169,11 +169,6 @@ class CrossingFit:
         """Bare coupler-branch frequency f_a(l_j), Hz."""
         return np.polyval(self.coeffs, l_j)
 
-    @property
-    def bare_cavity(self) -> float:
-        """Bare storage-branch frequency f_b, Hz."""
-        return self.f_cross
-
     def branches(self, l_j):
         """Model hybridized branches (f_minus, f_plus) at l_j."""
         return _hybridize(self.bare_coupler(l_j), self.f_cross, self.g)

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from qmemsim import twoport
 from qmemsim.array import build_array, _cell_models
 from qmemsim.calibrate import CalibrationTargets, calibrate_geometry
 from qmemsim.config import example_template
@@ -10,6 +13,23 @@ from qmemsim.modemap import fit_avoided_crossing, mode_map
 TARGETS = (6.55e9, 6.65e9, 6.70e9, 6.75e9)
 ANCHOR = 220e-12
 Q_C = 2000.0
+
+
+@pytest.fixture
+def chain_calls(monkeypatch):
+    """Frequency-array sizes of every chain_abcd call made during the test,
+    counted in each qmemsim module that holds the function."""
+    calls = []
+    original = twoport.chain_abcd
+
+    def counted(chain, f):
+        calls.append(np.size(f))
+        return original(chain, f)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qmemsim") and getattr(module, "chain_abcd", None) is original:
+            monkeypatch.setattr(module, "chain_abcd", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")
@@ -39,7 +59,7 @@ def crossing(standard_map):
 @pytest.fixture(scope="session")
 def cell_system(cell, crossing):
     """Reduced coupled-mode system of the example cell at its crossing."""
-    return extract_coupled_mode_params(cell, crossing.l_cross, fit=crossing)
+    return extract_coupled_mode_params(cell, crossing)
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from qmemsim import cli
+from qmemsim import cli, dynamics
 from qmemsim.cli import main
 from qmemsim.config import config_to_dict, example_config
 from qmemsim.modemap import hybridized_map
@@ -290,7 +290,16 @@ class TestProtocolCommand:
         assert len(xt_rows) == 4 and len(xt_header) == 4
         assert float(xt_rows[0][0]) == 1.0
 
-    def test_step_fraction_is_read(self, seed_path, tmp_path):
+    def test_step_fraction_is_read(self, seed_path, tmp_path, monkeypatch):
+        # the write's evolve step, recorded, not the last digits of its fidelity
+        steps = []
+        original = dynamics.evolve
+
+        def recorded(system, pulses, t_span, dt, *args, **kwargs):
+            steps.append(dt)
+            return original(system, pulses, t_span, dt, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "evolve", recorded)
         sched = tmp_path / "sched.json"
         sched.write_text(json.dumps({"ops": [{"op": "write", "cell_index": 0}]}))
         raw = json.loads(seed_path.read_text())
@@ -304,7 +313,8 @@ class TestProtocolCommand:
             assert main(["protocol", str(cfg), str(sched), "--out", str(out)]) == 0
             csvs.append(read_csv(out))
         (_, coarse), (_, fine) = csvs
-        assert coarse != fine
+        dt_coarse, dt_fine = steps
+        assert dt_fine == 0.5 * dt_coarse
         # a finer step moves the fidelity only through RK4's truncation
         # error and where max |a|^2 is sampled
         assert float(fine[0][4]) == pytest.approx(float(coarse[0][4]), rel=1e-3)

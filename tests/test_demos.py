@@ -1,4 +1,4 @@
-"""The dynamics demos run end to end with every warning an error."""
+"""Every demo runs end to end with every warning an error."""
 import os
 import subprocess
 import sys
@@ -11,7 +11,7 @@ import qmemsim
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["05_swap_protocol.py", "06_multiplexed_array.py"])
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("[0-9][0-9]_*.py")))
 def test_demo_runs(demo, tmp_path):
     src = str(Path(qmemsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -526,7 +526,7 @@ class TestReadProtocol:
 
     def test_no_port_means_no_recovery(self):
         sys_ = CoupledModeSystem(omega_a=W0, omega_b=W0, kappa_ext=0.0, g_on=TWO_PI * 300e6)
-        result = read_protocol(sys_, emit_time=50e-9)
+        result = read_protocol(sys_)
         assert result.recovered_fraction == pytest.approx(0.0, abs=1e-12)
 
     def test_write_then_read_round_trip(self):

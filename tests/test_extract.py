@@ -35,7 +35,7 @@ class TestExtraction:
         assert cell_system.kappa_int_a < 0.1 * cell_system.kappa_ext
 
     def test_lossless_cell_has_zero_internal_rates(self, cell, crossing):
-        system = extract_coupled_mode_params(cell.lossless(), crossing.l_cross, fit=crossing)
+        system = extract_coupled_mode_params(cell.lossless(), crossing)
         assert system.kappa_int_a == 0.0
         assert system.gamma_b == 0.0
 
@@ -52,13 +52,11 @@ class TestExtraction:
         with pytest.raises(ExtractionError, match="cavity internal rate"):
             _cavity_internal_rate(cell)
 
-    def test_l_on_outside_sweep_rejected(self, cell, crossing):
-        import numpy as np
-
-        with pytest.raises(Exception, match="outside"):
-            extract_coupled_mode_params(
-                cell, 900e-12, fit=crossing, l_grid=np.linspace(10e-12, 500e-12, 5)
-            )
+    def test_cavity_resolved_once(self, cell, crossing, chain_calls):
+        # both cavity rates polish from the closed-form estimate; a scan of
+        # the cavity branch for either rate would exceed the bound
+        extract_coupled_mode_params(cell, crossing)
+        assert 0 < len(chain_calls) <= 36
 
 
 class TestResidualCoupling:
