@@ -29,13 +29,10 @@ cell = calibrate_geometry(
 
 l_grid = np.linspace(10e-12, 500e-12, 61)
 mm = mode_map(cell, l_grid)
-print(f"mode map: {len(mm.rows)} rows, {len(mm.flagged)} flagged")
+print(f"mode map: {len(mm.l)} rows, {len(mm.flagged)} flagged")
 print("  L (pH)   mode 1 (GHz)   mode 2 (GHz)   splitting (MHz)")
-for row in mm.rows[::10]:
-    print(
-        f"  {row.l_j * 1e12:6.1f}   {row.f_mode1 / 1e9:10.4f}   "
-        f"{row.f_mode2 / 1e9:10.4f}   {row.splitting / 1e6:10.1f}"
-    )
+for l_j, f1, f2, split in zip(mm.l[::10], mm.f1[::10], mm.f2[::10], mm.splitting[::10]):
+    print(f"  {l_j * 1e12:6.1f}   {f1 / 1e9:10.4f}   {f2 / 1e9:10.4f}   {split / 1e6:10.1f}")
 
 # %% [markdown]
 # The two-branch hybridization fit extracts the bare branches, the

@@ -82,7 +82,6 @@ from .jjfet import (
 from .modemap import (
     CrossingFit,
     ModeMap,
-    ModeMapRow,
     fit_avoided_crossing,
     hybridized_map,
     mode_map,

@@ -25,6 +25,7 @@ from .dynamics import (
     SampledDrive,
     evolve,
     max_stable_dt,
+    read_duration,
     read_protocol,
     write_protocol,
 )
@@ -173,7 +174,7 @@ def _op_duration(op: AccessOp, system: CoupledModeSystem) -> float:
         # the drive quasi-statically, keeping the crosstalk normalization
         # near the steady-state Lorentzian
         return 24.0 / system.kappa_ext
-    return 8.0 / system.kappa_ext if system.kappa_ext > 0 else 0.0
+    return read_duration(system)
 
 
 def _validate_schedule(array: MemoryArray, schedule: AccessSchedule,

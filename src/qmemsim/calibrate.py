@@ -34,7 +34,8 @@ from .cell import (
     tcr_mode_estimate,
 )
 from .jjfet import On
-from .resonance import CalibrationError, ResonancePeak, complex_zeros, find_root, peak_from_roots
+from .resonance import (CalibrationError, ResonancePeak, complex_zeros, find_root, peak_from_roots,
+                        up_crossing)
 from .twoport import SHORT, chain_abcd, notch_s21, terminate
 
 SCAN_POINTS = 200  #: points per row of the at-target sc_len and tcr_half_len scans
@@ -75,41 +76,10 @@ def _tcr_branch_impedance(cell: MemoryCell, l_j, f):
     return terminate(chain_abcd(tcr_chain(cell, On(l_j)), f), SHORT)
 
 
-def _up_crossing(reactance, near, span, n_scan: int, depth: int = 6):
-    """Per row, the bracket (a, b) of the upward Im(Z) zero crossing nearest `near`.
-
-    reactance maps an (n, n_scan) grid over [span[0], span[1]] * near to
-    Im(Z), one row per entry of near.  Im(Z) rises with frequency and line
-    length except at its poles, where it falls from + to -: no bracket.  A
-    zero closer below its pole than one scan step (weak end coupling) hides
-    in a step where Im(Z) falls while negative; that step is rescanned, up
-    to `depth` times.  Rows without a crossing get nan.
-    """
-    near = np.asarray(near, dtype=float)
-    lo, hi, rows = span[0] * near, span[1] * near, np.arange(len(near))
-    a = b = np.full(near.shape, np.nan)
-    scanning = np.ones(near.shape, dtype=bool)
-    for _ in range(depth + 1):
-        s = np.linspace(lo, hi, n_scan, axis=-1)
-        x = reactance(s)
-        dist = np.abs(0.5 * (s[:, :-1] + s[:, 1:]) - near[:, None])
-        up = (x[:, :-1] < 0) & (x[:, 1:] >= 0)
-        hidden = (x[:, :-1] < 0) & (x[:, 1:] < x[:, :-1])
-        i = np.argmin(np.where(up, dist, np.inf), axis=1)
-        found = scanning & up.any(axis=1)
-        a, b = np.where(found, s[rows, i], a), np.where(found, s[rows, i + 1], b)
-        scanning &= ~found & hidden.any(axis=1)
-        if not scanning.any():
-            break
-        i = np.argmin(np.where(hidden, dist, np.inf), axis=1)
-        lo, hi = np.where(scanning, s[rows, i], lo), np.where(scanning, s[rows, i + 1], hi)
-    return a, b
-
-
 def _series_resonance(reactance, near, span, n_scan: int, stage: str):
-    """Per row, the zero bracketed by _up_crossing() to 1e-9 relative;
+    """Per row, the zero bracketed by up_crossing() to 1e-9 relative;
     raises CalibrationError naming `stage` when a row has none."""
-    a, b = _up_crossing(reactance, near, span, n_scan)
+    a, b = up_crossing(reactance, near, span, n_scan)
     if np.isnan(a).any():
         raise CalibrationError(f"{stage}: no series resonance in range")
     return find_root(lambda x: reactance(x[:, None])[:, 0], a, b, stage)

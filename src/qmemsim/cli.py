@@ -44,7 +44,7 @@ from .dynamics import (
     max_stable_dt,
     swap_duration,
 )
-from .extract import ExtractionError, extract_coupled_mode_params
+from .extract import ExtractionError, extract_coupled_mode_params, full_accumulation_inductance
 from .jjfet import Off, On
 from .modemap import fit_avoided_crossing, mode_map
 from .resonance import db, find_resonances
@@ -218,7 +218,7 @@ def _cmd_modemap(args, cfg: Config) -> int:
     _write_csv(
         args.out,
         ["l_j_h", "f_mode1_hz", "f_mode2_hz"],
-        ((r.l_j, r.f_mode1, r.f_mode2) for r in mm.rows),
+        mm.rows,
     )
     _write_report(
         args.report, "modemap", cfg,
@@ -279,14 +279,15 @@ def _cmd_swap(args, cfg: Config) -> int:
     return 0
 
 
+def _array_anchor(cfg: Config) -> float:
+    """Inductance the array's cells are calibrated at and driven ON at."""
+    return cfg.calibration.l_anchor if cfg.calibration else full_accumulation_inductance(cfg.cell)
+
+
 def _require_array(cfg: Config):
     if not cfg.array_targets:
         raise UsageError("config has no 'array' section with targets")
-    return build_array(
-        cfg.array_targets, cfg.cell,
-        l_anchor=cfg.calibration.l_anchor if cfg.calibration else None,
-        q_c=cfg.array_q_c,
-    )
+    return build_array(cfg.array_targets, cfg.cell, l_anchor=_array_anchor(cfg), q_c=cfg.array_q_c)
 
 
 def _cmd_protocol(args, cfg: Config) -> int:
@@ -323,8 +324,7 @@ def _cmd_array_spectrum(args, cfg: Config) -> int:
     array = _require_array(cfg)
     band = _parse_band(args.band, cfg)
     if args.state == "on":
-        l_on = cfg.calibration.l_anchor if cfg.calibration else 220e-12
-        states = [On(l_on) for _ in array.cells]
+        states = [On(_array_anchor(cfg)) for _ in array.cells]
     elif args.state == "off":
         states = [Off(c.jj.r_off) for c in array.cells]
     else:

@@ -487,22 +487,28 @@ def write_protocol(
     return WriteResult(fidelity=float(traj.e_b[-1]) / peak, trajectory=traj)
 
 
+def read_duration(system: CoupledModeSystem) -> float:
+    """Time span (s) of read_protocol(): one swap duration, then 8 / kappa_ext
+    of emission (10 swap durations without a port)."""
+    t_swap = swap_duration(system.g_on)
+    return t_swap + (8.0 / system.kappa_ext if system.kappa_ext > 0 else 10.0 * t_swap)
+
+
 def read_protocol(system: CoupledModeSystem, dt_fraction: float = 0.25) -> ReadResult:
     """Swap the stored excitation back to the coupler and emit it.
 
     Starts from b = 1, a = 0; the gate is ON for one swap duration, then
-    OFF while the excitation leaves through the feedline for 8 / kappa_ext
-    (10 swap durations without a port).  The recovered fraction is the
-    emitted energy integral normalized to the stored energy.  The step is
-    dt_fraction of the resolution guard.
+    OFF while the excitation leaves through the feedline, until
+    read_duration().  The recovered fraction is the emitted energy integral
+    normalized to the stored energy.  The step is dt_fraction of the
+    resolution guard.
     """
     if system.g_on <= 0:
         raise ValueError("read protocol requires a positive gate-ON coupling")
-    t_swap = swap_duration(system.g_on)
-    emit_time = 8.0 / system.kappa_ext if system.kappa_ext > 0 else 10.0 * t_swap
-    pulses = PulseSequence(rf=None, gate_pulses=(GatePulse(start=0.0, duration=t_swap),))
+    gate = GatePulse(start=0.0, duration=swap_duration(system.g_on))
+    pulses = PulseSequence(rf=None, gate_pulses=(gate,))
     dt = dt_fraction * max_stable_dt(system, pulses)
-    traj = evolve(system, pulses, (0.0, t_swap + emit_time), dt, a0=0.0, b0=1.0)
+    traj = evolve(system, pulses, (0.0, read_duration(system)), dt, a0=0.0, b0=1.0)
     emitted_power = np.abs(traj.a_out) ** 2
     recovered = float(np.trapezoid(emitted_power, traj.times))
     return ReadResult(

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibrate import CalibrationError, _up_crossing, measure_isolated_tcr
+from .calibrate import CalibrationError, measure_isolated_tcr
 from .cell import MemoryCell, sc_branch_impedance, sc_mode_estimate, tcr_chain
 from .dynamics import TWO_PI, CoupledModeSystem
 from .jjfet import Off, josephson_inductance
 from .modemap import CrossingFit
-from .resonance import complex_zeros, find_root
+from .resonance import complex_zeros, find_root, up_crossing
 from .twoport import Load, chain_abcd, terminate
 
 
@@ -108,7 +108,7 @@ def off_state_residual_coupling(cell: MemoryCell, kappa_a: float) -> ResidualCou
     def reactance(f):
         return _sc_loop_impedance(cell, state, f, source).imag
 
-    (a,), (b,) = _up_crossing(reactance, [f_est], (0.99, 1.01), 4001, depth=0)
+    (a,), (b,) = up_crossing(reactance, [f_est], (0.99, 1.01), 4001, depth=0)
     if np.isnan(a):
         return ResidualCoupling(0.0, 0.0, kappa_a, None, True)
     f0 = float(find_root(reactance, a, b, "cavity loop", rtol=4 * np.finfo(float).eps))

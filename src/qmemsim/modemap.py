@@ -3,13 +3,16 @@
 mode_map() records, for every inductance on a grid, the two lowest
 resonances in band as complex zeros of the cell's shunt impedance: seeded
 at the upward crossings of one Im Z scan of all rows, polished all at once.
+The map holds them as three columns: inductance, lower and upper mode.
 
 fit_avoided_crossing() fits the two-branch hybridization model
 
     f+-(l) = (f_a(l) + f_b)/2 +- sqrt( ((f_a(l) - f_b)/2)^2 + g^2 )
 
 with a constant bare cavity frequency f_b, a cubic bare coupler branch
-f_a(l) and coupling g (linear frequency, half the minimum splitting).
+f_a(l) and coupling g (linear frequency, half the minimum splitting).  The
+crossing f_a = f_b and the window edges f_a = f_b +- 2g are real roots of
+that cubic.
 """
 from __future__ import annotations
 
@@ -20,59 +23,45 @@ from scipy.optimize import least_squares
 
 from .cell import MemoryCell, cell_shunt_impedance, sc_mode_estimate, tcr_mode_estimate
 from .jjfet import On
-from .resonance import complex_zeros, find_root, peak_from_roots
+from .resonance import complex_zeros, peak_from_roots
 
 
-@dataclass(frozen=True)
-class ModeMapRow:
-    """Two lowest in-band resonances at one junction inductance."""
-
-    l_j: float
-    f_mode1: float
-    f_mode2: float
-
-    def __post_init__(self):
-        if not (0 < self.f_mode1 < self.f_mode2):
-            raise ValueError("mode map row requires 0 < f_mode1 < f_mode2")
-
-    @property
-    def splitting(self) -> float:
-        return self.f_mode2 - self.f_mode1
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeMap:
-    """Mode frequencies over a swept inductance grid.
+    """Mode frequencies over a swept inductance grid, as three columns.
 
-    rows hold every grid point where two resonances were resolved; points
-    where fewer than two dips were found are listed in `flagged` with a
-    reason and excluded from fits.
+    l : henry, strictly increasing inductances of the resolved rows
+    f1, f2 : Hz, lower and upper mode at each l, 0 < f1 < f2
+    flagged : (l_j, reason) of every grid point where two resonances were
+        not resolved; those points are excluded from fits
+
+    The columns are stored as read-only float arrays.
     """
 
-    rows: tuple[ModeMapRow, ...]
+    l: np.ndarray
+    f1: np.ndarray
+    f2: np.ndarray
     flagged: tuple[tuple[float, str], ...] = ()
 
     def __post_init__(self):
-        if any(
-            a.l_j >= b.l_j for a, b in zip(self.rows, self.rows[1:])
-        ):
-            raise ValueError("mode map rows must be sorted by inductance")
+        cols = [np.array(c, dtype=float) for c in (self.l, self.f1, self.f2)]
+        for name, col in zip(("l", "f1", "f2"), cols):
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        l, f1, f2 = cols
+        if not (l.ndim == 1 and l.shape == f1.shape == f2.shape
+                and np.all(np.diff(l) > 0) and np.all((0 < f1) & (f1 < f2))):
+            raise ValueError("mode map needs equal-length 1-D columns, "
+                             "strictly increasing l and 0 < f1 < f2")
 
     @property
-    def l(self):
-        return np.array([r.l_j for r in self.rows])
-
-    @property
-    def f1(self):
-        return np.array([r.f_mode1 for r in self.rows])
-
-    @property
-    def f2(self):
-        return np.array([r.f_mode2 for r in self.rows])
-
-    @property
-    def splitting(self):
+    def splitting(self) -> np.ndarray:
         return self.f2 - self.f1
+
+    @property
+    def rows(self) -> tuple[tuple[float, float, float], ...]:
+        """(l_j, f_mode1, f_mode2) per resolved row."""
+        return tuple(zip(self.l.tolist(), self.f1.tolist(), self.f2.tolist()))
 
 
 def default_band(cell: MemoryCell, l_grid) -> tuple[float, float]:
@@ -128,11 +117,11 @@ def mode_map(cell: MemoryCell, l_grid, f_band=None, min_depth_db: float = 0.01) 
             if band[0] < peak.f0 < band[1] and peak.depth_db >= min_depth_db:
                 kept.append(peak.f0)
             if len(kept) == 2:
-                rows.append(ModeMapRow(float(l_j), *kept))
+                rows.append((l_j, *kept))
                 break
         else:
             flagged.append((float(l_j), f"{len(kept)} resonance(s) in band"))
-    return ModeMap(rows=tuple(rows), flagged=tuple(flagged))
+    return ModeMap(*np.reshape(rows, (-1, 3)).T, flagged=tuple(flagged))
 
 
 # ------------------------- hybridization model -------------------------
@@ -183,73 +172,58 @@ def _hybridize(fa, fb, g):
 
 def hybridized_map(l_grid, coeffs, f_b: float, g: float) -> ModeMap:
     """Closed-form two-mode map; the oracle generator for the fit."""
-    rows = []
-    for l_j in np.asarray(l_grid, dtype=float):
-        lo, hi = _hybridize(float(np.polyval(coeffs, l_j)), f_b, g)
-        rows.append(ModeMapRow(float(l_j), float(lo), float(hi)))
-    return ModeMap(rows=tuple(rows))
-
-
-def _bracketed_root(fn, grid, pick_near: float):
-    """Root of fn in the sign change of fn(grid) nearest `pick_near`, or None."""
-    vals = fn(grid)
-    sign_change = np.where(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    if len(sign_change) == 0:
-        return None
-    i = sign_change[np.argmin(np.abs(grid[sign_change] - pick_near))]
-    return float(find_root(fn, grid[i], grid[i + 1], "crossing fit", rtol=1e-12))
+    return ModeMap(l_grid, *_hybridize(np.polyval(coeffs, l_grid), f_b, g))
 
 
 def fit_avoided_crossing(mode_map: ModeMap) -> CrossingFit:
     """Least-squares hybridization fit of a mode map.
 
+    The crossing is the real root of f_a = f_b inside the grid nearest the
+    row of least splitting; each window edge is the root of f_a = f_b +- 2g
+    nearest the crossing, or the grid end on its side when there is none.
     Requires at least 8 valid rows and a crossing inside the grid;
     otherwise raises ValueError("crossing not bracketed").
     """
-    if len(mode_map.rows) < 8:
+    if len(mode_map.l) < 8:
         raise ValueError("need at least 8 valid mode-map rows to fit")
-    l = mode_map.l
-    f1 = mode_map.f1
-    f2 = mode_map.f2
+    l, f1, f2 = mode_map.l, mode_map.f1, mode_map.f2
 
     scale = 1e9  # condition the fit in GHz
+    x = l / 1e-12  # and in pH
     fb0 = 0.5 * (f1[0] + f2[-1]) / scale
     fa0 = (f1 + f2) / scale - fb0
-    coeffs0 = np.polyfit(l / 1e-12, fa0, 3)  # per-pH powers for conditioning
+    coeffs0 = np.polyfit(x, fa0, 3)  # per-pH powers for conditioning
     g0 = 0.5 * np.min(f2 - f1) / scale
 
     def residuals(p):
-        lo, hi = _hybridize(np.polyval(p[2:], l / 1e-12), p[0], p[1])
+        lo, hi = _hybridize(np.polyval(p[2:], x), p[0], p[1])
         return np.concatenate([lo - f1 / scale, hi - f2 / scale])
 
     p0 = np.concatenate([[fb0, g0], coeffs0])
     res = least_squares(residuals, p0, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    fb = res.x[0] * scale
-    g = abs(res.x[1]) * scale
-    coeffs_ph = res.x[2:]
+    fb, g, coeffs_ph = res.x[0], abs(res.x[1]), res.x[2:]
 
+    def root_near(level, near):
+        """Real root (pH) of f_a = fb + level inside the grid nearest `near`, or None."""
+        r = np.roots(coeffs_ph - [0.0, 0.0, 0.0, fb + level])
+        # LAPACK returns the real eigenvalues of a real matrix with imag exactly 0
+        r = r.real[(r.imag == 0) & (x[0] <= r.real) & (r.real <= x[-1])]
+        return r[np.argmin(np.abs(r - near))] if len(r) else None
+
+    x_cross = root_near(0.0, x[np.argmin(f2 - f1)])
+    if x_cross is None:
+        raise ValueError("crossing not bracketed")
+    edges = sorted(e * 1e-12 if e is not None else end for e, end in
+                   ((root_near(2.0 * g, x_cross), l[0]), (root_near(-2.0 * g, x_cross), l[-1])))
     # back to SI: polynomial in henry
     coeffs = tuple(
         float(c * scale / (1e-12 ** k)) for c, k in zip(coeffs_ph, (3, 2, 1, 0))
     )
-
-    def fa_si(l_j):
-        return np.polyval(coeffs, l_j)
-
-    grid = np.linspace(l[0], l[-1], 512)
-    l_cross = _bracketed_root(lambda x: fa_si(x) - fb, grid, l[np.argmin(f2 - f1)])
-    if l_cross is None:
-        raise ValueError("crossing not bracketed")
-    lo_edge = _bracketed_root(lambda x: fa_si(x) - fb - 2.0 * g, grid, l_cross)
-    hi_edge = _bracketed_root(lambda x: fa_si(x) - fb + 2.0 * g, grid, l_cross)
-    edges = sorted(
-        [e if e is not None else edge for e, edge in ((lo_edge, l[0]), (hi_edge, l[-1]))]
-    )
     rms = float(np.sqrt(np.mean(res.fun**2))) * scale
     return CrossingFit(
-        g=float(g),
-        l_cross=float(l_cross),
-        f_cross=float(fb),
+        g=float(g * scale),
+        l_cross=float(x_cross * 1e-12),
+        f_cross=float(fb * scale),
         window=(float(edges[0]), float(edges[1])),
         coeffs=coeffs,
         residual_rms=rms,

@@ -69,6 +69,37 @@ def find_root(fn, lo, hi, stage: str, rtol: float = 1e-9):
     raise CalibrationError(f"{stage}: no convergence in 2100 steps")
 
 
+def up_crossing(reactance, near, span, n_scan: int, depth: int = 6):
+    """Per row, the bracket (a, b) of the upward Im(Z) zero crossing nearest `near`.
+
+    reactance maps an (n, n_scan) grid over [span[0], span[1]] * near to
+    Im(Z), one row per entry of near.  Im(Z) rises with frequency and line
+    length except at its poles, where it falls from + to -: no bracket.  A
+    zero closer below its pole than one scan step (weak end coupling) hides
+    in a step where Im(Z) falls while negative; that step is rescanned, up
+    to `depth` times.  Rows without a crossing get nan.
+    """
+    near = np.asarray(near, dtype=float)
+    lo, hi, rows = span[0] * near, span[1] * near, np.arange(len(near))
+    a = b = np.full(near.shape, np.nan)
+    scanning = np.ones(near.shape, dtype=bool)
+    for _ in range(depth + 1):
+        s = np.linspace(lo, hi, n_scan, axis=-1)
+        x = reactance(s)
+        dist = np.abs(0.5 * (s[:, :-1] + s[:, 1:]) - near[:, None])
+        up = (x[:, :-1] < 0) & (x[:, 1:] >= 0)
+        hidden = (x[:, :-1] < 0) & (x[:, 1:] < x[:, :-1])
+        i = np.argmin(np.where(up, dist, np.inf), axis=1)
+        found = scanning & up.any(axis=1)
+        a, b = np.where(found, s[rows, i], a), np.where(found, s[rows, i + 1], b)
+        scanning &= ~found & hidden.any(axis=1)
+        if not scanning.any():
+            break
+        i = np.argmin(np.where(hidden, dist, np.inf), axis=1)
+        lo, hi = np.where(scanning, s[rows, i], lo), np.where(scanning, s[rows, i + 1], hi)
+    return a, b
+
+
 def notch_s21_model(f, f0, q_loaded, q_coupling):
     """Complex notch response; baseline 1 away from resonance."""
     return 1.0 - (q_loaded / q_coupling) / (1.0 + 2j * q_loaded * (f - f0) / f0)

@@ -12,6 +12,7 @@ from qmemsim.array import (
     run_schedule,
 )
 from qmemsim.cell import frequency_sweep
+from qmemsim.dynamics import swap_duration
 from qmemsim.jjfet import Off, On
 from tests.conftest import ANCHOR, TARGETS
 
@@ -134,6 +135,17 @@ class TestSchedule:
             AccessOp(op="read", cell_index=0, start=0.0),
         ))
         with pytest.raises(ValueError, match="overlap"):
+            run_schedule(array, schedule, models=array_models)
+
+    def test_read_window_spans_swap_and_emission(self, array, array_models):
+        # a read runs one swap duration plus 8 / kappa_ext of emission
+        system = array_models[0].system
+        gap = 8.0 / system.kappa_ext + 0.5 * swap_duration(system.g_on)
+        schedule = AccessSchedule(ops=(
+            AccessOp(op="read", cell_index=0, start=0.0),
+            AccessOp(op="read", cell_index=0, start=gap),
+        ))
+        with pytest.raises(ValueError, match="must not overlap"):
             run_schedule(array, schedule, models=array_models)
 
 

@@ -7,6 +7,7 @@ import pytest
 from qmemsim import cli, dynamics
 from qmemsim.cli import main
 from qmemsim.config import config_to_dict, example_config
+from qmemsim.extract import full_accumulation_inductance
 from qmemsim.modemap import hybridized_map
 from qmemsim.resonance import ResonancePeak
 
@@ -175,6 +176,27 @@ class TestArraySpectrumCommand:
         assert report["warnings"] == [
             "peak at 6.60000e+09 Hz: notch fit failed; f0 from parabolic interpolation"
         ]
+
+    def test_on_state_drives_the_calibration_anchor(self, tmp_path, monkeypatch):
+        # without a calibration section the cells are calibrated at the
+        # full-accumulation inductance, 329 pH at i_c_max = 1 uA, not 220 pH
+        cfg = example_config(calibrated=False)
+        cfg = replace(cfg, calibration=None,
+                      cell=replace(cfg.cell, jj=replace(cfg.cell.jj, i_c_max=1e-6)))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config_to_dict(cfg)))
+        anchor = full_accumulation_inductance(cfg.cell)
+        assert anchor == pytest.approx(329.1e-12, rel=1e-3)
+        seen, real = [], cli.array_spectrum
+
+        def recorded(array, states, grid):
+            seen.append(states)
+            return real(array, states, grid)
+
+        monkeypatch.setattr(cli, "array_spectrum", recorded)
+        assert main(["array-spectrum", str(path), *self.BAND,
+                     "--out", str(tmp_path / "array.csv")]) == 0
+        assert [s.l_j for s in seen[0]] == [anchor] * 4
 
 
 class TestSwapCommand:

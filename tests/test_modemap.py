@@ -5,12 +5,12 @@ import pytest
 from qmemsim import modemap
 from qmemsim.modemap import (
     ModeMap,
-    ModeMapRow,
     default_band,
     fit_avoided_crossing,
     hybridized_map,
     mode_map,
 )
+from qmemsim.resonance import find_root
 from tests.conftest import ANCHOR
 
 
@@ -23,18 +23,61 @@ def synth_coeffs(rng):
     return (cub, quad, slope, f0 - slope * 1e-12 * 0)
 
 
+def generator_corpus():
+    """Criterion 4's 20 closed-form maps, each with its bare branch, f_b and g."""
+    rng = np.random.default_rng(2024)
+    l_grid = np.linspace(10e-12, 500e-12, 41)
+    corpus = []
+    for _ in range(20):
+        coeffs = synth_coeffs(rng)
+        f_b = float(np.polyval(coeffs, 250e-12)) - rng.uniform(-50e6, 50e6)
+        g_true = rng.uniform(50e6, 500e6)
+        corpus.append((hybridized_map(l_grid, coeffs, f_b, g_true), coeffs, f_b, g_true))
+    return corpus
+
+
+def reference_roots(mm, fit):
+    """l_cross and window of `fit` found independently: sign changes of the
+    fitted bare-branch detuning on a dense grid, each polished by find_root,
+    the root nearest the same point as the fit's, else the grid end."""
+    grid = np.linspace(mm.l[0], mm.l[-1], 4001)
+
+    def root_near(level, near):
+        def detuning(x):
+            return np.polyval(fit.coeffs, x) - fit.f_cross - level
+
+        v = detuning(grid)
+        i = np.nonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0)[0]
+        if len(i) == 0:
+            return None
+        roots = find_root(detuning, grid[i], grid[i + 1], "reference", rtol=1e-12)
+        return float(roots[np.argmin(np.abs(roots - near))])
+
+    l_cross = root_near(0.0, mm.l[np.argmin(mm.splitting)])
+    lo, hi = root_near(2.0 * fit.g, l_cross), root_near(-2.0 * fit.g, l_cross)
+    return l_cross, sorted([mm.l[0] if lo is None else lo, mm.l[-1] if hi is None else hi])
+
+
+def assert_exact_roots(mm, fit):
+    l_cross, window = reference_roots(mm, fit)
+    assert fit.l_cross == pytest.approx(l_cross, rel=1e-12, abs=0)
+    assert list(fit.window) == pytest.approx(window, rel=1e-12, abs=0)
+
+
 class TestSyntheticOracle:
     def test_recovers_known_coupling(self):
-        rng = np.random.default_rng(2024)
-        l_grid = np.linspace(10e-12, 500e-12, 41)
-        for _ in range(20):
-            coeffs = synth_coeffs(rng)
-            f_b = float(np.polyval(coeffs, 250e-12)) - rng.uniform(-50e6, 50e6)
-            g_true = rng.uniform(50e6, 500e6)
-            mm = hybridized_map(l_grid, coeffs, f_b, g_true)
+        for mm, _, f_b, g_true in generator_corpus():
             fit = fit_avoided_crossing(mm)
             assert fit.g == pytest.approx(g_true, rel=1e-2)
             assert fit.f_cross == pytest.approx(f_b, rel=1e-3)
+
+    def test_map_matches_pointwise_model(self):
+        # the columns equal the model evaluated one inductance at a time
+        for mm, coeffs, f_b, g in generator_corpus():
+            for l_j, f1, f2 in mm.rows:
+                fa = float(np.polyval(coeffs, l_j))
+                mid, gap = 0.5 * (fa + f_b), np.sqrt(0.25 * (fa - f_b) ** 2 + g**2)
+                assert (f1, f2) == (mid - gap, mid + gap)
 
     def test_crossing_location_recovered(self):
         coeffs = (0.0, 0.0, -2e6 / 1e-12, 7.0e9)
@@ -88,12 +131,10 @@ class TestCellModeMap:
 
     def test_detuned_rows_exchange_mode_character(self, standard_map, crossing):
         # at 50 pH the coupler branch is the upper mode, at 450 pH the lower
-        f_b = crossing.f_cross
-        rows = {int(round(r.l_j * 1e12)): r for r in standard_map.rows}
-        lo = min(rows, key=lambda k: abs(k - 50))
-        hi = min(rows, key=lambda k: abs(k - 450))
-        assert abs(rows[lo].f_mode1 - f_b) < abs(rows[lo].f_mode2 - f_b)
-        assert abs(rows[hi].f_mode2 - f_b) < abs(rows[hi].f_mode1 - f_b)
+        f_b, f1, f2 = crossing.f_cross, standard_map.f1, standard_map.f2
+        lo, hi = (np.argmin(np.abs(standard_map.l - l)) for l in (50e-12, 450e-12))
+        assert abs(f1[lo] - f_b) < abs(f2[lo] - f_b)
+        assert abs(f2[hi] - f_b) < abs(f1[hi] - f_b)
 
     @pytest.mark.parametrize("k", [0, 17, 30, 59])
     def test_rows_do_not_depend_on_their_neighbours(self, cell, k):
@@ -103,10 +144,9 @@ class TestCellModeMap:
         assert alone.rows[0] == mode_map(cell, grid, band).rows[k]
 
     def test_splitting_large_when_detuned(self, standard_map, crossing):
-        sp_min = np.min(standard_map.splitting)
-        first, last = standard_map.rows[0], standard_map.rows[-1]
-        assert first.splitting > 1.2 * sp_min
-        assert last.splitting > 1.2 * sp_min
+        sp = standard_map.splitting
+        assert sp[0] > 1.2 * np.min(sp)
+        assert sp[-1] > 1.2 * np.min(sp)
 
 
 class TestCellCrossingFit:
@@ -137,18 +177,64 @@ class TestCellCrossingFit:
         assert np.max(np.abs(hi - standard_map.f2)) < 6e6
 
 
+class TestExactRoots:
+    """l_cross and the window edges are the exact in-grid roots of the fitted cubic."""
+
+    def test_generator_corpus(self):
+        for mm, *_ in generator_corpus():
+            assert_exact_roots(mm, fit_avoided_crossing(mm))
+
+    def test_seed_config_map(self, standard_map, crossing):
+        assert_exact_roots(standard_map, crossing)
+
+    def test_leading_coefficient_exactly_zero(self, monkeypatch):
+        real = modemap.least_squares
+
+        def quadratic(fun, x0, **kwargs):
+            res = real(fun, x0, **kwargs)
+            res.x[2] = 0.0  # the cubic's leading coefficient
+            return res
+
+        monkeypatch.setattr(modemap, "least_squares", quadratic)
+        coeffs = (0.0, 0.0, -2e6 / 1e-12, 7.0e9)
+        mm = hybridized_map(np.linspace(10e-12, 500e-12, 41), coeffs, 6.6e9, 150e6)
+        fit = fit_avoided_crossing(mm)
+        assert fit.coeffs[0] == 0.0
+        assert_exact_roots(mm, fit)
+        # edges at 50 and 350 pH, crossing at 200 pH
+        assert fit.window == pytest.approx((50e-12, 350e-12), rel=1e-3)
+
+    def test_level_off_grid_falls_back_to_grid_end(self):
+        # f_b + 2g would sit at -50 pH, below the grid; f_b - 2g at 450 pH
+        coeffs = (0.0, 0.0, -2e6 / 1e-12, 7.0e9)
+        mm = hybridized_map(np.linspace(10e-12, 500e-12, 41), coeffs, 6.6e9, 250e6)
+        fit = fit_avoided_crossing(mm)
+        assert fit.window[0] == mm.l[0]
+        assert fit.window[1] == pytest.approx(450e-12, rel=1e-3)
+        assert_exact_roots(mm, fit)
+
+
 class TestValidation:
     def test_row_ordering_enforced(self):
         with pytest.raises(ValueError):
-            ModeMapRow(l_j=100e-12, f_mode1=7e9, f_mode2=6e9)
+            ModeMap(l=[100e-12], f1=[7e9], f2=[6e9])
 
     def test_map_sorted_by_inductance(self):
-        rows = (
-            ModeMapRow(200e-12, 6.0e9, 7.0e9),
-            ModeMapRow(100e-12, 6.1e9, 7.1e9),
-        )
         with pytest.raises(ValueError):
-            ModeMap(rows=rows)
+            ModeMap(l=[200e-12, 100e-12], f1=[6.0e9, 6.1e9], f2=[7.0e9, 7.1e9])
+
+    def test_columns_of_equal_length(self):
+        with pytest.raises(ValueError):
+            ModeMap(l=[100e-12, 200e-12], f1=[6.0e9], f2=[7.0e9, 7.1e9])
+
+    def test_columns_are_read_only_copies(self):
+        l = np.array([100e-12, 200e-12])
+        mm = ModeMap(l=l, f1=[6.0e9, 6.1e9], f2=[7.0e9, 7.1e9])
+        l[0] = 300e-12
+        assert mm.l[0] == 100e-12
+        with pytest.raises(ValueError):
+            mm.l[0] = 300e-12
+        assert mm.rows == ((100e-12, 6.0e9, 7.0e9), (200e-12, 6.1e9, 7.1e9))
 
     @pytest.mark.parametrize("band, min_depth_db", [((1e9, 2e9), 0.01), (None, 1e3)])
     def test_rows_without_two_dips_are_flagged(self, cell, band, min_depth_db):
