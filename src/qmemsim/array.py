@@ -28,6 +28,7 @@ from .dynamics import (
     read_duration,
     read_protocol,
     write_protocol,
+    write_pulses,
 )
 from .extract import extract_coupled_mode_params, full_accumulation_inductance
 from .modemap import CrossingFit, fit_avoided_crossing, mode_map
@@ -115,8 +116,8 @@ def array_spectrum(array: MemoryArray, all_states, f_grid):
 class AccessOp:
     """One random-access operation on a cell.
 
-    rf_carrier defaults to the addressed cell's target frequency;
-    rf_duration defaults to 4 / kappa_ext of the addressed cell.
+    rf_carrier defaults to the cavity frequency of the addressed cell's
+    reduced model; rf_duration defaults to 24 / kappa_ext of that model.
     """
 
     op: Literal["write", "read"]
@@ -166,14 +167,24 @@ def _cell_models(array: MemoryArray) -> list[_CellModel]:
     return models
 
 
+def _write_drive(op: AccessOp, system: CoupledModeSystem) -> tuple[RfPulse, float]:
+    """A write op's RF pulse and the time its gate fires."""
+    # slow envelope (kappa * sigma ~ 5): the addressed coupler tracks the drive
+    # quasi-statically, keeping the crosstalk near the steady-state Lorentzian
+    duration = op.rf_duration if op.rf_duration is not None else 24.0 / system.kappa_ext
+    # the fitted crossing sits a few MHz off the bare target: drive the
+    # cavity where the reduced model places it
+    carrier = op.rf_carrier if op.rf_carrier is not None else system.omega_b / TWO_PI
+    rf = RfPulse(carrier=carrier, amplitude=op.rf_amplitude, start=0.0,
+                 duration=duration, envelope=Gauss(sigma=duration / 5.0))
+    # gate at the envelope peak: idle neighbors respond quasi-statically
+    # and the addressed coupler is fully loaded when the swap fires
+    return rf, 0.5 * duration
+
+
 def _op_duration(op: AccessOp, system: CoupledModeSystem) -> float:
     if op.op == "write":
-        if op.rf_duration is not None:
-            return op.rf_duration
-        # slow envelope (kappa * sigma ~ 5): the addressed coupler tracks
-        # the drive quasi-statically, keeping the crosstalk normalization
-        # near the steady-state Lorentzian
-        return 24.0 / system.kappa_ext
+        return write_pulses(system, *_write_drive(op, system))[1]
     return read_duration(system)
 
 
@@ -240,29 +251,11 @@ def run_schedule(
 
     for op in schedule.ops:
         i = op.cell_index
-        model = models[i]
-        sys_i = model.system
-        # default to the reduced model's cavity frequency: the fitted
-        # crossing sits a few MHz off the bare target and the drive must
-        # address the mode where the model places it
-        carrier = (
-            op.rf_carrier if op.rf_carrier is not None else sys_i.omega_b / TWO_PI
-        )
+        sys_i = models[i].system
 
         if op.op == "write":
-            duration = _op_duration(op, sys_i)
-            # smooth envelope with the gate at the peak: idle neighbors
-            # respond quasi-statically and the addressed coupler is fully
-            # loaded when the swap fires
-            rf = RfPulse(
-                carrier=carrier,
-                amplitude=op.rf_amplitude,
-                start=0.0,
-                duration=duration,
-                envelope=Gauss(sigma=duration / 5.0),
-            )
-            result = write_protocol(sys_i, rf, gate_at=0.5 * duration,
-                                    dt_fraction=dt_fraction)
+            rf, gate_at = _write_drive(op, sys_i)
+            result = write_protocol(sys_i, rf, gate_at=gate_at, dt_fraction=dt_fraction)
             fidelities.append(result.fidelity)
             traj = result.trajectory
             drive = rf

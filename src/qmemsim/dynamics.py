@@ -455,6 +455,19 @@ class ReadResult:
     trajectory: Trajectory
 
 
+def write_pulses(system: CoupledModeSystem, rf: RfPulse, gate_at: float | None = None,
+                 engage_gate: bool = True) -> tuple[PulseSequence, float]:
+    """Pulses of write_protocol() and the time (s) it ends: a gate ON for one
+    swap from gate_at (default: the RF end) unless engage_gate is False, then
+    max(2 t_swap, 0.02 rf.duration) after the later pulse end."""
+    t_swap = swap_duration(system.g_on) if system.g_on > 0 else rf.duration
+    t_gate = gate_at if gate_at is not None else rf.end
+    gates = (GatePulse(start=t_gate, duration=t_swap),) if engage_gate else ()
+    settle = max(2.0 * t_swap, 0.02 * rf.duration)
+    t_end = max(rf.end, t_gate + (t_swap if engage_gate else 0.0)) + settle
+    return PulseSequence(rf=rf, gate_pulses=gates), t_end
+
+
 def write_protocol(
     system: CoupledModeSystem,
     rf: RfPulse,
@@ -470,15 +483,9 @@ def write_protocol(
     overrides it, e.g. to the envelope peak of a gaussian pulse.  Fidelity
     is |b(end)|^2 normalized to the peak loaded energy max_t |a(t)|^2.
     With engage_gate=False the gate pulse is omitted (isolation
-    measurement) over the same time window.  The step is dt_fraction of
-    the resolution guard.
+    measurement).  The step is dt_fraction of the resolution guard.
     """
-    t_swap = swap_duration(system.g_on) if system.g_on > 0 else rf.duration
-    t_gate = gate_at if gate_at is not None else rf.end
-    gates = (GatePulse(start=t_gate, duration=t_swap),) if engage_gate else ()
-    settle = max(2.0 * t_swap, 0.02 * rf.duration)
-    pulses = PulseSequence(rf=rf, gate_pulses=gates)
-    t_end = max(rf.end, t_gate + (t_swap if engage_gate else 0.0)) + settle
+    pulses, t_end = write_pulses(system, rf, gate_at, engage_gate)
     dt = dt_fraction * max_stable_dt(system, pulses)
     traj = evolve(system, pulses, (min(0.0, rf.start), t_end), dt)
     peak = float(np.max(traj.e_a))

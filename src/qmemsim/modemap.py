@@ -10,20 +10,19 @@ fit_avoided_crossing() fits the two-branch hybridization model
     f+-(l) = (f_a(l) + f_b)/2 +- sqrt( ((f_a(l) - f_b)/2)^2 + g^2 )
 
 with a constant bare cavity frequency f_b, a cubic bare coupler branch
-f_a(l) and coupling g (linear frequency, half the minimum splitting).  The
-crossing f_a = f_b and the window edges f_a = f_b +- 2g are real roots of
-that cubic.
+f_a(l) and coupling g (linear frequency, half the minimum splitting), by
+resonance.levenberg_marquardt() with an analytic Jacobian.  The crossing
+f_a = f_b and the window edges f_a = f_b +- 2g are real roots of that cubic.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .cell import MemoryCell, cell_shunt_impedance, sc_mode_estimate, tcr_mode_estimate
 from .jjfet import On
-from .resonance import complex_zeros, peak_from_roots
+from .resonance import complex_zeros, levenberg_marquardt, peak_from_roots
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,8 +180,8 @@ def fit_avoided_crossing(mode_map: ModeMap) -> CrossingFit:
     The crossing is the real root of f_a = f_b inside the grid nearest the
     row of least splitting; each window edge is the root of f_a = f_b +- 2g
     nearest the crossing, or the grid end on its side when there is none.
-    Requires at least 8 valid rows and a crossing inside the grid;
-    otherwise raises ValueError("crossing not bracketed").
+    Requires at least 8 valid rows, a converged fit and a crossing inside
+    the grid; otherwise raises ValueError.
     """
     if len(mode_map.l) < 8:
         raise ValueError("need at least 8 valid mode-map rows to fit")
@@ -194,14 +193,24 @@ def fit_avoided_crossing(mode_map: ModeMap) -> CrossingFit:
     fa0 = (f1 + f2) / scale - fb0
     coeffs0 = np.polyfit(x, fa0, 3)  # per-pH powers for conditioning
     g0 = 0.5 * np.min(f2 - f1) / scale
+    v = np.vander(x, 4)  # d f_a / d coeffs
 
     def residuals(p):
         lo, hi = _hybridize(np.polyval(p[2:], x), p[0], p[1])
         return np.concatenate([lo - f1 / scale, hi - f2 / scale])
 
+    def jacobian(p):  # columns d/df_b, d/dg, d/dcoeffs
+        fa = np.polyval(p[2:], x)
+        gap = np.sqrt(0.25 * (fa - p[0]) ** 2 + p[1] ** 2)
+        s, dg = 0.25 * (fa - p[0]) / gap, p[1] / gap
+        return np.concatenate([np.column_stack([0.5 + s, -dg, (0.5 - s)[:, None] * v]),
+                               np.column_stack([0.5 - s, dg, (0.5 + s)[:, None] * v])])
+
     p0 = np.concatenate([[fb0, g0], coeffs0])
-    res = least_squares(residuals, p0, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    fb, g, coeffs_ph = res.x[0], abs(res.x[1]), res.x[2:]
+    p, r, converged = levenberg_marquardt(residuals, jacobian, p0)
+    if not converged:
+        raise ValueError("avoided-crossing fit did not converge")
+    fb, g, coeffs_ph = p[0], abs(p[1]), p[2:]
 
     def root_near(level, near):
         """Real root (pH) of f_a = fb + level inside the grid nearest `near`, or None."""
@@ -219,7 +228,7 @@ def fit_avoided_crossing(mode_map: ModeMap) -> CrossingFit:
     coeffs = tuple(
         float(c * scale / (1e-12 ** k)) for c, k in zip(coeffs_ph, (3, 2, 1, 0))
     )
-    rms = float(np.sqrt(np.mean(res.fun**2))) * scale
+    rms = float(np.sqrt(np.mean(r**2))) * scale
     return CrossingFit(
         g=float(g * scale),
         l_cross=float(x_cross * 1e-12),

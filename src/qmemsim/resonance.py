@@ -11,9 +11,9 @@ frequency f0.  The internal quality factor follows from
 
 Each fit is seeded in closed form by the inverse-S21 linearization
 1/(1 - S21) = Q_c/Q_l + 2j Q_c (f - f0)/f0 (Megrant et al., APL 100,
-113510 (2012)) and refined by Levenberg-Marquardt with an analytic
-Jacobian.  The seed alone is not the answer: the cell is not an exact
-Lorentzian, and the seed's Q values can be off by parts in 1e3.
+113510 (2012)) and refined with an analytic Jacobian by levenberg_marquardt(),
+which the crossing fit shares.  The seed alone is not the answer: the cell is
+not an exact Lorentzian, and the seed's Q values can be off by parts in 1e3.
 The circuit itself gives the same parameters as complex roots (Pozar,
 Microwave Engineering, 6.1): see complex_zeros() and peak_from_roots().
 """
@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 
 class CalibrationError(RuntimeError):
@@ -67,6 +66,45 @@ def find_root(fn, lo, hi, stage: str, rtol: float = 1e-9):
             x2, f2 = np.where(active & ~same, x1, x2)[()], np.where(active & ~same, f1, f2)[()]
             x1, f1 = x, f
     raise CalibrationError(f"{stage}: no convergence in 2100 steps")
+
+
+LM_TOL = 1e-14  #: relative tolerance on the scaled step and the cost reduction
+
+
+def levenberg_marquardt(residuals, jacobian, p0):
+    """Least-squares minimum of residuals(p), jacobian(p) its derivative matrix,
+    by Levenberg-Marquardt (Madsen, Nielsen & Tingleff, Methods for Non-Linear
+    Least Squares Problems, 2004, 3.2) with Marquardt's column-norm scaling,
+    as in MINPACK.  Returns (p, residuals(p), converged): converged once the
+    scaled step, or the actual and predicted cost reduction, fall to LM_TOL
+    relative; not for a non-finite start or after 100 evaluations per parameter.
+    """
+    p, fresh, d, mu, nu = np.asarray(p0, dtype=float), True, 0.0, 1e-3, 2.0
+    r = residuals(p)
+    if not np.isfinite(r @ r):
+        return p, r, False
+    for _ in range(100 * p.size - 1):
+        if fresh:  # a new point: its Jacobian, scaled by the largest column norms seen
+            jac = jacobian(p)
+            jtj = jac.T @ jac
+            d = np.maximum(d, np.sqrt(np.diag(jtj)))
+            a, g = jtj / np.outer(d, d), jac.T @ r / d
+        # the damped step in scaled parameters d p: (A + mu I) y = -g
+        y = np.linalg.solve(a + mu * np.eye(p.size), -g)
+        if y @ y <= LM_TOL**2 * np.sum((d * p) ** 2):
+            return p, r, True
+        q = p + y / d
+        r_q = residuals(q)
+        actual, predicted = r @ r - r_q @ r_q, mu * (y @ y) - y @ g
+        fresh = actual > 0  # false for nan from non-finite residuals too
+        if not fresh:
+            mu, nu = mu * nu, 2.0 * nu
+        elif max(actual, predicted) <= LM_TOL * (r @ r):
+            return q, r_q, True
+        else:
+            p, r = q, r_q
+            mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * actual / predicted - 1.0) ** 3), 2.0
+    return p, r, False
 
 
 def up_crossing(reactance, near, span, n_scan: int, depth: int = 6):
@@ -225,8 +263,8 @@ def _fit_notch(f, s21, f0_init, ql_init, qc_init):
 
     Parameters are (f0 / f0_init, log10 Q_l, log10 Q_c).  The start is the
     closed-form :func:`_linear_seed` when it lies in the box, else the
-    caller's estimate; Levenberg-Marquardt with the analytic Jacobian then
-    refines it.  A start or result outside the box counts as a failure.
+    caller's estimate; :func:`levenberg_marquardt` with the analytic Jacobian
+    then refines it.  No convergence, or a start or result outside the box, fails.
     """
 
     def residuals(p):
@@ -241,18 +279,11 @@ def _fit_notch(f, s21, f0_init, ql_init, qc_init):
         p0 = np.array([1.0, np.log10(ql_init), np.log10(qc_init)])
         if not _in_box(p0):
             return None
-    try:
-        res = least_squares(
-            residuals, p0, jac=lambda p: _notch_jacobian(p, f, f0_init), method="lm",
-            xtol=1e-14, ftol=1e-14, gtol=1e-14,
-        )
-    except ValueError:  # non-finite residuals at the start
+    p, _, converged = levenberg_marquardt(
+        residuals, lambda p: _notch_jacobian(p, f, f0_init), p0)
+    if not (converged and _in_box(p)):
         return None
-    if not (res.success and _in_box(res.x)):
-        return None
-    f0 = res.x[0] * f0_init
-    ql = 10.0 ** res.x[1]
-    qc = 10.0 ** res.x[2]
+    f0, ql, qc = p[0] * f0_init, 10.0 ** p[1], 10.0 ** p[2]
     if not (f[0] <= f0 <= f[-1]):
         return None
     return f0, ql, qc

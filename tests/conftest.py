@@ -32,6 +32,20 @@ def chain_calls(monkeypatch):
     return calls
 
 
+def recorded_fits(monkeypatch, module):
+    """(residuals, jacobian, p0, result) of every levenberg_marquardt call
+    `module` makes from here on."""
+    calls = []
+    real = module.levenberg_marquardt
+
+    def record(residuals, jacobian, p0):
+        calls.append((residuals, jacobian, np.array(p0), real(residuals, jacobian, p0)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(module, "levenberg_marquardt", record)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def template():
     return example_template()

@@ -148,6 +148,18 @@ class TestSchedule:
         with pytest.raises(ValueError, match="must not overlap"):
             run_schedule(array, schedule, models=array_models)
 
+    def test_write_window_spans_its_settle(self, array, array_models):
+        # a write runs on for max(2 t_swap, 0.02 x pulse) after its pulse
+        system = array_models[0].system
+        pulse = 24.0 / system.kappa_ext
+        settle = max(2.0 * swap_duration(system.g_on), 0.02 * pulse)
+        schedule = AccessSchedule(ops=(
+            AccessOp(op="write", cell_index=0, start=0.0),
+            AccessOp(op="read", cell_index=0, start=pulse + 0.5 * settle),
+        ))
+        with pytest.raises(ValueError, match="must not overlap"):
+            run_schedule(array, schedule, models=array_models)
+
 
 class TestValidation:
     def test_array_invariants(self, cell):

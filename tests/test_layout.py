@@ -1,8 +1,15 @@
-"""Package layout: modules share only public names."""
+"""Package layout: modules share only public names; imports match the declared
+dependencies."""
 import ast
+import re
+import sys
 from pathlib import Path
 
+import pytest
+
 import qmemsim
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def private_imports():
@@ -23,3 +30,22 @@ def private_imports():
 
 def test_no_module_imports_a_private_name_of_another():
     assert private_imports() == []
+
+
+def third_party_imports():
+    """Top-level names of every module the package imports from outside
+    itself and the standard library."""
+    names = set()
+    for path in Path(qmemsim.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - {"qmemsim"} - set(sys.stdlib_module_names)
+
+
+def test_runtime_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    declared = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["dependencies"]
+    assert {re.match(r"[A-Za-z0-9_.-]+", d).group() for d in declared} == third_party_imports()

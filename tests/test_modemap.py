@@ -1,6 +1,7 @@
 """Mode map and avoided-crossing fit."""
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from qmemsim import modemap
 from qmemsim.modemap import (
@@ -10,8 +11,8 @@ from qmemsim.modemap import (
     hybridized_map,
     mode_map,
 )
-from qmemsim.resonance import find_root
-from tests.conftest import ANCHOR
+from qmemsim.resonance import LM_TOL, find_root
+from tests.conftest import ANCHOR, recorded_fits
 
 
 def synth_coeffs(rng):
@@ -188,14 +189,14 @@ class TestExactRoots:
         assert_exact_roots(standard_map, crossing)
 
     def test_leading_coefficient_exactly_zero(self, monkeypatch):
-        real = modemap.least_squares
+        real = modemap.levenberg_marquardt
 
-        def quadratic(fun, x0, **kwargs):
-            res = real(fun, x0, **kwargs)
-            res.x[2] = 0.0  # the cubic's leading coefficient
-            return res
+        def quadratic(residuals, jacobian, p0):
+            p, r, converged = real(residuals, jacobian, p0)
+            p[2] = 0.0  # the cubic's leading coefficient
+            return p, r, converged
 
-        monkeypatch.setattr(modemap, "least_squares", quadratic)
+        monkeypatch.setattr(modemap, "levenberg_marquardt", quadratic)
         coeffs = (0.0, 0.0, -2e6 / 1e-12, 7.0e9)
         mm = hybridized_map(np.linspace(10e-12, 500e-12, 41), coeffs, 6.6e9, 150e6)
         fit = fit_avoided_crossing(mm)
@@ -212,6 +213,43 @@ class TestExactRoots:
         assert fit.window[0] == mm.l[0]
         assert fit.window[1] == pytest.approx(450e-12, rel=1e-3)
         assert_exact_roots(mm, fit)
+
+
+class TestFitSolver:
+    def test_cost_at_the_least_squares_minimum(self, standard_map):
+        # MINPACK started from the fit's own answer finds no lower cost
+        for mm in [standard_map, *(m for m, *_ in generator_corpus())]:
+            fit = fit_avoided_crossing(mm)
+            x = mm.l / 1e-12
+
+            def residuals(p):
+                lo, hi = modemap._hybridize(np.polyval(p[2:], x), p[0], p[1])
+                return np.concatenate([lo - mm.f1 / 1e9, hi - mm.f2 / 1e9])
+
+            p = [fit.f_cross / 1e9, fit.g / 1e9,
+                 *(c * 1e-12**k / 1e9 for c, k in zip(fit.coeffs, (3, 2, 1, 0)))]
+            ref = least_squares(residuals, p, method="lm", xtol=LM_TOL, ftol=LM_TOL, gtol=LM_TOL)
+            cost = 2 * len(x) * (fit.residual_rms / 1e9) ** 2
+            assert cost <= 1.01 * (ref.fun @ ref.fun) or cost <= 1e-20
+
+    def test_jacobian_matches_central_differences(self, standard_map, monkeypatch):
+        calls = recorded_fits(monkeypatch, modemap)
+        fit_avoided_crossing(standard_map)
+        residuals, jacobian, p0, (p_fit, _, _) = calls[0]
+        for p in (p0, p_fit):
+            # each step moves the branches by at most 1e-6 GHz
+            steps = 1e-6 / np.max(np.abs(jacobian(p)), axis=0)
+            fd = np.stack([(residuals(p + h * e) - residuals(p - h * e)) / (2.0 * h)
+                           for h, e in zip(steps, np.eye(len(p)))], axis=1)
+            err = np.max(np.abs(jacobian(p) - fd), axis=0)
+            assert np.all(err <= 1e-6 * np.max(np.abs(fd), axis=0))
+
+    def test_unconverged_fit_raises(self, standard_map, monkeypatch):
+        real = modemap.levenberg_marquardt
+        monkeypatch.setattr(modemap, "levenberg_marquardt",
+                            lambda *args: (*real(*args)[:2], False))
+        with pytest.raises(ValueError, match="did not converge"):
+            fit_avoided_crossing(standard_map)
 
 
 class TestValidation:

@@ -6,19 +6,22 @@ from scipy.optimize import least_squares
 
 from qmemsim import resonance
 from qmemsim.calibrate import _tcr_branch_impedance, measure_isolated_tcr, tcr_branch_resonance
+from qmemsim.cli import main
 from qmemsim.resonance import (
+    LM_TOL,
     ResonancePeak,
     _fit_notch,
     _linear_seed,
     _notch_jacobian,
     complex_zeros,
     find_resonances,
+    levenberg_marquardt,
     local_minima,
     notch_s21_model,
     peak_from_roots,
 )
 from qmemsim.twoport import notch_s21
-from tests.conftest import ANCHOR
+from tests.conftest import ANCHOR, recorded_fits
 
 
 def synth_grid(f0, ql, span_lw=25.0, n=1201):
@@ -130,16 +133,18 @@ class TestFitNotch:
         # the exact optimum Q_l = 0.5 lies below the log10 Q_l >= 0 bound
         freqs = np.linspace(0.7 * self.f0, 1.3 * self.f0, 201)
         s21 = notch_s21_model(freqs, self.f0, 0.5, 1.0)
-        results = []
-
-        def spy(*args, **kwargs):
-            results.append(least_squares(*args, **kwargs))
-            return results[-1]
-
-        monkeypatch.setattr(resonance, "least_squares", spy)
+        results = recorded_fits(monkeypatch, resonance)
         assert _fit_notch(freqs, s21, self.f0, 10.0, 20.0) is None
-        assert results[-1].success
-        assert results[-1].x[1] == pytest.approx(np.log10(0.5))
+        p, _, converged = results[-1][-1]
+        assert converged
+        assert p[1] == pytest.approx(np.log10(0.5))
+
+    def test_unconverged_fit_returns_none(self, monkeypatch):
+        freqs, s21 = self.trace()
+        real = resonance.levenberg_marquardt
+        monkeypatch.setattr(resonance, "levenberg_marquardt",
+                            lambda *args: (*real(*args)[:2], False))
+        assert _fit_notch(freqs, s21, self.f0, self.ql, self.qc) is None
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken_model(*args):
@@ -149,6 +154,102 @@ class TestFitNotch:
         freqs, s21 = self.trace()
         with pytest.raises(AttributeError, match="bug"):
             _fit_notch(freqs, s21, self.f0, self.ql, self.qc)
+
+
+def minpack_lm(residuals, jacobian, p0):
+    """Cost and success of scipy's MINPACK Levenberg-Marquardt at LM_TOL."""
+    try:
+        res = least_squares(residuals, p0, jac=jacobian, method="lm",
+                            xtol=LM_TOL, ftol=LM_TOL, gtol=LM_TOL)
+    except ValueError:  # non-finite residuals at the start
+        return np.nan, False
+    return res.fun @ res.fun, res.success
+
+
+class TestLevenbergMarquardt:
+    def test_notch_fits_reach_minpack_cost(self, monkeypatch, cell, tmp_path):
+        calls = recorded_fits(monkeypatch, resonance)
+        rng = np.random.default_rng(42)
+        traces = []
+        for f0, ql, qc in [(6.65e9, 1e4, 2e4), (6.55e9, 1e4, 1e4), (6.55e9, 8e3, 1e4),
+                           *((6.55e9, ql, 2.0 * ql) for ql in (1e3, 1e4, 1e5, 1e6)),
+                           *((rng.uniform(4e9, 9e9), ql, ql / rng.uniform(0.3, 0.98))
+                             for ql in 10 ** rng.uniform(3, 6, 25))]:
+            freqs = synth_grid(f0, ql, n=1601)
+            traces.append((freqs, notch_s21_model(freqs, f0, ql, qc)))
+        freqs = np.sort(np.concatenate([synth_grid(6.2e9, 2e4, n=801),
+                                        synth_grid(6.8e9, 2e4, n=801)]))
+        traces.append((freqs, notch_s21_model(freqs, 6.2e9, 2e4, 4e4)
+                       * notch_s21_model(freqs, 6.8e9, 2e4, 4e4)))
+        peak = measure_isolated_tcr(cell, ANCHOR)
+        lw = peak.f0 / peak.q_loaded
+        freqs = np.linspace(peak.f0 - 12 * lw, peak.f0 + 12 * lw, 4001)
+        traces.append((freqs, notch_s21(_tcr_branch_impedance(cell, ANCHOR, freqs), cell.z0)))
+        for freqs, s21 in traces:
+            find_resonances(freqs, s21, min_depth_db=1e-4)
+        # TestFitNotch's direct fits: the caller's start, an optimum off the box
+        freqs, s21 = TestFitNotch().trace()
+        s21[0] = 1.0
+        _fit_notch(freqs, s21, 6.55e9, 1e4, 2e4)
+        freqs = np.linspace(0.7 * 6.55e9, 1.3 * 6.55e9, 201)
+        _fit_notch(freqs, notch_s21_model(freqs, 6.55e9, 0.5, 1.0), 6.55e9, 10.0, 20.0)
+        n_synthetic = len(calls)
+        # a characterize-style session: the ON and OFF spectra of the seed config
+        seed = tmp_path / "seed.json"
+        assert main(["--seed-config", str(seed)]) == 0
+        for state in ("on:173.3pH", "off"):
+            assert main(["spectrum", str(seed), "--state", state,
+                         "--out", str(tmp_path / "s.csv")]) == 0
+        assert len(calls) > n_synthetic
+        for residuals, jacobian, p0, (p, r, converged) in calls:
+            cost = r @ r
+            ref_cost, ref_success = minpack_lm(residuals, jacobian, p0)
+            assert converged == ref_success
+            if converged and not (cost <= 1e-20 and ref_cost <= 1e-20):
+                assert cost == pytest.approx(ref_cost, rel=1e-10)
+
+    def test_invariant_to_parameter_scale(self):
+        # Marquardt's column scaling: rescaled parameters take the same steps,
+        # up to rounding; with plain damping the third scale takes more
+        freqs, s21 = TestFitNotch().trace()
+        f0_init = 6.55e9 * (1.0 + 0.3e-4)
+        evals = []
+
+        def residuals(p):
+            evals[-1] += 1
+            r = notch_s21_model(freqs, p[0] * f0_init, 10.0 ** p[1], 10.0 ** p[2]) - s21
+            return np.concatenate([r.real, r.imag])
+
+        p0 = np.array([1.0, 4.3, np.log10(2e4) - 0.2])
+        for scale in ([1.0, 1.0, 1.0], [1e6, 1.0, 1e-6], [1e-6, 1e3, 1.0]):
+            scale = np.asarray(scale)
+            evals.append(0)
+            p, r, converged = levenberg_marquardt(
+                lambda q: residuals(q / scale),
+                lambda q: _notch_jacobian(q / scale, freqs, f0_init) / scale, scale * p0)
+            assert converged and r @ r <= 1e-20
+            assert p / scale == pytest.approx([6.55e9 / f0_init, 4.0, np.log10(2e4)], rel=1e-12)
+        assert evals == [evals[0]] * 3
+
+    def test_non_finite_start_has_not_converged(self):
+        p, r, converged = levenberg_marquardt(lambda p: np.array([np.nan, 1.0]),
+                                              lambda p: np.ones((2, 1)), [1.0])
+        assert not converged
+        assert p.tolist() == [1.0]
+
+    def test_evaluation_budget(self):
+        # exp(-p) only approaches its infimum 0: every step lowers the
+        # cost by a large fraction, and the budget runs out
+        evals = []
+
+        def residuals(p):
+            evals.append(p[0])
+            return np.exp(-p)
+
+        p, r, converged = levenberg_marquardt(residuals, lambda p: -np.exp(-p)[:, None], [0.0])
+        assert not converged
+        assert len(evals) == 100
+        assert r == np.exp(-p)
 
 
 @settings(deadline=None)
