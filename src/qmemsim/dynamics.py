@@ -420,6 +420,11 @@ def evolve(
     half_grid = np.empty(2 * n_steps + 1)
     for s, e, ta, h, _ in pieces:
         half_grid[2 * s:2 * e + 1] = ta + 0.5 * h * np.arange(2 * (e - s) + 1)
+    # each midpoint is the mean of its step's ends as returned in times:
+    # ta + h (n + 1/2) can round to the other side of a drive edge
+    mids = half_grid[1::2]
+    np.add(half_grid[:-1:2], half_grid[2::2], out=mids)
+    mids *= 0.5
     if pulses.rf is not None:
         ain_arr = np.asarray(pulses.rf.baseband(half_grid), dtype=complex)
     else:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qmemsim
 from qmemsim.dynamics import (
@@ -289,6 +289,13 @@ def driven_systems(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(case=driven_systems())
+# the rect's end, 22.5 steps in, is the mean of step 22's ends but lies
+# one ulp above 22.5 dt
+@example(case=(
+    CoupledModeSystem(omega_a=W0, omega_b=W0, kappa_ext=0.01 * RATE, g_on=RATE),
+    PulseSequence(rf=RfPulse(carrier=W0 / TWO_PI, amplitude=1e4, start=0.0,
+                             duration=4.500000000000001e-9)),
+    (0.0, 5e-9), 2e-10, 0.0, 0.0))
 def test_scan_matches_step_loop(case):
     system, pulses, span, dt, a0, b0 = case
     _assert_matches_loop(system, pulses, span, dt, a0=a0, b0=b0)
