@@ -34,8 +34,7 @@ from .cell import (
     tcr_mode_estimate,
 )
 from .jjfet import On
-from .resonance import (CalibrationError, ResonancePeak, complex_zeros, find_root, peak_from_roots,
-                        up_crossing)
+from .resonance import CalibrationError, ResonancePeak, complex_zeros, find_root, peak_from_roots
 from .twoport import SHORT, chain_abcd, notch_s21, terminate
 
 SCAN_POINTS = 200  #: points per row of the at-target sc_len and tcr_half_len scans
@@ -77,9 +76,34 @@ def _tcr_branch_impedance(cell: MemoryCell, l_j, f):
 
 
 def _series_resonance(reactance, near, span, n_scan: int, stage: str):
-    """Per row, the zero bracketed by up_crossing() to 1e-9 relative;
-    raises CalibrationError naming `stage` when a row has none."""
-    a, b = up_crossing(reactance, near, span, n_scan)
+    """Per row, the upward Im(Z) zero crossing nearest `near`, to 1e-9 relative.
+
+    reactance maps an (n, n_scan) grid over [span[0], span[1]] * near to
+    Im(Z), one row per entry of near.  Im(Z) rises with frequency and line
+    length except at its poles, where it falls from + to -: no bracket.  A
+    zero closer below its pole than one scan step (weak end coupling) hides
+    in a step where Im(Z) falls while negative; that step is rescanned, up
+    to six times.  Raises CalibrationError naming `stage` when a row has
+    no crossing.
+    """
+    near = np.asarray(near, dtype=float)
+    lo, hi, rows = span[0] * near, span[1] * near, np.arange(len(near))
+    a = b = np.full(near.shape, np.nan)
+    scanning = np.ones(near.shape, dtype=bool)
+    for _ in range(7):  # the scan, then up to six rescans
+        s = np.linspace(lo, hi, n_scan, axis=-1)
+        x = reactance(s)
+        dist = np.abs(0.5 * (s[:, :-1] + s[:, 1:]) - near[:, None])
+        up = (x[:, :-1] < 0) & (x[:, 1:] >= 0)
+        hidden = (x[:, :-1] < 0) & (x[:, 1:] < x[:, :-1])
+        i = np.argmin(np.where(up, dist, np.inf), axis=1)
+        found = scanning & up.any(axis=1)
+        a, b = np.where(found, s[rows, i], a), np.where(found, s[rows, i + 1], b)
+        scanning &= ~found & hidden.any(axis=1)
+        if not scanning.any():
+            break
+        i = np.argmin(np.where(hidden, dist, np.inf), axis=1)
+        lo, hi = np.where(scanning, s[rows, i], lo), np.where(scanning, s[rows, i + 1], hi)
     if np.isnan(a).any():
         raise CalibrationError(f"{stage}: no series resonance in range")
     return find_root(lambda x: reactance(x[:, None])[:, 0], a, b, stage)

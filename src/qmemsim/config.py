@@ -335,7 +335,7 @@ def _read_shape(raw, where, errors):
 
 
 def _read_integer(raw, where, errors):
-    if isinstance(raw, int):
+    if isinstance(raw, int) and not isinstance(raw, bool):  # JSON true is no integer
         return raw
     errors.append(f"{where}: expected an integer, got {raw!r}")
     return math.nan
@@ -479,13 +479,14 @@ def load_schedule(path) -> AccessSchedule:
             errors.append(f"{where}: expected an object")
             continue
         entry = dict(entry)
-        kind, index = entry.pop("op", None), entry.pop("cell_index", None)
+        kind = entry.pop("op", None)
+        index = _read_integer(entry.pop("cell_index", None), f"{where}.cell_index", errors)
         kw = _read(entry, _OP, where, errors)
         if kind not in ("write", "read"):
             errors.append(f"{where}.op: expected 'write' or 'read'")
-        elif not isinstance(index, int) or index < 0:
+        elif index < 0:
             errors.append(f"{where}.cell_index: expected a non-negative integer")
-        else:
+        elif not math.isnan(index):
             ops.append(AccessOp(op=kind, cell_index=index, **kw))
     _raise_if(errors, "schedule")
     return AccessSchedule(ops=tuple(ops))

@@ -3,7 +3,8 @@
 At the avoided-crossing fit's closest approach, mode frequencies and the
 coupling come from the fit's bare branches; decay rates come from complex
 roots of the isolated branches, the cavity's seeded by sc_mode_estimate();
-the gate-OFF coupling floor comes from the depleted-junction loop.
+the gate-OFF coupling floor comes from the complex zero of the cavity loop
+through the depleted junction, seeded the same way.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from .cell import MemoryCell, sc_branch_impedance, sc_mode_estimate, tcr_chain
 from .dynamics import TWO_PI, CoupledModeSystem
 from .jjfet import Off, josephson_inductance
 from .modemap import CrossingFit
-from .resonance import complex_zeros, find_root, up_crossing
+from .resonance import complex_zeros
 from .twoport import Load, chain_abcd, terminate
 
 
@@ -31,7 +32,8 @@ class ResidualCoupling:
 
     g_off : rad/s, residual coherent coupling used in OFF segments
     kappa_sc_ext : rad/s, cavity-feedline decay through the depleted path
-    kappa_a : rad/s, total coupler linewidth used for the inversion
+    gamma_off : rad/s, total decay of the OFF-state cavity loop, feedline
+        and depleted junction together (None when absent)
     f_sc : Hz, cavity loop resonance in the OFF state (None when absent)
     below_resolution : no resolvable cavity loop survives; g_off is then
         exactly 0 by derivation
@@ -39,7 +41,7 @@ class ResidualCoupling:
 
     g_off: float
     kappa_sc_ext: float
-    kappa_a: float
+    gamma_off: float | None
     f_sc: float | None
     below_resolution: bool
 
@@ -66,63 +68,48 @@ def _sc_loop_impedance(cell: MemoryCell, state, f, source: float):
     return back + sc_branch_impedance(cell, f)
 
 
-def _feedline_current_transfer(cell: MemoryCell, state, f0: float, source: float):
-    """|I_source / I_loop| through the depleted coupler at the loop node.
-
-    With unit loop current injected at the coupling node, the reciprocal
-    ABCD chain gives the current reaching the feedline termination as
-    I2 = a - c Z_back (determinant 1).
-    """
-    tp = chain_abcd(_back_chain(cell, state), f0)
-    z_back = terminate(tp, Load(source))
-    return abs(tp.a - tp.c * z_back)
-
-
 def off_state_residual_coupling(cell: MemoryCell, kappa_a: float) -> ResidualCoupling:
     """Residual TCR-SC coupling with the junction fully depleted.
 
     With the junction resistive the cavity's feedline dip is far below any
     practical sweep resolution (sub-1e-5 dB for a 1 kohm junction), so the
-    cavity's external decay rate is read off the circuit instead: at the
-    loop resonance (Im Z = 0 around the cavity loop) the fraction of loop
-    current reaching the matched feedline gives the power radiated into
-    the line, and for the series-RLC reduction of the loop
+    cavity's decay is read off the circuit instead: the complex zero f_z of
+    the impedance around the cavity loop, polished by complex_zeros() within
+    1% of sc_mode_estimate(), decays at Gamma_off = 4 pi Im f_z.  At
+    f0 = Re f_z, unit loop current injected at the coupling node reaches
+    the feedline termination as I_ext = a - c Z_back (reciprocal ABCD chain,
+    determinant 1), so the line takes the share
 
-        kappa_sc = |I_ext / I_loop|^2 * (z0 / 2) / L_eff,
-        L_eff = (dX/dw) / 2.
+        |I_ext / I_loop|^2 * (z0 / 2) / Re Z_loop(f0)
 
-    The reduced model reproduces that decay through a damped coupler when
-    4 g_off^2 / kappa_a = kappa_sc, hence g_off = sqrt(kappa_sc kappa_a)/2.
-    The loop resonance is bracketed within 1% of sc_mode_estimate().
+    of the loop's power, and kappa_sc_ext = Gamma_off * share.  The reduced
+    model reproduces that decay through a damped coupler when
+    4 g_off^2 / kappa_a = kappa_sc_ext, hence g_off = sqrt(kappa_sc_ext kappa_a)/2.
     Removing the path (c_couple -> 0, or an open junction) removes the
-    loop resonance or the current transfer and the result tends to zero.
+    loop zero or the current transfer and the result tends to zero.
     """
     state = Off(cell.jj.r_off)
+    below = ResidualCoupling(0.0, 0.0, None, None, True)
     try:
         f_est = sc_mode_estimate(cell)
     except CalibrationError:
         # no resolvable cavity branch (vanishing coupling capacitor)
-        return ResidualCoupling(0.0, 0.0, kappa_a, None, True)
+        return below
     source = cell.z0 / 2.0
-
-    def reactance(f):
-        return _sc_loop_impedance(cell, state, f, source).imag
-
-    (a,), (b,) = up_crossing(reactance, [f_est], (0.99, 1.01), 4001, depth=0)
-    if np.isnan(a):
-        return ResidualCoupling(0.0, 0.0, kappa_a, None, True)
-    f0 = float(find_root(reactance, a, b, "cavity loop", rtol=4 * np.finfo(float).eps))
-
-    transfer = _feedline_current_transfer(cell, state, f0, source)
-    df = 1e-6 * f0
-    dx_dw = (reactance(f0 + df) - reactance(f0 - df)) / (TWO_PI * 2.0 * df)
-    if dx_dw <= 0:
-        return ResidualCoupling(0.0, 0.0, kappa_a, None, True)
-    kappa_sc = transfer**2 * source / (0.5 * dx_dw)
+    f_z = complex_zeros(lambda f: _sc_loop_impedance(cell, state, f, source),
+                        f_est, 0.99 * f_est, 1.01 * f_est)
+    if np.isnan(f_z):
+        return below
+    f0 = float(f_z.real)
+    tp = chain_abcd(_back_chain(cell, state), f0)
+    z_back = terminate(tp, Load(source))
+    share = abs(tp.a - tp.c * z_back) ** 2 * source / (z_back + sc_branch_impedance(cell, f0)).real
+    gamma_off = 2.0 * TWO_PI * float(f_z.imag)
+    kappa_sc = gamma_off * share
     return ResidualCoupling(
         g_off=0.5 * math.sqrt(kappa_sc * kappa_a),
         kappa_sc_ext=kappa_sc,
-        kappa_a=kappa_a,
+        gamma_off=gamma_off,
         f_sc=f0,
         below_resolution=False,
     )

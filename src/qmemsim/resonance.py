@@ -16,6 +16,8 @@ which the crossing fit shares.  The seed alone is not the answer: the cell is
 not an exact Lorentzian, and the seed's Q values can be off by parts in 1e3.
 The circuit itself gives the same parameters as complex roots (Pozar,
 Microwave Engineering, 6.1): see complex_zeros() and peak_from_roots().
+Real roots are refined by find_root() inside brackets its callers supply;
+the calibration scans for its own.
 """
 from __future__ import annotations
 
@@ -105,37 +107,6 @@ def levenberg_marquardt(residuals, jacobian, p0):
             p, r = q, r_q
             mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * actual / predicted - 1.0) ** 3), 2.0
     return p, r, False
-
-
-def up_crossing(reactance, near, span, n_scan: int, depth: int = 6):
-    """Per row, the bracket (a, b) of the upward Im(Z) zero crossing nearest `near`.
-
-    reactance maps an (n, n_scan) grid over [span[0], span[1]] * near to
-    Im(Z), one row per entry of near.  Im(Z) rises with frequency and line
-    length except at its poles, where it falls from + to -: no bracket.  A
-    zero closer below its pole than one scan step (weak end coupling) hides
-    in a step where Im(Z) falls while negative; that step is rescanned, up
-    to `depth` times.  Rows without a crossing get nan.
-    """
-    near = np.asarray(near, dtype=float)
-    lo, hi, rows = span[0] * near, span[1] * near, np.arange(len(near))
-    a = b = np.full(near.shape, np.nan)
-    scanning = np.ones(near.shape, dtype=bool)
-    for _ in range(depth + 1):
-        s = np.linspace(lo, hi, n_scan, axis=-1)
-        x = reactance(s)
-        dist = np.abs(0.5 * (s[:, :-1] + s[:, 1:]) - near[:, None])
-        up = (x[:, :-1] < 0) & (x[:, 1:] >= 0)
-        hidden = (x[:, :-1] < 0) & (x[:, 1:] < x[:, :-1])
-        i = np.argmin(np.where(up, dist, np.inf), axis=1)
-        found = scanning & up.any(axis=1)
-        a, b = np.where(found, s[rows, i], a), np.where(found, s[rows, i + 1], b)
-        scanning &= ~found & hidden.any(axis=1)
-        if not scanning.any():
-            break
-        i = np.argmin(np.where(hidden, dist, np.inf), axis=1)
-        lo, hi = np.where(scanning, s[rows, i], lo), np.where(scanning, s[rows, i + 1], hi)
-    return a, b
 
 
 def notch_s21_model(f, f0, q_loaded, q_coupling):

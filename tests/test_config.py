@@ -156,6 +156,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"{where}: expected an object"):
             parse_config(raw)
 
+    def test_boolean_is_not_an_integer(self):
+        raw = minimal_raw()
+        raw["modemap"] = {"points": True}
+        with pytest.raises(ConfigError, match="modemap.points: expected an integer"):
+            parse_config(raw)
+
     def test_calibration_section(self):
         raw = minimal_raw()
         raw["calibration"] = {"f_sc": "6.55 GHz", "l_anchor": "220 pH", "q_c": 2000.0}
@@ -257,6 +263,10 @@ class TestLoadSchedule:
         ({"op": "write", "cell_index": 0, "rf_amplitude": float("nan")}, "ops[0].rf_amplitude"),
         ({"op": "write", "cell_index": 0, "start": "5 GHz"}, "ops[0].start"),
         ({"op": "write", "cell_index": 0, "banana": 1}, "banana"),
+        # JSON true is no cell 1
+        ({"op": "write", "cell_index": True}, "ops[0].cell_index: expected an integer"),
+        ({"op": "write", "cell_index": 1.0}, "ops[0].cell_index: expected an integer"),
+        ({"op": "write"}, "ops[0].cell_index: expected an integer"),
     ])
     def test_invalid_op_names_key(self, tmp_path, op, message):
         with pytest.raises(ConfigError) as err:

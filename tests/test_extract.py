@@ -9,12 +9,16 @@ from qmemsim.calibrate import isolated_sc_trace
 from qmemsim.dynamics import TWO_PI
 from qmemsim.extract import (
     ExtractionError,
+    _back_chain,
     _cavity_internal_rate,
+    _sc_loop_impedance,
     extract_coupled_mode_params,
     full_accumulation_inductance,
     off_state_residual_coupling,
 )
-from qmemsim.resonance import find_resonances
+from qmemsim.jjfet import Off
+from qmemsim.resonance import find_resonances, find_root
+from qmemsim.twoport import Load, chain_abcd, terminate
 from tests.conftest import ANCHOR, Q_C, TARGETS
 
 
@@ -53,10 +57,10 @@ class TestExtraction:
             _cavity_internal_rate(cell)
 
     def test_cavity_resolved_once(self, cell, crossing, chain_calls):
-        # both cavity rates polish from the closed-form estimate; a scan of
-        # the cavity branch for either rate would exceed the bound
+        # both cavity rates polish a complex root from the closed-form
+        # estimate; a scan of the cavity branch or loop would exceed the bound
         extract_coupled_mode_params(cell, crossing)
-        assert 0 < len(chain_calls) <= 36
+        assert 0 < len(chain_calls) <= 27
 
 
 class TestResidualCoupling:
@@ -66,6 +70,43 @@ class TestResidualCoupling:
         assert 0.0 < res.g_off < 1e-3 * cell_system.g_on
         assert res.kappa_sc_ext > 0.0
         assert res.f_sc == pytest.approx(TARGETS[0], rel=5e-3)
+
+    @pytest.mark.parametrize("r_off", [1e3, 1e4, 1e5, 1e6])
+    def test_loop_root_matches_series_rlc_reduction(self, cell, r_off):
+        # the reduction of the loop at its real resonance: L_eff = (dX/dw)/2
+        # from a central difference, loss R_loop / L_eff, and the share of
+        # the loop current reaching the line radiating into z0/2
+        cell = replace(cell, jj=replace(cell.jj, r_off=r_off))
+        state, source = Off(r_off), cell.z0 / 2.0
+
+        def loop(f):
+            return _sc_loop_impedance(cell, state, f, source)
+
+        res = off_state_residual_coupling(cell, kappa_a=1e7)
+        f0 = find_root(lambda f: loop(f).imag, 0.999 * res.f_sc, 1.001 * res.f_sc, "reference",
+                       rtol=4 * np.finfo(float).eps)
+        df = 1e-6 * f0
+        l_eff = 0.5 * (loop(f0 + df).imag - loop(f0 - df).imag) / (TWO_PI * 2.0 * df)
+        tp = chain_abcd(_back_chain(cell, state), f0)
+        transfer = abs(tp.a - tp.c * terminate(tp, Load(source)))
+        assert res.gamma_off == pytest.approx(loop(f0).real / l_eff, rel=1e-4)
+        assert res.kappa_sc_ext == pytest.approx(transfer**2 * source / l_eff, rel=1e-4)
+
+    @pytest.mark.parametrize("c_couple, below", [
+        (1e-25, True),  # the cavity estimate itself fails
+        (1e-24, True),  # no loop zero within 1% of the estimate
+        (1e-19, True),
+        (1e-18, False),  # the zero sits 1.4e-6 below the stub's quarter-wave pole
+        (3e-18, False),
+        (1e-17, False),
+        (1e-15, False),
+        (4e-14, False),
+    ])
+    def test_below_resolution_across_coupling(self, cell, c_couple, below):
+        res = off_state_residual_coupling(replace(cell, c_couple=c_couple), kappa_a=1e7)
+        assert res.below_resolution == below
+        assert (res.g_off == 0.0) == below
+        assert (res.gamma_off is None) == below
 
     def test_no_coupling_capacitor_means_no_path(self, cell):
         tiny = replace(cell, c_couple=1e-19)
@@ -80,7 +121,7 @@ class TestResidualCoupling:
 
     def test_purcell_inversion_consistency(self, cell):
         res = off_state_residual_coupling(cell, kappa_a=2e7)
-        assert 4.0 * res.g_off**2 / res.kappa_a == pytest.approx(res.kappa_sc_ext, rel=1e-9)
+        assert 4.0 * res.g_off**2 / 2e7 == pytest.approx(res.kappa_sc_ext, rel=1e-9)
 
 
 def test_full_accumulation_inductance(cell):

@@ -1,9 +1,11 @@
-"""Every root-find in the pipeline lands on a sign change of its own equation.
+"""Every root-find in the pipeline lands on a root of its own equation.
 
-Each case returns (fn, root, rtol): fn must change sign across
+Each real case returns (fn, root, rtol): fn must change sign across
 root * (1 -+ rtol), which bounds the root's error by its stated relative
 tolerance.  The analytic estimates are checked against their resonance
-equations written out independently here.
+equations written out independently here.  Each complex root, from every
+caller of complex_zeros, must sit where one more Newton step is below
+1e-12 relative.
 """
 import math
 from dataclasses import replace
@@ -11,11 +13,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qmemsim import calibrate, extract, modemap
 from qmemsim.calibrate import (
     SCAN_POINTS,
     CalibrationTargets,
     _tcr_branch_impedance,
     calibrate_geometry,
+    measure_isolated_tcr,
     sc_branch_resonance,
     tcr_branch_resonance,
 )
@@ -24,9 +28,8 @@ from qmemsim.cell import (
     sc_mode_estimate,
     tcr_mode_estimate,
 )
-from qmemsim.extract import _sc_loop_impedance, off_state_residual_coupling
-from qmemsim.jjfet import Off
-from qmemsim.modemap import fit_avoided_crossing, hybridized_map
+from qmemsim.extract import _cavity_internal_rate, off_state_residual_coupling
+from qmemsim.modemap import fit_avoided_crossing, hybridized_map, mode_map
 from qmemsim.twoport import C0
 from tests.conftest import ANCHOR, Q_C, TARGETS
 
@@ -68,13 +71,6 @@ def _tcr_branch(request):
             tcr_branch_resonance(cell, ANCHOR), 1e-9)
 
 
-def _residual_f_sc(request):
-    cell = request.getfixturevalue("cell")
-    state, source = Off(cell.jj.r_off), cell.z0 / 2.0
-    f_sc = off_state_residual_coupling(cell, kappa_a=1e7).f_sc
-    return (lambda f: _sc_loop_impedance(cell, state, f, source).imag, f_sc, 1e-9)
-
-
 def _narrow_crossing():
     """Fit of a closed-form map whose +-2g window lies inside the grid.
 
@@ -109,7 +105,6 @@ CASES = {
     "cell.tcr_mode_estimate": _tcr_estimate,
     "calibrate.sc_branch_resonance": _sc_branch,
     "calibrate.tcr_branch_resonance": _tcr_branch,
-    "extract.residual_f_sc": _residual_f_sc,
     "modemap.window_low": _crossing("low"),
     "modemap.l_cross": _crossing("cross"),
     "modemap.window_high": _crossing("high"),
@@ -121,6 +116,37 @@ def test_root_sits_on_sign_change(request, case):
     fn, root, rtol = CASES[case](request)
     below, above = fn(root * (1.0 - rtol)), fn(root * (1.0 + rtol))
     assert below * above <= 0, (below, above)
+
+
+# ------------------------- complex roots -------------------------
+
+
+COMPLEX_CASES = {
+    "extract.cavity_zero": (extract, _cavity_internal_rate),
+    "extract.off_loop_zero": (extract, lambda cell: off_state_residual_coupling(cell, 1e7)),
+    "calibrate.isolated_tcr_zero_and_pole": (calibrate,
+                                             lambda cell: measure_isolated_tcr(cell, ANCHOR)),
+    "modemap.rows": (modemap, lambda cell: mode_map(cell, np.array([200e-12, 240e-12]))),
+}
+
+
+@pytest.mark.parametrize("case", list(COMPLEX_CASES))
+def test_complex_root_is_newton_converged(cell, monkeypatch, case):
+    module, run = COMPLEX_CASES[case]
+    calls = []
+    real = module.complex_zeros
+
+    def record(fn, seeds, lo, hi):
+        calls.append((fn, real(fn, seeds, lo, hi)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(module, "complex_zeros", record)
+    run(cell)
+    (fn, roots), = calls
+    # a derivative step about 130x the solver's own
+    h = 1e-6 * roots.real
+    step = fn(roots) * (2.0 * h) / (fn(roots + h) - fn(roots - h))
+    assert np.all(np.abs(step) <= 1e-12 * np.abs(roots)), step / roots
 
 
 def test_crossing_point_on_bare_branch(crossing):
