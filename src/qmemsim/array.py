@@ -130,6 +130,8 @@ class AccessOp:
     def __post_init__(self):
         if self.op not in ("write", "read"):
             raise ValueError("op must be 'write' or 'read'")
+        if not isinstance(self.cell_index, int) or isinstance(self.cell_index, bool):
+            raise ValueError(f"cell_index must be an integer, got {self.cell_index!r}")
         if self.cell_index < 0:
             raise ValueError("cell_index must be non-negative")
 

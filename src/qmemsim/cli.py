@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 
@@ -54,15 +55,12 @@ class UsageError(ValueError):
     """Bad command-line arguments or inputs; exit code 1."""
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.11e}"
-
-
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
+def _write_csv(path, header, columns):
+    """CSV of equal-length columns: a float column as %.11e, any other as str."""
+    columns = [np.asarray(c) for c in columns]
+    line = ",".join("%.11e" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
+    values = tuple(chain.from_iterable(zip(*(c.tolist() for c in columns))))
+    text = ",".join(header) + "\n" + line * len(columns[0]) % values
     if path is None:
         sys.stdout.write(text)
     else:
@@ -72,8 +70,8 @@ def _write_csv(path, header, rows):
 
 def _write_trace_csv(path, freqs, s21):
     """Complex transmission trace: frequency, real, imaginary, |S21| in dB."""
-    rows = zip(freqs.tolist(), s21.real.tolist(), s21.imag.tolist(), db(s21).tolist())
-    _write_csv(path, ["f_hz", "re_s21", "im_s21", "abs_s21_db"], rows)
+    _write_csv(path, ["f_hz", "re_s21", "im_s21", "abs_s21_db"],
+               [freqs, s21.real, s21.imag, db(s21)])
 
 
 def _write_report(path, command: str, cfg: Config | None, summary: dict, warnings=()):
@@ -215,11 +213,7 @@ def _cmd_modemap(args, cfg: Config) -> int:
         if edge == end
     ]
     warnings += [f"row at l_j {l_j:.6g} H flagged: {reason}" for l_j, reason in mm.flagged]
-    _write_csv(
-        args.out,
-        ["l_j_h", "f_mode1_hz", "f_mode2_hz"],
-        mm.rows,
-    )
+    _write_csv(args.out, ["l_j_h", "f_mode1_hz", "f_mode2_hz"], [mm.l, mm.f1, mm.f2])
     _write_report(
         args.report, "modemap", cfg,
         {
@@ -228,7 +222,7 @@ def _cmd_modemap(args, cfg: Config) -> int:
             "f_cross_hz": fit.f_cross,
             "window_h": list(fit.window),
             "residual_rms_hz": fit.residual_rms,
-            "rows": len(mm.rows),
+            "rows": len(mm.l),
             "flagged": [{"l_j_h": l, "reason": r} for l, r in mm.flagged],
         },
         warnings,
@@ -259,13 +253,9 @@ def _cmd_swap(args, cfg: Config) -> int:
     const_g = replace(system, g_off=g_ang)
     dt = cfg.dynamics.dt_fraction_of_guard * max_stable_dt(const_g, pulses)
     traj = evolve(const_g, pulses, (0.0, 2.0 * t_swap), dt, a0=1.0, b0=0.0)
-    rows = zip(
-        traj.times.tolist(),
-        traj.a.real.tolist(), traj.a.imag.tolist(),
-        traj.b.real.tolist(), traj.b.imag.tolist(),
-        traj.e_a.tolist(), traj.e_b.tolist(),
-    )
-    _write_csv(args.out, ["t_s", "re_a", "im_a", "re_b", "im_b", "e_a", "e_b"], rows)
+    _write_csv(args.out, ["t_s", "re_a", "im_a", "re_b", "im_b", "e_a", "e_b"],
+               [traj.times, traj.a.real, traj.a.imag, traj.b.real, traj.b.imag,
+                traj.e_a, traj.e_b])
     i_swap = int(np.argmin(np.abs(traj.times - t_swap)))
     _write_report(
         args.report, "swap", cfg,
@@ -294,20 +284,16 @@ def _cmd_protocol(args, cfg: Config) -> int:
     schedule = load_schedule(args.schedule)
     array = _require_array(cfg)
     report = run_schedule(array, schedule, dt_fraction=cfg.dynamics.dt_fraction_of_guard)
+    ops = schedule.ops
     _write_csv(
         args.out,
         ["op_index", "op", "cell_index", "start_s", "fidelity"],
-        (
-            (i, op.op, op.cell_index, float(op.start), float(f))
-            for i, (op, f) in enumerate(zip(schedule.ops, report.fidelities))
-        ),
+        [range(len(ops)), [op.op for op in ops], [op.cell_index for op in ops],
+         [float(op.start) for op in ops], report.fidelities],
     )
     if report.crosstalk is not None:
-        _write_csv(
-            args.crosstalk_out,
-            [f"to_cell_{j}" for j in range(len(array))],
-            (tuple(float(x) for x in row) for row in report.crosstalk),
-        )
+        _write_csv(args.crosstalk_out, [f"to_cell_{j}" for j in range(len(array))],
+                   report.crosstalk.T)
     max_xtalk = (
         float(np.max(report.crosstalk[~np.eye(len(array), dtype=bool)]))
         if report.crosstalk is not None and len(array) > 1

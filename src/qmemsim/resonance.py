@@ -167,14 +167,17 @@ def _parabolic_vertex(x, y):
 
 
 def half_depth_window(db, i):
-    """Index range [lo, hi] where the dip stays below half its dB depth."""
+    """Index range [lo, hi] about the dip at i where the trace stays below half
+    its dB depth and does not fall again: the window stops at a saddle toward
+    a neighbouring dip, so a dip on another's skirt does not take in the other.
+    """
     half = db[i] / 2.0
     lo = i
-    while lo > 0 and db[lo - 1] < half:
+    while lo > 0 and half > db[lo - 1] >= db[lo]:
         lo -= 1
     hi = i
     n = len(db)
-    while hi < n - 1 and db[hi + 1] < half:
+    while hi < n - 1 and half > db[hi + 1] >= db[hi]:
         hi += 1
     return lo, hi
 
@@ -273,7 +276,10 @@ def find_resonances(freqs, s21, min_depth_db: float = 0.05):
     -------
     list of ResonancePeak, sorted by f0.  A flat trace yields an empty
     list.  A dip whose model fit fails is still reported, with f0 from
-    parabolic interpolation and the Q fields absent.
+    parabolic interpolation and the Q fields absent.  Each fit spans five
+    half-depth widths either side of its dip, and half_depth_window stops at
+    a saddle toward a neighbouring dip; a shallow dip on a deeper one's skirt
+    may still fail its fit and fall back this way.
     """
     freqs = np.asarray(freqs, dtype=float)
     s21 = np.asarray(s21, dtype=complex)

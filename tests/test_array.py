@@ -129,6 +129,12 @@ class TestSchedule:
         with pytest.raises(ValueError, match="out of range"):
             run_schedule(array, AccessSchedule(ops=(AccessOp(op="write", cell_index=9),)))
 
+    @pytest.mark.parametrize("index", [True, 1.0, "0", None, -1])
+    def test_non_integer_cell_index_rejected(self, index):
+        # True is no cell 1: protocol's CSV would print it as the cell
+        with pytest.raises(ValueError, match="cell_index"):
+            AccessOp(op="write", cell_index=index)
+
     def test_overlapping_ops_rejected(self, array, array_models):
         schedule = AccessSchedule(ops=(
             AccessOp(op="write", cell_index=0, start=0.0),

@@ -1,8 +1,14 @@
 """CLI surface: exit codes, CSV formats, determinism."""
+import contextlib
+import io
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmemsim import cli, dynamics
 from qmemsim.cli import main
@@ -25,6 +31,49 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+def _csv_per_row(header, columns):
+    """The per-row formatting that _write_csv replaced; kept as its reference."""
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns))
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{v:.11e}" if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+_special_floats = st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
+                                   -2.5e-310, 2.2250738585072014e-308, 1.7976931348623157e308])
+_column_kinds = {
+    # float columns as arrays, as the traces pass them; the rest as sequences
+    "float": lambda n: st.lists(st.one_of(_special_floats, st.floats()), min_size=n,
+                                max_size=n).map(lambda v: np.array(v, dtype=float)),
+    "int": lambda n: st.one_of(st.just(range(n)),
+                               st.lists(st.integers(-10**20, 10**20), min_size=n, max_size=n)),
+    "str": lambda n: st.lists(st.text(alphabet="abc%,-. 0e", max_size=5), min_size=n, max_size=n),
+}
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(sorted(_column_kinds)), min_size=1, max_size=6))
+    return [f"c{j}" for j in range(len(kinds))], [draw(_column_kinds[k](n)) for k in kinds]
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_tables())
+def test_write_csv_matches_per_row_formatting(table):
+    header, columns = table
+    expected = _csv_per_row(header, columns)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        cli._write_csv(path, header, columns)
+        assert path.read_bytes() == expected.encode()
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        cli._write_csv(None, header, columns)
+    assert stdout.getvalue() == expected
 
 
 class TestSeedConfig:

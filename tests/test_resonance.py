@@ -14,7 +14,9 @@ from qmemsim.resonance import (
     _linear_seed,
     _notch_jacobian,
     complex_zeros,
+    db,
     find_resonances,
+    half_depth_window,
     levenberg_marquardt,
     local_minima,
     notch_s21_model,
@@ -309,6 +311,61 @@ _levels = st.sampled_from([0.0, -0.01, -0.05, -0.5, -3.0, -20.0])
 def test_local_minima_matches_loop(db, min_depth_db):
     got = local_minima(np.array(db, dtype=float), min_depth_db)
     assert got.tolist() == _local_minima_loop(db, min_depth_db)
+
+
+def _half_depth_window_loop(db, i):
+    """The walk half_depth_window replaced, which ran on while the trace stayed
+    below half depth, past a saddle; kept as its reference on monotone skirts."""
+    half = db[i] / 2.0
+    lo = i
+    while lo > 0 and db[lo - 1] < half:
+        lo -= 1
+    hi = i
+    while hi < len(db) - 1 and db[hi + 1] < half:
+        hi += 1
+    return lo, hi
+
+
+@settings(deadline=None)
+@given(
+    ql=st.floats(10.0, 1e6),
+    ratio=st.floats(1.0, 1e3),
+    n=st.integers(7, 401),
+    span_lw=st.floats(0.5, 50.0),
+    shift=st.floats(-0.9, 0.9),
+)
+def test_half_depth_window_matches_loop_on_single_notch(ql, ratio, n, span_lw, shift):
+    f0 = 6.55e9
+    freqs = synth_grid(f0 * (1.0 + shift * span_lw / ql), ql, span_lw=span_lw, n=n)
+    trace = db(notch_s21_model(freqs, f0, ql, ql * ratio))
+    dips = local_minima(trace, 0.0)
+    if len(dips):
+        i = dips[np.argmin(trace[dips])]
+        assert half_depth_window(trace, i) == _half_depth_window_loop(trace, i)
+
+
+def test_half_depth_window_stops_at_saddle():
+    # a 0.03 dB dip on the skirt of a 1 dB, Q_l = 50 dip, as the seed cell's
+    # OFF spectrum has near 13.45 GHz: below half the shallow dip's depth all
+    # the way to the deep one, so a walk past the saddle takes in both
+    freqs = np.linspace(12e9, 16e9, 4001)
+    trace = db(notch_s21_model(freqs, 14.0e9, 50.0, 440.0)
+               * notch_s21_model(freqs, 13.45e9, 2000.0, 2000.0 / 0.003))
+    shallow, deep = local_minima(trace, 0.05)
+    assert freqs[shallow] == pytest.approx(13.45e9) and freqs[deep] == pytest.approx(14.0e9)
+    lo, hi = half_depth_window(trace, shallow)
+    assert not lo <= deep <= hi
+    assert trace[hi + 1] < trace[hi]  # the saddle
+
+
+def test_off_spectrum_fit_windows(monkeypatch, tmp_path):
+    # the 13.45 GHz dip on the 14 GHz mode's skirt once fitted the whole grid
+    calls = recorded_fits(monkeypatch, resonance)
+    seed = tmp_path / "seed.json"
+    assert main(["--seed-config", str(seed)]) == 0
+    assert main(["spectrum", str(seed), "--state", "off", "--out", str(tmp_path / "s.csv")]) == 0
+    points = sum(len(residuals(p0)) // 2 for residuals, _, p0, _ in calls)
+    assert 0 < points <= 8000
 
 
 def test_peak_validation():
