@@ -15,6 +15,7 @@ from .array import (
     AccessOp,
     AccessSchedule,
     MemoryArray,
+    ScheduleError,
     ScheduleReport,
     array_spectrum,
     build_array,

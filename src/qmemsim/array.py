@@ -134,11 +134,20 @@ class AccessOp:
             raise ValueError(f"cell_index must be an integer, got {self.cell_index!r}")
         if self.cell_index < 0:
             raise ValueError("cell_index must be non-negative")
+        for name in ("rf_carrier", "rf_duration"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
 class AccessSchedule:
     ops: tuple[AccessOp, ...] = ()
+
+
+class ScheduleError(ValueError):
+    """A schedule the array cannot run: a cell out of range, a carrier off
+    its cell or overlapping operations on one cell."""
 
 
 @dataclass(frozen=True)
@@ -196,12 +205,12 @@ def _validate_schedule(array: MemoryArray, schedule: AccessSchedule,
     windows: dict[int, list[tuple[float, float]]] = {}
     for op in schedule.ops:
         if op.cell_index >= len(array):
-            raise ValueError(f"cell_index {op.cell_index} out of range")
+            raise ScheduleError(f"cell_index {op.cell_index} out of range")
         carrier = op.rf_carrier
         if carrier is not None:
             offset = abs(carrier - array.targets[op.cell_index])
             if offset >= half_spacing:
-                raise ValueError(
+                raise ScheduleError(
                     f"op on cell {op.cell_index}: carrier {carrier:.6e} Hz is "
                     f"{offset:.3e} Hz off target, beyond half the cell spacing"
                 )
@@ -213,7 +222,7 @@ def _validate_schedule(array: MemoryArray, schedule: AccessSchedule,
         entries.sort()
         for (t0, e0), (t1, _) in zip(entries, entries[1:]):
             if t1 < e0 or t1 == t0:
-                raise ValueError(f"operations on cell {idx} must not overlap")
+                raise ScheduleError(f"operations on cell {idx} must not overlap")
 
 
 def _idle_deposit(model: _CellModel, drive, t_span, dt, dt_fraction) -> float:

@@ -4,8 +4,8 @@ Calibration pins three knobs at the target frequencies, each a root found
 by find_root (Chandrupatla's method, relative tolerance 1e-9):
 
   (i)   sc_len       -> Im Z of the isolated storage-cavity branch is 0 at f_sc
-  (ii)  tcr_half_len -> Im Z of the isolated TCR is 0 at f_tcr_on with the
-                        junction at the anchor inductance
+  (ii)  tcr_half_len -> Im Z of the isolated TCR is 0 at f_sc with the
+                        junction at the anchor inductance (the crossing)
   (iii) c_in         -> the isolated TCR's coupling quality factor, from its
                         complex roots, matches the q_c target (re-solving
                         (ii) for every trial)
@@ -47,24 +47,15 @@ class CalibrationTargets:
     f_sc : Hz, storage-cavity resonance
     l_anchor : henry, junction inductance at which the TCR must cross f_sc
     q_c : coupling quality factor of the TCR-feedline interface
-    f_tcr_on : Hz, TCR resonance at the anchor (defaults to f_sc, the
-        crossing condition)
     """
 
     f_sc: float
     l_anchor: float
     q_c: float
-    f_tcr_on: float | None = None
 
     def __post_init__(self):
         if min(self.f_sc, self.l_anchor, self.q_c) <= 0:
             raise ValueError("calibration targets must be positive")
-        if self.f_tcr_on is not None and self.f_tcr_on <= 0:
-            raise ValueError("f_tcr_on must be positive")
-
-    @property
-    def tcr_target(self) -> float:
-        return self.f_tcr_on if self.f_tcr_on is not None else self.f_sc
 
 
 # ------------------------- isolated branches -------------------------
@@ -163,9 +154,9 @@ def calibrate_cells(targets, seed: MemoryCell):
     carried over from the seed, and each one's isolated-TCR ResonancePeak at
     its anchor.  Raises CalibrationError naming a stage that fails.
     """
-    f_sc, f_tcr, l_anchor, q_c = (np.array([getattr(t, k) for t in targets], dtype=float)
-                                  for k in ("f_sc", "tcr_target", "l_anchor", "q_c"))
-    quarter, quarter_tcr = (seed.phase_velocity / (4.0 * f) for f in (f_sc, f_tcr))
+    f_sc, l_anchor, q_c = (np.array([getattr(t, k) for t in targets], dtype=float)
+                           for k in ("f_sc", "l_anchor", "q_c"))
+    quarter = seed.phase_velocity / (4.0 * f_sc)
     sc_len = _series_resonance(
         lambda l: sc_branch_impedance(replace(seed, sc_len=l), f_sc[:, None]).imag,
         quarter, (0.5, 1.5), SCAN_POINTS, "storage cavity length",
@@ -175,12 +166,12 @@ def calibrate_cells(targets, seed: MemoryCell):
         """Stage (ii) for input capacitors c_in, and the peaks it gives."""
         def reactance(h):
             trial = replace(seed, c_in=c_in[:, None], tcr_half_len=h)
-            return _tcr_branch_impedance(trial, l_anchor[:, None], f_tcr[:, None]).imag
+            return _tcr_branch_impedance(trial, l_anchor[:, None], f_sc[:, None]).imag
 
-        h = _series_resonance(reactance, quarter_tcr, (0.4, 1.2), SCAN_POINTS,
+        h = _series_resonance(reactance, quarter, (0.4, 1.2), SCAN_POINTS,
                               "coupling resonator length")
         trial = replace(seed, c_in=c_in[:, None], tcr_half_len=h[:, None])
-        return h, _isolated_tcr_peaks(trial, l_anchor[:, None], f_tcr)
+        return h, _isolated_tcr_peaks(trial, l_anchor[:, None], f_sc)
 
     def qc_err(log_c):
         return np.log10(np.array([p.q_coupling for p in solve(10.0 ** log_c)[1]]) / q_c)

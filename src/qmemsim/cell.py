@@ -149,21 +149,22 @@ def frequency_sweep(cell: MemoryCell, state: JjState, f_grid):
 
 # ------------------------- adaptive sweeps -------------------------
 
+STAGES = 3  #: refinement stages of adaptive_sweep
+REFINE = 10  #: factor each stage shrinks the local grid spacing by
+
 
 def adaptive_sweep(
     cell: MemoryCell,
     state: JjState,
     band,
     coarse_step: float = 2e6,
-    stages: int = 3,
-    refine: int = 10,
     detect_db: float = 0.01,
     focus=(),
 ):
     """Sweep a band with staged grid refinement around detected dips.
 
-    A coarse grid at `coarse_step` is refined `stages` times, each stage
-    shrinking the local spacing by `refine` around every local minimum
+    A coarse grid at `coarse_step` is refined STAGES times, each stage
+    shrinking the local spacing by REFINE around every local minimum
     deeper than `detect_db`.  `focus` entries (f_center, half_width, step)
     force dense windows independent of detection, for features too narrow
     for the coarse grid.
@@ -184,18 +185,16 @@ def adaptive_sweep(
         grid = np.union1d(grid, w[(w > lo) & (w < hi)])
     _, s21 = frequency_sweep(cell, state, grid)
 
-    step_now = coarse_step
-    for _ in range(stages):
+    step = coarse_step
+    for _ in range(STAGES):
         minima = local_minima(db(s21), detect_db)
         if len(minima) == 0:
             break
-        step_next = step_now / refine
+        step /= REFINE
         windows = []
         for i in minima:
-            span = 4.0 * max(
-                grid[min(i + 1, len(grid) - 1)] - grid[max(i - 1, 0)], step_next
-            )
-            windows.append(np.arange(grid[i] - span, grid[i] + span, step_next))
+            span = 4.0 * max(grid[min(i + 1, len(grid) - 1)] - grid[max(i - 1, 0)], step)
+            windows.append(np.arange(grid[i] - span, grid[i] + span, step))
         new = np.concatenate(windows)
         new = np.setdiff1d(new[(new > lo) & (new < hi)], grid)
         if len(new):
@@ -204,7 +203,6 @@ def adaptive_sweep(
             order = np.argsort(grid, kind="stable")
             grid = grid[order]
             s21 = np.concatenate([s21, s21_new])[order]
-        step_now = step_next
     return grid, s21
 
 

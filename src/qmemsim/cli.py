@@ -17,7 +17,7 @@ from itertools import chain
 import numpy as np
 
 from . import __version__
-from .array import build_array, array_spectrum, run_schedule
+from .array import ScheduleError, build_array, array_spectrum, run_schedule
 from .calibrate import (
     CalibrationError,
     calibrate_geometry,
@@ -410,7 +410,7 @@ def main(argv=None) -> int:
 
     try:
         return _COMMANDS[args.command](args, cfg)
-    except (UsageError, ConfigError, OSError) as exc:
+    except (UsageError, ConfigError, ScheduleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (CalibrationError, ExtractionError, ArithmeticError, ValueError) as exc:

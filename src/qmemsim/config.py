@@ -166,6 +166,8 @@ class SweepSettings:
     def __post_init__(self):
         if not self.band[0] < self.band[1]:
             raise ValueError("band lo must be below hi")
+        if not self.coarse_step > 0:
+            raise ValueError("coarse_step must be positive")
 
 
 @dataclass(frozen=True)
@@ -203,6 +205,10 @@ class Config:
     dynamics: DynamicsSettings = field(default_factory=DynamicsSettings)
     array_targets: tuple[float, ...] = ()
     array_q_c: float = 2000.0
+
+    def __post_init__(self):
+        if not self.array_q_c > 0:
+            raise ValueError("array q_c must be positive")
 
 
 #: the cell a config describes where its file leaves keys out
@@ -378,7 +384,6 @@ _CALIBRATION = (
     ("f_sc", "f_sc", "frequency"),
     ("l_anchor", "l_anchor", "inductance"),
     ("q_c", "q_c", None),
-    ("f_tcr_on", "f_tcr_on", "frequency"),
 )
 _SWEEP = (
     ("band", "band", _Custom(_read_band, _write_frequencies)),
@@ -487,7 +492,7 @@ def load_schedule(path) -> AccessSchedule:
         elif index < 0:
             errors.append(f"{where}.cell_index: expected a non-negative integer")
         elif not math.isnan(index):
-            ops.append(AccessOp(op=kind, cell_index=index, **kw))
+            ops.append(_build(AccessOp(op=kind, cell_index=index), kw, where, errors))
     _raise_if(errors, "schedule")
     return AccessSchedule(ops=tuple(ops))
 

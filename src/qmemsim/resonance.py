@@ -120,7 +120,8 @@ class ResonancePeak:
 
     f0 : Hz.  depth_db : positive dB depth of the dip below the unit
     baseline.  q_* fields are None when the Lorentzian fit did not
-    converge (f0 then comes from parabolic interpolation alone);
+    converge or landed off its own dip (f0 then comes from parabolic
+    interpolation alone);
     q_internal is None for a lossless resonance (Q_c ~ Q_l).
     """
 
@@ -257,10 +258,7 @@ def _fit_notch(f, s21, f0_init, ql_init, qc_init):
         residuals, lambda p: _notch_jacobian(p, f, f0_init), p0)
     if not (converged and _in_box(p)):
         return None
-    f0, ql, qc = p[0] * f0_init, 10.0 ** p[1], 10.0 ** p[2]
-    if not (f[0] <= f0 <= f[-1]):
-        return None
-    return f0, ql, qc
+    return p[0] * f0_init, 10.0 ** p[1], 10.0 ** p[2]
 
 
 def find_resonances(freqs, s21, min_depth_db: float = 0.05):
@@ -274,12 +272,14 @@ def find_resonances(freqs, s21, min_depth_db: float = 0.05):
 
     Returns
     -------
-    list of ResonancePeak, sorted by f0.  A flat trace yields an empty
-    list.  A dip whose model fit fails is still reported, with f0 from
-    parabolic interpolation and the Q fields absent.  Each fit spans five
-    half-depth widths either side of its dip, and half_depth_window stops at
-    a saddle toward a neighbouring dip; a shallow dip on a deeper one's skirt
-    may still fail its fit and fall back this way.
+    list of ResonancePeak, one per local minimum at least min_depth_db
+    deep, sorted by f0.  A flat trace yields an empty list.  Each fit spans
+    five half-depth widths either side of its dip and is kept only when its
+    f0 lands on its own dip: inside the dip's half_depth_window widened by
+    one sample, which stops at a saddle toward a neighbouring dip.  A dip
+    whose fit fails, or lands off its own dip (a shallow dip's fit drawn
+    onto a deeper neighbour), keeps its parabolic f0 with the Q fields
+    absent; no dip is merged into another.
     """
     freqs = np.asarray(freqs, dtype=float)
     s21 = np.asarray(s21, dtype=complex)
@@ -306,7 +306,7 @@ def find_resonances(freqs, s21, min_depth_db: float = 0.05):
         depth_lin = 1.0 - 10.0 ** (s21_db[i] / 20.0)
         qc_init = ql_init / min(max(depth_lin, 1e-6), 1.0)
         fit = _fit_notch(freqs[wlo:whi], s21[wlo:whi], f0_par, ql_init, qc_init)
-        if fit is None:
+        if fit is None or not freqs[max(lo - 1, 0)] <= fit[0] <= freqs[min(hi + 1, n - 1)]:
             peaks.append(ResonancePeak(f0=f0_par, depth_db=-s21_db[i]))
             continue
         f0, ql, qc = fit
@@ -319,17 +319,7 @@ def find_resonances(freqs, s21, min_depth_db: float = 0.05):
         )
 
     peaks.sort(key=lambda p: p.f0)
-    # merge duplicate detections of one physical dip (ripple on flat tops)
-    merged: list[ResonancePeak] = []
-    for p in peaks:
-        if merged and p.q_loaded and merged[-1].q_loaded:
-            lw = merged[-1].f0 / merged[-1].q_loaded
-            if abs(p.f0 - merged[-1].f0) < 0.5 * lw:
-                if p.depth_db > merged[-1].depth_db:
-                    merged[-1] = p
-                continue
-        merged.append(p)
-    return merged
+    return peaks
 
 
 def complex_zeros(fn, seeds, lo, hi):

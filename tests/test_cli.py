@@ -336,10 +336,20 @@ class TestErrorPaths:
 
 
 class TestProtocolCommand:
-    def test_schedule_validation_error(self, seed_path, tmp_path):
+    @pytest.mark.parametrize("ops", [
+        [{"op": "erase", "cell_index": 0}],
+        [{"op": "write", "cell_index": 9}],
+        [{"op": "write", "cell_index": 0, "rf_carrier": "7.5 GHz"}],
+        [{"op": "write", "cell_index": 0, "rf_carrier": "-1 GHz"}],
+        [{"op": "write", "cell_index": 0}, {"op": "read", "cell_index": 0}],
+        [{"op": "write", "cell_index": 0, "rf_duration": "0 ns"}],
+    ], ids=["unknown-op", "cell-out-of-range", "carrier-off-cell", "negative-carrier",
+            "overlapping-ops", "zero-duration"])
+    def test_schedule_validation_error(self, seed_path, tmp_path, capsys, ops):
         sched = tmp_path / "bad_sched.json"
-        sched.write_text(json.dumps({"ops": [{"op": "erase", "cell_index": 0}]}))
+        sched.write_text(json.dumps({"ops": ops}))
         assert main(["protocol", str(seed_path), str(sched)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_write_read_report(self, seed_path, tmp_path):
         sched = tmp_path / "sched.json"

