@@ -9,7 +9,7 @@ field off-resonantly, which quantifies crosstalk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
@@ -134,7 +134,7 @@ class AccessOp:
             raise ValueError(f"cell_index must be an integer, got {self.cell_index!r}")
         if self.cell_index < 0:
             raise ValueError("cell_index must be non-negative")
-        for name in ("rf_carrier", "rf_duration"):
+        for name in ("rf_carrier", "rf_amplitude", "rf_duration"):
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ValueError(f"{name} must be positive")
@@ -232,6 +232,40 @@ def _idle_deposit(model: _CellModel, drive, t_span, dt, dt_fraction) -> float:
     return float(np.max(traj.e_a))
 
 
+def _run_op(
+    op: AccessOp, models: list[_CellModel], dt_fraction: float
+) -> tuple[float, dict[int, float]]:
+    """One op's fidelity and its crosstalk ratios {j: deposit_j / deposit_i}.
+
+    The ratios are empty when the addressed cell took up no energy.
+    """
+    i = op.cell_index
+    sys_i = models[i].system
+
+    if op.op == "write":
+        rf, gate_at = _write_drive(op, sys_i)
+        result = write_protocol(sys_i, rf, gate_at=gate_at, dt_fraction=dt_fraction)
+        fidelity = result.fidelity
+        drive = rf
+    else:
+        result = read_protocol(sys_i, dt_fraction=dt_fraction)
+        fidelity = result.recovered_fraction
+        times, a_out = result.emitted
+        drive = SampledDrive(carrier=sys_i.omega_b / TWO_PI, times=times, values=a_out)
+
+    traj = result.trajectory
+    deposit_i = float(np.max(traj.e_a))
+    if deposit_i <= 0.0:
+        return fidelity, {}
+    t_span = (float(traj.times[0]), float(traj.times[-1]))
+    dt = float(np.max(np.diff(traj.times)))
+    ratios = {
+        j: _idle_deposit(model, drive, t_span, dt, dt_fraction) / deposit_i
+        for j, model in enumerate(models) if j != i
+    }
+    return fidelity, ratios
+
+
 def run_schedule(
     array: MemoryArray,
     schedule: AccessSchedule,
@@ -246,7 +280,8 @@ def run_schedule(
     reads) with its gate OFF.  Entries of the crosstalk matrix take the
     worst case over operations addressing the same cell.  Every cell
     steps at dt_fraction of its resolution guard, or at the addressed
-    cell's largest step if that is finer.
+    cell's largest step if that is finer.  Every op starts from an empty
+    cell, so repeated ops are integrated once and share their result.
     """
     _validate_schedule(array, schedule, None)
     if not schedule.ops:
@@ -259,36 +294,19 @@ def run_schedule(
     crosstalk = np.zeros((n, n))
     np.fill_diagonal(crosstalk, 1.0)
     fidelities = []
-
+    # no state carries over between ops, so two ops that differ only in
+    # start integrate the same trajectories; a schedule that carries state
+    # must add the carried cell state to this key
+    results: dict[AccessOp, tuple[float, dict[int, float]]] = {}
     for op in schedule.ops:
+        key = replace(op, start=0.0)
+        if key not in results:
+            results[key] = _run_op(op, models, dt_fraction)
+        fidelity, ratios = results[key]
+        fidelities.append(fidelity)
         i = op.cell_index
-        sys_i = models[i].system
-
-        if op.op == "write":
-            rf, gate_at = _write_drive(op, sys_i)
-            result = write_protocol(sys_i, rf, gate_at=gate_at, dt_fraction=dt_fraction)
-            fidelities.append(result.fidelity)
-            traj = result.trajectory
-            drive = rf
-        else:
-            result = read_protocol(sys_i, dt_fraction=dt_fraction)
-            fidelities.append(result.recovered_fraction)
-            traj = result.trajectory
-            times, a_out = result.emitted
-            drive = SampledDrive(
-                carrier=sys_i.omega_b / TWO_PI, times=times, values=a_out
-            )
-
-        deposit_i = float(np.max(traj.e_a))
-        if deposit_i <= 0.0:
-            continue
-        t_span = (float(traj.times[0]), float(traj.times[-1]))
-        dt = float(np.max(np.diff(traj.times)))
-        for j in range(n):
-            if j == i:
-                continue
-            deposit_j = _idle_deposit(models[j], drive, t_span, dt, dt_fraction)
-            crosstalk[i, j] = max(crosstalk[i, j], deposit_j / deposit_i)
+        for j, ratio in ratios.items():
+            crosstalk[i, j] = max(crosstalk[i, j], ratio)
 
     return ScheduleReport(fidelities=tuple(fidelities), crosstalk=crosstalk)
 

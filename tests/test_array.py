@@ -1,7 +1,10 @@
 """Multiplexed array: composition, addressing, crosstalk, scheduling."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from qmemsim import array as array_module, dynamics
 from qmemsim.array import (
     AccessOp,
     AccessSchedule,
@@ -80,6 +83,21 @@ class TestArraySpectrum:
     def test_state_count_must_match(self, array):
         with pytest.raises(ValueError):
             array_spectrum(array, [On(ANCHOR)], np.linspace(6e9, 7e9, 11))
+
+
+@pytest.fixture
+def evolve_calls(monkeypatch):
+    """Every dynamics.evolve call made during the test, addressed or idle."""
+    calls = []
+    original = dynamics.evolve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "evolve", counted)
+    monkeypatch.setattr(array_module, "evolve", counted)
+    return calls
 
 
 class TestSchedule:
@@ -165,6 +183,45 @@ class TestSchedule:
         ))
         with pytest.raises(ValueError, match="must not overlap"):
             run_schedule(array, schedule, models=array_models)
+
+
+class TestRepeatedOps:
+    @staticmethod
+    def spaced(*ops):
+        """The ops in order, 5 us apart; every op ends within 2 us."""
+        return AccessSchedule(ops=tuple(
+            replace(op, start=k * 5e-6) for k, op in enumerate(ops)))
+
+    def test_matches_each_op_run_alone(self, array, array_models):
+        w0, r0, w1, w2, r2 = (AccessOp(op=kind, cell_index=i) for kind, i in (
+            ("write", 0), ("read", 0), ("write", 1), ("write", 2), ("read", 2)))
+        schedule = self.spaced(w0, w2, r0, w1, r2, w0, w2, r0, r2)
+        report = run_schedule(array, schedule, models=array_models)
+        expected = np.zeros((4, 4))
+        np.fill_diagonal(expected, 1.0)
+        fidelities = []
+        for op in schedule.ops:
+            alone = run_schedule(array, AccessSchedule(ops=(op,)), models=array_models)
+            fidelities.append(alone.fidelities[0])
+            i = op.cell_index
+            expected[i] = np.maximum(expected[i], alone.crosstalk[i])
+        assert report.fidelities == tuple(fidelities)
+        assert np.array_equal(report.crosstalk, expected)
+
+    def test_each_distinct_op_integrates_once(self, array, array_models, evolve_calls):
+        # one addressed evolve plus three idle neighbours per distinct op
+        w0, r0 = AccessOp(op="write", cell_index=0), AccessOp(op="read", cell_index=0)
+        run_schedule(array, self.spaced(w0, r0, w0, r0), models=array_models)
+        assert len(evolve_calls) == 8
+
+    def test_ops_differing_beyond_start_are_not_merged(self, array, array_models,
+                                                       evolve_calls):
+        pulse = 24.0 / array_models[0].system.kappa_ext
+        run_schedule(array, self.spaced(
+            AccessOp(op="write", cell_index=0, rf_duration=pulse),
+            AccessOp(op="write", cell_index=0, rf_duration=0.8 * pulse),
+        ), models=array_models)
+        assert len(evolve_calls) == 8
 
 
 class TestValidation:

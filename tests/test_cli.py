@@ -343,8 +343,10 @@ class TestProtocolCommand:
         [{"op": "write", "cell_index": 0, "rf_carrier": "-1 GHz"}],
         [{"op": "write", "cell_index": 0}, {"op": "read", "cell_index": 0}],
         [{"op": "write", "cell_index": 0, "rf_duration": "0 ns"}],
+        [{"op": "write", "cell_index": 0, "rf_amplitude": 0}],
+        [{"op": "write", "cell_index": 0, "rf_amplitude": -1.0}],
     ], ids=["unknown-op", "cell-out-of-range", "carrier-off-cell", "negative-carrier",
-            "overlapping-ops", "zero-duration"])
+            "overlapping-ops", "zero-duration", "zero-amplitude", "negative-amplitude"])
     def test_schedule_validation_error(self, seed_path, tmp_path, capsys, ops):
         sched = tmp_path / "bad_sched.json"
         sched.write_text(json.dumps({"ops": ops}))
