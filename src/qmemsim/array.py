@@ -200,7 +200,7 @@ def _op_duration(op: AccessOp, system: CoupledModeSystem) -> float:
 
 
 def _validate_schedule(array: MemoryArray, schedule: AccessSchedule,
-                       models: list["_CellModel"] | None):
+                       models: list["_CellModel"]):
     half_spacing = array.min_spacing / 2.0
     windows: dict[int, list[tuple[float, float]]] = {}
     for op in schedule.ops:
@@ -214,9 +214,7 @@ def _validate_schedule(array: MemoryArray, schedule: AccessSchedule,
                     f"op on cell {op.cell_index}: carrier {carrier:.6e} Hz is "
                     f"{offset:.3e} Hz off target, beyond half the cell spacing"
                 )
-        duration = (
-            _op_duration(op, models[op.cell_index].system) if models else 0.0
-        )
+        duration = _op_duration(op, models[op.cell_index].system)
         windows.setdefault(op.cell_index, []).append((op.start, op.start + duration))
     for idx, entries in windows.items():
         entries.sort()
@@ -250,8 +248,8 @@ def _run_op(
     else:
         result = read_protocol(sys_i, dt_fraction=dt_fraction)
         fidelity = result.recovered_fraction
-        times, a_out = result.emitted
-        drive = SampledDrive(carrier=sys_i.omega_b / TWO_PI, times=times, values=a_out)
+        drive = SampledDrive(carrier=sys_i.omega_b / TWO_PI, times=result.trajectory.times,
+                             values=result.trajectory.a_out)
 
     traj = result.trajectory
     deposit_i = float(np.max(traj.e_a))
@@ -283,7 +281,6 @@ def run_schedule(
     cell's largest step if that is finer.  Every op starts from an empty
     cell, so repeated ops are integrated once and share their result.
     """
-    _validate_schedule(array, schedule, None)
     if not schedule.ops:
         return ScheduleReport(fidelities=(), crosstalk=None)
     if models is None:

@@ -151,6 +151,7 @@ def frequency_sweep(cell: MemoryCell, state: JjState, f_grid):
 
 STAGES = 3  #: refinement stages of adaptive_sweep
 REFINE = 10  #: factor each stage shrinks the local grid spacing by
+OFF_BAND = (1e9, 16e9)  #: Hz, band of the gate-OFF spectrum
 
 
 def adaptive_sweep(
@@ -159,15 +160,15 @@ def adaptive_sweep(
     band,
     coarse_step: float = 2e6,
     detect_db: float = 0.01,
-    focus=(),
 ):
     """Sweep a band with staged grid refinement around detected dips.
 
     A coarse grid at `coarse_step` is refined STAGES times, each stage
     shrinking the local spacing by REFINE around every local minimum
-    deeper than `detect_db`.  `focus` entries (f_center, half_width, step)
-    force dense windows independent of detection, for features too narrow
-    for the coarse grid.
+    deeper than `detect_db`.  With the junction Off, the storage cavity
+    is a feature too narrow for the coarse grid: when its
+    :func:`sc_mode_estimate` lies inside the band, the grid also holds
+    2 kHz steps within 5 MHz of it, independent of detection.
 
     Each frequency is evaluated once: a stage sweeps only the points it
     adds and merges them into the grid, so s21 equals a single
@@ -180,9 +181,11 @@ def adaptive_sweep(
         raise ValueError("band must satisfy 0 < lo < hi")
     n = max(int(round((hi - lo) / coarse_step)), 8)
     grid = np.linspace(lo, hi, n + 1)
-    for f_c, half, step in focus:
-        w = np.arange(f_c - half, f_c + half + step / 2, step)
-        grid = np.union1d(grid, w[(w > lo) & (w < hi)])
+    if isinstance(state, Off):
+        f_sc = sc_mode_estimate(cell)
+        if lo < f_sc < hi:
+            w = np.arange(f_sc - 5e6, f_sc + 5e6 + 1e3, 2e3)
+            grid = np.union1d(grid, w[(w > lo) & (w < hi)])
     _, s21 = frequency_sweep(cell, state, grid)
 
     step = coarse_step
@@ -252,20 +255,13 @@ def tcr_mode_estimate(cell: MemoryCell, l_j):
 def off_state_spectrum(cell: MemoryCell, min_depth_db: float = 0.01):
     """Resonances of the cell with the junction fully depleted.
 
-    Sweeps 1-16 GHz with the junction as Off(r_off); the split-TCR modes
-    appear near twice the ON-state TCR frequency, and the storage cavity
-    survives as a strongly undercoupled narrow feature that needs a
-    focused window to resolve.
+    Sweeps OFF_BAND (1-16 GHz) with the junction as Off(r_off); the
+    split-TCR modes appear near twice the ON-state TCR frequency, and the
+    storage cavity survives as a strongly undercoupled narrow feature,
+    resolved by the window :func:`adaptive_sweep` places around it.
 
     Returns (peaks, (freqs, s21)).
     """
-    state, band = Off(cell.jj.r_off), (1e9, 16e9)
-    focus = []
-    f_sc = sc_mode_estimate(cell)
-    if band[0] < f_sc < band[1]:
-        focus.append((f_sc, 5e6, 2e3))
-    freqs, s21 = adaptive_sweep(
-        cell, state, band, detect_db=min_depth_db / 2, focus=focus
-    )
+    freqs, s21 = adaptive_sweep(cell, Off(cell.jj.r_off), OFF_BAND, detect_db=min_depth_db / 2)
     peaks = find_resonances(freqs, s21, min_depth_db=min_depth_db)
     return peaks, (freqs, s21)

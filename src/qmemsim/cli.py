@@ -25,7 +25,7 @@ from .calibrate import (
     sc_branch_resonance,
     tcr_branch_resonance,
 )
-from .cell import adaptive_sweep, off_state_spectrum
+from .cell import OFF_BAND, adaptive_sweep
 from .config import (
     Config,
     ConfigError,
@@ -55,11 +55,18 @@ class UsageError(ValueError):
     """Bad command-line arguments or inputs; exit code 1."""
 
 
+def _is_float_column(c) -> bool:
+    # a list's values, not np.asarray: numpy reads ints beyond int64 as floats
+    if isinstance(c, np.ndarray):
+        return c.dtype.kind == "f"
+    return all(isinstance(v, float) for v in c)
+
+
 def _write_csv(path, header, columns):
     """CSV of equal-length columns: a float column as %.11e, any other as str."""
-    columns = [np.asarray(c) for c in columns]
-    line = ",".join("%.11e" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
-    values = tuple(chain.from_iterable(zip(*(c.tolist() for c in columns))))
+    line = ",".join("%.11e" if _is_float_column(c) else "%s" for c in columns) + "\n"
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    values = tuple(chain.from_iterable(zip(*columns)))
     text = ",".join(header) + "\n" + line * len(columns[0]) % values
     if path is None:
         sys.stdout.write(text)
@@ -97,9 +104,9 @@ def _parse_arg_quantity(text: str, family: str, what: str) -> float:
     return value
 
 
-def _parse_band(text: str | None, cfg: Config):
+def _parse_band(text: str | None, default):
     if text is None:
-        return cfg.sweep.band
+        return default
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError("--band expects 'lo,hi' (e.g. 5.8GHz,7.4GHz)")
@@ -170,17 +177,12 @@ def _cmd_calibrate(args, cfg: Config) -> int:
 
 def _cmd_spectrum(args, cfg: Config) -> int:
     state = _parse_state(args.state, cfg)
-    band = _parse_band(args.band, cfg)
-    if isinstance(state, Off) and args.band is None:
-        peaks, (freqs, s21) = off_state_spectrum(
-            cfg.cell, min_depth_db=cfg.sweep.min_depth_db
-        )
-    else:
-        freqs, s21 = adaptive_sweep(
-            cfg.cell, state, band, coarse_step=cfg.sweep.coarse_step,
-            detect_db=cfg.sweep.min_depth_db / 2,
-        )
-        peaks = find_resonances(freqs, s21, min_depth_db=cfg.sweep.min_depth_db)
+    band = _parse_band(args.band, OFF_BAND if isinstance(state, Off) else cfg.sweep.band)
+    freqs, s21 = adaptive_sweep(
+        cfg.cell, state, band, coarse_step=cfg.sweep.coarse_step,
+        detect_db=cfg.sweep.min_depth_db / 2,
+    )
+    peaks = find_resonances(freqs, s21, min_depth_db=cfg.sweep.min_depth_db)
     _write_trace_csv(args.out, freqs, s21)
     _write_report(args.report, "spectrum", cfg, {"peaks": _peak_summary(peaks)},
                   _fit_fallback_warnings(peaks))
@@ -308,7 +310,7 @@ def _cmd_protocol(args, cfg: Config) -> int:
 
 def _cmd_array_spectrum(args, cfg: Config) -> int:
     array = _require_array(cfg)
-    band = _parse_band(args.band, cfg)
+    band = _parse_band(args.band, cfg.sweep.band)
     if args.state == "on":
         states = [On(_array_anchor(cfg)) for _ in array.cells]
     elif args.state == "off":

@@ -456,7 +456,6 @@ class WriteResult:
 @dataclass(frozen=True)
 class ReadResult:
     recovered_fraction: float
-    emitted: tuple[np.ndarray, np.ndarray]
     trajectory: Trajectory
 
 
@@ -523,8 +522,4 @@ def read_protocol(system: CoupledModeSystem, dt_fraction: float = 0.25) -> ReadR
     traj = evolve(system, pulses, (0.0, read_duration(system)), dt, a0=0.0, b0=1.0)
     emitted_power = np.abs(traj.a_out) ** 2
     recovered = float(np.trapezoid(emitted_power, traj.times))
-    return ReadResult(
-        recovered_fraction=recovered,
-        emitted=(traj.times, traj.a_out),
-        trajectory=traj,
-    )
+    return ReadResult(recovered_fraction=recovered, trajectory=traj)

@@ -134,12 +134,19 @@ class TestSweeps:
         assert len(evaluated) > 1  # the refinement stages ran
         assert sum(evaluated) == len(freqs)
 
+    def test_off_sweep_resolves_the_storage_cavity(self, monkeypatch):
+        cell = make_cell()
+        f_sc = sc_mode_estimate(cell)
+        window = np.arange(f_sc - 5e6, f_sc + 5e6 + 1e3, 2e3)
+        freqs, _ = adaptive_sweep(cell, Off(1000.0), (6.0e9, 7.2e9))
+        assert np.isin(window, freqs).all()
 
-_focus = st.tuples(
-    st.floats(6.0e9, 7.0e9),  # centre
-    st.floats(1e5, 5e6),      # half width
-    st.floats(2e3, 2e5),      # step
-).filter(lambda w: w[1] / w[2] <= 500)
+        def no_estimate(cell):
+            raise AssertionError("an ON sweep needs no storage-cavity estimate")
+
+        monkeypatch.setattr(cell_module, "sc_mode_estimate", no_estimate)
+        freqs, _ = adaptive_sweep(cell, On(220e-12), (6.0e9, 7.2e9))
+        assert not np.isin(window, freqs).any()
 
 
 @settings(max_examples=25, deadline=None)
@@ -147,11 +154,10 @@ _focus = st.tuples(
     lo=st.floats(5.6e9, 6.6e9),
     width=st.floats(5e7, 1.2e9),
     state=st.one_of(st.floats(10e-12, 500e-12).map(On), st.just(Off(1000.0))),
-    focus=st.lists(_focus, max_size=2),
 )
-def test_adaptive_sweep_matches_one_sweep_of_its_grid(lo, width, state, focus):
+def test_adaptive_sweep_matches_one_sweep_of_its_grid(lo, width, state):
     cell = make_cell(line_atten=5e-4)
-    freqs, s21 = adaptive_sweep(cell, state, (lo, lo + width), focus=focus)
+    freqs, s21 = adaptive_sweep(cell, state, (lo, lo + width))
     _, ref = frequency_sweep(cell, state, freqs)
     assert s21.tobytes() == ref.tobytes()
 

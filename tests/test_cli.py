@@ -8,11 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qmemsim import cli, dynamics
 from qmemsim.cli import main
-from qmemsim.config import config_to_dict, example_config
+from qmemsim.cell import sc_mode_estimate
+from qmemsim.config import config_to_dict, example_config, load_config
 from qmemsim.extract import full_accumulation_inductance
 from qmemsim.modemap import hybridized_map
 from qmemsim.resonance import ResonancePeak
@@ -63,6 +64,7 @@ def _tables(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(table=_tables())
+@example(table=(["c0"], [[0, 2**63]]))  # numpy reads this list as float64
 def test_write_csv_matches_per_row_formatting(table):
     header, columns = table
     expected = _csv_per_row(header, columns)
@@ -125,6 +127,25 @@ class TestSpectrumCommand:
             f"peak at {f:.5e} Hz: notch fit failed; f0 from parabolic interpolation"
             for f in unfit
         ]
+
+    def test_off_state_steps_at_the_coarse_step(self, seed_path, tmp_path):
+        raw = json.loads(seed_path.read_text())
+        rows = []
+        for step in ("0.002 GHz", "0.004 GHz"):
+            raw["sweep"]["coarse_step"] = step
+            cfg, out = tmp_path / "cfg.json", tmp_path / "off.csv"
+            cfg.write_text(json.dumps(raw))
+            assert main(["spectrum", str(cfg), "--state", "off", "--out", str(out)]) == 0
+            rows.append(len(read_csv(out)[1]))
+        assert rows[0] > rows[1]
+
+    def test_off_state_band_keeps_the_cavity_window(self, seed_path, tmp_path):
+        out = tmp_path / "off.csv"
+        assert main(["spectrum", str(seed_path), "--state", "off", "--band", "6.4GHz,6.7GHz",
+                     "--out", str(out)]) == 0
+        freqs = np.array([float(row[0]) for row in read_csv(out)[1]])
+        f_sc = sc_mode_estimate(load_config(seed_path).cell)
+        assert np.count_nonzero(np.abs(freqs - f_sc) <= 5e6) >= 5000
 
     def test_bad_state_argument(self, seed_path):
         assert main(["spectrum", str(seed_path), "--state", "on:220"]) == 1

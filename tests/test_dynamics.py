@@ -552,7 +552,7 @@ class TestReadProtocol:
             omega_a=W0, omega_b=W0, kappa_ext=TWO_PI * 5e6, g_on=TWO_PI * 300e6
         )
         result = read_protocol(sys_)
-        times, a_out = result.emitted
+        times, a_out = result.trajectory.times, result.trajectory.a_out
         drive = SampledDrive(carrier=W0 / TWO_PI, times=times, values=a_out)
         assert drive.baseband(times[3]) == pytest.approx(a_out[3])
         assert drive.baseband(times[-1] + 1.0) == 0.0
