@@ -38,7 +38,6 @@ from .cell import (
     frequency_sweep,
     off_state_spectrum,
     sc_mode_estimate,
-    sc_stub_impedance,
     tcr_mode_estimate,
 )
 from .dynamics import (
@@ -96,13 +95,10 @@ from .twoport import (
     SHORT,
     Element,
     LineSection,
-    Load,
-    Open,
     SeriesCapacitor,
     SeriesImpedance,
     SParams,
     ShuntAdmittance,
-    Short,
     TwoPort,
     cascade,
     chain_abcd,

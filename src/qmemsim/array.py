@@ -156,11 +156,11 @@ class ScheduleReport:
 
     crosstalk[i][j] is the peak energy deposited in cell j's coupler while
     addressing cell i, normalized to the addressed cell's own peak; the
-    diagonal is 1 by normalization.  None when the schedule was empty.
+    diagonal is 1 by normalization, so an empty schedule gives the identity.
     """
 
     fidelities: tuple[float, ...]
-    crosstalk: np.ndarray | None
+    crosstalk: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -281,15 +281,13 @@ def run_schedule(
     cell's largest step if that is finer.  Every op starts from an empty
     cell, so repeated ops are integrated once and share their result.
     """
+    crosstalk = np.eye(len(array))
     if not schedule.ops:
-        return ScheduleReport(fidelities=(), crosstalk=None)
+        return ScheduleReport(fidelities=(), crosstalk=crosstalk)
     if models is None:
         models = _cell_models(array)
     _validate_schedule(array, schedule, models)
 
-    n = len(array)
-    crosstalk = np.zeros((n, n))
-    np.fill_diagonal(crosstalk, 1.0)
     fidelities = []
     # no state carries over between ops, so two ops that differ only in
     # start integrate the same trajectories; a schedule that carries state

@@ -35,7 +35,7 @@ from .cell import (
 )
 from .jjfet import On
 from .resonance import CalibrationError, ResonancePeak, complex_zeros, find_root, peak_from_roots
-from .twoport import SHORT, chain_abcd, notch_s21, terminate
+from .twoport import SHORT, input_impedance, notch_s21
 
 SCAN_POINTS = 200  #: points per row of the at-target sc_len and tcr_half_len scans
 
@@ -63,7 +63,7 @@ class CalibrationTargets:
 
 def _tcr_branch_impedance(cell: MemoryCell, l_j, f):
     """Isolated TCR branch seen from the feedline tap (SC node grounded)."""
-    return terminate(chain_abcd(tcr_chain(cell, On(l_j)), f), SHORT)
+    return input_impedance(tcr_chain(cell, On(l_j)), SHORT, f)
 
 
 def _series_resonance(reactance, near, span, n_scan: int, stage: str):

@@ -23,12 +23,10 @@ from .twoport import (
     SHORT,
     C0,
     LineSection,
-    Load,
     SeriesCapacitor,
     SeriesImpedance,
-    chain_abcd,
+    input_impedance,
     notch_s21,
-    terminate,
 )
 
 
@@ -99,11 +97,6 @@ def tcr_chain(cell: MemoryCell, state: JjState) -> list:
     ]
 
 
-def sc_stub_impedance(cell: MemoryCell, f):
-    """Input impedance of the shorted storage-cavity stub at f (Hz)."""
-    return terminate(chain_abcd([cell.line(cell.sc_len)], f), SHORT)
-
-
 def sc_branch_impedance(cell: MemoryCell, f):
     """Storage-cavity branch (coupling capacitor + shorted stub), ohm.
 
@@ -111,19 +104,18 @@ def sc_branch_impedance(cell: MemoryCell, f):
     it is the isolated cavity branch of calibration; in series with the
     depleted coupler it closes the gate-OFF cavity loop.
     """
-    chain = [SeriesCapacitor(cell.c_couple), cell.line(cell.sc_len)]
-    return terminate(chain_abcd(chain, f), SHORT)
+    return input_impedance([SeriesCapacitor(cell.c_couple), cell.line(cell.sc_len)], SHORT, f)
 
 
 def cell_shunt_impedance(cell: MemoryCell, state: JjState, f):
     """Impedance (ohm) of the full cell branch seen from the feedline tap.
 
-    The branch is the TCR chain terminated by the SC stub input impedance.
-    An infinite stub impedance (ideal lossless stub exactly at resonance)
-    propagates through the analytic open-termination limit.
+    The branch is the TCR chain terminated by the shorted SC stub's input
+    impedance.  An infinite stub impedance (ideal lossless stub exactly at
+    resonance) propagates through the analytic open-termination limit.
     """
-    stub = sc_stub_impedance(cell, f)
-    return terminate(chain_abcd(tcr_chain(cell, state), f), Load(stub))
+    stub = input_impedance([cell.line(cell.sc_len)], SHORT, f)
+    return input_impedance(tcr_chain(cell, state), stub, f)
 
 
 def frequency_sweep(cell: MemoryCell, state: JjState, f_grid):

@@ -112,8 +112,8 @@ def _parse_band(text: str | None, default):
         raise UsageError("--band expects 'lo,hi' (e.g. 5.8GHz,7.4GHz)")
     lo = _parse_arg_quantity(parts[0], "frequency", "--band lo")
     hi = _parse_arg_quantity(parts[1], "frequency", "--band hi")
-    if not lo < hi:
-        raise UsageError("--band requires lo < hi")
+    if not 0 < lo < hi:
+        raise UsageError("--band requires 0 < lo < hi")
     return lo, hi
 
 
@@ -122,6 +122,8 @@ def _parse_state(text: str, cfg: Config):
         return Off(cfg.cell.jj.r_off)
     if text.startswith("on:"):
         l_j = _parse_arg_quantity(text[3:], "inductance", "--state on:<L>")
+        if not l_j > 0:
+            raise UsageError("--state on:<L> requires L > 0")
         return On(l_j)
     raise UsageError("--state expects 'on:<L>' (e.g. on:220pH) or 'off'")
 
@@ -293,12 +295,11 @@ def _cmd_protocol(args, cfg: Config) -> int:
         [range(len(ops)), [op.op for op in ops], [op.cell_index for op in ops],
          [float(op.start) for op in ops], report.fidelities],
     )
-    if report.crosstalk is not None:
-        _write_csv(args.crosstalk_out, [f"to_cell_{j}" for j in range(len(array))],
-                   report.crosstalk.T)
+    _write_csv(args.crosstalk_out, [f"to_cell_{j}" for j in range(len(array))],
+               report.crosstalk.T)
     max_xtalk = (
         float(np.max(report.crosstalk[~np.eye(len(array), dtype=bool)]))
-        if report.crosstalk is not None and len(array) > 1
+        if len(array) > 1
         else 0.0
     )
     _write_report(
@@ -309,14 +310,14 @@ def _cmd_protocol(args, cfg: Config) -> int:
 
 
 def _cmd_array_spectrum(args, cfg: Config) -> int:
-    array = _require_array(cfg)
+    if args.state not in ("on", "off"):
+        raise UsageError("--state expects 'on' or 'off'")
     band = _parse_band(args.band, cfg.sweep.band)
+    array = _require_array(cfg)
     if args.state == "on":
         states = [On(_array_anchor(cfg)) for _ in array.cells]
-    elif args.state == "off":
-        states = [Off(c.jj.r_off) for c in array.cells]
     else:
-        raise UsageError("--state expects 'on' or 'off'")
+        states = [Off(c.jj.r_off) for c in array.cells]
     step = cfg.sweep.coarse_step / 4.0
     n = max(int(round((band[1] - band[0]) / step)), 8)
     grid = np.linspace(band[0], band[1], n + 1)

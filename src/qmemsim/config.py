@@ -164,8 +164,8 @@ class SweepSettings:
     min_depth_db: float = 0.01
 
     def __post_init__(self):
-        if not self.band[0] < self.band[1]:
-            raise ValueError("band lo must be below hi")
+        if not 0 < self.band[0] < self.band[1]:
+            raise ValueError("band requires 0 < lo < hi")
         if not self.coarse_step > 0:
             raise ValueError("coarse_step must be positive")
 

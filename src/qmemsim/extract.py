@@ -19,7 +19,7 @@ from .dynamics import TWO_PI, CoupledModeSystem
 from .jjfet import Off, josephson_inductance
 from .modemap import CrossingFit
 from .resonance import complex_zeros
-from .twoport import Load, chain_abcd, terminate
+from .twoport import chain_abcd, input_impedance, terminate
 
 
 class ExtractionError(RuntimeError):
@@ -64,7 +64,7 @@ def _sc_loop_impedance(cell: MemoryCell, state, f, source: float):
     other looks back through the split coupler and input capacitor into a
     feedline of the given source resistance (z0/2 for the matched line).
     """
-    back = terminate(chain_abcd(_back_chain(cell, state), f), Load(source))
+    back = input_impedance(_back_chain(cell, state), source, f)
     return back + sc_branch_impedance(cell, f)
 
 
@@ -102,7 +102,7 @@ def off_state_residual_coupling(cell: MemoryCell, kappa_a: float) -> ResidualCou
         return below
     f0 = float(f_z.real)
     tp = chain_abcd(_back_chain(cell, state), f0)
-    z_back = terminate(tp, Load(source))
+    z_back = terminate(tp, source)
     share = abs(tp.a - tp.c * z_back) ** 2 * source / (z_back + sc_branch_impedance(cell, f0)).real
     gamma_off = 2.0 * TWO_PI * float(f_z.imag)
     kappa_sc = gamma_off * share

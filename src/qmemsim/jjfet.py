@@ -102,12 +102,10 @@ class GateModel:
         x = (v_g - self.v_pinch) / (self.v_on - self.v_pinch)
         if isinstance(self.shape, Linear):
             return x
-        # rescaled logistic so the endpoints land exactly on 0 and 1
+        # logistic rescaled so the endpoints land exactly on 0 and 1, in its
+        # tanh form, which cannot overflow at any steepness
         k = self.shape.steepness * (self.v_on - self.v_pinch)
-        s = 1.0 / (1.0 + math.exp(-k * (x - 0.5)))
-        s0 = 1.0 / (1.0 + math.exp(k * 0.5))
-        s1 = 1.0 / (1.0 + math.exp(-k * 0.5))
-        return (s - s0) / (s1 - s0)
+        return 0.5 + 0.5 * math.tanh(0.5 * k * (x - 0.5)) / math.tanh(0.25 * k)
 
 
 # ------------------------- junction states -------------------------

@@ -10,6 +10,10 @@ Conventions:
   and comes back as a numpy scalar (a subclass of complex).  Zero
   denominators and the infinite-impedance marker are masked, never branched
   on.
+
+A termination is its load impedance: SHORT is 0, OPEN the infinite-impedance
+marker, and terminate() closes a two-port with either, or with any finite
+or array load, through the one formula (a Z_L + b) / (c Z_L + d).
 """
 from __future__ import annotations
 
@@ -102,9 +106,6 @@ class SeriesImpedance:
 
     z: object  # callable f -> complex (broadcasts over arrays)
 
-    def __call__(self, f):
-        return self.z(f)
-
 
 @dataclass(frozen=True)
 class SeriesCapacitor:
@@ -123,39 +124,15 @@ class ShuntAdmittance:
 
     y: object  # callable f -> complex
 
-    def __call__(self, f):
-        return self.y(f)
-
 
 Element = LineSection | SeriesImpedance | SeriesCapacitor | ShuntAdmittance
 
 
-# ------------------------- terminations -------------------------
+# ------------------------- loads -------------------------
 
-
-class Short:
-    """Short-circuit termination (Z_L = 0)."""
-
-    def __repr__(self):
-        return "Short()"
-
-
-class Open:
-    """Open-circuit termination (analytic Z_L -> inf limit)."""
-
-    def __repr__(self):
-        return "Open()"
-
-
-@dataclass(frozen=True)
-class Load:
-    """Finite load termination, z in ohm."""
-
-    z: complex
-
-
-SHORT = Short()
-OPEN = Open()
+#: Any non-finite load, not only OPEN, takes the analytic open limit.
+SHORT = 0j
+OPEN = INFINITE_IMPEDANCE
 
 
 # ------------------------- operations -------------------------
@@ -213,40 +190,29 @@ def chain_abcd(chain, f) -> TwoPort:
     return TwoPort(*(v[0] if np.shape(v) == (1,) else v for v in (tp.a, tp.b, tp.c, tp.d)))
 
 
-def terminate(tp: TwoPort, termination) -> complex:
-    """Input impedance of a two-port closed by the given termination.
+def terminate(tp: TwoPort, z_load) -> complex:
+    """Input impedance (ohm) of a two-port closed by the load z_load (ohm).
 
-    Z_in = (a*Z_L + b) / (c*Z_L + d); Short uses Z_L = 0 (b/d), Open uses
-    the analytic limit a/c, and so does every infinite entry of a Load.  An
-    exact division by zero (ideal lossless stub at resonance) and a
-    non-finite quotient yield the infinite-impedance marker, not an
-    exception.
+    Z_in = (a*Z_L + b) / (c*Z_L + d), so a short (Z_L = 0) gives b/d; a
+    non-finite Z_L (OPEN) takes the analytic limit a/c.  z_load may be a
+    scalar or an array broadcasting against the ABCD entries.  An exact
+    division by zero (ideal lossless stub at resonance) and a non-finite
+    quotient yield the infinite-impedance marker, not an exception.
     """
-    entries = [tp.a, tp.b, tp.c, tp.d]
-    if isinstance(termination, Load):
-        entries.append(termination.z)
-    shape = np.broadcast_shapes(*map(np.shape, entries))
-    a, b, c, d, *zl = (np.atleast_1d(np.asarray(v, dtype=complex)) for v in entries)
-    if isinstance(termination, Short):
-        num, den = b, d
-    elif isinstance(termination, Open):
-        num, den = a, c
-    elif isinstance(termination, Load):
-        open_end = ~np.isfinite(zl[0])
-        zl = np.where(open_end, 0.0, zl[0])
-        num = np.where(open_end, a, a * zl + b)
-        den = np.where(open_end, c, c * zl + d)
-    else:
-        raise TypeError(f"unknown termination: {termination!r}")
-    bad = den == 0
-    with np.errstate(over="ignore"):
-        z = num / np.where(bad, 1.0, den)
-    return np.where(bad | ~np.isfinite(z), INFINITE_IMPEDANCE, z).reshape(shape)[()]
+    zl = np.asarray(z_load, dtype=complex)
+    open_end = ~np.isfinite(zl)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        num = np.asarray(tp.a * zl + tp.b)
+        den = np.asarray(tp.c * zl + tp.d)
+        np.copyto(num, tp.a, where=open_end)  # the open limit a/c
+        np.copyto(den, tp.c, where=open_end)
+        z = num / den
+    return np.where((den == 0) | ~np.isfinite(z), INFINITE_IMPEDANCE, z)[()]
 
 
-def input_impedance(chain, termination, f) -> complex:
-    """Input impedance (ohm) of an element chain closed by a termination."""
-    return terminate(chain_abcd(chain, f), termination)
+def input_impedance(chain, z_load, f) -> complex:
+    """Input impedance (ohm) of an element chain closed by the load z_load."""
+    return terminate(chain_abcd(chain, f), z_load)
 
 
 def notch_s21(z_shunt, z_ref: float):

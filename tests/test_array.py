@@ -104,7 +104,7 @@ class TestSchedule:
     def test_empty_schedule(self, array):
         report = run_schedule(array, AccessSchedule())
         assert report.fidelities == ()
-        assert report.crosstalk is None
+        np.testing.assert_array_equal(report.crosstalk, np.eye(len(array)))
 
     def test_write_crosstalk_within_lorentzian_bound(self, array, array_models):
         schedule = AccessSchedule(ops=(AccessOp(op="write", cell_index=0),))

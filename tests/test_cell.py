@@ -15,10 +15,10 @@ from qmemsim.cell import (
     off_state_spectrum,
     sc_mode_estimate,
     sc_quarterwave_frequency,
-    sc_stub_impedance,
     tcr_mode_estimate,
 )
 from qmemsim.jjfet import JjFet, Off, On, critical_current_for_inductance
+from qmemsim.twoport import SHORT, input_impedance
 
 
 def make_cell(**overrides):
@@ -85,7 +85,7 @@ class TestShuntImpedance:
         f = 3.0e9
         beta = 2 * math.pi * f * math.sqrt(cell.eps_eff) / 299792458.0
         expect = 1j * 50.0 * math.tan(beta * cell.sc_len)
-        assert sc_stub_impedance(cell, f) == pytest.approx(expect, rel=1e-9)
+        assert input_impedance([cell.line(cell.sc_len)], SHORT, f) == pytest.approx(expect, rel=1e-9)
 
     def test_on_resonance_is_local_impedance_minimum(self):
         cell = make_cell(line_atten=5e-4)

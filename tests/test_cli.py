@@ -150,6 +150,14 @@ class TestSpectrumCommand:
     def test_bad_state_argument(self, seed_path):
         assert main(["spectrum", str(seed_path), "--state", "on:220"]) == 1
         assert main(["spectrum", str(seed_path), "--state", "maybe"]) == 1
+        assert main(["spectrum", str(seed_path), "--state", "on:0pH"]) == 1
+        assert main(["spectrum", str(seed_path), "--state", "on:-5pH"]) == 1
+
+    @pytest.mark.parametrize("command", [["spectrum", "--state", "on:220pH"],
+                                         ["array-spectrum", "--state", "on"]])
+    def test_non_positive_band_is_a_usage_error(self, seed_path, command, capsys):
+        assert main([command[0], str(seed_path), *command[1:], "--band", "0GHz,7GHz"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestCalibrateCommand:

@@ -120,7 +120,9 @@ class TestParseConfig:
         ("sweep", "coarse_step", "0 GHz", "sweep: coarse_step must be positive"),
         ("sweep", "coarse_step", "-0.002 GHz", "sweep: coarse_step must be positive"),
         ("array", "q_c", 0.0, "config: array q_c must be positive"),
-    ], ids=["zero-step", "negative-step", "zero-q_c"])
+        ("sweep", "band", ["0 GHz", "7 GHz"], "sweep: band requires 0 < lo < hi"),
+        ("sweep", "band", ["-1 GHz", "7 GHz"], "sweep: band requires 0 < lo < hi"),
+    ], ids=["zero-step", "negative-step", "zero-q_c", "zero-band-lo", "negative-band-lo"])
     def test_unrunnable_value_rejected(self, section, key, value, message):
         raw = minimal_raw()
         raw[section] = {key: value}

@@ -18,7 +18,7 @@ from qmemsim.extract import (
 )
 from qmemsim.jjfet import Off
 from qmemsim.resonance import find_resonances, find_root
-from qmemsim.twoport import Load, chain_abcd, terminate
+from qmemsim.twoport import chain_abcd, terminate
 from tests.conftest import ANCHOR, Q_C, TARGETS
 
 
@@ -88,7 +88,7 @@ class TestResidualCoupling:
         df = 1e-6 * f0
         l_eff = 0.5 * (loop(f0 + df).imag - loop(f0 - df).imag) / (TWO_PI * 2.0 * df)
         tp = chain_abcd(_back_chain(cell, state), f0)
-        transfer = abs(tp.a - tp.c * terminate(tp, Load(source)))
+        transfer = abs(tp.a - tp.c * terminate(tp, source))
         assert res.gamma_off == pytest.approx(loop(f0).real / l_eff, rel=1e-4)
         assert res.kappa_sc_ext == pytest.approx(transfer**2 * source / l_eff, rel=1e-4)
 

@@ -102,7 +102,8 @@ class TestGateModel:
         assert gate.fraction(0.0) == 1.0
         assert gate.fraction(1.0) == 1.0
 
-    @pytest.mark.parametrize("shape", [Linear(), Logistic(steepness=4.0)])
+    @pytest.mark.parametrize("shape", [Linear(), Logistic(steepness=4.0),
+                                       Logistic(steepness=1000.0)])
     def test_monotone(self, shape):
         gate = GateModel(v_pinch=-2.0, v_on=0.0, shape=shape)
         vs = np.linspace(-2.5, 0.5, 101)

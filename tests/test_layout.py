@@ -49,3 +49,24 @@ def test_runtime_imports_are_the_declared_dependencies():
     tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     declared = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["dependencies"]
     assert {re.match(r"[A-Za-z0-9_.-]+", d).group() for d in declared} == third_party_imports()
+
+
+def hand_built_impedances():
+    """'module:line' for every terminate(chain_abcd(...)) call outside twoport,
+    which input_impedance(chain, z_load, f) spells once."""
+    found = []
+    for path in sorted(Path(qmemsim.__file__).parent.glob("*.py")):
+        if path.stem == "twoport":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "terminate" and node.args
+                    and isinstance(node.args[0], ast.Call)
+                    and isinstance(node.args[0].func, ast.Name)
+                    and node.args[0].func.id == "chain_abcd"):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_impedances_go_through_input_impedance():
+    assert hand_built_impedances() == []

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qmemsim.calibrate import _tcr_branch_impedance
 from qmemsim.cell import cell_shunt_impedance
@@ -12,7 +13,6 @@ from qmemsim.twoport import (
     IDENTITY,
     INFINITE_IMPEDANCE,
     LineSection,
-    Load,
     OPEN,
     SHORT,
     SeriesCapacitor,
@@ -24,6 +24,7 @@ from qmemsim.twoport import (
     input_impedance,
     is_infinite_impedance,
     notch_s21,
+    terminate,
     to_sparams,
 )
 from tests.conftest import ANCHOR
@@ -192,20 +193,49 @@ class TestInputImpedance:
         line = LineSection(z0=50.0, eps_eff=6.45, length=2e-3)
         f = 5e9
         z_open = input_impedance([line], OPEN, f)
-        z_big = input_impedance([line], Load(1e12), f)
+        z_big = input_impedance([line], 1e12, f)
         assert z_open == pytest.approx(z_big, rel=1e-6)
 
     def test_infinite_load_marker_uses_open_limit(self):
         line = LineSection(z0=50.0, eps_eff=6.45, length=2e-3)
         f = 5e9
-        assert input_impedance([line], Load(INFINITE_IMPEDANCE), f) == pytest.approx(
+        assert input_impedance([line], INFINITE_IMPEDANCE, f) == pytest.approx(
             input_impedance([line], OPEN, f)
         )
         freqs = np.linspace(4e9, 6e9, 5)
         markers = np.full(freqs.shape, INFINITE_IMPEDANCE)
         np.testing.assert_array_equal(
-            input_impedance([line], Load(markers), freqs), input_impedance([line], OPEN, freqs)
+            input_impedance([line], markers, freqs), input_impedance([line], OPEN, freqs)
         )
+
+
+_finite_loads = st.complex_numbers(max_magnitude=1e4, allow_nan=False, allow_infinity=False)
+_loads = st.one_of(
+    st.sampled_from([0, SHORT, OPEN]),
+    _finite_loads,
+    st.lists(st.one_of(_finite_loads, st.just(OPEN)), min_size=1, max_size=6).map(
+        lambda v: np.array(v, dtype=complex)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), z_load=_loads)
+def test_terminate_is_the_load_formula(seed, n, z_load):
+    rng = np.random.default_rng(seed)
+    elements, freqs = zip(*(random_element(rng) for _ in range(n)))
+    tp = chain_abcd(list(elements), freqs[0])
+    assume(tp.c != 0 and tp.d != 0)
+    z = terminate(tp, z_load)
+    assert np.shape(z) == np.shape(z_load)
+    for zl, zi in zip(np.atleast_1d(z_load).tolist(), np.atleast_1d(z)):
+        assert terminate(tp, zl) == zi  # a scalar load is its entry of an array load
+        if zl == 0:
+            expect = tp.b / tp.d
+        elif not np.isfinite(zl):
+            expect = tp.a / tp.c  # the open limit
+        else:
+            expect = (tp.a * zl + tp.b) / (tp.c * zl + tp.d)
+        assert zi == pytest.approx(expect, rel=1e-12)
 
 
 class TestNotch:
