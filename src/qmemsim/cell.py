@@ -110,12 +110,11 @@ def sc_branch_impedance(cell: MemoryCell, f):
 def cell_shunt_impedance(cell: MemoryCell, state: JjState, f):
     """Impedance (ohm) of the full cell branch seen from the feedline tap.
 
-    The branch is the TCR chain terminated by the shorted SC stub's input
-    impedance.  An infinite stub impedance (ideal lossless stub exactly at
-    resonance) propagates through the analytic open-termination limit.
+    The branch is the TCR chain followed by the SC stub, closed by a short.
+    An infinite stub impedance (ideal lossless stub exactly at resonance)
+    propagates through the fold's open limit.
     """
-    stub = input_impedance([cell.line(cell.sc_len)], SHORT, f)
-    return input_impedance(tcr_chain(cell, state), stub, f)
+    return input_impedance(tcr_chain(cell, state) + [cell.line(cell.sc_len)], SHORT, f)
 
 
 def frequency_sweep(cell: MemoryCell, state: JjState, f_grid):

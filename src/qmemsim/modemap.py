@@ -2,8 +2,12 @@
 
 mode_map() records, for every inductance on a grid, the two lowest
 resonances in band as complex zeros of the cell's shunt impedance: seeded
-at the upward crossings of one Im Z scan of all rows, polished all at once.
-The map holds them as three columns: inductance, lower and upper mode.
+at the upward crossings of one coarse Im Z scan of all rows, polished all
+at once.  Only a row that comes up short (fewer than two kept modes, or a
+root that left its bracket) is scanned again on the fine grid, where a
+narrow zero-pole pair the coarse grid stepped over shows its crossing, and
+polished again.  The map holds them as three columns: inductance, lower and
+upper mode.
 
 fit_avoided_crossing() fits the two-branch hybridization model
 
@@ -70,7 +74,8 @@ def default_band(cell: MemoryCell, l_grid) -> tuple[float, float]:
     return 0.90 * float(min(f_at_max_l, f_sc)), 1.10 * float(max(f_at_min_l, f_sc))
 
 
-SCAN_POINTS = 1601  #: band-grid points of the Im Z scan that seeds every row
+COARSE_POINTS = 201  #: band-grid points of the Im Z scan that seeds every row
+SCAN_POINTS = 1601  #: band-grid points of the rescan of a row that came up short
 
 
 def mode_map(cell: MemoryCell, l_grid, f_band=None, min_depth_db: float = 0.01) -> ModeMap:
@@ -79,11 +84,15 @@ def mode_map(cell: MemoryCell, l_grid, f_band=None, min_depth_db: float = 0.01) 
     Parameters
     ----------
     l_grid : strictly increasing inductances, henry
-    f_band : (lo, hi) Hz; derived from the geometry when omitted
+    f_band : (lo, hi) Hz with 0 < lo < hi; derived from the geometry when
+        omitted
     min_depth_db : least notch depth -dB|S21(f0)| of a kept resonance
 
-    Grid points where two dips could not be resolved, or where a root left
-    its bracket first, are flagged and excluded, never silently dropped.
+    Every row is seeded from a COARSE_POINTS scan of the band; a row with
+    fewer than two kept modes, or with a root that left its bracket, is
+    rescanned at SCAN_POINTS and keeps the rescan's outcome.  Grid points
+    where two dips could still not be resolved, or where a root left its
+    bracket first, are flagged and excluded, never silently dropped.
     """
     l_grid = np.asarray(l_grid, dtype=float)
     if l_grid.ndim != 1 or len(l_grid) < 2:
@@ -91,36 +100,52 @@ def mode_map(cell: MemoryCell, l_grid, f_band=None, min_depth_db: float = 0.01) 
     if np.any(l_grid <= 0) or np.any(np.diff(l_grid) <= 0):
         raise ValueError("l_grid must be positive and strictly increasing")
     band = f_band if f_band is not None else default_band(cell, l_grid)
+    if not 0 < band[0] < band[1]:
+        raise ValueError("band must satisfy 0 < lo < hi")
 
-    f = np.linspace(band[0], band[1], SCAN_POINTS)
-    # eight rows per network call keep its temporaries near 2 MB
+    found = _scan_rows(cell, l_grid, band, COARSE_POINTS, min_depth_db)
+    short = [k for k, r in enumerate(found) if isinstance(r, str)]
+    if short:
+        for k, r in zip(short, _scan_rows(cell, l_grid[short], band, SCAN_POINTS, min_depth_db)):
+            found[k] = r
+    rows = [(l_j, *r) for l_j, r in zip(l_grid, found) if not isinstance(r, str)]
+    flagged = [(float(l_j), r) for l_j, r in zip(l_grid, found) if isinstance(r, str)]
+    return ModeMap(*np.reshape(rows, (-1, 3)).T, flagged=tuple(flagged))
+
+
+def _scan_rows(cell: MemoryCell, l_rows, band, n_scan: int, min_depth_db: float) -> list:
+    """Per inductance, its two lowest kept modes (f1, f2) in Hz, or the
+    reason (a str) the row came up short, seeded by an n_scan-point scan."""
+    f = np.linspace(band[0], band[1], n_scan)
+    # at most 8 fine rows' worth of points per network call: temporaries near 2 MB
+    per_call = max(1, 8 * SCAN_POINTS // n_scan)
     x = np.concatenate([cell_shunt_impedance(cell, On(l[:, None]), f).imag
-                        for l in np.split(l_grid, range(8, len(l_grid), 8))])
+                        for l in np.split(l_rows, range(per_call, len(l_rows), per_call))])
     row, i = np.nonzero((x[:, :-1] < 0) & (x[:, 1:] >= 0))
     seeds = f[i] - x[row, i] * (f[i + 1] - f[i]) / (x[row, i + 1] - x[row, i])
     # scan intervals widened by half a step: disjoint brackets
     lo, hi = f[i] - 0.5 * (f[1] - f[0]), f[i + 1] + 0.5 * (f[1] - f[0])
-    state = On(l_grid[row])
+    state = On(l_rows[row])
     # zeros of Z (row 0) and of Z + z0/2, the notch poles (row 1)
     f_zero, f_pole = complex_zeros(
         lambda s: cell_shunt_impedance(cell, state, s) + [[0.0], [0.5 * cell.z0]],
         np.stack([seeds, seeds]), lo, hi)
-    rows, flagged = [], []
-    for k, l_j in enumerate(l_grid):
+    found = []
+    for k in range(len(l_rows)):
         kept = []
         for seed, fz, fp in zip(seeds[row == k], f_zero[row == k], f_pole[row == k]):
             if np.isnan(fz) or np.isnan(fp):
-                flagged.append((float(l_j), f"root seeded at {seed:.6g} Hz left its bracket"))
+                found.append(f"root seeded at {seed:.6g} Hz left its bracket")
                 break
             peak = peak_from_roots(fz, fp)
             if band[0] < peak.f0 < band[1] and peak.depth_db >= min_depth_db:
                 kept.append(peak.f0)
             if len(kept) == 2:
-                rows.append((l_j, *kept))
+                found.append(tuple(kept))
                 break
         else:
-            flagged.append((float(l_j), f"{len(kept)} resonance(s) in band"))
-    return ModeMap(*np.reshape(rows, (-1, 3)).T, flagged=tuple(flagged))
+            found.append(f"{len(kept)} resonance(s) in band")
+    return found
 
 
 # ------------------------- hybridization model -------------------------

@@ -12,8 +12,19 @@ Conventions:
   on.
 
 A termination is its load impedance: SHORT is 0, OPEN the infinite-impedance
-marker, and terminate() closes a two-port with either, or with any finite
-or array load, through the one formula (a Z_L + b) / (c Z_L + d).
+marker.  input_impedance() folds an element chain from its load to its tap,
+one step per element on the impedance itself (the textbook line formula,
+Pozar, Microwave Engineering, 4th ed., sec. 2.3):
+
+  line     Z <- z0 (Z + z0 t) / (z0 + Z t),  t = tanh(gamma l)
+  series   Z <- Z + z
+  shunt    Z <- Z / (1 + Y Z)
+
+A non-finite Z takes the open limit of the next step (z0/t after a line,
+1/Y after a shunt).  The ABCD matrices (chain_abcd, terminate, to_sparams)
+serve S-parameters and quantities that need the chain's entries; terminate()
+closes a two-port with any scalar or array load through the one formula
+(a Z_L + b) / (c Z_L + d).
 """
 from __future__ import annotations
 
@@ -152,18 +163,22 @@ def element_abcd(e: Element, f) -> TwoPort:
         cosh_gl = np.cosh(gl)
         sinh_gl = np.sinh(gl)
         return TwoPort(cosh_gl, e.z0 * sinh_gl, sinh_gl / e.z0, cosh_gl)
-    if isinstance(e, SeriesCapacitor):
-        z = 1.0 / (2j * np.pi * f * e.c_val)
-        return TwoPort(1.0, z, 0.0, 1.0)
-    if isinstance(e, SeriesImpedance):
-        z = e.z(f)
-        _check_finite(z, "series impedance")
-        return TwoPort(1.0, z, 0.0, 1.0)
+    if isinstance(e, (SeriesCapacitor, SeriesImpedance)):
+        return TwoPort(1.0, _series_impedance(e, f), 0.0, 1.0)
     if isinstance(e, ShuntAdmittance):
         y = e.y(f)
         _check_finite(y, "shunt admittance")
         return TwoPort(1.0, 0.0, y, 1.0)
     raise TypeError(f"unknown element type: {type(e).__name__}")
+
+
+def _series_impedance(e: SeriesCapacitor | SeriesImpedance, f):
+    """Impedance (ohm) of a series element at f."""
+    if isinstance(e, SeriesCapacitor):
+        return 1.0 / (2j * np.pi * f * e.c_val)
+    z = e.z(f)
+    _check_finite(z, "series impedance")
+    return z
 
 
 def _check_finite(v, what: str):
@@ -211,8 +226,45 @@ def terminate(tp: TwoPort, z_load) -> complex:
 
 
 def input_impedance(chain, z_load, f) -> complex:
-    """Input impedance (ohm) of an element chain closed by the load z_load."""
-    return terminate(chain_abcd(chain, f), z_load)
+    """Input impedance (ohm) of an element chain closed by the load z_load.
+
+    Folds from the load to the tap, one Moebius step per element (see the
+    module docstring), without forming ABCD matrices.  z_load may be a
+    scalar or an array broadcasting against f; a non-finite Z (OPEN, or an
+    earlier step's pole) takes the open limit z0/t after a line and 1/Y
+    after a shunt.  An exact zero denominator and a non-finite result yield
+    the infinite-impedance marker, as in terminate(); a non-finite series
+    impedance or shunt admittance raises ValueError, as in element_abcd().
+    """
+    fa = np.atleast_1d(f)
+    if np.any(np.real(fa) <= 0):
+        raise ValueError("frequency must have a positive real part")
+    z = np.asarray(z_load, dtype=complex)
+    tanh_gl = {}  # a section object repeated in the chain shares its tanh
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for e in reversed(chain):
+            if isinstance(e, (SeriesCapacitor, SeriesImpedance)):
+                z = z + _series_impedance(e, fa)  # an open end stays open
+                continue
+            open_end = ~np.isfinite(z)
+            if isinstance(e, LineSection):
+                if id(e) not in tanh_gl:
+                    tanh_gl[id(e)] = np.tanh((e.atten + 1j * e.beta(fa)) * e.length)
+                t = tanh_gl[id(e)]
+                z_open = e.z0 / t
+                z = e.z0 * (z + e.z0 * t) / (e.z0 + z * t)
+            elif isinstance(e, ShuntAdmittance):
+                y = e.y(fa)
+                _check_finite(y, "shunt admittance")
+                z_open = 1.0 / y
+                z = np.asarray(z / (1.0 + y * z))
+            else:
+                raise TypeError(f"unknown element type: {type(e).__name__}")
+            np.copyto(z, z_open, where=open_end)
+    z = np.where(np.isfinite(z), z, INFINITE_IMPEDANCE)
+    if np.ndim(f) == 0 and np.ndim(z_load) == 0 and z.shape == (1,):
+        return z[0]
+    return z[()]
 
 
 def notch_s21(z_shunt, z_ref: float):

@@ -17,18 +17,22 @@ Q_C = 2000.0
 
 @pytest.fixture
 def chain_calls(monkeypatch):
-    """Frequency-array sizes of every chain_abcd call made during the test,
-    counted in each qmemsim module that holds the function."""
+    """Frequency-array sizes of every network evaluation made during the
+    test: each input_impedance and each chain_abcd call, counted in every
+    qmemsim module that holds either function."""
     calls = []
-    original = twoport.chain_abcd
 
-    def counted(chain, f):
-        calls.append(np.size(f))
-        return original(chain, f)
+    def counting(original):
+        def counted(*args):
+            calls.append(np.size(args[-1]))
+            return original(*args)
+        return counted
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("qmemsim") and getattr(module, "chain_abcd", None) is original:
-            monkeypatch.setattr(module, "chain_abcd", counted)
+    for fn in (twoport.input_impedance, twoport.chain_abcd):
+        wrapped = counting(fn)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qmemsim") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, wrapped)
     return calls
 
 

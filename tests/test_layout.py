@@ -70,3 +70,30 @@ def hand_built_impedances():
 
 def test_impedances_go_through_input_impedance():
     assert hand_built_impedances() == []
+
+
+def abcd_callers():
+    """'module.function' of every chain_abcd call outside twoport, by name or
+    by attribute; '<module>' stands for a call outside any function."""
+    found = set()
+    for path in sorted(Path(qmemsim.__file__).parent.glob("*.py")):
+        if path.stem == "twoport":
+            continue
+
+        def visit(node, scope):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = node.name
+            if isinstance(node, ast.Call) and "chain_abcd" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.add(f"{path.stem}.{scope}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_abcd_matrices_only_where_a_chain_entry_is_needed():
+    # every impedance is input_impedance's fold; only the OFF-state current
+    # transfer needs a chain's a and c
+    assert abcd_callers() == {"extract.off_state_residual_coupling"}

@@ -1,4 +1,6 @@
 """Mode map and avoided-crossing fit."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import least_squares
@@ -300,3 +302,61 @@ class TestValidation:
             mode_map(cell, np.array([5e-12]))
         with pytest.raises(ValueError):
             mode_map(cell, np.array([2e-10, 1e-10]))
+
+    @pytest.mark.parametrize("f_band", [(7.2e9, 6.0e9), (6.0e9, 6.0e9), (0.0, 7e9), (-1e9, 7e9)])
+    def test_band_validation(self, cell, f_band):
+        with pytest.raises(ValueError, match="band must satisfy 0 < lo < hi"):
+            mode_map(cell, np.linspace(100e-12, 300e-12, 3), f_band)
+
+
+def fine_only_map(monkeypatch, cell, l_grid):
+    """The map every row of which is seeded by the SCAN_POINTS scan."""
+    with monkeypatch.context() as m:
+        m.setattr(modemap, "COARSE_POINTS", modemap.SCAN_POINTS)
+        return mode_map(cell, l_grid)
+
+
+class TestCoarseScan:
+    def test_rescan_recovers_a_pair_the_coarse_scan_misses(self, cell, monkeypatch):
+        # with c_couple = 2 fF the cavity's zero (6.8887 GHz) and pole
+        # (6.8910 GHz) at 100 pH lie 2.3 MHz apart, under the 7.7 MHz coarse
+        # step: the one coarse sample between them seeds a root that leaves
+        # its bracket.  The 0.97 MHz rescan resolves the pair.
+        narrow = replace(cell, c_couple=2e-15)
+        l_grid = np.array([100e-12, 175e-12])
+        scans = []
+        real = modemap._scan_rows
+
+        def spy(cell, l_rows, band, n_scan, min_depth_db):
+            scans.append((n_scan, l_rows.tolist()))
+            return real(cell, l_rows, band, n_scan, min_depth_db)
+
+        monkeypatch.setattr(modemap, "_scan_rows", spy)
+        mm = mode_map(narrow, l_grid)
+        assert scans == [(modemap.COARSE_POINTS, l_grid.tolist()),
+                         (modemap.SCAN_POINTS, [100e-12])]
+        with monkeypatch.context() as m:
+            m.setattr(modemap, "SCAN_POINTS", modemap.COARSE_POINTS)
+            coarse = mode_map(narrow, l_grid)
+        assert [l_j for l_j, _ in coarse.flagged] == [100e-12]
+        fine = fine_only_map(monkeypatch, narrow, l_grid)
+        assert mm.flagged == fine.flagged == ()
+        assert mm.rows[0] == fine.rows[0]
+
+    @pytest.mark.parametrize("l_grid", [np.linspace(10e-12, 500e-12, 61),
+                                        np.linspace(190e-12, 280e-12, 25)])
+    def test_seed_cell_maps_equal_fine_scan(self, cell, l_grid, monkeypatch):
+        assert_same_map(mode_map(cell, l_grid), fine_only_map(monkeypatch, cell, l_grid))
+
+    def test_array_cell_map_equals_fine_scan(self, array, monkeypatch):
+        l_grid = np.linspace(10e-12, 500e-12, 41)
+        cell = array.cells[2]
+        assert_same_map(mode_map(cell, l_grid), fine_only_map(monkeypatch, cell, l_grid))
+
+
+def assert_same_map(mm, fine):
+    """Same rows and flags; modes differ only in Newton's last steps from
+    other seeds, each of which stops at 4 ulps."""
+    assert np.array_equal(mm.l, fine.l) and mm.flagged == fine.flagged
+    for col, ref in ((mm.f1, fine.f1), (mm.f2, fine.f2)):
+        assert np.all(np.abs(col - ref) <= 4 * np.spacing(ref))

@@ -238,6 +238,59 @@ def test_terminate_is_the_load_formula(seed, n, z_load):
         assert zi == pytest.approx(expect, rel=1e-12)
 
 
+def extended_abcd(chain, f):
+    """ABCD matrix of a chain by products in np.clongdouble, from the same
+    double line exponent gamma*l the fold uses, and the cascade of the
+    entries' magnitudes, which scales the rounding error of each product."""
+    m = np.eye(2, dtype=np.clongdouble)
+    m_abs = np.eye(2, dtype=np.longdouble)
+    for e in chain:
+        if isinstance(e, LineSection):
+            gl = np.clongdouble((e.atten + 1j * e.beta(f)) * e.length)
+            ch, sh = np.cosh(gl), np.sinh(gl)
+            k = np.array([[ch, sh * e.z0], [sh / e.z0, ch]])
+        else:
+            if isinstance(e, SeriesCapacitor):
+                v = 1 / (np.clongdouble(2j * np.pi) * f * e.c_val)
+            else:
+                v = np.clongdouble(e.z(f) if isinstance(e, SeriesImpedance) else e.y(f))
+            one, zero = np.clongdouble(1), np.clongdouble(0)
+            k = np.array([[one, zero], [v, one]] if isinstance(e, ShuntAdmittance)
+                         else [[one, v], [zero, one]])
+        m, m_abs = m @ k, m_abs @ np.abs(k)
+    return m, m_abs
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), z_load=_loads)
+def test_fold_matches_abcd_and_extended_precision(seed, n, z_load):
+    rng = np.random.default_rng(seed)
+    elements, freqs = zip(*(random_element(rng) for _ in range(n)))
+    chain, f = list(elements), freqs[0]
+    z = input_impedance(chain, z_load, f)
+    assert np.shape(z) == np.shape(z_load)
+    z_abcd = terminate(chain_abcd(chain, f), z_load)
+    m, m_abs = extended_abcd(chain, f)
+    (a, b), (c, d) = m
+    (a_abs, b_abs), (c_abs, d_abs) = m_abs
+    for zl, zi, zt in zip(np.atleast_1d(z_load).tolist(), np.atleast_1d(z),
+                          np.atleast_1d(z_abcd)):
+        if np.isfinite(zl):
+            zl = np.clongdouble(zl)
+            num, den = a * zl + b, c * zl + d
+            scale = (a_abs * abs(zl) + b_abs, c_abs * abs(zl) + d_abs)
+        else:  # the open limit
+            num, den, scale = a, c, (a_abs, c_abs)
+        if den == 0:  # an open end behind series elements only
+            assert is_infinite_impedance(zi) and is_infinite_impedance(zt)
+            continue
+        if abs(num) * 1e3 < scale[0] or abs(den) * 1e3 < scale[1]:
+            continue  # near a zero or a pole: cancellation, not the fold, sets the error
+        ref = num / den
+        assert abs(zi - ref) <= 1e-11 * abs(ref)
+        assert abs(zi - zt) <= 1e-11 * abs(zt)
+
+
 class TestNotch:
     def test_open_branch_full_transmission(self):
         assert notch_s21(INFINITE_IMPEDANCE, 50.0) == 1.0
@@ -330,6 +383,17 @@ class TestComplexFrequency:
         for e in self.ELEMENTS:
             with pytest.raises(ValueError, match="positive real part"):
                 element_abcd(e, f)
+            with pytest.raises(ValueError, match="positive real part"):
+                input_impedance([e], SHORT, f)
+
+    @pytest.mark.parametrize("e", [SeriesImpedance(lambda f: np.full(f.shape, INFINITE_IMPEDANCE)),
+                                   ShuntAdmittance(lambda f: np.full(f.shape, complex(math.nan)))])
+    def test_non_finite_element_value_raises(self, e):
+        f = np.array([6.5e9, 6.6e9])
+        with pytest.raises(ValueError, match="non-finite"):
+            element_abcd(e, f)
+        with pytest.raises(ValueError, match="non-finite"):
+            input_impedance([e], SHORT, f)
 
     def test_junction_rows_broadcast_bitwise(self, cell):
         l = np.linspace(10e-12, 500e-12, 7)
@@ -346,11 +410,15 @@ def test_vectorized_matches_scalar(cell):
         SeriesCapacitor(5e-15),
         LineSection(50.0, 6.45, 3e-3, atten=1e-3),
         SeriesImpedance(lambda f: 1j * 2 * np.pi * f * 220e-12),
+        ShuntAdmittance(lambda f: 1e-3 + 2j * np.pi * f * 1e-14),
+        LineSection(50.0, 6.45, 4.505e-3),
     ]
     freqs = np.linspace(4e9, 8e9, 7)
-    z_vec = input_impedance(chain, SHORT, freqs)
-    for i, f in enumerate(freqs):
-        assert z_vec[i] == input_impedance(chain, SHORT, float(f))
+    for z_load in (SHORT, OPEN, 25.0 - 10j):
+        z_vec = input_impedance(chain, z_load, freqs)
+        for i, f in enumerate(freqs):
+            z_one = input_impedance(chain, z_load, float(f))
+            assert type(z_one) is np.complex128 and np.array_equal(z_one, z_vec[i])
 
     # the cell's branches, junction included, through the one network path;
     # 6.5-6.7 GHz at 173.3 pH is where numpy-scalar arithmetic once differed
