@@ -54,6 +54,7 @@ from .dynamics import (
     WriteResult,
     evolve,
     max_stable_dt,
+    peak_coupler_energy,
     read_protocol,
     swap_duration,
     write_protocol,

@@ -23,8 +23,8 @@ from .dynamics import (
     PulseSequence,
     RfPulse,
     SampledDrive,
-    evolve,
     max_stable_dt,
+    peak_coupler_energy,
     read_duration,
     read_protocol,
     write_protocol,
@@ -226,8 +226,7 @@ def _validate_schedule(array: MemoryArray, schedule: AccessSchedule,
 def _idle_deposit(model: _CellModel, drive, t_span, dt, dt_fraction) -> float:
     pulses = PulseSequence(rf=drive)
     dt_j = min(dt, dt_fraction * max_stable_dt(model.system, pulses))
-    traj = evolve(model.system, pulses, t_span, dt_j)
-    return float(np.max(traj.e_a))
+    return peak_coupler_energy(model.system, pulses, t_span, dt_j)
 
 
 def _run_op(

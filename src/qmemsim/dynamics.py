@@ -24,6 +24,14 @@ blocks of about sqrt(N / 8) steps run from a zero state side by side, a
 scalar pass carries the state from block to block, and one matrix product
 lifts every block onto its carried-in state.  The result matches the
 step-by-step loop to round-off.
+
+A piece is scanned in chunks of at most C = _CHUNK_STEPS steps, each
+starting from the last state of the one before, with N = min(steps, C)
+setting the block length.  The half-step grid, the drive samples and the
+states live in chunk-sized buffers reused from chunk to chunk.  A piece
+of at most C steps is one chunk.  evolve() copies every chunk into the
+trajectory it returns; peak_coupler_energy() keeps only the running
+max |a|^2, so its memory does not grow with the span.
 """
 from __future__ import annotations
 
@@ -110,6 +118,10 @@ class SampledDrive:
             raise ValueError("carrier frequency must be positive")
         if len(self.times) != len(self.values) or len(self.times) < 2:
             raise ValueError("sampled drive needs matching times/values arrays")
+        # np.interp reads any other grid silently wrong
+        times = np.asarray(self.times, dtype=float)
+        if not (np.isfinite(times).all() and (times[1:] > times[:-1]).all()):
+            raise ValueError("sampled drive times must be finite and strictly increasing")
 
     @property
     def start(self) -> float:
@@ -297,15 +309,22 @@ def _block_len(length: int) -> int:
     return max(math.isqrt(length // _STEP_TO_CARRY_COST), 1)
 
 
-def _scan_segment(x, s, e, h, ca, cb, root_k, g, ain):
-    """Steps s..e-1 of length h at coupling g, written into rows s+1..e
-    of x; ain holds the drive on the half-step grid.
+# Steps per chunk: evolve() and peak_coupler_energy() walk each piece in
+# chunks of at most this many steps, so the scratch arrays of a call stay
+# about 1 MB however long its span
+_CHUNK_STEPS = 8192
+
+
+def _scan_chunk(x, m, step_map, powers, ain):
+    """m steps of one piece from the state in row 0 of x, written into rows
+    1..m; ain holds the drive on the chunk's half-step grid.
 
     Each step is x_{n+1} = x_n + Q x_n + r_n with r_n = m0 f(t_n) +
-    m1 f(t_n + h/2) + m2 f(t_n + h); Q and the m are the increment of one
-    RK4 step on the basis (x_a, x_b, f0, f1, f2).  The steps are cut into
-    B blocks of K = _block_len(e - s) steps, laid out as a contiguous
-    (K, 2, B) scratch buffer: row k holds step k of every block.
+    m1 f(t_n + h/2) + m2 f(t_n + h); Q and the m are the columns of
+    step_map, the increment of one RK4 step on the basis (x_a, x_b, f0,
+    f1, f2).  The steps are cut into B blocks of K = len(powers) steps,
+    laid out as a contiguous (K, 2, B) scratch buffer: row k holds step k
+    of every block.
     1. Zero state: K - 1 steps, each one (2, 2) @ (2, B) matmul and two
        adds, run every block from a zero state under its own drive.
     2. Carry: Python complex scalars walk the blocks, c <- end_b +
@@ -313,22 +332,15 @@ def _scan_segment(x, s, e, h, ca, cb, root_k, g, ain):
     3. Lift: one GEMM, (P^(k+1) - I) stacked to (2K, 2) times the (2, B)
        carries, overwrites the buffer; it and the carries are added to
        the zero-state rows in x.
-    x needs K - 1 padding rows past row e; what they hold never reaches
-    rows s+1..e.
+    x needs K - 1 padding rows past row m; they are zeroed here, and what
+    they hold never reaches rows 1..m.
     """
-    length = e - s
-    k_len = _block_len(length)
-    n_blocks = -(-length // k_len)
-    # Q is read off the increment, never formed as P - I: subtracting I
-    # would bias every step by its round-off
-    step_map = np.array([
-        _rk4_increment(e[0], e[1], h, ca, cb, root_k, g, e[2:])
-        for e in np.eye(5).tolist()
-    ]).T
+    k_len = len(powers)
+    n_blocks = -(-m // k_len)
     q = step_map[:, :2]
     m0, m1, m2 = step_map[:, 2], step_map[:, 3], step_map[:, 4]
-    f0, f1, f2 = (ain[2 * s + j:2 * e + j:2] for j in range(3))
-    rows = x[s + 1:e + 1]
+    f0, f1, f2 = (ain[j:2 * m + j:2] for j in range(3))
+    rows = x[1:m + 1]
     # elementwise, not a matmul over a strided window: that copies the drive
     for c in (0, 1):
         np.multiply(f0, m0[c], out=rows[:, c])
@@ -336,7 +348,8 @@ def _scan_segment(x, s, e, h, ca, cb, root_k, g, ain):
     # the drive at the step end enters only k4 of a: m2 is (h root_k / 6, 0)
     rows[:, 0] += m2[0] * f2
 
-    z = x[s + 1:s + 1 + n_blocks * k_len].reshape(n_blocks, k_len, 2)
+    x[m + 1:1 + n_blocks * k_len] = 0.0
+    z = x[1:1 + n_blocks * k_len].reshape(n_blocks, k_len, 2)
     # an explicit copy: for B == 1 the transposed view is already
     # contiguous, and ascontiguousarray would hand back x itself
     buf = np.empty((k_len, 2, n_blocks), dtype=complex)
@@ -348,9 +361,8 @@ def _scan_segment(x, s, e, h, ca, cb, root_k, g, ain):
         buf[k] += step
     z[...] = buf.transpose(2, 0, 1)
 
-    powers = _powers_minus_identity(q, k_len)
     p00, p01, p10, p11 = powers[-1].ravel().tolist()
-    c_a, c_b = x[s].tolist()
+    c_a, c_b = x[0].tolist()
     # each block's end is overwritten in place by the state the block
     # starts from: lists grown by append fragment the heap (peak RSS)
     starts_a, starts_b = buf[-1].tolist()
@@ -364,21 +376,12 @@ def _scan_segment(x, s, e, h, ca, cb, root_k, g, ain):
     z += starts.T[:, None, :]
 
 
-def evolve(
-    system: CoupledModeSystem,
-    pulses: PulseSequence,
-    t_span: tuple[float, float],
-    dt: float,
-    a0: complex = 0.0,
-    b0: complex = 0.0,
-) -> Trajectory:
-    """Fixed-step RK4 trajectory of the driven two-mode system.
+def _pieces(system, pulses, t_span, dt):
+    """Check an evolve() call and cut its span at the gate edges.
 
-    dt must satisfy the resolution guard of max_stable_dt() and t_span
-    must cover every pulse; violations raise ValueError (with a suggested
-    step).  The span is cut at every gate edge, and each piece runs at its
-    one coupling in even steps of at most dt, as one exact recurrence (see
-    the module docstring); results are deterministic.
+    Returns the rates (ca, cb, root_k) and one (start, steps, step,
+    coupling, end) tuple per piece; end is the next piece's start, which
+    is the piece's last sample, and None for the last piece.
     """
     t0, t1 = t_span
     if not t1 > t0:
@@ -406,42 +409,112 @@ def evolve(
     # g(t) changes only at the gate edges: one coupling per piece
     cuts = [t0, *sorted({t for p in pulses.gate_pulses for t in (p.start, p.end)
                          if t0 < t < t1}), t1]
-    pieces = []  # (first step, end step, piece start, step, coupling)
-    n_steps = 0
+    pieces = []
     for ta, tb in zip(cuts, cuts[1:]):
         n = max(int(math.ceil((tb - ta) / dt - 1e-9)), 1)
         mid = 0.5 * (ta + tb)
         on = any(p.start <= mid < p.end for p in pulses.gate_pulses)
-        pieces.append((n_steps, n_steps + n, ta, (tb - ta) / n,
-                       system.g_on if on else system.g_off))
-        n_steps += n
-    # each step's start, midpoint and end; a later piece overwrites the
-    # sample it shares with the one before, so that sample is the edge
-    half_grid = np.empty(2 * n_steps + 1)
-    for s, e, ta, h, _ in pieces:
-        half_grid[2 * s:2 * e + 1] = ta + 0.5 * h * np.arange(2 * (e - s) + 1)
-    # each midpoint is the mean of its step's ends as returned in times:
-    # ta + h (n + 1/2) can round to the other side of a drive edge
-    mids = half_grid[1::2]
-    np.add(half_grid[:-1:2], half_grid[2::2], out=mids)
-    mids *= 0.5
-    if pulses.rf is not None:
-        ain_arr = np.asarray(pulses.rf.baseband(half_grid), dtype=complex)
-    else:
-        ain_arr = np.zeros(2 * n_steps + 1, dtype=complex)
+        pieces.append((ta, n, (tb - ta) / n, system.g_on if on else system.g_off,
+                       tb if tb < t1 else None))
+    return (ca, cb, root_k), pieces
 
-    # rows are the states (a, b) at each step; padded for the last block
-    x = np.zeros((n_steps + _block_len(n_steps), 2), dtype=complex)
+
+def _chunks(rf, rates, pieces, a0, b0):
+    """Integrate the pieces chunk by chunk from (a0, b0).
+
+    Yields (first step, half grid, drive on it, states) per chunk of at
+    most _CHUNK_STEPS steps of one piece: the grid holds each step's
+    start, midpoint and end, and the states are the rows (a, b) at the
+    step ends, row 0 being the chunk's start.  All three are views of
+    buffers that the next chunk overwrites.  A non-finite state raises
+    ArithmeticError.
+    """
+    ca, cb, root_k = rates
+    longest = min(max(n for _, n, *_ in pieces), _CHUNK_STEPS)
+    x = np.zeros((longest + _block_len(longest), 2), dtype=complex)
     x[0] = a0, b0
-    for s, e, _, h, g in pieces:
-        _scan_segment(x, s, e, h, ca, cb, root_k, g, ain_arr)
+    grid = np.empty(2 * longest + 1)
+    drive = np.zeros(2 * longest + 1, dtype=complex)
+    first = 0
+    for ta, n, h, g, t_end in pieces:
+        # Q is read off the increment, never formed as P - I: subtracting I
+        # would bias every step by its round-off
+        step_map = np.array([
+            _rk4_increment(e[0], e[1], h, ca, cb, root_k, g, e[2:])
+            for e in np.eye(5).tolist()
+        ]).T
+        powers = _powers_minus_identity(step_map[:, :2], _block_len(min(n, _CHUNK_STEPS)))
+        for j in range(0, n, _CHUNK_STEPS):
+            m = min(n - j, _CHUNK_STEPS)
+            t, ain = grid[:2 * m + 1], drive[:2 * m + 1]
+            # ta + (h / 2) k for the chunk's half steps k
+            np.multiply(np.arange(2 * j, 2 * (j + m) + 1), 0.5 * h, out=t)
+            t += ta
+            if t_end is not None and j + m == n:
+                t[-1] = t_end
+            # each midpoint is the mean of its step's ends as returned in
+            # times: ta + h (n + 1/2) can round to the other side of a
+            # drive edge
+            mids = t[1::2]
+            np.add(t[:-1:2], t[2::2], out=mids)
+            mids *= 0.5
+            if rf is not None:
+                ain[...] = rf.baseband(t)
+            _scan_chunk(x, m, step_map, powers, ain)
+            states = x[:m + 1]
+            if not np.isfinite(states).all():
+                raise ArithmeticError("trajectory diverged; reduce dt")
+            yield first, t, ain, states
+            x[0] = x[m]
+            first += m
 
-    x = x[:n_steps + 1]
-    if not np.isfinite(x).all():
-        raise ArithmeticError("trajectory diverged; reduce dt")
-    times = half_grid[0::2].copy()
-    a_out = ain_arr[0::2] - root_k * x[:, 0]
+
+def evolve(
+    system: CoupledModeSystem,
+    pulses: PulseSequence,
+    t_span: tuple[float, float],
+    dt: float,
+    a0: complex = 0.0,
+    b0: complex = 0.0,
+) -> Trajectory:
+    """Fixed-step RK4 trajectory of the driven two-mode system.
+
+    dt must satisfy the resolution guard of max_stable_dt() and t_span
+    must cover every pulse; violations raise ValueError (with a suggested
+    step).  The span is cut at every gate edge, and each piece runs at its
+    one coupling in even steps of at most dt, as one exact recurrence (see
+    the module docstring); results are deterministic.
+    """
+    rates, pieces = _pieces(system, pulses, t_span, dt)
+    root_k = rates[2]
+    n_steps = sum(n for _, n, *_ in pieces)
+    times = np.empty(n_steps + 1)
+    x = np.empty((n_steps + 1, 2), dtype=complex)
+    a_out = np.empty(n_steps + 1, dtype=complex)
+    # a chunk's first row repeats the last row of the chunk before
+    for s, t, ain, states in _chunks(pulses.rf, rates, pieces, a0, b0):
+        e = s + len(states)
+        times[s:e] = t[0::2]
+        x[s:e] = states
+        a_out[s:e] = ain[0::2] - root_k * states[:, 0]
     return Trajectory(times=times, a=x[:, 0], b=x[:, 1], a_out=a_out)
+
+
+def peak_coupler_energy(
+    system: CoupledModeSystem,
+    pulses: PulseSequence,
+    t_span: tuple[float, float],
+    dt: float,
+) -> float:
+    """Peak coupler energy max_t |a(t)|^2 of evolve(system, pulses, t_span,
+    dt) from an empty cell, the same number as max(evolve(...).e_a).
+
+    Each chunk of the integration is reduced as it is made, so no
+    trajectory is built and the memory used does not grow with the span.
+    """
+    rates, pieces = _pieces(system, pulses, t_span, dt)
+    return max(float(np.max(np.abs(states[:, 0]) ** 2))
+               for *_, states in _chunks(pulses.rf, rates, pieces, 0.0, 0.0))
 
 
 # ------------------------- protocols -------------------------
@@ -495,7 +568,9 @@ def write_protocol(
     peak = float(np.max(traj.e_a))
     if peak == 0.0:
         return WriteResult(fidelity=0.0, trajectory=traj)
-    return WriteResult(fidelity=float(traj.e_b[-1]) / peak, trajectory=traj)
+    # |b(end)|^2 by e_b's own array ops, without e_b's full-length arrays
+    stored = float((np.abs(traj.b[-1:]) ** 2)[0])
+    return WriteResult(fidelity=stored / peak, trajectory=traj)
 
 
 def read_duration(system: CoupledModeSystem) -> float:

@@ -87,16 +87,21 @@ class TestArraySpectrum:
 
 @pytest.fixture
 def evolve_calls(monkeypatch):
-    """Every dynamics.evolve call made during the test, addressed or idle."""
+    """Every integration made during the test: each dynamics.evolve call
+    (addressed) and each dynamics.peak_coupler_energy call (idle)."""
     calls = []
-    original = dynamics.evolve
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(original):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(dynamics, "evolve", counted)
-    monkeypatch.setattr(array_module, "evolve", counted)
+    for fn in (dynamics.evolve, dynamics.peak_coupler_energy):
+        wrapped = counting(fn)
+        for module in (dynamics, array_module):
+            if getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, wrapped)
     return calls
 
 

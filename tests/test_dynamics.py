@@ -21,11 +21,13 @@ from qmemsim.dynamics import (
     Rect,
     RfPulse,
     SampledDrive,
+    _CHUNK_STEPS,
     _block_len,
     _frame_carrier,
     _rk4_increment,
     evolve,
     max_stable_dt,
+    peak_coupler_energy,
     read_protocol,
     swap_duration,
     write_protocol,
@@ -370,6 +372,19 @@ def _named_case(name):
         drive = SampledDrive(carrier=carrier, times=times,
                              values=1e4 * np.exp(-((times - 150e-9) / 50e-9) ** 2 + 3j * times / 300e-9))
         return base, PulseSequence(rf=drive, gate_pulses=gate), (0.0, 450e-9), 0.0, 1j
+    if name == "chunked":
+        # three pieces over four chunks: the first piece is exactly one
+        # chunk, and the gate's fall lands inside its piece's second chunk
+        sys_ = CoupledModeSystem(omega_a=W0, omega_b=W0 + TWO_PI * 1e6,
+                                 kappa_ext=TWO_PI * 0.2e6, gamma_b=TWO_PI * 0.01e6,
+                                 g_on=g, g_off=1e3)
+        dt = 0.25 * max_stable_dt(sys_, PulseSequence(rf=gauss))
+        gate = GatePulse(start=_CHUNK_STEPS * dt * (1.0 - 1e-6),
+                         duration=1.5 * _CHUNK_STEPS * dt)
+        span = (0.0, gate.end + 0.5 * _CHUNK_STEPS * dt)
+        drive = RfPulse(carrier=carrier, amplitude=1e3, start=0.0, duration=span[1],
+                        envelope=Gauss(sigma=span[1] / 5.0))
+        return sys_, PulseSequence(rf=drive, gate_pulses=(gate,)), span, 0.6 - 0.8j, 1j
     if name in BLOCK_CASES:
         # one constant-coupling segment of exactly n steps; a0 and b0 both
         # nonzero, so every block's carry-in reaches both modes
@@ -390,9 +405,11 @@ def _named_case(name):
     return hold, PulseSequence(rf=drive), (0.0, 15e-6), 1.0, 0.0
 
 
-@pytest.mark.parametrize("name", ["exceptional_point", "g_off_zero", "one_step",
-                                  "no_drive", "gaussian", "sampled", "long_hold",
-                                  *GRID_CUT_CASES, *BLOCK_CASES])
+NAMED_CASES = ("exceptional_point", "g_off_zero", "one_step", "no_drive", "gaussian",
+               "sampled", "long_hold", "chunked", *GRID_CUT_CASES, *BLOCK_CASES)
+
+
+@pytest.mark.parametrize("name", NAMED_CASES)
 def test_scan_matches_step_loop_named(name):
     system, pulses, span, a0, b0 = _named_case(name)
     dt = 0.25 * max_stable_dt(system, pulses)
@@ -401,6 +418,13 @@ def test_scan_matches_step_loop_named(name):
     traj = _assert_matches_loop(system, pulses, span, dt, a0=a0, b0=b0)
     if name in BLOCK_CASES:
         assert len(traj.times) - 1 == _block_case_steps(name)
+    if name == "chunked":
+        times = traj.times.tolist()
+        gate = pulses.gate_pulses[0]
+        rise, fall = times.index(gate.start), times.index(gate.end)
+        assert rise == _CHUNK_STEPS
+        assert _CHUNK_STEPS < fall - rise < 2 * _CHUNK_STEPS
+        assert len(times) - 1 - fall > 0
     if name in GRID_CUT_CASES:
         times = traj.times.tolist()
         t = _half_grid(span, dt)
@@ -421,21 +445,84 @@ def test_scan_matches_step_loop_named(name):
             assert (times[-1] - times[-2]) / h == pytest.approx(0.2, rel=1e-9)
 
 
+def _assert_peak_matches_evolve(system, pulses, span, dt):
+    """peak_coupler_energy is max(e_a) of evolve from an empty cell: bit
+    for bit within one chunk, to round-off across chunks."""
+    expected = np.max(evolve(system, pulses, span, dt).e_a)
+    peak = peak_coupler_energy(system, pulses, span, dt)
+    if (span[1] - span[0]) / dt <= _CHUNK_STEPS:
+        assert peak == expected
+    else:
+        assert peak == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=driven_systems())
+def test_peak_coupler_energy_matches_evolve(case):
+    system, pulses, span, dt, _, _ = case
+    _assert_peak_matches_evolve(system, pulses, span, dt)
+
+
+@pytest.mark.parametrize("name", NAMED_CASES)
+def test_peak_coupler_energy_matches_evolve_named(name):
+    system, pulses, span, _, _ = _named_case(name)
+    _assert_peak_matches_evolve(system, pulses, span, 0.25 * max_stable_dt(system, pulses))
+
+
+def _bad_integrations():
+    """(system, pulses, t_span, dt) calls that evolve rejects, each with
+    the error it raises and a pattern of its message."""
+    sys_ = CoupledModeSystem(omega_a=W0, omega_b=W0, kappa_ext=TWO_PI * 1e6,
+                             g_on=TWO_PI * 100e6, g_off=1e3)
+    rf = RfPulse(carrier=W0 / TWO_PI, amplitude=1.0, start=0.0, duration=10e-9)
+    dt = 0.25 * max_stable_dt(sys_, PulseSequence(rf=rf))
+    times = np.linspace(0.0, 10e-9, 11)
+    nan_drive = SampledDrive(carrier=W0 / TWO_PI, times=times,
+                             values=np.full(11, complex("nan")))
+    return [
+        ((sys_, PulseSequence(rf=rf), (10e-9, 0.0), dt), ValueError, "positive length"),
+        ((sys_, PulseSequence(rf=rf), (0.0, 10e-9), 0.0), ValueError, "dt must be positive"),
+        ((sys_, PulseSequence(rf=rf), (0.0, 10e-9), 8.0 * dt), ValueError, "resolution guard"),
+        ((sys_, PulseSequence(rf=rf), (0.0, 5e-9), dt), ValueError, "cover"),
+        ((sys_, PulseSequence(rf=nan_drive), (0.0, 10e-9), dt), ArithmeticError, "diverged"),
+    ]
+
+
+@pytest.mark.parametrize("call, error, match", _bad_integrations())
+def test_peak_coupler_energy_raises_as_evolve(call, error, match):
+    for integrate in (evolve, peak_coupler_energy):
+        with pytest.raises(error, match=match):
+            integrate(*call)
+
+
+def _traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_evolve_peak_memory():
-    # the scan keeps one full-size scratch buffer and there is no sampled
-    # coupling array; either one more would show here as about 8.5 x 16
-    # bytes per step, and in the benchmark's peak RSS
+    # the outputs are 3.5 x 16 bytes per sample (times, the (a, b) rows
+    # and a_out); the scan works in chunk-sized buffers, so every other
+    # array is bounded by the chunk, not by the span
     system, pulses, span, a0, b0 = _named_case("long_hold")
     dt = 0.25 * max_stable_dt(system, pulses)
     n = len(evolve(system, pulses, span, dt, a0=a0, b0=b0).times)
     assert n == 60_001
-    tracemalloc.start()
-    try:
-        evolve(system, pulses, span, dt, a0=a0, b0=b0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * 16 * n
+    assert _traced_peak(evolve, system, pulses, span, dt, a0=a0, b0=b0) <= 4.75 * 16 * n
+
+
+def test_peak_coupler_energy_memory_is_bounded():
+    # no trajectory is built: the long_hold span and four times it fit in
+    # the same chunk-sized bound
+    system, pulses, span, _, _ = _named_case("long_hold")
+    dt = 0.25 * max_stable_dt(system, pulses)
+    for t_end in (span[1], 4.0 * span[1]):
+        peak = _traced_peak(peak_coupler_energy, system, pulses, (span[0], t_end), dt)
+        assert peak <= 10 * 16 * _CHUNK_STEPS
 
 
 def _energy_residual(system, pulses, traj):
@@ -504,6 +591,9 @@ class TestWriteProtocol:
         rf = RfPulse(carrier=W0 / TWO_PI, amplitude=1.0, start=0.0, duration=3.0 / sys_.kappa_ext)
         result = write_protocol(sys_, rf)
         assert result.fidelity >= 0.99
+        # read off b's last sample, the same bits as the energy trace's
+        traj = result.trajectory
+        assert result.fidelity == float(traj.e_b[-1]) / float(np.max(traj.e_a))
 
     def test_gate_never_on_is_isolating(self):
         sys_ = self.make_system(g_off=1.3e4)
@@ -596,6 +686,11 @@ class TestEnvelopes:
             Gauss(sigma=0.0)
         with pytest.raises(ValueError):
             GatePulse(start=0.0, duration=0.0)
+        # np.interp would read these grids without complaint
+        for times in ([0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 1.0, 3.0], [0.0, math.nan, 2.0, 3.0],
+                      [0.0, 1.0, 2.0, math.inf]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                SampledDrive(carrier=6.5e9, times=np.array(times), values=np.ones(4, complex))
 
 
 def test_system_validation():
