@@ -1,4 +1,5 @@
 """CLI surface: exit codes, CSV formats, determinism."""
+import argparse
 import contextlib
 import io
 import json
@@ -9,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from qmemsim import cli, dynamics
+from qmemsim import __version__, cli, dynamics
 from qmemsim.cli import main
 from qmemsim.cell import sc_mode_estimate
 from qmemsim.config import config_to_dict, example_config, load_config
@@ -47,8 +49,7 @@ _special_floats = st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float(
                                    -2.5e-310, 2.2250738585072014e-308, 1.7976931348623157e308])
 _column_kinds = {
     # float columns as arrays, as the traces pass them; the rest as sequences
-    "float": lambda n: st.lists(st.one_of(_special_floats, st.floats()), min_size=n,
-                                max_size=n).map(lambda v: np.array(v, dtype=float)),
+    "float": lambda n: hnp.arrays(np.float64, n, elements=st.one_of(_special_floats, st.floats())),
     "int": lambda n: st.one_of(st.just(range(n)),
                                st.lists(st.integers(-10**20, 10**20), min_size=n, max_size=n)),
     "str": lambda n: st.lists(st.text(alphabet="abc%,-. 0e", max_size=5), min_size=n, max_size=n),
@@ -57,7 +58,7 @@ _column_kinds = {
 
 @st.composite
 def _tables(draw):
-    n = draw(st.integers(0, 12))
+    n = draw(st.integers(0, 300))
     kinds = draw(st.lists(st.sampled_from(sorted(_column_kinds)), min_size=1, max_size=6))
     return [f"c{j}" for j in range(len(kinds))], [draw(_column_kinds[k](n)) for k in kinds]
 
@@ -65,6 +66,8 @@ def _tables(draw):
 @settings(max_examples=200, deadline=None)
 @given(table=_tables())
 @example(table=(["c0"], [[0, 2**63]]))  # numpy reads this list as float64
+@example(table=(["c0", "c1"], [np.array([1.5, -0.0]), ["é", "x"]]))
+@example(table=(["c0", "c1"], [["a\x00", "\x00"], np.array([float("nan"), 2.5e-7])]))
 def test_write_csv_matches_per_row_formatting(table):
     header, columns = table
     expected = _csv_per_row(header, columns)
@@ -76,6 +79,93 @@ def test_write_csv_matches_per_row_formatting(table):
     with contextlib.redirect_stdout(stdout):
         cli._write_csv(None, header, columns)
     assert stdout.getvalue() == expected
+
+
+def _formatted(values):
+    """_write_csv's cells for one float column, one string per value."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        cli._write_csv(None, ["v"], [np.asarray(values, dtype=float)])
+    return stdout.getvalue().split("\n")[1:-1]
+
+
+class TestFloatFormatting:
+    """Every float cell is '%.11e' % v, compared value by value."""
+
+    def assert_exact(self, values):
+        values = np.asarray(values, dtype=float)
+        cells = _formatted(values)
+        assert len(cells) == len(values)
+        wrong = [(v, c) for v, c in zip(values.tolist(), cells) if c != "%.11e" % v]
+        assert not wrong, wrong[:5]
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20201)
+        self.assert_exact(rng.integers(0, 2**64, 120_000, dtype=np.uint64).view(np.float64))
+
+    def test_named_edges(self):
+        tiny = 2.2250738585072014e-308
+        self.assert_exact([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
+                           tiny, -tiny, 1e100, -1e100, -1e-100, 1e10, np.nextafter(1e10, 0)])
+        assert _formatted([-0.0, float("-inf")]) == ["-0.00000000000e+00", "-inf"]
+
+    def test_decade_carries(self):
+        # 99999999999.95 is stored just below the half, so it does not carry
+        self.assert_exact([99999999999.95, 99999999999.9501, 9.99999999999951e5,
+                           9.999999999995e-5, -9.9999999999951e99])
+        assert _formatted([99999999999.95, 9.99999999999951e5]) == [
+            "9.99999999999e+10", "1.00000000000e+06"]
+
+    def test_near_ties(self):
+        # a half past 12 digits, give or take round-off: the scaled mantissa
+        # of these can land on the wrong side of the half
+        self.assert_exact([4.045895193695e-14, 5.406441891075e+76, 4.914527970025e-33])
+        rng = np.random.default_rng(5)
+        n = 20_000
+        mantissa = rng.integers(10**11, 10**12, n) + 0.5
+        values = mantissa * 10.0 ** rng.integers(-110, 100, n) * (1 + rng.uniform(-3e-16, 3e-16, n))
+        self.assert_exact(values)
+
+    def test_exact_ties_round_half_even(self):
+        self.assert_exact([100000000000.5, 100000000001.5])
+        assert _formatted([100000000000.5, 100000000001.5]) == [
+            "1.00000000000e+11", "1.00000000002e+11"]
+
+
+@pytest.mark.parametrize("columns", [[[1.0], [2.0, 3.0]], [[1.0, 2.0], [3.0]]],
+                         ids=["later-longer", "later-shorter"])
+def test_write_csv_rejects_unequal_columns(columns, tmp_path):
+    with pytest.raises(ValueError, match=r"differ in length: \[(1, 2|2, 1)\]"):
+        cli._write_csv(tmp_path / "t.csv", ["a", "b"], columns)
+
+
+def test_parser_built_once(monkeypatch, capsys):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recorded(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recorded)
+    assert main([]) == 1
+    assert main([]) == 1
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+
+@pytest.mark.parametrize("argv, code, stream, start", [
+    (["--version"], 0, "out", f"qmemsim {__version__}\n"),
+    (["--help"], 0, "out", "usage: qmemsim"),
+    (["spectrum", "--help"], 0, "out", "usage: qmemsim spectrum"),
+    (["no-such-command"], 1, "err", "usage: qmemsim"),
+    ([], 1, "err", "usage: qmemsim"),
+], ids=["version", "help", "subcommand-help", "bad-command", "no-command"])
+def test_repeated_calls_print_the_same(argv, code, stream, start, capsys):
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == code
+        outputs.append(getattr(capsys.readouterr(), stream))
+    assert outputs[0].startswith(start) and outputs[0] == outputs[1]
 
 
 class TestSeedConfig:
