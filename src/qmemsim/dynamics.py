@@ -19,19 +19,17 @@ The system is linear, so each RK4 step is the exact affine map
 x_{n+1} = x_n + Q x_n + r_n, with Q and the drive weights in r_n read off
 one application of the RK4 stage formula.  g(t) changes only at the gate
 edges, so evolve() cuts the span there and runs each piece at its one
-coupling, in even steps of at most dt, as a blocked scan in numpy:
-blocks of about sqrt(N / 8) steps run from a zero state side by side, a
-scalar pass carries the state from block to block, and one matrix product
-lifts every block onto its carried-in state.  The result matches the
+coupling, in even steps of at most dt, as a blocked scan in numpy: blocks
+of _BLOCK_STEPS steps run from a zero state side by side, a doubling scan
+carries the state from block to block, and one matrix product lifts
+every block onto its carried-in state.  The result matches the
 step-by-step loop to round-off.
 
-A piece is scanned in chunks of at most C = _CHUNK_STEPS steps, each
-starting from the last state of the one before, with N = min(steps, C)
-setting the block length.  The half-step grid, the drive samples and the
-states live in chunk-sized buffers reused from chunk to chunk.  A piece
-of at most C steps is one chunk.  evolve() copies every chunk into the
-trajectory it returns; peak_coupler_energy() keeps only the running
-max |a|^2, so its memory does not grow with the span.
+A piece is scanned in chunks of at most _CHUNK_STEPS steps, each starting
+from the last state of the one before, in chunk-sized buffers reused from
+chunk to chunk.  evolve() copies every chunk into the trajectory it
+returns; peak_coupler_energy() keeps only the running max |a|^2, so its
+memory does not grow with the span.
 """
 from __future__ import annotations
 
@@ -45,6 +43,13 @@ TWO_PI = 2.0 * math.pi
 
 
 # ------------------------- pulse schedule -------------------------
+
+
+def _require_finite(obj, names):
+    """Raise ValueError naming the first non-finite field: NaN passes every sign check."""
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValueError(f"{type(obj).__name__}.{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -62,6 +67,7 @@ class Gauss:
     sigma: float
 
     def __post_init__(self):
+        _require_finite(self, ("sigma",))
         if self.sigma <= 0:
             raise ValueError("gaussian sigma must be positive")
 
@@ -80,6 +86,7 @@ class RfPulse:
     envelope: Rect | Gauss = field(default_factory=Rect)
 
     def __post_init__(self):
+        _require_finite(self, ("carrier", "amplitude", "start", "duration"))
         if self.carrier <= 0:
             raise ValueError("carrier frequency must be positive")
         if self.duration <= 0:
@@ -106,7 +113,8 @@ class SampledDrive:
     """Arbitrary baseband drive waveform given on a sample grid.
 
     Linear interpolation between samples, zero outside; used e.g. to feed
-    one cell's emitted field to its neighbors.
+    one cell's emitted field to its neighbors.  times and values are
+    stored as 1-D float and complex arrays.
     """
 
     carrier: float
@@ -114,14 +122,18 @@ class SampledDrive:
     values: np.ndarray
 
     def __post_init__(self):
+        _require_finite(self, ("carrier",))
         if self.carrier <= 0:
             raise ValueError("carrier frequency must be positive")
-        if len(self.times) != len(self.values) or len(self.times) < 2:
-            raise ValueError("sampled drive needs matching times/values arrays")
-        # np.interp reads any other grid silently wrong
         times = np.asarray(self.times, dtype=float)
+        values = np.asarray(self.values, dtype=complex)
+        if times.ndim != 1 or values.shape != times.shape or len(times) < 2:
+            raise ValueError("sampled drive needs matching 1-D times/values, 2+ samples")
+        # np.interp reads any other grid silently wrong
         if not (np.isfinite(times).all() and (times[1:] > times[:-1]).all()):
             raise ValueError("sampled drive times must be finite and strictly increasing")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "values", values)
 
     @property
     def start(self) -> float:
@@ -146,6 +158,7 @@ class GatePulse:
     duration: float
 
     def __post_init__(self):
+        _require_finite(self, ("start", "duration"))
         if self.duration <= 0:
             raise ValueError("gate pulse duration must be positive")
 
@@ -201,8 +214,9 @@ class CoupledModeSystem:
     g_off: float = 0.0
 
     def __post_init__(self):
-        for name in ("omega_a", "omega_b", "kappa_ext", "kappa_int_a",
-                     "gamma_b", "g_on", "g_off"):
+        names = ("omega_a", "omega_b", "kappa_ext", "kappa_int_a", "gamma_b", "g_on", "g_off")
+        _require_finite(self, names)
+        for name in names:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -279,34 +293,28 @@ def _rk4_increment(a, b, h, ca, cb, root_k, g, f):
     )
 
 
-def _powers_minus_identity(q: np.ndarray, count: int) -> np.ndarray:
-    """Stack of P^(k+1) - I for k < count, where P = I + q, by doubling.
+def _doubling_scan(y, q):
+    """Scan y in place along its last axis: y_j <- sum_{i<=j} P^i y_{j-i},
+    where P = I + q acts on axis -2 (length 2).
 
-    Working with P^k - I instead of P^k keeps the round-off relative to
-    the (small) change per step instead of to the state.
+    Hillis & Steele doubling (CACM 29, 1170): pass d = 1, 2, 4, ... adds
+    P^d y_{j-d} to every y_j, j >= d.  P^d is carried as P^d - I, keeping
+    the round-off relative to the change per step, not to the state.
     """
-    out = np.empty((count, 2, 2), dtype=complex)
-    out[0] = q
-    done = 1
-    while done < count:
-        n = min(done, count - done)
-        last = out[done - 1]
-        # P^(done + j + 1) - I = (P^done - I)(P^(j+1) - I) + both factors
-        out[done:done + n] = last @ out[:n] + last + out[:n]
-        done += n
-    return out
+    n = y.shape[-1]
+    d = 1
+    while d < n:
+        t = q @ y[..., :n - d]
+        t += y[..., :n - d]
+        y[..., d:] += t
+        # P^(2d) - I = (P^d - I)^2 + 2 (P^d - I)
+        q = q @ q + q + q
+        d *= 2
 
 
-# An in-block step costs about 8 us of numpy calls for all blocks at once
-# and a carry about 1 us per block, so K steps per block over N steps cost
-# about 8 K + N / K us, least at K = sqrt(N / 8).  sqrt(N / 16) measured
-# the same: the minimum is flat.
-_STEP_TO_CARRY_COST = 8
-
-
-def _block_len(length: int) -> int:
-    """Steps per block of a scan over `length` steps."""
-    return max(math.isqrt(length // _STEP_TO_CARRY_COST), 1)
+# Steps per block of the scan; any length gives the same trajectory to
+# round-off, and 16 to 24 ran fastest on an 8192-step chunk
+_BLOCK_STEPS = 16
 
 
 # Steps per chunk: evolve() and peak_coupler_energy() walk each piece in
@@ -315,27 +323,26 @@ def _block_len(length: int) -> int:
 _CHUNK_STEPS = 8192
 
 
-def _scan_chunk(x, m, step_map, powers, ain):
+def _scan_chunk(x, m, step_map, lift, ain):
     """m steps of one piece from the state in row 0 of x, written into rows
     1..m; ain holds the drive on the chunk's half-step grid.
 
     Each step is x_{n+1} = x_n + Q x_n + r_n with r_n = m0 f(t_n) +
     m1 f(t_n + h/2) + m2 f(t_n + h); Q and the m are the columns of
     step_map, the increment of one RK4 step on the basis (x_a, x_b, f0,
-    f1, f2).  The steps are cut into B blocks of K = len(powers) steps,
-    laid out as a contiguous (K, 2, B) scratch buffer: row k holds step k
-    of every block.
+    f1, f2).  lift stacks P^(k+1) - I for k < K, P = I + Q, as (2K, 2).
+    The steps are cut into B blocks of K steps, laid out as a contiguous
+    (K, 2, B) scratch buffer: row k holds step k of every block.
     1. Zero state: K - 1 steps, each one (2, 2) @ (2, B) matmul and two
        adds, run every block from a zero state under its own drive.
-    2. Carry: Python complex scalars walk the blocks, c <- end_b +
-       (P^K - I) c + c, giving the state c_b each block starts from.
-    3. Lift: one GEMM, (P^(k+1) - I) stacked to (2K, 2) times the (2, B)
-       carries, overwrites the buffer; it and the carries are added to
-       the zero-state rows in x.
+    2. Carry: block j starts from c_j = e_{j-1} + P^K c_{j-1}, c_0 = x_0,
+       e being a block's zero-state end: a doubling scan over the blocks.
+    3. Lift: one GEMM, lift times the (2, B) carries, overwrites the
+       buffer; it and the carries are added to the zero-state rows in x.
     x needs K - 1 padding rows past row m; they are zeroed here, and what
     they hold never reaches rows 1..m.
     """
-    k_len = len(powers)
+    k_len = len(lift) // 2
     n_blocks = -(-m // k_len)
     q = step_map[:, :2]
     m0, m1, m2 = step_map[:, 2], step_map[:, 3], step_map[:, 4]
@@ -361,17 +368,9 @@ def _scan_chunk(x, m, step_map, powers, ain):
         buf[k] += step
     z[...] = buf.transpose(2, 0, 1)
 
-    p00, p01, p10, p11 = powers[-1].ravel().tolist()
-    c_a, c_b = x[0].tolist()
-    # each block's end is overwritten in place by the state the block
-    # starts from: lists grown by append fragment the heap (peak RSS)
-    starts_a, starts_b = buf[-1].tolist()
-    for j in range(n_blocks):
-        end_a, end_b = starts_a[j], starts_b[j]
-        starts_a[j], starts_b[j] = c_a, c_b
-        c_a, c_b = end_a + (p00 * c_a + p01 * c_b) + c_a, end_b + (p10 * c_a + p11 * c_b) + c_b
-    starts = np.array([starts_a, starts_b])
-    np.matmul(powers.reshape(2 * k_len, 2), starts, out=buf.reshape(2 * k_len, n_blocks))
+    starts = np.column_stack((x[0], buf[-1, :, :-1]))
+    _doubling_scan(starts, lift[-2:])
+    np.matmul(lift, starts, out=buf.reshape(2 * k_len, n_blocks))
     z += buf.transpose(2, 0, 1)
     z += starts.T[:, None, :]
 
@@ -431,7 +430,8 @@ def _chunks(rf, rates, pieces, a0, b0):
     """
     ca, cb, root_k = rates
     longest = min(max(n for _, n, *_ in pieces), _CHUNK_STEPS)
-    x = np.zeros((longest + _block_len(longest), 2), dtype=complex)
+    k_len = _BLOCK_STEPS
+    x = np.zeros((longest + k_len, 2), dtype=complex)
     x[0] = a0, b0
     grid = np.empty(2 * longest + 1)
     drive = np.zeros(2 * longest + 1, dtype=complex)
@@ -443,7 +443,10 @@ def _chunks(rf, rates, pieces, a0, b0):
             _rk4_increment(e[0], e[1], h, ca, cb, root_k, g, e[2:])
             for e in np.eye(5).tolist()
         ]).T
-        powers = _powers_minus_identity(step_map[:, :2], _block_len(min(n, _CHUNK_STEPS)))
+        # column c of P^(k+1) - I is sum_{i<=k} P^i Q[:, c]
+        powers = np.repeat(step_map[:, :2].T[:, :, None], k_len, axis=2)
+        _doubling_scan(powers, step_map[:, :2])
+        lift = powers.transpose(2, 1, 0).reshape(2 * k_len, 2)
         for j in range(0, n, _CHUNK_STEPS):
             m = min(n - j, _CHUNK_STEPS)
             t, ain = grid[:2 * m + 1], drive[:2 * m + 1]
@@ -460,7 +463,7 @@ def _chunks(rf, rates, pieces, a0, b0):
             mids *= 0.5
             if rf is not None:
                 ain[...] = rf.baseband(t)
-            _scan_chunk(x, m, step_map, powers, ain)
+            _scan_chunk(x, m, step_map, lift, ain)
             states = x[:m + 1]
             if not np.isfinite(states).all():
                 raise ArithmeticError("trajectory diverged; reduce dt")

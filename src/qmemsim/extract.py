@@ -48,7 +48,7 @@ class ResidualCoupling:
 
 def full_accumulation_inductance(cell: MemoryCell) -> float:
     """Junction inductance at full accumulation (maximum critical current)."""
-    return josephson_inductance(cell.jj.i_c_max, cell.jj.phi)
+    return josephson_inductance(cell.jj.i_c_max)
 
 
 def _back_chain(cell: MemoryCell, state):

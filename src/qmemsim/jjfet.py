@@ -149,14 +149,12 @@ class JjFet:
     c_j : farad, junction capacitance
     r_off : ohm, full-depletion channel resistance
     r_sub : ohm, ON-state subgap shunt resistance
-    phi : radian, superconducting phase (fixed 0 for linear response)
     """
 
     i_c_max: float
     c_j: float = 1e-15
     r_off: float = 1000.0
     r_sub: float = 1e6
-    phi: float = 0.0
     gate: GateModel = field(default_factory=lambda: GateModel(-2.0, 0.0))
 
     def __post_init__(self):
@@ -168,8 +166,6 @@ class JjFet:
             raise ValueError("r_off must be positive")
         if self.r_sub <= 0:
             raise ValueError("r_sub must be positive")
-        if abs(self.phi) >= math.pi / 2:
-            raise ValueError("phi must lie in (-pi/2, pi/2)")
 
     def critical_current(self, v_g: float) -> float:
         """Gate-controlled critical current, ampere."""
@@ -186,7 +182,7 @@ def gate_to_state(jj: JjFet, v_g: float,
     i_c = jj.critical_current(v_g)
     if i_c <= off_threshold:
         return Off(r=jj.r_off)
-    return On(l_j=josephson_inductance(i_c, jj.phi))
+    return On(l_j=josephson_inductance(i_c))
 
 
 def jj_series_impedance(state: JjState, c_j: float, r_sub: float, f):

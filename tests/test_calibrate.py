@@ -1,4 +1,6 @@
 """Geometry calibration: target matching, idempotence, failure reporting."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from qmemsim.calibrate import (
     sc_branch_resonance,
     tcr_branch_resonance,
 )
+from qmemsim.cell import tcr_mode_estimate
 from qmemsim.resonance import find_resonances
 from tests.conftest import ANCHOR, Q_C, TARGETS
 
@@ -115,6 +118,39 @@ class TestCalibratedCell:
         # the solved stub is near (slightly below) the bare lambda/4 length
         bare = cell.phase_velocity / (4.0 * TARGETS[0])
         assert 0.9 * bare < cell.sc_len < bare
+
+
+def test_zero_hidden_below_a_pole_is_rescanned(cell, monkeypatch):
+    # a weak input capacitor puts the TCR's zero (6.6319 GHz) 2.2 MHz below
+    # its pole, inside one 5.7 MHz step of the scan: Im Z falls while
+    # negative across that step, which is scanned again
+    weak = replace(cell, c_in=0.5e-15)
+    branch = calibrate._tcr_branch_impedance
+    scans = []
+
+    def spy(cell_, l_j, f):
+        if np.shape(f)[-1] > 1:
+            scans.append(np.shape(f))
+        return branch(cell_, l_j, f)
+
+    monkeypatch.setattr(calibrate, "_tcr_branch_impedance", spy)
+    f_r = tcr_branch_resonance(weak, ANCHOR)
+    assert scans == [(1, 600), (1, 600)]
+
+    # oracle: a scan fine enough to step between zero and pole, over the
+    # same window, in pieces, refined to 1e-12
+    def reactance(f):
+        return branch(weak, ANCHOR, f).imag
+
+    near = tcr_mode_estimate(weak, ANCHOR)
+    s = np.linspace(0.6 * near, 1.1 * near, 2_000_001)
+    x = np.concatenate([reactance(part) for part in np.array_split(s, 20)])
+    up = np.flatnonzero((x[:-1] < 0) & (x[1:] >= 0))
+    i = up[np.argmin(np.abs(0.5 * (s[up] + s[up + 1]) - near))]
+    expected = find_root(reactance, s[i], s[i + 1], "oracle", rtol=1e-12)
+    # the calibration's own tolerance; the pole is 3e-4 away
+    assert f_r == pytest.approx(expected, rel=1e-9)
+    assert reactance(f_r * (1 - 1e-9)) < 0 < reactance(f_r * (1 + 1e-9))
 
 
 class TestLockstep:

@@ -1,5 +1,4 @@
 """Two-mode dynamics: analytic checks, protocols, integrator quality."""
-import itertools
 import math
 import os
 import subprocess
@@ -12,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qmemsim
+from qmemsim import dynamics
 from qmemsim.dynamics import (
     TWO_PI,
     CoupledModeSystem,
@@ -22,7 +22,6 @@ from qmemsim.dynamics import (
     RfPulse,
     SampledDrive,
     _CHUNK_STEPS,
-    _block_len,
     _frame_carrier,
     _rk4_increment,
     evolve,
@@ -308,23 +307,28 @@ def test_scan_matches_step_loop(case):
 GRID_CUT_CASES = ("edge_on_sample", "sub_step_pulse", "edges_first_last")
 
 # constant-coupling segments whose block layout sits on the scan's edges,
-# each a test on (steps per block K, blocks B, steps in the last block)
+# each a test on (steps per block K, blocks B, steps in the last block);
+# eight and nine blocks are the carry's doubling edges: three passes over
+# a power of two, and a fourth pass that reaches the last block only
 BLOCK_CASES = {
     "one_block": lambda k, b, last: b == 1,
-    "unit_blocks": lambda k, b, last: k == 1 and b > 1,
-    "last_block_full": lambda k, b, last: k > 2 and last == k,
-    "last_block_short": lambda k, b, last: k > 2 and last == k - 1,
-    "last_block_over": lambda k, b, last: k > 2 and last == 1,
+    "eight_blocks_full": lambda k, b, last: b == 8 and last == k,
+    "nine_blocks_one_step": lambda k, b, last: b == 9 and last == 1,
+    "last_block_full": lambda k, b, last: k > 2 and b > 1 and last == k,
+    "last_block_short": lambda k, b, last: k > 2 and b > 1 and last == k - 1,
+    "last_block_over": lambda k, b, last: k > 2 and b > 1 and last == 1,
 }
 
 
 def _block_case_steps(name):
-    """Smallest step count whose scan has the layout BLOCK_CASES names."""
-    for n in itertools.count(1):
-        k = _block_len(n)
+    """Smallest step count, up to one chunk, whose scan has the layout
+    BLOCK_CASES names."""
+    k = dynamics._BLOCK_STEPS
+    for n in range(1, _CHUNK_STEPS + 1):
         b = -(-n // k)
         if BLOCK_CASES[name](k, b, n - (b - 1) * k):
             return n
+    raise AssertionError(f"no step count up to one chunk has the {name} layout")
 
 
 def _named_case(name):
@@ -443,6 +447,18 @@ def test_scan_matches_step_loop_named(name):
             assert {gates[0].end, gates[1].start, gates[1].end} <= set(times)
             assert times[-2] == gates[1].end
             assert (times[-1] - times[-2]) / h == pytest.approx(0.2, rel=1e-9)
+
+
+@pytest.mark.parametrize("k_len", [1, 2, 16, 17])
+@pytest.mark.parametrize("name", ["gaussian", "chunked", "long_hold", "one_step",
+                                  "exceptional_point"])
+def test_block_length_is_free(monkeypatch, name, k_len):
+    # the block length is a cost knob only: one block per step, blocks
+    # that do not divide the chunk and the default all match the loop
+    monkeypatch.setattr(dynamics, "_BLOCK_STEPS", k_len)
+    system, pulses, span, a0, b0 = _named_case(name)
+    _assert_matches_loop(system, pulses, span, 0.25 * max_stable_dt(system, pulses),
+                         a0=a0, b0=b0)
 
 
 def _assert_peak_matches_evolve(system, pulses, span, dt):
@@ -692,7 +708,53 @@ class TestEnvelopes:
             with pytest.raises(ValueError, match="strictly increasing"):
                 SampledDrive(carrier=6.5e9, times=np.array(times), values=np.ones(4, complex))
 
+    def test_sampled_drive_lists_become_arrays(self):
+        drive = SampledDrive(carrier=6.5e9, times=[0.0, 1e-8, 2e-8], values=[0, 1, 0])
+        assert drive.times.dtype == float and drive.values.dtype == complex
+        sys_ = CoupledModeSystem(omega_a=W0, omega_b=W0, kappa_ext=TWO_PI * 1e6)
+        traj = evolve(sys_, PulseSequence(rf=drive), (0.0, 2e-8),
+                      0.25 * max_stable_dt(sys_, PulseSequence(rf=drive)))
+        assert np.max(traj.e_a) > 0.0
+        for times, values in (([[0.0, 1.0], [2.0, 3.0]], np.ones((2, 2))),
+                              ([0.0, 1.0, 2.0], [[0.0, 1.0, 0.0]]),
+                              ([0.0, 1.0, 2.0], [0.0, 1.0])):
+            with pytest.raises(ValueError, match="1-D"):
+                SampledDrive(carrier=6.5e9, times=times, values=values)
+        # non-finite values are a drive evolve reports as diverged; a
+        # non-finite carrier is rejected here
+        with pytest.raises(ValueError, match="SampledDrive.carrier must be finite"):
+            SampledDrive(carrier=math.nan, times=[0.0, 1e-8], values=[0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rf_pulse_rejects_non_finite(self, bad):
+        fields = dict(carrier=6.5e9, amplitude=1.0, start=0.0, duration=1e-9)
+        for name in fields:
+            with pytest.raises(ValueError, match=f"RfPulse.{name} must be finite"):
+                RfPulse(**{**fields, name: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_gate_pulse_rejects_non_finite(self, bad):
+        for name in ("start", "duration"):
+            with pytest.raises(ValueError, match=f"GatePulse.{name} must be finite"):
+                GatePulse(**{"start": 0.0, "duration": 1e-9, name: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_gauss_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="Gauss.sigma must be finite"):
+            Gauss(sigma=bad)
+
 
 def test_system_validation():
     with pytest.raises(ValueError):
         CoupledModeSystem(omega_a=W0, omega_b=W0, kappa_ext=-1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_system_rejects_non_finite(bad):
+    # NaN passes every sign check; unchecked, it surfaces far downstream,
+    # e.g. as "trajectory diverged; reduce dt"
+    fields = dict(omega_a=W0, omega_b=W0, kappa_ext=TWO_PI * 1e6, kappa_int_a=0.0,
+                  gamma_b=0.0, g_on=TWO_PI * 100e6, g_off=1e3)
+    for name in fields:
+        with pytest.raises(ValueError, match=f"CoupledModeSystem.{name} must be finite"):
+            CoupledModeSystem(**{**fields, name: bad})

@@ -230,5 +230,3 @@ def test_jjfet_validation():
         JjFet(i_c_max=0.0)
     with pytest.raises(ValueError):
         JjFet(i_c_max=1e-6, r_off=-1.0)
-    with pytest.raises(ValueError):
-        JjFet(i_c_max=1e-6, phi=math.pi / 2)
