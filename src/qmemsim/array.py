@@ -16,7 +16,9 @@ import numpy as np
 
 from .calibrate import CalibrationTargets, calibrate_cells
 from .cell import MemoryCell, frequency_sweep
+from .checks import require
 from .dynamics import (
+    DT_FRACTION,
     TWO_PI,
     CoupledModeSystem,
     Gauss,
@@ -48,10 +50,9 @@ class MemoryArray:
     def __post_init__(self):
         if len(self.cells) != len(self.targets) or not self.cells:
             raise ValueError("array needs one cell per target")
-        if any(b <= a for a, b in zip(self.targets, self.targets[1:])):
+        if not all(b > a for a, b in zip(self.targets, self.targets[1:])):
             raise ValueError("target frequencies must be strictly increasing")
-        if self.z_ref <= 0:
-            raise ValueError("reference impedance must be positive")
+        require(self, "positive", "z_ref")
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -77,7 +78,7 @@ def build_array(
     linewidths) is verified, not assumed.
     """
     targets = tuple(float(t) for t in targets)
-    if any(b <= a for a, b in zip(targets, targets[1:])):
+    if not all(b > a for a, b in zip(targets, targets[1:])):
         raise ValueError("target frequencies must be strictly increasing")
     if l_anchor is None:
         l_anchor = full_accumulation_inductance(template)
@@ -132,12 +133,9 @@ class AccessOp:
             raise ValueError("op must be 'write' or 'read'")
         if not isinstance(self.cell_index, int) or isinstance(self.cell_index, bool):
             raise ValueError(f"cell_index must be an integer, got {self.cell_index!r}")
-        if self.cell_index < 0:
-            raise ValueError("cell_index must be non-negative")
-        for name in ("rf_carrier", "rf_amplitude", "rf_duration"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive")
+        require(self, "non-negative", "cell_index")
+        require(self, "finite", "start")  # a NaN start passes the overlap check
+        require(self, "positive", "rf_carrier", "rf_amplitude", "rf_duration")
 
 
 @dataclass(frozen=True)
@@ -267,7 +265,7 @@ def run_schedule(
     array: MemoryArray,
     schedule: AccessSchedule,
     models: list[_CellModel] | None = None,
-    dt_fraction: float = 0.25,
+    dt_fraction: float = DT_FRACTION,
 ) -> ScheduleReport:
     """Simulate every scheduled operation and accumulate crosstalk.
 

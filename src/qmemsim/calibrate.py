@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .checks import require
 from .cell import (
     MemoryCell,
     sc_branch_impedance,
@@ -54,8 +55,7 @@ class CalibrationTargets:
     q_c: float
 
     def __post_init__(self):
-        if min(self.f_sc, self.l_anchor, self.q_c) <= 0:
-            raise ValueError("calibration targets must be positive")
+        require(self, "positive", "f_sc", "l_anchor", "q_c")
 
 
 # ------------------------- isolated branches -------------------------

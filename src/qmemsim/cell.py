@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .checks import require
 from .jjfet import JjFet, JjState, Off, jj_series_impedance
 from .resonance import db, find_resonances, find_root, local_minima
 from .twoport import (
@@ -57,13 +58,9 @@ class MemoryCell:
     line_atten: float = 0.0
 
     def __post_init__(self):
-        if self.z0 <= 0 or self.eps_eff < 1:
-            raise ValueError("cell requires z0 > 0 and eps_eff >= 1")
-        if any((np.asarray(v) <= 0).any()
-               for v in (self.c_in, self.tcr_half_len, self.c_couple, self.sc_len)):
-            raise ValueError("cell lengths and capacitances must be positive")
-        if self.line_atten < 0:
-            raise ValueError("line attenuation must be non-negative")
+        require(self, "positive", "z0", "c_in", "tcr_half_len", "c_couple", "sc_len")
+        require(self, "at least 1", "eps_eff")
+        require(self, "non-negative", "line_atten")
 
     @property
     def phase_velocity(self) -> float:
@@ -132,7 +129,7 @@ def frequency_sweep(cell: MemoryCell, state: JjState, f_grid):
     f_grid = np.asarray(f_grid, dtype=float)
     if f_grid.ndim != 1 or len(f_grid) == 0:
         raise ValueError("f_grid must be a non-empty 1-D array")
-    if np.any(f_grid <= 0) or np.any(np.diff(f_grid) <= 0):
+    if not (np.all(f_grid > 0) and np.all(np.diff(f_grid) > 0)):
         raise ValueError("f_grid must be strictly increasing and positive")
     z = cell_shunt_impedance(cell, state, f_grid)
     return f_grid, notch_s21(z, cell.z0)
@@ -233,7 +230,7 @@ def tcr_mode_estimate(cell: MemoryCell, l_j):
     An array l_j gives one estimate per entry.
     """
     l_j = np.asarray(l_j)
-    if np.any(l_j <= 0):
+    if not np.all(l_j > 0):
         raise ValueError("inductance must be positive")
     f_bare = cell.phase_velocity / (4.0 * cell.tcr_half_len)
     b = math.pi * f_bare * l_j / cell.z0  # u = f / f_bare: cot(pi u / 2) = b u

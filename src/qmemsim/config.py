@@ -25,6 +25,7 @@ from typing import Callable, NamedTuple
 from .array import AccessOp, AccessSchedule
 from .calibrate import CalibrationTargets, calibrate_geometry
 from .cell import MemoryCell
+from .dynamics import DT_FRACTION
 from .jjfet import JjFet, Linear, Logistic, critical_current_for_inductance
 
 #: suffix -> (decimal exponent of the scale, unit family); all scales are
@@ -185,7 +186,7 @@ class ModeMapSettings:
 
 @dataclass(frozen=True)
 class DynamicsSettings:
-    dt_fraction_of_guard: float = 0.25
+    dt_fraction_of_guard: float = DT_FRACTION
     rf_amplitude: float = 1.0
     gate_rise: float = 50e-12
 

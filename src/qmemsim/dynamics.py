@@ -38,18 +38,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import require
 
 TWO_PI = 2.0 * math.pi
 
 
 # ------------------------- pulse schedule -------------------------
-
-
-def _require_finite(obj, names):
-    """Raise ValueError naming the first non-finite field: NaN passes every sign check."""
-    for name in names:
-        if not math.isfinite(getattr(obj, name)):
-            raise ValueError(f"{type(obj).__name__}.{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -67,9 +61,8 @@ class Gauss:
     sigma: float
 
     def __post_init__(self):
-        _require_finite(self, ("sigma",))
-        if self.sigma <= 0:
-            raise ValueError("gaussian sigma must be positive")
+        require(self, "finite", "sigma")
+        require(self, "positive", "sigma")
 
 
 @dataclass(frozen=True)
@@ -86,11 +79,8 @@ class RfPulse:
     envelope: Rect | Gauss = field(default_factory=Rect)
 
     def __post_init__(self):
-        _require_finite(self, ("carrier", "amplitude", "start", "duration"))
-        if self.carrier <= 0:
-            raise ValueError("carrier frequency must be positive")
-        if self.duration <= 0:
-            raise ValueError("pulse duration must be positive")
+        require(self, "finite", "carrier", "amplitude", "start", "duration")
+        require(self, "positive", "carrier", "duration")
 
     @property
     def end(self) -> float:
@@ -122,9 +112,8 @@ class SampledDrive:
     values: np.ndarray
 
     def __post_init__(self):
-        _require_finite(self, ("carrier",))
-        if self.carrier <= 0:
-            raise ValueError("carrier frequency must be positive")
+        require(self, "finite", "carrier")
+        require(self, "positive", "carrier")
         times = np.asarray(self.times, dtype=float)
         values = np.asarray(self.values, dtype=complex)
         if times.ndim != 1 or values.shape != times.shape or len(times) < 2:
@@ -158,9 +147,8 @@ class GatePulse:
     duration: float
 
     def __post_init__(self):
-        _require_finite(self, ("start", "duration"))
-        if self.duration <= 0:
-            raise ValueError("gate pulse duration must be positive")
+        require(self, "finite", "start", "duration")
+        require(self, "positive", "duration")
 
     @property
     def end(self) -> float:
@@ -215,10 +203,8 @@ class CoupledModeSystem:
 
     def __post_init__(self):
         names = ("omega_a", "omega_b", "kappa_ext", "kappa_int_a", "gamma_b", "g_on", "g_off")
-        _require_finite(self, names)
-        for name in names:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        require(self, "finite", *names)
+        require(self, "non-negative", *names)
 
 
 @dataclass(frozen=True)
@@ -241,7 +227,7 @@ class Trajectory:
 
 def swap_duration(g_ang: float) -> float:
     """Full-transfer time pi / (2 g) of the resonant two-mode exchange, s."""
-    if g_ang <= 0:
+    if not g_ang > 0:
         raise ValueError("coupling rate must be positive")
     return math.pi / (2.0 * g_ang)
 
@@ -385,7 +371,7 @@ def _pieces(system, pulses, t_span, dt):
     t0, t1 = t_span
     if not t1 > t0:
         raise ValueError("t_span must have positive length")
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     guard = max_stable_dt(system, pulses)
     if dt > guard * (1.0 + 1e-12):
@@ -522,6 +508,10 @@ def peak_coupler_energy(
 
 # ------------------------- protocols -------------------------
 
+#: Default step of the protocols as a fraction of max_stable_dt()'s guard;
+#: the config's dynamics.dt_fraction_of_guard defaults to it as well
+DT_FRACTION = 0.25
+
 
 @dataclass(frozen=True)
 class WriteResult:
@@ -553,7 +543,7 @@ def write_protocol(
     rf: RfPulse,
     gate_at: float | None = None,
     engage_gate: bool = True,
-    dt_fraction: float = 0.25,
+    dt_fraction: float = DT_FRACTION,
 ) -> WriteResult:
     """Load the coupler through the feedline, then swap into the cavity.
 
@@ -583,7 +573,7 @@ def read_duration(system: CoupledModeSystem) -> float:
     return t_swap + (8.0 / system.kappa_ext if system.kappa_ext > 0 else 10.0 * t_swap)
 
 
-def read_protocol(system: CoupledModeSystem, dt_fraction: float = 0.25) -> ReadResult:
+def read_protocol(system: CoupledModeSystem, dt_fraction: float = DT_FRACTION) -> ReadResult:
     """Swap the stored excitation back to the coupler and emit it.
 
     Starts from b = 1, a = 0; the gate is ON for one swap duration, then

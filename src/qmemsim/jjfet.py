@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import require
 from .twoport import INFINITE_IMPEDANCE
 
 #: Magnetic flux quantum h/2e, Wb (CODATA).
@@ -24,9 +25,9 @@ def josephson_inductance(i_c: float, phi: float = 0.0) -> float:
     i_c : ampere, critical current (> 0)
     phi : radian, junction phase, |phi| < pi/2
     """
-    if i_c <= 0:
+    if not i_c > 0:
         raise ValueError("critical current must be positive")
-    if abs(phi) >= math.pi / 2:
+    if not abs(phi) < math.pi / 2:
         raise ValueError("inductance diverges for |phi| >= pi/2")
     return PHI0 / (2.0 * math.pi * i_c * math.cos(phi))
 
@@ -36,7 +37,7 @@ def critical_current_for_inductance(l_j: float) -> float:
 
     Exact algebraic inverse of josephson_inductance(., 0).
     """
-    if l_j <= 0:
+    if not l_j > 0:
         raise ValueError("inductance must be positive")
     return PHI0 / (2.0 * math.pi * l_j)
 
@@ -47,9 +48,9 @@ def icrn_max_current(gap: float, r_n: float) -> float:
     gap : volt, superconducting gap expressed as Delta/e
     r_n : ohm, junction normal-state resistance
     """
-    if r_n <= 0:
+    if not r_n > 0:
         raise ValueError("normal resistance must be positive")
-    if gap <= 0:
+    if not gap > 0:
         raise ValueError("gap voltage must be positive")
     return gap / r_n
 
@@ -72,8 +73,7 @@ class Logistic:
     steepness: float
 
     def __post_init__(self):
-        if self.steepness <= 0:
-            raise ValueError("logistic steepness must be positive")
+        require(self, "positive", "steepness")
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,7 @@ class On:
     l_j: float
 
     def __post_init__(self):
-        if np.any(np.asarray(self.l_j) <= 0):
-            raise ValueError("ON-state inductance must be positive")
+        require(self, "positive", "l_j")
 
 
 @dataclass(frozen=True)
@@ -129,8 +128,7 @@ class Off:
     r: float
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError("OFF-state resistance must be positive")
+        require(self, "positive", "r")
 
 
 JjState = On | Off
@@ -158,14 +156,8 @@ class JjFet:
     gate: GateModel = field(default_factory=lambda: GateModel(-2.0, 0.0))
 
     def __post_init__(self):
-        if self.i_c_max <= 0:
-            raise ValueError("i_c_max must be positive")
-        if self.c_j < 0:
-            raise ValueError("c_j must be non-negative")
-        if self.r_off <= 0:
-            raise ValueError("r_off must be positive")
-        if self.r_sub <= 0:
-            raise ValueError("r_sub must be positive")
+        require(self, "positive", "i_c_max", "r_off", "r_sub")
+        require(self, "non-negative", "c_j")
 
     def critical_current(self, v_g: float) -> float:
         """Gate-controlled critical current, ampere."""
@@ -195,7 +187,7 @@ def jj_series_impedance(state: JjState, c_j: float, r_sub: float, f):
     marker.  A scalar f gives a numpy scalar; f may be complex (Re f > 0).
     """
     f = np.asarray(f)
-    if np.any(f.real <= 0):
+    if not np.all(f.real > 0):
         raise ValueError("frequency must have a positive real part")
     w = 2.0 * np.pi * f
     if isinstance(state, On):

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cell import MemoryCell, cell_shunt_impedance, sc_mode_estimate, tcr_mode_estimate
+from .checks import require
 from .jjfet import On
 from .resonance import complex_zeros, levenberg_marquardt, peak_from_roots
 
@@ -78,14 +79,13 @@ COARSE_POINTS = 201  #: band-grid points of the Im Z scan that seeds every row
 SCAN_POINTS = 1601  #: band-grid points of the rescan of a row that came up short
 
 
-def mode_map(cell: MemoryCell, l_grid, f_band=None, min_depth_db: float = 0.01) -> ModeMap:
-    """Two-mode map of the cell over a junction-inductance grid.
+def mode_map(cell: MemoryCell, l_grid, min_depth_db: float = 0.01) -> ModeMap:
+    """Two-mode map of the cell over a junction-inductance grid, in the
+    band default_band() derives from the geometry.
 
     Parameters
     ----------
     l_grid : strictly increasing inductances, henry
-    f_band : (lo, hi) Hz with 0 < lo < hi; derived from the geometry when
-        omitted
     min_depth_db : least notch depth -dB|S21(f0)| of a kept resonance
 
     Every row is seeded from a COARSE_POINTS scan of the band; a row with
@@ -97,11 +97,9 @@ def mode_map(cell: MemoryCell, l_grid, f_band=None, min_depth_db: float = 0.01) 
     l_grid = np.asarray(l_grid, dtype=float)
     if l_grid.ndim != 1 or len(l_grid) < 2:
         raise ValueError("l_grid must hold at least two inductances")
-    if np.any(l_grid <= 0) or np.any(np.diff(l_grid) <= 0):
+    if not (np.all(l_grid > 0) and np.all(np.diff(l_grid) > 0)):
         raise ValueError("l_grid must be positive and strictly increasing")
-    band = f_band if f_band is not None else default_band(cell, l_grid)
-    if not 0 < band[0] < band[1]:
-        raise ValueError("band must satisfy 0 < lo < hi")
+    band = default_band(cell, l_grid)
 
     found = _scan_rows(cell, l_grid, band, COARSE_POINTS, min_depth_db)
     short = [k for k, r in enumerate(found) if isinstance(r, str)]
@@ -173,8 +171,7 @@ class CrossingFit:
     residual_rms: float
 
     def __post_init__(self):
-        if self.g <= 0:
-            raise ValueError("coupling must be positive")
+        require(self, "positive", "g")
         if not self.window[0] <= self.l_cross <= self.window[1]:
             raise ValueError("closest approach must lie inside the window")
 

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import require
+
 
 class CalibrationError(RuntimeError):
     """A calibration stage could not bracket or refine its root."""
@@ -132,10 +134,7 @@ class ResonancePeak:
     q_internal: float | None = None
 
     def __post_init__(self):
-        if self.f0 <= 0:
-            raise ValueError("resonance frequency must be positive")
-        if self.q_loaded is not None and self.q_loaded <= 0:
-            raise ValueError("loaded Q must be positive")
+        require(self, "positive", "f0", "q_loaded")
 
 
 def db(s21):
@@ -287,7 +286,7 @@ def find_resonances(freqs, s21, min_depth_db: float = 0.05):
         raise ValueError("freqs and s21 must be 1-D arrays of equal length")
     if len(freqs) < 3:
         return []
-    if np.any(np.diff(freqs) <= 0):
+    if not np.all(np.diff(freqs) > 0):
         raise ValueError("freqs must be strictly increasing")
 
     s21_db = db(s21)

@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import require
+
 C0 = 299_792_458.0  # vacuum speed of light, m/s
 
 #: Marker for an ideal (lossless) stub exactly at resonance.  Downstream
@@ -94,14 +96,9 @@ class LineSection:
     atten: float = 0.0
 
     def __post_init__(self):
-        if self.z0 <= 0:
-            raise ValueError("line z0 must be positive")
-        if self.eps_eff < 1:
-            raise ValueError("line eps_eff must be >= 1")
-        if (np.asarray(self.length) <= 0).any():
-            raise ValueError("line length must be positive")
-        if self.atten < 0:
-            raise ValueError("line atten must be non-negative")
+        require(self, "positive", "z0", "length")
+        require(self, "at least 1", "eps_eff")
+        require(self, "non-negative", "atten")
 
     def beta(self, f):
         """Phase constant 2*pi*f*sqrt(eps_eff)/c0, rad/m."""
@@ -125,8 +122,7 @@ class SeriesCapacitor:
     c_val: float
 
     def __post_init__(self):
-        if (np.asarray(self.c_val) <= 0).any():
-            raise ValueError("capacitance must be positive")
+        require(self, "positive", "c_val")
 
 
 @dataclass(frozen=True)
@@ -156,7 +152,7 @@ def element_abcd(e: Element, f) -> TwoPort:
     g = atten + j*beta (reduces to cos/sin for lossless lines).  Series Z:
     [[1, Z], [0, 1]].  Shunt Y: [[1, 0], [Y, 1]].
     """
-    if np.any(np.real(f) <= 0):
+    if not np.all(np.real(f) > 0):
         raise ValueError("frequency must have a positive real part")
     if isinstance(e, LineSection):
         gl = (e.atten + 1j * e.beta(f)) * e.length
@@ -237,7 +233,7 @@ def input_impedance(chain, z_load, f) -> complex:
     impedance or shunt admittance raises ValueError, as in element_abcd().
     """
     fa = np.atleast_1d(f)
-    if np.any(np.real(fa) <= 0):
+    if not np.all(np.real(fa) > 0):
         raise ValueError("frequency must have a positive real part")
     z = np.asarray(z_load, dtype=complex)
     tanh_gl = {}  # a section object repeated in the chain shares its tanh
@@ -273,7 +269,7 @@ def notch_s21(z_shunt, z_ref: float):
     S21 = 1 / (1 + z_ref / (2 z_shunt)).  z_shunt = 0 gives exactly 0
     (full notch); the infinite-impedance marker gives exactly 1.
     """
-    if z_ref <= 0:
+    if not z_ref > 0:
         raise ValueError("reference impedance must be positive")
     z = np.asarray(z_shunt, dtype=complex)
     zero = z == 0
@@ -298,7 +294,7 @@ class SParams:
 
 def to_sparams(tp: TwoPort, z_ref: float) -> SParams:
     """Standard ABCD -> S conversion at real reference impedance z_ref."""
-    if z_ref <= 0:
+    if not z_ref > 0:
         raise ValueError("reference impedance must be positive")
     a, b, c, d = tp.a, tp.b, tp.c, tp.d
     den = a + b / z_ref + c * z_ref + d

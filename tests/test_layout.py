@@ -97,3 +97,38 @@ def test_abcd_matrices_only_where_a_chain_entry_is_needed():
     # every impedance is input_impedance's fold; only the OFF-state current
     # transfer needs a chain's a and c
     assert abcd_callers() == {"extract.off_state_residual_coupling"}
+
+
+def hand_written_field_checks():
+    """'module:line' of every `if` in a __post_init__ outside config whose
+    test compares with a numeric literal, reads a field (self.<name>) and
+    raises itself, plus every use of a private _require_finite:
+    checks.require states each field rule once, NaN included.  config's
+    settings classes word their messages as part of the file format."""
+    found = []
+    for path in sorted(Path(qmemsim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                  if "_require_finite" in (getattr(node, "id", None), getattr(node, "name", None))]
+        if path.stem == "config":
+            continue
+        for fn in ast.walk(tree):
+            if not (isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"):
+                continue
+            for node in ast.walk(fn):
+                if not (isinstance(node, ast.If)
+                        and any(isinstance(s, ast.Raise) for s in node.body)):
+                    continue
+                test = list(ast.walk(node.test))
+                literal = any(isinstance(o, ast.Constant) and type(o.value) in (int, float)
+                              for c in test if isinstance(c, ast.Compare)
+                              for o in (c.left, *c.comparators))
+                field = any(isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "self"
+                            for n in test)
+                if literal and field:
+                    found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_value_objects_check_their_fields_through_require():
+    assert hand_written_field_checks() == []
