@@ -17,8 +17,9 @@
 # %%
 import numpy as np
 
-from qmemsim import On, adaptive_sweep, find_resonances, off_state_spectrum
+from qmemsim import Off, On, adaptive_sweep, find_resonances, spectrum
 from qmemsim.calibrate import CalibrationTargets, calibrate_geometry
+from qmemsim.cell import OFF_BAND
 from qmemsim.config import example_template
 
 targets = CalibrationTargets(f_sc=6.55e9, l_anchor=220e-12, q_c=2000.0)
@@ -46,7 +47,7 @@ print(f"splitting: {(peaks[1].f0 - peaks[0].f0) / 1e6:.1f} MHz")
 # cavity all but vanishes from the feedline.
 
 # %%
-off_peaks, (f_off, s_off) = off_state_spectrum(cell)
+off_peaks, (f_off, s_off) = spectrum(cell, Off(cell.jj.r_off), OFF_BAND)
 print("OFF-state resonances over 1-16 GHz:")
 for p in off_peaks:
     print(f"  f0 = {p.f0 / 1e9:7.4f} GHz  depth = {p.depth_db:6.3f} dB")

@@ -36,8 +36,8 @@ from .cell import (
     adaptive_sweep,
     cell_shunt_impedance,
     frequency_sweep,
-    off_state_spectrum,
     sc_mode_estimate,
+    spectrum,
     tcr_mode_estimate,
 )
 from .dynamics import (
@@ -91,7 +91,6 @@ from .resonance import ResonancePeak, find_resonances, notch_s21_model
 from .twoport import (
     C0,
     INFINITE_IMPEDANCE,
-    IDENTITY,
     OPEN,
     SHORT,
     Element,
@@ -99,13 +98,11 @@ from .twoport import (
     SeriesCapacitor,
     SeriesImpedance,
     SParams,
-    ShuntAdmittance,
     TwoPort,
     cascade,
     chain_abcd,
     element_abcd,
     input_impedance,
-    is_infinite_impedance,
     notch_s21,
     terminate,
     to_sparams,

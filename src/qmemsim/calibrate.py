@@ -35,7 +35,7 @@ from .cell import (
     tcr_mode_estimate,
 )
 from .jjfet import On
-from .resonance import CalibrationError, ResonancePeak, complex_zeros, find_root, peak_from_roots
+from .resonance import CalibrationError, ResonancePeak, find_root, notch_roots, peak_from_roots
 from .twoport import SHORT, input_impedance, notch_s21
 
 SCAN_POINTS = 200  #: points per row of the at-target sc_len and tcr_half_len scans
@@ -122,17 +122,15 @@ def isolated_sc_trace(cell: MemoryCell, f_grid):
 
 
 def _isolated_tcr_peaks(cell: MemoryCell, l_j, f_r) -> list[ResonancePeak]:
-    """Notch resonance of the isolated TCR branch per reactance root in f_r:
-    the zero of Z and the pole of 2Z + z0, polished within 1% of the root.
-    cell and l_j broadcast against f_r[:, None]."""
-    f_r = np.asarray(f_r, dtype=float)[:, None]
-    roots = complex_zeros(
-        lambda f: _tcr_branch_impedance(cell, l_j, f) + [0.0, 0.5 * cell.z0],
-        np.hstack([f_r, f_r]), 0.99 * f_r, 1.01 * f_r,
-    ).reshape(-1, 2)
-    if np.isnan(roots).any():
+    """Notch resonance of the isolated TCR branch per reactance root in f_r,
+    from its notch_roots() polished within 1% of the root.  cell and l_j
+    broadcast against f_r."""
+    f_r = np.asarray(f_r, dtype=float)
+    f_zero, f_pole = notch_roots(lambda f: _tcr_branch_impedance(cell, l_j, f), cell.z0,
+                                 f_r, 0.99 * f_r, 1.01 * f_r)
+    if np.isnan([f_zero, f_pole]).any():
         raise CalibrationError("coupling resonator: complex root left its bracket")
-    peaks = [peak_from_roots(f_zero, f_pole) for f_zero, f_pole in roots]
+    peaks = [peak_from_roots(fz, fp) for fz, fp in zip(f_zero, f_pole)]
     if any(peak.q_coupling is None for peak in peaks):
         raise CalibrationError("coupling resonator: no positive coupling rate")
     return peaks
@@ -170,8 +168,8 @@ def calibrate_cells(targets, seed: MemoryCell):
 
         h = _series_resonance(reactance, quarter, (0.4, 1.2), SCAN_POINTS,
                               "coupling resonator length")
-        trial = replace(seed, c_in=c_in[:, None], tcr_half_len=h[:, None])
-        return h, _isolated_tcr_peaks(trial, l_anchor[:, None], f_sc)
+        trial = replace(seed, c_in=c_in, tcr_half_len=h)
+        return h, _isolated_tcr_peaks(trial, l_anchor, f_sc)
 
     def qc_err(log_c):
         return np.log10(np.array([p.q_coupling for p in solve(10.0 ** log_c)[1]]) / q_c)

@@ -1,4 +1,4 @@
-"""Single memory-cell network model and frequency sweeps.
+"""Single memory-cell network model, frequency sweeps and spectra.
 
 The cell is a shunt branch tapped off a matched feedline:
 
@@ -167,6 +167,10 @@ def adaptive_sweep(
     lo, hi = band
     if not 0 < lo < hi:
         raise ValueError("band must satisfy 0 < lo < hi")
+    if not 0 < coarse_step < math.inf:
+        raise ValueError("coarse_step must be positive and finite")
+    if not math.isfinite(detect_db):
+        raise ValueError("detect_db must be finite")
     n = max(int(round((hi - lo) / coarse_step)), 8)
     grid = np.linspace(lo, hi, n + 1)
     if isinstance(state, Off):
@@ -195,6 +199,16 @@ def adaptive_sweep(
             grid = grid[order]
             s21 = np.concatenate([s21, s21_new])[order]
     return grid, s21
+
+
+def spectrum(cell: MemoryCell, state: JjState, band, coarse_step: float = 2e6,
+             min_depth_db: float = 0.01):
+    """(peaks, (freqs, s21)): the resonances at least `min_depth_db` deep
+    on the :func:`adaptive_sweep` of band, refined around every dip at half
+    the reporting depth.  Off over OFF_BAND, the split-TCR modes sit near
+    twice the ON-state TCR frequency, and the cavity is a narrow dip."""
+    freqs, s21 = adaptive_sweep(cell, state, band, coarse_step, min_depth_db / 2)
+    return find_resonances(freqs, s21, min_depth_db), (freqs, s21)
 
 
 # ------------------------- analytic mode estimates -------------------------
@@ -238,18 +252,3 @@ def tcr_mode_estimate(cell: MemoryCell, l_j):
     hi = np.minimum((1.0 + 1e-6) * np.sqrt(2.0 / (math.pi * b)), 1.0 - 1e-12)  # cot t <= 1/t
     return f_bare * find_root(lambda u: 1.0 / np.tan(0.5 * math.pi * u) - b * u, lo, hi,
                               "coupling resonator estimate")
-
-
-def off_state_spectrum(cell: MemoryCell, min_depth_db: float = 0.01):
-    """Resonances of the cell with the junction fully depleted.
-
-    Sweeps OFF_BAND (1-16 GHz) with the junction as Off(r_off); the
-    split-TCR modes appear near twice the ON-state TCR frequency, and the
-    storage cavity survives as a strongly undercoupled narrow feature,
-    resolved by the window :func:`adaptive_sweep` places around it.
-
-    Returns (peaks, (freqs, s21)).
-    """
-    freqs, s21 = adaptive_sweep(cell, Off(cell.jj.r_off), OFF_BAND, detect_db=min_depth_db / 2)
-    peaks = find_resonances(freqs, s21, min_depth_db=min_depth_db)
-    return peaks, (freqs, s21)

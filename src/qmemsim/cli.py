@@ -32,7 +32,7 @@ from .calibrate import (
     sc_branch_resonance,
     tcr_branch_resonance,
 )
-from .cell import OFF_BAND, adaptive_sweep
+from .cell import OFF_BAND, spectrum
 from .config import (
     Config,
     ConfigError,
@@ -300,11 +300,8 @@ def _cmd_calibrate(args, cfg: Config) -> int:
 def _cmd_spectrum(args, cfg: Config) -> int:
     state = _parse_state(args.state, cfg)
     band = _parse_band(args.band, OFF_BAND if isinstance(state, Off) else cfg.sweep.band)
-    freqs, s21 = adaptive_sweep(
-        cfg.cell, state, band, coarse_step=cfg.sweep.coarse_step,
-        detect_db=cfg.sweep.min_depth_db / 2,
-    )
-    peaks = find_resonances(freqs, s21, min_depth_db=cfg.sweep.min_depth_db)
+    peaks, (freqs, s21) = spectrum(cfg.cell, state, band, cfg.sweep.coarse_step,
+                                   cfg.sweep.min_depth_db)
     _write_trace_csv(args.out, freqs, s21)
     _write_report(args.report, "spectrum", cfg, {"peaks": _peak_summary(peaks)},
                   _fit_fallback_warnings(peaks))

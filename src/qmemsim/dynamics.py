@@ -416,8 +416,7 @@ def _chunks(rf, rates, pieces, a0, b0):
     """
     ca, cb, root_k = rates
     longest = min(max(n for _, n, *_ in pieces), _CHUNK_STEPS)
-    k_len = _BLOCK_STEPS
-    x = np.zeros((longest + k_len, 2), dtype=complex)
+    x = np.zeros((longest + _BLOCK_STEPS, 2), dtype=complex)
     x[0] = a0, b0
     grid = np.empty(2 * longest + 1)
     drive = np.zeros(2 * longest + 1, dtype=complex)
@@ -429,10 +428,11 @@ def _chunks(rf, rates, pieces, a0, b0):
             _rk4_increment(e[0], e[1], h, ca, cb, root_k, g, e[2:])
             for e in np.eye(5).tolist()
         ]).T
-        # column c of P^(k+1) - I is sum_{i<=k} P^i Q[:, c]
-        powers = np.repeat(step_map[:, :2].T[:, :, None], k_len, axis=2)
+        # column c of P^(k+1) - I is sum_{i<=k} P^i Q[:, c]; a piece
+        # shorter than a block is one block of its own length
+        powers = np.repeat(step_map[:, :2].T[:, :, None], min(_BLOCK_STEPS, n), axis=2)
         _doubling_scan(powers, step_map[:, :2])
-        lift = powers.transpose(2, 1, 0).reshape(2 * k_len, 2)
+        lift = powers.transpose(2, 1, 0).reshape(-1, 2)
         for j in range(0, n, _CHUNK_STEPS):
             m = min(n - j, _CHUNK_STEPS)
             t, ain = grid[:2 * m + 1], drive[:2 * m + 1]

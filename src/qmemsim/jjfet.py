@@ -133,9 +133,9 @@ class Off:
 
 JjState = On | Off
 
-#: Default ON/OFF decision threshold: the critical current whose inductance
-#: is 2 nH.  Below it the junction is so far detuned that the inductive
-#: model is moot and the physical device is near depletion.
+#: ON/OFF decision threshold of gate_to_state: the critical current whose
+#: inductance is 2 nH.  Below it the junction is so far detuned that the
+#: inductive model is moot and the physical device is near depletion.
 DEFAULT_OFF_THRESHOLD = critical_current_for_inductance(2e-9)
 
 
@@ -164,15 +164,14 @@ class JjFet:
         return self.i_c_max * self.gate.fraction(v_g)
 
 
-def gate_to_state(jj: JjFet, v_g: float,
-                  off_threshold: float = DEFAULT_OFF_THRESHOLD) -> JjState:
+def gate_to_state(jj: JjFet, v_g: float) -> JjState:
     """Map a gate voltage to the junction's circuit state.
 
-    I_c(v_g) <= off_threshold selects Off(r_off); otherwise the junction is
-    an inductor at the gate-controlled critical current.
+    I_c(v_g) <= DEFAULT_OFF_THRESHOLD selects Off(r_off); otherwise the
+    junction is an inductor at the gate-controlled critical current.
     """
     i_c = jj.critical_current(v_g)
-    if i_c <= off_threshold:
+    if i_c <= DEFAULT_OFF_THRESHOLD:
         return Off(r=jj.r_off)
     return On(l_j=josephson_inductance(i_c))
 

@@ -27,7 +27,7 @@ import numpy as np
 from .cell import MemoryCell, cell_shunt_impedance, sc_mode_estimate, tcr_mode_estimate
 from .checks import require
 from .jjfet import On
-from .resonance import complex_zeros, levenberg_marquardt, peak_from_roots
+from .resonance import levenberg_marquardt, notch_roots, peak_from_roots
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,6 +99,8 @@ def mode_map(cell: MemoryCell, l_grid, min_depth_db: float = 0.01) -> ModeMap:
         raise ValueError("l_grid must hold at least two inductances")
     if not (np.all(l_grid > 0) and np.all(np.diff(l_grid) > 0)):
         raise ValueError("l_grid must be positive and strictly increasing")
+    if not np.isfinite(min_depth_db):
+        raise ValueError("min_depth_db must be finite")
     band = default_band(cell, l_grid)
 
     found = _scan_rows(cell, l_grid, band, COARSE_POINTS, min_depth_db)
@@ -124,10 +126,8 @@ def _scan_rows(cell: MemoryCell, l_rows, band, n_scan: int, min_depth_db: float)
     # scan intervals widened by half a step: disjoint brackets
     lo, hi = f[i] - 0.5 * (f[1] - f[0]), f[i + 1] + 0.5 * (f[1] - f[0])
     state = On(l_rows[row])
-    # zeros of Z (row 0) and of Z + z0/2, the notch poles (row 1)
-    f_zero, f_pole = complex_zeros(
-        lambda s: cell_shunt_impedance(cell, state, s) + [[0.0], [0.5 * cell.z0]],
-        np.stack([seeds, seeds]), lo, hi)
+    f_zero, f_pole = notch_roots(lambda s: cell_shunt_impedance(cell, state, s), cell.z0,
+                                 seeds, lo, hi)
     found = []
     for k in range(len(l_rows)):
         kept = []

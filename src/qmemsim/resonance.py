@@ -15,7 +15,8 @@ Each fit is seeded in closed form by the inverse-S21 linearization
 which the crossing fit shares.  The seed alone is not the answer: the cell is
 not an exact Lorentzian, and the seed's Q values can be off by parts in 1e3.
 The circuit itself gives the same parameters as complex roots (Pozar,
-Microwave Engineering, 6.1): see complex_zeros() and peak_from_roots().
+Microwave Engineering, 6.1): see complex_zeros(), notch_roots() and
+peak_from_roots().
 Real roots are refined by find_root() inside brackets its callers supply;
 the calibration scans for its own.
 """
@@ -284,6 +285,8 @@ def find_resonances(freqs, s21, min_depth_db: float = 0.05):
     s21 = np.asarray(s21, dtype=complex)
     if freqs.ndim != 1 or freqs.shape != s21.shape:
         raise ValueError("freqs and s21 must be 1-D arrays of equal length")
+    if not np.isfinite(min_depth_db):
+        raise ValueError("min_depth_db must be finite")
     if len(freqs) < 3:
         return []
     if not np.all(np.diff(freqs) > 0):
@@ -345,6 +348,16 @@ def complex_zeros(fn, seeds, lo, hi):
                 break
     z[active] = np.nan
     return z[()]
+
+
+def notch_roots(z, z0, seeds, lo, hi):
+    """(f_zero, f_pole) of a shunt branch z: the zeros of z and of z + z0/2
+    (see peak_from_roots()), each shaped like seeds, from one complex_zeros()
+    call; z maps shape (3, 2, *seeds.shape), its parameters broadcasting
+    against seeds."""
+    seeds = np.asarray(seeds, dtype=float)
+    offset = np.reshape([0.0, 0.5 * z0], (2,) + (1,) * seeds.ndim)
+    return tuple(complex_zeros(lambda f: z(f) + offset, np.stack([seeds, seeds]), lo, hi))
 
 
 def peak_from_roots(f_zero, f_pole) -> ResonancePeak:

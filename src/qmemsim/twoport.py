@@ -18,10 +18,9 @@ Pozar, Microwave Engineering, 4th ed., sec. 2.3):
 
   line     Z <- z0 (Z + z0 t) / (z0 + Z t),  t = tanh(gamma l)
   series   Z <- Z + z
-  shunt    Z <- Z / (1 + Y Z)
 
-A non-finite Z takes the open limit of the next step (z0/t after a line,
-1/Y after a shunt).  The ABCD matrices (chain_abcd, terminate, to_sparams)
+A non-finite Z takes the open limit z0/t of the next line; a series step
+keeps it open.  The ABCD matrices (chain_abcd, terminate, to_sparams)
 serve S-parameters and quantities that need the chain's entries; terminate()
 closes a two-port with any scalar or array load through the one formula
 (a Z_L + b) / (c Z_L + d).
@@ -40,11 +39,6 @@ C0 = 299_792_458.0  # vacuum speed of light, m/s
 #: Marker for an ideal (lossless) stub exactly at resonance.  Downstream
 #: notch_s21() maps it to S21 = 1 so lossless sweeps stay total.
 INFINITE_IMPEDANCE = complex(math.inf, 0.0)
-
-
-def is_infinite_impedance(z) -> bool:
-    """True when z is the infinite-impedance marker (any non-finite value)."""
-    return not (math.isfinite(z.real) and math.isfinite(z.imag))
 
 
 @dataclass(frozen=True)
@@ -72,9 +66,6 @@ class TwoPort:
     @property
     def determinant(self) -> complex:
         return self.a * self.d - self.b * self.c
-
-
-IDENTITY = TwoPort(1.0, 0.0, 0.0, 1.0)
 
 
 # ------------------------- circuit elements -------------------------
@@ -125,14 +116,7 @@ class SeriesCapacitor:
         require(self, "positive", "c_val")
 
 
-@dataclass(frozen=True)
-class ShuntAdmittance:
-    """Shunt element with frequency-dependent admittance y(f) in siemens."""
-
-    y: object  # callable f -> complex
-
-
-Element = LineSection | SeriesImpedance | SeriesCapacitor | ShuntAdmittance
+Element = LineSection | SeriesImpedance | SeriesCapacitor
 
 
 # ------------------------- loads -------------------------
@@ -150,7 +134,7 @@ def element_abcd(e: Element, f) -> TwoPort:
 
     Line section: a = d = cosh(gl), b = z0 sinh(gl), c = sinh(gl)/z0 with
     g = atten + j*beta (reduces to cos/sin for lossless lines).  Series Z:
-    [[1, Z], [0, 1]].  Shunt Y: [[1, 0], [Y, 1]].
+    [[1, Z], [0, 1]].
     """
     if not np.all(np.real(f) > 0):
         raise ValueError("frequency must have a positive real part")
@@ -161,10 +145,6 @@ def element_abcd(e: Element, f) -> TwoPort:
         return TwoPort(cosh_gl, e.z0 * sinh_gl, sinh_gl / e.z0, cosh_gl)
     if isinstance(e, (SeriesCapacitor, SeriesImpedance)):
         return TwoPort(1.0, _series_impedance(e, f), 0.0, 1.0)
-    if isinstance(e, ShuntAdmittance):
-        y = e.y(f)
-        _check_finite(y, "shunt admittance")
-        return TwoPort(1.0, 0.0, y, 1.0)
     raise TypeError(f"unknown element type: {type(e).__name__}")
 
 
@@ -173,13 +153,9 @@ def _series_impedance(e: SeriesCapacitor | SeriesImpedance, f):
     if isinstance(e, SeriesCapacitor):
         return 1.0 / (2j * np.pi * f * e.c_val)
     z = e.z(f)
-    _check_finite(z, "series impedance")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("series impedance evaluated to a non-finite value")
     return z
-
-
-def _check_finite(v, what: str):
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{what} evaluated to a non-finite value")
 
 
 def cascade(ports) -> TwoPort:
@@ -227,10 +203,10 @@ def input_impedance(chain, z_load, f) -> complex:
     Folds from the load to the tap, one Moebius step per element (see the
     module docstring), without forming ABCD matrices.  z_load may be a
     scalar or an array broadcasting against f; a non-finite Z (OPEN, or an
-    earlier step's pole) takes the open limit z0/t after a line and 1/Y
-    after a shunt.  An exact zero denominator and a non-finite result yield
-    the infinite-impedance marker, as in terminate(); a non-finite series
-    impedance or shunt admittance raises ValueError, as in element_abcd().
+    earlier step's pole) takes the open limit z0/t after a line.  An exact
+    zero denominator and a non-finite result yield the infinite-impedance
+    marker, as in terminate(); a non-finite series impedance raises
+    ValueError, as in element_abcd().
     """
     fa = np.atleast_1d(f)
     if not np.all(np.real(fa) > 0):
@@ -242,20 +218,14 @@ def input_impedance(chain, z_load, f) -> complex:
             if isinstance(e, (SeriesCapacitor, SeriesImpedance)):
                 z = z + _series_impedance(e, fa)  # an open end stays open
                 continue
-            open_end = ~np.isfinite(z)
-            if isinstance(e, LineSection):
-                if id(e) not in tanh_gl:
-                    tanh_gl[id(e)] = np.tanh((e.atten + 1j * e.beta(fa)) * e.length)
-                t = tanh_gl[id(e)]
-                z_open = e.z0 / t
-                z = e.z0 * (z + e.z0 * t) / (e.z0 + z * t)
-            elif isinstance(e, ShuntAdmittance):
-                y = e.y(fa)
-                _check_finite(y, "shunt admittance")
-                z_open = 1.0 / y
-                z = np.asarray(z / (1.0 + y * z))
-            else:
+            if not isinstance(e, LineSection):
                 raise TypeError(f"unknown element type: {type(e).__name__}")
+            open_end = ~np.isfinite(z)
+            if id(e) not in tanh_gl:
+                tanh_gl[id(e)] = np.tanh((e.atten + 1j * e.beta(fa)) * e.length)
+            t = tanh_gl[id(e)]
+            z_open = e.z0 / t
+            z = e.z0 * (z + e.z0 * t) / (e.z0 + z * t)
             np.copyto(z, z_open, where=open_end)
     z = np.where(np.isfinite(z), z, INFINITE_IMPEDANCE)
     if np.ndim(f) == 0 and np.ndim(z_load) == 0 and z.shape == (1,):

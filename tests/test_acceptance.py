@@ -12,7 +12,7 @@ import pytest
 
 from qmemsim.array import AccessOp, AccessSchedule, array_spectrum, off_resonant_bound, run_schedule
 from qmemsim.calibrate import isolated_sc_trace, sc_branch_resonance
-from qmemsim.cell import frequency_sweep, off_state_spectrum
+from qmemsim.cell import OFF_BAND, frequency_sweep, spectrum
 from qmemsim.dynamics import (
     TWO_PI,
     CoupledModeSystem,
@@ -25,6 +25,7 @@ from qmemsim.dynamics import (
     write_protocol,
 )
 from qmemsim.jjfet import (
+    Off,
     critical_current_for_inductance,
     josephson_inductance,
 )
@@ -125,7 +126,7 @@ def test_criterion_4_fit_oracles():
 
 def test_criterion_5_off_state_isolation(cell, cell_system, crossing):
     with criterion(5, "depleted-junction split modes and write isolation"):
-        peaks, _ = off_state_spectrum(cell)
+        peaks, _ = spectrum(cell, Off(cell.jj.r_off), OFF_BAND)
         split = [p for p in peaks if 11.5e9 <= p.f0 <= 14.5e9]
         assert len(split) == 2
         # residual coupling floor keeps a never-gated write below 1e-4

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmemsim import calibrate
+from qmemsim import calibrate, resonance
 from qmemsim.array import build_array
 from qmemsim.calibrate import (
     CalibrationError,
@@ -203,7 +203,7 @@ class TestFailures:
             CalibrationTargets(f_sc=-1.0, l_anchor=ANCHOR, q_c=Q_C)
 
     def test_root_outside_its_bracket_names_stage(self, cell, monkeypatch):
-        monkeypatch.setattr(calibrate, "complex_zeros",
-                            lambda fn, seeds, lo, hi: np.full(2, np.nan + 0j))
+        monkeypatch.setattr(resonance, "complex_zeros",
+                            lambda fn, seeds, lo, hi: np.full(np.shape(seeds), np.nan + 0j))
         with pytest.raises(CalibrationError, match="coupling resonator"):
             measure_isolated_tcr(cell, ANCHOR)

@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from qmemsim import cell as cell_module
 from qmemsim.cell import (
+    OFF_BAND,
     MemoryCell,
     adaptive_sweep,
     cell_shunt_impedance,
     frequency_sweep,
-    off_state_spectrum,
     sc_mode_estimate,
     sc_quarterwave_frequency,
+    spectrum,
     tcr_mode_estimate,
 )
 from qmemsim.jjfet import JjFet, Off, On, critical_current_for_inductance
@@ -164,7 +165,7 @@ def test_adaptive_sweep_matches_one_sweep_of_its_grid(lo, width, state):
 
 class TestOffState:
     def test_two_split_resonances_in_band(self, cell):
-        peaks, _ = off_state_spectrum(cell)
+        peaks, _ = spectrum(cell, Off(cell.jj.r_off), OFF_BAND)
         in_band = [p for p in peaks if 11.5e9 <= p.f0 <= 14.5e9]
         assert len(in_band) == 2
 

@@ -1,5 +1,6 @@
 """Input checks: every checked field of a value object fails by name on NaN
 and on an out-of-range value, and every function-level check fails on NaN
+(and a sweep step or a detection threshold on any value it cannot use)
 with its own message instead of surfacing downstream."""
 import math
 import re
@@ -10,7 +11,7 @@ import pytest
 
 from qmemsim.array import AccessOp, AccessSchedule, MemoryArray, build_array, run_schedule
 from qmemsim.calibrate import CalibrationTargets
-from qmemsim.cell import MemoryCell, frequency_sweep, tcr_mode_estimate
+from qmemsim.cell import MemoryCell, adaptive_sweep, frequency_sweep, spectrum, tcr_mode_estimate
 from qmemsim.dynamics import (
     TWO_PI,
     CoupledModeSystem,
@@ -38,10 +39,10 @@ from qmemsim.jjfet import (
 from qmemsim.modemap import CrossingFit, mode_map
 from qmemsim.resonance import ResonancePeak, find_resonances
 from qmemsim.twoport import (
-    IDENTITY,
     SHORT,
     LineSection,
     SeriesCapacitor,
+    TwoPort,
     element_abcd,
     input_impedance,
     notch_s21,
@@ -141,13 +142,22 @@ def test_batches_are_checked_elementwise(cls, name):
             replace(VALID[cls], **{name: np.where(good == good[1], bad, good)})
 
 
+BAND = (5.8e9, 7.4e9)
+
+
+def _sweep(get, **kw):
+    """adaptive_sweep of the calibrated cell at the anchor over BAND."""
+    return adaptive_sweep(get("cell"), On(220e-12), BAND, **kw)
+
+
 def _rf_system():
     rf = RfPulse(carrier=6.5e9, amplitude=1.0, start=0.0, duration=10e-9)
     return SYSTEM, PulseSequence(rf=rf), rf
 
 
-# (call, message): each call gets the fixture getter and passes NaN where
-# its function's check should catch it
+# (call, message): each call gets the fixture getter and passes NaN, or for
+# a sweep step or a detection threshold another unusable value, where its
+# function's check should catch it
 FUNCTION_CASES = {
     "evolve": (lambda get: evolve(*_rf_system()[:2], (0.0, 1e-8), NAN), "dt must be positive"),
     "peak_coupler_energy": (lambda get: peak_coupler_energy(*_rf_system()[:2], (0.0, 1e-8), NAN),
@@ -187,7 +197,20 @@ FUNCTION_CASES = {
     "jj_series_impedance": (lambda get: jj_series_impedance(On(220e-12), 1e-15, 1e6, NAN),
                             "positive real part"),
     "notch_s21": (lambda get: notch_s21(10.0 + 0j, NAN), "reference impedance must be positive"),
-    "to_sparams": (lambda get: to_sparams(IDENTITY, NAN), "reference impedance must be positive"),
+    "to_sparams": (lambda get: to_sparams(TwoPort(1.0, 0.0, 0.0, 1.0), NAN),
+                   "reference impedance must be positive"),
+    **{f"adaptive_sweep_step_{step}": (lambda get, step=step: _sweep(get, coarse_step=step),
+                                      "coarse_step must be positive")
+       for step in (NAN, 0.0, -2e6, math.inf)},
+    "adaptive_sweep_detect_db": (lambda get: _sweep(get, detect_db=NAN),
+                                 "detect_db must be finite"),
+    **{f"find_resonances_depth_{depth}": (
+        lambda get, depth=depth: find_resonances(*_sweep(get), min_depth_db=depth),
+        "min_depth_db must be finite") for depth in (NAN, math.inf)},
+    "mode_map_depth": (lambda get: mode_map(get("cell"), [200e-12, 240e-12], NAN),
+                       "min_depth_db must be finite"),
+    "spectrum_depth": (lambda get: spectrum(get("cell"), On(220e-12), BAND, min_depth_db=NAN),
+                       "detect_db must be finite"),
 }
 
 

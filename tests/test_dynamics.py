@@ -461,6 +461,23 @@ def test_block_length_is_free(monkeypatch, name, k_len):
                          a0=a0, b0=b0)
 
 
+def test_short_piece_is_one_block_of_its_own_length(monkeypatch):
+    # a one-step gate piece scans one 1-step block, not a 16-step block
+    # of padding; the long pieces around it keep the full block length
+    scans = []
+    real = dynamics._scan_chunk
+
+    def spy(x, m, step_map, lift, ain):
+        scans.append((m, len(lift) // 2))
+        real(x, m, step_map, lift, ain)
+
+    monkeypatch.setattr(dynamics, "_scan_chunk", spy)
+    system, pulses, span, a0, b0 = _named_case("sub_step_pulse")
+    evolve(system, pulses, span, 0.25 * max_stable_dt(system, pulses), a0, b0)
+    assert scans[1] == (1, 1)
+    assert [k for m, k in scans if m > 1] == [dynamics._BLOCK_STEPS] * (len(scans) - 1)
+
+
 def _assert_peak_matches_evolve(system, pulses, span, dt):
     """peak_coupler_energy is max(e_a) of evolve from an empty cell: bit
     for bit within one chunk, to round-off across chunks."""

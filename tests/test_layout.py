@@ -132,3 +132,72 @@ def hand_written_field_checks():
 
 def test_value_objects_check_their_fields_through_require():
     assert hand_written_field_checks() == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def unpassed_defaults(root=ROOT):
+    """'function.parameter' of every defaulted parameter of a public
+    module-level function in src/ that no call in src/, tests/, demos/ or
+    bench/ passes, by keyword, by position, through *args or **kwargs, or
+    through functools.partial: an option nothing sets is not an option."""
+    defaults = {}  # function -> [(position or None for keyword-only, name)]
+    for path in sorted((root / "src").rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                defaults[node.name] = (
+                    [(i, p.arg) for i, p in enumerate(positional) if i >= first]
+                    + [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                       if d is not None])
+    passed = set()
+    for path in sorted(p for d in ("src", "tests", "demos", "bench")
+                       for p in (root / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if getattr(func, "id", getattr(func, "attr", None)) == "partial" and args:
+                func, args = args[0], args[1:]
+            name = getattr(func, "id", getattr(func, "attr", None))
+            spread = any(isinstance(a, ast.Starred) for a in args)
+            keywords = {k.arg for k in node.keywords}
+            for i, param in defaults.get(name, ()):
+                if (param in keywords or None in keywords
+                        or (i is not None and (i < len(args) or spread))):
+                    passed.add(f"{name}.{param}")
+    return sorted(f"{name}.{param}" for name, params in defaults.items()
+                  for _, param in params if f"{name}.{param}" not in passed)
+
+
+def test_every_default_is_passed_somewhere():
+    assert unpassed_defaults() == []
+
+
+def notch_pole_bypasses():
+    """'module:line' in calibrate and modemap of every use of complex_zeros
+    and every z0/2 (0.5 * x.z0 or x.z0 / 2) written out: the notch pole,
+    the zero of 2Z + z0, is reached only through resonance.notch_roots."""
+    found = []
+    for stem in ("calibrate", "modemap"):
+        path = Path(qmemsim.__file__).parent / f"{stem}.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if "complex_zeros" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                   getattr(node, "name", None)):
+                found.append(f"{stem}:{node.lineno}")
+            elif isinstance(node, ast.BinOp):
+                pair = [node.left, node.right]
+                z0 = any(getattr(o, "attr", None) == "z0" for o in pair)
+                half = (isinstance(node.op, ast.Mult) and any(
+                    getattr(o, "value", None) == 0.5 for o in pair)) or (
+                    isinstance(node.op, ast.Div) and getattr(node.right, "value", None) == 2)
+                if z0 and half:
+                    found.append(f"{stem}:{node.lineno}")
+    return found
+
+
+def test_notch_poles_go_through_notch_roots():
+    assert notch_pole_bypasses() == []

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
-from qmemsim import modemap
+from qmemsim import modemap, resonance
 from qmemsim.modemap import (
     ModeMap,
     default_band,
@@ -288,14 +288,14 @@ class TestValidation:
         assert [reason for _, reason in mm.flagged] == ["0 resonance(s) in band"] * 3
 
     def test_root_that_left_its_bracket_flags_its_row(self, cell, monkeypatch):
-        real = modemap.complex_zeros
+        real = resonance.complex_zeros
 
         def lose_first_root(fn, seeds, lo, hi):
             roots = real(fn, seeds, lo, hi)
             roots[:, 0] = np.nan
             return roots
 
-        monkeypatch.setattr(modemap, "complex_zeros", lose_first_root)
+        monkeypatch.setattr(resonance, "complex_zeros", lose_first_root)
         mm = mode_map(cell, np.linspace(100e-12, 300e-12, 3))
         assert len(mm.rows) == 2
         assert mm.flagged[0][0] == 100e-12

@@ -4,8 +4,8 @@ Each real case returns (fn, root, rtol): fn must change sign across
 root * (1 -+ rtol), which bounds the root's error by its stated relative
 tolerance.  The analytic estimates are checked against their resonance
 equations written out independently here.  Each complex root, from every
-caller of complex_zeros, must sit where one more Newton step is below
-1e-12 relative.
+caller of complex_zeros (calibrate and modemap through notch_roots), must
+sit where one more Newton step is below 1e-12 relative.
 """
 import math
 from dataclasses import replace
@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qmemsim import calibrate, extract, modemap
+from qmemsim import extract, resonance
 from qmemsim.calibrate import (
     SCAN_POINTS,
     CalibrationTargets,
@@ -124,9 +124,9 @@ def test_root_sits_on_sign_change(request, case):
 COMPLEX_CASES = {
     "extract.cavity_zero": (extract, _cavity_internal_rate),
     "extract.off_loop_zero": (extract, lambda cell: off_state_residual_coupling(cell, 1e7)),
-    "calibrate.isolated_tcr_zero_and_pole": (calibrate,
+    "calibrate.isolated_tcr_zero_and_pole": (resonance,
                                              lambda cell: measure_isolated_tcr(cell, ANCHOR)),
-    "modemap.rows": (modemap, lambda cell: mode_map(cell, np.array([200e-12, 240e-12]))),
+    "modemap.rows": (resonance, lambda cell: mode_map(cell, np.array([200e-12, 240e-12]))),
 }
 
 
