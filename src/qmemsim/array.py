@@ -125,7 +125,6 @@ class AccessOp:
     cell_index: int
     start: float = 0.0
     rf_carrier: float | None = None
-    rf_amplitude: float = 1.0
     rf_duration: float | None = None
 
     def __post_init__(self):
@@ -135,7 +134,7 @@ class AccessOp:
             raise ValueError(f"cell_index must be an integer, got {self.cell_index!r}")
         require(self, "non-negative", "cell_index")
         require(self, "finite", "start")  # a NaN start passes the overlap check
-        require(self, "positive", "rf_carrier", "rf_amplitude", "rf_duration")
+        require(self, "positive", "rf_carrier", "rf_duration")
 
 
 @dataclass(frozen=True)
@@ -177,14 +176,14 @@ def _cell_models(array: MemoryArray) -> list[_CellModel]:
 
 
 def _write_drive(op: AccessOp, system: CoupledModeSystem) -> tuple[RfPulse, float]:
-    """A write op's RF pulse and the time its gate fires."""
+    """A write op's RF pulse (unit amplitude: reports are energy ratios) and its gate time."""
     # slow envelope (kappa * sigma ~ 5): the addressed coupler tracks the drive
     # quasi-statically, keeping the crosstalk near the steady-state Lorentzian
     duration = op.rf_duration if op.rf_duration is not None else 24.0 / system.kappa_ext
     # the fitted crossing sits a few MHz off the bare target: drive the
     # cavity where the reduced model places it
     carrier = op.rf_carrier if op.rf_carrier is not None else system.omega_b / TWO_PI
-    rf = RfPulse(carrier=carrier, amplitude=op.rf_amplitude, start=0.0,
+    rf = RfPulse(carrier=carrier, amplitude=1.0, start=0.0,
                  duration=duration, envelope=Gauss(sigma=duration / 5.0))
     # gate at the envelope peak: idle neighbors respond quasi-statically
     # and the addressed coupler is fully loaded when the swap fires

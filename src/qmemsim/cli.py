@@ -36,6 +36,7 @@ from .cell import OFF_BAND, spectrum
 from .config import (
     Config,
     ConfigError,
+    ModeMapSettings,
     config_hash,
     config_to_dict,
     example_config,
@@ -47,6 +48,7 @@ from .config import (
 from .dynamics import (
     TWO_PI,
     CoupledModeSystem,
+    GatePulse,
     PulseSequence,
     evolve,
     max_stable_dt,
@@ -201,13 +203,13 @@ def _write_trace_csv(path, freqs, s21):
                [freqs, s21.real, s21.imag, db(s21)])
 
 
-def _write_report(path, command: str, cfg: Config | None, summary: dict, warnings=()):
+def _write_report(path, command: str, cfg: Config, summary: dict, warnings=()):
     if path is None:
         return
     report = {
         "tool_version": __version__,
         "command": command,
-        "config_hash": config_hash(cfg) if cfg is not None else None,
+        "config_hash": config_hash(cfg),
         "summary": summary,
         "warnings": list(warnings),
     }
@@ -308,7 +310,14 @@ def _cmd_spectrum(args, cfg: Config) -> int:
     return 0
 
 
+def _crossing(cfg: Config, grid: ModeMapSettings):
+    mm = mode_map(cfg.cell, np.linspace(grid.l_min, grid.l_max, grid.points),
+                  min_depth_db=cfg.sweep.min_depth_db)
+    return mm, fit_avoided_crossing(mm)
+
+
 def _cmd_modemap(args, cfg: Config) -> int:
+    grid = cfg.modemap
     if args.l_grid is not None:
         parts = args.l_grid.split(",")
         if len(parts) != 3:
@@ -319,13 +328,11 @@ def _cmd_modemap(args, cfg: Config) -> int:
             n = int(parts[2])
         except ValueError as exc:
             raise UsageError("--l-grid point count must be an integer") from exc
-    else:
-        lo, hi, n = cfg.modemap.l_min, cfg.modemap.l_max, cfg.modemap.points
-    if not (0 < lo < hi and n >= 2):
-        raise UsageError("--l-grid requires 0 < lo < hi and n >= 2")
-    grid = np.linspace(lo, hi, n)
-    mm = mode_map(cfg.cell, grid, min_depth_db=cfg.sweep.min_depth_db)
-    fit = fit_avoided_crossing(mm)
+        try:
+            grid = ModeMapSettings(l_min=lo, l_max=hi, points=n)
+        except ValueError as exc:
+            raise UsageError(f"--l-grid {exc}") from exc
+    mm, fit = _crossing(cfg, grid)
     # the fit falls back to a grid end when a 2g detuning point lies off the grid
     warnings = [
         f"window_h {side} edge clipped to the grid end {float(end):.6g} H"
@@ -352,28 +359,18 @@ def _cmd_modemap(args, cfg: Config) -> int:
 
 
 def _cmd_swap(args, cfg: Config) -> int:
-    if (args.g is None) == (not args.from_fit):
-        raise UsageError("provide exactly one of --g <value> or --from-fit")
-    f_ref = cfg.calibration.f_sc if cfg.calibration else 6.55e9
     if args.g is not None:
         g_hz = _parse_arg_quantity(args.g, "frequency", "--g")
         if g_hz <= 0:
             raise UsageError("--g must be positive")
-        system = CoupledModeSystem(
-            omega_a=TWO_PI * f_ref, omega_b=TWO_PI * f_ref,
-            kappa_ext=0.0, g_on=TWO_PI * g_hz,
-        )
+        # resonant and lossless: the mode frequency drops out of the rotating frame
+        system = CoupledModeSystem(omega_a=0.0, omega_b=0.0, kappa_ext=0.0, g_on=TWO_PI * g_hz)
     else:
-        grid = np.linspace(cfg.modemap.l_min, cfg.modemap.l_max, cfg.modemap.points)
-        fit = fit_avoided_crossing(mode_map(cfg.cell, grid, min_depth_db=cfg.sweep.min_depth_db))
-        system = extract_coupled_mode_params(cfg.cell, fit)
-    g_ang = system.g_on
-    t_swap = swap_duration(g_ang)
-    pulses = PulseSequence()
-    # no gate pulses: the coupling holds the OFF floor, here set to g_on
-    const_g = replace(system, g_off=g_ang)
-    dt = cfg.dynamics.dt_fraction_of_guard * max_stable_dt(const_g, pulses)
-    traj = evolve(const_g, pulses, (0.0, 2.0 * t_swap), dt, a0=1.0, b0=0.0)
+        system = extract_coupled_mode_params(cfg.cell, _crossing(cfg, cfg.modemap)[1])
+    t_swap = swap_duration(system.g_on)
+    pulses = PulseSequence(gate_pulses=(GatePulse(0.0, 2.0 * t_swap),))
+    dt = cfg.dynamics.dt_fraction_of_guard * max_stable_dt(system, pulses)
+    traj = evolve(system, pulses, (0.0, 2.0 * t_swap), dt, a0=1.0, b0=0.0)
     _write_csv(args.out, ["t_s", "re_a", "im_a", "re_b", "im_b", "e_a", "e_b"],
                [traj.times, traj.a.real, traj.a.imag, traj.b.real, traj.b.imag,
                 traj.e_a, traj.e_b])
@@ -381,7 +378,7 @@ def _cmd_swap(args, cfg: Config) -> int:
     _write_report(
         args.report, "swap", cfg,
         {
-            "g_hz": g_ang / TWO_PI,
+            "g_hz": system.g_on / TWO_PI,
             "swap_duration_s": t_swap,
             "e_b_at_swap": float(traj.e_b[i_swap]),
             "e_b_max": float(np.max(traj.e_b)),
@@ -412,23 +409,22 @@ def _cmd_protocol(args, cfg: Config) -> int:
         [range(len(ops)), [op.op for op in ops], [op.cell_index for op in ops],
          [float(op.start) for op in ops], report.fidelities],
     )
-    _write_csv(args.crosstalk_out, [f"to_cell_{j}" for j in range(len(array))],
-               report.crosstalk.T)
-    max_xtalk = (
-        float(np.max(report.crosstalk[~np.eye(len(array), dtype=bool)]))
-        if len(array) > 1
-        else 0.0
-    )
+    xt = report.crosstalk  # energy ratios: never negative, exactly 1 on the diagonal
+    _write_csv(args.crosstalk_out, [f"to_cell_{j}" for j in range(len(array))], xt.T)
+    max_xtalk = float(np.max(xt, initial=0.0, where=~np.eye(len(array), dtype=bool)))
+    warnings = [f"op {k}: fidelity {f:.6g} exceeds 1"
+                for k, f in enumerate(report.fidelities) if f > 1]
+    warnings += [f"crosstalk from cell {i} to cell {j} is {xt[i, j]:.6g}, above the addressed cell"
+                 for i, j in np.argwhere(xt > 1).tolist()]
     _write_report(
         args.report, "protocol", cfg,
         {"fidelities": list(report.fidelities), "max_offdiagonal_crosstalk": max_xtalk},
+        warnings,
     )
     return 0
 
 
 def _cmd_array_spectrum(args, cfg: Config) -> int:
-    if args.state not in ("on", "off"):
-        raise UsageError("--state expects 'on' or 'off'")
     band = _parse_band(args.band, cfg.sweep.band)
     array = _require_array(cfg)
     if args.state == "on":
@@ -462,30 +458,33 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qmemsim {__version__}")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p):
+    def common(p, run):
+        p.set_defaults(run=run)
         p.add_argument("config", help="JSON configuration file")
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")
         p.add_argument("--report", default=None, help="JSON run-report path")
 
     p = sub.add_parser("calibrate", help="solve the cell geometry for the config targets")
-    common(p)
+    common(p, _cmd_calibrate)
 
     p = sub.add_parser("spectrum", help="frequency sweep of the single cell")
-    common(p)
+    common(p, _cmd_spectrum)
     p.add_argument("--state", required=True, help="on:<L> (e.g. on:220pH) or off")
     p.add_argument("--band", default=None, help="lo,hi (e.g. 5.8GHz,7.4GHz)")
 
     p = sub.add_parser("modemap", help="two-mode map over junction inductance")
-    common(p)
+    common(p, _cmd_modemap)
     p.add_argument("--l-grid", default=None, help="lo,hi,n (e.g. 10pH,500pH,61)")
 
     p = sub.add_parser("swap", help="two-mode exchange trajectory")
-    common(p)
-    p.add_argument("--g", default=None, help="coupling strength (e.g. 300MHz)")
-    p.add_argument("--from-fit", action="store_true",
-                   help="derive the coupling from the cell's avoided-crossing fit")
+    common(p, _cmd_swap)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--g", default=None, help="coupling strength (e.g. 300MHz)")
+    source.add_argument("--from-fit", action="store_true",
+                        help="derive the coupling from the cell's avoided-crossing fit")
 
     p = sub.add_parser("protocol", help="run a random-access schedule on the array")
+    p.set_defaults(run=_cmd_protocol)
     p.add_argument("config")
     p.add_argument("schedule", help="JSON schedule file")
     p.add_argument("--out", default=None, help="per-op fidelity CSV (default stdout)")
@@ -493,20 +492,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None)
 
     p = sub.add_parser("array-spectrum", help="combined sweep of the multiplexed array")
-    common(p)
-    p.add_argument("--state", default="on", help="'on' (anchor inductance) or 'off'")
+    common(p, _cmd_array_spectrum)
+    p.add_argument("--state", default="on", choices=("on", "off"),
+                   help="'on' (anchor inductance) or 'off'")
     p.add_argument("--band", default=None)
     return parser
-
-
-_COMMANDS = {
-    "calibrate": _cmd_calibrate,
-    "spectrum": _cmd_spectrum,
-    "modemap": _cmd_modemap,
-    "swap": _cmd_swap,
-    "protocol": _cmd_protocol,
-    "array-spectrum": _cmd_array_spectrum,
-}
 
 
 def main(argv=None) -> int:
@@ -530,7 +520,7 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        return _COMMANDS[args.command](args, cfg)
+        return args.run(args, cfg)
     except (UsageError, ConfigError, ScheduleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -127,7 +127,7 @@ def format_quantity(value: float, family: str) -> str:
     suffix = _CANONICAL[family]
     exp10 = UNIT_TABLE[suffix][0]
     s = value / (10.0 ** exp10)
-    candidates = [f"{s:.{d}g}" for d in range(1, 18)]
+    candidates = dict.fromkeys(f"{s:.{d}g}" for d in range(1, 18))  # distinct, in order
     faithful = [c for c in candidates if _scaled_float(c, exp10) == value]
     if faithful:
         best = min(faithful, key=lambda c: (len(c), "e" in c))
@@ -418,7 +418,6 @@ _CONFIG = (
 _OP = (
     ("start", "start", "time"),
     ("rf_carrier", "rf_carrier", "frequency"),
-    ("rf_amplitude", "rf_amplitude", None),
     ("rf_duration", "rf_duration", "time"),
 )
 

@@ -103,7 +103,7 @@ OUT_OF_RANGE = [
       ("omega_a", "omega_b", "kappa_ext", "kappa_int_a", "gamma_b", "g_on", "g_off")),
     (MemoryArray, "z_ref", 0.0),
     (AccessOp, "cell_index", -1), (AccessOp, "start", math.inf), (AccessOp, "rf_carrier", 0.0),
-    (AccessOp, "rf_amplitude", 0.0), (AccessOp, "rf_duration", -1e-6),
+    (AccessOp, "rf_duration", -1e-6),
 ]
 IDS = [f"{cls.__name__}.{name}" for cls, name, _ in OUT_OF_RANGE]
 

@@ -3,6 +3,8 @@ import argparse
 import contextlib
 import io
 import json
+import re
+import shlex
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -15,9 +17,10 @@ from hypothesis.extra import numpy as hnp
 from qmemsim import __version__, cli, dynamics
 from qmemsim.cli import main
 from qmemsim.cell import sc_mode_estimate
-from qmemsim.config import config_to_dict, example_config, load_config
-from qmemsim.extract import full_accumulation_inductance
-from qmemsim.modemap import hybridized_map
+from qmemsim.config import config_to_dict, example_config, load_config, load_schedule
+from qmemsim.dynamics import GatePulse, PulseSequence, evolve, max_stable_dt, swap_duration
+from qmemsim.extract import extract_coupled_mode_params, full_accumulation_inductance
+from qmemsim.modemap import fit_avoided_crossing, hybridized_map, mode_map
 from qmemsim.resonance import ResonancePeak
 
 
@@ -168,6 +171,23 @@ def test_repeated_calls_print_the_same(argv, code, stream, start, capsys):
     assert outputs[0].startswith(start) and outputs[0] == outputs[1]
 
 
+def test_readme_commands_and_schedule_parse(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```(\w*)\n(.*?)```", readme, re.S)
+    lines = [line for lang, body in blocks if lang == "sh"
+             for line in body.splitlines() if line.startswith("qmemsim ")]
+    assert len(lines) >= 7
+    for line in lines:
+        try:  # comments=True drops a trailing "# or --from-fit"
+            cli._build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+    (schedule,) = [body for lang, body in blocks if lang == "json" and '"ops"' in body]
+    path = tmp_path / "schedule.json"
+    path.write_text(schedule)
+    assert load_schedule(path).ops
+
+
 class TestSeedConfig:
     def test_contents(self, seed_path):
         raw = json.loads(seed_path.read_text())
@@ -311,6 +331,17 @@ class TestModemapCommand:
         assert report["warnings"][-1] == "row at l_j 3e-10 H flagged: 1 resonance(s) in band"
 
 
+    @pytest.mark.parametrize("grid, message", [
+        ("10pH,5pH,61", "--l-grid requires 0 < l_min < l_max"),
+        ("0pH,5pH,61", "--l-grid requires 0 < l_min < l_max"),
+        ("10pH,500pH,1", "--l-grid points must be an integer >= 2"),
+        ("10pH,500pH,2.5", "--l-grid point count must be an integer"),
+    ], ids=["decreasing", "zero-lo", "one-point", "fractional-count"])
+    def test_bad_grid_is_a_usage_error(self, seed_path, grid, message, capsys):
+        assert main(["modemap", str(seed_path), "--l-grid", grid]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestArraySpectrumCommand:
     # coarse_step 2 MHz / 4 over the 300 MHz band: 600 intervals
     BAND = ["--band", "6.5GHz,6.8GHz"]
@@ -367,6 +398,11 @@ class TestArraySpectrumCommand:
         assert [s.l_j for s in seen[0]] == [anchor] * 4
 
 
+    def test_bad_state_is_a_usage_error(self, seed_path, capsys):
+        assert main(["array-spectrum", str(seed_path), "--state", "maybe"]) == 1
+        assert "argument --state: invalid choice: 'maybe'" in capsys.readouterr().err
+
+
 class TestSwapCommand:
     def test_analytic_exchange(self, seed_path, tmp_path):
         out = tmp_path / "swap.csv"
@@ -385,9 +421,41 @@ class TestSwapCommand:
             assert ea == pytest.approx(ra * ra + ia * ia, rel=1e-9, abs=1e-15)
             assert eb == pytest.approx(rb * rb + ib * ib, rel=1e-9, abs=1e-15)
 
-    def test_requires_exactly_one_source(self, seed_path):
+    def test_requires_exactly_one_source(self, seed_path, capsys):
         assert main(["swap", str(seed_path)]) == 1
+        assert "one of the arguments --g --from-fit is required" in capsys.readouterr().err
         assert main(["swap", str(seed_path), "--g", "300MHz", "--from-fit"]) == 1
+        assert "argument --from-fit: not allowed with argument --g" in capsys.readouterr().err
+
+    def test_g_source_ignores_the_calibration_section(self, seed_path, tmp_path):
+        # resonant and lossless: the mode frequency drops out of the rotating frame
+        raw = json.loads(seed_path.read_text())
+        del raw["calibration"]
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(raw))
+        outs = []
+        for cfg in (seed_path, bare):
+            out = tmp_path / f"swap-{cfg.stem}.csv"
+            assert main(["swap", str(cfg), "--g", "300MHz", "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_csv_equals_a_direct_evolve(self, seed_path, tmp_path):
+        # the extracted system under one gate pulse spanning the whole run
+        out = tmp_path / "swap.csv"
+        assert main(["swap", str(seed_path), "--from-fit", "--out", str(out)]) == 0
+        cfg = load_config(seed_path)
+        grid = np.linspace(cfg.modemap.l_min, cfg.modemap.l_max, cfg.modemap.points)
+        fit = fit_avoided_crossing(mode_map(cfg.cell, grid, min_depth_db=cfg.sweep.min_depth_db))
+        system = extract_coupled_mode_params(cfg.cell, fit)
+        assert 0.0 < system.g_off < system.g_on
+        span = (0.0, 2.0 * swap_duration(system.g_on))
+        pulses = PulseSequence(gate_pulses=(GatePulse(0.0, span[1]),))
+        dt = cfg.dynamics.dt_fraction_of_guard * max_stable_dt(system, pulses)
+        traj = evolve(system, pulses, span, dt, a0=1.0, b0=0.0)
+        assert out.read_text() == _csv_per_row(
+            ["t_s", "re_a", "im_a", "re_b", "im_b", "e_a", "e_b"],
+            [traj.times, traj.a.real, traj.a.imag, traj.b.real, traj.b.imag, traj.e_a, traj.e_b])
 
     def test_from_fit_maps_with_the_configured_depth(self, seed_path, tmp_path, monkeypatch):
         # swap --from-fit must map the same rows as modemap, so it must pass
@@ -455,22 +523,28 @@ class TestErrorPaths:
 
 
 class TestProtocolCommand:
-    @pytest.mark.parametrize("ops", [
-        [{"op": "erase", "cell_index": 0}],
-        [{"op": "write", "cell_index": 9}],
-        [{"op": "write", "cell_index": 0, "rf_carrier": "7.5 GHz"}],
-        [{"op": "write", "cell_index": 0, "rf_carrier": "-1 GHz"}],
-        [{"op": "write", "cell_index": 0}, {"op": "read", "cell_index": 0}],
-        [{"op": "write", "cell_index": 0, "rf_duration": "0 ns"}],
-        [{"op": "write", "cell_index": 0, "rf_amplitude": 0}],
-        [{"op": "write", "cell_index": 0, "rf_amplitude": -1.0}],
+    @pytest.mark.parametrize("ops, message", [
+        ([{"op": "erase", "cell_index": 0}], "ops[0].op: expected 'write' or 'read'"),
+        ([{"op": "write", "cell_index": 9}], "cell_index 9 out of range"),
+        ([{"op": "write", "cell_index": 0, "rf_carrier": "7.5 GHz"}],
+         "beyond half the cell spacing"),
+        ([{"op": "write", "cell_index": 0, "rf_carrier": "-1 GHz"}],
+         "AccessOp.rf_carrier must be positive"),
+        ([{"op": "write", "cell_index": 0}, {"op": "read", "cell_index": 0}],
+         "operations on cell 0 must not overlap"),
+        ([{"op": "write", "cell_index": 0, "rf_duration": "0 ns"}],
+         "AccessOp.rf_duration must be positive"),
+        # an op has no amplitude: every reported number is an energy ratio
+        ([{"op": "write", "cell_index": 0, "rf_amplitude": 0}], "unknown key 'rf_amplitude'"),
+        ([{"op": "write", "cell_index": 0, "rf_amplitude": -1.0}], "unknown key 'rf_amplitude'"),
     ], ids=["unknown-op", "cell-out-of-range", "carrier-off-cell", "negative-carrier",
             "overlapping-ops", "zero-duration", "zero-amplitude", "negative-amplitude"])
-    def test_schedule_validation_error(self, seed_path, tmp_path, capsys, ops):
+    def test_schedule_validation_error(self, seed_path, tmp_path, capsys, ops, message):
         sched = tmp_path / "bad_sched.json"
         sched.write_text(json.dumps({"ops": ops}))
         assert main(["protocol", str(seed_path), str(sched)]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
     def test_write_read_report(self, seed_path, tmp_path):
         sched = tmp_path / "sched.json"
@@ -491,6 +565,24 @@ class TestProtocolCommand:
         xt_header, xt_rows = read_csv(xt)
         assert len(xt_rows) == 4 and len(xt_header) == 4
         assert float(xt_rows[0][0]) == 1.0
+        # every ratio in bounds: nothing to warn about
+        assert json.loads(rep.read_text())["warnings"] == []
+
+    def test_out_of_bound_ratios_are_warned(self, seed_path, tmp_path):
+        # a 2 ns drive is far from quasi-static: the cell ends with more than
+        # its coupler's peak, and every neighbour takes more than the coupler
+        sched = tmp_path / "short.json"
+        sched.write_text(json.dumps(
+            {"ops": [{"op": "write", "cell_index": 1, "rf_duration": "2 ns"}]}))
+        rep = tmp_path / "rep.json"
+        assert main(["protocol", str(seed_path), str(sched), "--out", str(tmp_path / "f.csv"),
+                     "--report", str(rep)]) == 0
+        report = json.loads(rep.read_text())
+        (fidelity,) = report["summary"]["fidelities"]
+        assert fidelity > 1
+        assert report["warnings"][0] == f"op 0: fidelity {fidelity:.6g} exceeds 1"
+        assert [w.split(" is ")[0] for w in report["warnings"][1:]] == [
+            f"crosstalk from cell 1 to cell {j}" for j in (0, 2, 3)]
 
     def test_step_fraction_is_read(self, seed_path, tmp_path, monkeypatch):
         # the write's evolve step, recorded, not the last digits of its fidelity

@@ -1,9 +1,12 @@
 """Config and schedule parsing: units, validation, lossless round trips."""
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from qmemsim import config
 from qmemsim.array import AccessOp
 from qmemsim.config import (
     Config,
@@ -81,6 +84,39 @@ class TestQuantityParsing:
             back = parse_quantity(format_quantity(value, family), family, "k", errors)
             assert errors == []
             assert back == value  # bit-exact
+
+    @staticmethod
+    def format_all_candidates(value, family):
+        """format_quantity as it tested all 17 renderings; kept as its reference."""
+        value = float(value)
+        suffix = config._CANONICAL[family]
+        exp10 = config.UNIT_TABLE[suffix][0]
+        s = value / (10.0 ** exp10)
+        candidates = [f"{s:.{d}g}" for d in range(1, 18)]
+        faithful = [c for c in candidates if config._scaled_float(c, exp10) == value]
+        if faithful:
+            return f"{min(faithful, key=lambda c: (len(c), 'e' in c))} {suffix}"
+        head, _, e = repr(value).partition("e")
+        return f"{head}e{int(e or 0) - exp10} {suffix}"
+
+    @pytest.mark.parametrize("family", sorted(config._CANONICAL))
+    def test_format_matches_the_all_candidates_reference(self, family):
+        rng = np.random.default_rng(sorted(config._CANONICAL).index(family))
+        exp10 = config.UNIT_TABLE[config._CANONICAL[family]][0]
+        bits = rng.integers(0, 2**63, 100, dtype=np.uint64).view(np.float64)
+        short = rng.integers(1, 10**4, 100) * 10.0 ** rng.integers(-4, 4, 100) * 10.0 ** exp10
+        edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                 1e-12, 220e-12, 6.55e9, 0.1, 1 / 3, 1.0, 10.0 ** exp10, 9.999999999999999e22]
+        values = [v for v in (*bits.tolist(), *short.tolist(), *edges) if math.isfinite(v)]
+
+        def outcome(fn, value):
+            try:  # both fail alike where value / 10**exp10 overflows
+                return fn(value, family)
+            except ValueError as exc:
+                return repr(exc)
+
+        for value in values:
+            assert outcome(format_quantity, value) == outcome(self.format_all_candidates, value)
 
 
 class TestParseConfig:
@@ -273,7 +309,9 @@ class TestLoadSchedule:
     @pytest.mark.parametrize("op, message", [
         ({"op": "erase", "cell_index": 0}, "ops[0].op"),
         ({"op": "write", "cell_index": -1}, "ops[0].cell_index"),
-        ({"op": "write", "cell_index": 0, "rf_amplitude": float("nan")}, "ops[0].rf_amplitude"),
+        # every reported number is an energy ratio, so an op has no amplitude
+        ({"op": "write", "cell_index": 0, "rf_amplitude": 1.0},
+         "ops[0]: unknown key 'rf_amplitude'"),
         ({"op": "write", "cell_index": 0, "start": "5 GHz"}, "ops[0].start"),
         ({"op": "write", "cell_index": 0, "banana": 1}, "banana"),
         # JSON true is no cell 1
