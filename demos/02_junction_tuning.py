@@ -21,7 +21,6 @@ import numpy as np
 from qmemsim import (
     GateModel,
     JjFet,
-    Logistic,
     critical_current_for_inductance,
     gate_to_state,
     icrn_max_current,
@@ -55,7 +54,7 @@ for r_n in (120.0, 300.0, 547.0):
 # %%
 jj = JjFet(
     i_c_max=critical_current_for_inductance(220e-12),
-    gate=GateModel(v_pinch=-2.0, v_on=0.0, shape=Logistic(steepness=4.0)),
+    gate=GateModel(v_pinch=-2.0, v_on=0.0, steepness=4.0),
 )
 print("gate sweep:")
 for v_g in np.linspace(-2.2, 0.0, 9):

@@ -44,10 +44,8 @@ from .dynamics import (
     TWO_PI,
     CoupledModeSystem,
     GatePulse,
-    Gauss,
     PulseSequence,
     ReadResult,
-    Rect,
     RfPulse,
     SampledDrive,
     Trajectory,
@@ -70,8 +68,6 @@ from .jjfet import (
     PHI0,
     GateModel,
     JjFet,
-    Linear,
-    Logistic,
     Off,
     On,
     critical_current_for_inductance,

@@ -21,7 +21,6 @@ from .dynamics import (
     DT_FRACTION,
     TWO_PI,
     CoupledModeSystem,
-    Gauss,
     PulseSequence,
     RfPulse,
     SampledDrive,
@@ -183,8 +182,8 @@ def _write_drive(op: AccessOp, system: CoupledModeSystem) -> tuple[RfPulse, floa
     # the fitted crossing sits a few MHz off the bare target: drive the
     # cavity where the reduced model places it
     carrier = op.rf_carrier if op.rf_carrier is not None else system.omega_b / TWO_PI
-    rf = RfPulse(carrier=carrier, amplitude=1.0, start=0.0,
-                 duration=duration, envelope=Gauss(sigma=duration / 5.0))
+    rf = RfPulse(carrier=carrier, amplitude=1.0, start=0.0, duration=duration,
+                 sigma=duration / 5.0)
     # gate at the envelope peak: idle neighbors respond quasi-statically
     # and the addressed coupler is fully loaded when the swap fires
     return rf, 0.5 * duration

@@ -26,7 +26,7 @@ from .array import AccessOp, AccessSchedule
 from .calibrate import CalibrationTargets, calibrate_geometry
 from .cell import MemoryCell
 from .dynamics import DT_FRACTION
-from .jjfet import JjFet, Linear, Logistic, critical_current_for_inductance
+from .jjfet import JjFet, critical_current_for_inductance
 
 #: suffix -> (decimal exponent of the scale, unit family); all scales are
 #: exact powers of ten so values are converted by shifting the decimal
@@ -121,13 +121,16 @@ def format_quantity(value: float, family: str) -> str:
     The printed decimal, re-parsed through the exponent-shifting
     conversion, reproduces the exact float; the shortest faithful text
     wins, falling back to the exponent-shifted repr of the value (which
-    is faithful by construction).
+    is faithful by construction).  A non-finite value raises ValueError.
     """
     value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"cannot write a non-finite {family}: {value!r}")
     suffix = _CANONICAL[family]
     exp10 = UNIT_TABLE[suffix][0]
     s = value / (10.0 ** exp10)
-    candidates = dict.fromkeys(f"{s:.{d}g}" for d in range(1, 18))  # distinct, in order
+    # distinct, in order; a mantissa past the float range has no %g text
+    candidates = dict.fromkeys(f"{s:.{d}g}" for d in range(1, 18)) if math.isfinite(s) else ()
     faithful = [c for c in candidates if _scaled_float(c, exp10) == value]
     if faithful:
         best = min(faithful, key=lambda c: (len(c), "e" in c))
@@ -329,11 +332,11 @@ def _read_targets(raw, where, errors):
 
 def _read_shape(raw, where, errors):
     if raw == "linear":
-        return Linear()
+        return 0.0
     if isinstance(raw, dict) and set(raw) == {"logistic"}:
         k = _expect_number(raw["logistic"], f"{where}.logistic", errors)
         if k > 0:
-            return Logistic(steepness=k)
+            return k
         if not math.isnan(k):
             errors.append(f"{where}.logistic: steepness must be positive")
         return math.nan
@@ -359,10 +362,7 @@ def _write_frequencies(values) -> list[str]:
 _GATE = (
     ("v_pinch", "v_pinch", "voltage"),
     ("v_on", "v_on", "voltage"),
-    ("shape", "shape", _Custom(
-        _read_shape,
-        lambda shape: "linear" if isinstance(shape, Linear) else {"logistic": shape.steepness},
-    )),
+    ("shape", "steepness", _Custom(_read_shape, lambda k: {"logistic": k} if k else "linear")),
 )
 _JJ = (
     ("i_c_max", "i_c_max", "current"),
@@ -433,6 +433,8 @@ def _load_json(path, what: str):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{what} is not UTF-8 text: {exc}") from exc
 
 
 def parse_config(raw: dict) -> Config:

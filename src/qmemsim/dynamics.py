@@ -34,7 +34,7 @@ memory does not grow with the span.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,40 +47,22 @@ TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
-class Rect:
-    """Rectangular envelope over the pulse duration."""
-
-
-@dataclass(frozen=True)
-class Gauss:
-    """Gaussian envelope, centered in the pulse window.
-
-    sigma : s, standard deviation of the envelope
-    """
-
-    sigma: float
-
-    def __post_init__(self):
-        require(self, "finite", "sigma")
-        require(self, "positive", "sigma")
-
-
-@dataclass(frozen=True)
 class RfPulse:
     """Feedline drive pulse.
 
     carrier : Hz (sets the rotating frame); amplitude : sqrt(photons/s)
+    sigma : s, width of the gaussian envelope centered in the window (inf: rectangle)
     """
 
     carrier: float
     amplitude: float
     start: float
     duration: float
-    envelope: Rect | Gauss = field(default_factory=Rect)
+    sigma: float = math.inf
 
     def __post_init__(self):
         require(self, "finite", "carrier", "amplitude", "start", "duration")
-        require(self, "positive", "carrier", "duration")
+        require(self, "positive", "carrier", "duration", "sigma")
 
     @property
     def end(self) -> float:
@@ -90,12 +72,9 @@ class RfPulse:
         """Complex drive amplitude in the rotating frame at time(s) t."""
         t = np.asarray(t, dtype=float)
         inside = (t >= self.start) & (t < self.start + self.duration)
-        if isinstance(self.envelope, Rect):
-            env = inside.astype(float)
-        else:
-            mid = self.start + 0.5 * self.duration
-            env = np.exp(-0.5 * ((t - mid) / self.envelope.sigma) ** 2) * inside
-        return self.amplitude * env
+        # exp(-0) = 1 exactly: an infinite sigma is the rectangle bit for bit
+        mid = self.start + 0.5 * self.duration
+        return self.amplitude * (np.exp(-0.5 * ((t - mid) / self.sigma) ** 2) * inside)
 
 
 @dataclass(frozen=True)

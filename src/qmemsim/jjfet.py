@@ -8,7 +8,7 @@ regimes.  The superconducting phase is held at 0 (linear response regime).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,37 +59,22 @@ def icrn_max_current(gap: float, r_n: float) -> float:
 
 
 @dataclass(frozen=True)
-class Linear:
-    """Critical current rises linearly from v_pinch to v_on."""
-
-
-@dataclass(frozen=True)
-class Logistic:
-    """Smooth sigmoid transfer curve, pinned to 0/1 at v_pinch/v_on.
-
-    steepness : 1/volt, slope scale of the sigmoid
-    """
-
-    steepness: float
-
-    def __post_init__(self):
-        require(self, "positive", "steepness")
-
-
-@dataclass(frozen=True)
 class GateModel:
     """Gate-voltage map for the junction critical current.
 
     The transfer curve is phenomenological; it only has to be monotone
     non-decreasing with I_c = 0 at/below full depletion (v_pinch) and
-    I_c = i_c_max at/above full accumulation (v_on).
+    I_c = i_c_max at/above full accumulation (v_on).  Between them it is a
+    logistic of the given steepness (1/volt), rescaled to pin those
+    endpoints; its steepness-0 limit, the default, is the linear rise.
     """
 
     v_pinch: float
     v_on: float
-    shape: Linear | Logistic = field(default_factory=Linear)
+    steepness: float = 0.0
 
     def __post_init__(self):
+        require(self, "non-negative", "steepness")
         if not self.v_pinch < self.v_on:
             raise ValueError("gate model requires v_pinch < v_on")
 
@@ -100,11 +85,11 @@ class GateModel:
         if v_g >= self.v_on:
             return 1.0
         x = (v_g - self.v_pinch) / (self.v_on - self.v_pinch)
-        if isinstance(self.shape, Linear):
+        if self.steepness == 0:  # the limit, where the formula below is 0/0
             return x
         # logistic rescaled so the endpoints land exactly on 0 and 1, in its
         # tanh form, which cannot overflow at any steepness
-        k = self.shape.steepness * (self.v_on - self.v_pinch)
+        k = self.steepness * (self.v_on - self.v_pinch)
         return 0.5 + 0.5 * math.tanh(0.5 * k * (x - 0.5)) / math.tanh(0.25 * k)
 
 
@@ -153,7 +138,7 @@ class JjFet:
     c_j: float = 1e-15
     r_off: float = 1000.0
     r_sub: float = 1e6
-    gate: GateModel = field(default_factory=lambda: GateModel(-2.0, 0.0))
+    gate: GateModel = GateModel(-2.0, 0.0)
 
     def __post_init__(self):
         require(self, "positive", "i_c_max", "r_off", "r_sub")
@@ -190,9 +175,7 @@ def jj_series_impedance(state: JjState, c_j: float, r_sub: float, f):
         raise ValueError("frequency must have a positive real part")
     w = 2.0 * np.pi * f
     if isinstance(state, On):
-        y = 1.0 / (1j * w * state.l_j) + 1j * w * c_j
-        if math.isfinite(r_sub):
-            y = y + 1.0 / r_sub
+        y = 1.0 / (1j * w * state.l_j) + 1j * w * c_j + 1.0 / r_sub
     elif isinstance(state, Off):
         y = 1.0 / state.r + 1j * w * c_j
     else:

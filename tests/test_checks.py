@@ -16,7 +16,6 @@ from qmemsim.dynamics import (
     TWO_PI,
     CoupledModeSystem,
     GatePulse,
-    Gauss,
     PulseSequence,
     RfPulse,
     SampledDrive,
@@ -27,8 +26,8 @@ from qmemsim.dynamics import (
     write_protocol,
 )
 from qmemsim.jjfet import (
+    GateModel,
     JjFet,
-    Logistic,
     Off,
     On,
     critical_current_for_inductance,
@@ -60,7 +59,7 @@ SYSTEM = CoupledModeSystem(omega_a=W0, omega_b=W0, kappa_ext=TWO_PI * 1e6,
 VALID = {
     LineSection: LineSection(z0=50.0, eps_eff=6.45, length=4e-3, atten=1e-3),
     SeriesCapacitor: SeriesCapacitor(20e-15),
-    Logistic: Logistic(steepness=5.0),
+    GateModel: GateModel(v_pinch=-2.0, v_on=0.0, steepness=5.0),
     On: On(220e-12),
     Off: Off(1e3),
     JjFet: JjFet(i_c_max=1e-6),
@@ -69,8 +68,7 @@ VALID = {
     ResonancePeak: ResonancePeak(f0=6.5e9, depth_db=3.0, q_loaded=1e3),
     CrossingFit: CrossingFit(g=240e6, l_cross=2e-10, f_cross=6.5e9, window=(1e-10, 3e-10),
                              coeffs=(0.0, 0.0, 0.0, 6.5e9), residual_rms=0.0),
-    Gauss: Gauss(sigma=1e-9),
-    RfPulse: RfPulse(carrier=6.5e9, amplitude=1.0, start=0.0, duration=1e-9),
+    RfPulse: RfPulse(carrier=6.5e9, amplitude=1.0, start=0.0, duration=1e-9, sigma=1e-9),
     SampledDrive: SampledDrive(carrier=6.5e9, times=[0.0, 1e-8], values=[0.0, 1.0]),
     GatePulse: GatePulse(start=0.0, duration=1e-9),
     CoupledModeSystem: SYSTEM,
@@ -83,7 +81,7 @@ OUT_OF_RANGE = [
     (LineSection, "z0", 0.0), (LineSection, "eps_eff", 0.5), (LineSection, "length", -1e-3),
     (LineSection, "atten", -1.0),
     (SeriesCapacitor, "c_val", 0.0),
-    (Logistic, "steepness", 0.0),
+    (GateModel, "steepness", -1.0),
     (On, "l_j", -1e-12),
     (Off, "r", 0.0),
     (JjFet, "i_c_max", 0.0), (JjFet, "c_j", -1e-15), (JjFet, "r_off", 0.0), (JjFet, "r_sub", 0.0),
@@ -94,9 +92,8 @@ OUT_OF_RANGE = [
     (CalibrationTargets, "q_c", 0.0),
     (ResonancePeak, "f0", 0.0), (ResonancePeak, "q_loaded", -1.0),
     (CrossingFit, "g", 0.0),
-    (Gauss, "sigma", 0.0),
     (RfPulse, "carrier", -1.0), (RfPulse, "amplitude", math.inf), (RfPulse, "start", -math.inf),
-    (RfPulse, "duration", 0.0),
+    (RfPulse, "duration", 0.0), (RfPulse, "sigma", 0.0),
     (SampledDrive, "carrier", 0.0),
     (GatePulse, "start", math.inf), (GatePulse, "duration", 0.0),
     *((CoupledModeSystem, name, -1.0) for name in

@@ -17,7 +17,8 @@ from hypothesis.extra import numpy as hnp
 from qmemsim import __version__, cli, dynamics
 from qmemsim.cli import main
 from qmemsim.cell import sc_mode_estimate
-from qmemsim.config import config_to_dict, example_config, load_config, load_schedule
+from qmemsim.config import (config_hash, config_to_dict, example_config, load_config,
+                            load_schedule)
 from qmemsim.dynamics import GatePulse, PulseSequence, evolve, max_stable_dt, swap_duration
 from qmemsim.extract import extract_coupled_mode_params, full_accumulation_inductance
 from qmemsim.modemap import fit_avoided_crossing, hybridized_map, mode_map
@@ -457,6 +458,16 @@ class TestSwapCommand:
             ["t_s", "re_a", "im_a", "re_b", "im_b", "e_a", "e_b"],
             [traj.times, traj.a.real, traj.a.imag, traj.b.real, traj.b.imag, traj.e_a, traj.e_b])
 
+    def test_report_hashes_a_config_near_the_float_maximum(self, seed_path, tmp_path):
+        # 1e306 nH is 1e297 H, whose mantissa in pH overflows a float
+        raw = json.loads(seed_path.read_text())
+        raw["modemap"]["l_max"] = "1e306 nH"
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(raw))
+        rep = tmp_path / "swap.json"
+        assert main(["swap", str(cfg), "--g", "300MHz", "--report", str(rep)]) == 0
+        assert json.loads(rep.read_text())["config_hash"] == config_hash(load_config(cfg))
+
     def test_from_fit_maps_with_the_configured_depth(self, seed_path, tmp_path, monkeypatch):
         # swap --from-fit must map the same rows as modemap, so it must pass
         # sweep.min_depth_db on
@@ -509,6 +520,16 @@ class TestErrorPaths:
     def test_seed_config_in_missing_directory(self, tmp_path, capsys):
         assert main(["--seed-config", str(tmp_path / "no-such-dir" / "seed.json")]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("what", ["config", "schedule"])
+    def test_non_utf8_file_is_one_error_line(self, seed_path, tmp_path, capsys, what):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{\x00}\x00")
+        argv = (["spectrum", str(bad), "--state", "off"] if what == "config"
+                else ["protocol", str(seed_path), str(bad)])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {what} is not UTF-8 text: ") and err.count("\n") == 1
 
     def test_numerical_failure_exit_code(self, tmp_path):
         cfg = example_config(calibrated=False)

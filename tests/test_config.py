@@ -1,6 +1,7 @@
 """Config and schedule parsing: units, validation, lossless round trips."""
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,6 @@ from qmemsim.config import (
     parse_quantity,
     save_config,
 )
-from qmemsim.jjfet import Logistic
 
 SEED_CONFIG = Path(__file__).resolve().parents[1] / "bench" / "data" / "seed_config.json"
 
@@ -92,7 +92,7 @@ class TestQuantityParsing:
         suffix = config._CANONICAL[family]
         exp10 = config.UNIT_TABLE[suffix][0]
         s = value / (10.0 ** exp10)
-        candidates = [f"{s:.{d}g}" for d in range(1, 18)]
+        candidates = [f"{s:.{d}g}" for d in range(1, 18)] if math.isfinite(s) else []
         faithful = [c for c in candidates if config._scaled_float(c, exp10) == value]
         if faithful:
             return f"{min(faithful, key=lambda c: (len(c), 'e' in c))} {suffix}"
@@ -109,14 +109,27 @@ class TestQuantityParsing:
                  1e-12, 220e-12, 6.55e9, 0.1, 1 / 3, 1.0, 10.0 ** exp10, 9.999999999999999e22]
         values = [v for v in (*bits.tolist(), *short.tolist(), *edges) if math.isfinite(v)]
 
-        def outcome(fn, value):
-            try:  # both fail alike where value / 10**exp10 overflows
-                return fn(value, family)
-            except ValueError as exc:
-                return repr(exc)
-
         for value in values:
-            assert outcome(format_quantity, value) == outcome(self.format_all_candidates, value)
+            assert format_quantity(value, family) == self.format_all_candidates(value, family)
+
+    @pytest.mark.parametrize("family", sorted(f for f, suffix in config._CANONICAL.items()
+                                              if config.UNIT_TABLE[suffix][0] < 0))
+    def test_values_near_the_float_maximum_round_trip(self, family):
+        # value / 10**exp10 overflows: the shifted repr is written and read back exactly
+        exp10 = config.UNIT_TABLE[config._CANONICAL[family]][0]
+        top = np.nextafter(np.inf, 0.0)
+        values = [1e297, -1e297, float(top), float(-top), float(top * 10.0 ** exp10),
+                  float(np.nextafter(top * 10.0 ** exp10, np.inf))]
+        for value in values:
+            errors = []
+            text = format_quantity(value, family)
+            assert parse_quantity(text, family, "k", errors) == value, text
+            assert errors == []
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_is_not_written(self, value):
+        with pytest.raises(ValueError, match="cannot write a non-finite inductance"):
+            format_quantity(value, "inductance")
 
 
 class TestParseConfig:
@@ -173,8 +186,36 @@ class TestParseConfig:
             "shape": {"logistic": 4.0},
         }
         cfg = parse_config(raw)
-        assert isinstance(cfg.cell.jj.gate.shape, Logistic)
+        assert cfg.cell.jj.gate.steepness == 4.0
         assert cfg.cell.jj.gate.v_pinch == pytest.approx(-1.5)
+
+    @pytest.mark.parametrize("shape, digest", [
+        ({"logistic": 4.0}, "c86ff39ccd0b2def5d1f397fd13c5cc2caac3082f5fb0bfdf5ea5709977bcfcb"),
+        ({"logistic": 4}, "c86ff39ccd0b2def5d1f397fd13c5cc2caac3082f5fb0bfdf5ea5709977bcfcb"),
+        ("linear", "e687d58340e8eb6d0ff78529f6303067033bca9e25c16f9d08b0b8e81372bb79"),
+    ], ids=["logistic", "logistic-int", "linear"])
+    def test_gate_shape_writes_and_hashes_as_pinned(self, shape, digest):
+        # the digests were made when each shape was a class of its own: the
+        # steepness field keeps the file format and the hash
+        raw = minimal_raw()
+        raw["cell"]["jj"]["gate"] = {"v_pinch": "-1500 mV", "v_on": "0 mV", "shape": shape}
+        cfg = parse_config(raw)
+        written = config_to_dict(cfg)["cell"]["jj"]["gate"]
+        assert written == {"v_pinch": "-1500 mV", "v_on": "0 mV",
+                           "shape": "linear" if shape == "linear" else {"logistic": 4.0}}
+        assert config_hash(cfg) == digest
+        assert parse_config(config_to_dict(cfg)) == cfg
+
+    @pytest.mark.parametrize("shape, message", [
+        ({"logistic": 0}, "cell.jj.gate.shape.logistic: steepness must be positive"),
+        ({"logistic": -4.0}, "cell.jj.gate.shape.logistic: steepness must be positive"),
+        ("logistic", "cell.jj.gate.shape: expected 'linear' or {'logistic': steepness}"),
+    ], ids=["zero", "negative", "bare-name"])
+    def test_bad_gate_shape_rejected(self, shape, message):
+        raw = minimal_raw()
+        raw["cell"]["jj"]["gate"] = {"shape": shape}
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(raw)
 
     def test_decreasing_array_targets_rejected(self):
         raw = minimal_raw()
@@ -255,6 +296,13 @@ class TestRoundTrip:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="JSON"):
             load_config(path)
+
+    @pytest.mark.parametrize("load, what", [(load_config, "config"), (load_schedule, "schedule")])
+    def test_non_utf8_file_reported(self, tmp_path, load, what):
+        path = tmp_path / "utf16.json"
+        path.write_bytes("{}".encode("utf-16"))  # starts with the bytes ff fe
+        with pytest.raises(ConfigError, match=f"^{what} is not UTF-8 text: 'utf-8' codec"):
+            load(path)
 
 
 class TestOnDiskFormat:

@@ -16,9 +16,7 @@ from qmemsim.dynamics import (
     TWO_PI,
     CoupledModeSystem,
     GatePulse,
-    Gauss,
     PulseSequence,
-    Rect,
     RfPulse,
     SampledDrive,
     _CHUNK_STEPS,
@@ -277,9 +275,8 @@ def driven_systems(draw):
         rf = SampledDrive(carrier=carrier, times=times, values=values)
     else:
         duration = draw(st.floats(0.1, 1.0)) * t_end
-        envelope = Rect() if kind == "rect" else Gauss(sigma=duration / 5.0)
-        rf = RfPulse(carrier=carrier, amplitude=1e4, start=0.0, duration=duration,
-                     envelope=envelope)
+        sigma = math.inf if kind == "rect" else duration / 5.0
+        rf = RfPulse(carrier=carrier, amplitude=1e4, start=0.0, duration=duration, sigma=sigma)
     pulses = PulseSequence(rf=rf, gate_pulses=tuple(gates))
     guard = max_stable_dt(system, pulses)
     dt = max(guard * draw(st.floats(0.1, 1.0)), t_end / 4000)
@@ -338,8 +335,7 @@ def _named_case(name):
                              kappa_int_a=TWO_PI * 0.1e6, gamma_b=TWO_PI * 0.05e6,
                              g_on=g, g_off=1e3)
     carrier = W0 / TWO_PI
-    gauss = RfPulse(carrier=carrier, amplitude=1e4, start=0.0, duration=400e-9,
-                    envelope=Gauss(sigma=80e-9))
+    gauss = RfPulse(carrier=carrier, amplitude=1e4, start=0.0, duration=400e-9, sigma=80e-9)
     gate = (GatePulse(start=200e-9, duration=12.5e-9),)
     if name == "exceptional_point":
         # delta = 0 and g = kappa / 4: the propagator's eigenvectors coincide
@@ -387,7 +383,7 @@ def _named_case(name):
                          duration=1.5 * _CHUNK_STEPS * dt)
         span = (0.0, gate.end + 0.5 * _CHUNK_STEPS * dt)
         drive = RfPulse(carrier=carrier, amplitude=1e3, start=0.0, duration=span[1],
-                        envelope=Gauss(sigma=span[1] / 5.0))
+                        sigma=span[1] / 5.0)
         return sys_, PulseSequence(rf=drive, gate_pulses=(gate,)), span, 0.6 - 0.8j, 1j
     if name in BLOCK_CASES:
         # one constant-coupling segment of exactly n steps; a0 and b0 both
@@ -398,14 +394,13 @@ def _named_case(name):
         n = _block_case_steps(name)
         span = (0.0, n * 0.25 * max_stable_dt(sys_, PulseSequence(rf=gauss)))
         drive = RfPulse(carrier=carrier, amplitude=1e4, start=0.0, duration=span[1],
-                        envelope=Gauss(sigma=span[1] / 5.0))
+                        sigma=span[1] / 5.0)
         return sys_, PulseSequence(rf=drive), span, 0.6 - 0.8j, 1j
     assert name == "long_hold"
     # constant coupling: the whole span is one segment
     hold = CoupledModeSystem(omega_a=W0, omega_b=W0 + TWO_PI * 1e6, kappa_ext=TWO_PI * 0.2e6,
                              gamma_b=TWO_PI * 0.01e6, g_on=g, g_off=g)
-    drive = RfPulse(carrier=carrier, amplitude=1e3, start=0.0, duration=15e-6,
-                    envelope=Gauss(sigma=3e-6))
+    drive = RfPulse(carrier=carrier, amplitude=1e3, start=0.0, duration=15e-6, sigma=3e-6)
     return hold, PulseSequence(rf=drive), (0.0, 15e-6), 1.0, 0.0
 
 
@@ -689,8 +684,7 @@ def test_gated_protocols_converge_in_step():
     sys_ = CoupledModeSystem(omega_a=w, omega_b=w, kappa_ext=TWO_PI * 3.2e6,
                              kappa_int_a=TWO_PI * 25e3, gamma_b=TWO_PI * 18e3,
                              g_on=TWO_PI * 240e6, g_off=TWO_PI * 9.5e3)
-    rf = RfPulse(carrier=w / TWO_PI, amplitude=1.0, start=0.0, duration=1.2e-6,
-                 envelope=Gauss(sigma=0.24e-6))
+    rf = RfPulse(carrier=w / TWO_PI, amplitude=1.0, start=0.0, duration=1.2e-6, sigma=0.24e-6)
     coarse, fine = (write_protocol(sys_, rf, gate_at=0.6e-6, dt_fraction=f).fidelity
                     for f in (0.25, 0.0625))
     assert coarse == pytest.approx(fine, rel=1e-7)
@@ -701,14 +695,13 @@ def test_gated_protocols_converge_in_step():
 
 class TestEnvelopes:
     def test_rect_window(self):
-        rf = RfPulse(carrier=6.5e9, amplitude=2.0, start=10e-9, duration=5e-9, envelope=Rect())
+        rf = RfPulse(carrier=6.5e9, amplitude=2.0, start=10e-9, duration=5e-9)
         assert rf.baseband(9e-9) == 0.0
         assert rf.baseband(12e-9) == 2.0
         assert rf.baseband(16e-9) == 0.0
 
     def test_gauss_peak_at_center(self):
-        rf = RfPulse(carrier=6.5e9, amplitude=2.0, start=0.0, duration=100e-9,
-                     envelope=Gauss(sigma=20e-9))
+        rf = RfPulse(carrier=6.5e9, amplitude=2.0, start=0.0, duration=100e-9, sigma=20e-9)
         assert rf.baseband(50e-9) == pytest.approx(2.0)
         assert rf.baseband(30e-9) == pytest.approx(2.0 * math.exp(-0.5))
 
@@ -716,7 +709,7 @@ class TestEnvelopes:
         with pytest.raises(ValueError):
             RfPulse(carrier=-1.0, amplitude=1.0, start=0.0, duration=1e-9)
         with pytest.raises(ValueError):
-            Gauss(sigma=0.0)
+            RfPulse(carrier=6.5e9, amplitude=1.0, start=0.0, duration=1e-9, sigma=0.0)
         with pytest.raises(ValueError):
             GatePulse(start=0.0, duration=0.0)
         # np.interp would read these grids without complaint
@@ -755,10 +748,21 @@ class TestEnvelopes:
             with pytest.raises(ValueError, match=f"GatePulse.{name} must be finite"):
                 GatePulse(**{"start": 0.0, "duration": 1e-9, name: bad})
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan])
     def test_gauss_rejects_non_finite(self, bad):
-        with pytest.raises(ValueError, match="Gauss.sigma must be finite"):
-            Gauss(sigma=bad)
+        with pytest.raises(ValueError, match="RfPulse.sigma must be positive"):
+            RfPulse(carrier=6.5e9, amplitude=1.0, start=0.0, duration=1e-9, sigma=bad)
+
+    @given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(1e-12, 1e3),
+           st.lists(st.floats(-3e3, 3e3), min_size=1, max_size=8))
+    @example(-1.0, 0.0, 1e-9, [0.0, 1e-9, -1e-300, 5e-10])
+    def test_infinite_sigma_is_the_rectangle(self, amplitude, start, duration, t):
+        # exp(-0) = 1: the gaussian of infinite width is the window, bit for bit
+        rf = RfPulse(carrier=6.5e9, amplitude=amplitude, start=start, duration=duration)
+        assert rf.sigma == math.inf
+        t = np.array(t)
+        window = amplitude * ((t >= rf.start) & (t < rf.end))
+        assert rf.baseband(t).tobytes() == window.tobytes()
 
 
 def test_system_validation():

@@ -8,8 +8,6 @@ from qmemsim.jjfet import (
     DEFAULT_OFF_THRESHOLD,
     GateModel,
     JjFet,
-    Linear,
-    Logistic,
     Off,
     On,
     critical_current_for_inductance,
@@ -94,21 +92,29 @@ class TestIcRn:
 
 
 class TestGateModel:
-    @pytest.mark.parametrize("shape", [Linear(), Logistic(steepness=4.0)])
+    # the curve's shape is its steepness: the default 0 is the linear rise
+    @pytest.mark.parametrize("shape", [{}, {"steepness": 4.0}])
     def test_boundary_contract(self, shape):
-        gate = GateModel(v_pinch=-2.0, v_on=0.0, shape=shape)
+        gate = GateModel(v_pinch=-2.0, v_on=0.0, **shape)
         assert gate.fraction(-2.0) == 0.0
         assert gate.fraction(-5.0) == 0.0
         assert gate.fraction(0.0) == 1.0
         assert gate.fraction(1.0) == 1.0
 
-    @pytest.mark.parametrize("shape", [Linear(), Logistic(steepness=4.0),
-                                       Logistic(steepness=1000.0)])
+    @pytest.mark.parametrize("shape", [{}, {"steepness": 4.0}, {"steepness": 1000.0}])
     def test_monotone(self, shape):
-        gate = GateModel(v_pinch=-2.0, v_on=0.0, shape=shape)
+        gate = GateModel(v_pinch=-2.0, v_on=0.0, **shape)
         vs = np.linspace(-2.5, 0.5, 101)
         fr = [gate.fraction(v) for v in vs]
         assert all(b >= a for a, b in zip(fr, fr[1:]))
+
+    def test_steepness_zero_is_the_linear_limit(self):
+        gate = GateModel(v_pinch=-2.0, v_on=0.0)
+        gentle = GateModel(v_pinch=-2.0, v_on=0.0, steepness=1e-6)
+        for v in np.linspace(-1.99, -0.01, 199).tolist():
+            x = (v + 2.0) / 2.0
+            assert gate.steepness == 0.0 and gate.fraction(v) == x
+            assert abs(gentle.fraction(v) - x) <= 1e-12
 
     def test_rejects_inverted_voltages(self):
         with pytest.raises(ValueError):
