@@ -19,6 +19,7 @@
 import numpy as np
 
 from qmemsim import (
+    OFF,
     GateModel,
     JjFet,
     critical_current_for_inductance,
@@ -49,7 +50,9 @@ for r_n in (120.0, 300.0, 547.0):
 # %% [markdown]
 # A gate sweep walks the junction from depletion (resistive OFF state)
 # up to full accumulation.  The transfer curve is phenomenological;
-# linear and logistic shapes obey the same endpoint contract.
+# linear and logistic shapes obey the same endpoint contract.  A junction
+# state is its Josephson inductance, or `OFF`; the junction itself holds
+# the depleted resistance r_off.
 
 # %%
 jj = JjFet(
@@ -58,12 +61,8 @@ jj = JjFet(
 )
 print("gate sweep:")
 for v_g in np.linspace(-2.2, 0.0, 9):
-    state = gate_to_state(jj, float(v_g))
-    label = (
-        f"On(L = {state.l_j * 1e12:7.1f} pH)"
-        if hasattr(state, "l_j")
-        else f"Off(R = {state.r:.0f} ohm)"
-    )
+    l_j = gate_to_state(jj, float(v_g))
+    label = f"OFF (R = {jj.r_off:.0f} ohm)" if l_j is OFF else f"ON (L = {l_j * 1e12:7.1f} pH)"
     print(f"  Vg = {v_g:6.2f} V -> {label}")
 
 # %% [markdown]
@@ -74,5 +73,5 @@ for v_g in np.linspace(-2.2, 0.0, 9):
 f = 6.55e9
 on = gate_to_state(jj, 0.0)
 off = gate_to_state(jj, -2.0)
-print(f"Z(ON)  at {f / 1e9} GHz: {jj_series_impedance(on, jj.c_j, jj.r_sub, f):.3f} ohm")
-print(f"Z(OFF) at {f / 1e9} GHz: {jj_series_impedance(off, jj.c_j, jj.r_sub, f):.1f} ohm")
+print(f"Z(ON)  at {f / 1e9} GHz: {jj_series_impedance(jj, on, f):.3f} ohm")
+print(f"Z(OFF) at {f / 1e9} GHz: {jj_series_impedance(jj, off, f):.1f} ohm")

@@ -17,7 +17,7 @@
 # %%
 import numpy as np
 
-from qmemsim import Off, On, adaptive_sweep, find_resonances, spectrum
+from qmemsim import OFF, adaptive_sweep, find_resonances, spectrum
 from qmemsim.calibrate import CalibrationTargets, calibrate_geometry
 from qmemsim.cell import OFF_BAND
 from qmemsim.config import example_template
@@ -34,7 +34,7 @@ print(f"  input capacitor  {cell.c_in * 1e15:.2f} fF")
 # hybridize into two dips; their splitting is the coupling strength.
 
 # %%
-freqs, s21 = adaptive_sweep(cell, On(220e-12), (5.8e9, 7.4e9))
+freqs, s21 = adaptive_sweep(cell, 220e-12, (5.8e9, 7.4e9))
 peaks = find_resonances(freqs, s21, min_depth_db=0.05)
 print("ON-state dips:")
 for p in peaks:
@@ -47,7 +47,7 @@ print(f"splitting: {(peaks[1].f0 - peaks[0].f0) / 1e6:.1f} MHz")
 # cavity all but vanishes from the feedline.
 
 # %%
-off_peaks, (f_off, s_off) = spectrum(cell, Off(cell.jj.r_off), OFF_BAND)
+off_peaks, (f_off, s_off) = spectrum(cell, OFF, OFF_BAND)
 print("OFF-state resonances over 1-16 GHz:")
 for p in off_peaks:
     print(f"  f0 = {p.f0 / 1e9:7.4f} GHz  depth = {p.depth_db:6.3f} dB")

@@ -17,7 +17,7 @@
 # %%
 import numpy as np
 
-from qmemsim import AccessOp, AccessSchedule, Off, On, array_spectrum, build_array, run_schedule
+from qmemsim import OFF, AccessOp, AccessSchedule, array_spectrum, build_array, run_schedule
 from qmemsim.array import _cell_models, off_resonant_bound
 from qmemsim.config import example_template
 from qmemsim.dynamics import TWO_PI
@@ -35,12 +35,12 @@ models = _cell_models(array)
 
 # %%
 grid = np.linspace(6.0e9, 7.1e9, 22001)
-_, s_on = array_spectrum(array, [On(m.fit.l_cross) for m in models], grid)
+_, s_on = array_spectrum(array, [m.fit.l_cross for m in models], grid)
 peaks = find_resonances(grid, s_on, min_depth_db=1.0)
 print(f"all-ON composed spectrum: {len(peaks)} dips")
 print("  " + "  ".join(f"{p.f0 / 1e9:.3f}" for p in peaks), "GHz")
 
-_, s_off = array_spectrum(array, [Off(1000.0)] * 4, grid)
+_, s_off = array_spectrum(array, [OFF] * 4, grid)
 print(f"all-OFF |S21| floor across the band: {np.min(np.abs(s_off)):.5f}")
 
 # %% [markdown]

@@ -65,11 +65,10 @@ from .extract import (
     off_state_residual_coupling,
 )
 from .jjfet import (
+    OFF,
     PHI0,
     GateModel,
     JjFet,
-    Off,
-    On,
     critical_current_for_inductance,
     gate_to_state,
     icrn_max_current,

@@ -34,7 +34,6 @@ from .cell import (
     tcr_chain,
     tcr_mode_estimate,
 )
-from .jjfet import On
 from .resonance import CalibrationError, ResonancePeak, find_root, notch_roots, peak_from_roots
 from .twoport import SHORT, input_impedance, notch_s21
 
@@ -63,7 +62,7 @@ class CalibrationTargets:
 
 def _tcr_branch_impedance(cell: MemoryCell, l_j, f):
     """Isolated TCR branch seen from the feedline tap (SC node grounded)."""
-    return input_impedance(tcr_chain(cell, On(l_j)), SHORT, f)
+    return input_impedance(tcr_chain(cell, l_j), SHORT, f)
 
 
 def _series_resonance(reactance, near, span, n_scan: int, stage: str):

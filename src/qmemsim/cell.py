@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .checks import require
-from .jjfet import JjFet, JjState, Off, jj_series_impedance
+from .jjfet import OFF, JjFet, jj_series_impedance
 from .resonance import db, find_resonances, find_root, local_minima
 from .twoport import (
     SHORT,
@@ -74,21 +74,18 @@ class MemoryCell:
         return replace(self, line_atten=0.0, jj=replace(self.jj, r_sub=math.inf))
 
 
-def jj_element(cell: MemoryCell, state: JjState) -> SeriesImpedance:
-    """Junction as a series impedance element in the chosen state."""
-    jj = cell.jj
-    return SeriesImpedance(
-        lambda f: jj_series_impedance(state, jj.c_j, jj.r_sub, f)
-    )
+def jj_element(cell: MemoryCell, l_j) -> SeriesImpedance:
+    """Junction as a series impedance element in state l_j (henry, or OFF)."""
+    return SeriesImpedance(lambda f: jj_series_impedance(cell.jj, l_j, f))
 
 
-def tcr_chain(cell: MemoryCell, state: JjState) -> list:
+def tcr_chain(cell: MemoryCell, l_j) -> list:
     """Element chain from the feedline tap up to the coupling capacitor."""
     half = cell.line(cell.tcr_half_len)
     return [
         SeriesCapacitor(cell.c_in),
         half,
-        jj_element(cell, state),
+        jj_element(cell, l_j),
         half,
         SeriesCapacitor(cell.c_couple),
     ]
@@ -104,21 +101,22 @@ def sc_branch_impedance(cell: MemoryCell, f):
     return input_impedance([SeriesCapacitor(cell.c_couple), cell.line(cell.sc_len)], SHORT, f)
 
 
-def cell_shunt_impedance(cell: MemoryCell, state: JjState, f):
+def cell_shunt_impedance(cell: MemoryCell, l_j, f):
     """Impedance (ohm) of the full cell branch seen from the feedline tap.
 
     The branch is the TCR chain followed by the SC stub, closed by a short.
     An infinite stub impedance (ideal lossless stub exactly at resonance)
     propagates through the fold's open limit.
     """
-    return input_impedance(tcr_chain(cell, state) + [cell.line(cell.sc_len)], SHORT, f)
+    return input_impedance(tcr_chain(cell, l_j) + [cell.line(cell.sc_len)], SHORT, f)
 
 
-def frequency_sweep(cell: MemoryCell, state: JjState, f_grid):
+def frequency_sweep(cell: MemoryCell, l_j, f_grid):
     """Feedline transmission of the cell over a frequency grid.
 
     Parameters
     ----------
+    l_j : henry, junction inductance, or OFF
     f_grid : strictly increasing array of Hz
 
     Returns
@@ -131,7 +129,7 @@ def frequency_sweep(cell: MemoryCell, state: JjState, f_grid):
         raise ValueError("f_grid must be a non-empty 1-D array")
     if not (np.all(f_grid > 0) and np.all(np.diff(f_grid) > 0)):
         raise ValueError("f_grid must be strictly increasing and positive")
-    z = cell_shunt_impedance(cell, state, f_grid)
+    z = cell_shunt_impedance(cell, l_j, f_grid)
     return f_grid, notch_s21(z, cell.z0)
 
 
@@ -144,7 +142,7 @@ OFF_BAND = (1e9, 16e9)  #: Hz, band of the gate-OFF spectrum
 
 def adaptive_sweep(
     cell: MemoryCell,
-    state: JjState,
+    l_j,
     band,
     coarse_step: float = 2e6,
     detect_db: float = 0.01,
@@ -153,7 +151,7 @@ def adaptive_sweep(
 
     A coarse grid at `coarse_step` is refined STAGES times, each stage
     shrinking the local spacing by REFINE around every local minimum
-    deeper than `detect_db`.  With the junction Off, the storage cavity
+    deeper than `detect_db`.  With the junction OFF, the storage cavity
     is a feature too narrow for the coarse grid: when its
     :func:`sc_mode_estimate` lies inside the band, the grid also holds
     2 kHz steps within 5 MHz of it, independent of detection.
@@ -173,12 +171,12 @@ def adaptive_sweep(
         raise ValueError("detect_db must be finite")
     n = max(int(round((hi - lo) / coarse_step)), 8)
     grid = np.linspace(lo, hi, n + 1)
-    if isinstance(state, Off):
+    if l_j is OFF:
         f_sc = sc_mode_estimate(cell)
         if lo < f_sc < hi:
             w = np.arange(f_sc - 5e6, f_sc + 5e6 + 1e3, 2e3)
             grid = np.union1d(grid, w[(w > lo) & (w < hi)])
-    _, s21 = frequency_sweep(cell, state, grid)
+    _, s21 = frequency_sweep(cell, l_j, grid)
 
     step = coarse_step
     for _ in range(STAGES):
@@ -193,7 +191,7 @@ def adaptive_sweep(
         new = np.concatenate(windows)
         new = np.setdiff1d(new[(new > lo) & (new < hi)], grid)
         if len(new):
-            _, s21_new = frequency_sweep(cell, state, new)
+            _, s21_new = frequency_sweep(cell, l_j, new)
             grid = np.concatenate([grid, new])
             order = np.argsort(grid, kind="stable")
             grid = grid[order]
@@ -201,13 +199,13 @@ def adaptive_sweep(
     return grid, s21
 
 
-def spectrum(cell: MemoryCell, state: JjState, band, coarse_step: float = 2e6,
+def spectrum(cell: MemoryCell, l_j, band, coarse_step: float = 2e6,
              min_depth_db: float = 0.01):
     """(peaks, (freqs, s21)): the resonances at least `min_depth_db` deep
     on the :func:`adaptive_sweep` of band, refined around every dip at half
-    the reporting depth.  Off over OFF_BAND, the split-TCR modes sit near
+    the reporting depth.  OFF over OFF_BAND, the split-TCR modes sit near
     twice the ON-state TCR frequency, and the cavity is a narrow dip."""
-    freqs, s21 = adaptive_sweep(cell, state, band, coarse_step, min_depth_db / 2)
+    freqs, s21 = adaptive_sweep(cell, l_j, band, coarse_step, min_depth_db / 2)
     return find_resonances(freqs, s21, min_depth_db), (freqs, s21)
 
 

@@ -55,7 +55,7 @@ from .dynamics import (
     swap_duration,
 )
 from .extract import ExtractionError, extract_coupled_mode_params, full_accumulation_inductance
-from .jjfet import Off, On
+from .jjfet import OFF
 from .modemap import fit_avoided_crossing, mode_map
 from .resonance import db, find_resonances
 
@@ -239,14 +239,14 @@ def _parse_band(text: str | None, default):
     return lo, hi
 
 
-def _parse_state(text: str, cfg: Config):
+def _parse_state(text: str):
     if text == "off":
-        return Off(cfg.cell.jj.r_off)
+        return OFF
     if text.startswith("on:"):
         l_j = _parse_arg_quantity(text[3:], "inductance", "--state on:<L>")
         if not l_j > 0:
             raise UsageError("--state on:<L> requires L > 0")
-        return On(l_j)
+        return l_j
     raise UsageError("--state expects 'on:<L>' (e.g. on:220pH) or 'off'")
 
 
@@ -300,8 +300,8 @@ def _cmd_calibrate(args, cfg: Config) -> int:
 
 
 def _cmd_spectrum(args, cfg: Config) -> int:
-    state = _parse_state(args.state, cfg)
-    band = _parse_band(args.band, OFF_BAND if isinstance(state, Off) else cfg.sweep.band)
+    state = _parse_state(args.state)
+    band = _parse_band(args.band, OFF_BAND if state is OFF else cfg.sweep.band)
     peaks, (freqs, s21) = spectrum(cfg.cell, state, band, cfg.sweep.coarse_step,
                                    cfg.sweep.min_depth_db)
     _write_trace_csv(args.out, freqs, s21)
@@ -427,10 +427,7 @@ def _cmd_protocol(args, cfg: Config) -> int:
 def _cmd_array_spectrum(args, cfg: Config) -> int:
     band = _parse_band(args.band, cfg.sweep.band)
     array = _require_array(cfg)
-    if args.state == "on":
-        states = [On(_array_anchor(cfg)) for _ in array.cells]
-    else:
-        states = [Off(c.jj.r_off) for c in array.cells]
+    states = [_array_anchor(cfg) if args.state == "on" else OFF] * len(array.cells)
     step = cfg.sweep.coarse_step / 4.0
     n = max(int(round((band[1] - band[0]) / step)), 8)
     grid = np.linspace(band[0], band[1], n + 1)
@@ -506,7 +503,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
 
-    if args.command is None and not args.seed_config:
+    if (args.command is None) == (not args.seed_config):  # neither, or both
         parser.print_usage(sys.stderr)
         return 1
 

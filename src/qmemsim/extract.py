@@ -16,7 +16,7 @@ import numpy as np
 from .calibrate import CalibrationError, measure_isolated_tcr
 from .cell import MemoryCell, sc_branch_impedance, sc_mode_estimate, tcr_chain
 from .dynamics import TWO_PI, CoupledModeSystem
-from .jjfet import Off, josephson_inductance
+from .jjfet import OFF, josephson_inductance
 from .modemap import CrossingFit
 from .resonance import complex_zeros
 from .twoport import chain_abcd, input_impedance, terminate
@@ -51,20 +51,21 @@ def full_accumulation_inductance(cell: MemoryCell) -> float:
     return josephson_inductance(cell.jj.i_c_max)
 
 
-def _back_chain(cell: MemoryCell, state):
-    """The coupler seen from the coupling node: the TCR chain read backwards
-    without its coupling capacitor, ending at the input capacitor."""
-    return tcr_chain(cell, state)[-2::-1]
+def _back_chain(cell: MemoryCell):
+    """The depleted coupler seen from the coupling node: the gate-OFF TCR
+    chain read backwards without its coupling capacitor, ending at the
+    input capacitor."""
+    return tcr_chain(cell, OFF)[-2::-1]
 
 
-def _sc_loop_impedance(cell: MemoryCell, state, f, source: float):
+def _sc_loop_impedance(cell: MemoryCell, f, source: float):
     """Series impedance around the cavity loop, seen at the coupling node.
 
     One arm is the cavity branch (coupling capacitor + shorted stub); the
     other looks back through the split coupler and input capacitor into a
     feedline of the given source resistance (z0/2 for the matched line).
     """
-    back = input_impedance(_back_chain(cell, state), source, f)
+    back = input_impedance(_back_chain(cell), source, f)
     return back + sc_branch_impedance(cell, f)
 
 
@@ -88,7 +89,6 @@ def off_state_residual_coupling(cell: MemoryCell, kappa_a: float) -> ResidualCou
     Removing the path (c_couple -> 0, or an open junction) removes the
     loop zero or the current transfer and the result tends to zero.
     """
-    state = Off(cell.jj.r_off)
     below = ResidualCoupling(0.0, 0.0, None, None, True)
     try:
         f_est = sc_mode_estimate(cell)
@@ -96,12 +96,12 @@ def off_state_residual_coupling(cell: MemoryCell, kappa_a: float) -> ResidualCou
         # no resolvable cavity branch (vanishing coupling capacitor)
         return below
     source = cell.z0 / 2.0
-    f_z = complex_zeros(lambda f: _sc_loop_impedance(cell, state, f, source),
+    f_z = complex_zeros(lambda f: _sc_loop_impedance(cell, f, source),
                         f_est, 0.99 * f_est, 1.01 * f_est)
     if np.isnan(f_z):
         return below
     f0 = float(f_z.real)
-    tp = chain_abcd(_back_chain(cell, state), f0)
+    tp = chain_abcd(_back_chain(cell), f0)
     z_back = terminate(tp, source)
     share = abs(tp.a - tp.c * z_back) ** 2 * source / (z_back + sc_branch_impedance(cell, f0)).real
     gamma_off = 2.0 * TWO_PI * float(f_z.imag)

@@ -75,6 +75,7 @@ class GateModel:
 
     def __post_init__(self):
         require(self, "non-negative", "steepness")
+        require(self, "finite", "steepness")
         if not self.v_pinch < self.v_on:
             raise ValueError("gate model requires v_pinch < v_on")
 
@@ -85,38 +86,22 @@ class GateModel:
         if v_g >= self.v_on:
             return 1.0
         x = (v_g - self.v_pinch) / (self.v_on - self.v_pinch)
-        if self.steepness == 0:  # the limit, where the formula below is 0/0
+        k = self.steepness * (self.v_on - self.v_pinch)
+        if k < 1e-7:  # the linear limit, which the logistic below meets to rounding
             return x
+        if x == 0.5:  # the midpoint, where a k overflowed to inf would give inf * 0
+            return 0.5
         # logistic rescaled so the endpoints land exactly on 0 and 1, in its
         # tanh form, which cannot overflow at any steepness
-        k = self.steepness * (self.v_on - self.v_pinch)
         return 0.5 + 0.5 * math.tanh(0.5 * k * (x - 0.5)) / math.tanh(0.25 * k)
 
 
 # ------------------------- junction states -------------------------
 
-
-@dataclass(frozen=True)
-class On:
-    """Accumulation: junction is an inductor of l_j henry (or an array of them)."""
-
-    l_j: float
-
-    def __post_init__(self):
-        require(self, "positive", "l_j")
-
-
-@dataclass(frozen=True)
-class Off:
-    """Full depletion: junction is a resistor of r ohm."""
-
-    r: float
-
-    def __post_init__(self):
-        require(self, "positive", "r")
-
-
-JjState = On | Off
+#: The junction state of full depletion, where the junction is its r_off
+#: resistor.  Any other state is the Josephson inductance in henry (an
+#: array for a batch of cells).
+OFF = None
 
 #: ON/OFF decision threshold of gate_to_state: the critical current whose
 #: inductance is 2 nH.  Below it the junction is so far detuned that the
@@ -149,36 +134,37 @@ class JjFet:
         return self.i_c_max * self.gate.fraction(v_g)
 
 
-def gate_to_state(jj: JjFet, v_g: float) -> JjState:
-    """Map a gate voltage to the junction's circuit state.
+def gate_to_state(jj: JjFet, v_g: float) -> float | None:
+    """Map a gate voltage to the junction's state.
 
-    I_c(v_g) <= DEFAULT_OFF_THRESHOLD selects Off(r_off); otherwise the
-    junction is an inductor at the gate-controlled critical current.
+    I_c(v_g) <= DEFAULT_OFF_THRESHOLD selects OFF; otherwise the state is
+    the Josephson inductance at the gate-controlled critical current.
     """
     i_c = jj.critical_current(v_g)
     if i_c <= DEFAULT_OFF_THRESHOLD:
-        return Off(r=jj.r_off)
-    return On(l_j=josephson_inductance(i_c))
+        return OFF
+    return josephson_inductance(i_c)
 
 
-def jj_series_impedance(state: JjState, c_j: float, r_sub: float, f):
+def jj_series_impedance(jj: JjFet, l_j, f):
     """Series impedance (ohm) of the junction RLC element at f (Hz).
 
-    On: parallel combination of the inductance, the junction capacitance
-    and the subgap resistance.  Off: channel resistance parallel to the
-    junction capacitance.  r_sub = inf and c_j = 0 are accepted limits.
-    An exactly self-resonant lossless junction gives the infinite-impedance
-    marker.  A scalar f gives a numpy scalar; f may be complex (Re f > 0).
+    l_j (henry, > 0) is the Josephson inductance in parallel with the
+    junction capacitance and the subgap resistance; OFF is the channel
+    resistance r_off parallel to the junction capacitance.  r_sub = inf
+    and c_j = 0 are accepted limits.  An exactly self-resonant lossless
+    junction gives the infinite-impedance marker.  A scalar f gives a numpy
+    scalar; f may be complex (Re f > 0).
     """
     f = np.asarray(f)
     if not np.all(f.real > 0):
         raise ValueError("frequency must have a positive real part")
     w = 2.0 * np.pi * f
-    if isinstance(state, On):
-        y = 1.0 / (1j * w * state.l_j) + 1j * w * c_j + 1.0 / r_sub
-    elif isinstance(state, Off):
-        y = 1.0 / state.r + 1j * w * c_j
+    if l_j is OFF:
+        y = 1.0 / jj.r_off + 1j * w * jj.c_j
+    elif np.all(l_j > 0):
+        y = 1.0 / (1j * w * l_j) + 1j * w * jj.c_j + 1.0 / jj.r_sub
     else:
-        raise TypeError(f"unknown junction state: {state!r}")
+        raise ValueError("junction inductance l_j must be positive")
     resonant = y == 0
     return np.where(resonant, INFINITE_IMPEDANCE, 1.0 / np.where(resonant, 1.0, y))[()]

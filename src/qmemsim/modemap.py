@@ -26,7 +26,6 @@ import numpy as np
 
 from .cell import MemoryCell, cell_shunt_impedance, sc_mode_estimate, tcr_mode_estimate
 from .checks import require
-from .jjfet import On
 from .resonance import levenberg_marquardt, notch_roots, peak_from_roots
 
 
@@ -119,14 +118,14 @@ def _scan_rows(cell: MemoryCell, l_rows, band, n_scan: int, min_depth_db: float)
     f = np.linspace(band[0], band[1], n_scan)
     # at most 8 fine rows' worth of points per network call: temporaries near 2 MB
     per_call = max(1, 8 * SCAN_POINTS // n_scan)
-    x = np.concatenate([cell_shunt_impedance(cell, On(l[:, None]), f).imag
+    x = np.concatenate([cell_shunt_impedance(cell, l[:, None], f).imag
                         for l in np.split(l_rows, range(per_call, len(l_rows), per_call))])
     row, i = np.nonzero((x[:, :-1] < 0) & (x[:, 1:] >= 0))
     seeds = f[i] - x[row, i] * (f[i + 1] - f[i]) / (x[row, i + 1] - x[row, i])
     # scan intervals widened by half a step: disjoint brackets
     lo, hi = f[i] - 0.5 * (f[1] - f[0]), f[i + 1] + 0.5 * (f[1] - f[0])
-    state = On(l_rows[row])
-    f_zero, f_pole = notch_roots(lambda s: cell_shunt_impedance(cell, state, s), cell.z0,
+    l_j = l_rows[row]
+    f_zero, f_pole = notch_roots(lambda s: cell_shunt_impedance(cell, l_j, s), cell.z0,
                                  seeds, lo, hi)
     found = []
     for k in range(len(l_rows)):

@@ -25,7 +25,7 @@ from qmemsim.dynamics import (
     write_protocol,
 )
 from qmemsim.jjfet import (
-    Off,
+    OFF,
     critical_current_for_inductance,
     josephson_inductance,
 )
@@ -126,7 +126,7 @@ def test_criterion_4_fit_oracles():
 
 def test_criterion_5_off_state_isolation(cell, cell_system, crossing):
     with criterion(5, "depleted-junction split modes and write isolation"):
-        peaks, _ = spectrum(cell, Off(cell.jj.r_off), OFF_BAND)
+        peaks, _ = spectrum(cell, OFF, OFF_BAND)
         split = [p for p in peaks if 11.5e9 <= p.f0 <= 14.5e9]
         assert len(split) == 2
         # residual coupling floor keeps a never-gated write below 1e-4
@@ -201,10 +201,8 @@ def test_criterion_7_write_read_protocols():
 
 def test_criterion_8_array_spectrum_and_crosstalk(array, array_models):
     with criterion(8, "multiplexed array spectrum and crosstalk"):
-        from qmemsim.jjfet import On
-
         grid = np.linspace(6.0e9, 7.1e9, 22001)
-        states = [On(m.fit.l_cross) for m in array_models]
+        states = [m.fit.l_cross for m in array_models]
         _, composed = array_spectrum(array, states, grid)
         composed_peaks = find_resonances(grid, composed, min_depth_db=1.0)
         assert len(composed_peaks) >= 4

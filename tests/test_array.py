@@ -16,7 +16,7 @@ from qmemsim.array import (
 )
 from qmemsim.cell import frequency_sweep
 from qmemsim.dynamics import swap_duration
-from qmemsim.jjfet import Off, On
+from qmemsim.jjfet import OFF
 from tests.conftest import ANCHOR, TARGETS
 
 
@@ -36,8 +36,8 @@ class TestBuildArray:
     def test_single_target_matches_lone_cell(self, template, cell):
         single = build_array([TARGETS[0]], template, l_anchor=ANCHOR)
         grid = np.linspace(6.3e9, 6.9e9, 1501)
-        _, combined = array_spectrum(single, [On(ANCHOR)], grid)
-        _, lone = frequency_sweep(cell, On(ANCHOR), grid)
+        _, combined = array_spectrum(single, [ANCHOR], grid)
+        _, lone = frequency_sweep(cell, ANCHOR, grid)
         assert np.max(np.abs(combined - lone)) < 1e-12
 
     def test_unaddressable_plan_names_pair(self, template):
@@ -48,7 +48,7 @@ class TestBuildArray:
 class TestArraySpectrum:
     def test_all_on_shows_doublets(self, array, array_models):
         grid = np.linspace(6.0e9, 7.1e9, 22001)
-        states = [On(m.fit.l_cross) for m in array_models]
+        states = [m.fit.l_cross for m in array_models]
         _, s21 = array_spectrum(array, states, grid)
         from qmemsim.resonance import find_resonances
 
@@ -57,12 +57,12 @@ class TestArraySpectrum:
 
     def test_all_off_floor(self, array):
         grid = np.linspace(6.4e9, 7.0e9, 3001)
-        _, s21 = array_spectrum(array, [Off(1000.0)] * 4, grid)
+        _, s21 = array_spectrum(array, [OFF] * 4, grid)
         assert np.min(np.abs(s21)) >= 0.995
 
     def test_composition_product(self, array, array_models):
         grid = np.linspace(6.3e9, 6.8e9, 2001)
-        states = [On(m.fit.l_cross) for m in array_models]
+        states = [m.fit.l_cross for m in array_models]
         _, combined = array_spectrum(array, states, grid)
         product = np.ones_like(grid, dtype=complex)
         for cell_i, st in zip(array.cells, states):
@@ -74,7 +74,7 @@ class TestArraySpectrum:
         # combined = lone trace times a near-unity background (the OFF
         # cells rotate the phase slowly but leave the magnitude intact)
         grid = np.linspace(6.2e9, 6.9e9, 3001)
-        states = [On(array_models[0].fit.l_cross)] + [Off(1000.0)] * 3
+        states = [array_models[0].fit.l_cross] + [OFF] * 3
         _, combined = array_spectrum(array, states, grid)
         _, lone = frequency_sweep(array.cells[0], states[0], grid)
         background = np.abs(combined) / np.clip(np.abs(lone), 1e-12, None)
@@ -82,7 +82,7 @@ class TestArraySpectrum:
 
     def test_state_count_must_match(self, array):
         with pytest.raises(ValueError):
-            array_spectrum(array, [On(ANCHOR)], np.linspace(6e9, 7e9, 11))
+            array_spectrum(array, [ANCHOR], np.linspace(6e9, 7e9, 11))
 
 
 @pytest.fixture

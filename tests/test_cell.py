@@ -18,7 +18,7 @@ from qmemsim.cell import (
     spectrum,
     tcr_mode_estimate,
 )
-from qmemsim.jjfet import JjFet, Off, On, critical_current_for_inductance
+from qmemsim.jjfet import OFF, JjFet, critical_current_for_inductance
 from qmemsim.twoport import SHORT, input_impedance
 
 
@@ -72,12 +72,12 @@ class TestShuntImpedance:
         cell = make_cell()
         small = replace(cell, c_in=1e-21)
         for f in (5e9, 6.5e9, 7.5e9):
-            assert abs(cell_shunt_impedance(small, On(220e-12), f)) > 1e7
+            assert abs(cell_shunt_impedance(small, 220e-12, f)) > 1e7
 
     def test_lossless_branch_is_reactive(self):
         cell = make_cell().lossless()
         for f in np.linspace(5e9, 8e9, 40):
-            z = cell_shunt_impedance(cell, On(220e-12), float(f))
+            z = cell_shunt_impedance(cell, 220e-12, float(f))
             if not math.isinf(abs(z)):
                 assert abs(z.real) < 1e-6 * max(abs(z.imag), 1.0)
 
@@ -90,16 +90,16 @@ class TestShuntImpedance:
 
     def test_on_resonance_is_local_impedance_minimum(self):
         cell = make_cell(line_atten=5e-4)
-        freqs, s21 = adaptive_sweep(cell, On(220e-12), (5.8e9, 7.4e9))
+        freqs, s21 = adaptive_sweep(cell, 220e-12, (5.8e9, 7.4e9))
         i = int(np.argmin(np.abs(s21)))
-        z = np.abs(cell_shunt_impedance(cell, On(220e-12), freqs[max(i - 5, 0):i + 5]))
+        z = np.abs(cell_shunt_impedance(cell, 220e-12, freqs[max(i - 5, 0):i + 5]))
         assert np.argmin(z) not in (0, len(z) - 1)
 
 
 class TestSweeps:
     def test_passivity(self):
         cell = make_cell(line_atten=5e-4)
-        for state in (On(220e-12), On(50e-12), Off(1000.0)):
+        for state in (220e-12, 50e-12, OFF):
             freqs, s21 = frequency_sweep(cell, state, np.linspace(1e9, 16e9, 4001))
             assert np.all(np.abs(s21) <= 1.0 + 1e-12)
 
@@ -107,20 +107,20 @@ class TestSweeps:
         from qmemsim.resonance import find_resonances
 
         cell = make_cell()
-        freqs, s21 = adaptive_sweep(cell, On(220e-12), (5.6e9, 7.4e9))
+        freqs, s21 = adaptive_sweep(cell, 220e-12, (5.6e9, 7.4e9))
         peaks = find_resonances(freqs, s21, min_depth_db=0.05)
         assert len(peaks) == 2
 
     def test_grid_validation(self):
         cell = make_cell()
         with pytest.raises(ValueError):
-            frequency_sweep(cell, On(220e-12), np.array([2e9, 1e9]))
+            frequency_sweep(cell, 220e-12, np.array([2e9, 1e9]))
         with pytest.raises(ValueError):
-            frequency_sweep(cell, On(220e-12), np.array([]))
+            frequency_sweep(cell, 220e-12, np.array([]))
 
     def test_adaptive_grid_is_strictly_increasing(self):
         cell = make_cell()
-        freqs, _ = adaptive_sweep(cell, On(220e-12), (6.0e9, 7.2e9))
+        freqs, _ = adaptive_sweep(cell, 220e-12, (6.0e9, 7.2e9))
         assert np.all(np.diff(freqs) > 0)
 
     def test_adaptive_sweep_evaluates_each_point_once(self, monkeypatch):
@@ -131,7 +131,7 @@ class TestSweeps:
             return frequency_sweep(cell, state, f_grid)
 
         monkeypatch.setattr(cell_module, "frequency_sweep", counting_sweep)
-        freqs, _ = adaptive_sweep(make_cell(), On(220e-12), (6.0e9, 7.2e9))
+        freqs, _ = adaptive_sweep(make_cell(), 220e-12, (6.0e9, 7.2e9))
         assert len(evaluated) > 1  # the refinement stages ran
         assert sum(evaluated) == len(freqs)
 
@@ -139,14 +139,14 @@ class TestSweeps:
         cell = make_cell()
         f_sc = sc_mode_estimate(cell)
         window = np.arange(f_sc - 5e6, f_sc + 5e6 + 1e3, 2e3)
-        freqs, _ = adaptive_sweep(cell, Off(1000.0), (6.0e9, 7.2e9))
+        freqs, _ = adaptive_sweep(cell, OFF, (6.0e9, 7.2e9))
         assert np.isin(window, freqs).all()
 
         def no_estimate(cell):
             raise AssertionError("an ON sweep needs no storage-cavity estimate")
 
         monkeypatch.setattr(cell_module, "sc_mode_estimate", no_estimate)
-        freqs, _ = adaptive_sweep(cell, On(220e-12), (6.0e9, 7.2e9))
+        freqs, _ = adaptive_sweep(cell, 220e-12, (6.0e9, 7.2e9))
         assert not np.isin(window, freqs).any()
 
 
@@ -154,7 +154,7 @@ class TestSweeps:
 @given(
     lo=st.floats(5.6e9, 6.6e9),
     width=st.floats(5e7, 1.2e9),
-    state=st.one_of(st.floats(10e-12, 500e-12).map(On), st.just(Off(1000.0))),
+    state=st.one_of(st.floats(10e-12, 500e-12), st.just(OFF)),
 )
 def test_adaptive_sweep_matches_one_sweep_of_its_grid(lo, width, state):
     cell = make_cell(line_atten=5e-4)
@@ -165,10 +165,10 @@ def test_adaptive_sweep_matches_one_sweep_of_its_grid(lo, width, state):
 
 class TestOffState:
     def test_two_split_resonances_in_band(self, cell):
-        peaks, _ = spectrum(cell, Off(cell.jj.r_off), OFF_BAND)
+        peaks, _ = spectrum(cell, OFF, OFF_BAND)
         in_band = [p for p in peaks if 11.5e9 <= p.f0 <= 14.5e9]
         assert len(in_band) == 2
 
     def test_off_floor_in_readout_band(self, cell):
-        freqs, s21 = frequency_sweep(cell, Off(1000.0), np.linspace(6.4e9, 7.0e9, 3001))
+        freqs, s21 = frequency_sweep(cell, OFF, np.linspace(6.4e9, 7.0e9, 3001))
         assert np.min(np.abs(s21)) >= 0.999

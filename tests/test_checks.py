@@ -28,8 +28,6 @@ from qmemsim.dynamics import (
 from qmemsim.jjfet import (
     GateModel,
     JjFet,
-    Off,
-    On,
     critical_current_for_inductance,
     icrn_max_current,
     jj_series_impedance,
@@ -60,8 +58,6 @@ VALID = {
     LineSection: LineSection(z0=50.0, eps_eff=6.45, length=4e-3, atten=1e-3),
     SeriesCapacitor: SeriesCapacitor(20e-15),
     GateModel: GateModel(v_pinch=-2.0, v_on=0.0, steepness=5.0),
-    On: On(220e-12),
-    Off: Off(1e3),
     JjFet: JjFet(i_c_max=1e-6),
     MemoryCell: CELL,
     CalibrationTargets: CalibrationTargets(f_sc=6.55e9, l_anchor=220e-12, q_c=2000.0),
@@ -82,8 +78,6 @@ OUT_OF_RANGE = [
     (LineSection, "atten", -1.0),
     (SeriesCapacitor, "c_val", 0.0),
     (GateModel, "steepness", -1.0),
-    (On, "l_j", -1e-12),
-    (Off, "r", 0.0),
     (JjFet, "i_c_max", 0.0), (JjFet, "c_j", -1e-15), (JjFet, "r_off", 0.0), (JjFet, "r_sub", 0.0),
     (MemoryCell, "z0", 0.0), (MemoryCell, "eps_eff", 0.9), (MemoryCell, "c_in", 0.0),
     (MemoryCell, "tcr_half_len", -4.2e-3), (MemoryCell, "c_couple", 0.0),
@@ -129,7 +123,7 @@ def test_limits_still_construct():
 
 
 @pytest.mark.parametrize("cls, name", [
-    (MemoryCell, "c_in"), (MemoryCell, "sc_len"), (On, "l_j"), (LineSection, "length"),
+    (MemoryCell, "c_in"), (MemoryCell, "sc_len"), (LineSection, "length"),
 ])
 def test_batches_are_checked_elementwise(cls, name):
     good = getattr(VALID[cls], name) * np.array([[0.5], [1.0], [2.0]])
@@ -144,7 +138,7 @@ BAND = (5.8e9, 7.4e9)
 
 def _sweep(get, **kw):
     """adaptive_sweep of the calibrated cell at the anchor over BAND."""
-    return adaptive_sweep(get("cell"), On(220e-12), BAND, **kw)
+    return adaptive_sweep(get("cell"), 220e-12, BAND, **kw)
 
 
 def _rf_system():
@@ -177,7 +171,7 @@ FUNCTION_CASES = {
     "icrn_max_current_r_n": (lambda get: icrn_max_current(1e-3, NAN),
                              "normal resistance must be positive"),
     "tcr_mode_estimate": (lambda get: tcr_mode_estimate(CELL, NAN), "inductance must be positive"),
-    "frequency_sweep": (lambda get: frequency_sweep(CELL, On(220e-12), [6e9, NAN, 7e9]),
+    "frequency_sweep": (lambda get: frequency_sweep(CELL, 220e-12, [6e9, NAN, 7e9]),
                         "strictly increasing and positive"),
     "mode_map": (lambda get: mode_map(CELL, [1e-10, NAN, 3e-10]),
                  "positive and strictly increasing"),
@@ -191,8 +185,13 @@ FUNCTION_CASES = {
                         "positive real part"),
     "element_abcd": (lambda get: element_abcd(LineSection(50.0, 6.45, 1e-3), NAN),
                      "positive real part"),
-    "jj_series_impedance": (lambda get: jj_series_impedance(On(220e-12), 1e-15, 1e6, NAN),
+    "jj_series_impedance": (lambda get: jj_series_impedance(CELL.jj, 220e-12, NAN),
                             "positive real part"),
+    **{f"jj_series_impedance_l_j_{name}": (
+        lambda get, l_j=l_j: jj_series_impedance(CELL.jj, l_j, 6.5e9),
+        "junction inductance l_j must be positive")
+       for name, l_j in (("nan", NAN), ("zero", 0.0), ("negative", -1e-12),
+                         ("batch", np.array([100e-12, NAN, 300e-12])))},
     "notch_s21": (lambda get: notch_s21(10.0 + 0j, NAN), "reference impedance must be positive"),
     "to_sparams": (lambda get: to_sparams(TwoPort(1.0, 0.0, 0.0, 1.0), NAN),
                    "reference impedance must be positive"),
@@ -206,7 +205,7 @@ FUNCTION_CASES = {
         "min_depth_db must be finite") for depth in (NAN, math.inf)},
     "mode_map_depth": (lambda get: mode_map(get("cell"), [200e-12, 240e-12], NAN),
                        "min_depth_db must be finite"),
-    "spectrum_depth": (lambda get: spectrum(get("cell"), On(220e-12), BAND, min_depth_db=NAN),
+    "spectrum_depth": (lambda get: spectrum(get("cell"), 220e-12, BAND, min_depth_db=NAN),
                        "detect_db must be finite"),
 }
 

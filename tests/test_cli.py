@@ -196,6 +196,14 @@ class TestSeedConfig:
         assert raw["cell"]["jj"]["r_off"] == "1000 ohm"
         assert [t.split()[0] for t in raw["array"]["targets"]] == ["6.55", "6.65", "6.7", "6.75"]
 
+    def test_with_a_subcommand_is_a_usage_error(self, seed_path, tmp_path, capsys):
+        # --seed-config writes its file and exits, so a subcommand beside it would be skipped
+        target, out = tmp_path / "s.json", tmp_path / "x.csv"
+        assert main(["--seed-config", str(target), "spectrum", str(seed_path),
+                     "--state", "off", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage: qmemsim")
+        assert not target.exists() and not out.exists()
+
 
 class TestSpectrumCommand:
     def test_csv_schema_and_precision(self, seed_path, tmp_path):
@@ -396,7 +404,7 @@ class TestArraySpectrumCommand:
         monkeypatch.setattr(cli, "array_spectrum", recorded)
         assert main(["array-spectrum", str(path), *self.BAND,
                      "--out", str(tmp_path / "array.csv")]) == 0
-        assert [s.l_j for s in seen[0]] == [anchor] * 4
+        assert seen[0] == [anchor] * 4
 
 
     def test_bad_state_is_a_usage_error(self, seed_path, capsys):

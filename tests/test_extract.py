@@ -16,7 +16,6 @@ from qmemsim.extract import (
     full_accumulation_inductance,
     off_state_residual_coupling,
 )
-from qmemsim.jjfet import Off
 from qmemsim.resonance import find_resonances, find_root
 from qmemsim.twoport import chain_abcd, terminate
 from tests.conftest import ANCHOR, Q_C, TARGETS
@@ -77,17 +76,17 @@ class TestResidualCoupling:
         # from a central difference, loss R_loop / L_eff, and the share of
         # the loop current reaching the line radiating into z0/2
         cell = replace(cell, jj=replace(cell.jj, r_off=r_off))
-        state, source = Off(r_off), cell.z0 / 2.0
+        source = cell.z0 / 2.0
 
         def loop(f):
-            return _sc_loop_impedance(cell, state, f, source)
+            return _sc_loop_impedance(cell, f, source)
 
         res = off_state_residual_coupling(cell, kappa_a=1e7)
         f0 = find_root(lambda f: loop(f).imag, 0.999 * res.f_sc, 1.001 * res.f_sc, "reference",
                        rtol=4 * np.finfo(float).eps)
         df = 1e-6 * f0
         l_eff = 0.5 * (loop(f0 + df).imag - loop(f0 - df).imag) / (TWO_PI * 2.0 * df)
-        tp = chain_abcd(_back_chain(cell, state), f0)
+        tp = chain_abcd(_back_chain(cell), f0)
         transfer = abs(tp.a - tp.c * terminate(tp, source))
         assert res.gamma_off == pytest.approx(loop(f0).real / l_eff, rel=1e-4)
         assert res.kappa_sc_ext == pytest.approx(transfer**2 * source / l_eff, rel=1e-4)

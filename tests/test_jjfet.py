@@ -1,15 +1,17 @@
 """Junction element: inductance law, gate map, states, impedances."""
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qmemsim.jjfet import (
     DEFAULT_OFF_THRESHOLD,
+    OFF,
     GateModel,
     JjFet,
-    Off,
-    On,
     critical_current_for_inductance,
     gate_to_state,
     icrn_max_current,
@@ -116,6 +118,23 @@ class TestGateModel:
             assert gate.steepness == 0.0 and gate.fraction(v) == x
             assert abs(gentle.fraction(v) - x) <= 1e-12
 
+    # 5e-324 once divided by tanh(0.25 k) == 0, and 1e308 overflowed k to
+    # inf and made the midpoint inf * 0
+    @example(steepness=5e-324, vs=[-2.5, -1.5, -1.0, -0.5, 0.5])
+    @example(steepness=1e308, vs=[-2.5, -1.5, -1.0, -0.5, 0.5])
+    @given(steepness=st.floats(0.0, sys.float_info.max),
+           vs=st.lists(st.floats(-3.0, 1.0), min_size=2, max_size=20))
+    def test_every_finite_steepness_keeps_the_contract(self, steepness, vs):
+        gate = GateModel(v_pinch=-2.0, v_on=0.0, steepness=steepness)
+        fr = [gate.fraction(v) for v in sorted(vs)]
+        assert all(0.0 <= x <= 1.0 for x in fr)
+        assert all(b >= a for a, b in zip(fr, fr[1:]))
+        assert gate.fraction(-1.0) == 0.5
+
+    def test_infinite_steepness_rejected(self):
+        with pytest.raises(ValueError, match="GateModel.steepness must be finite"):
+            GateModel(v_pinch=-2.0, v_on=0.0, steepness=math.inf)
+
     def test_rejects_inverted_voltages(self):
         with pytest.raises(ValueError):
             GateModel(v_pinch=0.0, v_on=-1.0)
@@ -126,23 +145,20 @@ class TestGateToState:
         return JjFet(i_c_max=critical_current_for_inductance(220e-12))
 
     def test_pinched_off_is_resistor(self):
-        state = gate_to_state(self.make_jj(), -2.0)
-        assert state == Off(r=1000.0)
-        assert gate_to_state(self.make_jj(), -5.0) == Off(r=1000.0)
+        assert gate_to_state(self.make_jj(), -2.0) is OFF
+        assert gate_to_state(self.make_jj(), -5.0) is OFF
 
     def test_full_accumulation_hits_anchor(self):
-        state = gate_to_state(self.make_jj(), 0.0)
-        assert isinstance(state, On)
-        assert state.l_j == pytest.approx(220e-12, rel=1e-12)
+        assert gate_to_state(self.make_jj(), 0.0) == pytest.approx(220e-12, rel=1e-12)
 
     def test_inductance_monotone_on_branch(self):
         jj = self.make_jj()
         vs = np.linspace(-1.2, 0.0, 25)
         ls = []
         for v in vs:
-            s = gate_to_state(jj, v)
-            if isinstance(s, On):
-                ls.append(s.l_j)
+            l_j = gate_to_state(jj, v)
+            if l_j is not OFF:
+                ls.append(l_j)
         assert len(ls) > 5
         assert all(b <= a for a, b in zip(ls, ls[1:]))
 
@@ -152,25 +168,38 @@ class TestGateToState:
         v_at = jj.gate.v_pinch + (jj.gate.v_on - jj.gate.v_pinch) * (
             DEFAULT_OFF_THRESHOLD / jj.i_c_max
         )
-        assert isinstance(gate_to_state(jj, v_at), Off)
-        assert isinstance(gate_to_state(jj, v_at + 1e-3), On)
+        assert gate_to_state(jj, v_at) is OFF
+        assert gate_to_state(jj, v_at + 1e-3) > 0
+
+    def test_midpoint_of_a_steep_gate_is_inductive(self):
+        jj = JjFet(i_c_max=critical_current_for_inductance(220e-12),
+                   gate=GateModel(v_pinch=-2.0, v_on=0.0, steepness=1e308))
+        assert gate_to_state(jj, -1.0) == pytest.approx(440e-12, rel=1e-12)
+
+
+def junction(c_j, r_sub):
+    """A junction with the given parasitics and the default 1 kohm r_off."""
+    return JjFet(i_c_max=1e-6, c_j=c_j, r_sub=r_sub)
+
+
+IDEAL = junction(0.0, math.inf)
 
 
 class TestSeriesImpedance:
     def test_pure_inductor(self):
-        z = jj_series_impedance(On(220e-12), 0.0, math.inf, 6.5e9)
+        z = jj_series_impedance(IDEAL, 220e-12, 6.5e9)
         expect = 1j * 2 * math.pi * 6.5e9 * 220e-12
         assert z == pytest.approx(expect, rel=1e-12)
         assert z == pytest.approx(8.985j, rel=1e-3)
 
     def test_pure_resistor(self):
         for f in (1e9, 6.5e9, 15e9):
-            assert jj_series_impedance(Off(1000.0), 0.0, math.inf, f) == pytest.approx(1000.0)
+            assert jj_series_impedance(IDEAL, OFF, f) == pytest.approx(1000.0)
 
     def test_capacitance_correction_below_self_resonance(self):
         f = 6.5e9
-        z_pure = jj_series_impedance(On(220e-12), 0.0, math.inf, f)
-        z_cap = jj_series_impedance(On(220e-12), 1e-15, math.inf, f)
+        z_pure = jj_series_impedance(IDEAL, 220e-12, f)
+        z_cap = jj_series_impedance(junction(1e-15, math.inf), 220e-12, f)
         # parallel-LC correction 1/(1 - w^2 L C); self-resonance ~ 339 GHz
         f_sr = 1.0 / (2 * math.pi * math.sqrt(220e-12 * 1e-15))
         assert f_sr == pytest.approx(339e9, rel=2e-3)
@@ -180,25 +209,26 @@ class TestSeriesImpedance:
     def test_on_state_purely_inductive(self):
         rng = np.random.default_rng(3)
         for f in 10 ** rng.uniform(8, 10.5, 50):
-            z = jj_series_impedance(On(150e-12), 0.0, math.inf, f)
+            z = jj_series_impedance(IDEAL, 150e-12, f)
             assert z.real == 0.0
             assert z.imag > 0.0
 
     def test_self_resonance_divergence(self):
         l_j, c_j = 220e-12, 1e-15
         f_sr = 1.0 / (2 * math.pi * math.sqrt(l_j * c_j))
-        z_near = jj_series_impedance(On(l_j), c_j, math.inf, f_sr * (1 - 1e-9))
+        z_near = jj_series_impedance(junction(c_j, math.inf), l_j, f_sr * (1 - 1e-9))
         assert abs(z_near) > 1e8
 
     def test_off_with_capacitance(self):
         f = 6.5e9
-        z = jj_series_impedance(Off(1000.0), 1e-15, math.inf, f)
+        z = jj_series_impedance(junction(1e-15, math.inf), OFF, f)
         y = 1 / 1000.0 + 1j * 2 * math.pi * f * 1e-15
         assert z == pytest.approx(1 / y, rel=1e-12)
 
 
 class TestComplexFrequency:
-    STATES = (On(220e-12), Off(1000.0))
+    JJ = junction(1e-15, 1e6)
+    STATES = (220e-12, OFF)
 
     def test_real_f_unchanged_and_scalar_equals_vector(self):
         # the real-f arithmetic of the ON/OFF admittance, written out
@@ -206,14 +236,14 @@ class TestComplexFrequency:
         w = 2.0 * np.pi * f
         for state, y in zip(self.STATES, (1.0 / (1j * w * 220e-12) + 1j * w * 1e-15 + 1.0 / 1e6,
                                           1.0 / 1000.0 + 1j * w * 1e-15)):
-            vec = jj_series_impedance(state, 1e-15, 1e6, f)
+            vec = jj_series_impedance(self.JJ, state, f)
             assert np.array_equal(vec, 1.0 / y)
-            assert np.array_equal(vec, [jj_series_impedance(state, 1e-15, 1e6, x) for x in f])
+            assert np.array_equal(vec, [jj_series_impedance(self.JJ, state, x) for x in f])
 
     def test_complex_f_is_the_analytic_continuation(self):
         f = 6.5e9 + 2e6j
         w = 2.0 * np.pi * f
-        z = jj_series_impedance(On(220e-12), 1e-15, 1e6, f)
+        z = jj_series_impedance(self.JJ, 220e-12, f)
         assert z == pytest.approx(1.0 / (1.0 / (1j * w * 220e-12) + 1j * w * 1e-15 + 1e-6),
                                   rel=1e-14)
 
@@ -221,14 +251,17 @@ class TestComplexFrequency:
     def test_non_positive_real_part_raises(self, f):
         for state in self.STATES:
             with pytest.raises(ValueError, match="positive real part"):
-                jj_series_impedance(state, 1e-15, 1e6, f)
+                jj_series_impedance(self.JJ, state, f)
 
     def test_on_array_validated_elementwise(self):
-        assert np.array_equal(On(np.array([1e-10, 2e-10])).l_j, [1e-10, 2e-10])
-        with pytest.raises(ValueError):
-            On(np.array([1e-10, -1e-12]))
-        with pytest.raises(ValueError):
-            On(np.array([[1e-10], [0.0]]))
+        l_j = np.array([[1e-10], [2e-10]])
+        f = np.array([6e9, 7e9])
+        z = jj_series_impedance(self.JJ, l_j, f)
+        assert z.shape == (2, 2)
+        assert np.array_equal(z[1], jj_series_impedance(self.JJ, 2e-10, f))
+        for bad in (np.array([1e-10, -1e-12]), np.array([[1e-10], [0.0]])):
+            with pytest.raises(ValueError, match="l_j must be positive"):
+                jj_series_impedance(self.JJ, bad, 6.5e9)
 
 
 def test_jjfet_validation():

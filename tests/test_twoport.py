@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qmemsim.calibrate import _tcr_branch_impedance
 from qmemsim.cell import cell_shunt_impedance
-from qmemsim.jjfet import Off, On
+from qmemsim.jjfet import OFF
 from qmemsim.twoport import (
     C0,
     INFINITE_IMPEDANCE,
@@ -392,10 +392,10 @@ class TestComplexFrequency:
     def test_junction_rows_broadcast_bitwise(self, cell):
         l = np.linspace(10e-12, 500e-12, 7)
         f = np.linspace(5.8e9, 7.4e9, 201)
-        z = cell_shunt_impedance(cell, On(l[:, None]), f)
+        z = cell_shunt_impedance(cell, l[:, None], f)
         assert z.shape == (7, 201)
         for k, l_j in enumerate(l):
-            assert np.array_equal(z[k], cell_shunt_impedance(cell, On(float(l_j)), f))
+            assert np.array_equal(z[k], cell_shunt_impedance(cell, float(l_j), f))
 
 
 def test_vectorized_matches_scalar(cell):
@@ -416,9 +416,9 @@ def test_vectorized_matches_scalar(cell):
     # the cell's branches, junction included, through the one network path;
     # 6.5-6.7 GHz at 173.3 pH is where numpy-scalar arithmetic once differed
     branches = [
-        lambda f: cell_shunt_impedance(cell, On(ANCHOR), f),
-        lambda f: cell_shunt_impedance(cell, On(173.3e-12), f),
-        lambda f: cell_shunt_impedance(cell, Off(cell.jj.r_off), f),
+        lambda f: cell_shunt_impedance(cell, ANCHOR, f),
+        lambda f: cell_shunt_impedance(cell, 173.3e-12, f),
+        lambda f: cell_shunt_impedance(cell, OFF, f),
         lambda f: _tcr_branch_impedance(cell, ANCHOR, f),
     ]
     for freqs in (np.linspace(5e9, 8e9, 31), np.linspace(6.5e9, 6.7e9, 201)):
