@@ -50,6 +50,8 @@ from .dynamics import (
     SampledDrive,
     Trajectory,
     WriteResult,
+    coupler_peak,
+    coupler_slopes,
     evolve,
     max_stable_dt,
     peak_coupler_energy,

@@ -24,6 +24,8 @@ from .dynamics import (
     PulseSequence,
     RfPulse,
     SampledDrive,
+    coupler_peak,
+    coupler_slopes,
     max_stable_dt,
     peak_coupler_energy,
     read_duration,
@@ -153,10 +155,14 @@ class ScheduleReport:
     crosstalk[i][j] is the peak energy deposited in cell j's coupler while
     addressing cell i, normalized to the addressed cell's own peak; the
     diagonal is 1 by normalization, so an empty schedule gives the identity.
+    steps and largest_steps are each operation's RK4 step count and largest
+    step (s) on its addressed cell, the step read off its sample times.
     """
 
     fidelities: tuple[float, ...]
     crosstalk: np.ndarray
+    steps: tuple[int, ...]
+    largest_steps: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -227,8 +233,9 @@ def _idle_deposit(model: _CellModel, drive, t_span, dt, dt_fraction) -> float:
 
 def _run_op(
     op: AccessOp, models: list[_CellModel], dt_fraction: float
-) -> tuple[float, dict[int, float]]:
-    """One op's fidelity and its crosstalk ratios {j: deposit_j / deposit_i}.
+) -> tuple[float, dict[int, float], int, float]:
+    """One op's fidelity, its crosstalk ratios {j: deposit_j / deposit_i},
+    and the addressed cell's step count and largest step.
 
     The ratios are empty when the addressed cell took up no energy.
     """
@@ -243,20 +250,24 @@ def _run_op(
     else:
         result = read_protocol(sys_i, dt_fraction=dt_fraction)
         fidelity = result.recovered_fraction
-        drive = SampledDrive(carrier=sys_i.omega_b / TWO_PI, times=result.trajectory.times,
-                             values=result.trajectory.a_out)
+        traj = result.trajectory
+        # an undriven read emits a_out = -sqrt(kappa_ext) a
+        slopes = coupler_slopes(sys_i, result.pulses, traj.times, traj.a, traj.b)
+        drive = SampledDrive(carrier=sys_i.omega_b / TWO_PI, times=traj.times,
+                             values=traj.a_out, slopes=-math.sqrt(sys_i.kappa_ext) * slopes)
 
     traj = result.trajectory
-    deposit_i = float(np.max(traj.e_a))
-    if deposit_i <= 0.0:
-        return fidelity, {}
-    t_span = (float(traj.times[0]), float(traj.times[-1]))
+    deposit_i = coupler_peak(sys_i, result.pulses, traj.times, traj.a, traj.b)
     dt = float(np.max(np.diff(traj.times)))
+    steps = len(traj.times) - 1
+    if deposit_i <= 0.0:
+        return fidelity, {}, steps, dt
+    t_span = (float(traj.times[0]), float(traj.times[-1]))
     ratios = {
         j: _idle_deposit(model, drive, t_span, dt, dt_fraction) / deposit_i
         for j, model in enumerate(models) if j != i
     }
-    return fidelity, ratios
+    return fidelity, ratios, steps, dt
 
 
 def run_schedule(
@@ -278,27 +289,28 @@ def run_schedule(
     """
     crosstalk = np.eye(len(array))
     if not schedule.ops:
-        return ScheduleReport(fidelities=(), crosstalk=crosstalk)
+        return ScheduleReport(fidelities=(), crosstalk=crosstalk, steps=(), largest_steps=())
     if models is None:
         models = _cell_models(array)
     _validate_schedule(array, schedule, models)
 
-    fidelities = []
     # no state carries over between ops, so two ops that differ only in
     # start integrate the same trajectories; a schedule that carries state
     # must add the carried cell state to this key
-    results: dict[AccessOp, tuple[float, dict[int, float]]] = {}
+    results: dict[AccessOp, tuple[float, dict[int, float], int, float]] = {}
+    runs = []
     for op in schedule.ops:
         key = replace(op, start=0.0)
         if key not in results:
             results[key] = _run_op(op, models, dt_fraction)
-        fidelity, ratios = results[key]
-        fidelities.append(fidelity)
+        runs.append(results[key])
         i = op.cell_index
-        for j, ratio in ratios.items():
+        for j, ratio in results[key][1].items():
             crosstalk[i, j] = max(crosstalk[i, j], ratio)
 
-    return ScheduleReport(fidelities=tuple(fidelities), crosstalk=crosstalk)
+    fidelities, _, steps, largest = zip(*runs)
+    return ScheduleReport(fidelities=fidelities, crosstalk=crosstalk, steps=steps,
+                          largest_steps=largest)
 
 
 def off_resonant_bound(kappa_tot: float, delta: float) -> float:

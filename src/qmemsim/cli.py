@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from functools import cache, partial
@@ -370,7 +371,9 @@ def _cmd_swap(args, cfg: Config) -> int:
     t_swap = swap_duration(system.g_on)
     pulses = PulseSequence(gate_pulses=(GatePulse(0.0, 2.0 * t_swap),))
     dt = cfg.dynamics.dt_fraction_of_guard * max_stable_dt(system, pulses)
-    traj = evolve(system, pulses, (0.0, 2.0 * t_swap), dt, a0=1.0, b0=0.0)
+    # an even step count puts a sample on the swap time that the report reads
+    traj = evolve(system, pulses, (0.0, 2.0 * t_swap), t_swap / math.ceil(t_swap / dt - 1e-9),
+                  a0=1.0, b0=0.0)
     _write_csv(args.out, ["t_s", "re_a", "im_a", "re_b", "im_b", "e_a", "e_b"],
                [traj.times, traj.a.real, traj.a.imag, traj.b.real, traj.b.imag,
                 traj.e_a, traj.e_b])
@@ -418,7 +421,8 @@ def _cmd_protocol(args, cfg: Config) -> int:
                  for i, j in np.argwhere(xt > 1).tolist()]
     _write_report(
         args.report, "protocol", cfg,
-        {"fidelities": list(report.fidelities), "max_offdiagonal_crosstalk": max_xtalk},
+        {"fidelities": list(report.fidelities), "max_offdiagonal_crosstalk": max_xtalk,
+         "steps": list(report.steps), "largest_step_s": list(report.largest_steps)},
         warnings,
     )
     return 0

@@ -28,13 +28,21 @@ step-by-step loop to round-off.
 A piece is scanned in chunks of at most _CHUNK_STEPS steps, each starting
 from the last state of the one before, in chunk-sized buffers reused from
 chunk to chunk.  evolve() copies every chunk into the trajectory it
-returns; peak_coupler_energy() keeps only the running max |a|^2, so its
-memory does not grow with the span.
+returns; peak_coupler_energy() keeps only each chunk's coupler_peak(), so
+its memory does not grow with the span.
+
+Between samples a trajectory is read off RK4's dense output, the cubic
+Hermite interpolant through each step's end values and its end slopes
+from the equations above, each step at its own coupling: fourth order,
+like the steps.  coupler_peak() takes every peak max |a|^2 on it, and a
+SampledDrive interpolates the same way, so a read's emitted field drives
+its neighbors to fourth order.  That is what lets the protocols step at
+the whole resolution guard (DT_FRACTION = 1).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,27 +89,44 @@ class RfPulse:
 class SampledDrive:
     """Arbitrary baseband drive waveform given on a sample grid.
 
-    Linear interpolation between samples, zero outside; used e.g. to feed
-    one cell's emitted field to its neighbors.  times and values are
-    stored as 1-D float and complex arrays.
+    Cubic Hermite interpolation between samples, zero outside; used e.g.
+    to feed one cell's emitted field a_out to its neighbors, with slopes
+    -sqrt(kappa_ext) coupler_slopes() for a read.  slopes holds the
+    waveform's time derivative at the start and at the end of each
+    interval, shape (len(times) - 1, 2), so that it may jump at a sample.
+    times, values and slopes are stored as float and complex arrays.
     """
 
     carrier: float
     times: np.ndarray
     values: np.ndarray
+    slopes: np.ndarray
+    # per interval its step and _hermite_cubic(); a last row holds the last
+    # sample as a constant
+    _steps: np.ndarray = field(init=False, repr=False, compare=False)
+    _cubics: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require(self, "finite", "carrier")
         require(self, "positive", "carrier")
         times = np.asarray(self.times, dtype=float)
         values = np.asarray(self.values, dtype=complex)
+        slopes = np.asarray(self.slopes, dtype=complex)
         if times.ndim != 1 or values.shape != times.shape or len(times) < 2:
             raise ValueError("sampled drive needs matching 1-D times/values, 2+ samples")
-        # np.interp reads any other grid silently wrong
+        if slopes.shape != (len(times) - 1, 2):
+            raise ValueError("sampled drive needs slopes of shape (len(times) - 1, 2)")
+        # searchsorted reads any other grid silently wrong
         if not (np.isfinite(times).all() and (times[1:] > times[:-1]).all()):
             raise ValueError("sampled drive times must be finite and strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "slopes", slopes)
+        steps = np.diff(times)
+        cubics = np.stack(_hermite_cubic(steps, values[:-1], values[1:], slopes[:, 0],
+                                         slopes[:, 1]), axis=-1)
+        object.__setattr__(self, "_steps", np.append(steps, 1.0))
+        object.__setattr__(self, "_cubics", np.vstack((cubics, [0.0, 0.0, 0.0, values[-1]])))
 
     @property
     def start(self) -> float:
@@ -112,10 +137,14 @@ class SampledDrive:
         return float(self.times[-1])
 
     def baseband(self, t):
+        """Complex drive amplitude at time(s) t: each sample exactly, the
+        Hermite cubic of its interval in between."""
         t = np.asarray(t, dtype=float)
-        re = np.interp(t, self.times, self.values.real, left=0.0, right=0.0)
-        im = np.interp(t, self.times, self.values.imag, left=0.0, right=0.0)
-        return re + 1j * im
+        k = np.maximum(np.searchsorted(self.times, t, side="right") - 1, 0)
+        x = (t - self.times[k]) / self._steps[k]
+        c = self._cubics[k]
+        value = ((c[..., 0] * x + c[..., 1]) * x + c[..., 2]) * x + c[..., 3]
+        return np.where((t >= self.times[0]) & (t <= self.times[-1]), value, 0.0)
 
 
 @dataclass(frozen=True)
@@ -362,25 +391,33 @@ def _pieces(system, pulses, t_span, dt):
         if lo < t0 - 1e-18 or hi > t1 + 1e-18:
             raise ValueError("t_span must cover all pulses")
 
-    w_d = _frame_carrier(system, pulses)
-    delta_a = system.omega_a - w_d
-    delta_b = system.omega_b - w_d
-    kappa = system.kappa_ext + system.kappa_int_a
-    ca = -(1j * delta_a + 0.5 * kappa)
-    cb = -(1j * delta_b + 0.5 * system.gamma_b)
-    root_k = math.sqrt(system.kappa_ext)
-
     # g(t) changes only at the gate edges: one coupling per piece
     cuts = [t0, *sorted({t for p in pulses.gate_pulses for t in (p.start, p.end)
                          if t0 < t < t1}), t1]
+    mids = 0.5 * (np.array(cuts[:-1]) + np.array(cuts[1:]))
     pieces = []
-    for ta, tb in zip(cuts, cuts[1:]):
+    for ta, tb, g in zip(cuts, cuts[1:], _couplings(system, pulses, mids).tolist()):
         n = max(int(math.ceil((tb - ta) / dt - 1e-9)), 1)
-        mid = 0.5 * (ta + tb)
-        on = any(p.start <= mid < p.end for p in pulses.gate_pulses)
-        pieces.append((ta, n, (tb - ta) / n, system.g_on if on else system.g_off,
-                       tb if tb < t1 else None))
-    return (ca, cb, root_k), pieces
+        pieces.append((ta, n, (tb - ta) / n, g, tb if tb < t1 else None))
+    return _rates(system, pulses), pieces
+
+
+def _rates(system, pulses):
+    """The rates (ca, cb, root_k) of the model's equations in the drive's
+    frame: da/dt = ca a - i g b + root_k a_in, db/dt = cb b - i g a."""
+    w_d = _frame_carrier(system, pulses)
+    kappa = system.kappa_ext + system.kappa_int_a
+    ca = -(1j * (system.omega_a - w_d) + 0.5 * kappa)
+    cb = -(1j * (system.omega_b - w_d) + 0.5 * system.gamma_b)
+    return ca, cb, math.sqrt(system.kappa_ext)
+
+
+def _couplings(system, pulses, t):
+    """g at time(s) t: g_on inside a gate pulse, the g_off floor outside."""
+    on = np.zeros(np.shape(t), dtype=bool)
+    for p in pulses.gate_pulses:
+        on |= (p.start <= t) & (t < p.end)
+    return np.where(on, system.g_on, system.g_off)
 
 
 def _chunks(rf, rates, pieces, a0, b0):
@@ -468,40 +505,103 @@ def evolve(
     return Trajectory(times=times, a=x[:, 0], b=x[:, 1], a_out=a_out)
 
 
+def _hermite_cubic(h, v0, v1, s0, s1):
+    """Coefficients (c3, c2, c1, c0) of the cubic in x = (t - t0) / h on
+    [0, 1] that takes the values v0, v1 and the slopes s0, s1 (per unit t)
+    at its ends; numbers or arrays."""
+    return (2.0 * (v0 - v1) + h * (s0 + s1), 3.0 * (v1 - v0) - h * (2.0 * s0 + s1), h * s0, v0)
+
+
+def coupler_slopes(system: CoupledModeSystem, pulses: PulseSequence, times, a, b):
+    """a'(t) from the model's equation at both ends of every step of the
+    samples (times, a, b) of a trajectory under pulses, each step at its own
+    coupling: shape (len(times) - 1, 2), start and end.  At a gate edge the
+    two steps that meet there take different slopes."""
+    times = np.asarray(times, dtype=float)
+    ca, _, root_k = _rates(system, pulses)
+    g = _couplings(system, pulses, 0.5 * (times[:-1] + times[1:]))
+    free = ca * a
+    if pulses.rf is not None:
+        free = free + root_k * pulses.rf.baseband(times)
+    return np.stack((free[:-1] - 1j * g * b[:-1], free[1:] - 1j * g * b[1:]), axis=1)
+
+
+def coupler_peak(system: CoupledModeSystem, pulses: PulseSequence, times, a, b) -> float:
+    """Peak coupler energy max_t |a(t)|^2 of the samples (times, a, b) of a
+    trajectory under pulses.
+
+    The maximum is taken on the cubic Hermite interpolant of the steps on
+    either side of the largest sample, with slopes from coupler_slopes():
+    the dense output of RK4, fourth order like the steps themselves
+    (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6).  On each step it
+    is exact: |p(x)|^2 is a degree-6 polynomial, and its maximum lies at a
+    sample or at a real root of its derivative.
+    """
+    energy = np.abs(a) ** 2
+    k = int(np.argmax(energy))
+    w = slice(max(k - 1, 0), k + 2)
+    t, aw = times[w], a[w]
+    slopes = coupler_slopes(system, pulses, t, aw, b[w]).tolist()
+    peak = float(energy[k])
+    # a window of at most two steps: Python numbers cost less than arrays
+    for h, a0, a1, (s0, s1) in zip(np.diff(t).tolist(), aw[:-1].tolist(), aw[1:].tolist(),
+                                   slopes):
+        c = _hermite_cubic(h, a0, a1, s0, s1)[::-1]
+        # p is a convex combination of its Bernstein control points a0,
+        # a0 + c1 / 3, a1 - h s1 / 3 and a1, so |p| is at most the largest
+        # of them: a step whose points stay within the peak cannot pass it
+        if max(abs(a0 + c[1] / 3.0), abs(a1 - h * s1 / 3.0)) ** 2 <= peak:
+            continue
+        # |p(x)|^2 = sum_j e_j x^j, e_j = sum_{m + n = j} Re(c_m conj(c_n))
+        e = [sum((c[m] * c[j - m].conjugate()).real for m in range(max(0, j - 3), min(j, 3) + 1))
+             for j in range(7)]
+        # a complex root's real part is one more point of the step, so trying
+        # it too can only find a value the interpolant takes
+        for x in np.roots([j * e[j] for j in range(6, 0, -1)]).real.tolist():
+            if 0.0 < x < 1.0:
+                peak = max(peak, abs(((c[3] * x + c[2]) * x + c[1]) * x + c[0]) ** 2)
+    return peak
+
+
 def peak_coupler_energy(
     system: CoupledModeSystem,
     pulses: PulseSequence,
     t_span: tuple[float, float],
     dt: float,
 ) -> float:
-    """Peak coupler energy max_t |a(t)|^2 of evolve(system, pulses, t_span,
-    dt) from an empty cell, the same number as max(evolve(...).e_a).
+    """Peak coupler energy of evolve(system, pulses, t_span, dt) from an
+    empty cell: the largest coupler_peak() of the integration's chunks.
+    That is coupler_peak() of evolve's trajectory, unless another chunk's
+    largest sample ties the overall largest to within the interpolant's
+    rise above it.
 
     Each chunk of the integration is reduced as it is made, so no
     trajectory is built and the memory used does not grow with the span.
     """
     rates, pieces = _pieces(system, pulses, t_span, dt)
-    return max(float(np.max(np.abs(states[:, 0]) ** 2))
-               for *_, states in _chunks(pulses.rf, rates, pieces, 0.0, 0.0))
+    return max(coupler_peak(system, pulses, t[0::2], states[:, 0], states[:, 1])
+               for _, t, _, states in _chunks(pulses.rf, rates, pieces, 0.0, 0.0))
 
 
 # ------------------------- protocols -------------------------
 
 #: Default step of the protocols as a fraction of max_stable_dt()'s guard;
 #: the config's dynamics.dt_fraction_of_guard defaults to it as well
-DT_FRACTION = 0.25
+DT_FRACTION = 1.0
 
 
 @dataclass(frozen=True)
 class WriteResult:
     fidelity: float
     trajectory: Trajectory
+    pulses: PulseSequence
 
 
 @dataclass(frozen=True)
 class ReadResult:
     recovered_fraction: float
     trajectory: Trajectory
+    pulses: PulseSequence
 
 
 def write_pulses(system: CoupledModeSystem, rf: RfPulse, gate_at: float | None = None,
@@ -530,19 +630,20 @@ def write_protocol(
     one swap duration transfers the excitation into mode b.  The gate
     fires at the RF pulse end (rectangular envelopes) unless gate_at
     overrides it, e.g. to the envelope peak of a gaussian pulse.  Fidelity
-    is |b(end)|^2 normalized to the peak loaded energy max_t |a(t)|^2.
+    is |b(end)|^2 normalized to the peak loaded energy max_t |a(t)|^2 of
+    coupler_peak().
     With engage_gate=False the gate pulse is omitted (isolation
     measurement).  The step is dt_fraction of the resolution guard.
     """
     pulses, t_end = write_pulses(system, rf, gate_at, engage_gate)
     dt = dt_fraction * max_stable_dt(system, pulses)
     traj = evolve(system, pulses, (min(0.0, rf.start), t_end), dt)
-    peak = float(np.max(traj.e_a))
+    peak = coupler_peak(system, pulses, traj.times, traj.a, traj.b)
     if peak == 0.0:
-        return WriteResult(fidelity=0.0, trajectory=traj)
+        return WriteResult(fidelity=0.0, trajectory=traj, pulses=pulses)
     # |b(end)|^2 by e_b's own array ops, without e_b's full-length arrays
     stored = float((np.abs(traj.b[-1:]) ** 2)[0])
-    return WriteResult(fidelity=stored / peak, trajectory=traj)
+    return WriteResult(fidelity=stored / peak, trajectory=traj, pulses=pulses)
 
 
 def read_duration(system: CoupledModeSystem) -> float:
@@ -569,4 +670,4 @@ def read_protocol(system: CoupledModeSystem, dt_fraction: float = DT_FRACTION) -
     traj = evolve(system, pulses, (0.0, read_duration(system)), dt, a0=0.0, b0=1.0)
     emitted_power = np.abs(traj.a_out) ** 2
     recovered = float(np.trapezoid(emitted_power, traj.times))
-    return ReadResult(recovered_fraction=recovered, trajectory=traj)
+    return ReadResult(recovered_fraction=recovered, trajectory=traj, pulses=pulses)

@@ -75,9 +75,15 @@ class GateModel:
 
     def __post_init__(self):
         require(self, "non-negative", "steepness")
-        require(self, "finite", "steepness")
+        require(self, "finite", "steepness", "v_pinch", "v_on")
         if not self.v_pinch < self.v_on:
             raise ValueError("gate model requires v_pinch < v_on")
+        require(self, "finite", "span")  # two finite voltages can span past 1.8e308
+
+    @property
+    def span(self) -> float:
+        """v_on - v_pinch, volt."""
+        return self.v_on - self.v_pinch
 
     def fraction(self, v_g: float) -> float:
         """I_c(v_g) / i_c_max, clamped to [0, 1]."""
@@ -85,8 +91,8 @@ class GateModel:
             return 0.0
         if v_g >= self.v_on:
             return 1.0
-        x = (v_g - self.v_pinch) / (self.v_on - self.v_pinch)
-        k = self.steepness * (self.v_on - self.v_pinch)
+        x = (v_g - self.v_pinch) / self.span
+        k = self.steepness * self.span
         if k < 1e-7:  # the linear limit, which the logistic below meets to rounding
             return x
         if x == 0.5:  # the midpoint, where a k overflowed to inf would give inf * 0

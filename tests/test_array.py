@@ -15,7 +15,7 @@ from qmemsim.array import (
     run_schedule,
 )
 from qmemsim.cell import frequency_sweep
-from qmemsim.dynamics import swap_duration
+from qmemsim.dynamics import DT_FRACTION, PulseSequence, max_stable_dt, swap_duration
 from qmemsim.jjfet import OFF
 from tests.conftest import ANCHOR, TARGETS
 
@@ -108,7 +108,7 @@ def evolve_calls(monkeypatch):
 class TestSchedule:
     def test_empty_schedule(self, array):
         report = run_schedule(array, AccessSchedule())
-        assert report.fidelities == ()
+        assert report.fidelities == () and report.steps == () and report.largest_steps == ()
         np.testing.assert_array_equal(report.crosstalk, np.eye(len(array)))
 
     def test_write_crosstalk_within_lorentzian_bound(self, array, array_models):
@@ -227,6 +227,65 @@ class TestRepeatedOps:
             AccessOp(op="write", cell_index=0, rf_duration=0.8 * pulse),
         ), models=array_models)
         assert len(evolve_calls) == 8
+
+
+#: every op kind on every cell of the four-cell array, one schedule per kind
+KIND_SCHEDULES = {kind: AccessSchedule(ops=tuple(AccessOp(op=kind, cell_index=i)
+                                                 for i in range(4)))
+                  for kind in ("write", "read")}
+
+
+@pytest.fixture(scope="module")
+def reports_by_fraction(array, array_models):
+    """{(kind, dt_fraction): report} of KIND_SCHEDULES, None standing for
+    run_schedule's default fraction."""
+    return {(kind, f): run_schedule(array, schedule, models=array_models,
+                                    **({} if f is None else {"dt_fraction": f}))
+            for kind, schedule in KIND_SCHEDULES.items()
+            for f in (None, 0.5, 0.25, 0.0625)}
+
+
+def _relative_errors(report, ref):
+    """|x / x_ref - 1| of every fidelity and every off-diagonal crosstalk entry."""
+    off = ~np.eye(len(ref.crosstalk), dtype=bool)
+    return (np.abs(np.array(report.fidelities) / np.array(ref.fidelities) - 1.0),
+            np.abs(report.crosstalk[off] / ref.crosstalk[off] - 1.0))
+
+
+class TestStepConvergence:
+    # the peaks and the read's emitted field are fourth order, as RK4 is;
+    # with a sampled max |a|^2, or a linearly interpolated drive, the worst
+    # read-row entry is 3.8e-4 or 4.1e-4 off at the default fraction
+    @pytest.mark.parametrize("kind", KIND_SCHEDULES)
+    def test_default_fraction_within_1e5_of_a_sixteenth(self, reports_by_fraction, kind):
+        assert DT_FRACTION == 1.0
+        fidelities, crosstalk = _relative_errors(reports_by_fraction[kind, None],
+                                                 reports_by_fraction[kind, 0.0625])
+        assert np.all(fidelities <= 1e-5) and np.all(crosstalk <= 1e-5)
+
+    def test_read_row_entry_converges_at_fourth_order(self, reports_by_fraction):
+        # the read on cell 0 as seen by cell 3, the worst entry at the
+        # default fraction: each halving of the step cuts its error 8x or more
+        ref = reports_by_fraction["read", 0.0625].crosstalk[0, 3]
+        errors = [abs(reports_by_fraction["read", f].crosstalk[0, 3] / ref - 1.0)
+                  for f in (None, 0.5, 0.25)]
+        assert errors[0] >= 8.0 * errors[1] and errors[1] >= 8.0 * errors[2]
+
+    @pytest.mark.parametrize("f", [None, 0.25])
+    def test_reported_steps_honour_the_guard(self, reports_by_fraction, array_models, f):
+        fraction = DT_FRACTION if f is None else f
+        for kind, schedule in KIND_SCHEDULES.items():
+            report = reports_by_fraction[kind, f]
+            for op, steps, largest in zip(schedule.ops, report.steps, report.largest_steps):
+                system = array_models[op.cell_index].system
+                # the guard depends on the pulses only through the frame:
+                # the write's carrier, the cavity for a read
+                rf = array_module._write_drive(op, system)[0] if kind == "write" else None
+                guard = max_stable_dt(system, PulseSequence(rf=rf))
+                # up to the 1e-9 by which evolve's step count rounds and the
+                # rounding of the sample times that the steps are read from
+                assert largest <= fraction * guard * (1.0 + 1e-9)
+                assert steps * largest >= array_module._op_duration(op, system)
 
 
 class TestValidation:

@@ -65,7 +65,8 @@ VALID = {
     CrossingFit: CrossingFit(g=240e6, l_cross=2e-10, f_cross=6.5e9, window=(1e-10, 3e-10),
                              coeffs=(0.0, 0.0, 0.0, 6.5e9), residual_rms=0.0),
     RfPulse: RfPulse(carrier=6.5e9, amplitude=1.0, start=0.0, duration=1e-9, sigma=1e-9),
-    SampledDrive: SampledDrive(carrier=6.5e9, times=[0.0, 1e-8], values=[0.0, 1.0]),
+    SampledDrive: SampledDrive(carrier=6.5e9, times=[0.0, 1e-8], values=[0.0, 1.0],
+                               slopes=[[0.0, 0.0]]),
     GatePulse: GatePulse(start=0.0, duration=1e-9),
     CoupledModeSystem: SYSTEM,
     MemoryArray: MemoryArray(cells=(CELL,), targets=(6.55e9,)),
@@ -77,7 +78,8 @@ OUT_OF_RANGE = [
     (LineSection, "z0", 0.0), (LineSection, "eps_eff", 0.5), (LineSection, "length", -1e-3),
     (LineSection, "atten", -1.0),
     (SeriesCapacitor, "c_val", 0.0),
-    (GateModel, "steepness", -1.0),
+    (GateModel, "steepness", -1.0), (GateModel, "v_pinch", -math.inf),
+    (GateModel, "v_on", math.inf),
     (JjFet, "i_c_max", 0.0), (JjFet, "c_j", -1e-15), (JjFet, "r_off", 0.0), (JjFet, "r_sub", 0.0),
     (MemoryCell, "z0", 0.0), (MemoryCell, "eps_eff", 0.9), (MemoryCell, "c_in", 0.0),
     (MemoryCell, "tcr_half_len", -4.2e-3), (MemoryCell, "c_couple", 0.0),

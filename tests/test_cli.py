@@ -3,6 +3,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import re
 import shlex
 import tempfile
@@ -461,7 +462,9 @@ class TestSwapCommand:
         span = (0.0, 2.0 * swap_duration(system.g_on))
         pulses = PulseSequence(gate_pulses=(GatePulse(0.0, span[1]),))
         dt = cfg.dynamics.dt_fraction_of_guard * max_stable_dt(system, pulses)
-        traj = evolve(system, pulses, span, dt, a0=1.0, b0=0.0)
+        # an even number of steps of at most dt, so that one ends on the swap
+        traj = evolve(system, pulses, span, 0.5 * span[1] / math.ceil(0.5 * span[1] / dt - 1e-9),
+                      a0=1.0, b0=0.0)
         assert out.read_text() == _csv_per_row(
             ["t_s", "re_a", "im_a", "re_b", "im_b", "e_a", "e_b"],
             [traj.times, traj.a.real, traj.a.imag, traj.b.real, traj.b.imag, traj.e_a, traj.e_b])
@@ -595,7 +598,12 @@ class TestProtocolCommand:
         assert len(xt_rows) == 4 and len(xt_header) == 4
         assert float(xt_rows[0][0]) == 1.0
         # every ratio in bounds: nothing to warn about
-        assert json.loads(rep.read_text())["warnings"] == []
+        report = json.loads(rep.read_text())
+        assert report["warnings"] == []
+        # each op's step count and largest step on its addressed cell
+        steps, largest = report["summary"]["steps"], report["summary"]["largest_step_s"]
+        assert len(steps) == len(largest) == 2
+        assert all(isinstance(n, int) and n > 0 for n in steps) and min(largest) > 0.0
 
     def test_out_of_bound_ratios_are_warned(self, seed_path, tmp_path):
         # a 2 ns drive is far from quasi-static: the cell ends with more than
@@ -626,18 +634,25 @@ class TestProtocolCommand:
         sched = tmp_path / "sched.json"
         sched.write_text(json.dumps({"ops": [{"op": "write", "cell_index": 0}]}))
         raw = json.loads(seed_path.read_text())
-        assert raw["dynamics"]["dt_fraction_of_guard"] == 0.25
-        raw["dynamics"]["dt_fraction_of_guard"] = 0.125
+        assert raw["dynamics"]["dt_fraction_of_guard"] == 1.0
+        raw["dynamics"]["dt_fraction_of_guard"] = 0.5
         fine_cfg = tmp_path / "fine.json"
         fine_cfg.write_text(json.dumps(raw))
-        csvs = []
+        csvs, largest = [], []
         for cfg in (seed_path, fine_cfg):
             out = tmp_path / f"fid-{cfg.stem}.csv"
-            assert main(["protocol", str(cfg), str(sched), "--out", str(out)]) == 0
+            rep = tmp_path / f"rep-{cfg.stem}.json"
+            assert main(["protocol", str(cfg), str(sched), "--out", str(out),
+                         "--report", str(rep)]) == 0
             csvs.append(read_csv(out))
+            largest += json.loads(rep.read_text())["summary"]["largest_step_s"]
         (_, coarse), (_, fine) = csvs
         dt_coarse, dt_fine = steps
         assert dt_fine == 0.5 * dt_coarse
+        # the reported largest step is the write's step: at most dt, and short
+        # of it only by rounding a long piece up to whole steps
+        for step, dt in zip(largest, steps):
+            assert dt * (1.0 - 1e-3) <= step <= dt * (1.0 + 1e-9)
         # a finer step moves the fidelity only through RK4's truncation
-        # error and where max |a|^2 is sampled
+        # error and its dense output's, where the peak is read
         assert float(fine[0][4]) == pytest.approx(float(coarse[0][4]), rel=1e-3)

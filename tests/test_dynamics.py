@@ -1,6 +1,7 @@
 """Two-mode dynamics: analytic checks, protocols, integrator quality."""
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -22,6 +23,8 @@ from qmemsim.dynamics import (
     _CHUNK_STEPS,
     _frame_carrier,
     _rk4_increment,
+    coupler_peak,
+    coupler_slopes,
     evolve,
     max_stable_dt,
     peak_coupler_energy,
@@ -31,6 +34,13 @@ from qmemsim.dynamics import (
 )
 
 W0 = TWO_PI * 6.55e9
+
+
+def _ends(slopes):
+    """A SampledDrive's slopes from one derivative per sample: the same value
+    at the end of one interval and the start of the next."""
+    slopes = np.asarray(slopes)
+    return np.stack((slopes[:-1], slopes[1:]), axis=1)
 
 
 def rabi_system(g_hz, **kw):
@@ -271,8 +281,10 @@ def driven_systems(draw):
         rf = None
     elif kind == "sampled":
         times = np.linspace(0.0, t_end, draw(st.integers(2, 40)))
-        values = np.exp(1j * times / unit) * np.linspace(1.0, 0.2, len(times))
-        rf = SampledDrive(carrier=carrier, times=times, values=values)
+        envelope = 1.0 - 0.8 * times / t_end
+        values = np.exp(1j * times / unit) * envelope
+        slopes = np.exp(1j * times / unit) * (1j / unit * envelope - 0.8 / t_end)
+        rf = SampledDrive(carrier=carrier, times=times, values=values, slopes=_ends(slopes))
     else:
         duration = draw(st.floats(0.1, 1.0)) * t_end
         sigma = math.inf if kind == "rect" else duration / 5.0
@@ -369,8 +381,9 @@ def _named_case(name):
         return base, PulseSequence(rf=gauss, gate_pulses=gate), (0.0, 450e-9), 1.0, 0.0
     if name == "sampled":
         times = np.linspace(0.0, 300e-9, 301)
-        drive = SampledDrive(carrier=carrier, times=times,
-                             values=1e4 * np.exp(-((times - 150e-9) / 50e-9) ** 2 + 3j * times / 300e-9))
+        values = 1e4 * np.exp(-((times - 150e-9) / 50e-9) ** 2 + 3j * times / 300e-9)
+        slopes = values * (-2.0 * (times - 150e-9) / 50e-9 ** 2 + 3j / 300e-9)
+        drive = SampledDrive(carrier=carrier, times=times, values=values, slopes=_ends(slopes))
         return base, PulseSequence(rf=drive, gate_pulses=gate), (0.0, 450e-9), 0.0, 1j
     if name == "chunked":
         # three pieces over four chunks: the first piece is exactly one
@@ -474,9 +487,10 @@ def test_short_piece_is_one_block_of_its_own_length(monkeypatch):
 
 
 def _assert_peak_matches_evolve(system, pulses, span, dt):
-    """peak_coupler_energy is max(e_a) of evolve from an empty cell: bit
-    for bit within one chunk, to round-off across chunks."""
-    expected = np.max(evolve(system, pulses, span, dt).e_a)
+    """peak_coupler_energy is coupler_peak of evolve's trajectory from an
+    empty cell: bit for bit within one chunk, to round-off across chunks."""
+    traj = evolve(system, pulses, span, dt)
+    expected = coupler_peak(system, pulses, traj.times, traj.a, traj.b)
     peak = peak_coupler_energy(system, pulses, span, dt)
     if (span[1] - span[0]) / dt <= _CHUNK_STEPS:
         assert peak == expected
@@ -497,6 +511,55 @@ def test_peak_coupler_energy_matches_evolve_named(name):
     _assert_peak_matches_evolve(system, pulses, span, 0.25 * max_stable_dt(system, pulses))
 
 
+def test_coupler_peak_converges_at_fourth_order():
+    # resonant exchange from the cavity: |a|^2 = sin^2(g t) peaks at 1 in
+    # the middle of a step for an odd step count; 25 steps is the guard
+    g = TWO_PI * 100e6
+    system = rabi_system(100e6)
+    span = (0.0, math.pi / g)
+    errors, sampled = [], []
+    for n in (25, 51, 101):
+        traj = evolve(system, IDLE, span, span[1] / n, a0=0.0, b0=1.0)
+        errors.append(abs(coupler_peak(system, IDLE, traj.times, traj.a, traj.b) - 1.0))
+        sampled.append(abs(np.max(traj.e_a) - 1.0))
+    assert errors[0] >= 12.0 * errors[1] and errors[1] >= 12.0 * errors[2]
+    # the largest sample alone is second order, and 1000x off at the guard
+    assert sampled[0] >= 1000.0 * errors[0] and sampled[1] <= 4.5 * sampled[2]
+
+
+@pytest.mark.parametrize("name", ["gaussian", "sampled", "edge_on_sample"])
+def test_coupler_peak_is_the_interpolant_maximum(name):
+    # the interpolant as a SampledDrive with the same slopes, read on a
+    # fine grid over the steps around the largest sample: coupler_peak is
+    # its maximum, which no sample exceeds
+    system, pulses, span, _, _ = _named_case(name)
+    traj = evolve(system, pulses, span, max_stable_dt(system, pulses))
+    peak = coupler_peak(system, pulses, traj.times, traj.a, traj.b)
+    slopes = coupler_slopes(system, pulses, traj.times, traj.a, traj.b)
+    dense = SampledDrive(carrier=1.0, times=traj.times, values=traj.a, slopes=slopes)
+    k = int(np.argmax(traj.e_a))
+    grid = np.linspace(traj.times[max(k - 1, 0)], traj.times[k + 1], 20_001)
+    fine = float(np.max(np.abs(dense.baseband(grid)) ** 2))
+    assert np.max(traj.e_a) < peak
+    assert fine <= peak * (1.0 + 1e-14) and fine >= peak * (1.0 - 1e-10)
+
+
+def test_coupler_slopes_take_each_steps_own_coupling():
+    # the two steps that meet at a gate edge read a' at that sample with
+    # their own g: the slopes differ by i (g_on - g_off) b there
+    system, pulses, span, a0, b0 = _named_case("edge_on_sample")
+    traj = evolve(system, pulses, span, max_stable_dt(system, pulses), a0=a0, b0=b0)
+    slopes = coupler_slopes(system, pulses, traj.times, traj.a, traj.b)
+    times = traj.times.tolist()
+    for edge, sign in ((pulses.gate_pulses[0].start, 1.0), (pulses.gate_pulses[0].end, -1.0)):
+        k = times.index(edge)
+        jump = slopes[k - 1, 1] - slopes[k, 0]
+        expected = sign * 1j * (system.g_on - system.g_off) * traj.b[k]
+        assert jump == pytest.approx(expected, rel=1e-9)
+    # away from the edges a sample's two slopes agree bit for bit
+    assert np.array_equal(slopes[:10, 1], slopes[1:11, 0])
+
+
 def _bad_integrations():
     """(system, pulses, t_span, dt) calls that evolve rejects, each with
     the error it raises and a pattern of its message."""
@@ -506,7 +569,7 @@ def _bad_integrations():
     dt = 0.25 * max_stable_dt(sys_, PulseSequence(rf=rf))
     times = np.linspace(0.0, 10e-9, 11)
     nan_drive = SampledDrive(carrier=W0 / TWO_PI, times=times,
-                             values=np.full(11, complex("nan")))
+                             values=np.full(11, complex("nan")), slopes=np.zeros((10, 2)))
     return [
         ((sys_, PulseSequence(rf=rf), (10e-9, 0.0), dt), ValueError, "positive length"),
         ((sys_, PulseSequence(rf=rf), (0.0, 10e-9), 0.0), ValueError, "dt must be positive"),
@@ -621,7 +684,8 @@ class TestWriteProtocol:
         assert result.fidelity >= 0.99
         # read off b's last sample, the same bits as the energy trace's
         traj = result.trajectory
-        assert result.fidelity == float(traj.e_b[-1]) / float(np.max(traj.e_a))
+        peak = coupler_peak(sys_, result.pulses, traj.times, traj.a, traj.b)
+        assert result.fidelity == float(traj.e_b[-1]) / peak
 
     def test_gate_never_on_is_isolating(self):
         sys_ = self.make_system(g_off=1.3e4)
@@ -670,10 +734,13 @@ class TestReadProtocol:
             omega_a=W0, omega_b=W0, kappa_ext=TWO_PI * 5e6, g_on=TWO_PI * 300e6
         )
         result = read_protocol(sys_)
-        times, a_out = result.trajectory.times, result.trajectory.a_out
-        drive = SampledDrive(carrier=W0 / TWO_PI, times=times, values=a_out)
-        assert drive.baseband(times[3]) == pytest.approx(a_out[3])
-        assert drive.baseband(times[-1] + 1.0) == 0.0
+        traj = result.trajectory
+        slopes = -math.sqrt(sys_.kappa_ext) * coupler_slopes(sys_, result.pulses, traj.times,
+                                                             traj.a, traj.b)
+        drive = SampledDrive(carrier=W0 / TWO_PI, times=traj.times, values=traj.a_out,
+                             slopes=slopes)
+        assert drive.baseband(traj.times).tobytes() == traj.a_out.tobytes()
+        assert drive.baseband(traj.times[-1] + 1.0) == 0.0
 
 
 def test_gated_protocols_converge_in_step():
@@ -716,11 +783,14 @@ class TestEnvelopes:
         for times in ([0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 1.0, 3.0], [0.0, math.nan, 2.0, 3.0],
                       [0.0, 1.0, 2.0, math.inf]):
             with pytest.raises(ValueError, match="strictly increasing"):
-                SampledDrive(carrier=6.5e9, times=np.array(times), values=np.ones(4, complex))
+                SampledDrive(carrier=6.5e9, times=np.array(times), values=np.ones(4, complex),
+                             slopes=np.zeros((3, 2)))
 
     def test_sampled_drive_lists_become_arrays(self):
-        drive = SampledDrive(carrier=6.5e9, times=[0.0, 1e-8, 2e-8], values=[0, 1, 0])
+        drive = SampledDrive(carrier=6.5e9, times=[0.0, 1e-8, 2e-8], values=[0, 1, 0],
+                             slopes=[[0, 0], [0, 0]])
         assert drive.times.dtype == float and drive.values.dtype == complex
+        assert drive.slopes.dtype == complex and drive.slopes.shape == (2, 2)
         sys_ = CoupledModeSystem(omega_a=W0, omega_b=W0, kappa_ext=TWO_PI * 1e6)
         traj = evolve(sys_, PulseSequence(rf=drive), (0.0, 2e-8),
                       0.25 * max_stable_dt(sys_, PulseSequence(rf=drive)))
@@ -729,11 +799,39 @@ class TestEnvelopes:
                               ([0.0, 1.0, 2.0], [[0.0, 1.0, 0.0]]),
                               ([0.0, 1.0, 2.0], [0.0, 1.0])):
             with pytest.raises(ValueError, match="1-D"):
-                SampledDrive(carrier=6.5e9, times=times, values=values)
+                SampledDrive(carrier=6.5e9, times=times, values=values, slopes=[[0.0, 0.0]])
+        for slopes in ([0.0, 1.0, 2.0], [[0.0, 1.0, 2.0]], np.zeros((3, 2)), np.zeros((2, 3))):
+            with pytest.raises(ValueError, match=re.escape("slopes of shape (len(times) - 1, 2)")):
+                SampledDrive(carrier=6.5e9, times=[0.0, 1.0, 2.0], values=[0, 1, 0],
+                             slopes=slopes)
         # non-finite values are a drive evolve reports as diverged; a
         # non-finite carrier is rejected here
         with pytest.raises(ValueError, match="SampledDrive.carrier must be finite"):
-            SampledDrive(carrier=math.nan, times=[0.0, 1e-8], values=[0.0, 1.0])
+            SampledDrive(carrier=math.nan, times=[0.0, 1e-8], values=[0.0, 1.0],
+                         slopes=[[0.0, 0.0]])
+
+    def test_sampled_drive_is_exact_for_a_cubic(self):
+        # cubic Hermite interpolation reproduces any cubic, on any grid; the
+        # samples themselves come back bit for bit and outside is zero
+        times = np.array([0.0, 0.7, 1.0, 2.5, 3.0])
+        coeffs = np.array([0.3 - 0.2j, -1.1 + 0.5j, 2.0 + 1.0j, -0.4j])
+        cubic, slope = np.polyval(coeffs, times), np.polyval(np.polyder(coeffs), times)
+        drive = SampledDrive(carrier=6.5e9, times=times, values=cubic, slopes=_ends(slope))
+        t = np.linspace(-0.5, 3.5, 81)
+        inside = (t >= 0.0) & (t <= 3.0)
+        expected = np.where(inside, np.polyval(coeffs, t), 0.0)
+        assert np.max(np.abs(drive.baseband(t) - expected)) <= 1e-13
+        assert drive.baseband(times).tobytes() == cubic.tobytes()
+        assert drive.baseband(times.reshape(1, 5)).shape == (1, 5)
+
+    def test_sampled_drive_takes_a_slope_jump(self):
+        # a kink at t = 1: |t - 1| is linear on each interval, its slope
+        # -1 on the left and +1 on the right, and no one-slope grid holds it
+        times = np.array([0.0, 1.0, 2.0])
+        drive = SampledDrive(carrier=6.5e9, times=times, values=[1.0, 0.0, 1.0],
+                             slopes=[[-1.0, -1.0], [1.0, 1.0]])
+        t = np.linspace(0.0, 2.0, 41)
+        assert np.max(np.abs(drive.baseband(t) - np.abs(t - 1.0))) <= 1e-15
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rf_pulse_rejects_non_finite(self, bad):

@@ -139,6 +139,15 @@ class TestGateModel:
         with pytest.raises(ValueError):
             GateModel(v_pinch=0.0, v_on=-1.0)
 
+    # each made fraction() return NaN, as x = (v_g - v_pinch) / span was inf / inf
+    @pytest.mark.parametrize("v_pinch, v_on, v_g, name", [
+        (-math.inf, 0.0, -1.0, "v_pinch"),
+        (-1e308, 1e308, 0.0, "span"),
+    ], ids=["infinite_v_pinch", "overflowing_span"])
+    def test_rejects_voltages_without_a_finite_span(self, v_pinch, v_on, v_g, name):
+        with pytest.raises(ValueError, match=f"GateModel.{name} must be finite"):
+            GateModel(v_pinch, v_on).fraction(v_g)
+
 
 class TestGateToState:
     def make_jj(self):

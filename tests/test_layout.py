@@ -221,3 +221,73 @@ def fieldless_dataclasses(root=ROOT):
 
 def test_every_value_object_has_a_field():
     assert fieldless_dataclasses() == []
+
+
+#: numpy's and the builtins' maxima, called as functions or as methods
+MAXIMA = {"max", "amax", "nanmax", "argmax", "nanargmax"}
+
+
+def _is_amplitude(node):
+    """A coupler amplitude: a name or attribute `a`, or column 0 of a state array."""
+    return ((isinstance(node, ast.Name) and node.id == "a")
+            or (isinstance(node, ast.Attribute) and node.attr == "a")
+            or (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
+                and isinstance(node.slice.elts[-1], ast.Constant)
+                and node.slice.elts[-1].value == 0))
+
+
+def _holds_coupler_energy(node, names):
+    """Whether node holds a coupler energy: an `e_a` attribute, abs(...) ** 2
+    of a coupler amplitude, or a name in names."""
+    for n in ast.walk(node):
+        if ((isinstance(n, ast.Attribute) and n.attr == "e_a")
+                or (isinstance(n, ast.Name) and n.id in names)
+                or (isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+                    and isinstance(n.left, ast.Call)
+                    and "abs" in (getattr(n.left.func, "id", None),
+                                  getattr(n.left.func, "attr", None))
+                    and any(_is_amplitude(m) for m in ast.walk(n.left)))):
+            return True
+    return False
+
+
+def coupler_energy_maxima(source: str, module: str) -> set:
+    """'module.function' of every function in source that takes a maximum
+    (MAXIMA, as a call or a method) of a coupler energy, directly or through
+    a name assigned one in that function."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        names = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign) and _holds_coupler_energy(node.value, names):
+                names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            operands = [*node.args, *([func.value] if isinstance(func, ast.Attribute) else [])]
+            if (getattr(func, "id", getattr(func, "attr", None)) in MAXIMA
+                    and any(_holds_coupler_energy(o, names) for o in operands)):
+                found.add(f"{module}.{fn.name}")
+    return found
+
+
+@pytest.mark.parametrize("body", [
+    "return float(np.max(traj.e_a))",
+    "return traj.e_a.max()",
+    "return max(float(np.max(np.abs(states[:, 0]) ** 2)) for states in chunks)",
+    "energy = np.abs(traj.a) ** 2\n    return energy[int(np.argmax(energy))]",
+])
+def test_coupler_energy_maxima_are_found(body):
+    assert coupler_energy_maxima(f"def peak(traj, chunks):\n    {body}\n", "m") == {"m.peak"}
+
+
+def test_coupler_peaks_come_from_one_helper():
+    # every peak coupler energy is dynamics.coupler_peak's Hermite maximum:
+    # no other function in src/ reads a maximum off the samples
+    found = set()
+    for path in sorted(Path(qmemsim.__file__).parent.glob("*.py")):
+        found |= coupler_energy_maxima(path.read_text(encoding="utf-8"), path.stem)
+    assert found == {"dynamics.coupler_peak"}
