@@ -45,9 +45,9 @@ from .dynamics import (
     CoupledModeSystem,
     GatePulse,
     PulseSequence,
+    ReadCascade,
     ReadResult,
     RfPulse,
-    SampledDrive,
     Trajectory,
     WriteResult,
     coupler_peak,

@@ -22,10 +22,9 @@ from .dynamics import (
     TWO_PI,
     CoupledModeSystem,
     PulseSequence,
+    ReadCascade,
     RfPulse,
-    SampledDrive,
     coupler_peak,
-    coupler_slopes,
     max_stable_dt,
     peak_coupler_energy,
     read_duration,
@@ -118,6 +117,7 @@ def array_spectrum(array: MemoryArray, all_states, f_grid):
 class AccessOp:
     """One random-access operation on a cell.
 
+    rf_carrier and rf_duration set a write's drive; a read has none.
     rf_carrier defaults to the cavity frequency of the addressed cell's
     reduced model; rf_duration defaults to 24 / kappa_ext of that model.
     """
@@ -136,6 +136,8 @@ class AccessOp:
         require(self, "non-negative", "cell_index")
         require(self, "finite", "start")  # a NaN start passes the overlap check
         require(self, "positive", "rf_carrier", "rf_duration")
+        if self.op == "read" and (self.rf_carrier, self.rf_duration) != (None, None):
+            raise ValueError("AccessOp: a read takes no rf_carrier or rf_duration")
 
 
 @dataclass(frozen=True)
@@ -225,10 +227,9 @@ def _validate_schedule(array: MemoryArray, schedule: AccessSchedule,
                 raise ScheduleError(f"operations on cell {idx} must not overlap")
 
 
-def _idle_deposit(model: _CellModel, drive, t_span, dt, dt_fraction) -> float:
-    pulses = PulseSequence(rf=drive)
-    dt_j = min(dt, dt_fraction * max_stable_dt(model.system, pulses))
-    return peak_coupler_energy(model.system, pulses, t_span, dt_j)
+def _idle_deposit(system, pulses, t_span, dt, dt_fraction) -> float:
+    dt_j = min(dt, dt_fraction * max_stable_dt(system, pulses))
+    return peak_coupler_energy(system, pulses, t_span, dt_j)
 
 
 def _run_op(
@@ -246,26 +247,26 @@ def _run_op(
         rf, gate_at = _write_drive(op, sys_i)
         result = write_protocol(sys_i, rf, gate_at=gate_at, dt_fraction=dt_fraction)
         fidelity = result.fidelity
-        drive = rf
+        # the neighbours see the write's drive on the feedline
+        pulses = PulseSequence(rf=rf)
+        idle = {j: model.system for j, model in enumerate(models) if j != i}
     else:
         result = read_protocol(sys_i, dt_fraction=dt_fraction)
         fidelity = result.recovered_fraction
-        traj = result.trajectory
-        # an undriven read emits a_out = -sqrt(kappa_ext) a
-        slopes = coupler_slopes(sys_i, result.pulses, traj.times, traj.a, traj.b)
-        drive = SampledDrive(carrier=sys_i.omega_b / TWO_PI, times=traj.times,
-                             values=traj.a_out, slopes=-math.sqrt(sys_i.kappa_ext) * slopes)
+        # each neighbour is integrated together with the reader that drives it
+        pulses = result.pulses
+        idle = {j: ReadCascade(sys_i, model.system) for j, model in enumerate(models) if j != i}
 
     traj = result.trajectory
-    deposit_i = coupler_peak(sys_i, result.pulses, traj.times, traj.a, traj.b)
+    deposit_i = coupler_peak(sys_i, result.pulses, traj.times, traj.x)
     dt = float(np.max(np.diff(traj.times)))
     steps = len(traj.times) - 1
     if deposit_i <= 0.0:
         return fidelity, {}, steps, dt
     t_span = (float(traj.times[0]), float(traj.times[-1]))
     ratios = {
-        j: _idle_deposit(model, drive, t_span, dt, dt_fraction) / deposit_i
-        for j, model in enumerate(models) if j != i
+        j: _idle_deposit(system, pulses, t_span, dt, dt_fraction) / deposit_i
+        for j, system in idle.items()
     }
     return fidelity, ratios, steps, dt
 

@@ -17,7 +17,8 @@ fixed-step classical RK4 for deterministic, reproducible trajectories.
 
 The system is linear, so each RK4 step is the exact affine map
 x_{n+1} = x_n + Q x_n + r_n, with Q and the drive weights in r_n read off
-one application of the RK4 stage formula.  g(t) changes only at the gate
+one application of the RK4 stage formula to the rows of the equations'
+generator [A | B], dx/dt = A x + B a_in(t).  g(t) changes only at the gate
 edges, so evolve() cuts the span there and runs each piece at its one
 coupling, in even steps of at most dt, as a blocked scan in numpy: blocks
 of _BLOCK_STEPS steps run from a zero state side by side, a doubling scan
@@ -31,18 +32,22 @@ chunk to chunk.  evolve() copies every chunk into the trajectory it
 returns; peak_coupler_energy() keeps only each chunk's coupler_peak(), so
 its memory does not grow with the span.
 
+A read's idle neighbour sees the field the reader emits.  A ReadCascade
+integrates the two cells as one linear system of four components, the
+reader's a_out = -sqrt(k_ext) a driving the neighbour's coupler, on the
+same scan: no emitted field is sampled or interpolated.
+
 Between samples a trajectory is read off RK4's dense output, the cubic
 Hermite interpolant through each step's end values and its end slopes
 from the equations above, each step at its own coupling: fourth order,
-like the steps.  coupler_peak() takes every peak max |a|^2 on it, and a
-SampledDrive interpolates the same way, so a read's emitted field drives
-its neighbors to fourth order.  That is what lets the protocols step at
-the whole resolution guard (DT_FRACTION = 1).
+like the steps.  coupler_peak() takes every peak max |a|^2 on it.  That
+is what lets the protocols step at the whole resolution guard
+(DT_FRACTION = 1).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,68 +91,6 @@ class RfPulse:
 
 
 @dataclass(frozen=True)
-class SampledDrive:
-    """Arbitrary baseband drive waveform given on a sample grid.
-
-    Cubic Hermite interpolation between samples, zero outside; used e.g.
-    to feed one cell's emitted field a_out to its neighbors, with slopes
-    -sqrt(kappa_ext) coupler_slopes() for a read.  slopes holds the
-    waveform's time derivative at the start and at the end of each
-    interval, shape (len(times) - 1, 2), so that it may jump at a sample.
-    times, values and slopes are stored as float and complex arrays.
-    """
-
-    carrier: float
-    times: np.ndarray
-    values: np.ndarray
-    slopes: np.ndarray
-    # per interval its step and _hermite_cubic(); a last row holds the last
-    # sample as a constant
-    _steps: np.ndarray = field(init=False, repr=False, compare=False)
-    _cubics: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        require(self, "finite", "carrier")
-        require(self, "positive", "carrier")
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=complex)
-        slopes = np.asarray(self.slopes, dtype=complex)
-        if times.ndim != 1 or values.shape != times.shape or len(times) < 2:
-            raise ValueError("sampled drive needs matching 1-D times/values, 2+ samples")
-        if slopes.shape != (len(times) - 1, 2):
-            raise ValueError("sampled drive needs slopes of shape (len(times) - 1, 2)")
-        # searchsorted reads any other grid silently wrong
-        if not (np.isfinite(times).all() and (times[1:] > times[:-1]).all()):
-            raise ValueError("sampled drive times must be finite and strictly increasing")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "slopes", slopes)
-        steps = np.diff(times)
-        cubics = np.stack(_hermite_cubic(steps, values[:-1], values[1:], slopes[:, 0],
-                                         slopes[:, 1]), axis=-1)
-        object.__setattr__(self, "_steps", np.append(steps, 1.0))
-        object.__setattr__(self, "_cubics", np.vstack((cubics, [0.0, 0.0, 0.0, values[-1]])))
-
-    @property
-    def start(self) -> float:
-        return float(self.times[0])
-
-    @property
-    def end(self) -> float:
-        return float(self.times[-1])
-
-    def baseband(self, t):
-        """Complex drive amplitude at time(s) t: each sample exactly, the
-        Hermite cubic of its interval in between."""
-        t = np.asarray(t, dtype=float)
-        k = np.maximum(np.searchsorted(self.times, t, side="right") - 1, 0)
-        x = (t - self.times[k]) / self._steps[k]
-        c = self._cubics[k]
-        value = ((c[..., 0] * x + c[..., 1]) * x + c[..., 2]) * x + c[..., 3]
-        return np.where((t >= self.times[0]) & (t <= self.times[-1]), value, 0.0)
-
-
-@dataclass(frozen=True)
 class GatePulse:
     """One DC gate pulse: g_on over [start, end), switched instantly."""
 
@@ -167,7 +110,7 @@ class GatePulse:
 class PulseSequence:
     """RF drive plus a non-overlapping list of gate pulses."""
 
-    rf: RfPulse | SampledDrive | None = None
+    rf: RfPulse | None = None
     gate_pulses: tuple[GatePulse, ...] = ()
 
     def __post_init__(self):
@@ -216,13 +159,32 @@ class CoupledModeSystem:
 
 
 @dataclass(frozen=True)
+class ReadCascade:
+    """A read's idle neighbour, integrated together with the reading cell
+    in the reader's frame.  The reader starts from (a, b) = (0, 1) and runs
+    the read's gate pulses; the neighbour starts empty at its gate-OFF
+    floor, its coupler driven by the reader's emitted field -sqrt(kappa_ext)
+    a (a cascaded system: Gardiner, PRL 70, 2269 (1993))."""
+
+    reader: CoupledModeSystem
+    neighbour: CoupledModeSystem
+
+
+@dataclass(frozen=True)
 class Trajectory:
-    """Time-domain record of one evolution."""
+    """Time-domain record of one evolution: row n of x is the state (a, b)
+    at times[n]."""
 
     times: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    a_out: np.ndarray
+    x: np.ndarray
+
+    @property
+    def a(self):
+        return self.x[:, 0]
+
+    @property
+    def b(self):
+        return self.x[:, 1]
 
     @property
     def e_a(self):
@@ -240,56 +202,76 @@ def swap_duration(g_ang: float) -> float:
     return math.pi / (2.0 * g_ang)
 
 
-def _frame_carrier(system: CoupledModeSystem, pulses: PulseSequence) -> float:
-    """Rotating-frame angular frequency: the RF carrier, else the cavity."""
+def _cells(system: CoupledModeSystem | ReadCascade):
+    """The cells of system in feedline order, the gated one first, and the
+    state, (a, b) of each cell in turn, that peak_coupler_energy() starts
+    from."""
+    if isinstance(system, ReadCascade):
+        return (system.reader, system.neighbour), [0.0, 1.0, 0.0, 0.0]
+    return (system,), [0.0, 0.0]
+
+
+def _frame_carrier(system: CoupledModeSystem | ReadCascade, pulses: PulseSequence) -> float:
+    """Rotating-frame angular frequency: the RF carrier, else the first
+    cell's cavity."""
     if pulses.rf is not None:
         return TWO_PI * pulses.rf.carrier
-    return system.omega_b
+    return _cells(system)[0][0].omega_b
 
 
-def max_stable_dt(system: CoupledModeSystem, pulses: PulseSequence) -> float:
+def max_stable_dt(system: CoupledModeSystem | ReadCascade, pulses: PulseSequence) -> float:
     """Largest step honoring the resolution guard (50 steps per period
-    of the fastest detuning, coupling or decay rate)."""
+    of the fastest detuning, coupling or decay rate of any cell)."""
     w_d = _frame_carrier(system, pulses)
-    rates = [
-        abs(system.omega_a - w_d),
-        abs(system.omega_b - w_d),
-        system.kappa_ext + system.kappa_int_a,
-        system.gamma_b,
-        system.g_on,
-        system.g_off,
-    ]
-    m = max(rates)
+    m = max(max(abs(c.omega_a - w_d), abs(c.omega_b - w_d), c.kappa_ext + c.kappa_int_a,
+                c.gamma_b, c.g_on, c.g_off)
+            for c in _cells(system)[0])
     return math.inf if m == 0 else TWO_PI / (50.0 * m)
 
 
-def _rk4_increment(a, b, h, ca, cb, root_k, g, f):
-    """Change of (a, b) over one classical RK4 step at coupling g; f holds
-    the drive at the step's start, midpoint and end."""
+def _generator(system, w_d, g):
+    """The model's equations dx/dt = A x + B a_in(t) in the frame w_d, x
+    holding (a, b) of each cell in turn: each row of [A | B] as its nonzero
+    (column, coefficient) terms in column order, column W being the drive.
+    The first cell couples at g and every other one at its g_off floor;
+    each coupler takes a_in less the field emitted by the couplers before
+    it."""
+    cells = _cells(system)[0]
+    width = 2 * len(cells)
+    rows = []
+    for k, cell in enumerate(cells):
+        kappa = cell.kappa_ext + cell.kappa_int_a
+        coupling = -1j * (g if k == 0 else cell.g_off)
+        a_row = [(2 * j, -math.sqrt(cell.kappa_ext * upstream.kappa_ext))
+                 for j, upstream in enumerate(cells[:k])]
+        a_row += [(2 * k, -(1j * (cell.omega_a - w_d) + 0.5 * kappa)), (2 * k + 1, coupling),
+                  (width, math.sqrt(cell.kappa_ext))]
+        b_row = [(2 * k, coupling), (2 * k + 1, -(1j * (cell.omega_b - w_d) + 0.5 * cell.gamma_b))]
+        rows += [[(j, c) for j, c in row if c] for row in (a_row, b_row)]
+    return rows
+
+
+def _rk4_increment(x, h, gen, f):
+    """Change of the state x over one classical RK4 step of dx/dt = A x +
+    B a_in(t), gen holding the terms of [A | B] (_generator()); f holds
+    a_in at the step's start, midpoint and end."""
+    def rate(y, u):
+        # Python numbers, summed term by term in column order: numpy's
+        # vectorized complex products can round differently in the last bit
+        y = [*y, u]
+        return [sum([c * y[j] for j, c in row]) for row in gen]
+
     f0, f1, f2 = f
-    k1a = ca * a - 1j * g * b + root_k * f0
-    k1b = cb * b - 1j * g * a
-    a1 = a + 0.5 * h * k1a
-    b1 = b + 0.5 * h * k1b
-    k2a = ca * a1 - 1j * g * b1 + root_k * f1
-    k2b = cb * b1 - 1j * g * a1
-    a2 = a + 0.5 * h * k2a
-    b2 = b + 0.5 * h * k2b
-    k3a = ca * a2 - 1j * g * b2 + root_k * f1
-    k3b = cb * b2 - 1j * g * a2
-    a3 = a + h * k3a
-    b3 = b + h * k3b
-    k4a = ca * a3 - 1j * g * b3 + root_k * f2
-    k4b = cb * b3 - 1j * g * a3
-    return (
-        (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a),
-        (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b),
-    )
+    k1 = rate(x, f0)
+    k2 = rate([v + 0.5 * h * k for v, k in zip(x, k1)], f1)
+    k3 = rate([v + 0.5 * h * k for v, k in zip(x, k2)], f1)
+    k4 = rate([v + h * k for v, k in zip(x, k3)], f2)
+    return [(h / 6.0) * (p + 2.0 * q + 2.0 * r + s) for p, q, r, s in zip(k1, k2, k3, k4)]
 
 
 def _doubling_scan(y, q):
     """Scan y in place along its last axis: y_j <- sum_{i<=j} P^i y_{j-i},
-    where P = I + q acts on axis -2 (length 2).
+    where P = I + q acts on axis -2, the state's components.
 
     Hillis & Steele doubling (CACM 29, 1170): pass d = 1, 2, 4, ... adds
     P^d y_{j-d} to every y_j, j >= d.  P^d is carried as P^d - I, keeping
@@ -319,43 +301,47 @@ _CHUNK_STEPS = 8192
 
 def _scan_chunk(x, m, step_map, lift, ain):
     """m steps of one piece from the state in row 0 of x, written into rows
-    1..m; ain holds the drive on the chunk's half-step grid.
+    1..m; ain holds the drive on the chunk's half-step grid, or None.
 
     Each step is x_{n+1} = x_n + Q x_n + r_n with r_n = m0 f(t_n) +
     m1 f(t_n + h/2) + m2 f(t_n + h); Q and the m are the columns of
-    step_map, the increment of one RK4 step on the basis (x_a, x_b, f0,
-    f1, f2).  lift stacks P^(k+1) - I for k < K, P = I + Q, as (2K, 2).
-    The steps are cut into B blocks of K steps, laid out as a contiguous
-    (K, 2, B) scratch buffer: row k holds step k of every block.
-    1. Zero state: K - 1 steps, each one (2, 2) @ (2, B) matmul and two
+    step_map, the increment of one RK4 step on the basis of the W state
+    components and the three drive samples.  lift stacks P^(k+1) - I for
+    k < K, P = I + Q, as (WK, W).  The steps are cut into B blocks of K
+    steps, laid out as a contiguous (K, W, B) scratch buffer: row k holds
+    step k of every block.
+    1. Zero state: K - 1 steps, each one (W, W) @ (W, B) matmul and two
        adds, run every block from a zero state under its own drive.
     2. Carry: block j starts from c_j = e_{j-1} + P^K c_{j-1}, c_0 = x_0,
        e being a block's zero-state end: a doubling scan over the blocks.
-    3. Lift: one GEMM, lift times the (2, B) carries, overwrites the
+    3. Lift: one GEMM, lift times the (W, B) carries, overwrites the
        buffer; it and the carries are added to the zero-state rows in x.
     x needs K - 1 padding rows past row m; they are zeroed here, and what
     they hold never reaches rows 1..m.
     """
-    k_len = len(lift) // 2
+    width = x.shape[1]
+    k_len = len(lift) // width
     n_blocks = -(-m // k_len)
-    q = step_map[:, :2]
-    m0, m1, m2 = step_map[:, 2], step_map[:, 3], step_map[:, 4]
-    f0, f1, f2 = (ain[j:2 * m + j:2] for j in range(3))
+    q = step_map[:, :width]
     rows = x[1:m + 1]
-    # elementwise, not a matmul over a strided window: that copies the drive
-    for c in (0, 1):
-        np.multiply(f0, m0[c], out=rows[:, c])
-        rows[:, c] += m1[c] * f1
-    # the drive at the step end enters only k4 of a: m2 is (h root_k / 6, 0)
-    rows[:, 0] += m2[0] * f2
+    if ain is None:
+        rows[...] = 0.0
+    else:
+        m0, m1, m2 = (step_map[:, width + j] for j in range(3))
+        f0, f1, f2 = (ain[j:2 * m + j:2] for j in range(3))
+        # elementwise, not a matmul over a strided window: that copies the drive
+        for c in range(width):
+            np.multiply(f0, m0[c], out=rows[:, c])
+            rows[:, c] += m1[c] * f1
+            rows[:, c] += m2[c] * f2
 
     x[m + 1:1 + n_blocks * k_len] = 0.0
-    z = x[1:1 + n_blocks * k_len].reshape(n_blocks, k_len, 2)
+    z = x[1:1 + n_blocks * k_len].reshape(n_blocks, k_len, width)
     # an explicit copy: for B == 1 the transposed view is already
     # contiguous, and ascontiguousarray would hand back x itself
-    buf = np.empty((k_len, 2, n_blocks), dtype=complex)
+    buf = np.empty((k_len, width, n_blocks), dtype=complex)
     buf[...] = z.transpose(1, 2, 0)
-    step = np.empty((2, n_blocks), dtype=complex)
+    step = np.empty((width, n_blocks), dtype=complex)
     for k in range(1, k_len):
         np.matmul(q, buf[k - 1], out=step)
         step += buf[k - 1]
@@ -363,18 +349,19 @@ def _scan_chunk(x, m, step_map, lift, ain):
     z[...] = buf.transpose(2, 0, 1)
 
     starts = np.column_stack((x[0], buf[-1, :, :-1]))
-    _doubling_scan(starts, lift[-2:])
-    np.matmul(lift, starts, out=buf.reshape(2 * k_len, n_blocks))
+    _doubling_scan(starts, lift[-width:])
+    np.matmul(lift, starts, out=buf.reshape(width * k_len, n_blocks))
     z += buf.transpose(2, 0, 1)
     z += starts.T[:, None, :]
 
 
 def _pieces(system, pulses, t_span, dt):
-    """Check an evolve() call and cut its span at the gate edges.
+    """Check an integration and cut its span at the gate edges.
 
-    Returns the rates (ca, cb, root_k) and one (start, steps, step,
-    coupling, end) tuple per piece; end is the next piece's start, which
-    is the piece's last sample, and None for the last piece.
+    Returns one (start, steps, step, generator, end) tuple per piece: the
+    generator is _generator() at the piece's one coupling, and end is the
+    next piece's start, which is the piece's last sample, and None for the
+    last piece.
     """
     t0, t1 = t_span
     if not t1 > t0:
@@ -395,63 +382,56 @@ def _pieces(system, pulses, t_span, dt):
     cuts = [t0, *sorted({t for p in pulses.gate_pulses for t in (p.start, p.end)
                          if t0 < t < t1}), t1]
     mids = 0.5 * (np.array(cuts[:-1]) + np.array(cuts[1:]))
+    w_d = _frame_carrier(system, pulses)
     pieces = []
     for ta, tb, g in zip(cuts, cuts[1:], _couplings(system, pulses, mids).tolist()):
         n = max(int(math.ceil((tb - ta) / dt - 1e-9)), 1)
-        pieces.append((ta, n, (tb - ta) / n, g, tb if tb < t1 else None))
-    return _rates(system, pulses), pieces
-
-
-def _rates(system, pulses):
-    """The rates (ca, cb, root_k) of the model's equations in the drive's
-    frame: da/dt = ca a - i g b + root_k a_in, db/dt = cb b - i g a."""
-    w_d = _frame_carrier(system, pulses)
-    kappa = system.kappa_ext + system.kappa_int_a
-    ca = -(1j * (system.omega_a - w_d) + 0.5 * kappa)
-    cb = -(1j * (system.omega_b - w_d) + 0.5 * system.gamma_b)
-    return ca, cb, math.sqrt(system.kappa_ext)
+        pieces.append((ta, n, (tb - ta) / n, _generator(system, w_d, g),
+                       tb if tb < t1 else None))
+    return pieces
 
 
 def _couplings(system, pulses, t):
-    """g at time(s) t: g_on inside a gate pulse, the g_off floor outside."""
+    """The first cell's g at time(s) t: g_on inside a gate pulse, the g_off
+    floor outside."""
+    gated = _cells(system)[0][0]
     on = np.zeros(np.shape(t), dtype=bool)
     for p in pulses.gate_pulses:
         on |= (p.start <= t) & (t < p.end)
-    return np.where(on, system.g_on, system.g_off)
+    return np.where(on, gated.g_on, gated.g_off)
 
 
-def _chunks(rf, rates, pieces, a0, b0):
-    """Integrate the pieces chunk by chunk from (a0, b0).
+def _chunks(rf, pieces, x0):
+    """Integrate the pieces chunk by chunk from the state x0.
 
-    Yields (first step, half grid, drive on it, states) per chunk of at
-    most _CHUNK_STEPS steps of one piece: the grid holds each step's
-    start, midpoint and end, and the states are the rows (a, b) at the
-    step ends, row 0 being the chunk's start.  All three are views of
-    buffers that the next chunk overwrites.  A non-finite state raises
-    ArithmeticError.
+    Yields (first step, half grid, states) per chunk of at most
+    _CHUNK_STEPS steps of one piece: the grid holds each step's start,
+    midpoint and end, and the states are the rows of x at the step ends,
+    row 0 being the chunk's start.  Both are views of buffers that the
+    next chunk overwrites.  A non-finite state raises ArithmeticError.
     """
-    ca, cb, root_k = rates
+    width = len(x0)
     longest = min(max(n for _, n, *_ in pieces), _CHUNK_STEPS)
-    x = np.zeros((longest + _BLOCK_STEPS, 2), dtype=complex)
-    x[0] = a0, b0
+    x = np.zeros((longest + _BLOCK_STEPS, width), dtype=complex)
+    x[0] = x0
     grid = np.empty(2 * longest + 1)
-    drive = np.zeros(2 * longest + 1, dtype=complex)
+    drive = np.empty(2 * longest + 1, dtype=complex)
     first = 0
-    for ta, n, h, g, t_end in pieces:
+    # the increment on each state component and, under a drive, on the
+    # drive at the step's start, midpoint and end
+    basis = np.eye(width + 3).tolist()[:width if rf is None else None]
+    for ta, n, h, gen, t_end in pieces:
         # Q is read off the increment, never formed as P - I: subtracting I
         # would bias every step by its round-off
-        step_map = np.array([
-            _rk4_increment(e[0], e[1], h, ca, cb, root_k, g, e[2:])
-            for e in np.eye(5).tolist()
-        ]).T
+        step_map = np.array([_rk4_increment(e[:width], h, gen, e[width:]) for e in basis]).T
         # column c of P^(k+1) - I is sum_{i<=k} P^i Q[:, c]; a piece
         # shorter than a block is one block of its own length
-        powers = np.repeat(step_map[:, :2].T[:, :, None], min(_BLOCK_STEPS, n), axis=2)
-        _doubling_scan(powers, step_map[:, :2])
-        lift = powers.transpose(2, 1, 0).reshape(-1, 2)
+        powers = np.repeat(step_map[:, :width].T[:, :, None], min(_BLOCK_STEPS, n), axis=2)
+        _doubling_scan(powers, step_map[:, :width])
+        lift = powers.transpose(2, 1, 0).reshape(-1, width)
         for j in range(0, n, _CHUNK_STEPS):
             m = min(n - j, _CHUNK_STEPS)
-            t, ain = grid[:2 * m + 1], drive[:2 * m + 1]
+            t = grid[:2 * m + 1]
             # ta + (h / 2) k for the chunk's half steps k
             np.multiply(np.arange(2 * j, 2 * (j + m) + 1), 0.5 * h, out=t)
             t += ta
@@ -463,13 +443,15 @@ def _chunks(rf, rates, pieces, a0, b0):
             mids = t[1::2]
             np.add(t[:-1:2], t[2::2], out=mids)
             mids *= 0.5
+            ain = None
             if rf is not None:
+                ain = drive[:2 * m + 1]
                 ain[...] = rf.baseband(t)
             _scan_chunk(x, m, step_map, lift, ain)
             states = x[:m + 1]
             if not np.isfinite(states).all():
                 raise ArithmeticError("trajectory diverged; reduce dt")
-            yield first, t, ain, states
+            yield first, t, states
             x[0] = x[m]
             first += m
 
@@ -490,58 +472,70 @@ def evolve(
     one coupling in even steps of at most dt, as one exact recurrence (see
     the module docstring); results are deterministic.
     """
-    rates, pieces = _pieces(system, pulses, t_span, dt)
-    root_k = rates[2]
+    pieces = _pieces(system, pulses, t_span, dt)
     n_steps = sum(n for _, n, *_ in pieces)
     times = np.empty(n_steps + 1)
     x = np.empty((n_steps + 1, 2), dtype=complex)
-    a_out = np.empty(n_steps + 1, dtype=complex)
     # a chunk's first row repeats the last row of the chunk before
-    for s, t, ain, states in _chunks(pulses.rf, rates, pieces, a0, b0):
+    for s, t, states in _chunks(pulses.rf, pieces, [a0, b0]):
         e = s + len(states)
         times[s:e] = t[0::2]
         x[s:e] = states
-        a_out[s:e] = ain[0::2] - root_k * states[:, 0]
-    return Trajectory(times=times, a=x[:, 0], b=x[:, 1], a_out=a_out)
+    return Trajectory(times=times, x=x)
 
 
 def _hermite_cubic(h, v0, v1, s0, s1):
     """Coefficients (c3, c2, c1, c0) of the cubic in x = (t - t0) / h on
     [0, 1] that takes the values v0, v1 and the slopes s0, s1 (per unit t)
-    at its ends; numbers or arrays."""
+    at its ends."""
     return (2.0 * (v0 - v1) + h * (s0 + s1), 3.0 * (v1 - v0) - h * (2.0 * s0 + s1), h * s0, v0)
 
 
-def coupler_slopes(system: CoupledModeSystem, pulses: PulseSequence, times, a, b):
-    """a'(t) from the model's equation at both ends of every step of the
-    samples (times, a, b) of a trajectory under pulses, each step at its own
-    coupling: shape (len(times) - 1, 2), start and end.  At a gate edge the
-    two steps that meet there take different slopes."""
+def coupler_slopes(system: CoupledModeSystem | ReadCascade, pulses: PulseSequence, times, x):
+    """a'(t) of system's last coupler (a ReadCascade's neighbour) from the
+    model's equations, at both ends of every step of the samples (times, x)
+    of a trajectory under pulses, each step at its own coupling: shape
+    (len(times) - 1, 2), start and end.  At a gate edge the two steps that
+    meet there take different slopes."""
     times = np.asarray(times, dtype=float)
-    ca, _, root_k = _rates(system, pulses)
+    w_d = _frame_carrier(system, pulses)
     g = _couplings(system, pulses, 0.5 * (times[:-1] + times[1:]))
-    free = ca * a
-    if pulses.rf is not None:
-        free = free + root_k * pulses.rf.baseband(times)
-    return np.stack((free[:-1] - 1j * g * b[:-1], free[1:] - 1j * g * b[1:]), axis=1)
+    m = x.shape[1] - 2
+    slopes = np.empty((len(times) - 1, 2), dtype=complex)
+    for coupling in set(g.tolist()):
+        terms = dict(_generator(system, w_d, coupling)[m])
+        # the coupler's own term and its drive, then the other components
+        s = terms.pop(m, 0.0) * x[:, m]
+        drive = terms.pop(x.shape[1], 0.0)
+        if pulses.rf is not None:
+            s = s + drive * pulses.rf.baseband(times)
+        for j, c in terms.items():
+            s = s + c * x[:, j]
+        steps = g == coupling
+        slopes[steps, 0] = s[:-1][steps]
+        slopes[steps, 1] = s[1:][steps]
+    return slopes
 
 
-def coupler_peak(system: CoupledModeSystem, pulses: PulseSequence, times, a, b) -> float:
-    """Peak coupler energy max_t |a(t)|^2 of the samples (times, a, b) of a
-    trajectory under pulses.
+def coupler_peak(system: CoupledModeSystem | ReadCascade, pulses: PulseSequence, times,
+                 x) -> float:
+    """Peak coupler energy max_t |a(t)|^2 of the samples (times, x) of a
+    trajectory under pulses, a being system's last coupler (a
+    ReadCascade's neighbour).
 
     The maximum is taken on the cubic Hermite interpolant of the steps on
     either side of the largest sample, with slopes from coupler_slopes():
     the dense output of RK4, fourth order like the steps themselves
     (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6).  On each step it
-    is exact: |p(x)|^2 is a degree-6 polynomial, and its maximum lies at a
-    sample or at a real root of its derivative.
+    is exact: |p(u)|^2 is a degree-6 polynomial in u = (t - t0) / h, and
+    its maximum lies at a sample or at a real root of its derivative.
     """
+    a = x[:, -2]
     energy = np.abs(a) ** 2
     k = int(np.argmax(energy))
     w = slice(max(k - 1, 0), k + 2)
     t, aw = times[w], a[w]
-    slopes = coupler_slopes(system, pulses, t, aw, b[w]).tolist()
+    slopes = coupler_slopes(system, pulses, t, x[w]).tolist()
     peak = float(energy[k])
     # a window of at most two steps: Python numbers cost less than arrays
     for h, a0, a1, (s0, s1) in zip(np.diff(t).tolist(), aw[:-1].tolist(), aw[1:].tolist(),
@@ -552,35 +546,36 @@ def coupler_peak(system: CoupledModeSystem, pulses: PulseSequence, times, a, b) 
         # of them: a step whose points stay within the peak cannot pass it
         if max(abs(a0 + c[1] / 3.0), abs(a1 - h * s1 / 3.0)) ** 2 <= peak:
             continue
-        # |p(x)|^2 = sum_j e_j x^j, e_j = sum_{m + n = j} Re(c_m conj(c_n))
+        # |p(u)|^2 = sum_j e_j u^j, e_j = sum_{m + n = j} Re(c_m conj(c_n))
         e = [sum((c[m] * c[j - m].conjugate()).real for m in range(max(0, j - 3), min(j, 3) + 1))
              for j in range(7)]
         # a complex root's real part is one more point of the step, so trying
         # it too can only find a value the interpolant takes
-        for x in np.roots([j * e[j] for j in range(6, 0, -1)]).real.tolist():
-            if 0.0 < x < 1.0:
-                peak = max(peak, abs(((c[3] * x + c[2]) * x + c[1]) * x + c[0]) ** 2)
+        for u in np.roots([j * e[j] for j in range(6, 0, -1)]).real.tolist():
+            if 0.0 < u < 1.0:
+                peak = max(peak, abs(((c[3] * u + c[2]) * u + c[1]) * u + c[0]) ** 2)
     return peak
 
 
 def peak_coupler_energy(
-    system: CoupledModeSystem,
+    system: CoupledModeSystem | ReadCascade,
     pulses: PulseSequence,
     t_span: tuple[float, float],
     dt: float,
 ) -> float:
-    """Peak coupler energy of evolve(system, pulses, t_span, dt) from an
-    empty cell: the largest coupler_peak() of the integration's chunks.
-    That is coupler_peak() of evolve's trajectory, unless another chunk's
-    largest sample ties the overall largest to within the interpolant's
-    rise above it.
+    """Peak coupler energy of system's last coupler over an integration:
+    from an empty cell, or for a ReadCascade from the reader's stored
+    excitation, the largest coupler_peak() of the integration's chunks.
+    For a CoupledModeSystem that is coupler_peak() of evolve's trajectory,
+    unless another chunk's largest sample ties the overall largest to
+    within the interpolant's rise above it.
 
     Each chunk of the integration is reduced as it is made, so no
     trajectory is built and the memory used does not grow with the span.
     """
-    rates, pieces = _pieces(system, pulses, t_span, dt)
-    return max(coupler_peak(system, pulses, t[0::2], states[:, 0], states[:, 1])
-               for _, t, _, states in _chunks(pulses.rf, rates, pieces, 0.0, 0.0))
+    pieces = _pieces(system, pulses, t_span, dt)
+    return max(coupler_peak(system, pulses, t[0::2], states)
+               for _, t, states in _chunks(pulses.rf, pieces, _cells(system)[1]))
 
 
 # ------------------------- protocols -------------------------
@@ -638,7 +633,7 @@ def write_protocol(
     pulses, t_end = write_pulses(system, rf, gate_at, engage_gate)
     dt = dt_fraction * max_stable_dt(system, pulses)
     traj = evolve(system, pulses, (min(0.0, rf.start), t_end), dt)
-    peak = coupler_peak(system, pulses, traj.times, traj.a, traj.b)
+    peak = coupler_peak(system, pulses, traj.times, traj.x)
     if peak == 0.0:
         return WriteResult(fidelity=0.0, trajectory=traj, pulses=pulses)
     # |b(end)|^2 by e_b's own array ops, without e_b's full-length arrays
@@ -668,6 +663,7 @@ def read_protocol(system: CoupledModeSystem, dt_fraction: float = DT_FRACTION) -
     pulses = PulseSequence(rf=None, gate_pulses=(gate,))
     dt = dt_fraction * max_stable_dt(system, pulses)
     traj = evolve(system, pulses, (0.0, read_duration(system)), dt, a0=0.0, b0=1.0)
-    emitted_power = np.abs(traj.a_out) ** 2
+    # the emitted field of an undriven read is -sqrt(kappa_ext) a
+    emitted_power = np.abs(math.sqrt(system.kappa_ext) * traj.a) ** 2
     recovered = float(np.trapezoid(emitted_power, traj.times))
     return ReadResult(recovered_fraction=recovered, trajectory=traj, pulses=pulses)

@@ -196,7 +196,9 @@ def test_criterion_7_write_read_protocols():
         read2 = read_protocol(system)
         assert first.fidelity * read1.recovered_fraction >= 0.95
         assert read1.recovered_fraction == read2.recovered_fraction
-        assert np.array_equal(read1.trajectory.a_out, read2.trajectory.a_out)
+        # the emitted field of an undriven read, a_out = -sqrt(kappa_ext) a
+        emitted = [-math.sqrt(system.kappa_ext) * r.trajectory.a for r in (read1, read2)]
+        assert np.array_equal(*emitted)
 
 
 def test_criterion_8_array_spectrum_and_crosstalk(array, array_models):

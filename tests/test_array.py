@@ -1,8 +1,10 @@
 """Multiplexed array: composition, addressing, crosstalk, scheduling."""
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qmemsim import array as array_module, dynamics
 from qmemsim.array import (
@@ -15,7 +17,13 @@ from qmemsim.array import (
     run_schedule,
 )
 from qmemsim.cell import frequency_sweep
-from qmemsim.dynamics import DT_FRACTION, PulseSequence, max_stable_dt, swap_duration
+from qmemsim.dynamics import (
+    DT_FRACTION,
+    PulseSequence,
+    max_stable_dt,
+    read_duration,
+    swap_duration,
+)
 from qmemsim.jjfet import OFF
 from tests.conftest import ANCHOR, TARGETS
 
@@ -252,10 +260,68 @@ def _relative_errors(report, ref):
             np.abs(report.crosstalk[off] / ref.crosstalk[off] - 1.0))
 
 
+def _read_generator(reader, neighbour, g):
+    """A of dx/dt = A x for a read's two cells, x = (a_i, b_i, a_j, b_j) in
+    the reader's frame: the reader at coupling g, the neighbour at its
+    gate-OFF floor and driven by the reader's emitted field."""
+    def block(cell, coupling):
+        kappa = cell.kappa_ext + cell.kappa_int_a
+        return [[-(1j * (cell.omega_a - reader.omega_b) + 0.5 * kappa), -1j * coupling],
+                [-1j * coupling, -(1j * (cell.omega_b - reader.omega_b) + 0.5 * cell.gamma_b)]]
+    a = np.zeros((4, 4), dtype=complex)
+    a[:2, :2] = block(reader, g)
+    a[2:, 2:] = block(neighbour, neighbour.g_off)
+    a[2, 0] = -math.sqrt(reader.kappa_ext * neighbour.kappa_ext)
+    return a
+
+
+def _exact_read_peaks(reader, neighbour, samples=20_000, fine=800):
+    """max |a_i|^2 and max |a_j|^2 over a read: each piece of constant
+    coupling is x(t) = expm(A (t - t_p)) x(t_p) exactly.  Each peak is the
+    best of `samples` even samples per piece, refined by `fine` samples of
+    the two intervals around it."""
+    t_swap = swap_duration(reader.g_on)
+    x = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
+    peaks = [0.0, 0.0]
+    for (t0, t1), g in (((0.0, t_swap), reader.g_on),
+                        ((t_swap, read_duration(reader)), reader.g_off)):
+        a = _read_generator(reader, neighbour, g)
+        h = (t1 - t0) / samples
+        # blocks of 100 samples, each lifted from its block's first state
+        lift = expm(a[None] * (h * np.arange(100))[:, None, None])
+        jump = expm(100 * h * a)
+        states = []
+        for _ in range(-(-(samples + 1) // 100)):
+            states.append(lift @ x)
+            x = jump @ x
+        states = np.concatenate(states)[:samples + 1]
+        x = states[-1]
+        for n, c in enumerate((0, 2)):
+            k = int(np.argmax(np.abs(states[:, c]) ** 2))
+            lo, hi = max(k - 1, 0), min(k + 1, samples)
+            taus = np.linspace(0.0, (hi - lo) * h, fine + 1)
+            near = expm(a[None] * taus[:, None, None]) @ states[lo]
+            peaks[n] = max(peaks[n], float(np.max(np.abs(near[:, c]) ** 2)))
+    return peaks
+
+
+@pytest.fixture(scope="module")
+def exact_read_rows(array_models):
+    """crosstalk[i][j] of a read on cell i from _exact_read_peaks()."""
+    systems = [m.system for m in array_models]
+    rows = np.eye(len(systems))
+    for i, reader in enumerate(systems):
+        for j, neighbour in enumerate(systems):
+            if j != i:
+                peak_i, peak_j = _exact_read_peaks(reader, neighbour)
+                rows[i, j] = peak_j / peak_i
+    return rows
+
+
 class TestStepConvergence:
-    # the peaks and the read's emitted field are fourth order, as RK4 is;
-    # with a sampled max |a|^2, or a linearly interpolated drive, the worst
-    # read-row entry is 3.8e-4 or 4.1e-4 off at the default fraction
+    # the peaks are fourth order, as RK4 is, and a read's neighbours are
+    # integrated together with the reader; with a sampled max |a|^2 the
+    # worst read-row entry is 3.6e-4 off at the default fraction
     @pytest.mark.parametrize("kind", KIND_SCHEDULES)
     def test_default_fraction_within_1e5_of_a_sixteenth(self, reports_by_fraction, kind):
         assert DT_FRACTION == 1.0
@@ -264,12 +330,20 @@ class TestStepConvergence:
         assert np.all(fidelities <= 1e-5) and np.all(crosstalk <= 1e-5)
 
     def test_read_row_entry_converges_at_fourth_order(self, reports_by_fraction):
-        # the read on cell 0 as seen by cell 3, the worst entry at the
-        # default fraction: each halving of the step cuts its error 8x or more
-        ref = reports_by_fraction["read", 0.0625].crosstalk[0, 3]
-        errors = [abs(reports_by_fraction["read", f].crosstalk[0, 3] / ref - 1.0)
+        # every read-row entry: each halving of the step from the default
+        # fraction cuts its error against a sixteenth of the guard 8x or more
+        off = ~np.eye(4, dtype=bool)
+        ref = reports_by_fraction["read", 0.0625].crosstalk[off]
+        errors = [np.abs(reports_by_fraction["read", f].crosstalk[off] / ref - 1.0)
                   for f in (None, 0.5, 0.25)]
-        assert errors[0] >= 8.0 * errors[1] and errors[1] >= 8.0 * errors[2]
+        assert np.all(errors[0] >= 8.0 * errors[1]) and np.all(errors[1] >= 8.0 * errors[2])
+
+    @pytest.mark.parametrize("f, bound", [(None, 1e-5), (0.25, 2e-8)])
+    def test_read_rows_match_the_exact_solution(self, reports_by_fraction, exact_read_rows,
+                                                f, bound):
+        off = ~np.eye(4, dtype=bool)
+        rows = reports_by_fraction["read", f].crosstalk
+        assert np.all(np.abs(rows[off] / exact_read_rows[off] - 1.0) <= bound)
 
     @pytest.mark.parametrize("f", [None, 0.25])
     def test_reported_steps_honour_the_guard(self, reports_by_fraction, array_models, f):
@@ -300,3 +374,10 @@ class TestValidation:
             AccessOp(op="erase", cell_index=0)
         with pytest.raises(ValueError):
             AccessOp(op="write", cell_index=-1)
+
+    @pytest.mark.parametrize("field, value", [("rf_carrier", 6.5501e9), ("rf_duration", 1e-12)])
+    def test_read_takes_no_rf_fields(self, field, value):
+        # a read drives nothing, so either field would be parsed and ignored
+        with pytest.raises(ValueError, match="a read takes no rf_carrier or rf_duration"):
+            AccessOp(op="read", cell_index=0, **{field: value})
+        AccessOp(op="write", cell_index=0, **{field: value})

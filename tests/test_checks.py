@@ -18,7 +18,6 @@ from qmemsim.dynamics import (
     GatePulse,
     PulseSequence,
     RfPulse,
-    SampledDrive,
     evolve,
     peak_coupler_energy,
     read_protocol,
@@ -65,8 +64,6 @@ VALID = {
     CrossingFit: CrossingFit(g=240e6, l_cross=2e-10, f_cross=6.5e9, window=(1e-10, 3e-10),
                              coeffs=(0.0, 0.0, 0.0, 6.5e9), residual_rms=0.0),
     RfPulse: RfPulse(carrier=6.5e9, amplitude=1.0, start=0.0, duration=1e-9, sigma=1e-9),
-    SampledDrive: SampledDrive(carrier=6.5e9, times=[0.0, 1e-8], values=[0.0, 1.0],
-                               slopes=[[0.0, 0.0]]),
     GatePulse: GatePulse(start=0.0, duration=1e-9),
     CoupledModeSystem: SYSTEM,
     MemoryArray: MemoryArray(cells=(CELL,), targets=(6.55e9,)),
@@ -90,7 +87,6 @@ OUT_OF_RANGE = [
     (CrossingFit, "g", 0.0),
     (RfPulse, "carrier", -1.0), (RfPulse, "amplitude", math.inf), (RfPulse, "start", -math.inf),
     (RfPulse, "duration", 0.0), (RfPulse, "sigma", 0.0),
-    (SampledDrive, "carrier", 0.0),
     (GatePulse, "start", math.inf), (GatePulse, "duration", 0.0),
     *((CoupledModeSystem, name, -1.0) for name in
       ("omega_a", "omega_b", "kappa_ext", "kappa_int_a", "gamma_b", "g_on", "g_off")),

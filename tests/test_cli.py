@@ -569,8 +569,14 @@ class TestProtocolCommand:
         # an op has no amplitude: every reported number is an energy ratio
         ([{"op": "write", "cell_index": 0, "rf_amplitude": 0}], "unknown key 'rf_amplitude'"),
         ([{"op": "write", "cell_index": 0, "rf_amplitude": -1.0}], "unknown key 'rf_amplitude'"),
+        # a read drives nothing: its RF fields would be parsed and ignored
+        ([{"op": "write", "cell_index": 0},
+          {"op": "read", "cell_index": 0, "start": "5000 ns", "rf_duration": "0.001 ns",
+           "rf_carrier": "6.5501 GHz"}],
+         "ops[1]: AccessOp: a read takes no rf_carrier or rf_duration"),
     ], ids=["unknown-op", "cell-out-of-range", "carrier-off-cell", "negative-carrier",
-            "overlapping-ops", "zero-duration", "zero-amplitude", "negative-amplitude"])
+            "overlapping-ops", "zero-duration", "zero-amplitude", "negative-amplitude",
+            "read-rf-fields"])
     def test_schedule_validation_error(self, seed_path, tmp_path, capsys, ops, message):
         sched = tmp_path / "bad_sched.json"
         sched.write_text(json.dumps({"ops": ops}))
