@@ -227,11 +227,6 @@ def _validate_schedule(array: MemoryArray, schedule: AccessSchedule,
                 raise ScheduleError(f"operations on cell {idx} must not overlap")
 
 
-def _idle_deposit(system, pulses, t_span, dt, dt_fraction) -> float:
-    dt_j = min(dt, dt_fraction * max_stable_dt(system, pulses))
-    return peak_coupler_energy(system, pulses, t_span, dt_j)
-
-
 def _run_op(
     op: AccessOp, models: list[_CellModel], dt_fraction: float
 ) -> tuple[float, dict[int, float], int, float]:
@@ -259,16 +254,17 @@ def _run_op(
 
     traj = result.trajectory
     deposit_i = coupler_peak(sys_i, result.pulses, traj.times, traj.x)
-    dt = float(np.max(np.diff(traj.times)))
+    largest = float(np.max(np.diff(traj.times)))
     steps = len(traj.times) - 1
     if deposit_i <= 0.0:
-        return fidelity, {}, steps, dt
+        return fidelity, {}, steps, largest
     t_span = (float(traj.times[0]), float(traj.times[-1]))
     ratios = {
-        j: _idle_deposit(system, pulses, t_span, dt, dt_fraction) / deposit_i
+        j: peak_coupler_energy(system, pulses, t_span,
+                               dt_fraction * max_stable_dt(system, pulses)) / deposit_i
         for j, system in idle.items()
     }
-    return fidelity, ratios, steps, dt
+    return fidelity, ratios, steps, largest
 
 
 def run_schedule(
@@ -284,8 +280,8 @@ def run_schedule(
     same feedline field (the input pulse for writes, the emitted field for
     reads) with its gate OFF.  Entries of the crosstalk matrix take the
     worst case over operations addressing the same cell.  Every cell
-    steps at dt_fraction of its resolution guard, or at the addressed
-    cell's largest step if that is finer.  Every op starts from an empty
+    steps each piece of its integration at dt_fraction of that piece's
+    resolution guard (see dynamics.evolve).  Every op starts from an empty
     cell, so repeated ops are integrated once and share their result.
     """
     crosstalk = np.eye(len(array))

@@ -19,12 +19,14 @@ The system is linear, so each RK4 step is the exact affine map
 x_{n+1} = x_n + Q x_n + r_n, with Q and the drive weights in r_n read off
 one application of the RK4 stage formula to the rows of the equations'
 generator [A | B], dx/dt = A x + B a_in(t).  g(t) changes only at the gate
-edges, so evolve() cuts the span there and runs each piece at its one
-coupling, in even steps of at most dt, as a blocked scan in numpy: blocks
-of _BLOCK_STEPS steps run from a zero state side by side, a doubling scan
-carries the state from block to block, and one matrix product lifts
-every block onto its carried-in state.  The result matches the
-step-by-step loop to round-off.
+edges and the drive only at the RF pulse's, so evolve() cuts the span
+there and runs each piece at its one coupling, wholly driven or undriven,
+in even steps at one fraction of the piece's own resolution guard: the
+gate-OFF stretches, where g_on does not act, step coarser than the swap.
+Each piece is a blocked scan in numpy: blocks of _BLOCK_STEPS steps run
+from a zero state side by side, a doubling scan carries the state from
+block to block, and one matrix product lifts every block onto its
+carried-in state.  The result matches the step-by-step loop to round-off.
 
 A piece is scanned in chunks of at most _CHUNK_STEPS steps, each starting
 from the last state of the one before, in chunk-sized buffers reused from
@@ -39,9 +41,10 @@ same scan: no emitted field is sampled or interpolated.
 
 Between samples a trajectory is read off RK4's dense output, the cubic
 Hermite interpolant through each step's end values and its end slopes
-from the equations above, each step at its own coupling: fourth order,
-like the steps.  coupler_peak() takes every peak max |a|^2 on it.  That
-is what lets the protocols step at the whole resolution guard
+from the equations above, each step at its own coupling and drive:
+fourth order, like the steps.  coupler_peak() takes every peak max |a|^2
+on it, and read_protocol() integrates the emitted energy on it.  That is
+what lets the protocols step at the whole resolution guard
 (DT_FRACTION = 1).
 """
 from __future__ import annotations
@@ -81,13 +84,20 @@ class RfPulse:
     def end(self) -> float:
         return self.start + self.duration
 
-    def baseband(self, t):
-        """Complex drive amplitude in the rotating frame at time(s) t."""
+    def envelope(self, t):
+        """Complex drive amplitude in the rotating frame at time(s) t as
+        seen from inside the pulse: its value on [start, end], edges
+        included, continued past them."""
         t = np.asarray(t, dtype=float)
-        inside = (t >= self.start) & (t < self.start + self.duration)
         # exp(-0) = 1 exactly: an infinite sigma is the rectangle bit for bit
         mid = self.start + 0.5 * self.duration
-        return self.amplitude * (np.exp(-0.5 * ((t - mid) / self.sigma) ** 2) * inside)
+        return self.amplitude * np.exp(-0.5 * ((t - mid) / self.sigma) ** 2)
+
+    def baseband(self, t):
+        """Complex drive amplitude in the rotating frame at time(s) t: the
+        envelope over [start, end), 0 outside."""
+        t = np.asarray(t, dtype=float)
+        return self.envelope(t) * ((t >= self.start) & (t < self.start + self.duration))
 
 
 @dataclass(frozen=True)
@@ -219,14 +229,22 @@ def _frame_carrier(system: CoupledModeSystem | ReadCascade, pulses: PulseSequenc
     return _cells(system)[0][0].omega_b
 
 
+def _guard(system, w_d, rates):
+    """50 steps per period of the fastest of every cell's detunings from
+    the frame w_d and decay rates and the further rates given."""
+    m = max(*rates, *(max(abs(c.omega_a - w_d), abs(c.omega_b - w_d),
+                          c.kappa_ext + c.kappa_int_a, c.gamma_b)
+                      for c in _cells(system)[0]))
+    return math.inf if m == 0 else TWO_PI / (50.0 * m)
+
+
 def max_stable_dt(system: CoupledModeSystem | ReadCascade, pulses: PulseSequence) -> float:
     """Largest step honoring the resolution guard (50 steps per period
-    of the fastest detuning, coupling or decay rate of any cell)."""
-    w_d = _frame_carrier(system, pulses)
-    m = max(max(abs(c.omega_a - w_d), abs(c.omega_b - w_d), c.kappa_ext + c.kappa_int_a,
-                c.gamma_b, c.g_on, c.g_off)
-            for c in _cells(system)[0])
-    return math.inf if m == 0 else TWO_PI / (50.0 * m)
+    of the fastest detuning, coupling or decay rate of any cell).
+    evolve() scales a step dt on each piece by the piece's own guard over
+    this one."""
+    return _guard(system, _frame_carrier(system, pulses),
+                  [g for c in _cells(system)[0] for g in (c.g_on, c.g_off)])
 
 
 def _generator(system, w_d, g):
@@ -356,12 +374,15 @@ def _scan_chunk(x, m, step_map, lift, ain):
 
 
 def _pieces(system, pulses, t_span, dt):
-    """Check an integration and cut its span at the gate edges.
+    """Check an integration and cut its span at the gate and RF edges.
 
-    Returns one (start, steps, step, generator, end) tuple per piece: the
-    generator is _generator() at the piece's one coupling, and end is the
-    next piece's start, which is the piece's last sample, and None for the
-    last piece.
+    Returns one (start, steps, step, generator, rf, end) tuple per piece:
+    the generator is _generator() at the piece's one coupling, rf is the
+    RF pulse if it drives the piece and None if not, and end is the next
+    piece's start, which is the piece's last sample, and None for the last
+    piece.  Each piece steps at the fraction dt / max_stable_dt() of its
+    own guard, which counts the piece's coupling, g_on or g_off, in place
+    of every coupling, and the envelope rate 1 / sigma if driven.
     """
     t0, t1 = t_span
     if not t1 > t0:
@@ -378,15 +399,23 @@ def _pieces(system, pulses, t_span, dt):
         if lo < t0 - 1e-18 or hi > t1 + 1e-18:
             raise ValueError("t_span must cover all pulses")
 
-    # g(t) changes only at the gate edges: one coupling per piece
-    cuts = [t0, *sorted({t for p in pulses.gate_pulses for t in (p.start, p.end)
-                         if t0 < t < t1}), t1]
+    # g(t) changes only at the gate edges and the drive only at the RF
+    # edges: each piece has one coupling and is wholly driven or undriven
+    rf = pulses.rf
+    edges = {t for p in pulses.gate_pulses for t in (p.start, p.end)}
+    edges |= set() if rf is None else {rf.start, rf.end}
+    cuts = [t0, *sorted(t for t in edges if t0 < t < t1), t1]
     mids = 0.5 * (np.array(cuts[:-1]) + np.array(cuts[1:]))
     w_d = _frame_carrier(system, pulses)
+    cells = _cells(system)[0]
     pieces = []
-    for ta, tb, g in zip(cuts, cuts[1:], _couplings(system, pulses, mids).tolist()):
-        n = max(int(math.ceil((tb - ta) / dt - 1e-9)), 1)
-        pieces.append((ta, n, (tb - ta) / n, _generator(system, w_d, g),
+    for ta, tb, g, on in zip(cuts, cuts[1:], _couplings(system, pulses, mids).tolist(),
+                             _driven(pulses, mids).tolist()):
+        rates = [g, *(c.g_off for c in cells[1:]), 1.0 / rf.sigma if on else 0.0]
+        # with no rate at all the guard is infinite and dt the step throughout
+        h = dt if guard == math.inf else dt * (_guard(system, w_d, rates) / guard)
+        n = max(int(math.ceil((tb - ta) / h - 1e-9)), 1)
+        pieces.append((ta, n, (tb - ta) / n, _generator(system, w_d, g), rf if on else None,
                        tb if tb < t1 else None))
     return pieces
 
@@ -401,14 +430,24 @@ def _couplings(system, pulses, t):
     return np.where(on, gated.g_on, gated.g_off)
 
 
-def _chunks(rf, pieces, x0):
+def _driven(pulses, t):
+    """Whether the RF pulse drives at time(s) t: inside [start, end)."""
+    rf = pulses.rf
+    if rf is None:
+        return np.zeros(np.shape(t), dtype=bool)
+    return (rf.start <= t) & (t < rf.end)
+
+
+def _chunks(pieces, x0):
     """Integrate the pieces chunk by chunk from the state x0.
 
     Yields (first step, half grid, states) per chunk of at most
     _CHUNK_STEPS steps of one piece: the grid holds each step's start,
     midpoint and end, and the states are the rows of x at the step ends,
     row 0 being the chunk's start.  Both are views of buffers that the
-    next chunk overwrites.  A non-finite state raises ArithmeticError.
+    next chunk overwrites.  A driven piece takes its drive from
+    RfPulse.envelope(), so a step that ends on the pulse's end sees the
+    drive from inside.  A non-finite state raises ArithmeticError.
     """
     width = len(x0)
     longest = min(max(n for _, n, *_ in pieces), _CHUNK_STEPS)
@@ -419,11 +458,12 @@ def _chunks(rf, pieces, x0):
     first = 0
     # the increment on each state component and, under a drive, on the
     # drive at the step's start, midpoint and end
-    basis = np.eye(width + 3).tolist()[:width if rf is None else None]
-    for ta, n, h, gen, t_end in pieces:
+    basis = np.eye(width + 3).tolist()
+    for ta, n, h, gen, rf, t_end in pieces:
         # Q is read off the increment, never formed as P - I: subtracting I
         # would bias every step by its round-off
-        step_map = np.array([_rk4_increment(e[:width], h, gen, e[width:]) for e in basis]).T
+        step_map = np.array([_rk4_increment(e[:width], h, gen, e[width:])
+                             for e in basis[:width if rf is None else None]]).T
         # column c of P^(k+1) - I is sum_{i<=k} P^i Q[:, c]; a piece
         # shorter than a block is one block of its own length
         powers = np.repeat(step_map[:, :width].T[:, :, None], min(_BLOCK_STEPS, n), axis=2)
@@ -446,7 +486,7 @@ def _chunks(rf, pieces, x0):
             ain = None
             if rf is not None:
                 ain = drive[:2 * m + 1]
-                ain[...] = rf.baseband(t)
+                ain[...] = rf.envelope(t)
             _scan_chunk(x, m, step_map, lift, ain)
             states = x[:m + 1]
             if not np.isfinite(states).all():
@@ -468,16 +508,17 @@ def evolve(
 
     dt must satisfy the resolution guard of max_stable_dt() and t_span
     must cover every pulse; violations raise ValueError (with a suggested
-    step).  The span is cut at every gate edge, and each piece runs at its
-    one coupling in even steps of at most dt, as one exact recurrence (see
-    the module docstring); results are deterministic.
+    step).  The span is cut at every gate and RF edge, and each piece runs
+    at its one coupling, wholly driven or undriven, in even steps of at
+    most dt scaled by the piece's own guard over max_stable_dt(), as one
+    exact recurrence (see the module docstring); results are deterministic.
     """
     pieces = _pieces(system, pulses, t_span, dt)
     n_steps = sum(n for _, n, *_ in pieces)
     times = np.empty(n_steps + 1)
     x = np.empty((n_steps + 1, 2), dtype=complex)
     # a chunk's first row repeats the last row of the chunk before
-    for s, t, states in _chunks(pulses.rf, pieces, [a0, b0]):
+    for s, t, states in _chunks(pieces, [a0, b0]):
         e = s + len(states)
         times[s:e] = t[0::2]
         x[s:e] = states
@@ -494,26 +535,32 @@ def _hermite_cubic(h, v0, v1, s0, s1):
 def coupler_slopes(system: CoupledModeSystem | ReadCascade, pulses: PulseSequence, times, x):
     """a'(t) of system's last coupler (a ReadCascade's neighbour) from the
     model's equations, at both ends of every step of the samples (times, x)
-    of a trajectory under pulses, each step at its own coupling: shape
-    (len(times) - 1, 2), start and end.  At a gate edge the two steps that
-    meet there take different slopes."""
+    of a trajectory under pulses, each step at its own coupling and drive:
+    shape (len(times) - 1, 2), start and end.  At a gate or RF edge the two
+    steps that meet there take different slopes."""
     times = np.asarray(times, dtype=float)
     w_d = _frame_carrier(system, pulses)
-    g = _couplings(system, pulses, 0.5 * (times[:-1] + times[1:]))
+    mids = 0.5 * (times[:-1] + times[1:])
+    g = _couplings(system, pulses, mids)
     m = x.shape[1] - 2
     slopes = np.empty((len(times) - 1, 2), dtype=complex)
     for coupling in set(g.tolist()):
         terms = dict(_generator(system, w_d, coupling)[m])
-        # the coupler's own term and its drive, then the other components
+        # the coupler's own term, then the other components; the drive is
+        # the same at every coupling
         s = terms.pop(m, 0.0) * x[:, m]
         drive = terms.pop(x.shape[1], 0.0)
-        if pulses.rf is not None:
-            s = s + drive * pulses.rf.baseband(times)
         for j, c in terms.items():
             s = s + c * x[:, j]
         steps = g == coupling
         slopes[steps, 0] = s[:-1][steps]
         slopes[steps, 1] = s[1:][steps]
+    if pulses.rf is not None:
+        # a driven step takes the drive from inside the pulse at both ends
+        on = _driven(pulses, mids)
+        f = drive * pulses.rf.envelope(times)
+        slopes[on, 0] += f[:-1][on]
+        slopes[on, 1] += f[1:][on]
     return slopes
 
 
@@ -575,7 +622,7 @@ def peak_coupler_energy(
     """
     pieces = _pieces(system, pulses, t_span, dt)
     return max(coupler_peak(system, pulses, t[0::2], states)
-               for _, t, states in _chunks(pulses.rf, pieces, _cells(system)[1]))
+               for _, t, states in _chunks(pieces, _cells(system)[1]))
 
 
 # ------------------------- protocols -------------------------
@@ -653,9 +700,12 @@ def read_protocol(system: CoupledModeSystem, dt_fraction: float = DT_FRACTION) -
 
     Starts from b = 1, a = 0; the gate is ON for one swap duration, then
     OFF while the excitation leaves through the feedline, until
-    read_duration().  The recovered fraction is the emitted energy integral
-    normalized to the stored energy.  The step is dt_fraction of the
-    resolution guard.
+    read_duration().  The recovered fraction is the emitted energy
+    kappa_ext int |a|^2 dt normalized to the stored energy, integrated on
+    the dense output by the corrected trapezoid: per step h/2 (e0 + e1) +
+    h^2/12 (e0' - e1'), e = |a|^2 and e' = 2 Re(conj(a) a') with a' from
+    coupler_slopes(), exact for a cubic and fourth order like the steps.
+    The step is dt_fraction of the resolution guard.
     """
     if system.g_on <= 0:
         raise ValueError("read protocol requires a positive gate-ON coupling")
@@ -664,6 +714,10 @@ def read_protocol(system: CoupledModeSystem, dt_fraction: float = DT_FRACTION) -
     dt = dt_fraction * max_stable_dt(system, pulses)
     traj = evolve(system, pulses, (0.0, read_duration(system)), dt, a0=0.0, b0=1.0)
     # the emitted field of an undriven read is -sqrt(kappa_ext) a
-    emitted_power = np.abs(math.sqrt(system.kappa_ext) * traj.a) ** 2
-    recovered = float(np.trapezoid(emitted_power, traj.times))
+    a, h = traj.a, np.diff(traj.times)
+    slopes = coupler_slopes(system, pulses, traj.times, traj.x)
+    e = np.abs(a) ** 2
+    de = 2.0 * ((a[:-1].conj() * slopes[:, 0]).real - (a[1:].conj() * slopes[:, 1]).real)
+    energy = np.sum(0.5 * h * (e[:-1] + e[1:]) + (h * h / 12.0) * de)
+    recovered = float(system.kappa_ext * energy)
     return ReadResult(recovered_fraction=recovered, trajectory=traj, pulses=pulses)

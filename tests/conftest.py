@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -7,6 +8,7 @@ from qmemsim import twoport
 from qmemsim.array import build_array, _cell_models
 from qmemsim.calibrate import CalibrationTargets, calibrate_geometry
 from qmemsim.config import example_template
+from qmemsim.dynamics import TWO_PI, max_stable_dt
 from qmemsim.extract import extract_coupled_mode_params
 from qmemsim.modemap import fit_avoided_crossing, mode_map
 
@@ -34,6 +36,40 @@ def chain_calls(monkeypatch):
             if name.startswith("qmemsim") and getattr(module, fn.__name__, None) is fn:
                 monkeypatch.setattr(module, fn.__name__, wrapped)
     return calls
+
+
+def assert_piece_steps(system, pulses, times, dt):
+    """Check the step grid `times` of an evolve call at step dt against the
+    piece rule.  The grid holds every gate and RF edge inside its span.
+    Each piece between two edges runs in even steps, as few as keep each
+    step within dt times the piece's own resolution guard over
+    max_stable_dt().  A piece's guard is 50 steps per period of the
+    fastest rate acting in it: the detunings from the frame and the
+    decays, g_on inside a gate pulse and g_off outside, and 1 / sigma
+    where the RF pulse drives."""
+    rf = pulses.rf
+    grid = times.tolist()
+    edges = {t for p in pulses.gate_pulses for t in (p.start, p.end)}
+    edges |= set() if rf is None else {rf.start, rf.end}
+    edges = sorted(t for t in edges if grid[0] < t < grid[-1])
+    assert set(edges) <= set(grid)
+    w_d = system.omega_b if rf is None else TWO_PI * rf.carrier
+    guard = max_stable_dt(system, pulses)
+    marks = [0, *(grid.index(t) for t in edges), len(grid) - 1]
+    for k0, k1 in zip(marks, marks[1:]):
+        mid = 0.5 * (grid[k0] + grid[k1])
+        gated = any(p.start <= mid < p.end for p in pulses.gate_pulses)
+        driven = rf is not None and rf.start <= mid < rf.end
+        fastest = max(abs(system.omega_a - w_d), abs(system.omega_b - w_d),
+                      system.kappa_ext + system.kappa_int_a, system.gamma_b,
+                      system.g_on if gated else system.g_off, 1.0 / rf.sigma if driven else 0.0)
+        own = math.inf if fastest == 0 else TWO_PI / (50.0 * fastest)
+        bound = dt if guard == math.inf else dt * own / guard
+        steps = np.diff(times[k0:k1 + 1])
+        assert np.all(steps <= bound * (1.0 + 1e-9))
+        assert np.ptp(steps) <= 1e-6 * steps[0]
+        # one step fewer would not do
+        assert k1 - k0 == 1 or (grid[k1] - grid[k0]) / (k1 - k0 - 1) > bound * (1.0 - 1e-9)
 
 
 def recorded_fits(monkeypatch, module):

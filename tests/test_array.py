@@ -1,9 +1,12 @@
 """Multiplexed array: composition, addressing, crosstalk, scheduling."""
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from qmemsim import array as array_module, dynamics
@@ -11,6 +14,7 @@ from qmemsim.array import (
     AccessOp,
     AccessSchedule,
     MemoryArray,
+    _cell_models,
     array_spectrum,
     build_array,
     off_resonant_bound,
@@ -19,13 +23,19 @@ from qmemsim.array import (
 from qmemsim.cell import frequency_sweep
 from qmemsim.dynamics import (
     DT_FRACTION,
+    TWO_PI,
     PulseSequence,
     max_stable_dt,
     read_duration,
+    read_protocol,
     swap_duration,
+    write_protocol,
+    write_pulses,
 )
 from qmemsim.jjfet import OFF
-from tests.conftest import ANCHOR, TARGETS
+from tests.conftest import ANCHOR, TARGETS, assert_piece_steps
+
+PINNED_ARRAY = Path(__file__).resolve().parents[1] / "bench" / "data" / "array.json"
 
 
 class TestBuildArray:
@@ -305,6 +315,49 @@ def _exact_read_peaks(reader, neighbour, samples=20_000, fine=800):
     return peaks
 
 
+def _ivp_peak_and_end(system, pulses, t_end, samples=20_000):
+    """max |a|^2 and the final |b|^2 of one cell from an empty start over
+    (0, t_end), by scipy's DOP853 (Hairer, Norsett & Wanner, Solving ODEs
+    I, sec. II.5) at rtol 1e-13 on each piece between the gate and RF
+    edges.  The peak is the best of `samples` even samples of each piece's
+    dense output, refined by 2000 samples of the two intervals around it."""
+    rf = pulses.rf
+    w_d = TWO_PI * rf.carrier
+    ca = -(1j * (system.omega_a - w_d) + 0.5 * (system.kappa_ext + system.kappa_int_a))
+    cb = -(1j * (system.omega_b - w_d) + 0.5 * system.gamma_b)
+    root_k, centre = math.sqrt(system.kappa_ext), rf.start + 0.5 * rf.duration
+    edges = {t for p in pulses.gate_pulses for t in (p.start, p.end)} | {rf.start, rf.end}
+    cuts = [0.0, *sorted(t for t in edges if 0.0 < t < t_end), t_end]
+    x, peak = np.zeros(2, dtype=complex), 0.0
+    for t0, t1 in zip(cuts, cuts[1:]):
+        mid = 0.5 * (t0 + t1)
+        g = system.g_on if any(p.start <= mid < p.end for p in pulses.gate_pulses) else system.g_off
+        u = root_k * rf.amplitude if rf.start <= mid < rf.end else 0.0
+
+        def rate(t, y, g=g, u=u):
+            drive = u * math.exp(-0.5 * ((t - centre) / rf.sigma) ** 2)
+            return [ca * y[0] - 1j * g * y[1] + drive, -1j * g * y[0] + cb * y[1]]
+
+        sol = solve_ivp(rate, (t0, t1), x, method="DOP853", rtol=1e-13, atol=1e-24,
+                        dense_output=True)
+        assert sol.success
+        x = sol.y[:, -1]
+        t = np.linspace(t0, t1, samples + 1)
+        k = int(np.argmax(np.abs(sol.sol(t)[0]) ** 2))
+        near = np.linspace(t[max(k - 1, 0)], t[min(k + 1, samples)], 2001)
+        peak = max(peak, float(np.max(np.abs(sol.sol(near)[0]) ** 2)))
+    return peak, float(abs(x[1]) ** 2)
+
+
+@pytest.fixture(scope="module")
+def pinned_array(template):
+    """(array, models) of the benchmark's pinned four-cell array."""
+    raw = json.loads(PINNED_ARRAY.read_text())
+    cells = tuple(replace(template, **geometry) for geometry in raw["cells"])
+    memory = MemoryArray(cells=cells, targets=tuple(raw["targets"]), z_ref=template.z0)
+    return memory, _cell_models(memory)
+
+
 @pytest.fixture(scope="module")
 def exact_read_rows(array_models):
     """crosstalk[i][j] of a read on cell i from _exact_read_peaks()."""
@@ -347,19 +400,47 @@ class TestStepConvergence:
 
     @pytest.mark.parametrize("f", [None, 0.25])
     def test_reported_steps_honour_the_guard(self, reports_by_fraction, array_models, f):
+        # each piece of the addressed cell's integration, between its gate
+        # and RF edges, steps at the fraction of that piece's own guard
         fraction = DT_FRACTION if f is None else f
         for kind, schedule in KIND_SCHEDULES.items():
             report = reports_by_fraction[kind, f]
             for op, steps, largest in zip(schedule.ops, report.steps, report.largest_steps):
                 system = array_models[op.cell_index].system
-                # the guard depends on the pulses only through the frame:
-                # the write's carrier, the cavity for a read
-                rf = array_module._write_drive(op, system)[0] if kind == "write" else None
-                guard = max_stable_dt(system, PulseSequence(rf=rf))
-                # up to the 1e-9 by which evolve's step count rounds and the
-                # rounding of the sample times that the steps are read from
-                assert largest <= fraction * guard * (1.0 + 1e-9)
+                if kind == "write":
+                    rf, gate_at = array_module._write_drive(op, system)
+                    result = write_protocol(system, rf, gate_at=gate_at, dt_fraction=fraction)
+                else:
+                    result = read_protocol(system, dt_fraction=fraction)
+                times = result.trajectory.times
+                assert_piece_steps(system, result.pulses, times,
+                                   fraction * max_stable_dt(system, result.pulses))
+                assert steps == len(times) - 1 and largest == float(np.max(np.diff(times)))
                 assert steps * largest >= array_module._op_duration(op, system)
+
+    def test_short_write_within_1e5_of_a_sixteenth(self, pinned_array):
+        # a 2 ns write: its envelope rate 1 / sigma exceeds g_on, so the
+        # driven pieces step at the envelope's guard
+        memory, models = pinned_array
+        schedule = AccessSchedule(ops=(AccessOp(op="write", cell_index=1, rf_duration=2e-9),))
+        coarse, fine = (run_schedule(memory, schedule, models=models, dt_fraction=f)
+                        for f in (DT_FRACTION, 0.0625))
+        assert coarse.fidelities[0] == pytest.approx(fine.fidelities[0], rel=1e-5, abs=0.0)
+        off = np.arange(4) != 1
+        assert np.all(np.abs(coarse.crosstalk[1, off] / fine.crosstalk[1, off] - 1.0) <= 1e-5)
+
+    def test_write_matches_the_ivp_solution(self, array, array_models):
+        # a default gaussian write on cell 0 and its row against scipy's
+        # DOP853 at rtol 1e-13 (rtol 1e-12 moves them by at most 3.4e-14)
+        op = AccessOp(op="write", cell_index=0)
+        systems = [m.system for m in array_models]
+        rf, gate_at = array_module._write_drive(op, systems[0])
+        pulses, t_end = write_pulses(systems[0], rf, gate_at)
+        peak, stored = _ivp_peak_and_end(systems[0], pulses, t_end)
+        row = [_ivp_peak_and_end(s, PulseSequence(rf=rf), t_end)[0] / peak for s in systems[1:]]
+        report = run_schedule(array, AccessSchedule(ops=(op,)), models=array_models)
+        assert report.fidelities[0] == pytest.approx(stored / peak, rel=1e-5, abs=0.0)
+        assert np.all(np.abs(report.crosstalk[0, 1:] / np.array(row) - 1.0) <= 1e-5)
 
 
 class TestValidation:

@@ -24,6 +24,7 @@ from qmemsim.dynamics import GatePulse, PulseSequence, evolve, max_stable_dt, sw
 from qmemsim.extract import extract_coupled_mode_params, full_accumulation_inductance
 from qmemsim.modemap import fit_avoided_crossing, hybridized_map, mode_map
 from qmemsim.resonance import ResonancePeak
+from tests.conftest import assert_piece_steps
 
 
 @pytest.fixture(scope="module")
@@ -628,13 +629,14 @@ class TestProtocolCommand:
             f"crosstalk from cell 1 to cell {j}" for j in (0, 2, 3)]
 
     def test_step_fraction_is_read(self, seed_path, tmp_path, monkeypatch):
-        # the write's evolve step, recorded, not the last digits of its fidelity
-        steps = []
+        # the write's evolve call, recorded, not the last digits of its fidelity
+        calls = []
         original = dynamics.evolve
 
         def recorded(system, pulses, t_span, dt, *args, **kwargs):
-            steps.append(dt)
-            return original(system, pulses, t_span, dt, *args, **kwargs)
+            traj = original(system, pulses, t_span, dt, *args, **kwargs)
+            calls.append((system, pulses, dt, traj.times))
+            return traj
 
         monkeypatch.setattr(dynamics, "evolve", recorded)
         sched = tmp_path / "sched.json"
@@ -653,12 +655,13 @@ class TestProtocolCommand:
             csvs.append(read_csv(out))
             largest += json.loads(rep.read_text())["summary"]["largest_step_s"]
         (_, coarse), (_, fine) = csvs
-        dt_coarse, dt_fine = steps
+        dt_coarse, dt_fine = (dt for _, _, dt, _ in calls)
         assert dt_fine == 0.5 * dt_coarse
-        # the reported largest step is the write's step: at most dt, and short
-        # of it only by rounding a long piece up to whole steps
-        for step, dt in zip(largest, steps):
-            assert dt * (1.0 - 1e-3) <= step <= dt * (1.0 + 1e-9)
+        # the reported largest step is the write's, and every piece of the
+        # write steps at the fraction of its own guard
+        for step, (system, pulses, dt, times) in zip(largest, calls):
+            assert step == float(np.max(np.diff(times)))
+            assert_piece_steps(system, pulses, times, dt)
         # a finer step moves the fidelity only through RK4's truncation
         # error and its dense output's, where the peak is read
         assert float(fine[0][4]) == pytest.approx(float(coarse[0][4]), rel=1e-3)

@@ -31,6 +31,7 @@ from qmemsim.dynamics import (
     swap_duration,
     write_protocol,
 )
+from tests.conftest import assert_piece_steps
 
 W0 = TWO_PI * 6.55e9
 
@@ -198,23 +199,24 @@ def _half_grid(t_span, dt):
 
 def _evolve_loop(system, pulses, t_span, dt, times, a0=0.0, b0=0.0):
     """One _rk4_increment per step over the step grid `times` of an evolve
-    call, with g from the gate pulses at each step's midpoint: the
-    reference for the piecewise scan in evolve.  Checks the grid first:
-    it spans t_span, every gate edge inside the span is a grid point, and
-    no step exceeds dt."""
+    call, with g and the drive from the pulses at each step's midpoint:
+    the reference for the piecewise scan in evolve.  Checks the grid
+    first: it spans t_span, and its pieces follow the piece rule
+    (assert_piece_steps)."""
     t0, t1 = t_span
     assert times[0] == t0 and abs(times[-1] - t1) <= 1e-12 * (t1 - t0)
-    edges = {t for p in pulses.gate_pulses for t in (p.start, p.end) if t0 < t < t1}
-    assert edges <= set(times.tolist())
+    assert_piece_steps(system, pulses, times, dt)
     steps = np.diff(times)
-    assert np.all(steps > 0) and np.max(steps) <= dt * (1.0 + 1e-9)
     mids = 0.5 * (times[:-1] + times[1:])
     # the coupling is g_on inside a gate pulse and the g_off floor outside
     gs = [system.g_on if any(p.start <= m < p.end for p in pulses.gate_pulses)
           else system.g_off for m in mids.tolist()]
     samples = np.stack([times[:-1], mids, times[1:]], axis=1)
-    fs = (np.zeros(samples.shape, dtype=complex) if pulses.rf is None
-          else np.asarray(pulses.rf.baseband(samples), dtype=complex)).tolist()
+    rf = pulses.rf
+    # a step inside the pulse takes the drive from inside it at all three
+    # samples, the pulse's edges included
+    fs = (np.zeros(samples.shape, dtype=complex) if rf is None
+          else rf.envelope(samples) * ((rf.start <= mids) & (mids < rf.end))[:, None]).tolist()
     w_d = _frame_carrier(system, pulses)
     ca = -(1j * (system.omega_a - w_d) + 0.5 * (system.kappa_ext + system.kappa_int_a))
     cb = -(1j * (system.omega_b - w_d) + 0.5 * system.gamma_b)
@@ -374,8 +376,10 @@ def _named_case(name):
         return base, PulseSequence(rf=drive, gate_pulses=gate), (0.0, 450e-9), 0.0, 1j
     if name == "chunked":
         # three pieces over four chunks: the first piece is exactly one
-        # chunk, and the gate's fall lands inside its piece's second chunk
-        sys_ = CoupledModeSystem(omega_a=W0, omega_b=W0 + TWO_PI * 1e6,
+        # chunk, and the gate's fall lands inside its piece's second chunk;
+        # the cavity's detuning, above g, sets every piece's guard, so the
+        # pieces step alike
+        sys_ = CoupledModeSystem(omega_a=W0, omega_b=W0 + TWO_PI * 25e6,
                                  kappa_ext=TWO_PI * 0.2e6, gamma_b=TWO_PI * 0.01e6,
                                  g_on=g, g_off=1e3)
         dt = 0.25 * max_stable_dt(sys_, PulseSequence(rf=gauss))
@@ -393,8 +397,9 @@ def _named_case(name):
                                  g_on=g, g_off=g)
         n = _block_case_steps(name)
         span = (0.0, n * 0.25 * max_stable_dt(sys_, PulseSequence(rf=gauss)))
+        # an envelope rate of g / 2, below g: the guard stays g's
         drive = RfPulse(carrier=carrier, amplitude=1e4, start=0.0, duration=span[1],
-                        sigma=span[1] / 5.0)
+                        sigma=2.0 / g)
         return sys_, PulseSequence(rf=drive), span, 0.6 - 0.8j, 1j
     assert name == "long_hold"
     # constant coupling: the whole span is one segment
@@ -550,6 +555,20 @@ def test_coupler_slopes_take_each_steps_own_coupling():
     assert np.array_equal(slopes[:10, 1], slopes[1:11, 0])
 
 
+def test_coupler_slopes_take_each_steps_own_drive():
+    # the step that ends on the RF pulse's end takes the drive from inside
+    # the pulse and the step after it none: their slopes there differ by
+    # sqrt(kappa_ext) times the envelope at the end
+    system, pulses, span, a0, b0 = _named_case("gaussian")
+    traj = evolve(system, pulses, span, max_stable_dt(system, pulses), a0=a0, b0=b0)
+    slopes = coupler_slopes(system, pulses, traj.times, traj.x)
+    rf = pulses.rf
+    k = traj.times.tolist().index(rf.end)
+    expected = math.sqrt(system.kappa_ext) * rf.envelope(rf.end)
+    assert expected > 0.04 * rf.amplitude * math.sqrt(system.kappa_ext)
+    assert slopes[k - 1, 1] - slopes[k, 0] == pytest.approx(expected, rel=1e-9)
+
+
 def _bad_integrations():
     """(system, pulses, t_span, dt) calls that evolve rejects, each with
     the error it raises and a pattern of its message."""
@@ -629,9 +648,9 @@ def _energy_residual(system, pulses, traj):
 @given(case=driven_systems())
 def test_energy_balance(case):
     system, pulses, span, dt, a0, b0 = case
-    # a rectangular edge inside a step costs O(h / duration) in the
-    # trapezoid sums, so the span is cut at least as fine as the protocols'
-    # quarter guard and into at least 50k steps
+    # the trapezoid sums are second order, so dt is at most the protocols'
+    # quarter guard and a 50,000th of the span; a piece with a slower
+    # guard steps coarser in proportion
     dt = min(0.25 * max_stable_dt(system, pulses), (span[1] - span[0]) / 50_000)
     traj = evolve(system, pulses, span, dt, a0=a0, b0=b0)
     residual, scale = _energy_residual(system, pulses, traj)
@@ -680,6 +699,15 @@ class TestWriteProtocol:
         traj = result.trajectory
         peak = coupler_peak(sys_, result.pulses, traj.times, traj.x)
         assert result.fidelity == float(traj.e_b[-1]) / peak
+
+    def test_rectangular_write_at_the_guard(self):
+        # criterion 7's write: the step and the end slope that finish on the
+        # pulse's end take the drive from inside the pulse, so the default
+        # step is within 1e-6 of a sixteenth of it
+        sys_ = self.make_system(kappa_ext=TWO_PI * 3e6)
+        rf = RfPulse(carrier=W0 / TWO_PI, amplitude=1.0, start=0.0, duration=3.0 / sys_.kappa_ext)
+        coarse, fine = (write_protocol(sys_, rf, dt_fraction=f).fidelity for f in (1.0, 0.0625))
+        assert coarse == pytest.approx(fine, rel=1e-6, abs=0.0)
 
     def test_gate_never_on_is_isolating(self):
         sys_ = self.make_system(g_off=1.3e4)

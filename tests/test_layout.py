@@ -291,3 +291,35 @@ def test_coupler_peaks_come_from_one_helper():
     for path in sorted(Path(qmemsim.__file__).parent.glob("*.py")):
         found |= coupler_energy_maxima(path.read_text(encoding="utf-8"), path.stem)
     assert found == {"dynamics.coupler_peak"}
+
+
+#: the RfPulse methods that evaluate the drive
+DRIVE_METHODS = {"envelope", "baseband"}
+
+
+def drive_evaluations(source: str, module: str) -> set:
+    """('module.function', method) of every call of a DRIVE_METHODS method
+    in source, by the function that makes it."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, ast.FunctionDef):
+            found |= {(f"{module}.{fn.name}", node.func.attr) for node in ast.walk(fn)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in DRIVE_METHODS}
+    return found
+
+
+def test_drive_evaluations_are_found():
+    source = "def drive(rf, t):\n    return rf.baseband(t) + pulses.rf.envelope(t)\n"
+    assert drive_evaluations(source, "m") == {("m.drive", "baseband"), ("m.drive", "envelope")}
+
+
+def test_the_scan_and_the_slopes_share_one_drive():
+    # the scan and the Hermite slopes read the drive through one method,
+    # RfPulse.envelope, so they cannot take different sides of an RF edge;
+    # baseband, the drive windowed to [start, end), is built on it
+    found = set()
+    for path in sorted(Path(qmemsim.__file__).parent.glob("*.py")):
+        found |= drive_evaluations(path.read_text(encoding="utf-8"), path.stem)
+    assert found == {("dynamics._chunks", "envelope"), ("dynamics.coupler_slopes", "envelope"),
+                     ("dynamics.baseband", "envelope")}
