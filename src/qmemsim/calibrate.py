@@ -11,7 +11,11 @@ by find_root (Chandrupatla's method, relative tolerance 1e-9):
                         (ii) for every trial)
 
 All cells of an array are solved in lockstep, one network call per step;
-a cell's roots depend only on its own values, bit for bit.
+a cell's roots depend only on its own values, bit for bit.  So stage (iii)
+keeps each cell's trials: a (cell, c_in) pair met again (a cell that has
+stopped walking or converged, a bracket end, the root) reuses its stage-(ii)
+length and peak, and only the new pairs are solved, as a sub-batch of their
+cells.  Each scan hands find_root its values at the bracket ends.
 
 "Isolated" branches terminate the coupling capacitor in a short: a series
 branch at its own resonance presents zero impedance to the partner node,
@@ -73,12 +77,13 @@ def _series_resonance(reactance, near, span, n_scan: int, stage: str):
     length except at its poles, where it falls from + to -: no bracket.  A
     zero closer below its pole than one scan step (weak end coupling) hides
     in a step where Im(Z) falls while negative; that step is rescanned, up
-    to six times.  Raises CalibrationError naming `stage` when a row has
-    no crossing.
+    to six times.  The root-find starts from the scan's Im(Z) at the ends
+    of each row's step.  Raises CalibrationError naming `stage` when a row
+    has no crossing.
     """
     near = np.asarray(near, dtype=float)
     lo, hi, rows = span[0] * near, span[1] * near, np.arange(len(near))
-    a = b = np.full(near.shape, np.nan)
+    a = b = x_a = x_b = np.full(near.shape, np.nan)
     scanning = np.ones(near.shape, dtype=bool)
     for _ in range(7):  # the scan, then up to six rescans
         s = np.linspace(lo, hi, n_scan, axis=-1)
@@ -89,6 +94,7 @@ def _series_resonance(reactance, near, span, n_scan: int, stage: str):
         i = np.argmin(np.where(up, dist, np.inf), axis=1)
         found = scanning & up.any(axis=1)
         a, b = np.where(found, s[rows, i], a), np.where(found, s[rows, i + 1], b)
+        x_a, x_b = np.where(found, x[rows, i], x_a), np.where(found, x[rows, i + 1], x_b)
         scanning &= ~found & hidden.any(axis=1)
         if not scanning.any():
             break
@@ -96,7 +102,7 @@ def _series_resonance(reactance, near, span, n_scan: int, stage: str):
         lo, hi = np.where(scanning, s[rows, i], lo), np.where(scanning, s[rows, i + 1], hi)
     if np.isnan(a).any():
         raise CalibrationError(f"{stage}: no series resonance in range")
-    return find_root(lambda x: reactance(x[:, None])[:, 0], a, b, stage)
+    return find_root(lambda x: reactance(x[:, None])[:, 0], a, b, stage, f_lo=x_a, f_hi=x_b)
 
 
 def sc_branch_resonance(cell: MemoryCell) -> float:
@@ -159,25 +165,36 @@ def calibrate_cells(targets, seed: MemoryCell):
         quarter, (0.5, 1.5), SCAN_POINTS, "storage cavity length",
     )
 
-    def solve(c_in):
-        """Stage (ii) for input capacitors c_in, and the peaks it gives."""
-        def reactance(h):
-            trial = replace(seed, c_in=c_in[:, None], tcr_half_len=h)
-            return _tcr_branch_impedance(trial, l_anchor[:, None], f_sc[:, None]).imag
+    trials = {}  # (cell, log10 c_in) -> (tcr_half_len, isolated-TCR peak)
 
-        h = _series_resonance(reactance, quarter, (0.4, 1.2), SCAN_POINTS,
-                              "coupling resonator length")
-        trial = replace(seed, c_in=c_in, tcr_half_len=h)
-        return h, _isolated_tcr_peaks(trial, l_anchor, f_sc)
+    def solve(log_c):
+        """Per cell, stage (ii) at input capacitor 10**log_c and the peak it
+        gives; only the (cell, log_c) pairs not met before are solved, as one
+        sub-batch of their cells."""
+        new = [i for i, x in enumerate(log_c) if (i, x) not in trials]
+        if new:
+            c_in = 10.0 ** log_c[new]
+
+            def reactance(h):
+                trial = replace(seed, c_in=c_in[:, None], tcr_half_len=h)
+                return _tcr_branch_impedance(trial, l_anchor[new, None], f_sc[new, None]).imag
+
+            h = _series_resonance(reactance, quarter[new], (0.4, 1.2), SCAN_POINTS,
+                                  "coupling resonator length")
+            peaks = _isolated_tcr_peaks(replace(seed, c_in=c_in, tcr_half_len=h),
+                                        l_anchor[new], f_sc[new])
+            for i, h_i, peak in zip(new, h, peaks):
+                trials[i, log_c[i]] = h_i, peak
+        return [trials[i, x] for i, x in enumerate(log_c)]
 
     def qc_err(log_c):
-        return np.log10(np.array([p.q_coupling for p in solve(10.0 ** log_c)[1]]) / q_c)
+        return np.log10(np.array([p.q_coupling for _, p in solve(log_c)]) / q_c)
 
     bracket = _grow_bracket(qc_err, np.full(len(q_c), math.log10(seed.c_in)), 0.25, 8.0)
-    c_in = 10.0 ** find_root(qc_err, *bracket, "input capacitor")
-    tcr_half_len, peaks = solve(c_in)
+    log_c = find_root(qc_err, *bracket, "input capacitor")
+    tcr_half_len, peaks = zip(*solve(log_c))
     return [replace(seed, sc_len=float(a), tcr_half_len=float(h), c_in=float(c))
-            for a, h, c in zip(sc_len, tcr_half_len, c_in)], peaks
+            for a, h, c in zip(sc_len, tcr_half_len, 10.0 ** log_c)], list(peaks)
 
 
 def calibrate_geometry(targets: CalibrationTargets, seed: MemoryCell) -> MemoryCell:

@@ -140,6 +140,16 @@ REFINE = 10  #: factor each stage shrinks the local grid spacing by
 OFF_BAND = (1e9, 16e9)  #: Hz, band of the gate-OFF spectrum
 
 
+def _new_points(values, grid):
+    """The distinct values, sorted, that the sorted array grid does not hold:
+    np.setdiff1d(values, grid) by sort and searchsorted, without the import
+    of numpy.ma that numpy's set routines make."""
+    values = np.sort(values)
+    fresh = grid[np.minimum(np.searchsorted(grid, values), len(grid) - 1)] != values
+    fresh[1:] &= values[1:] != values[:-1]
+    return values[fresh]
+
+
 def adaptive_sweep(
     cell: MemoryCell,
     l_j,
@@ -175,7 +185,7 @@ def adaptive_sweep(
         f_sc = sc_mode_estimate(cell)
         if lo < f_sc < hi:
             w = np.arange(f_sc - 5e6, f_sc + 5e6 + 1e3, 2e3)
-            grid = np.union1d(grid, w[(w > lo) & (w < hi)])
+            grid = np.sort(np.concatenate([grid, _new_points(w[(w > lo) & (w < hi)], grid)]))
     _, s21 = frequency_sweep(cell, l_j, grid)
 
     step = coarse_step
@@ -189,7 +199,7 @@ def adaptive_sweep(
             span = 4.0 * max(grid[min(i + 1, len(grid) - 1)] - grid[max(i - 1, 0)], step)
             windows.append(np.arange(grid[i] - span, grid[i] + span, step))
         new = np.concatenate(windows)
-        new = np.setdiff1d(new[(new > lo) & (new < hi)], grid)
+        new = _new_points(new[(new > lo) & (new < hi)], grid)
         if len(new):
             _, s21_new = frequency_sweep(cell, l_j, new)
             grid = np.concatenate([grid, new])

@@ -33,10 +33,13 @@ class CalibrationError(RuntimeError):
     """A calibration stage could not bracket or refine its root."""
 
 
-def find_root(fn, lo, hi, stage: str, rtol: float = 1e-9):
+def find_root(fn, lo, hi, stage: str, rtol: float = 1e-9, f_lo=None, f_hi=None):
     """Elementwise root of fn on the brackets [lo, hi] by Chandrupatla's method
     (Adv. Eng. Software 28, 145 (1997)), for fn mapping an array to its shape.
 
+    f_lo and f_hi are fn(lo) and fn(hi) when the caller already holds them
+    (a scan's values at its grid points); fn is called for either one left
+    None.  The root is the same bit for bit when the values given are fn's.
     Each element stops on its own, at an exact zero or once its bracket is
     narrower than rtol times its best end, which is returned.  Raises
     CalibrationError naming `stage` when an element is not bracketed, meets
@@ -44,7 +47,8 @@ def find_root(fn, lo, hi, stage: str, rtol: float = 1e-9):
     per binary order of magnitude); an error raised by fn propagates.
     """
     x1, x2 = (x.astype(float) for x in np.broadcast_arrays(lo, hi))
-    f1, f2 = fn(x1), fn(x2)
+    f1 = fn(x1) if f_lo is None else f_lo
+    f2 = fn(x2) if f_hi is None else f_hi
     if not np.all(np.sign(f1) * np.sign(f2) <= 0):  # nan fails too
         raise CalibrationError(f"{stage}: root not bracketed")
     x3, f3, atol = x1, f1, 4.0 * np.finfo(float).tiny  # x3 = x1: the first step bisects

@@ -82,6 +82,43 @@ class TestBisect:
                               hi[i:i + 1], "test")
             assert together[i] == alone[0]
 
+    def test_bracket_values_give_the_same_root_from_two_calls_fewer(self):
+        c = np.array([1e-6, 0.5, 2.0, 3.0, 7e5])
+        lo, hi = np.zeros(5), np.full(5, 200.0)
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return x**3 - c
+
+        fresh = find_root(fn, lo, hi, "test")
+        n_fresh = len(calls)
+        calls.clear()
+        given = find_root(fn, lo, hi, "test", f_lo=lo**3 - c, f_hi=hi**3 - c)
+        assert given.tobytes() == fresh.tobytes()
+        assert len(calls) == n_fresh - 2
+
+
+def test_scan_values_at_bracket_ends_are_the_root_finds_own(template, monkeypatch):
+    # find_root starts from the values the scan already holds at each
+    # bracket end: they must be the bits its own evaluation would give
+    checked = set()
+
+    def checking(fn, lo, hi, stage, rtol=1e-9, f_lo=None, f_hi=None):
+        if stage != "input capacitor":  # a memoised trial, not a scan
+            assert f_lo is not None and f_hi is not None
+            assert f_lo.tobytes() == fn(lo).tobytes()
+            assert f_hi.tobytes() == fn(hi).tobytes()
+            checked.add(stage)
+        return find_root(fn, lo, hi, stage, rtol, f_lo, f_hi)
+
+    monkeypatch.setattr(calibrate, "find_root", checking)
+    calibrate_geometry(CalibrationTargets(f_sc=TARGETS[0], l_anchor=ANCHOR, q_c=Q_C), template)
+    sc_branch_resonance(template)
+    tcr_branch_resonance(template, ANCHOR)
+    assert checked == {"storage cavity length", "coupling resonator length",
+                       "storage cavity", "coupling resonator"}
+
 
 class TestCalibratedCell:
     def test_sc_resonance_hits_target(self, cell):
@@ -171,9 +208,32 @@ class TestLockstep:
             assert cell_i == alone
 
     def test_network_calls_bounded(self, template, chain_calls):
-        # nested scalar root-finds made about 2,600 calls on this plan
+        # 66 calls on this plan; re-solving each repeated (cell, c_in) trial
+        # and each bracket end of a scan made 116
         build_array(TARGETS, template, l_anchor=ANCHOR, q_c=Q_C)
-        assert 0 < len(chain_calls) <= 300
+        assert 0 < len(chain_calls) <= 80
+
+    def test_no_cell_solves_a_trial_twice(self, template, monkeypatch):
+        # every stage-(ii) solve hands its lengths, one row per cell, to the
+        # stage-(iii) peaks: record each row's (target, c_in) there
+        rows, trials = [], []
+        series, peaks = calibrate._series_resonance, calibrate._isolated_tcr_peaks
+
+        def series_spy(reactance, near, span, n_scan, stage):
+            if stage == "coupling resonator length":
+                rows.append(len(near))
+            return series(reactance, near, span, n_scan, stage)
+
+        def peaks_spy(cell, l_j, f_r):
+            trials.extend(zip(np.asarray(f_r).tolist(), np.asarray(cell.c_in).tolist()))
+            return peaks(cell, l_j, f_r)
+
+        monkeypatch.setattr(calibrate, "_series_resonance", series_spy)
+        monkeypatch.setattr(calibrate, "_isolated_tcr_peaks", peaks_spy)
+        build_array(TARGETS, template, l_anchor=ANCHOR, q_c=Q_C)
+        assert sum(rows) == len(trials) > 0
+        assert len(set(trials)) == len(trials)
+        assert {f for f, _ in trials} == set(TARGETS)
 
 
 class TestFourTargets:

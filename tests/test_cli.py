@@ -4,8 +4,11 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -665,3 +668,17 @@ class TestProtocolCommand:
         # a finer step moves the fidelity only through RK4's truncation
         # error and its dense output's, where the peak is read
         assert float(fine[0][4]) == pytest.approx(float(coarse[0][4]), rel=1e-3)
+
+
+def test_spectrum_leaves_numpy_ma_unloaded(seed_path, tmp_path):
+    # numpy's set routines (np.unique and those built on it) import numpy.ma,
+    # about 13 ms and 1.3 MiB on a process's first spectrum; the adaptive
+    # sweep merges its grids by sort and searchsorted instead
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys; from qmemsim.cli import main; "
+            "code = main(sys.argv[1:]); print(code, 'numpy.ma' in sys.modules)")
+    argv = ["spectrum", str(seed_path), "--state", "off", "--out", str(tmp_path / "off.csv")]
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "0 False"

@@ -323,3 +323,44 @@ def test_the_scan_and_the_slopes_share_one_drive():
         found |= drive_evaluations(path.read_text(encoding="utf-8"), path.stem)
     assert found == {("dynamics._chunks", "envelope"), ("dynamics.coupler_slopes", "envelope"),
                      ("dynamics.baseband", "envelope")}
+
+
+#: numpy's set routines: under numpy 2 each may call np.unique, which imports
+#: numpy.ma (about 13 ms and 1.3 MiB on a process's first call)
+SET_ROUTINES = {"unique", "union1d", "setdiff1d", "intersect1d", "setxor1d", "isin", "in1d"}
+
+
+def set_routine_uses(source: str, module: str) -> list:
+    """'module:line' of every SET_ROUTINES name in source read off numpy
+    (np.<name> or numpy.<name>) or imported from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            hit = node.attr in SET_ROUTINES and getattr(node.value, "id", None) in ("np", "numpy")
+        elif isinstance(node, ast.ImportFrom):
+            hit = ((node.module or "").split(".")[0] == "numpy"
+                   and any(alias.name in SET_ROUTINES for alias in node.names))
+        else:
+            continue
+        if hit:
+            found.append(f"{module}:{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("source", [
+    "grid = np.union1d(grid, w)",
+    "new = numpy.setdiff1d(new, grid)",
+    "keep = np.isin(a, b)",
+    "from numpy import sort, unique",
+])
+def test_set_routine_uses_are_found(source):
+    assert set_routine_uses(source, "m") == ["m:1"]
+    assert set_routine_uses("i = np.searchsorted(np.sort(a), b)", "m") == []
+
+
+def test_src_calls_no_numpy_set_routine():
+    # sort and searchsorted do the same work without loading numpy.ma
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        found += set_routine_uses(path.read_text(encoding="utf-8"), path.stem)
+    assert found == []
