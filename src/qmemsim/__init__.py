@@ -54,7 +54,6 @@ from .dynamics import (
     coupler_slopes,
     evolve,
     max_stable_dt,
-    peak_coupler_energy,
     read_protocol,
     swap_duration,
     write_protocol,

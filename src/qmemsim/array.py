@@ -25,8 +25,8 @@ from .dynamics import (
     ReadCascade,
     RfPulse,
     coupler_peak,
+    evolve,
     max_stable_dt,
-    peak_coupler_energy,
     read_duration,
     read_protocol,
     write_protocol,
@@ -242,14 +242,15 @@ def _run_op(
         rf, gate_at = _write_drive(op, sys_i)
         result = write_protocol(sys_i, rf, gate_at=gate_at, dt_fraction=dt_fraction)
         fidelity = result.fidelity
-        # the neighbours see the write's drive on the feedline
-        pulses = PulseSequence(rf=rf)
+        # the neighbours see the write's drive on the feedline, from empty
+        pulses, b0 = PulseSequence(rf=rf), 0.0
         idle = {j: model.system for j, model in enumerate(models) if j != i}
     else:
         result = read_protocol(sys_i, dt_fraction=dt_fraction)
         fidelity = result.recovered_fraction
-        # each neighbour is integrated together with the reader that drives it
-        pulses = result.pulses
+        # each neighbour is integrated together with the reader that drives
+        # it, from the reader's stored excitation
+        pulses, b0 = result.pulses, 1.0
         idle = {j: ReadCascade(sys_i, model.system) for j, model in enumerate(models) if j != i}
 
     traj = result.trajectory
@@ -259,11 +260,14 @@ def _run_op(
     if deposit_i <= 0.0:
         return fidelity, {}, steps, largest
     t_span = (float(traj.times[0]), float(traj.times[-1]))
-    ratios = {
-        j: peak_coupler_energy(system, pulses, t_span,
-                               dt_fraction * max_stable_dt(system, pulses)) / deposit_i
-        for j, system in idle.items()
-    }
+
+    def idle_peak(system):
+        # one neighbour's trajectory at a time: each is freed once read
+        neighbour = evolve(system, pulses, t_span, dt_fraction * max_stable_dt(system, pulses),
+                           b0=b0)
+        return coupler_peak(system, pulses, neighbour.times, neighbour.x)
+
+    ratios = {j: idle_peak(system) / deposit_i for j, system in idle.items()}
     return fidelity, ratios, steps, largest
 
 

@@ -27,6 +27,7 @@ from .calibrate import CalibrationTargets, calibrate_geometry
 from .cell import MemoryCell
 from .dynamics import DT_FRACTION
 from .jjfet import JjFet, critical_current_for_inductance
+from .modemap import MIN_FIT_ROWS
 
 #: suffix -> (decimal exponent of the scale, unit family); all scales are
 #: exact powers of ten so values are converted by shifting the decimal
@@ -183,8 +184,8 @@ class ModeMapSettings:
     def __post_init__(self):
         if not 0 < self.l_min < self.l_max:
             raise ValueError("requires 0 < l_min < l_max")
-        if not isinstance(self.points, int) or self.points < 2:
-            raise ValueError("points must be an integer >= 2")
+        if not isinstance(self.points, int) or self.points < MIN_FIT_ROWS:
+            raise ValueError(f"points must be an integer >= {MIN_FIT_ROWS}")
 
 
 @dataclass(frozen=True)

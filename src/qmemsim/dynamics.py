@@ -28,16 +28,15 @@ from a zero state side by side, a doubling scan carries the state from
 block to block, and one matrix product lifts every block onto its
 carried-in state.  The result matches the step-by-step loop to round-off.
 
-A piece is scanned in chunks of at most _CHUNK_STEPS steps, each starting
-from the last state of the one before, in chunk-sized buffers reused from
-chunk to chunk.  evolve() copies every chunk into the trajectory it
-returns; peak_coupler_energy() keeps only each chunk's coupler_peak(), so
-its memory does not grow with the span.
+A piece is scanned in chunks of at most _CHUNK_STEPS steps, each in place
+in the trajectory evolve() returns, from the last state of the one before;
+the scan's scratch buffers are chunk-sized, so beyond the trajectory
+itself a call's memory does not grow with its span.
 
-A read's idle neighbour sees the field the reader emits.  A ReadCascade
-integrates the two cells as one linear system of four components, the
-reader's a_out = -sqrt(k_ext) a driving the neighbour's coupler, on the
-same scan: no emitted field is sampled or interpolated.
+A read's idle neighbour sees the field the reader emits.  evolve() takes
+a ReadCascade as one linear system of four components, the reader's
+a_out = -sqrt(k_ext) a driving the neighbour's coupler, on the same scan:
+no emitted field is sampled or interpolated.
 
 Between samples a trajectory is read off RK4's dense output, the cubic
 Hermite interpolant through each step's end values and its end slopes
@@ -92,12 +91,6 @@ class RfPulse:
         # exp(-0) = 1 exactly: an infinite sigma is the rectangle bit for bit
         mid = self.start + 0.5 * self.duration
         return self.amplitude * np.exp(-0.5 * ((t - mid) / self.sigma) ** 2)
-
-    def baseband(self, t):
-        """Complex drive amplitude in the rotating frame at time(s) t: the
-        envelope over [start, end), 0 outside."""
-        t = np.asarray(t, dtype=float)
-        return self.envelope(t) * ((t >= self.start) & (t < self.start + self.duration))
 
 
 @dataclass(frozen=True)
@@ -170,11 +163,11 @@ class CoupledModeSystem:
 
 @dataclass(frozen=True)
 class ReadCascade:
-    """A read's idle neighbour, integrated together with the reading cell
-    in the reader's frame.  The reader starts from (a, b) = (0, 1) and runs
-    the read's gate pulses; the neighbour starts empty at its gate-OFF
-    floor, its coupler driven by the reader's emitted field -sqrt(kappa_ext)
-    a (a cascaded system: Gardiner, PRL 70, 2269 (1993))."""
+    """A read's idle neighbour, integrated by evolve() together with the
+    reading cell in the reader's frame.  The reader starts from evolve's
+    (a0, b0) and runs the read's gate pulses; the neighbour starts empty at
+    its gate-OFF floor, its coupler driven by the reader's emitted field
+    -sqrt(kappa_ext) a (a cascaded system: Gardiner, PRL 70, 2269 (1993))."""
 
     reader: CoupledModeSystem
     neighbour: CoupledModeSystem
@@ -182,8 +175,9 @@ class ReadCascade:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-domain record of one evolution: row n of x is the state (a, b)
-    at times[n]."""
+    """Time-domain record of one evolution: row n of x is the state at
+    times[n], (a, b) of each cell in turn (one cell, or a ReadCascade's
+    reader and neighbour); a and b are the first cell's."""
 
     times: np.ndarray
     x: np.ndarray
@@ -213,12 +207,10 @@ def swap_duration(g_ang: float) -> float:
 
 
 def _cells(system: CoupledModeSystem | ReadCascade):
-    """The cells of system in feedline order, the gated one first, and the
-    state, (a, b) of each cell in turn, that peak_coupler_energy() starts
-    from."""
+    """The cells of system in feedline order, the gated one first."""
     if isinstance(system, ReadCascade):
-        return (system.reader, system.neighbour), [0.0, 1.0, 0.0, 0.0]
-    return (system,), [0.0, 0.0]
+        return system.reader, system.neighbour
+    return (system,)
 
 
 def _frame_carrier(system: CoupledModeSystem | ReadCascade, pulses: PulseSequence) -> float:
@@ -226,7 +218,7 @@ def _frame_carrier(system: CoupledModeSystem | ReadCascade, pulses: PulseSequenc
     cell's cavity."""
     if pulses.rf is not None:
         return TWO_PI * pulses.rf.carrier
-    return _cells(system)[0][0].omega_b
+    return _cells(system)[0].omega_b
 
 
 def _guard(system, w_d, rates):
@@ -234,7 +226,7 @@ def _guard(system, w_d, rates):
     the frame w_d and decay rates and the further rates given."""
     m = max(*rates, *(max(abs(c.omega_a - w_d), abs(c.omega_b - w_d),
                           c.kappa_ext + c.kappa_int_a, c.gamma_b)
-                      for c in _cells(system)[0]))
+                      for c in _cells(system)))
     return math.inf if m == 0 else TWO_PI / (50.0 * m)
 
 
@@ -244,7 +236,7 @@ def max_stable_dt(system: CoupledModeSystem | ReadCascade, pulses: PulseSequence
     evolve() scales a step dt on each piece by the piece's own guard over
     this one."""
     return _guard(system, _frame_carrier(system, pulses),
-                  [g for c in _cells(system)[0] for g in (c.g_on, c.g_off)])
+                  [g for c in _cells(system) for g in (c.g_on, c.g_off)])
 
 
 def _generator(system, w_d, g):
@@ -254,7 +246,7 @@ def _generator(system, w_d, g):
     The first cell couples at g and every other one at its g_off floor;
     each coupler takes a_in less the field emitted by the couplers before
     it."""
-    cells = _cells(system)[0]
+    cells = _cells(system)
     width = 2 * len(cells)
     rows = []
     for k, cell in enumerate(cells):
@@ -311,9 +303,9 @@ def _doubling_scan(y, q):
 _BLOCK_STEPS = 16
 
 
-# Steps per chunk: evolve() and peak_coupler_energy() walk each piece in
-# chunks of at most this many steps, so the scratch arrays of a call stay
-# about 1 MB however long its span
+# Steps per chunk: evolve() scans each piece in chunks of at most this many
+# steps, so the scratch arrays of a call stay about 1 MB however long its
+# span
 _CHUNK_STEPS = 8192
 
 
@@ -407,7 +399,7 @@ def _pieces(system, pulses, t_span, dt):
     cuts = [t0, *sorted(t for t in edges if t0 < t < t1), t1]
     mids = 0.5 * (np.array(cuts[:-1]) + np.array(cuts[1:]))
     w_d = _frame_carrier(system, pulses)
-    cells = _cells(system)[0]
+    cells = _cells(system)
     pieces = []
     for ta, tb, g, on in zip(cuts, cuts[1:], _couplings(system, pulses, mids).tolist(),
                              _driven(pulses, mids).tolist()):
@@ -423,7 +415,7 @@ def _pieces(system, pulses, t_span, dt):
 def _couplings(system, pulses, t):
     """The first cell's g at time(s) t: g_on inside a gate pulse, the g_off
     floor outside."""
-    gated = _cells(system)[0][0]
+    gated = _cells(system)[0]
     on = np.zeros(np.shape(t), dtype=bool)
     for p in pulses.gate_pulses:
         on |= (p.start <= t) & (t < p.end)
@@ -438,24 +430,40 @@ def _driven(pulses, t):
     return (rf.start <= t) & (t < rf.end)
 
 
-def _chunks(pieces, x0):
-    """Integrate the pieces chunk by chunk from the state x0.
+def evolve(
+    system: CoupledModeSystem | ReadCascade,
+    pulses: PulseSequence,
+    t_span: tuple[float, float],
+    dt: float,
+    a0: complex = 0.0,
+    b0: complex = 0.0,
+) -> Trajectory:
+    """Fixed-step RK4 trajectory of the driven two-mode system, or of a
+    ReadCascade's reader and neighbour, from (a0, b0) in the first cell and
+    every other cell empty.
 
-    Yields (first step, half grid, states) per chunk of at most
-    _CHUNK_STEPS steps of one piece: the grid holds each step's start,
-    midpoint and end, and the states are the rows of x at the step ends,
-    row 0 being the chunk's start.  Both are views of buffers that the
-    next chunk overwrites.  A driven piece takes its drive from
-    RfPulse.envelope(), so a step that ends on the pulse's end sees the
-    drive from inside.  A non-finite state raises ArithmeticError.
+    dt must satisfy the resolution guard of max_stable_dt() and t_span
+    must cover every pulse; violations raise ValueError (with a suggested
+    step).  The span is cut at every gate and RF edge, and each piece runs
+    at its one coupling, wholly driven or undriven, in even steps of at
+    most dt scaled by the piece's own guard over max_stable_dt(), as one
+    exact recurrence (see the module docstring); results are deterministic.
+    A driven piece takes its drive from RfPulse.envelope(), so a step that
+    ends on the pulse's end sees the drive from inside.  A non-finite state
+    raises ArithmeticError.
     """
-    width = len(x0)
+    pieces = _pieces(system, pulses, t_span, dt)
+    width = 2 * len(_cells(system))
+    n_steps = sum(n for _, n, *_ in pieces)
+    times = np.empty(n_steps + 1)
+    # the scan pads a chunk with _BLOCK_STEPS - 1 rows past its last step
+    x = np.empty((n_steps + _BLOCK_STEPS, width), dtype=complex)
+    x[0] = 0.0
+    x[0, :2] = a0, b0
     longest = min(max(n for _, n, *_ in pieces), _CHUNK_STEPS)
-    x = np.zeros((longest + _BLOCK_STEPS, width), dtype=complex)
-    x[0] = x0
     grid = np.empty(2 * longest + 1)
     drive = np.empty(2 * longest + 1, dtype=complex)
-    first = 0
+    s = 0
     # the increment on each state component and, under a drive, on the
     # drive at the step's start, midpoint and end
     basis = np.eye(width + 3).tolist()
@@ -487,42 +495,12 @@ def _chunks(pieces, x0):
             if rf is not None:
                 ain = drive[:2 * m + 1]
                 ain[...] = rf.envelope(t)
-            _scan_chunk(x, m, step_map, lift, ain)
-            states = x[:m + 1]
-            if not np.isfinite(states).all():
+            _scan_chunk(x[s:], m, step_map, lift, ain)
+            if not np.isfinite(x[s:s + m + 1]).all():
                 raise ArithmeticError("trajectory diverged; reduce dt")
-            yield first, t, states
-            x[0] = x[m]
-            first += m
-
-
-def evolve(
-    system: CoupledModeSystem,
-    pulses: PulseSequence,
-    t_span: tuple[float, float],
-    dt: float,
-    a0: complex = 0.0,
-    b0: complex = 0.0,
-) -> Trajectory:
-    """Fixed-step RK4 trajectory of the driven two-mode system.
-
-    dt must satisfy the resolution guard of max_stable_dt() and t_span
-    must cover every pulse; violations raise ValueError (with a suggested
-    step).  The span is cut at every gate and RF edge, and each piece runs
-    at its one coupling, wholly driven or undriven, in even steps of at
-    most dt scaled by the piece's own guard over max_stable_dt(), as one
-    exact recurrence (see the module docstring); results are deterministic.
-    """
-    pieces = _pieces(system, pulses, t_span, dt)
-    n_steps = sum(n for _, n, *_ in pieces)
-    times = np.empty(n_steps + 1)
-    x = np.empty((n_steps + 1, 2), dtype=complex)
-    # a chunk's first row repeats the last row of the chunk before
-    for s, t, states in _chunks(pieces, [a0, b0]):
-        e = s + len(states)
-        times[s:e] = t[0::2]
-        x[s:e] = states
-    return Trajectory(times=times, x=x)
+            times[s:s + m + 1] = t[0::2]
+            s += m
+    return Trajectory(times=times, x=x[:n_steps + 1])
 
 
 def _hermite_cubic(h, v0, v1, s0, s1):
@@ -602,27 +580,6 @@ def coupler_peak(system: CoupledModeSystem | ReadCascade, pulses: PulseSequence,
             if 0.0 < u < 1.0:
                 peak = max(peak, abs(((c[3] * u + c[2]) * u + c[1]) * u + c[0]) ** 2)
     return peak
-
-
-def peak_coupler_energy(
-    system: CoupledModeSystem | ReadCascade,
-    pulses: PulseSequence,
-    t_span: tuple[float, float],
-    dt: float,
-) -> float:
-    """Peak coupler energy of system's last coupler over an integration:
-    from an empty cell, or for a ReadCascade from the reader's stored
-    excitation, the largest coupler_peak() of the integration's chunks.
-    For a CoupledModeSystem that is coupler_peak() of evolve's trajectory,
-    unless another chunk's largest sample ties the overall largest to
-    within the interpolant's rise above it.
-
-    Each chunk of the integration is reduced as it is made, so no
-    trajectory is built and the memory used does not grow with the span.
-    """
-    pieces = _pieces(system, pulses, t_span, dt)
-    return max(coupler_peak(system, pulses, t[0::2], states)
-               for _, t, states in _chunks(pieces, _cells(system)[1]))
 
 
 # ------------------------- protocols -------------------------

@@ -76,6 +76,7 @@ def default_band(cell: MemoryCell, l_grid) -> tuple[float, float]:
 
 COARSE_POINTS = 201  #: band-grid points of the Im Z scan that seeds every row
 SCAN_POINTS = 1601  #: band-grid points of the rescan of a row that came up short
+MIN_FIT_ROWS = 8  #: fewest valid rows fit_avoided_crossing() fits: a smaller grid never fits
 
 
 def mode_map(cell: MemoryCell, l_grid, min_depth_db: float = 0.01) -> ModeMap:
@@ -201,11 +202,11 @@ def fit_avoided_crossing(mode_map: ModeMap) -> CrossingFit:
     The crossing is the real root of f_a = f_b inside the grid nearest the
     row of least splitting; each window edge is the root of f_a = f_b +- 2g
     nearest the crossing, or the grid end on its side when there is none.
-    Requires at least 8 valid rows, a converged fit and a crossing inside
-    the grid; otherwise raises ValueError.
+    Requires at least MIN_FIT_ROWS valid rows, a converged fit and a
+    crossing inside the grid; otherwise raises ValueError.
     """
-    if len(mode_map.l) < 8:
-        raise ValueError("need at least 8 valid mode-map rows to fit")
+    if len(mode_map.l) < MIN_FIT_ROWS:
+        raise ValueError(f"need at least {MIN_FIT_ROWS} valid mode-map rows to fit")
     l, f1, f2 = mode_map.l, mode_map.f1, mode_map.f2
 
     scale = 1e9  # condition the fit in GHz

@@ -19,7 +19,6 @@ from qmemsim.dynamics import (
     PulseSequence,
     RfPulse,
     evolve,
-    peak_coupler_energy,
     read_protocol,
     swap_duration,
     write_protocol,
@@ -149,8 +148,6 @@ def _rf_system():
 # function's check should catch it
 FUNCTION_CASES = {
     "evolve": (lambda get: evolve(*_rf_system()[:2], (0.0, 1e-8), NAN), "dt must be positive"),
-    "peak_coupler_energy": (lambda get: peak_coupler_energy(*_rf_system()[:2], (0.0, 1e-8), NAN),
-                            "dt must be positive"),
     "write_protocol": (lambda get: write_protocol(SYSTEM, _rf_system()[2], dt_fraction=NAN),
                        "dt must be positive"),
     "read_protocol": (lambda get: read_protocol(SYSTEM, dt_fraction=NAN), "dt must be positive"),

@@ -303,6 +303,14 @@ class TestCalibrateCommand:
             assert a == pytest.approx(b, rel=1e-6)
 
 
+    def test_without_out_prints_the_config(self, seed_path, tmp_path, capsys):
+        out = tmp_path / "calibrated.json"
+        assert main(["calibrate", str(seed_path)]) == 0
+        printed = capsys.readouterr().out
+        assert main(["calibrate", str(seed_path), "--out", str(out)]) == 0
+        assert printed == out.read_text(encoding="utf-8")
+
+
 class TestModemapCommand:
     def test_window_and_coupling_in_report(self, seed_path, tmp_path):
         out = tmp_path / "map.csv"
@@ -348,9 +356,13 @@ class TestModemapCommand:
     @pytest.mark.parametrize("grid, message", [
         ("10pH,5pH,61", "--l-grid requires 0 < l_min < l_max"),
         ("0pH,5pH,61", "--l-grid requires 0 < l_min < l_max"),
-        ("10pH,500pH,1", "--l-grid points must be an integer >= 2"),
+        ("10pH,500pH,1", "--l-grid points must be an integer >= 8"),
+        # fewer points than the crossing fit needs: never a numerical failure
+        ("190pH,290pH,5", "--l-grid points must be an integer >= 8"),
         ("10pH,500pH,2.5", "--l-grid point count must be an integer"),
-    ], ids=["decreasing", "zero-lo", "one-point", "fractional-count"])
+        ("10pH,500pH", "--l-grid expects 'lo,hi,n' (e.g. 10pH,500pH,61)"),
+    ], ids=["decreasing", "zero-lo", "one-point", "five-points", "fractional-count",
+            "two-parts"])
     def test_bad_grid_is_a_usage_error(self, seed_path, grid, message, capsys):
         assert main(["modemap", str(seed_path), "--l-grid", grid]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -553,6 +565,29 @@ class TestErrorPaths:
         path = tmp_path / "impossible.json"
         path.write_text(json.dumps(raw))
         assert main(["calibrate", str(path)]) == 2
+
+    @pytest.mark.parametrize("edit, argv, message", [
+        (None, ["spectrum", "{cfg}", "--state", "off", "--band", "5.8GHz"],
+         "--band expects 'lo,hi' (e.g. 5.8GHz,7.4GHz)"),
+        (None, ["swap", "{cfg}", "--g", "0MHz"], "--g must be positive"),
+        (lambda raw: raw.pop("calibration"), ["calibrate", "{cfg}"],
+         "config has no 'calibration' section"),
+        (lambda raw: raw.pop("array"), ["protocol", "{cfg}", "{sched}"],
+         "config has no 'array' section with targets"),
+        # a grid too small for the crossing fit is caught before any mapping
+        (lambda raw: raw["modemap"].update(points=5), ["swap", "{cfg}", "--from-fit"],
+         "invalid configuration:\n  - modemap: points must be an integer >= 8"),
+    ], ids=["one-part-band", "zero-g", "no-calibration", "no-array", "unfittable-grid"])
+    def test_unrunnable_request_is_a_usage_error(self, seed_path, tmp_path, capsys, edit, argv,
+                                                 message):
+        raw = json.loads(seed_path.read_text())
+        if edit is not None:
+            edit(raw)
+        paths = {"cfg": tmp_path / "cfg.json", "sched": tmp_path / "sched.json"}
+        paths["cfg"].write_text(json.dumps(raw))
+        paths["sched"].write_text(json.dumps({"ops": [{"op": "write", "cell_index": 0}]}))
+        assert main([a.format(**paths) for a in argv]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_no_command_prints_usage(self, capsys):
         assert main([]) == 1

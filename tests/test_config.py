@@ -171,12 +171,37 @@ class TestParseConfig:
         ("array", "q_c", 0.0, "config: array q_c must be positive"),
         ("sweep", "band", ["0 GHz", "7 GHz"], "sweep: band requires 0 < lo < hi"),
         ("sweep", "band", ["-1 GHz", "7 GHz"], "sweep: band requires 0 < lo < hi"),
-    ], ids=["zero-step", "negative-step", "zero-q_c", "zero-band-lo", "negative-band-lo"])
+        ("sweep", "band", ["5.8 GHz"], "sweep.band: expected a [lo, hi] pair"),
+        ("array", "targets", "6.55 GHz", "array.targets: expected a list"),
+        ("dynamics", "dt_fraction_of_guard", 0.0,
+         "dynamics: dt_fraction_of_guard must lie in (0, 1]"),
+        ("dynamics", "dt_fraction_of_guard", 1.5,
+         "dynamics: dt_fraction_of_guard must lie in (0, 1]"),
+        ("dynamics", "gate_rise", "-1 ns", "dynamics: gate_rise must be non-negative"),
+        ("modemap", "points", 5, "modemap: points must be an integer >= 8"),
+    ], ids=["zero-step", "negative-step", "zero-q_c", "zero-band-lo", "negative-band-lo",
+            "one-part-band", "targets-not-a-list", "zero-dt-fraction", "dt-fraction-above-1",
+            "negative-gate-rise", "unfittable-grid"])
     def test_unrunnable_value_rejected(self, section, key, value, message):
         raw = minimal_raw()
         raw[section] = {key: value}
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(raw)
+
+    @pytest.mark.parametrize("c_in, message", [
+        (["20 fF"], "cell.c_in: expected a 'value unit' string, got ['20 fF']"),
+        ("2x0 fF", "cell.c_in: cannot parse number '2x0'"),
+        ("1e400 fF", "cell.c_in: value '1e400 fF' overflows"),
+    ], ids=["list", "not-a-number", "overflow"])
+    def test_bad_quantity_rejected(self, c_in, message):
+        raw = minimal_raw()
+        raw["cell"]["c_in"] = c_in
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(raw)
+
+    def test_root_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="config root must be a JSON object"):
+            parse_config([minimal_raw()])
 
     def test_logistic_gate_shape(self):
         raw = minimal_raw()
@@ -366,6 +391,7 @@ class TestLoadSchedule:
         ({"op": "write", "cell_index": True}, "ops[0].cell_index: expected an integer"),
         ({"op": "write", "cell_index": 1.0}, "ops[0].cell_index: expected an integer"),
         ({"op": "write"}, "ops[0].cell_index: expected an integer"),
+        (5, "ops[0]: expected an object"),
     ])
     def test_invalid_op_names_key(self, tmp_path, op, message):
         with pytest.raises(ConfigError) as err:

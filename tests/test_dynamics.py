@@ -17,6 +17,7 @@ from qmemsim.dynamics import (
     CoupledModeSystem,
     GatePulse,
     PulseSequence,
+    ReadCascade,
     RfPulse,
     _CHUNK_STEPS,
     _frame_carrier,
@@ -26,7 +27,6 @@ from qmemsim.dynamics import (
     coupler_slopes,
     evolve,
     max_stable_dt,
-    peak_coupler_energy,
     read_protocol,
     swap_duration,
     write_protocol,
@@ -478,29 +478,44 @@ def test_short_piece_is_one_block_of_its_own_length(monkeypatch):
     assert [k for m, k in scans if m > 1] == [dynamics._BLOCK_STEPS] * (len(scans) - 1)
 
 
-def _assert_peak_matches_evolve(system, pulses, span, dt):
-    """peak_coupler_energy is coupler_peak of evolve's trajectory from an
-    empty cell: bit for bit within one chunk, to round-off across chunks."""
-    traj = evolve(system, pulses, span, dt)
-    expected = coupler_peak(system, pulses, traj.times, traj.x)
-    peak = peak_coupler_energy(system, pulses, span, dt)
-    if (span[1] - span[0]) / dt <= _CHUNK_STEPS:
-        assert peak == expected
-    else:
-        assert peak == pytest.approx(expected, rel=1e-13, abs=0.0)
+def _read_cascade(neighbour_kappa_ext):
+    """A read's cascade, reader and neighbour 3 MHz apart, under the read's
+    gate pulse, its span and the step at the quarter guard: the reader's
+    rates set the guard, so the reader alone steps alike."""
+    reader = CoupledModeSystem(omega_a=W0, omega_b=W0, kappa_ext=TWO_PI * 4e6,
+                               kappa_int_a=TWO_PI * 0.1e6, gamma_b=TWO_PI * 0.05e6,
+                               g_on=TWO_PI * 20e6, g_off=1e3)
+    neighbour = CoupledModeSystem(omega_a=W0 + TWO_PI * 3e6, omega_b=W0 + TWO_PI * 3e6,
+                                  kappa_ext=neighbour_kappa_ext, kappa_int_a=TWO_PI * 0.1e6,
+                                  g_on=TWO_PI * 20e6, g_off=TWO_PI * 1e3)
+    cascade = ReadCascade(reader, neighbour)
+    pulses = PulseSequence(gate_pulses=(GatePulse(start=0.0, duration=swap_duration(reader.g_on)),))
+    assert max_stable_dt(cascade, pulses) == max_stable_dt(reader, pulses)
+    return cascade, pulses, (0.0, 2e-6), 0.25 * max_stable_dt(cascade, pulses)
 
 
-@settings(max_examples=30, deadline=None)
-@given(case=driven_systems())
-def test_peak_coupler_energy_matches_evolve(case):
-    system, pulses, span, dt, _, _ = case
-    _assert_peak_matches_evolve(system, pulses, span, dt)
+@pytest.mark.parametrize("kappa_ext", [0.0, TWO_PI * 4e6], ids=["decoupled", "coupled"])
+def test_read_cascade_starts_from_the_readers_state(kappa_ext):
+    cascade, pulses, span, dt = _read_cascade(kappa_ext)
+    traj = evolve(cascade, pulses, span, dt, a0=0.6, b0=0.8j)
+    assert traj.x.shape == (len(traj.times), 4)
+    assert traj.x[0].tolist() == [0.6, 0.8j, 0.0, 0.0]
+    # the neighbour is driven: it leaves its empty start only if coupled
+    assert (np.max(np.abs(traj.x[:, 2])) > 1e-3) == (kappa_ext > 0)
 
 
-@pytest.mark.parametrize("name", NAMED_CASES)
-def test_peak_coupler_energy_matches_evolve_named(name):
-    system, pulses, span, _, _ = _named_case(name)
-    _assert_peak_matches_evolve(system, pulses, span, 0.25 * max_stable_dt(system, pulses))
+@pytest.mark.parametrize("kappa_ext", [0.0, TWO_PI * 4e6], ids=["decoupled", "coupled"])
+def test_the_neighbour_never_acts_back_on_the_reader(kappa_ext):
+    # the cascade is one-way: the reader steps as it does alone; with no
+    # port the neighbour takes nothing from the feedline, its columns
+    # staying exactly 0
+    cascade, pulses, span, dt = _read_cascade(kappa_ext)
+    pair = evolve(cascade, pulses, span, dt, b0=1.0)
+    alone = evolve(cascade.reader, pulses, span, dt, b0=1.0)
+    assert np.array_equal(pair.times, alone.times)
+    assert pair.x[:, 2:].any() == (kappa_ext > 0)
+    scale = np.max(np.abs(alone.x))
+    assert np.max(np.abs(pair.x[:, :2] - alone.x)) <= 1e-15 * scale
 
 
 def test_coupler_peak_converges_at_fourth_order():
@@ -590,12 +605,10 @@ def _bad_integrations():
 
 
 @pytest.mark.parametrize("call, error, match", _bad_integrations())
-def test_peak_coupler_energy_raises_as_evolve(call, error, match):
+def test_evolve_raises(call, error, match):
     # the overflowing drive warns in numpy before the state check raises
-    with np.errstate(over="ignore", invalid="ignore"):
-        for integrate in (evolve, peak_coupler_energy):
-            with pytest.raises(error, match=match):
-                integrate(*call)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error, match=match):
+        evolve(*call)
 
 
 def _traced_peak(fn, *args, **kwargs):
@@ -609,23 +622,14 @@ def _traced_peak(fn, *args, **kwargs):
 
 def test_evolve_peak_memory():
     # the outputs are 2.5 x 16 bytes per sample (times and the (a, b)
-    # rows); the scan works in chunk-sized buffers, so every other array
-    # is bounded by the chunk, not by the span
+    # rows); the scan writes each chunk in place in the output and works in
+    # chunk-sized buffers, so every other array is bounded by the chunk,
+    # not by the span
     system, pulses, span, a0, b0 = _named_case("long_hold")
     dt = 0.25 * max_stable_dt(system, pulses)
     n = len(evolve(system, pulses, span, dt, a0=a0, b0=b0).times)
     assert n == 60_001
-    assert _traced_peak(evolve, system, pulses, span, dt, a0=a0, b0=b0) <= 3.75 * 16 * n
-
-
-def test_peak_coupler_energy_memory_is_bounded():
-    # no trajectory is built: the long_hold span and four times it fit in
-    # the same chunk-sized bound
-    system, pulses, span, _, _ = _named_case("long_hold")
-    dt = 0.25 * max_stable_dt(system, pulses)
-    for t_end in (span[1], 4.0 * span[1]):
-        peak = _traced_peak(peak_coupler_energy, system, pulses, (span[0], t_end), dt)
-        assert peak <= 10 * 16 * _CHUNK_STEPS
+    assert _traced_peak(evolve, system, pulses, span, dt, a0=a0, b0=b0) <= 3.5 * 16 * n
 
 
 def _energy_residual(system, pulses, traj):
@@ -633,8 +637,9 @@ def _energy_residual(system, pulses, traj):
     int |a_in|^2 - int |a_out|^2 = dE + int (k_int |a|^2 + g_b |b|^2) dt.
     Returns (|residual|, input energy + initial energy)."""
     t = traj.times
-    a_in = (np.zeros_like(traj.a) if pulses.rf is None
-            else np.asarray(pulses.rf.baseband(t), dtype=complex))
+    rf = pulses.rf
+    a_in = (np.zeros_like(traj.a) if rf is None
+            else np.asarray(rf.envelope(t) * ((t >= rf.start) & (t < rf.end)), dtype=complex))
     a_out = a_in - math.sqrt(system.kappa_ext) * traj.a
     e_in = np.trapezoid(np.abs(a_in) ** 2, t)
     e_out = np.trapezoid(np.abs(a_out) ** 2, t)
@@ -709,6 +714,12 @@ class TestWriteProtocol:
         coarse, fine = (write_protocol(sys_, rf, dt_fraction=f).fidelity for f in (1.0, 0.0625))
         assert coarse == pytest.approx(fine, rel=1e-6, abs=0.0)
 
+    def test_no_port_stores_nothing(self):
+        # with no port the coupler never loads: fidelity 0, not 0 / 0
+        sys_ = self.make_system(kappa_ext=0.0)
+        rf = RfPulse(carrier=W0 / TWO_PI, amplitude=1.0, start=0.0, duration=100e-9)
+        assert write_protocol(sys_, rf).fidelity == 0.0
+
     def test_gate_never_on_is_isolating(self):
         sys_ = self.make_system(g_off=1.3e4)
         rf = RfPulse(carrier=W0 / TWO_PI, amplitude=1.0, start=0.0, duration=3.0 / sys_.kappa_ext)
@@ -772,14 +783,14 @@ def test_gated_protocols_converge_in_step():
 class TestEnvelopes:
     def test_rect_window(self):
         rf = RfPulse(carrier=6.5e9, amplitude=2.0, start=10e-9, duration=5e-9)
-        assert rf.baseband(9e-9) == 0.0
-        assert rf.baseband(12e-9) == 2.0
-        assert rf.baseband(16e-9) == 0.0
+        assert rf.envelope(9e-9) == 2.0
+        assert rf.envelope(12e-9) == 2.0
+        assert rf.envelope(16e-9) == 2.0
 
     def test_gauss_peak_at_center(self):
         rf = RfPulse(carrier=6.5e9, amplitude=2.0, start=0.0, duration=100e-9, sigma=20e-9)
-        assert rf.baseband(50e-9) == pytest.approx(2.0)
-        assert rf.baseband(30e-9) == pytest.approx(2.0 * math.exp(-0.5))
+        assert rf.envelope(50e-9) == pytest.approx(2.0)
+        assert rf.envelope(30e-9) == pytest.approx(2.0 * math.exp(-0.5))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -811,12 +822,12 @@ class TestEnvelopes:
            st.lists(st.floats(-3e3, 3e3), min_size=1, max_size=8))
     @example(-1.0, 0.0, 1e-9, [0.0, 1e-9, -1e-300, 5e-10])
     def test_infinite_sigma_is_the_rectangle(self, amplitude, start, duration, t):
-        # exp(-0) = 1: the gaussian of infinite width is the window, bit for bit
+        # exp(-0) = 1: the gaussian of infinite width is the amplitude, bit
+        # for bit, at every finite t
         rf = RfPulse(carrier=6.5e9, amplitude=amplitude, start=start, duration=duration)
         assert rf.sigma == math.inf
         t = np.array(t)
-        window = amplitude * ((t >= rf.start) & (t < rf.end))
-        assert rf.baseband(t).tobytes() == window.tobytes()
+        assert rf.envelope(t).tobytes() == np.full(t.shape, float(amplitude)).tobytes()
 
 
 def test_system_validation():

@@ -294,35 +294,56 @@ def test_coupler_peaks_come_from_one_helper():
 
 
 #: the RfPulse methods that evaluate the drive
-DRIVE_METHODS = {"envelope", "baseband"}
+DRIVE_METHODS = {"envelope"}
+
+#: the integration's private stages: the cut into pieces and the scan
+INTEGRATION_STAGES = {"_pieces", "_scan_chunk"}
 
 
-def drive_evaluations(source: str, module: str) -> set:
-    """('module.function', method) of every call of a DRIVE_METHODS method
-    in source, by the function that makes it."""
+def named_calls(source: str, module: str, names) -> set:
+    """('module.function', name) of every call in source of a function or
+    method in names, by name or by attribute, by each function around it."""
     found = set()
     for fn in ast.walk(ast.parse(source)):
         if isinstance(fn, ast.FunctionDef):
-            found |= {(f"{module}.{fn.name}", node.func.attr) for node in ast.walk(fn)
-                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                      and node.func.attr in DRIVE_METHODS}
+            found |= {(f"{module}.{fn.name}", name) for node in ast.walk(fn)
+                      if isinstance(node, ast.Call)
+                      for name in [getattr(node.func, "id", getattr(node.func, "attr", None))]
+                      if name in names}
+    return found
+
+
+def package_calls(names) -> set:
+    found = set()
+    for path in sorted(Path(qmemsim.__file__).parent.glob("*.py")):
+        found |= named_calls(path.read_text(encoding="utf-8"), path.stem, names)
     return found
 
 
 def test_drive_evaluations_are_found():
-    source = "def drive(rf, t):\n    return rf.baseband(t) + pulses.rf.envelope(t)\n"
-    assert drive_evaluations(source, "m") == {("m.drive", "baseband"), ("m.drive", "envelope")}
+    source = "def drive(rf, t):\n    return rf.envelope(t) + pulses.rf.envelope(t + 1)\n"
+    assert named_calls(source, "m", DRIVE_METHODS) == {("m.drive", "envelope")}
 
 
 def test_the_scan_and_the_slopes_share_one_drive():
     # the scan and the Hermite slopes read the drive through one method,
-    # RfPulse.envelope, so they cannot take different sides of an RF edge;
-    # baseband, the drive windowed to [start, end), is built on it
-    found = set()
-    for path in sorted(Path(qmemsim.__file__).parent.glob("*.py")):
-        found |= drive_evaluations(path.read_text(encoding="utf-8"), path.stem)
-    assert found == {("dynamics._chunks", "envelope"), ("dynamics.coupler_slopes", "envelope"),
-                     ("dynamics.baseband", "envelope")}
+    # RfPulse.envelope, so they cannot take different sides of an RF edge
+    assert package_calls(DRIVE_METHODS) == {("dynamics.evolve", "envelope"),
+                                            ("dynamics.coupler_slopes", "envelope")}
+
+
+def test_second_integration_drivers_are_found():
+    source = ("def evolve(s, x):\n    _scan_chunk(x)\n    return _pieces(s)\n"
+              "def peak(s):\n    return dynamics._pieces(s)\n")
+    assert named_calls(source, "m", INTEGRATION_STAGES) == {
+        ("m.evolve", "_scan_chunk"), ("m.evolve", "_pieces"), ("m.peak", "_pieces")}
+
+
+def test_evolve_is_the_only_integration_driver():
+    # every integration, an addressed cell's or an idle neighbour's, cuts
+    # its span and scans it in one function
+    assert package_calls(INTEGRATION_STAGES) == {("dynamics.evolve", "_pieces"),
+                                                 ("dynamics.evolve", "_scan_chunk")}
 
 
 #: numpy's set routines: under numpy 2 each may call np.unique, which imports

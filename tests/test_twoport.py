@@ -343,6 +343,22 @@ def test_chain_abcd_matches_manual_cascade():
     assert chain_abcd(chain, f) == manual
 
 
+@pytest.mark.parametrize("f", [np.array([6.0e9]), np.linspace(4e9, 8e9, 9)],
+                         ids=["one-point", "nine-points"])
+def test_chain_abcd_at_an_array_is_the_scalar_calls(f):
+    # an array f keeps its shape, one entry each, even of length 1; each
+    # entry is the scalar call's, bit for bit
+    chain = [SeriesCapacitor(5e-15), LineSection(50.0, 6.45, 3e-3, atten=1e-3),
+             SeriesImpedance(lambda f: 1j * 2 * np.pi * f * 220e-12)]
+    tp = chain_abcd(chain, f)
+    for k, fk in enumerate(f.tolist()):
+        scalar = chain_abcd(chain, fk)
+        for name in ("a", "b", "c", "d"):
+            entries = getattr(tp, name)
+            assert np.shape(entries) == f.shape
+            assert complex(entries[k]) == complex(getattr(scalar, name))
+
+
 class TestComplexFrequency:
     ELEMENTS = (
         SeriesCapacitor(5e-15),
