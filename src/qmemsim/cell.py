@@ -19,7 +19,7 @@ import numpy as np
 
 from .checks import require
 from .jjfet import OFF, JjFet, jj_series_impedance
-from .resonance import db, find_resonances, find_root, local_minima
+from .resonance import db, find_root, local_minima, peaks_from_roots
 from .twoport import (
     SHORT,
     C0,
@@ -211,12 +211,17 @@ def adaptive_sweep(
 
 def spectrum(cell: MemoryCell, l_j, band, coarse_step: float = 2e6,
              min_depth_db: float = 0.01):
-    """(peaks, (freqs, s21)): the resonances at least `min_depth_db` deep
-    on the :func:`adaptive_sweep` of band, refined around every dip at half
-    the reporting depth.  OFF over OFF_BAND, the split-TCR modes sit near
-    twice the ON-state TCR frequency, and the cavity is a narrow dip."""
+    """(peaks, (freqs, s21)): the resonances of the dips at least
+    `min_depth_db` deep on the :func:`adaptive_sweep` of band, refined around
+    every dip at half the reporting depth.  Each dip takes f0 and its Q values
+    from the cell branch's complex roots (:func:`peaks_from_roots`), not from
+    a fit of the trace; a dip without a root keeps its parabolic f0 and no Q.
+    OFF over OFF_BAND, the split-TCR modes sit near twice the ON-state TCR
+    frequency, and the cavity is a narrow dip."""
     freqs, s21 = adaptive_sweep(cell, l_j, band, coarse_step, min_depth_db / 2)
-    return find_resonances(freqs, s21, min_depth_db), (freqs, s21)
+    peaks = peaks_from_roots(freqs, s21, min_depth_db,
+                             lambda f: cell_shunt_impedance(cell, l_j, f), cell.z0)
+    return peaks, (freqs, s21)
 
 
 # ------------------------- analytic mode estimates -------------------------

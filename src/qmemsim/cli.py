@@ -252,6 +252,8 @@ def _parse_state(text: str):
 
 
 def _peak_summary(peaks):
+    """Report entries; a peak that names its trace dip apart from f0 (a root's
+    peak) gives that dip as f_dip_hz."""
     return [
         {
             "f0_hz": p.f0,
@@ -259,14 +261,15 @@ def _peak_summary(peaks):
             "q_loaded": p.q_loaded,
             "q_coupling": p.q_coupling,
             "q_internal": p.q_internal,
+            **({} if p.f_dip is None else {"f_dip_hz": p.f_dip}),
         }
         for p in peaks
     ]
 
 
-def _fit_fallback_warnings(peaks):
+def _unresolved_warnings(peaks, reason: str):
     return [
-        f"peak at {p.f0:.5e} Hz: notch fit failed; f0 from parabolic interpolation"
+        f"peak at {p.f0:.5e} Hz: {reason}; f0 from parabolic interpolation"
         for p in peaks
         if p.q_loaded is None
     ]
@@ -307,7 +310,7 @@ def _cmd_spectrum(args, cfg: Config) -> int:
                                    cfg.sweep.min_depth_db)
     _write_trace_csv(args.out, freqs, s21)
     _write_report(args.report, "spectrum", cfg, {"peaks": _peak_summary(peaks)},
-                  _fit_fallback_warnings(peaks))
+                  _unresolved_warnings(peaks, "no circuit root on its dip"))
     return 0
 
 
@@ -439,7 +442,7 @@ def _cmd_array_spectrum(args, cfg: Config) -> int:
     _write_trace_csv(args.out, freqs, s21)
     peaks = find_resonances(freqs, s21, min_depth_db=cfg.sweep.min_depth_db)
     _write_report(args.report, "array-spectrum", cfg, {"peaks": _peak_summary(peaks)},
-                  _fit_fallback_warnings(peaks))
+                  _unresolved_warnings(peaks, "notch fit failed"))
     return 0
 
 

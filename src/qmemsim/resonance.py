@@ -1,12 +1,12 @@
 """Resonances from |S21| traces and from complex-frequency circuit roots.
 
 Dips are located as local minima of |S21| in dB, refined by parabolic
-interpolation, then fit to the complex notch model
+interpolation (trace_dips()).  A trace alone is fit to the complex notch model
 
     S21(f) = 1 - (Q_l / Q_c) / (1 + 2j Q_l (f - f0) / f0)
 
 with loaded quality factor Q_l, coupling quality factor Q_c and resonance
-frequency f0.  The internal quality factor follows from
+frequency f0 (find_resonances()).  The internal quality factor follows from
 1/Q_i = 1/Q_l - 1/Q_c.
 
 Each fit is seeded in closed form by the inverse-S21 linearization
@@ -16,13 +16,14 @@ which the crossing fit shares.  The seed alone is not the answer: the cell is
 not an exact Lorentzian, and the seed's Q values can be off by parts in 1e3.
 The circuit itself gives the same parameters as complex roots (Pozar,
 Microwave Engineering, 6.1): see complex_zeros(), notch_roots() and
-peak_from_roots().
+peak_from_roots().  A trace of a known shunt branch takes each dip's values
+from those roots, with no fit (peaks_from_roots()).
 Real roots are refined by find_root() inside brackets its callers supply;
 the calibration scans for its own.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -123,13 +124,15 @@ def notch_s21_model(f, f0, q_loaded, q_coupling):
 
 @dataclass(frozen=True)
 class ResonancePeak:
-    """One fitted notch resonance.
+    """One notch resonance.
 
     f0 : Hz.  depth_db : positive dB depth of the dip below the unit
-    baseline.  q_* fields are None when the Lorentzian fit did not
-    converge or landed off its own dip (f0 then comes from parabolic
-    interpolation alone);
+    baseline.  q_* fields are None when the dip has no Lorentzian fit that
+    converged on it (find_resonances()) or no circuit root in it
+    (peaks_from_roots()); f0 then comes from parabolic interpolation alone.
     q_internal is None for a lossless resonance (Q_c ~ Q_l).
+    f_dip : Hz, the parabolic minimum of the trace dip, which a root's f0
+    need not sit on; set by peaks_from_roots() alone.
     """
 
     f0: float
@@ -137,9 +140,10 @@ class ResonancePeak:
     q_loaded: float | None = None
     q_coupling: float | None = None
     q_internal: float | None = None
+    f_dip: float | None = None
 
     def __post_init__(self):
-        require(self, "positive", "f0", "q_loaded")
+        require(self, "positive", "f0", "q_loaded", "f_dip")
 
 
 def db(s21):
@@ -185,6 +189,36 @@ def half_depth_window(db, i):
     while hi < n - 1 and half > db[hi + 1] >= db[hi]:
         hi += 1
     return lo, hi
+
+
+def trace_dips(freqs, s21_db, min_depth_db):
+    """(i, (lo, hi), (f_lo, f_hi), f_dip) per local minimum i of the dB trace
+    at least min_depth_db deep: its half_depth_window [lo, hi], that window
+    widened by one sample in Hz (where a resonance must land to be this
+    dip's), and the vertex f_dip of the parabola through i and its neighbours."""
+    n = len(freqs)
+    found = []
+    for i in local_minima(s21_db, min_depth_db):
+        lo, hi = half_depth_window(s21_db, i)
+        span = (freqs[max(lo - 1, 0)], freqs[min(hi + 1, n - 1)])
+        found.append((i, (lo, hi), span,
+                      _parabolic_vertex(freqs[i - 1 : i + 2], s21_db[i - 1 : i + 2])))
+    return found
+
+
+def _checked_trace(freqs, s21, min_depth_db):
+    """(freqs, s21) as float and complex arrays; ValueError unless they are
+    1-D of one length, strictly increasing from 3 points on, and the
+    threshold is finite."""
+    freqs = np.asarray(freqs, dtype=float)
+    s21 = np.asarray(s21, dtype=complex)
+    if freqs.ndim != 1 or freqs.shape != s21.shape:
+        raise ValueError("freqs and s21 must be 1-D arrays of equal length")
+    if not np.isfinite(min_depth_db):
+        raise ValueError("min_depth_db must be finite")
+    if len(freqs) >= 3 and not np.all(np.diff(freqs) > 0):
+        raise ValueError("freqs must be strictly increasing")
+    return freqs, s21
 
 
 # (f0 scale, log10 Q_l, log10 Q_c) box an accepted fit must lie in
@@ -266,7 +300,7 @@ def _fit_notch(f, s21, f0_init, ql_init, qc_init):
 
 
 def find_resonances(freqs, s21, min_depth_db: float = 0.05):
-    """Extract notch resonances from a swept-frequency trace.
+    """Extract notch resonances from a swept-frequency trace by fitting it.
 
     Parameters
     ----------
@@ -276,33 +310,22 @@ def find_resonances(freqs, s21, min_depth_db: float = 0.05):
 
     Returns
     -------
-    list of ResonancePeak, one per local minimum at least min_depth_db
-    deep, sorted by f0.  A flat trace yields an empty list.  Each fit spans
-    five half-depth widths either side of its dip and is kept only when its
-    f0 lands on its own dip: inside the dip's half_depth_window widened by
-    one sample, which stops at a saddle toward a neighbouring dip.  A dip
-    whose fit fails, or lands off its own dip (a shallow dip's fit drawn
-    onto a deeper neighbour), keeps its parabolic f0 with the Q fields
-    absent; no dip is merged into another.
+    list of ResonancePeak, one per trace_dips() dip, sorted by f0.  A flat
+    trace yields an empty list.  Each fit spans five half-depth widths
+    either side of its dip and is kept only when its f0 lands on its own
+    dip: inside the dip's half_depth_window widened by one sample, which
+    stops at a saddle toward a neighbouring dip.  A dip whose fit fails, or
+    lands off its own dip (a shallow dip's fit drawn onto a deeper
+    neighbour), keeps its parabolic f0 with the Q fields absent; no dip is
+    merged into another.  A trace of a known shunt branch has exact values
+    in peaks_from_roots() instead.
     """
-    freqs = np.asarray(freqs, dtype=float)
-    s21 = np.asarray(s21, dtype=complex)
-    if freqs.ndim != 1 or freqs.shape != s21.shape:
-        raise ValueError("freqs and s21 must be 1-D arrays of equal length")
-    if not np.isfinite(min_depth_db):
-        raise ValueError("min_depth_db must be finite")
-    if len(freqs) < 3:
-        return []
-    if not np.all(np.diff(freqs) > 0):
-        raise ValueError("freqs must be strictly increasing")
-
+    freqs, s21 = _checked_trace(freqs, s21, min_depth_db)
     s21_db = db(s21)
     n = len(freqs)
 
     peaks = []
-    for i in local_minima(s21_db, min_depth_db):
-        lo, hi = half_depth_window(s21_db, i)
-        f0_par = _parabolic_vertex(freqs[i - 1 : i + 2], s21_db[i - 1 : i + 2])
+    for i, (lo, hi), (f_lo, f_hi), f0_par in trace_dips(freqs, s21_db, min_depth_db):
         fwhm = max(freqs[hi] - freqs[lo], freqs[i + 1] - freqs[i - 1])
         wlo = np.searchsorted(freqs, f0_par - 5.0 * fwhm)
         whi = np.searchsorted(freqs, f0_par + 5.0 * fwhm)
@@ -312,7 +335,7 @@ def find_resonances(freqs, s21, min_depth_db: float = 0.05):
         depth_lin = 1.0 - 10.0 ** (s21_db[i] / 20.0)
         qc_init = ql_init / min(max(depth_lin, 1e-6), 1.0)
         fit = _fit_notch(freqs[wlo:whi], s21[wlo:whi], f0_par, ql_init, qc_init)
-        if fit is None or not freqs[max(lo - 1, 0)] <= fit[0] <= freqs[min(hi + 1, n - 1)]:
+        if fit is None or not f_lo <= fit[0] <= f_hi:
             peaks.append(ResonancePeak(f0=f0_par, depth_db=-s21_db[i]))
             continue
         f0, ql, qc = fit
@@ -381,3 +404,45 @@ def peak_from_roots(f_zero, f_pole) -> ResonancePeak:
     qi = fz.real / (2.0 * fz.imag)
     qc = 1.0 / (1.0 / ql - 1.0 / qi) if qi > ql else None
     return ResonancePeak(fz.real, -float(db(ql / qi)), ql, qc, qi)
+
+
+def peaks_from_roots(freqs, s21, min_depth_db, z, z0):
+    """Resonances of a shunt branch from its trace and its complex roots.
+
+    s21 = notch_s21(z(freqs), z0) is the branch's trace on freqs; z maps
+    complex Hz to ohm as notch_roots() takes it.  Returns one ResonancePeak
+    per trace_dips() dip, sorted by f0, with the trace's depth and the dip's
+    parabolic minimum f_dip.  Im Z has the sign of Im[S21 / (1 - S21)], so
+    the trace places each up-crossing of Im Z.  The crossing nearest a dip
+    in its widened window seeds the dip's roots, bracketed halfway to the
+    neighbouring dips, in one notch_roots() call for all dips.  A dip whose
+    zero lands in its window, with a pole, takes f0 and the Q values of
+    peak_from_roots(); any other dip keeps its parabolic f0 and no Q.  No
+    fit is made.
+    """
+    freqs, s21 = _checked_trace(freqs, s21, min_depth_db)
+    s21_db = db(s21)
+    found = trace_dips(freqs, s21_db, min_depth_db)
+    with np.errstate(divide="ignore", invalid="ignore"):  # S21 = 1 exactly: no crossing
+        x = (s21 / (1.0 - s21)).imag
+        k = np.flatnonzero((x[:-1] < 0) & (x[1:] >= 0))
+        up = freqs[k] - x[k] * (freqs[k + 1] - freqs[k]) / (x[k + 1] - x[k])
+    peaks, at, seeds = [], [], []
+    for d, (i, _, (f_lo, f_hi), f_dip) in enumerate(found):
+        peaks.append(ResonancePeak(f0=f_dip, depth_db=-s21_db[i], f_dip=f_dip))
+        inside = up[(f_lo <= up) & (up <= f_hi)]
+        if len(inside):
+            at.append(d)
+            seeds.append(inside[np.argmin(abs(inside - f_dip))])
+    if seeds:
+        # brackets reach halfway to the neighbouring dips: a deep dip's window
+        # can be narrower than its pole's real part is from its zero's
+        mid = [(p.f_dip + q.f_dip) / 2 for p, q in zip(peaks, peaks[1:])]
+        edges, at = np.array([freqs[0], *mid, freqs[-1]]), np.array(at)
+        f_zero, f_pole = notch_roots(z, z0, np.array(seeds), edges[at], edges[at + 1])
+        for d, fz, fp in zip(at, f_zero, f_pole):
+            f_lo, f_hi = found[d][2]
+            if f_lo <= fz.real <= f_hi and not np.isnan(fp):
+                peaks[d] = replace(peak_from_roots(fz, fp), depth_db=peaks[d].depth_db,
+                                   f_dip=peaks[d].f_dip)
+    return sorted(peaks, key=lambda p: p.f0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmemsim import cell as cell_module
+from qmemsim import cell as cell_module, resonance
 from qmemsim.cell import (
     OFF_BAND,
     MemoryCell,
@@ -19,7 +19,10 @@ from qmemsim.cell import (
     tcr_mode_estimate,
 )
 from qmemsim.jjfet import OFF, JjFet, critical_current_for_inductance
+from qmemsim.resonance import (db, half_depth_window, local_minima, notch_roots,
+                                peak_from_roots, peaks_from_roots)
 from qmemsim.twoport import SHORT, input_impedance
+from tests.conftest import recorded_fits
 
 
 def make_cell(**overrides):
@@ -172,3 +175,73 @@ class TestOffState:
     def test_off_floor_in_readout_band(self, cell):
         freqs, s21 = frequency_sweep(cell, OFF, np.linspace(6.4e9, 7.0e9, 3001))
         assert np.min(np.abs(s21)) >= 0.999
+
+
+class TestSpectrumRoots:
+    """spectrum reads each dip's resonance off the cell branch's complex roots."""
+
+    STATES = [(220e-12, (5.8e9, 7.4e9)), (OFF, OFF_BAND)]
+
+    @pytest.mark.parametrize("state, band", STATES)
+    def test_trace_gives_the_sign_of_the_branch_reactance(self, cell, state, band):
+        _, (freqs, s21) = spectrum(cell, state, band)
+        x = cell_shunt_impedance(cell, state, freqs).imag
+        assert np.array_equal(np.sign((s21 / (1.0 - s21)).imag), np.sign(x))
+
+    @pytest.mark.parametrize("state, band, rooted", [(*STATES[0], 2), (*STATES[1], 1)])
+    def test_peaks_are_their_dips_roots(self, cell, state, band, rooted):
+        peaks, (freqs, s21) = spectrum(cell, state, band)
+        trace, n = db(s21), len(freqs)
+        x = (s21 / (1.0 - s21)).imag
+        up = [freqs[k] - x[k] * (freqs[k + 1] - freqs[k]) / (x[k + 1] - x[k])
+              for k in range(n - 1) if x[k] < 0 <= x[k + 1]]
+        with_q = [p for p in peaks if p.q_loaded is not None]
+        assert len(with_q) == rooted
+        for peak in with_q:
+            # its dip: the minimum whose parabola gave f_dip
+            [i] = [i for i in local_minima(trace, 0.01) if freqs[i - 1] < peak.f_dip < freqs[i + 1]]
+            assert peak.depth_db == -trace[i]
+            lo, hi = half_depth_window(trace, i)
+            f_lo, f_hi = freqs[max(lo - 1, 0)], freqs[min(hi + 1, n - 1)]
+            assert f_lo <= peak.f0 <= f_hi
+            seed = min((f for f in up if f_lo <= f <= f_hi), key=lambda f: abs(f - peak.f_dip))
+            # bracketed by the whole sweep: the bits do not depend on the bracket
+            f_zero, f_pole = notch_roots(lambda f: cell_shunt_impedance(cell, state, f), cell.z0,
+                                         seed, freqs[0], freqs[-1])
+            want = peak_from_roots(f_zero, f_pole)
+            assert (peak.f0, peak.q_loaded, peak.q_coupling, peak.q_internal) == (
+                want.f0, want.q_loaded, want.q_coupling, want.q_internal)
+
+    def test_shallow_off_dip_has_no_root(self, cell):
+        peaks, _ = spectrum(cell, OFF, OFF_BAND)
+        [shallow] = [p for p in peaks if abs(p.f0 - 13.45e9) < 0.05e9]
+        assert shallow.q_loaded is None and shallow.q_coupling is None
+        assert shallow.f0 == shallow.f_dip
+
+    def test_deep_dip_keeps_a_pole_outside_its_window(self):
+        # a near-lossless cell's 80 dB dip: its half-depth window is narrower
+        # than its pole's real part is from its zero's, and it keeps its Q
+        cell = make_cell()
+        peaks, (freqs, s21) = spectrum(cell, 50e-12, (5.8e9, 7.4e9))
+        assert all(p.q_loaded is not None for p in peaks)
+        deep = max(peaks, key=lambda p: p.depth_db)
+        trace = db(s21)
+        [i] = [i for i in local_minima(trace, 0.01) if freqs[i - 1] < deep.f_dip < freqs[i + 1]]
+        lo, hi = half_depth_window(trace, i)
+        _, f_pole = notch_roots(lambda f: cell_shunt_impedance(cell, 50e-12, f), cell.z0,
+                                deep.f0, freqs[0], freqs[-1])
+        assert deep.depth_db > 75.0
+        assert not freqs[lo - 1] <= f_pole.real <= freqs[hi + 1]
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_short_trace_has_no_peaks(self, n):
+        def no_branch(f):
+            raise AssertionError("a trace without dips takes no roots")
+
+        assert peaks_from_roots(np.arange(1.0, n + 1.0), np.zeros(n), 0.01, no_branch, 50.0) == []
+
+    def test_no_trace_fit(self, cell, monkeypatch):
+        calls = recorded_fits(monkeypatch, resonance)
+        for state, band in self.STATES:
+            spectrum(cell, state, band)
+        assert calls == []

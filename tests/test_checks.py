@@ -32,7 +32,7 @@ from qmemsim.jjfet import (
     josephson_inductance,
 )
 from qmemsim.modemap import CrossingFit, mode_map
-from qmemsim.resonance import ResonancePeak, find_resonances
+from qmemsim.resonance import ResonancePeak, find_resonances, peaks_from_roots
 from qmemsim.twoport import (
     SHORT,
     LineSection,
@@ -172,6 +172,9 @@ FUNCTION_CASES = {
                  "positive and strictly increasing"),
     "find_resonances": (lambda get: find_resonances([6e9, NAN, 7e9], np.ones(3, dtype=complex)),
                         "freqs must be strictly increasing"),
+    "peaks_from_roots": (lambda get: peaks_from_roots([6e9, NAN, 7e9], np.ones(3, dtype=complex),
+                                                      0.01, abs, 50.0),
+                         "freqs must be strictly increasing"),
     "MemoryArray": (lambda get: MemoryArray(cells=(CELL, CELL), targets=(6.55e9, NAN)),
                     "target frequencies must be strictly increasing"),
     "build_array": (lambda get: build_array([6.55e9, NAN], get("template")),

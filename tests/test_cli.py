@@ -239,18 +239,33 @@ class TestSpectrumCommand:
         split = [p for p in peaks if 11.5e9 <= p["f0_hz"] <= 14.5e9]
         assert len(split) == 2
 
-    def test_fit_fallback_is_warned(self, seed_path, tmp_path):
+    def test_dip_without_root_is_warned(self, seed_path, tmp_path):
         out = tmp_path / "off.csv"
         rep = tmp_path / "off.json"
         assert main(["spectrum", str(seed_path), "--state", "off",
                      "--out", str(out), "--report", str(rep)]) == 0
         report = json.loads(rep.read_text())
-        unfit = [p["f0_hz"] for p in report["summary"]["peaks"] if p["q_loaded"] is None]
-        assert unfit  # the shallow 13.45 GHz peak of the seed config
+        rootless = [p for p in report["summary"]["peaks"] if p["q_loaded"] is None]
+        # the shallow 13.45 GHz dip of the seed config: its f0 is its trace minimum
+        assert [round(p["f0_hz"] / 1e7) for p in rootless] == [1345]
+        assert all(p["f0_hz"] == p["f_dip_hz"] for p in rootless)
         assert report["warnings"] == [
-            f"peak at {f:.5e} Hz: notch fit failed; f0 from parabolic interpolation"
-            for f in unfit
+            f"peak at {p['f0_hz']:.5e} Hz: no circuit root on its dip; "
+            "f0 from parabolic interpolation"
+            for p in rootless
         ]
+
+    def test_peaks_name_their_trace_dip(self, seed_path, tmp_path):
+        rep = tmp_path / "off.json"
+        assert main(["spectrum", str(seed_path), "--state", "off",
+                     "--out", str(tmp_path / "off.csv"), "--report", str(rep)]) == 0
+        peaks = json.loads(rep.read_text())["summary"]["peaks"]
+        assert all(set(p) == {"f0_hz", "f_dip_hz", "depth_db", "q_loaded", "q_coupling",
+                              "q_internal"} for p in peaks)
+        # the 14 GHz split mode's root sits below its trace minimum
+        rooted = [p for p in peaks if p["q_loaded"] is not None]
+        assert len(rooted) == 1
+        assert 0.0 < rooted[0]["f_dip_hz"] - rooted[0]["f0_hz"] < 0.1e9
 
     def test_off_state_steps_at_the_coarse_step(self, seed_path, tmp_path):
         raw = json.loads(seed_path.read_text())

@@ -385,3 +385,10 @@ def test_src_calls_no_numpy_set_routine():
     for path in sorted((ROOT / "src").rglob("*.py")):
         found += set_routine_uses(path.read_text(encoding="utf-8"), path.stem)
     assert found == []
+
+
+def test_only_array_spectrum_fits_a_trace():
+    # a single cell's dips take their resonances from its roots; only the
+    # array's cascade, with no single shunt branch, is fit as a trace
+    assert package_calls({"find_resonances"}) == {("cli._cmd_array_spectrum",
+                                                   "find_resonances")}

@@ -6,7 +6,10 @@ from scipy.optimize import least_squares
 
 from qmemsim import resonance
 from qmemsim.calibrate import _tcr_branch_impedance, measure_isolated_tcr, tcr_branch_resonance
-from qmemsim.cli import main
+from qmemsim.cell import OFF_BAND, adaptive_sweep
+from qmemsim.cli import _parse_state, main
+from qmemsim.config import load_config
+from qmemsim.jjfet import OFF
 from qmemsim.resonance import (
     LM_TOL,
     ResonancePeak,
@@ -158,6 +161,22 @@ class TestFitNotch:
             _fit_notch(freqs, s21, self.f0, self.ql, self.qc)
 
 
+def seed_spectrum_traces(tmp_path, states=("on:173.3pH", "off")):
+    """The adaptive sweep `spectrum --state <state>` takes on the --seed-config
+    file, per state, with that file's reporting depth: (freqs, s21, min_depth_db)."""
+    seed = tmp_path / "seed.json"
+    assert main(["--seed-config", str(seed)]) == 0
+    cfg = load_config(seed)
+    traces = []
+    for text in states:
+        state = _parse_state(text)
+        band = OFF_BAND if state is OFF else cfg.sweep.band
+        freqs, s21 = adaptive_sweep(cfg.cell, state, band, cfg.sweep.coarse_step,
+                                    cfg.sweep.min_depth_db / 2)
+        traces.append((freqs, s21, cfg.sweep.min_depth_db))
+    return traces
+
+
 def minpack_lm(residuals, jacobian, p0):
     """Cost and success of scipy's MINPACK Levenberg-Marquardt at LM_TOL."""
     try:
@@ -196,12 +215,10 @@ class TestLevenbergMarquardt:
         freqs = np.linspace(0.7 * 6.55e9, 1.3 * 6.55e9, 201)
         _fit_notch(freqs, notch_s21_model(freqs, 6.55e9, 0.5, 1.0), 6.55e9, 10.0, 20.0)
         n_synthetic = len(calls)
-        # a characterize-style session: the ON and OFF spectra of the seed config
-        seed = tmp_path / "seed.json"
-        assert main(["--seed-config", str(seed)]) == 0
-        for state in ("on:173.3pH", "off"):
-            assert main(["spectrum", str(seed), "--state", state,
-                         "--out", str(tmp_path / "s.csv")]) == 0
+        # the traces of a characterize-style session: the seed config's ON and
+        # OFF spectra, which `spectrum` reads from roots and a measurement fits
+        for freqs, s21, min_depth_db in seed_spectrum_traces(tmp_path):
+            find_resonances(freqs, s21, min_depth_db)
         assert len(calls) > n_synthetic
         for residuals, jacobian, p0, (p, r, converged) in calls:
             cost = r @ r
@@ -390,10 +407,9 @@ def test_one_peak_per_dip_on_a_skirt(offset, side, ql_shallow, depth_db, ql_deep
 
 def test_off_spectrum_fit_windows(monkeypatch, tmp_path):
     # the 13.45 GHz dip on the 14 GHz mode's skirt once fitted the whole grid
+    [(freqs, s21, min_depth_db)] = seed_spectrum_traces(tmp_path, ["off"])
     calls = recorded_fits(monkeypatch, resonance)
-    seed = tmp_path / "seed.json"
-    assert main(["--seed-config", str(seed)]) == 0
-    assert main(["spectrum", str(seed), "--state", "off", "--out", str(tmp_path / "s.csv")]) == 0
+    find_resonances(freqs, s21, min_depth_db)
     points = sum(len(residuals(p0)) // 2 for residuals, _, p0, _ in calls)
     assert 0 < points <= 8000
 
