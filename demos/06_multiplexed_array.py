@@ -21,7 +21,6 @@ from qmemsim import OFF, AccessOp, AccessSchedule, array_spectrum, build_array, 
 from qmemsim.array import _cell_models, off_resonant_bound
 from qmemsim.config import example_template
 from qmemsim.dynamics import TWO_PI
-from qmemsim.resonance import find_resonances
 
 targets = (6.55e9, 6.65e9, 6.70e9, 6.75e9)
 array = build_array(targets, example_template())
@@ -32,15 +31,18 @@ models = _cell_models(array)
 # %% [markdown]
 # With every junction ON at its crossing the band shows each cell's
 # hybridized doublet; all OFF, the feedline goes essentially transparent.
+# The feedline's trace is the product of the cells' traces, so each dip's
+# f0 and Q values are its own cell's circuit roots: no trace is fit.
 
 # %%
 grid = np.linspace(6.0e9, 7.1e9, 22001)
-_, s_on = array_spectrum(array, [m.fit.l_cross for m in models], grid)
-peaks = find_resonances(grid, s_on, min_depth_db=1.0)
-print(f"all-ON composed spectrum: {len(peaks)} dips")
-print("  " + "  ".join(f"{p.f0 / 1e9:.3f}" for p in peaks), "GHz")
+peaks, _ = array_spectrum(array, [m.fit.l_cross for m in models], grid, min_depth_db=1.0)
+print(f"all-ON spectrum: {len(peaks)} dips")
+for p in peaks:
+    q = "no circuit root" if p.q_loaded is None else f"Q_l = {p.q_loaded:,.0f}"
+    print(f"  f0 = {p.f0 / 1e9:.4f} GHz  depth = {p.depth_db:5.1f} dB  {q}")
 
-_, s_off = array_spectrum(array, [OFF] * 4, grid)
+_, (_, s_off) = array_spectrum(array, [OFF] * 4, grid)
 print(f"all-OFF |S21| floor across the band: {np.min(np.abs(s_off)):.5f}")
 
 # %% [markdown]

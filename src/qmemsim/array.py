@@ -2,20 +2,22 @@
 
 All cells tap the same transmission line; with taps far apart compared to
 a wavelength the combined transmission is the product of the individual
-notch responses.  Random-access read/write scheduling simulates the
-addressed cell's protocol while every idle cell sees the same feedline
-field off-resonantly, which quantifies crosstalk.
+notch responses, so its zeros and poles are each cell's own circuit roots,
+and the array's resonances are every cell's.  Random-access read/write
+scheduling simulates the addressed cell's protocol while every idle cell
+sees the same feedline field off-resonantly, which quantifies crosstalk.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Literal
 
 import numpy as np
 
 from .calibrate import CalibrationTargets, calibrate_cells
-from .cell import MemoryCell, frequency_sweep
+from .cell import MemoryCell, cell_shunt_impedance, frequency_sweep
 from .checks import require
 from .dynamics import (
     DT_FRACTION,
@@ -34,6 +36,7 @@ from .dynamics import (
 )
 from .extract import extract_coupled_mode_params, full_accumulation_inductance
 from .modemap import CrossingFit, fit_avoided_crossing, mode_map
+from .resonance import peaks_from_roots
 
 
 @dataclass(frozen=True)
@@ -98,16 +101,22 @@ def build_array(
     return MemoryArray(cells=tuple(cells), targets=targets, z_ref=template.z0)
 
 
-def array_spectrum(array: MemoryArray, all_states, f_grid):
-    """Combined feedline transmission: product of per-cell notch traces."""
+def array_spectrum(array: MemoryArray, all_states, f_grid, min_depth_db: float = 0.01):
+    """(peaks, (f_grid, s21)): s21 is the product of the cells' notch traces;
+    peaks are every cell's dips at least `min_depth_db` deep on its own trace
+    (:func:`peaks_from_roots` on its branch), sorted by f0, so modes of
+    different cells that overlap are listed one per cell."""
     if len(all_states) != len(array):
         raise ValueError("need one junction state per cell")
     f_grid = np.asarray(f_grid, dtype=float)
     s21 = np.ones_like(f_grid, dtype=complex)
+    peaks = []
     for cell, state in zip(array.cells, all_states):
         _, s = frequency_sweep(cell, state, f_grid)
         s21 = s21 * s
-    return f_grid, s21
+        peaks += peaks_from_roots(f_grid, s, min_depth_db,
+                                  partial(cell_shunt_impedance, cell, state), cell.z0)
+    return sorted(peaks, key=lambda p: p.f0), (f_grid, s21)
 
 
 # ------------------------- access scheduling -------------------------

@@ -58,7 +58,7 @@ from .dynamics import (
 from .extract import ExtractionError, extract_coupled_mode_params, full_accumulation_inductance
 from .jjfet import OFF
 from .modemap import fit_avoided_crossing, mode_map
-from .resonance import db, find_resonances
+from .resonance import db
 
 
 class UsageError(ValueError):
@@ -198,12 +198,6 @@ def _write_csv(path, header, columns):
             fh.write(body)
 
 
-def _write_trace_csv(path, freqs, s21):
-    """Complex transmission trace: frequency, real, imaginary, |S21| in dB."""
-    _write_csv(path, ["f_hz", "re_s21", "im_s21", "abs_s21_db"],
-               [freqs, s21.real, s21.imag, db(s21)])
-
-
 def _write_report(path, command: str, cfg: Config, summary: dict, warnings=()):
     if path is None:
         return
@@ -251,28 +245,17 @@ def _parse_state(text: str):
     raise UsageError("--state expects 'on:<L>' (e.g. on:220pH) or 'off'")
 
 
-def _peak_summary(peaks):
-    """Report entries; a peak that names its trace dip apart from f0 (a root's
-    peak) gives that dip as f_dip_hz."""
-    return [
-        {
-            "f0_hz": p.f0,
-            "depth_db": p.depth_db,
-            "q_loaded": p.q_loaded,
-            "q_coupling": p.q_coupling,
-            "q_internal": p.q_internal,
-            **({} if p.f_dip is None else {"f_dip_hz": p.f_dip}),
-        }
-        for p in peaks
-    ]
-
-
-def _unresolved_warnings(peaks, reason: str):
-    return [
-        f"peak at {p.f0:.5e} Hz: {reason}; f0 from parabolic interpolation"
-        for p in peaks
-        if p.q_loaded is None
-    ]
+def _write_spectrum(args, cfg: Config, command: str, peaks, freqs, s21):
+    """A spectrum's trace CSV (frequency, real, imaginary, |S21| in dB) and
+    its report: one entry per peak, a warning per peak with no root."""
+    _write_csv(args.out, ["f_hz", "re_s21", "im_s21", "abs_s21_db"],
+               [freqs, s21.real, s21.imag, db(s21)])
+    summary = [{"f0_hz": p.f0, "depth_db": p.depth_db, "q_loaded": p.q_loaded,
+                "q_coupling": p.q_coupling, "q_internal": p.q_internal, "f_dip_hz": p.f_dip}
+               for p in peaks]
+    _write_report(args.report, command, cfg, {"peaks": summary}, [
+        f"peak at {p.f0:.5e} Hz: no circuit root on its dip; f0 from parabolic interpolation"
+        for p in peaks if p.q_loaded is None])
 
 
 # ------------------------- commands -------------------------
@@ -308,9 +291,7 @@ def _cmd_spectrum(args, cfg: Config) -> int:
     band = _parse_band(args.band, OFF_BAND if state is OFF else cfg.sweep.band)
     peaks, (freqs, s21) = spectrum(cfg.cell, state, band, cfg.sweep.coarse_step,
                                    cfg.sweep.min_depth_db)
-    _write_trace_csv(args.out, freqs, s21)
-    _write_report(args.report, "spectrum", cfg, {"peaks": _peak_summary(peaks)},
-                  _unresolved_warnings(peaks, "no circuit root on its dip"))
+    _write_spectrum(args, cfg, "spectrum", peaks, freqs, s21)
     return 0
 
 
@@ -438,11 +419,8 @@ def _cmd_array_spectrum(args, cfg: Config) -> int:
     step = cfg.sweep.coarse_step / 4.0
     n = max(int(round((band[1] - band[0]) / step)), 8)
     grid = np.linspace(band[0], band[1], n + 1)
-    freqs, s21 = array_spectrum(array, states, grid)
-    _write_trace_csv(args.out, freqs, s21)
-    peaks = find_resonances(freqs, s21, min_depth_db=cfg.sweep.min_depth_db)
-    _write_report(args.report, "array-spectrum", cfg, {"peaks": _peak_summary(peaks)},
-                  _unresolved_warnings(peaks, "notch fit failed"))
+    peaks, (freqs, s21) = array_spectrum(array, states, grid, cfg.sweep.min_depth_db)
+    _write_spectrum(args, cfg, "array-spectrum", peaks, freqs, s21)
     return 0
 
 

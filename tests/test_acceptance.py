@@ -205,7 +205,7 @@ def test_criterion_8_array_spectrum_and_crosstalk(array, array_models):
     with criterion(8, "multiplexed array spectrum and crosstalk"):
         grid = np.linspace(6.0e9, 7.1e9, 22001)
         states = [m.fit.l_cross for m in array_models]
-        _, composed = array_spectrum(array, states, grid)
+        _, (_, composed) = array_spectrum(array, states, grid)
         composed_peaks = find_resonances(grid, composed, min_depth_db=1.0)
         assert len(composed_peaks) >= 4
         # every composed dip within +-5 MHz of the owning cell's own dips

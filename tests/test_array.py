@@ -20,7 +20,8 @@ from qmemsim.array import (
     off_resonant_bound,
     run_schedule,
 )
-from qmemsim.cell import frequency_sweep
+from qmemsim.cell import OFF_BAND, frequency_sweep, spectrum
+from qmemsim.config import example_config
 from qmemsim.dynamics import (
     DT_FRACTION,
     TWO_PI,
@@ -54,7 +55,7 @@ class TestBuildArray:
     def test_single_target_matches_lone_cell(self, template, cell):
         single = build_array([TARGETS[0]], template, l_anchor=ANCHOR)
         grid = np.linspace(6.3e9, 6.9e9, 1501)
-        _, combined = array_spectrum(single, [ANCHOR], grid)
+        _, (_, combined) = array_spectrum(single, [ANCHOR], grid)
         _, lone = frequency_sweep(cell, ANCHOR, grid)
         assert np.max(np.abs(combined - lone)) < 1e-12
 
@@ -67,7 +68,7 @@ class TestArraySpectrum:
     def test_all_on_shows_doublets(self, array, array_models):
         grid = np.linspace(6.0e9, 7.1e9, 22001)
         states = [m.fit.l_cross for m in array_models]
-        _, s21 = array_spectrum(array, states, grid)
+        _, (_, s21) = array_spectrum(array, states, grid)
         from qmemsim.resonance import find_resonances
 
         peaks = find_resonances(grid, s21, min_depth_db=1.0)
@@ -75,13 +76,13 @@ class TestArraySpectrum:
 
     def test_all_off_floor(self, array):
         grid = np.linspace(6.4e9, 7.0e9, 3001)
-        _, s21 = array_spectrum(array, [OFF] * 4, grid)
+        _, (_, s21) = array_spectrum(array, [OFF] * 4, grid)
         assert np.min(np.abs(s21)) >= 0.995
 
     def test_composition_product(self, array, array_models):
         grid = np.linspace(6.3e9, 6.8e9, 2001)
         states = [m.fit.l_cross for m in array_models]
-        _, combined = array_spectrum(array, states, grid)
+        _, (_, combined) = array_spectrum(array, states, grid)
         product = np.ones_like(grid, dtype=complex)
         for cell_i, st in zip(array.cells, states):
             _, s = frequency_sweep(cell_i, st, grid)
@@ -93,7 +94,7 @@ class TestArraySpectrum:
         # cells rotate the phase slowly but leave the magnitude intact)
         grid = np.linspace(6.2e9, 6.9e9, 3001)
         states = [array_models[0].fit.l_cross] + [OFF] * 3
-        _, combined = array_spectrum(array, states, grid)
+        _, (_, combined) = array_spectrum(array, states, grid)
         _, lone = frequency_sweep(array.cells[0], states[0], grid)
         background = np.abs(combined) / np.clip(np.abs(lone), 1e-12, None)
         assert np.max(np.abs(background - 1.0)) < 1e-3
@@ -101,6 +102,48 @@ class TestArraySpectrum:
     def test_state_count_must_match(self, array):
         with pytest.raises(ValueError):
             array_spectrum(array, [ANCHOR], np.linspace(6e9, 7e9, 11))
+
+
+@pytest.fixture(scope="module")
+def seed_array():
+    """The --seed-config file's array, as array-spectrum builds it."""
+    cfg = example_config()
+    return cfg, build_array(cfg.array_targets, cfg.cell, l_anchor=cfg.calibration.l_anchor,
+                            q_c=cfg.array_q_c)
+
+
+def cli_grid(band, coarse_step):
+    """array-spectrum's grid: the band at a quarter of the coarse step."""
+    n = int(round((band[1] - band[0]) / (coarse_step / 4.0)))
+    return np.linspace(band[0], band[1], n + 1)
+
+
+class TestArrayPeaks:
+    def test_each_peak_is_its_cells_roots(self, seed_array):
+        cfg, arr = seed_array
+        sweep, anchor = cfg.sweep, cfg.calibration.l_anchor
+        grid = cli_grid(sweep.band, sweep.coarse_step)
+        assert len(grid) == 3201
+        peaks, _ = array_spectrum(arr, [anchor] * len(arr), grid, sweep.min_depth_db)
+        own = sorted((p for c in arr.cells
+                      for p in spectrum(c, anchor, sweep.band, sweep.coarse_step,
+                                        sweep.min_depth_db)[0]), key=lambda p: p.f0)
+        assert len(peaks) == len(own) == 8
+        assert all(p.q_loaded is not None and p.q_internal is not None for p in peaks)
+        for p, q in zip(peaks, own):
+            for key in ("f0", "q_loaded", "q_coupling", "q_internal"):
+                assert getattr(p, key) == pytest.approx(getattr(q, key), rel=1e-12, abs=0)
+
+    def test_off_lists_each_cells_split_modes(self, seed_array):
+        # the product's split modes overlap; each cell's own trace still
+        # shows its two, the upper one with roots at its own Q_l (45-54)
+        cfg, arr = seed_array
+        grid = cli_grid(OFF_BAND, cfg.sweep.coarse_step)
+        peaks, _ = array_spectrum(arr, [OFF] * len(arr), grid, cfg.sweep.min_depth_db)
+        rooted = [p for p in peaks if p.q_loaded is not None]
+        assert len(peaks) == 8 and len(rooted) == 4
+        assert all(40 < p.q_loaded < 60 for p in rooted)
+        assert [p.f0 for p in peaks] == sorted(p.f0 for p in peaks)
 
 
 @pytest.fixture

@@ -26,7 +26,6 @@ from qmemsim.config import (config_hash, config_to_dict, example_config, load_co
 from qmemsim.dynamics import GatePulse, PulseSequence, evolve, max_stable_dt, swap_duration
 from qmemsim.extract import extract_coupled_mode_params, full_accumulation_inductance
 from qmemsim.modemap import fit_avoided_crossing, hybridized_map, mode_map
-from qmemsim.resonance import ResonancePeak
 from tests.conftest import assert_piece_steps
 
 
@@ -400,21 +399,26 @@ class TestArraySpectrumCommand:
         peaks = report["summary"]["peaks"]
         assert peaks
         assert report["warnings"] == [
-            f"peak at {p['f0_hz']:.5e} Hz: notch fit failed; f0 from parabolic interpolation"
+            f"peak at {p['f0_hz']:.5e} Hz: no circuit root on its dip; "
+            "f0 from parabolic interpolation"
             for p in peaks
             if p["q_loaded"] is None
         ]
 
-    def test_fit_fallback_is_warned(self, seed_path, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "find_resonances",
-                            lambda freqs, s21, min_depth_db: [ResonancePeak(6.6e9, 3.0)])
+    def test_rootless_peak_is_warned_as_in_spectrum(self, seed_path, tmp_path):
+        # OFF, each cell's lower split mode near 13.5 GHz has no circuit root
         rep = tmp_path / "array.json"
-        assert main(["array-spectrum", str(seed_path), *self.BAND,
-                     "--out", str(tmp_path / "array.csv"), "--report", str(rep)]) == 0
+        assert main(["array-spectrum", str(seed_path), "--state", "off",
+                     "--band", "13GHz,13.9GHz", "--out", str(tmp_path / "array.csv"),
+                     "--report", str(rep)]) == 0
         report = json.loads(rep.read_text())
-        assert report["summary"]["peaks"][0]["q_loaded"] is None
+        peaks = report["summary"]["peaks"]
+        assert len(peaks) == 4
+        assert all(p["q_loaded"] is None and p["f_dip_hz"] == p["f0_hz"] for p in peaks)
         assert report["warnings"] == [
-            "peak at 6.60000e+09 Hz: notch fit failed; f0 from parabolic interpolation"
+            f"peak at {p['f0_hz']:.5e} Hz: no circuit root on its dip; "
+            "f0 from parabolic interpolation"
+            for p in peaks
         ]
 
     def test_on_state_drives_the_calibration_anchor(self, tmp_path, monkeypatch):
@@ -429,9 +433,9 @@ class TestArraySpectrumCommand:
         assert anchor == pytest.approx(329.1e-12, rel=1e-3)
         seen, real = [], cli.array_spectrum
 
-        def recorded(array, states, grid):
+        def recorded(array, states, grid, min_depth_db):
             seen.append(states)
-            return real(array, states, grid)
+            return real(array, states, grid, min_depth_db)
 
         monkeypatch.setattr(cli, "array_spectrum", recorded)
         assert main(["array-spectrum", str(path), *self.BAND,

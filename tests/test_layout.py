@@ -387,8 +387,15 @@ def test_src_calls_no_numpy_set_routine():
     assert found == []
 
 
-def test_only_array_spectrum_fits_a_trace():
-    # a single cell's dips take their resonances from its roots; only the
-    # array's cascade, with no single shunt branch, is fit as a trace
-    assert package_calls({"find_resonances"}) == {("cli._cmd_array_spectrum",
-                                                   "find_resonances")}
+def test_trace_fit_calls_are_found():
+    source = ("def report(f, s):\n    return find_resonances(f, s)\n"
+              "def other(f, s):\n    return resonance.find_resonances(f, s, 0.1)\n")
+    assert named_calls(source, "m", {"find_resonances"}) == {
+        ("m.report", "find_resonances"), ("m.other", "find_resonances")}
+
+
+def test_no_command_fits_a_trace():
+    # every dip a command reports, a single cell's or the array's, takes its
+    # resonance from a cell branch's roots; find_resonances is the library's
+    # fit for a measured trace
+    assert package_calls({"find_resonances"}) == set()
