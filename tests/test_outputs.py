@@ -29,12 +29,29 @@ from qmemsim.cli import main
 
 MANIFEST = Path(__file__).with_name("outputs.json")
 
-SCHEDULE = {"ops": [
-    {"op": "write", "cell_index": 0},
-    {"op": "write", "cell_index": 2},
-    {"op": "read", "cell_index": 0, "start": "5000 ns"},
-    {"op": "read", "cell_index": 2, "start": "6000 ns"},
-]}
+#: file name -> the schedule `protocol` runs; README.md shows the two-op
+#: one and times the four-op one
+SCHEDULES = {
+    "schedule.json": {"ops": [
+        {"op": "write", "cell_index": 0},
+        {"op": "write", "cell_index": 2},
+        {"op": "read", "cell_index": 0, "start": "5000 ns"},
+        {"op": "read", "cell_index": 2, "start": "6000 ns"},
+    ]},
+    "readme.json": {"ops": [
+        {"op": "write", "cell_index": 0},
+        {"op": "read", "cell_index": 0, "start": "5000 ns"},
+    ]},
+    "four-op.json": {"ops": [
+        {"op": "write", "cell_index": 1},
+        {"op": "read", "cell_index": 1, "start": "5000 ns"},
+        {"op": "write", "cell_index": 3},
+        {"op": "read", "cell_index": 2},
+    ]},
+}
+
+#: name -> the `dynamics` keys a command's config sets over the seed config's
+DYNAMICS = {"protocol-four-op-quarter-guard": {"dt_fraction_of_guard": 0.25}}
 
 #: name -> (argv after the config path, files written besides the report).
 #: "{name}" in a file name is the command's name.
@@ -50,6 +67,12 @@ COMMANDS = {
     "swap-g": (["swap", "--g", "300MHz"], ["{name}.csv"]),
     "protocol": (["protocol", "{dir}/schedule.json", "--crosstalk-out", "{dir}/{name}.xt.csv"],
                  ["{name}.csv", "{name}.xt.csv"]),
+    "protocol-readme": (["protocol", "{dir}/readme.json",
+                         "--crosstalk-out", "{dir}/{name}.xt.csv"],
+                        ["{name}.csv", "{name}.xt.csv"]),
+    "protocol-four-op-quarter-guard": (["protocol", "{dir}/four-op.json",
+                                        "--crosstalk-out", "{dir}/{name}.xt.csv"],
+                                       ["{name}.csv", "{name}.xt.csv"]),
     "array-spectrum-on": (["array-spectrum", "--state", "on"], ["{name}.csv"]),
     "array-spectrum-off": (["array-spectrum", "--state", "off"], ["{name}.csv"]),
 }
@@ -75,14 +98,21 @@ def run_commands() -> dict:
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
-        (d / "schedule.json").write_text(json.dumps(SCHEDULE))
+        for file, schedule in SCHEDULES.items():
+            (d / file).write_text(json.dumps(schedule))
         seed = d / "seed.json"
         results["seed-config"] = {**_run(["--seed-config", str(seed)]),
                                   "files": {seed.name: _sha(seed)}, "reports": {}}
         for name, (args, written) in COMMANDS.items():
             args = [a.format(dir=tmp, name=name) for a in args]
             written = [w.format(name=name) for w in written]
-            result = _run([args[0], str(seed), *args[1:], "--out", str(d / written[0]),
+            config = seed
+            if name in DYNAMICS:
+                raw = json.loads(seed.read_text(encoding="utf-8"))
+                raw["dynamics"].update(DYNAMICS[name])
+                config = d / f"{name}.config.json"
+                config.write_text(json.dumps(raw), encoding="utf-8")
+            result = _run([args[0], str(config), *args[1:], "--out", str(d / written[0]),
                            "--report", str(d / f"{name}.json")])
             paths = [d / w for w in written] + [d / f"{name}.json"]
             result["files"] = {p.name: _sha(p) for p in paths if p.exists()}
