@@ -431,6 +431,12 @@ def peaks_from_roots(freqs, s21, min_depth_db, z, z0):
     for d, (i, _, (f_lo, f_hi), f_dip) in enumerate(found):
         peaks.append(ResonancePeak(f0=f_dip, depth_db=-s21_db[i], f_dip=f_dip))
         inside = up[(f_lo <= up) & (up <= f_hi)]
+        if not len(inside):
+            # a window that reaches an end of the sweep seeds from that end
+            # when Im Z there puts the up-crossing past it: at or above 0 at
+            # the first sample, below 0 at the last
+            inside = np.array([f for f, past in ((freqs[0], x[0] >= 0), (freqs[-1], x[-1] < 0))
+                               if past and f_lo <= f <= f_hi])
         if len(inside):
             at.append(d)
             seeds.append(inside[np.argmin(abs(inside - f_dip))])

@@ -218,6 +218,21 @@ class TestSpectrumRoots:
         assert shallow.q_loaded is None and shallow.q_coupling is None
         assert shallow.f0 == shallow.f_dip
 
+    def test_band_end_between_zero_and_crossing_keeps_the_roots(self, cell):
+        # the 13.96 GHz OFF dip's zero (13.917 GHz) lies inside 13-14 GHz and
+        # its Im Z up-crossing (14.08 GHz) past the band's end: the end seeds
+        # its roots, and it reads as over 13-14.1 GHz, which holds both
+        cut, (freqs, s21) = spectrum(cell, OFF, (13e9, 14e9))
+        whole, _ = spectrum(cell, OFF, (13e9, 14.1e9))
+        assert (s21 / (1.0 - s21)).imag[-1] < 0
+        assert [p.q_loaded is None for p in cut] == [True, False]
+        assert abs(cut[0].f0 - 13.45e9) < 0.05e9 and cut[0].f0 == cut[0].f_dip
+        split, want = cut[1], whole[1]
+        assert split.f0 == pytest.approx(13916937411.21, abs=0.01)
+        assert split.q_loaded == pytest.approx(54.06, abs=0.005)
+        for q in ("f0", "q_loaded", "q_coupling", "q_internal"):
+            assert getattr(split, q) == pytest.approx(getattr(want, q), rel=1e-12)
+
     def test_deep_dip_keeps_a_pole_outside_its_window(self):
         # a near-lossless cell's 80 dB dip: its half-depth window is narrower
         # than its pole's real part is from its zero's, and it keeps its Q

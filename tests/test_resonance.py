@@ -24,6 +24,7 @@ from qmemsim.resonance import (
     local_minima,
     notch_s21_model,
     peak_from_roots,
+    peaks_from_roots,
 )
 from qmemsim.twoport import notch_s21
 from tests.conftest import ANCHOR, recorded_fits
@@ -419,6 +420,34 @@ def test_peak_validation():
         ResonancePeak(f0=-1.0, depth_db=3.0)
     with pytest.raises(ValueError):
         ResonancePeak(f0=6e9, depth_db=3.0, q_loaded=-5.0)
+
+
+@pytest.mark.parametrize("phase_deg, band", [(80.0, (5.7e9, 6.003e9)), (100.0, (5.997e9, 6.3e9))],
+                         ids=["crossing_past_the_top", "crossing_below_the_bottom"])
+def test_dip_cut_from_its_crossing_keeps_its_roots(phase_deg, band):
+    # Z = alpha (f - f_zero) puts its Im Z up-crossing 5.3 MHz above the
+    # zero at a phase of 80 degrees and below it at 100: each band holds
+    # the zero in the dip's window but cuts the crossing off, so the
+    # sweep's end seeds the roots, as the whole 5.7-6.3 GHz sweep's
+    # crossing does
+    f_zero = 6e9 + 3e7j
+    alpha = 1e-7 * np.exp(1j * np.radians(phase_deg))
+
+    def z(f):
+        return alpha * (f - f_zero)
+
+    def peaks(lo, hi):
+        freqs = np.linspace(lo, hi, 3001)
+        return freqs, peaks_from_roots(freqs, notch_s21(z(freqs), 50.0), 0.01, z, 50.0)
+
+    freqs, [cut] = peaks(*band)
+    x = z(freqs).imag
+    assert not np.any((x[:-1] < 0) & (x[1:] >= 0))
+    _, [whole] = peaks(5.7e9, 6.3e9)
+    assert whole.q_loaded is not None
+    assert cut.f0 == pytest.approx(f_zero.real, rel=1e-12)
+    for q in ("q_loaded", "q_coupling", "q_internal"):
+        assert getattr(cut, q) == pytest.approx(getattr(whole, q), rel=1e-12)
 
 
 class TestComplexRoots:
