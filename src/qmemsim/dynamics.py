@@ -17,16 +17,21 @@ fixed-step classical RK4 for deterministic, reproducible trajectories.
 
 The system is linear, so each RK4 step is the exact affine map
 x_{n+1} = x_n + Q x_n + r_n, with Q and the drive weights in r_n read off
-one application of the RK4 stage formula to the rows of the equations'
-generator [A | B], dx/dt = A x + B a_in(t).  g(t) changes only at the gate
-edges and the drive only at the RF pulse's, so evolve() cuts the span
-there and runs each piece at its one coupling, wholly driven or undriven,
-in even steps at one fraction of the piece's own resolution guard: the
-gate-OFF stretches, where g_on does not act, step coarser than the swap.
-Each piece is a blocked scan in numpy: blocks of _BLOCK_STEPS steps run
-from a zero state side by side, a doubling scan carries the state from
-block to block, and one matrix product lifts every block onto its
-carried-in state.  The result matches the step-by-step loop to round-off.
+the RK4 stage formula applied to the basis of the state and the drive
+samples, for the equations' generator [A | B], dx/dt = A x + B a_in(t).
+g(t) changes only at the gate edges and the drive only at the RF pulse's,
+so evolve() cuts the span there and runs each piece at its one coupling,
+wholly driven or undriven, in even steps at one fraction of the piece's
+own resolution guard: the gate-OFF stretches, where g_on does not act,
+step coarser than the swap.  The step maps of all pieces of one call, and
+the powers of each map that the scan lifts its blocks with, are built
+together in a few batched matrix products, so a short piece costs little
+more than its steps.  Each piece is a blocked scan in numpy: blocks of
+_BLOCK_STEPS steps run from a zero state side by side, a doubling scan
+carries the state from block to block, and one matrix product lifts every
+block onto its carried-in state.  An undriven piece's zero state is
+exactly 0, so it skips that first pass.  The result matches the
+step-by-step loop to round-off.
 
 A piece is scanned in chunks of at most _CHUNK_STEPS steps, each in place
 in the trajectory evolve() returns, from the last state of the one before;
@@ -240,43 +245,49 @@ def max_stable_dt(system: CoupledModeSystem | ReadCascade, pulses: PulseSequence
 
 
 def _generator(system, w_d, g):
-    """The model's equations dx/dt = A x + B a_in(t) in the frame w_d, x
-    holding (a, b) of each cell in turn: each row of [A | B] as its nonzero
-    (column, coefficient) terms in column order, column W being the drive.
-    The first cell couples at g and every other one at its g_off floor;
-    each coupler takes a_in less the field emitted by the couplers before
-    it."""
+    """The model's equations dx/dt = A x + B a_in(t) in the frame w_d as
+    [A | B], x holding (a, b) of each cell in turn and column W being the
+    drive: shape (W, W + 1), or one per value of an array g, g.shape + (W,
+    W + 1).  The first cell couples at g and every other one at its g_off
+    floor; each coupler takes a_in less the field emitted by the couplers
+    before it."""
     cells = _cells(system)
     width = 2 * len(cells)
-    rows = []
+    g = np.asarray(g, dtype=float)
+    gen = np.zeros(g.shape + (width, width + 1), dtype=complex)
     for k, cell in enumerate(cells):
-        kappa = cell.kappa_ext + cell.kappa_int_a
-        coupling = -1j * (g if k == 0 else cell.g_off)
-        a_row = [(2 * j, -math.sqrt(cell.kappa_ext * upstream.kappa_ext))
-                 for j, upstream in enumerate(cells[:k])]
-        a_row += [(2 * k, -(1j * (cell.omega_a - w_d) + 0.5 * kappa)), (2 * k + 1, coupling),
-                  (width, math.sqrt(cell.kappa_ext))]
-        b_row = [(2 * k, coupling), (2 * k + 1, -(1j * (cell.omega_b - w_d) + 0.5 * cell.gamma_b))]
-        rows += [[(j, c) for j, c in row if c] for row in (a_row, b_row)]
-    return rows
+        a, b = 2 * k, 2 * k + 1
+        for j, upstream in enumerate(cells[:k]):
+            gen[..., a, 2 * j] = -math.sqrt(cell.kappa_ext * upstream.kappa_ext)
+        gen[..., a, a] = -(1j * (cell.omega_a - w_d) + 0.5 * (cell.kappa_ext + cell.kappa_int_a))
+        gen[..., a, b] = gen[..., b, a] = -1j * (g if k == 0 else cell.g_off)
+        gen[..., a, width] = math.sqrt(cell.kappa_ext)
+        gen[..., b, b] = -(1j * (cell.omega_b - w_d) + 0.5 * cell.gamma_b)
+    return gen
 
 
-def _rk4_increment(x, h, gen, f):
-    """Change of the state x over one classical RK4 step of dx/dt = A x +
-    B a_in(t), gen holding the terms of [A | B] (_generator()); f holds
-    a_in at the step's start, midpoint and end."""
-    def rate(y, u):
-        # Python numbers, summed term by term in column order: numpy's
-        # vectorized complex products can round differently in the last bit
-        y = [*y, u]
-        return [sum([c * y[j] for j, c in row]) for row in gen]
+def _step_maps(gen, h):
+    """The change of the state over one classical RK4 step of each piece,
+    on the basis of the W state components and the three drive samples:
+    [Q | m0 m1 m2], shape (S, W, W + 3), for the generators gen, (S, W,
+    W + 1), and the steps h, (S,).  A step takes x to x + Q x + m0 f(t) +
+    m1 f(t + h/2) + m2 f(t + h).
 
-    f0, f1, f2 = f
-    k1 = rate(x, f0)
-    k2 = rate([v + 0.5 * h * k for v, k in zip(x, k1)], f1)
-    k3 = rate([v + 0.5 * h * k for v, k in zip(x, k2)], f1)
-    k4 = rate([v + h * k for v, k in zip(x, k3)], f2)
-    return [(h / 6.0) * (p + 2.0 * q + 2.0 * r + s) for p, q, r, s in zip(k1, k2, k3, k4)]
+    The RK4 stage formula, run on the whole basis at once: Q is read off
+    the increment, never formed as P - I, which would bias every step by
+    its round-off.
+    """
+    width = gen.shape[-2]
+    a, b = gen[..., :width], gen[..., width:]
+    h = np.asarray(h, dtype=float)[:, None, None]
+    y = np.eye(width, width + 3)
+    # the drive sample each basis vector carries at the stage's sample
+    u0, u1, u2 = np.eye(3, width + 3, width)[:, None, :]
+    k1 = a @ y + b * u0
+    k2 = a @ (y + (0.5 * h) * k1) + b * u1
+    k3 = a @ (y + (0.5 * h) * k2) + b * u1
+    k4 = a @ (y + h * k3) + b * u2
+    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _doubling_scan(y, q):
@@ -293,8 +304,9 @@ def _doubling_scan(y, q):
         t = q @ y[..., :n - d]
         t += y[..., :n - d]
         y[..., d:] += t
-        # P^(2d) - I = (P^d - I)^2 + 2 (P^d - I)
-        q = q @ q + q + q
+        if 2 * d < n:
+            # P^(2d) - I = (P^d - I)^2 + 2 (P^d - I)
+            q = q @ q + q + q
         d *= 2
 
 
@@ -318,13 +330,13 @@ def _scan_chunk(x, m, step_map, lift, ain):
     step_map, the increment of one RK4 step on the basis of the W state
     components and the three drive samples.  lift stacks P^(k+1) - I for
     k < K, P = I + Q, as (WK, W).  The steps are cut into B blocks of K
-    steps, laid out as a contiguous (K, W, B) scratch buffer: row k holds
-    step k of every block.
-    1. Zero state: K - 1 steps, each one (W, W) @ (W, B) matmul and two
-       adds, run every block from a zero state under its own drive.
+    steps, the rows of x seen as (B, K, W).
+    1. Zero state (_zero_state(), driven chunks only): every block runs
+       from a zero state under its own drive.  An undriven block's zero
+       state is exactly 0, so its rows stay 0 and its end is 0.
     2. Carry: block j starts from c_j = e_{j-1} + P^K c_{j-1}, c_0 = x_0,
        e being a block's zero-state end: a doubling scan over the blocks.
-    3. Lift: one GEMM, lift times the (W, B) carries, overwrites the
+    3. Lift: one GEMM, lift times the (W, B) carries, into a (K, W, B)
        buffer; it and the carries are added to the zero-state rows in x.
     x needs K - 1 padding rows past row m; they are zeroed here, and what
     they hold never reaches rows 1..m.
@@ -332,47 +344,54 @@ def _scan_chunk(x, m, step_map, lift, ain):
     width = x.shape[1]
     k_len = len(lift) // width
     n_blocks = -(-m // k_len)
-    q = step_map[:, :width]
-    rows = x[1:m + 1]
-    if ain is None:
-        rows[...] = 0.0
-    else:
-        m0, m1, m2 = (step_map[:, width + j] for j in range(3))
-        f0, f1, f2 = (ain[j:2 * m + j:2] for j in range(3))
-        # elementwise, not a matmul over a strided window: that copies the drive
-        for c in range(width):
-            np.multiply(f0, m0[c], out=rows[:, c])
-            rows[:, c] += m1[c] * f1
-            rows[:, c] += m2[c] * f2
-
-    x[m + 1:1 + n_blocks * k_len] = 0.0
     z = x[1:1 + n_blocks * k_len].reshape(n_blocks, k_len, width)
-    # an explicit copy: for B == 1 the transposed view is already
-    # contiguous, and ascontiguousarray would hand back x itself
+    z[...] = 0.0
     buf = np.empty((k_len, width, n_blocks), dtype=complex)
-    buf[...] = z.transpose(1, 2, 0)
-    step = np.empty((width, n_blocks), dtype=complex)
-    for k in range(1, k_len):
-        np.matmul(q, buf[k - 1], out=step)
-        step += buf[k - 1]
-        buf[k] += step
-    z[...] = buf.transpose(2, 0, 1)
-
-    starts = np.column_stack((x[0], buf[-1, :, :-1]))
+    starts = np.zeros((width, n_blocks), dtype=complex)
+    starts[:, 0] = x[0]
+    if ain is not None:
+        _zero_state(z, m, step_map, ain, buf)
+        starts[:, 1:] = buf[-1, :, :-1]
     _doubling_scan(starts, lift[-width:])
     np.matmul(lift, starts, out=buf.reshape(width * k_len, n_blocks))
     z += buf.transpose(2, 0, 1)
     z += starts.T[:, None, :]
 
 
+def _zero_state(z, m, step_map, ain, buf):
+    """Stage 1 of _scan_chunk(): the first m rows of the zeroed blocks z,
+    (B, K, W), take each block's states from a zero state under the drive
+    ain, and so does buf, a (K, W, B) scratch buffer in which row k holds
+    step k of every block: K - 1 steps, each one (W, W) @ (W, B) matmul
+    and two adds."""
+    width = z.shape[2]
+    q = step_map[:, :width]
+    rows = z.reshape(-1, width)[:m]
+    m0, m1, m2 = (step_map[:, width + j] for j in range(3))
+    f0, f1, f2 = (ain[j:2 * m + j:2] for j in range(3))
+    # elementwise, not a matmul over a strided window: that copies the drive
+    for c in range(width):
+        np.multiply(f0, m0[c], out=rows[:, c])
+        rows[:, c] += m1[c] * f1
+        rows[:, c] += m2[c] * f2
+    # an explicit copy: for B == 1 the transposed view is already
+    # contiguous, and ascontiguousarray would hand back z itself
+    buf[...] = z.transpose(1, 2, 0)
+    step = np.empty(buf.shape[1:], dtype=complex)
+    for k in range(1, len(buf)):
+        np.matmul(q, buf[k - 1], out=step)
+        step += buf[k - 1]
+        buf[k] += step
+    z[...] = buf.transpose(2, 0, 1)
+
+
 def _pieces(system, pulses, t_span, dt):
     """Check an integration and cut its span at the gate and RF edges.
 
-    Returns one (start, steps, step, generator, rf, end) tuple per piece:
-    the generator is _generator() at the piece's one coupling, rf is the
-    RF pulse if it drives the piece and None if not, and end is the next
-    piece's start, which is the piece's last sample, and None for the last
-    piece.  Each piece steps at the fraction dt / max_stable_dt() of its
+    Returns one (start, steps, step, g, rf, end) tuple per piece: g is the
+    first cell's one coupling on the piece, rf is the RF pulse if it drives
+    the piece and None if not, and end is the piece's last sample: the
+    next piece's start, or t_span's end for the last piece.  Each piece steps at the fraction dt / max_stable_dt() of its
     own guard, which counts the piece's coupling, g_on or g_off, in place
     of every coupling, and the envelope rate 1 / sigma if driven.
     """
@@ -407,8 +426,7 @@ def _pieces(system, pulses, t_span, dt):
         # with no rate at all the guard is infinite and dt the step throughout
         h = dt if guard == math.inf else dt * (_guard(system, w_d, rates) / guard)
         n = max(int(math.ceil((tb - ta) / h - 1e-9)), 1)
-        pieces.append((ta, n, (tb - ta) / n, _generator(system, w_d, g), rf if on else None,
-                       tb if tb < t1 else None))
+        pieces.append((ta, n, (tb - ta) / n, g, rf if on else None, tb))
     return pieces
 
 
@@ -448,6 +466,8 @@ def evolve(
     at its one coupling, wholly driven or undriven, in even steps of at
     most dt scaled by the piece's own guard over max_stable_dt(), as one
     exact recurrence (see the module docstring); results are deterministic.
+    The samples run from t_span's start to its end exactly, every edge
+    inside it among them.
     A driven piece takes its drive from RfPulse.envelope(), so a step that
     ends on the pulse's end sees the drive from inside.  A non-finite state
     raises ArithmeticError.
@@ -463,42 +483,41 @@ def evolve(
     longest = min(max(n for _, n, *_ in pieces), _CHUNK_STEPS)
     grid = np.empty(2 * longest + 1)
     drive = np.empty(2 * longest + 1, dtype=complex)
+    # every piece's step map and lifts, built once for the whole call
+    _, counts, steps, couplings, _, _ = zip(*pieces)
+    maps = _step_maps(_generator(system, _frame_carrier(system, pulses), couplings), steps)
+    # column c of P^(k+1) - I, k < K, P = I + Q, is sum_{i<=k} P^i Q[:, c]:
+    # one doubling scan of K copies of Q's columns
+    q = maps[..., :width]
+    lifts = np.repeat(q.transpose(0, 2, 1)[..., None], min(_BLOCK_STEPS, max(counts)), axis=-1)
+    _doubling_scan(lifts, q[:, None])
+    lifts = lifts.transpose(0, 3, 2, 1).reshape(len(pieces), -1, width)
     s = 0
-    # the increment on each state component and, under a drive, on the
-    # drive at the step's start, midpoint and end
-    basis = np.eye(width + 3).tolist()
-    for ta, n, h, gen, rf, t_end in pieces:
-        # Q is read off the increment, never formed as P - I: subtracting I
-        # would bias every step by its round-off
-        step_map = np.array([_rk4_increment(e[:width], h, gen, e[width:])
-                             for e in basis[:width if rf is None else None]]).T
-        # column c of P^(k+1) - I is sum_{i<=k} P^i Q[:, c]; a piece
-        # shorter than a block is one block of its own length
-        powers = np.repeat(step_map[:, :width].T[:, :, None], min(_BLOCK_STEPS, n), axis=2)
-        _doubling_scan(powers, step_map[:, :width])
-        lift = powers.transpose(2, 1, 0).reshape(-1, width)
+    for (ta, n, h, _, rf, tb), step_map, lift in zip(pieces, maps, lifts):
+        # a piece shorter than a block is one block of its own length
+        lift = lift[:width * min(_BLOCK_STEPS, n)]
         for j in range(0, n, _CHUNK_STEPS):
             m = min(n - j, _CHUNK_STEPS)
-            t = grid[:2 * m + 1]
-            # ta + (h / 2) k for the chunk's half steps k
-            np.multiply(np.arange(2 * j, 2 * (j + m) + 1), 0.5 * h, out=t)
+            t = times[s:s + m + 1]
+            # ta + h k for the chunk's steps k
+            np.multiply(np.arange(j, j + m + 1), h, out=t)
             t += ta
-            if t_end is not None and j + m == n:
-                t[-1] = t_end
-            # each midpoint is the mean of its step's ends as returned in
-            # times: ta + h (n + 1/2) can round to the other side of a
-            # drive edge
-            mids = t[1::2]
-            np.add(t[:-1:2], t[2::2], out=mids)
-            mids *= 0.5
+            if j + m == n:
+                t[-1] = tb
             ain = None
             if rf is not None:
+                # the drive at each step's ends and midpoint, the midpoint
+                # being the mean of the step's ends as returned in times:
+                # ta + h (n + 1/2) can round to the other side of a drive edge
+                half = grid[:2 * m + 1]
+                half[0::2] = t
+                np.add(t[:-1], t[1:], out=half[1::2])
+                half[1::2] *= 0.5
                 ain = drive[:2 * m + 1]
-                ain[...] = rf.envelope(t)
+                ain[...] = rf.envelope(half)
             _scan_chunk(x[s:], m, step_map, lift, ain)
             if not np.isfinite(x[s:s + m + 1]).all():
                 raise ArithmeticError("trajectory diverged; reduce dt")
-            times[s:s + m + 1] = t[0::2]
             s += m
     return Trajectory(times=times, x=x[:n_steps + 1])
 
@@ -523,13 +542,14 @@ def coupler_slopes(system: CoupledModeSystem | ReadCascade, pulses: PulseSequenc
     m = x.shape[1] - 2
     slopes = np.empty((len(times) - 1, 2), dtype=complex)
     for coupling in set(g.tolist()):
-        terms = dict(_generator(system, w_d, coupling)[m])
+        row = _generator(system, w_d, coupling)[m].tolist()
         # the coupler's own term, then the other components; the drive is
         # the same at every coupling
-        s = terms.pop(m, 0.0) * x[:, m]
-        drive = terms.pop(x.shape[1], 0.0)
-        for j, c in terms.items():
-            s = s + c * x[:, j]
+        drive = row.pop()
+        s = row[m] * x[:, m]
+        for j, c in enumerate(row):
+            if c and j != m:
+                s = s + c * x[:, j]
         steps = g == coupling
         slopes[steps, 0] = s[:-1][steps]
         slopes[steps, 1] = s[1:][steps]

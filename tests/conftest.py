@@ -8,7 +8,7 @@ from qmemsim import twoport
 from qmemsim.array import build_array, _cell_models
 from qmemsim.calibrate import CalibrationTargets, calibrate_geometry
 from qmemsim.config import example_template
-from qmemsim.dynamics import TWO_PI, max_stable_dt
+from qmemsim.dynamics import TWO_PI, ReadCascade, max_stable_dt
 from qmemsim.extract import extract_coupled_mode_params
 from qmemsim.modemap import fit_avoided_crossing, mode_map
 
@@ -44,25 +44,28 @@ def assert_piece_steps(system, pulses, times, dt):
     Each piece between two edges runs in even steps, as few as keep each
     step within dt times the piece's own resolution guard over
     max_stable_dt().  A piece's guard is 50 steps per period of the
-    fastest rate acting in it: the detunings from the frame and the
-    decays, g_on inside a gate pulse and g_off outside, and 1 / sigma
+    fastest rate acting in it: every cell's detunings from the frame and
+    decays, the first cell's g_on inside a gate pulse and g_off outside,
+    every other cell's g_off (a ReadCascade's neighbour) and 1 / sigma
     where the RF pulse drives."""
     rf = pulses.rf
+    cells = (system.reader, system.neighbour) if isinstance(system, ReadCascade) else (system,)
     grid = times.tolist()
     edges = {t for p in pulses.gate_pulses for t in (p.start, p.end)}
     edges |= set() if rf is None else {rf.start, rf.end}
     edges = sorted(t for t in edges if grid[0] < t < grid[-1])
     assert set(edges) <= set(grid)
-    w_d = system.omega_b if rf is None else TWO_PI * rf.carrier
+    w_d = cells[0].omega_b if rf is None else TWO_PI * rf.carrier
     guard = max_stable_dt(system, pulses)
     marks = [0, *(grid.index(t) for t in edges), len(grid) - 1]
     for k0, k1 in zip(marks, marks[1:]):
         mid = 0.5 * (grid[k0] + grid[k1])
         gated = any(p.start <= mid < p.end for p in pulses.gate_pulses)
         driven = rf is not None and rf.start <= mid < rf.end
-        fastest = max(abs(system.omega_a - w_d), abs(system.omega_b - w_d),
-                      system.kappa_ext + system.kappa_int_a, system.gamma_b,
-                      system.g_on if gated else system.g_off, 1.0 / rf.sigma if driven else 0.0)
+        fastest = max(*(r for c in cells for r in (abs(c.omega_a - w_d), abs(c.omega_b - w_d),
+                                                   c.kappa_ext + c.kappa_int_a, c.gamma_b)),
+                      cells[0].g_on if gated else cells[0].g_off,
+                      *(c.g_off for c in cells[1:]), 1.0 / rf.sigma if driven else 0.0)
         own = math.inf if fastest == 0 else TWO_PI / (50.0 * fastest)
         bound = dt if guard == math.inf else dt * own / guard
         steps = np.diff(times[k0:k1 + 1])

@@ -22,7 +22,6 @@ from qmemsim.dynamics import (
     _CHUNK_STEPS,
     _frame_carrier,
     _hermite_cubic,
-    _rk4_increment,
     coupler_peak,
     coupler_slopes,
     evolve,
@@ -197,20 +196,67 @@ def _half_grid(t_span, dt):
     return t0 + 0.5 * ((t1 - t0) / n_steps) * np.arange(2 * n_steps + 1)
 
 
+def _rk4_increment(x, h, gen, f):
+    """Change of the state x over one classical RK4 step of dx/dt = A x +
+    B a_in(t), gen holding the terms of [A | B], each row as its nonzero
+    (column, coefficient) terms in column order, column W being the drive;
+    f holds a_in at the step's start, midpoint and end."""
+    def rate(y, u):
+        # Python numbers, summed term by term in column order
+        y = [*y, u]
+        return [sum([c * y[j] for j, c in row]) for row in gen]
+
+    f0, f1, f2 = f
+    k1 = rate(x, f0)
+    k2 = rate([v + 0.5 * h * k for v, k in zip(x, k1)], f1)
+    k3 = rate([v + 0.5 * h * k for v, k in zip(x, k2)], f1)
+    k4 = rate([v + h * k for v, k in zip(x, k3)], f2)
+    return [(h / 6.0) * (p + 2.0 * q + 2.0 * r + s) for p, q, r, s in zip(k1, k2, k3, k4)]
+
+
+def _cells(system):
+    return (system.reader, system.neighbour) if isinstance(system, ReadCascade) else (system,)
+
+
+def _terms(system, w_d, g):
+    """The terms of [A | B] as _rk4_increment takes them, written out from
+    the model's equations in the frame w_d: for one cell
+
+        da/dt = ca a - i g b + sqrt(k_ext) a_in,   db/dt = -i g a + cb b,
+
+    and for a ReadCascade the neighbour's (a', b') after the reader's (a,
+    b), coupled at its g_off floor, its coupler also taking the reader's
+    emitted field -sqrt(k_ext) a at its own sqrt(k_ext')."""
+    cells = _cells(system)
+    width = 2 * len(cells)
+    gen = []
+    for k, cell in enumerate(cells):
+        coupling = g if k == 0 else cell.g_off
+        ca = -(1j * (cell.omega_a - w_d) + 0.5 * (cell.kappa_ext + cell.kappa_int_a))
+        cb = -(1j * (cell.omega_b - w_d) + 0.5 * cell.gamma_b)
+        emitted = [(0, -math.sqrt(cells[0].kappa_ext * cell.kappa_ext))] if k else []
+        gen.append(emitted + [(2 * k, ca), (2 * k + 1, -1j * coupling),
+                              (width, math.sqrt(cell.kappa_ext))])
+        gen.append([(2 * k, -1j * coupling), (2 * k + 1, cb)])
+    return gen
+
+
 def _evolve_loop(system, pulses, t_span, dt, times, a0=0.0, b0=0.0):
     """One _rk4_increment per step over the step grid `times` of an evolve
     call, with g and the drive from the pulses at each step's midpoint:
-    the reference for the piecewise scan in evolve.  Checks the grid
-    first: it spans t_span, and its pieces follow the piece rule
-    (assert_piece_steps)."""
+    the reference for the piecewise scan in evolve, for one cell or a
+    ReadCascade.  Checks the grid first: it spans t_span, and its pieces
+    follow the piece rule (assert_piece_steps)."""
     t0, t1 = t_span
-    assert times[0] == t0 and abs(times[-1] - t1) <= 1e-12 * (t1 - t0)
+    assert times[0] == t0 and times[-1] == t1
     assert_piece_steps(system, pulses, times, dt)
     steps = np.diff(times)
     mids = 0.5 * (times[:-1] + times[1:])
-    # the coupling is g_on inside a gate pulse and the g_off floor outside
-    gs = [system.g_on if any(p.start <= m < p.end for p in pulses.gate_pulses)
-          else system.g_off for m in mids.tolist()]
+    # the first cell's coupling is g_on inside a gate pulse and the g_off
+    # floor outside
+    gated = _cells(system)[0]
+    gs = [gated.g_on if any(p.start <= m < p.end for p in pulses.gate_pulses)
+          else gated.g_off for m in mids.tolist()]
     samples = np.stack([times[:-1], mids, times[1:]], axis=1)
     rf = pulses.rf
     # a step inside the pulse takes the drive from inside it at all three
@@ -218,26 +264,23 @@ def _evolve_loop(system, pulses, t_span, dt, times, a0=0.0, b0=0.0):
     fs = (np.zeros(samples.shape, dtype=complex) if rf is None
           else rf.envelope(samples) * ((rf.start <= mids) & (mids < rf.end))[:, None]).tolist()
     w_d = _frame_carrier(system, pulses)
-    ca = -(1j * (system.omega_a - w_d) + 0.5 * (system.kappa_ext + system.kappa_int_a))
-    cb = -(1j * (system.omega_b - w_d) + 0.5 * system.gamma_b)
-    root_k = math.sqrt(system.kappa_ext)
-    x = [complex(a0), complex(b0)]
-    out = np.empty((len(times), 2), dtype=complex)
+    x = [complex(a0), complex(b0)] + [0j] * (2 * len(_cells(system)) - 2)
+    out = np.empty((len(times), len(x)), dtype=complex)
     out[0] = x
     for n, (h, g, f) in enumerate(zip(steps.tolist(), gs, fs)):
-        # the terms of [A | B]: da/dt = ca a - i g b + root_k a_in, db/dt = -i g a + cb b
-        gen = [[(0, ca), (1, -1j * g), (2, root_k)], [(0, -1j * g), (1, cb)]]
-        x = [v + d for v, d in zip(x, _rk4_increment(x, h, gen, f))]
+        x = [v + d for v, d in zip(x, _rk4_increment(x, h, _terms(system, w_d, g), f))]
         out[n + 1] = x
     return out
 
 
 def _assert_matches_loop(system, pulses, t_span, dt, a0=0.0, b0=0.0):
+    """evolve matches the step loop within 1e-12 of each cell's peak."""
     traj = evolve(system, pulses, t_span, dt, a0=a0, b0=b0)
     ref = _evolve_loop(system, pulses, t_span, dt, traj.times, a0=a0, b0=b0)
-    peak = np.max(np.abs(ref))
-    assert np.max(np.abs(traj.a - ref[:, 0])) <= 1e-12 * peak
-    assert np.max(np.abs(traj.b - ref[:, 1])) <= 1e-12 * peak
+    assert traj.x.shape == ref.shape
+    for c in range(0, ref.shape[1], 2):
+        peak = np.max(np.abs(ref[:, c:c + 2]))
+        assert np.max(np.abs(traj.x[:, c:c + 2] - ref[:, c:c + 2])) <= 1e-12 * peak
     return traj
 
 
@@ -295,7 +338,42 @@ def driven_systems(draw):
     PulseSequence(rf=RfPulse(carrier=W0 / TWO_PI, amplitude=1e4, start=0.0,
                              duration=4.500000000000001e-9)),
     (0.0, 5e-9), 2e-10, 0.0, 0.0))
+# the last piece's n steps of (t1 - ta) / n from ta = 4.6875e-10 add up to
+# one ulp past t1, where the RF pulse ends
+@example(case=(
+    CoupledModeSystem(omega_a=41154863762.02629, omega_b=41783182292.74425, kappa_ext=0.0,
+                      g_on=628318530.7179586),
+    PulseSequence(rf=RfPulse(carrier=6550000000.0, amplitude=1e4, start=0.0, duration=1e-8),
+                  gate_pulses=(GatePulse(start=1.5625e-10, duration=3.125e-10),)),
+    (0.0, 1e-8), 1.3750000000000002e-10, 0.0, 0.0))
 def test_scan_matches_step_loop(case):
+    system, pulses, span, dt, a0, b0 = case
+    _assert_matches_loop(system, pulses, span, dt, a0=a0, b0=b0)
+
+
+@st.composite
+def driven_cascades(draw):
+    """A case of driven_systems() with its system as a ReadCascade's reader
+    and a neighbour on the same rate scale, at a step within the cascade's
+    guard."""
+    reader, pulses, span, dt, a0, b0 = draw(driven_systems())
+    neighbour = CoupledModeSystem(
+        omega_a=W0 + RATE * draw(st.floats(-1.0, 1.0)),
+        omega_b=W0 + RATE * draw(st.floats(-1.0, 1.0)),
+        kappa_ext=RATE * draw(st.sampled_from([0.0, 0.01, 0.3, 1.0])),
+        kappa_int_a=RATE * draw(st.sampled_from([0.0, 0.02])),
+        gamma_b=RATE * draw(st.sampled_from([0.0, 0.01])),
+        g_on=RATE,
+        g_off=RATE * draw(st.sampled_from([0.0, 1e-4, 0.05])),
+    )
+    cascade = ReadCascade(reader, neighbour)
+    return cascade, pulses, span, min(dt, max_stable_dt(cascade, pulses)), a0, b0
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=driven_cascades())
+def test_cascade_scan_matches_step_loop(case):
+    # the width-4 scan, driven and undriven, against the loop
     system, pulses, span, dt, a0, b0 = case
     _assert_matches_loop(system, pulses, span, dt, a0=a0, b0=b0)
 
@@ -401,6 +479,16 @@ def _named_case(name):
         drive = RfPulse(carrier=carrier, amplitude=1e4, start=0.0, duration=span[1],
                         sigma=2.0 / g)
         return sys_, PulseSequence(rf=drive), span, 0.6 - 0.8j, 1j
+    if name == "read_cascade":
+        cascade, pulses, span, _ = _read_cascade(TWO_PI * 4e6)
+        return cascade, pulses, span, 0.6, 0.8j
+    if name == "driven_cascade":
+        # both couplers under a gaussian drive, the reader gated once
+        neighbour = CoupledModeSystem(omega_a=W0 + TWO_PI * 3e6, omega_b=W0 + TWO_PI * 3e6,
+                                      kappa_ext=TWO_PI * 2e6, kappa_int_a=TWO_PI * 0.1e6,
+                                      g_on=g, g_off=TWO_PI * 1e3)
+        return (ReadCascade(base, neighbour), PulseSequence(rf=gauss, gate_pulses=gate),
+                (0.0, 450e-9), 0.0, 1j)
     assert name == "long_hold"
     # constant coupling: the whole span is one segment
     hold = CoupledModeSystem(omega_a=W0, omega_b=W0 + TWO_PI * 1e6, kappa_ext=TWO_PI * 0.2e6,
@@ -410,7 +498,8 @@ def _named_case(name):
 
 
 NAMED_CASES = ("exceptional_point", "g_off_zero", "one_step", "no_drive", "gaussian",
-               "stored_and_driven", "long_hold", "chunked", *GRID_CUT_CASES, *BLOCK_CASES)
+               "stored_and_driven", "long_hold", "chunked", "read_cascade", "driven_cascade",
+               *GRID_CUT_CASES, *BLOCK_CASES)
 
 
 @pytest.mark.parametrize("name", NAMED_CASES)
@@ -451,7 +540,7 @@ def test_scan_matches_step_loop_named(name):
 
 @pytest.mark.parametrize("k_len", [1, 2, 16, 17])
 @pytest.mark.parametrize("name", ["gaussian", "chunked", "long_hold", "one_step",
-                                  "exceptional_point"])
+                                  "exceptional_point", "read_cascade", "driven_cascade"])
 def test_block_length_is_free(monkeypatch, name, k_len):
     # the block length is a cost knob only: one block per step, blocks
     # that do not divide the chunk and the default all match the loop
@@ -476,6 +565,76 @@ def test_short_piece_is_one_block_of_its_own_length(monkeypatch):
     evolve(system, pulses, span, 0.25 * max_stable_dt(system, pulses), a0, b0)
     assert scans[1] == (1, 1)
     assert [k for m, k in scans if m > 1] == [dynamics._BLOCK_STEPS] * (len(scans) - 1)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "read_cascade"])
+def test_undriven_piece_runs_no_zero_state_pass(monkeypatch, name):
+    # an undriven piece's zero state is exactly 0: its chunks skip the
+    # zero-state pass, and every driven chunk runs it once
+    scans = []
+    real_scan, real_zero = dynamics._scan_chunk, dynamics._zero_state
+
+    def scan(x, m, step_map, lift, ain):
+        scans.append([ain is not None, 0])
+        real_scan(x, m, step_map, lift, ain)
+
+    def zero_state(*args):
+        scans[-1][1] += 1
+        real_zero(*args)
+
+    monkeypatch.setattr(dynamics, "_scan_chunk", scan)
+    monkeypatch.setattr(dynamics, "_zero_state", zero_state)
+    system, pulses, span, a0, b0 = _named_case(name)
+    evolve(system, pulses, span, 0.25 * max_stable_dt(system, pulses), a0, b0)
+    assert [driven for driven, _ in scans] == (
+        [True, True, True, False] if name == "gaussian" else [False, False])
+    assert all(passes == driven for driven, passes in scans)
+
+
+@pytest.mark.parametrize("k_len", [1, 16, 17])
+@pytest.mark.parametrize("name", ["sub_step_pulse", "one_step", "read_cascade",
+                                  "driven_cascade"])
+def test_step_maps_and_lifts_match_the_step_formula(monkeypatch, name, k_len):
+    # every piece's map [Q | m0 m1 m2], built for the whole call at once,
+    # is one _rk4_increment on each basis vector, and its lift's block k,
+    # P^(k+1) - I, sums the increments of k + 1 steps: within a few ulps
+    monkeypatch.setattr(dynamics, "_BLOCK_STEPS", k_len)
+    pieces, scans = [], []
+    real_pieces, real_scan = dynamics._pieces, dynamics._scan_chunk
+
+    def record_pieces(*args):
+        pieces.extend(real_pieces(*args))
+        return pieces
+
+    def record_scan(x, m, step_map, lift, ain):
+        scans.append((step_map, lift))
+        real_scan(x, m, step_map, lift, ain)
+
+    monkeypatch.setattr(dynamics, "_pieces", record_pieces)
+    monkeypatch.setattr(dynamics, "_scan_chunk", record_scan)
+    system, pulses, span, a0, b0 = _named_case(name)
+    evolve(system, pulses, span, 0.25 * max_stable_dt(system, pulses), a0, b0)
+    assert len(scans) == len(pieces)  # one chunk per piece
+    if name == "sub_step_pulse":
+        assert pieces[1][1] == 1
+    w_d = _frame_carrier(system, pulses)
+    width = 2 * len(_cells(system))
+    eps = np.finfo(float).eps
+    for (_, n, h, g, _, _), (step_map, lift) in zip(pieces, scans):
+        gen = _terms(system, w_d, g)
+        basis = np.eye(width + 3).tolist()
+        want = np.array([_rk4_increment(e[:width], h, gen, e[width:]) for e in basis]).T
+        assert step_map.shape == want.shape
+        assert np.max(np.abs(step_map - want)) <= 4 * eps * np.max(np.abs(want))
+        assert lift.shape == (width * min(k_len, n), width)
+        for c in range(width):
+            x, total = basis[c][:width], np.zeros(width, dtype=complex)
+            for k in range(min(k_len, n)):
+                d = _rk4_increment(x, h, gen, (0.0, 0.0, 0.0))
+                x = [v + dv for v, dv in zip(x, d)]
+                total += d
+                block = lift[k * width:(k + 1) * width, c]
+                assert np.max(np.abs(block - total)) <= 4 * (k + 1) * eps * np.max(np.abs(total))
 
 
 def _read_cascade(neighbour_kappa_ext):
