@@ -198,9 +198,9 @@ def _half_grid(t_span, dt):
 
 def _rk4_increment(x, h, gen, f):
     """Change of the state x over one classical RK4 step of dx/dt = A x +
-    B a_in(t), gen holding the terms of [A | B], each row as its nonzero
-    (column, coefficient) terms in column order, column W being the drive;
-    f holds a_in at the step's start, midpoint and end."""
+    B a_in(t), gen holding the terms of [A | B], each row as its (column,
+    coefficient) terms in column order, column W being the drive; f holds
+    a_in at the step's start, midpoint and end."""
     def rate(y, u):
         # Python numbers, summed term by term in column order
         y = [*y, u]
@@ -603,8 +603,9 @@ def test_step_maps_and_lifts_match_the_step_formula(monkeypatch, name, k_len):
     real_pieces, real_scan = dynamics._pieces, dynamics._scan_chunk
 
     def record_pieces(*args):
-        pieces.extend(real_pieces(*args))
-        return pieces
+        cut = real_pieces(*args)
+        pieces.extend(cut)
+        return cut
 
     def record_scan(x, m, step_map, lift, ain):
         scans.append((step_map, lift))
