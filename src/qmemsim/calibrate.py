@@ -38,7 +38,7 @@ from .cell import (
     tcr_chain,
     tcr_mode_estimate,
 )
-from .resonance import CalibrationError, ResonancePeak, find_root, notch_roots, peak_from_roots
+from .resonance import CalibrationError, ResonancePeak, find_root, notch_readout, notch_roots
 from .twoport import SHORT, input_impedance, notch_s21
 
 SCAN_POINTS = 200  #: points per row of the at-target sc_len and tcr_half_len scans
@@ -135,7 +135,7 @@ def _isolated_tcr_peaks(cell: MemoryCell, l_j, f_r) -> list[ResonancePeak]:
                                  f_r, 0.99 * f_r, 1.01 * f_r)
     if np.isnan([f_zero, f_pole]).any():
         raise CalibrationError("coupling resonator: complex root left its bracket")
-    peaks = [peak_from_roots(fz, fp) for fz, fp in zip(f_zero, f_pole)]
+    peaks = notch_readout(f_zero, f_pole).peaks()
     if any(peak.q_coupling is None for peak in peaks):
         raise CalibrationError("coupling resonator: no positive coupling rate")
     return peaks

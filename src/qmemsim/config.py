@@ -175,6 +175,12 @@ class SweepSettings:
             raise ValueError("coarse_step must be positive")
 
 
+#: most mode-map grid points, checked before a grid is built: on a 2-core
+#: x86_64 host a 10,000-row map takes about 0.5 s and 50 MiB, or 3 s and
+#: 370 MiB when every row is rescanned
+MAX_MAP_POINTS = 10_000
+
+
 @dataclass(frozen=True)
 class ModeMapSettings:
     l_min: float = 10e-12
@@ -186,6 +192,8 @@ class ModeMapSettings:
             raise ValueError("requires 0 < l_min < l_max")
         if not isinstance(self.points, int) or self.points < MIN_FIT_ROWS:
             raise ValueError(f"points must be an integer >= {MIN_FIT_ROWS}")
+        if self.points > MAX_MAP_POINTS:
+            raise ValueError(f"points must be at most {MAX_MAP_POINTS}")
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,12 @@
 mode_map() records, for every inductance on a grid, the two lowest
 resonances in band as complex zeros of the cell's shunt impedance: seeded
 at the upward crossings of one coarse Im Z scan of all rows, polished all
-at once.  Only a row that comes up short (fewer than two kept modes, or a
-root that left its bracket) is scanned again on the fine grid, where a
-narrow zero-pole pair the coarse grid stepped over shows its crossing, and
-polished again.  The map holds them as three columns: inductance, lower and
-upper mode.
+at once, and read all at once from resonance.notch_readout()'s columns,
+with cumulative counts standing for a walk along each row.  Only a row
+that comes up short (fewer than two kept modes, or a root that left its
+bracket) is scanned again on the fine grid, where a narrow zero-pole pair
+the coarse grid stepped over shows its crossing, and polished again.  The
+map holds them as three columns: inductance, lower and upper mode.
 
 fit_avoided_crossing() fits the two-branch hybridization model
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .cell import MemoryCell, cell_shunt_impedance, sc_mode_estimate, tcr_mode_estimate
 from .checks import require
-from .resonance import levenberg_marquardt, notch_roots, peak_from_roots
+from .resonance import levenberg_marquardt, notch_readout, notch_roots
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,47 +104,72 @@ def mode_map(cell: MemoryCell, l_grid, min_depth_db: float = 0.01) -> ModeMap:
         raise ValueError("min_depth_db must be finite")
     band = default_band(cell, l_grid)
 
-    found = _scan_rows(cell, l_grid, band, COARSE_POINTS, min_depth_db)
-    short = [k for k, r in enumerate(found) if isinstance(r, str)]
-    if short:
-        for k, r in zip(short, _scan_rows(cell, l_grid[short], band, SCAN_POINTS, min_depth_db)):
-            found[k] = r
-    rows = [(l_j, *r) for l_j, r in zip(l_grid, found) if not isinstance(r, str)]
-    flagged = [(float(l_j), r) for l_j, r in zip(l_grid, found) if isinstance(r, str)]
-    return ModeMap(*np.reshape(rows, (-1, 3)).T, flagged=tuple(flagged))
+    f12, why = _scan_rows(cell, l_grid, band, COARSE_POINTS, min_depth_db)
+    short = np.flatnonzero(np.isnan(f12[:, 0]))
+    if len(short):
+        f12[short], why = _scan_rows(cell, l_grid[short], band, SCAN_POINTS, min_depth_db)
+    ok = ~np.isnan(f12[:, 0])
+    return ModeMap(l_grid[ok], f12[ok, 0], f12[ok, 1],
+                   flagged=tuple(zip(l_grid[~ok].tolist(), why)))
 
 
-def _scan_rows(cell: MemoryCell, l_rows, band, n_scan: int, min_depth_db: float) -> list:
-    """Per inductance, its two lowest kept modes (f1, f2) in Hz, or the
-    reason (a str) the row came up short, seeded by an n_scan-point scan."""
+def _scan_rows(cell: MemoryCell, l_rows, band, n_scan: int, min_depth_db: float):
+    """_read_rows() of the roots seeded at the upward Im Z crossings of an
+    n_scan-point scan of the band, one row per inductance in l_rows."""
     f = np.linspace(band[0], band[1], n_scan)
     # at most 8 fine rows' worth of points per network call: temporaries near 2 MB
     per_call = max(1, 8 * SCAN_POINTS // n_scan)
     x = np.concatenate([cell_shunt_impedance(cell, l[:, None], f).imag
                         for l in np.split(l_rows, range(per_call, len(l_rows), per_call))])
-    row, i = np.nonzero((x[:, :-1] < 0) & (x[:, 1:] >= 0))
+    row, i = np.nonzero((x[:, :-1] < 0) & (x[:, 1:] >= 0))  # row by row, f ascending
     seeds = f[i] - x[row, i] * (f[i + 1] - f[i]) / (x[row, i + 1] - x[row, i])
     # scan intervals widened by half a step: disjoint brackets
     lo, hi = f[i] - 0.5 * (f[1] - f[0]), f[i + 1] + 0.5 * (f[1] - f[0])
     l_j = l_rows[row]
     f_zero, f_pole = notch_roots(lambda s: cell_shunt_impedance(cell, l_j, s), cell.z0,
                                  seeds, lo, hi)
-    found = []
-    for k in range(len(l_rows)):
-        kept = []
-        for seed, fz, fp in zip(seeds[row == k], f_zero[row == k], f_pole[row == k]):
-            if np.isnan(fz) or np.isnan(fp):
-                found.append(f"root seeded at {seed:.6g} Hz left its bracket")
-                break
-            peak = peak_from_roots(fz, fp)
-            if band[0] < peak.f0 < band[1] and peak.depth_db >= min_depth_db:
-                kept.append(peak.f0)
-            if len(kept) == 2:
-                found.append(tuple(kept))
-                break
-        else:
-            found.append(f"{len(kept)} resonance(s) in band")
-    return found
+    return _read_rows(row, seeds, f_zero, f_pole, len(l_rows), band, min_depth_db)
+
+
+def _read_rows(row, seeds, f_zero, f_pole, n_rows: int, band, min_depth_db: float):
+    """Each row's two lowest kept modes from its seeds' roots: an (n_rows, 2)
+    array in Hz, nan in each row that came up short, and the reason (a str)
+    of each such row, in row order.
+
+    row : each seed's row, non-decreasing; a row's seeds in frequency order
+    seeds, f_zero, f_pole : Hz, each seed and its roots (notch_roots())
+
+    A row reads its seeds in order until the second kept one (f0 inside the
+    band and at least min_depth_db deep) or the first whose roots left their
+    bracket (nan); only the roots read are checked (NotchColumns.require()).
+    All rows are read at once from notch_readout()'s columns: a seed's rank
+    among its row's kept seeds, and among the seeds that stop the row, is a
+    cumulative count, so no loop runs over seeds or rows.
+    """
+    cols = notch_readout(f_zero, f_pole)
+    left = np.isnan(f_zero) | np.isnan(f_pole)
+    kept = ~left & (band[0] < cols.f0) & (cols.f0 < band[1]) & (cols.depth_db >= min_depth_db)
+    start = np.searchsorted(row, np.arange(n_rows))
+
+    def rank(mask):  # count of mask over the seed's row up to and including it
+        c = np.cumsum(mask)
+        return c - np.concatenate([[0], c])[start[row]]
+
+    kept_rank = rank(kept)
+    stop = left | (kept & (kept_rank == 2))
+    stop_rank = rank(stop)
+    cols.require(~left & (stop_rank - stop == 0))  # no stop before: the row reads it
+    end = stop & (stop_rank == 1)
+    f12 = np.full((n_rows, 2), np.nan)
+    f12[row[end & kept], 1] = cols.f0[end & kept]
+    lower = kept & (kept_rank == 1) & ~np.isnan(f12[row, 1])
+    f12[row[lower], 0] = cols.f0[lower]
+    left_at = dict(zip(row[end & left].tolist(), seeds[end & left].tolist()))
+    n_kept = np.bincount(row[kept], minlength=n_rows)
+    why = [f"root seeded at {left_at[k]:.6g} Hz left its bracket" if k in left_at
+           else f"{n_kept[k]} resonance(s) in band"
+           for k in np.flatnonzero(np.isnan(f12[:, 0])).tolist()]
+    return f12, why
 
 
 # ------------------------- hybridization model -------------------------

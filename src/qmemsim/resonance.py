@@ -16,14 +16,16 @@ which the crossing fit shares.  The seed alone is not the answer: the cell is
 not an exact Lorentzian, and the seed's Q values can be off by parts in 1e3.
 The circuit itself gives the same parameters as complex roots (Pozar,
 Microwave Engineering, 6.1): see complex_zeros(), notch_roots() and
-peak_from_roots().  A trace of a known shunt branch takes each dip's values
-from those roots, with no fit (peaks_from_roots()).
+notch_readout(), which reads any number of roots at once as columns;
+peak_from_roots() is its one-element case.  A trace of a known shunt branch
+takes each dip's values from those roots, with no fit (peaks_from_roots()).
 Real roots are refined by find_root() inside brackets its callers supply;
 the calibration scans for its own.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -387,23 +389,64 @@ def notch_roots(z, z0, seeds, lo, hi):
     return tuple(complex_zeros(lambda f: z(f) + offset, np.stack([seeds, seeds]), lo, hi))
 
 
-def peak_from_roots(f_zero, f_pole) -> ResonancePeak:
-    """Notch resonance from the zero f0 (1 + j/2Q_i) of a shunt branch Z and the
-    pole f0 (1 + j/2Q_l) of 2Z + z0 (Probst et al., RSI 86, 024706 (2015)).
+class NotchColumns(NamedTuple):
+    """Notch resonances of shunt-branch roots as columns shaped like the roots
+    (notch_readout()); a nan Q is a ResonancePeak's None (peaks()).
 
-    Each Q is Re f / (2 Im f); Q_i is None when Im f_zero == 0, and
-    1/Q_c = 1/Q_l - 1/Q_i (None unless positive).  depth_db = -dB|S21(f0)|
-    = -dB(Q_l/Q_i) of the notch model.
+    f0 : Hz.  depth_db : -dB|S21(f0)|.  q_loaded, q_coupling, q_internal : the
+    Q values.  passive : Im f_zero >= 0 and Im f_pole > 0, which nan fails.
     """
-    fz, fp = complex(f_zero), complex(f_pole)
-    if not (fz.imag >= 0 and fp.imag > 0):  # nan fails too
-        raise ValueError("a passive branch has Im f_zero >= 0 and Im f_pole > 0")
-    ql = fp.real / (2.0 * fp.imag)
-    if fz.imag == 0:  # lossless: Q_c = Q_l
-        return ResonancePeak(fz.real, -float(db(0.0)), ql, ql, None)
-    qi = fz.real / (2.0 * fz.imag)
-    qc = 1.0 / (1.0 / ql - 1.0 / qi) if qi > ql else None
-    return ResonancePeak(fz.real, -float(db(ql / qi)), ql, qc, qi)
+
+    f0: np.ndarray
+    depth_db: np.ndarray
+    q_loaded: np.ndarray
+    q_coupling: np.ndarray
+    q_internal: np.ndarray
+    passive: np.ndarray
+
+    def require(self, checked=True) -> None:
+        """Raise ValueError at the first element where `checked` (a mask like
+        the columns, or True) holds and the roots are not passive, or give a
+        non-positive f0 or Q_l (ResonancePeak's field check)."""
+        bad = np.flatnonzero(checked & ~(self.passive & (self.f0 > 0) & (self.q_loaded > 0)))
+        if len(bad):
+            k = bad[0]
+            if not self.passive.flat[k]:
+                raise ValueError("a passive branch has Im f_zero >= 0 and Im f_pole > 0")
+            # a non-positive f0 or Q_l: ResonancePeak's field check raises
+            ResonancePeak(self.f0.flat[k], self.depth_db.flat[k], self.q_loaded.flat[k])
+
+    def peaks(self) -> list[ResonancePeak]:
+        """One ResonancePeak per element, in flat order, None for a nan Q;
+        raises as require() does."""
+        self.require()
+        return [ResonancePeak(f0, depth, ql, *(None if q != q else q for q in (qc, qi)))
+                for f0, depth, ql, qc, qi in zip(*(np.ravel(c).tolist() for c in self[:5]))]
+
+
+def notch_readout(f_zero, f_pole) -> NotchColumns:
+    """Notch resonances from the zeros f0 (1 + j/2Q_i) of a shunt branch Z and
+    the poles f0 (1 + j/2Q_l) of 2Z + z0 (Probst et al., RSI 86, 024706 (2015)),
+    elementwise over arrays of roots, with no check (NotchColumns.require()).
+
+    Each Q is Re f / (2 Im f); Q_i is nan where Im f_zero == 0 (lossless, and
+    then Q_c = Q_l), and 1/Q_c = 1/Q_l - 1/Q_i (nan unless positive).
+    depth_db = -dB|S21(f0)| = -dB(Q_l/Q_i) of the notch model.
+    """
+    fz, fp = np.asarray(f_zero, dtype=complex), np.asarray(f_pole, dtype=complex)
+    lossless = fz.imag == 0
+    with np.errstate(all="ignore"):
+        ql = fp.real / (2.0 * fp.imag)
+        qi = np.where(lossless, np.nan, fz.real / (2.0 * fz.imag))
+        qc = np.where(lossless, ql, np.where(qi > ql, 1.0 / (1.0 / ql - 1.0 / qi), np.nan))
+        depth = -db(np.where(lossless, 0.0, ql / qi))
+    return NotchColumns(fz.real, depth, ql, qc, qi, (fz.imag >= 0) & (fp.imag > 0))
+
+
+def peak_from_roots(f_zero, f_pole) -> ResonancePeak:
+    """The one-element case of notch_readout(), as a ResonancePeak; raises as
+    NotchColumns.require() does."""
+    return notch_readout(f_zero, f_pole).peaks()[0]
 
 
 def peaks_from_roots(freqs, s21, min_depth_db, z, z0):
@@ -417,8 +460,8 @@ def peaks_from_roots(freqs, s21, min_depth_db, z, z0):
     in its widened window seeds the dip's roots, bracketed halfway to the
     neighbouring dips, in one notch_roots() call for all dips.  A dip whose
     zero lands in its window, with a pole, takes f0 and the Q values of
-    peak_from_roots(); any other dip keeps its parabolic f0 and no Q.  No
-    fit is made.
+    notch_readout(); any other dip keeps its parabolic f0 and no Q.  No fit
+    is made.
     """
     freqs, s21 = _checked_trace(freqs, s21, min_depth_db)
     s21_db = db(s21)
@@ -446,9 +489,8 @@ def peaks_from_roots(freqs, s21, min_depth_db, z, z0):
         mid = [(p.f_dip + q.f_dip) / 2 for p, q in zip(peaks, peaks[1:])]
         edges, at = np.array([freqs[0], *mid, freqs[-1]]), np.array(at)
         f_zero, f_pole = notch_roots(z, z0, np.array(seeds), edges[at], edges[at + 1])
-        for d, fz, fp in zip(at, f_zero, f_pole):
-            f_lo, f_hi = found[d][2]
-            if f_lo <= fz.real <= f_hi and not np.isnan(fp):
-                peaks[d] = replace(peak_from_roots(fz, fp), depth_db=peaks[d].depth_db,
-                                   f_dip=peaks[d].f_dip)
+        f_lo, f_hi = np.array([found[d][2] for d in at]).T
+        own = (f_lo <= f_zero.real) & (f_zero.real <= f_hi) & ~np.isnan(f_pole)
+        for d, peak in zip(at[own], notch_readout(f_zero[own], f_pole[own]).peaks()):
+            peaks[d] = replace(peak, depth_db=peaks[d].depth_db, f_dip=peaks[d].f_dip)
     return sorted(peaks, key=lambda p: p.f0)

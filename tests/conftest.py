@@ -11,6 +11,7 @@ from qmemsim.config import example_template
 from qmemsim.dynamics import TWO_PI, ReadCascade, max_stable_dt
 from qmemsim.extract import extract_coupled_mode_params
 from qmemsim.modemap import fit_avoided_crossing, mode_map
+from qmemsim.resonance import ResonancePeak, db
 
 TARGETS = (6.55e9, 6.65e9, 6.70e9, 6.75e9)
 ANCHOR = 220e-12
@@ -73,6 +74,21 @@ def assert_piece_steps(system, pulses, times, dt):
         assert np.ptp(steps) <= 1e-6 * steps[0]
         # one step fewer would not do
         assert k1 - k0 == 1 or (grid[k1] - grid[k0]) / (k1 - k0 - 1) > bound * (1.0 - 1e-9)
+
+
+def scalar_peak(f_zero, f_pole) -> ResonancePeak:
+    """The scalar notch read-out of one zero and one pole, written out as
+    peak_from_roots() had it before the column read-out: the oracle of
+    resonance.notch_readout() and of the mode map's row read-out."""
+    fz, fp = complex(f_zero), complex(f_pole)
+    if not (fz.imag >= 0 and fp.imag > 0):  # nan fails too
+        raise ValueError("a passive branch has Im f_zero >= 0 and Im f_pole > 0")
+    ql = fp.real / (2.0 * fp.imag)
+    if fz.imag == 0:  # lossless: Q_c = Q_l
+        return ResonancePeak(fz.real, -float(db(0.0)), ql, ql, None)
+    qi = fz.real / (2.0 * fz.imag)
+    qc = 1.0 / (1.0 / ql - 1.0 / qi) if qi > ql else None
+    return ResonancePeak(fz.real, -float(db(ql / qi)), ql, qc, qi)
 
 
 def recorded_fits(monkeypatch, module):

@@ -381,6 +381,29 @@ class TestModemapCommand:
         assert main(["modemap", str(seed_path), "--l-grid", grid]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv, points, message", [
+        (["modemap", "{cfg}", "--l-grid", "10pH,500pH,100000000000"], None,
+         "--l-grid points must be at most 10000"),
+        (["modemap", "{cfg}", "--l-grid", "10pH,500pH,10001"], None,
+         "--l-grid points must be at most 10000"),
+        (["swap", "{cfg}", "--from-fit"], 100000000000,
+         "invalid configuration:\n  - modemap: points must be at most 10000"),
+    ], ids=["modemap-1e11", "modemap-10001", "swap-from-fit-1e11"])
+    def test_huge_grid_fails_before_it_is_built(self, seed_path, tmp_path, monkeypatch, capsys,
+                                                argv, points, message):
+        # both commands build their grid in _crossing: it must never run
+        def build(cfg, grid):
+            pytest.fail(f"a {grid.points}-point grid was built")
+
+        monkeypatch.setattr(cli, "_crossing", build)
+        raw = json.loads(seed_path.read_text())
+        if points is not None:
+            raw["modemap"]["points"] = points
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main([a.format(cfg=cfg) for a in argv]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestArraySpectrumCommand:
     # coarse_step 2 MHz / 4 over the 300 MHz band: 600 intervals

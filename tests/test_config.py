@@ -179,14 +179,21 @@ class TestParseConfig:
          "dynamics: dt_fraction_of_guard must lie in (0, 1]"),
         ("dynamics", "gate_rise", "-1 ns", "dynamics: gate_rise must be non-negative"),
         ("modemap", "points", 5, "modemap: points must be an integer >= 8"),
+        ("modemap", "points", 100000000000, "modemap: points must be at most 10000"),
     ], ids=["zero-step", "negative-step", "zero-q_c", "zero-band-lo", "negative-band-lo",
             "one-part-band", "targets-not-a-list", "zero-dt-fraction", "dt-fraction-above-1",
-            "negative-gate-rise", "unfittable-grid"])
+            "negative-gate-rise", "unfittable-grid", "huge-grid"])
     def test_unrunnable_value_rejected(self, section, key, value, message):
         raw = minimal_raw()
         raw[section] = {key: value}
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(raw)
+
+    def test_mode_map_grid_is_bounded_on_both_sides(self):
+        # the settings hold the count only: no grid is built to check it
+        assert config.ModeMapSettings(points=config.MAX_MAP_POINTS).points == 10_000
+        with pytest.raises(ValueError, match="points must be at most 10000"):
+            config.ModeMapSettings(points=config.MAX_MAP_POINTS + 1)
 
     @pytest.mark.parametrize("c_in, message", [
         (["20 fF"], "cell.c_in: expected a 'value unit' string, got ['20 fF']"),

@@ -399,3 +399,76 @@ def test_no_command_fits_a_trace():
     # resonance from a cell branch's roots; find_resonances is the library's
     # fit for a measured trace
     assert package_calls({"find_resonances"}) == set()
+
+
+def names_used(source: str, names) -> set:
+    """Every name in names that source imports, reads or calls, bare or as
+    an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                     *(a.name for a in getattr(node, "names", ()))):
+            if name in names:
+                found.add(name)
+    return found
+
+
+#: the scalar read-out of one root pair
+PEAK_OBJECTS = {"peak_from_roots", "ResonancePeak"}
+
+
+def test_peak_object_uses_are_found():
+    source = ("from .resonance import peak_from_roots\n"
+              "def read(fz, fp):\n    return resonance.ResonancePeak(fz.real, 3.0)\n")
+    assert names_used(source, PEAK_OBJECTS) == PEAK_OBJECTS
+
+
+def test_mode_map_reads_roots_as_columns():
+    # every row of a mode map is read from notch_readout's columns at once,
+    # never one scalar peak per seed
+    source = (Path(qmemsim.__file__).parent / "modemap.py").read_text(encoding="utf-8")
+    assert names_used(source, PEAK_OBJECTS) == set()
+    assert names_used(source, {"notch_readout"}) == {"notch_readout"}
+
+
+def readout_formulas(source: str, module: str) -> list:
+    """'module.function: kind' of every Q = Re f / (2 Im f) ("q": a division
+    of a .real by an expression holding a .imag) and every notch depth
+    -dB(Q_l/Q_i) ("depth": a db() call of a quotient) in source, by the
+    innermost function around it."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, ast.FunctionDef):
+            where = f"{module}.{node.name}"
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                and getattr(node.left, "attr", None) == "real"
+                and any(getattr(n, "attr", None) == "imag" for n in ast.walk(node.right))):
+            found.append(f"{where}: q")
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "db"
+                and any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Div)
+                        for a in node.args for n in ast.walk(a))):
+            found.append(f"{where}: depth")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), module)
+    return sorted(found)
+
+
+def test_readout_formulas_are_found():
+    source = ("def peak(fz, fp):\n    ql = fp.real / (2.0 * fp.imag)\n"
+              "    qi = fz.real / (2 * fz.imag)\n    return -db(ql / qi)\n"
+              "x = -db(np.where(a, 0.0, ql / qi))\n")
+    assert readout_formulas(source, "m") == ["m.peak: depth", "m.peak: q", "m.peak: q",
+                                             "m: depth"]
+    assert readout_formulas("f0 = f_c * (1.0 - a.imag / b.imag)\ny = db(s21)\n", "m") == []
+
+
+def test_the_readout_formula_is_written_once():
+    # Q_l and Q_i of each root and the notch depth, in one function of src/
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        found += readout_formulas(path.read_text(encoding="utf-8"), path.stem)
+    assert found == ["resonance.notch_readout: depth", "resonance.notch_readout: q",
+                     "resonance.notch_readout: q"]

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import least_squares
 
 from qmemsim import modemap, resonance
@@ -14,7 +15,7 @@ from qmemsim.modemap import (
     mode_map,
 )
 from qmemsim.resonance import LM_TOL, find_root
-from tests.conftest import ANCHOR, recorded_fits
+from tests.conftest import ANCHOR, recorded_fits, scalar_peak
 
 
 def synth_coeffs(rng):
@@ -359,3 +360,154 @@ def assert_same_map(mm, fine):
     assert np.array_equal(mm.l, fine.l) and mm.flagged == fine.flagged
     for col, ref in ((mm.f1, fine.f1), (mm.f2, fine.f2)):
         assert np.all(np.abs(col - ref) <= 4 * np.spacing(ref))
+
+
+def row_loop(row, seeds, f_zero, f_pole, n_rows, band, min_depth_db):
+    """The per-seed row loop that modemap._read_rows replaced, kept as its
+    oracle: each row reads its seeds in order, stops at its second kept
+    seed or at its first root that left its bracket, and builds a scalar
+    peak (scalar_peak) of every other seed it reaches."""
+    found = []
+    for k in range(n_rows):
+        kept = []
+        for seed, fz, fp in zip(seeds[row == k], f_zero[row == k], f_pole[row == k]):
+            if np.isnan(fz) or np.isnan(fp):
+                found.append(f"root seeded at {seed:.6g} Hz left its bracket")
+                break
+            peak = scalar_peak(fz, fp)
+            if band[0] < peak.f0 < band[1] and peak.depth_db >= min_depth_db:
+                kept.append(peak.f0)
+            if len(kept) == 2:
+                found.append(tuple(kept))
+                break
+        else:
+            found.append(f"{len(kept)} resonance(s) in band")
+    f12 = np.array([(np.nan, np.nan) if isinstance(r, str) else r for r in found])
+    return f12.reshape(n_rows, 2), [r for r in found if isinstance(r, str)]
+
+
+def read_outcome(read, *args):
+    """(f12 bytes, reasons) of a row read-out, or the message it raises."""
+    try:
+        f12, why = read(*args)
+    except ValueError as exc:
+        return str(exc)
+    return f12.tobytes(), why
+
+
+#: synthetic roots at 6.5 GHz (each kind's f_zero, f_pole) for a 6-7 GHz band
+#: and a 0.01 dB threshold
+F = 6.5e9
+KINDS = {
+    "kept": (F * (1 + 0.5j / 1e5), F * (1 + 0.5j / 1e3)),  # Q_i 1e5, Q_l 1e3: 40 dB
+    "lossless": (complex(F), F * (1 + 0.5j / 1e3)),
+    "low": (5.5e9 * (1 + 0.5j / 1e5), 5.5e9 * (1 + 0.5j / 1e3)),  # out of band
+    "high": (7.5e9 * (1 + 0.5j / 1e5), 7.5e9 * (1 + 0.5j / 1e3)),
+    "shallow": (F * (1 + 0.5j / 1.0001e3), F * (1 + 0.5j / 1e3)),  # 8.7e-4 dB
+    "left_zero": (complex(np.nan), F * (1 + 0.5j / 1e3)),
+    "left_pole": (F * (1 + 0.5j / 1e5), complex(np.nan)),
+    "active_zero": (F * (1 - 0.5j / 1e5), F * (1 + 0.5j / 1e3)),
+    "active_pole": (F * (1 + 0.5j / 1e5), complex(F)),
+    "negative_f0": (-F * (1 - 0.5j / 1e5), F * (1 + 0.5j / 1e3)),
+    "negative_ql": (F * (1 + 0.5j / 1e5), -F * (1 - 0.5j / 1e3)),
+}
+BAND, MIN_DEPTH = (6e9, 7e9), 0.01
+
+
+def synthetic_rows(rows):
+    """(row, seeds, f_zero, f_pole, n_rows) of rows of KINDS names; each
+    seed's roots sit at its own frequency, so kept modes tell apart."""
+    kinds = [(k, kind) for k, names in enumerate(rows) for kind in names]
+    row = np.array([k for k, _ in kinds], dtype=int)
+    seeds = 6.1e9 + 1e7 * np.arange(len(kinds))
+    scale = seeds / F
+    f_zero = np.array([KINDS[kind][0] for _, kind in kinds], dtype=complex) * scale
+    f_pole = np.array([KINDS[kind][1] for _, kind in kinds], dtype=complex) * scale
+    return row, seeds, f_zero, f_pole, len(rows)
+
+
+def assert_reads_as_the_loop(rows, min_depth_db=MIN_DEPTH):
+    args = (*synthetic_rows(rows), BAND, min_depth_db)
+    want = read_outcome(row_loop, *args)
+    assert read_outcome(modemap._read_rows, *args) == want
+    return want
+
+
+class TestRowReadout:
+    """modemap._read_rows against the row loop it replaced."""
+
+    @pytest.mark.parametrize("cell_edit, l_grid", [
+        (None, np.linspace(190e-12, 290e-12, 25)),
+        (None, np.linspace(10e-12, 500e-12, 41)),
+        (None, np.linspace(10e-12, 500e-12, 61)),
+        (None, np.linspace(10e-12, 500e-12, 301)),
+        # rows flagged on both scans, for too few modes or a lost root
+        ({"c_couple": 3e-15}, np.linspace(10e-12, 500e-12, 41)),
+        ({"c_couple": 2e-15}, np.linspace(10e-12, 500e-12, 61)),
+    ], ids=["25-zoom", "41", "61", "301", "narrow-41", "narrower-61"])
+    def test_seed_cell_maps_equal_the_row_loop(self, cell, cell_edit, l_grid, monkeypatch):
+        cell = cell if cell_edit is None else replace(cell, **cell_edit)
+        mm = mode_map(cell, l_grid)
+        monkeypatch.setattr(modemap, "_read_rows", row_loop)
+        want = mode_map(cell, l_grid)
+        for col, ref in ((mm.l, want.l), (mm.f1, want.f1), (mm.f2, want.f2)):
+            assert col.tobytes() == ref.tobytes()
+        assert mm.flagged == want.flagged
+        if cell_edit is not None:
+            assert any("left its bracket" in reason for _, reason in mm.flagged)
+            assert any("resonance(s) in band" in reason for _, reason in mm.flagged)
+        else:
+            assert mm.flagged == ()
+
+    @pytest.mark.parametrize("rows", [
+        [[], ["kept"], ["kept", "kept"], ["kept", "lossless", "kept"], []],
+        [["kept", "low", "kept", "high"], ["high", "kept", "kept", "kept", "kept"]],
+        [[], [], []],
+        [],
+    ], ids=["0-1-2-3-seeds", "4-and-5-seeds", "no-seeds", "no-rows"])
+    def test_rows_of_any_length(self, rows):
+        assert_reads_as_the_loop(rows)
+
+    def test_out_of_band_and_shallow_seeds_are_skipped(self):
+        f12, why = assert_reads_as_the_loop(
+            [["low", "kept", "shallow", "kept"], ["high", "shallow"], ["shallow", "kept"]])
+        assert why == ["0 resonance(s) in band", "1 resonance(s) in band"]
+
+    def test_a_seed_exactly_at_the_depth_threshold_is_kept(self):
+        rows = [["kept", "kept"], ["shallow", "kept", "kept"], ["kept", "lossless"]]
+        _, _, f_zero, f_pole, _ = synthetic_rows(rows)
+        for fz, fp in zip(f_zero, f_pole):  # each seed's own depth as the threshold
+            assert_reads_as_the_loop(rows, scalar_peak(fz, fp).depth_db)
+
+    def test_a_lost_root_stops_its_row_only_before_the_second_kept_seed(self):
+        _, why = assert_reads_as_the_loop([
+            ["kept", "left_zero", "kept"],  # lost before the pair
+            ["kept", "kept", "left_pole"],  # after it: the row is complete
+            ["left_pole"], ["left_zero", "kept", "kept"], ["low", "left_zero", "left_pole"],
+        ])
+        assert len(why) == 4 and all("left its bracket" in r for r in why)
+        assert why[0] == "root seeded at 6.11e+09 Hz left its bracket"
+
+    @pytest.mark.parametrize("bad", ["active_zero", "active_pole", "negative_f0",
+                                     "negative_ql"])
+    def test_roots_past_a_rows_stop_are_not_checked(self, bad):
+        assert not isinstance(assert_reads_as_the_loop(
+            [["kept", "kept", bad], ["left_zero", bad], ["kept", "left_pole", bad, bad]]), str)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([["kept", "active_zero", "kept"]], "a passive branch"),
+        ([["kept", "kept"], ["active_pole"]], "a passive branch"),
+        ([["low", "negative_f0"]], "ResonancePeak.f0 must be positive"),
+        ([["shallow", "negative_ql"]], "ResonancePeak.q_loaded must be positive"),
+        # the first rejected root the loop reaches is the one that raises
+        ([["kept", "negative_f0"], ["active_zero"]], "ResonancePeak.f0 must be positive"),
+        ([["kept", "kept", "negative_f0"], ["active_zero"]], "a passive branch"),
+    ], ids=["active-zero", "active-pole", "negative-f0", "negative-q_l", "first-row-first",
+            "first-reached-first"])
+    def test_a_rejected_root_before_a_rows_stop_raises(self, rows, message):
+        assert message in assert_reads_as_the_loop(rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(sorted(KINDS)), max_size=6), max_size=6))
+    def test_random_rows_read_as_the_loop(self, rows):
+        assert_reads_as_the_loop(rows)

@@ -63,6 +63,11 @@ COMMANDS = {
     "spectrum-off": (["spectrum", "--state", "off"], ["{name}.csv"]),
     "modemap": (["modemap"], ["{name}.csv"]),
     "modemap-zoom": (["modemap", "--l-grid", "190pH,290pH,25"], ["{name}.csv"]),
+    # error exits: a grid the settings refuse before it is built (exit 1), and
+    # a grid whose crossing fit finds no crossing (exit 2)
+    "modemap-too-many-points": (["modemap", "--l-grid", "10pH,500pH,100000000000"],
+                                ["{name}.csv"]),
+    "modemap-not-bracketed": (["modemap", "--l-grid", "300pH,400pH,21"], ["{name}.csv"]),
     "swap-from-fit": (["swap", "--from-fit"], ["{name}.csv"]),
     "swap-g": (["swap", "--g", "300MHz"], ["{name}.csv"]),
     "protocol": (["protocol", "{dir}/schedule.json", "--crosstalk-out", "{dir}/{name}.xt.csv"],

@@ -1,7 +1,9 @@
 """Notch-model fitting and complex-frequency roots, against closed forms."""
+import contextlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import least_squares
 
 from qmemsim import resonance
@@ -23,11 +25,12 @@ from qmemsim.resonance import (
     levenberg_marquardt,
     local_minima,
     notch_s21_model,
+    notch_readout,
     peak_from_roots,
     peaks_from_roots,
 )
 from qmemsim.twoport import notch_s21
-from tests.conftest import ANCHOR, recorded_fits
+from tests.conftest import ANCHOR, recorded_fits, scalar_peak
 
 
 def synth_grid(f0, ql, span_lw=25.0, n=1201):
@@ -541,3 +544,77 @@ class TestComplexRoots:
             peak_from_roots(6.5e9 - 1e3j, 6.5e9 + 1e6j)
         with pytest.raises(ValueError):
             peak_from_roots(6.5e9 + 1e3j, complex(np.nan, np.nan))
+
+
+#: a root's parts: mostly a passive resonance's, sometimes a lossless, active,
+#: failed (nan) or negative-frequency one
+ROOT_REAL = st.one_of(st.floats(1e8, 2e10), st.floats(1e8, 2e10), st.floats(-2e10, 0.0),
+                      st.just(np.nan))
+ROOT_IMAG = st.one_of(st.floats(1e-3, 1e9), st.floats(1e-3, 1e9), st.just(0.0),
+                      st.floats(-1e9, -1e-3), st.just(np.nan))
+ROOTS = st.builds(complex, ROOT_REAL, ROOT_IMAG)
+
+
+def scalar_outcome(f_zero, f_pole):
+    """scalar_peak()'s peak, the message it raises, or None where it divides
+    by zero (a zero Q, or 1/Q_l == 1/Q_i)."""
+    try:
+        return scalar_peak(f_zero, f_pole)
+    except ValueError as exc:
+        return str(exc)
+    except ZeroDivisionError:
+        return None
+
+
+class TestNotchReadout:
+    """notch_readout() columns and peak_from_roots() against the scalar formula."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(ROOTS, ROOTS), min_size=1, max_size=12))
+    @example(pairs=[(1j, complex(np.nan, 1.0))])  # Re f_zero = 0: Q_i = 0
+    @example(pairs=[(1e8, complex(-1.1125369292536007e-308, 1.0))])  # 1/Q_l overflows
+    def test_columns_are_the_scalar_formula_bit_for_bit(self, pairs):
+        f_zero, f_pole = (np.array(c, dtype=complex) for c in zip(*pairs))
+        cols = notch_readout(f_zero, f_pole)
+        for k, (fz, fp) in enumerate(pairs):
+            want = scalar_outcome(fz, fp)
+            if want is None:  # the columns carry on in floating point
+                with contextlib.suppress(ValueError):
+                    peak_from_roots(fz, fp)
+                continue
+            try:
+                assert peak_from_roots(fz, fp) == want
+            except ValueError as exc:
+                assert str(exc) == want
+            if isinstance(want, str):
+                with pytest.raises(ValueError) as exc:
+                    cols.require(np.arange(len(pairs)) == k)
+                assert str(exc.value) == want
+                continue
+            cols.require(np.arange(len(pairs)) == k)
+            assert cols.passive[k]
+            assert (cols.f0[k], cols.depth_db[k], cols.q_loaded[k]) == (
+                want.f0, want.depth_db, want.q_loaded)
+            for col, q in ((cols.q_coupling, want.q_coupling),
+                           (cols.q_internal, want.q_internal)):
+                assert np.isnan(col[k]) if q is None else col[k] == q
+
+    def test_require_raises_at_the_first_checked_root(self):
+        # a non-passive root, then a negative-frequency one
+        f_zero = np.array([6.5e9 + 1e3j, 6.5e9 - 1e3j, -6.5e9 + 1e3j, 6.6e9 + 1e3j])
+        f_pole = np.full(4, 6.5e9 + 1e6j)
+        cols = notch_readout(f_zero, f_pole)
+        cols.require([True, False, False, True])
+        with pytest.raises(ValueError, match="ResonancePeak.f0 must be positive"):
+            cols.require([True, False, True, True])
+        with pytest.raises(ValueError, match="a passive branch"):
+            cols.require()
+
+    def test_lossless_and_undercoupled_roots(self):
+        cols = notch_readout([6.5e9, 6.5e9 + 1e6j], [6.5e9 + 1e6j, 6.5e9 + 1e5j])
+        # lossless: Q_c = Q_l, no Q_i, the clipped depth; Q_i < Q_l: no Q_c
+        assert cols.q_coupling[0] == cols.q_loaded[0] and np.isnan(cols.q_internal[0])
+        assert cols.depth_db[0] == -db(0.0)
+        assert np.isnan(cols.q_coupling[1]) and cols.depth_db[1] < 0
+        assert peak_from_roots(6.5e9, 6.5e9 + 1e6j) == ResonancePeak(
+            6.5e9, -float(db(0.0)), 3250.0, 3250.0, None)
