@@ -150,7 +150,7 @@ class ResonancePeak:
 
 def db(s21):
     """|S21| in dB; exact zeros clip to 1e-300 instead of giving -inf."""
-    return 20.0 * np.log10(np.clip(np.abs(s21), 1e-300, None))
+    return 20.0 * np.log10(np.maximum(np.abs(s21), 1e-300))
 
 
 def local_minima(db, min_depth_db):
@@ -409,19 +409,19 @@ class NotchColumns(NamedTuple):
         the columns, or True) holds and the roots are not passive, or give a
         non-positive f0 or Q_l (ResonancePeak's field check)."""
         bad = np.flatnonzero(checked & ~(self.passive & (self.f0 > 0) & (self.q_loaded > 0)))
-        if len(bad):
-            k = bad[0]
-            if not self.passive.flat[k]:
-                raise ValueError("a passive branch has Im f_zero >= 0 and Im f_pole > 0")
-            # a non-positive f0 or Q_l: ResonancePeak's field check raises
-            ResonancePeak(self.f0.flat[k], self.depth_db.flat[k], self.q_loaded.flat[k])
+        if len(bad):  # the first rejected element's peak raises
+            NotchColumns(*(np.ravel(c)[bad[:1]] for c in self)).peaks()
 
     def peaks(self) -> list[ResonancePeak]:
         """One ResonancePeak per element, in flat order, None for a nan Q;
-        raises as require() does."""
-        self.require()
-        return [ResonancePeak(f0, depth, ql, *(None if q != q else q for q in (qc, qi)))
-                for f0, depth, ql, qc, qi in zip(*(np.ravel(c).tolist() for c in self[:5]))]
+        raises at the first element that require() rejects."""
+        found = []
+        for f0, depth, ql, qc, qi, passive in zip(*(np.ravel(c).tolist() for c in self)):
+            if not passive:
+                raise ValueError("a passive branch has Im f_zero >= 0 and Im f_pole > 0")
+            # ResonancePeak's field check rejects a non-positive f0 or Q_l
+            found.append(ResonancePeak(f0, depth, ql, *(None if q != q else q for q in (qc, qi))))
+        return found
 
 
 def notch_readout(f_zero, f_pole) -> NotchColumns:
