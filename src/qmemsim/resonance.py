@@ -404,7 +404,7 @@ class NotchColumns(NamedTuple):
     q_internal: np.ndarray
     passive: np.ndarray
 
-    def require(self, checked=True) -> None:
+    def require(self, checked) -> None:
         """Raise ValueError at the first element where `checked` (a mask like
         the columns, or True) holds and the roots are not passive, or give a
         non-positive f0 or Q_l (ResonancePeak's field check)."""

@@ -608,7 +608,7 @@ class TestNotchReadout:
         with pytest.raises(ValueError, match="ResonancePeak.f0 must be positive"):
             cols.require([True, False, True, True])
         with pytest.raises(ValueError, match="a passive branch"):
-            cols.require()
+            cols.require(True)
 
     def test_lossless_and_undercoupled_roots(self):
         cols = notch_readout([6.5e9, 6.5e9 + 1e6j], [6.5e9 + 1e6j, 6.5e9 + 1e5j])
