@@ -242,6 +242,7 @@ def _run_op(
     """One op's fidelity, its crosstalk ratios {j: deposit_j / deposit_i},
     and the addressed cell's step count and largest step.
 
+    Each trajectory's peak is read once, a write's from its WriteResult.
     The ratios are empty when the addressed cell took up no energy.
     """
     i = op.cell_index
@@ -250,33 +251,28 @@ def _run_op(
     if op.op == "write":
         rf, gate_at = _write_drive(op, sys_i)
         result = write_protocol(sys_i, rf, gate_at=gate_at, dt_fraction=dt_fraction)
-        fidelity = result.fidelity
+        fidelity, deposit_i = result.fidelity, result.peak
         # the neighbours see the write's drive on the feedline, from empty
         pulses, b0 = PulseSequence(rf=rf), 0.0
         idle = {j: model.system for j, model in enumerate(models) if j != i}
     else:
         result = read_protocol(sys_i, dt_fraction=dt_fraction)
-        fidelity = result.recovered_fraction
+        fidelity, deposit_i = result.recovered_fraction, coupler_peak(result.trajectory)
         # each neighbour is integrated together with the reader that drives
         # it, from the reader's stored excitation
-        pulses, b0 = result.pulses, 1.0
+        pulses, b0 = result.trajectory.pulses, 1.0
         idle = {j: ReadCascade(sys_i, model.system) for j, model in enumerate(models) if j != i}
 
     traj = result.trajectory
-    deposit_i = coupler_peak(sys_i, result.pulses, traj.times, traj.x)
     largest = float(np.max(np.diff(traj.times)))
     steps = len(traj.times) - 1
     if deposit_i <= 0.0:
         return fidelity, {}, steps, largest
     t_span = (float(traj.times[0]), float(traj.times[-1]))
-
-    def idle_peak(system):
-        # one neighbour's trajectory at a time: each is freed once read
-        neighbour = evolve(system, pulses, t_span, dt_fraction * max_stable_dt(system, pulses),
-                           b0=b0)
-        return coupler_peak(system, pulses, neighbour.times, neighbour.x)
-
-    ratios = {j: idle_peak(system) / deposit_i for j, system in idle.items()}
+    # one neighbour's trajectory at a time: each is freed once read
+    ratios = {j: coupler_peak(evolve(system, pulses, t_span,
+                                     dt_fraction * max_stable_dt(system, pulses), b0=b0))
+              / deposit_i for j, system in idle.items()}
     return fidelity, ratios, steps, largest
 
 

@@ -140,6 +140,12 @@ REFINE = 10  #: factor each stage shrinks the local grid spacing by
 OFF_BAND = (1e9, 16e9)  #: Hz, band of the gate-OFF spectrum
 
 
+def band_grid(band, step):
+    """The uniform grid over band (lo, hi), ends included: round(span / step)
+    intervals, and never fewer than 8."""
+    return np.linspace(*band, max(int(round((band[1] - band[0]) / step)), 8) + 1)
+
+
 def _new_points(values, grid):
     """The distinct values, sorted, that the sorted array grid does not hold:
     np.setdiff1d(values, grid) by sort and searchsorted, without the import
@@ -179,8 +185,7 @@ def adaptive_sweep(
         raise ValueError("coarse_step must be positive and finite")
     if not math.isfinite(detect_db):
         raise ValueError("detect_db must be finite")
-    n = max(int(round((hi - lo) / coarse_step)), 8)
-    grid = np.linspace(lo, hi, n + 1)
+    grid = band_grid(band, coarse_step)
     if l_j is OFF:
         f_sc = sc_mode_estimate(cell)
         if lo < f_sc < hi:

@@ -33,7 +33,7 @@ from .calibrate import (
     sc_branch_resonance,
     tcr_branch_resonance,
 )
-from .cell import OFF_BAND, spectrum
+from .cell import OFF_BAND, band_grid, spectrum
 from .config import (
     Config,
     ConfigError,
@@ -416,9 +416,7 @@ def _cmd_array_spectrum(args, cfg: Config) -> int:
     band = _parse_band(args.band, cfg.sweep.band)
     array = _require_array(cfg)
     states = [_array_anchor(cfg) if args.state == "on" else OFF] * len(array.cells)
-    step = cfg.sweep.coarse_step / 4.0
-    n = max(int(round((band[1] - band[0]) / step)), 8)
-    grid = np.linspace(band[0], band[1], n + 1)
+    grid = band_grid(band, cfg.sweep.coarse_step / 4.0)
     peaks, (freqs, s21) = array_spectrum(array, states, grid, cfg.sweep.min_depth_db)
     _write_spectrum(args, cfg, "array-spectrum", peaks, freqs, s21)
     return 0

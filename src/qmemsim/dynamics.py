@@ -50,11 +50,15 @@ fourth order, like the steps.  coupler_peak() takes every peak max |a|^2
 on it, and read_protocol() integrates the emitted energy on it.  That is
 what lets the protocols step at the whole resolution guard
 (DT_FRACTION = 1).
+
+A Trajectory carries the system and pulses evolve() integrated, and each
+is reduced once: coupler_slopes() and coupler_peak() take it alone, and a
+WriteResult keeps the peak its fidelity divides by.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -180,10 +184,12 @@ class ReadCascade:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-domain record of one evolution: row n of x is the state at
+    """One evolution of system under pulses: row n of x is the state at
     times[n], (a, b) of each cell in turn (one cell, or a ReadCascade's
     reader and neighbour); a and b are the first cell's."""
 
+    system: CoupledModeSystem | ReadCascade
+    pulses: PulseSequence
     times: np.ndarray
     x: np.ndarray
 
@@ -519,7 +525,7 @@ def evolve(
             if not np.isfinite(x[s:s + m + 1]).all():
                 raise ArithmeticError("trajectory diverged; reduce dt")
             s += m
-    return Trajectory(times=times, x=x[:n_steps + 1])
+    return Trajectory(system, pulses, times, x[:n_steps + 1])
 
 
 def _hermite_cubic(h, v0, v1, s0, s1):
@@ -529,44 +535,36 @@ def _hermite_cubic(h, v0, v1, s0, s1):
     return (2.0 * (v0 - v1) + h * (s0 + s1), 3.0 * (v1 - v0) - h * (2.0 * s0 + s1), h * s0, v0)
 
 
-def coupler_slopes(system: CoupledModeSystem | ReadCascade, pulses: PulseSequence, times, x):
-    """a'(t) of system's last coupler (a ReadCascade's neighbour) from the
-    model's equations, at both ends of every step of the samples (times, x)
-    of a trajectory under pulses, each step at its own coupling and drive:
-    shape (len(times) - 1, 2), start and end.  At a gate or RF edge the two
-    steps that meet there take different slopes."""
-    times = np.asarray(times, dtype=float)
-    w_d = _frame_carrier(system, pulses)
+def coupler_slopes(traj: Trajectory):
+    """a'(t) of the trajectory's last coupler (a ReadCascade's neighbour)
+    from the model's equations, at both ends of every step, each step at
+    its own coupling and drive: shape (len(times) - 1, 2), start and end.
+    At a gate or RF edge the two steps that meet there take different
+    slopes."""
+    system, pulses, times, x = traj.system, traj.pulses, traj.times, traj.x
     mids = 0.5 * (times[:-1] + times[1:])
-    g = _couplings(system, pulses, mids)
-    m = x.shape[1] - 2
-    slopes = np.empty((len(times) - 1, 2), dtype=complex)
-    for coupling in set(g.tolist()):
-        row = _generator(system, w_d, coupling)[m].tolist()
-        # the coupler's own term, then the other components; the drive is
-        # the same at every coupling
-        drive = row.pop()
-        s = row[m] * x[:, m]
-        for j, c in enumerate(row):
-            if c and j != m:
-                s = s + c * x[:, j]
-        steps = g == coupling
-        slopes[steps, 0] = s[:-1][steps]
-        slopes[steps, 1] = s[1:][steps]
+    width = x.shape[1]
+    m = width - 2
+    # the coupler's row of every step's [A | B], and (x, a_in) at both ends
+    row = _generator(system, _frame_carrier(system, pulses), _couplings(system, pulses, mids))[:, m]
+    ends = np.zeros((len(times) - 1, 2, width + 1), dtype=complex)
+    ends[:, 0, :-1] = x[:-1]
+    ends[:, 1, :-1] = x[1:]
     if pulses.rf is not None:
         # a driven step takes the drive from inside the pulse at both ends
         on = _driven(pulses, mids)
-        f = drive * pulses.rf.envelope(times)
-        slopes[on, 0] += f[:-1][on]
-        slopes[on, 1] += f[1:][on]
-    return slopes
+        f = pulses.rf.envelope(times)
+        ends[on, 0, -1] = f[:-1][on]
+        ends[on, 1, -1] = f[1:][on]
+    # coefficient times value, summed in order: the coupler's own term, the
+    # other components by index, then the drive
+    order = [m, *range(m), *range(m + 1, width), width]
+    return np.add.accumulate((row[:, None] * ends)[..., order], axis=-1)[..., -1]
 
 
-def coupler_peak(system: CoupledModeSystem | ReadCascade, pulses: PulseSequence, times,
-                 x) -> float:
-    """Peak coupler energy max_t |a(t)|^2 of the samples (times, x) of a
-    trajectory under pulses, a being system's last coupler (a
-    ReadCascade's neighbour).
+def coupler_peak(traj: Trajectory) -> float:
+    """Peak coupler energy max_t |a(t)|^2 of a trajectory, a being its last
+    coupler (a ReadCascade's neighbour).
 
     The maximum is taken on the cubic Hermite interpolant of the steps on
     either side of the largest sample, with slopes from coupler_slopes():
@@ -575,12 +573,12 @@ def coupler_peak(system: CoupledModeSystem | ReadCascade, pulses: PulseSequence,
     is exact: |p(u)|^2 is a degree-6 polynomial in u = (t - t0) / h, and
     its maximum lies at a sample or at a real root of its derivative.
     """
-    a = x[:, -2]
+    a = traj.x[:, -2]
     energy = np.abs(a) ** 2
     k = int(np.argmax(energy))
     w = slice(max(k - 1, 0), k + 2)
-    t, aw = times[w], a[w]
-    slopes = coupler_slopes(system, pulses, t, x[w]).tolist()
+    t, aw = traj.times[w], a[w]
+    slopes = coupler_slopes(replace(traj, times=t, x=traj.x[w])).tolist()
     peak = float(energy[k])
     # a window of at most two steps: Python numbers cost less than arrays
     for h, a0, a1, (s0, s1) in zip(np.diff(t).tolist(), aw[:-1].tolist(), aw[1:].tolist(),
@@ -613,14 +611,13 @@ DT_FRACTION = 1.0
 class WriteResult:
     fidelity: float
     trajectory: Trajectory
-    pulses: PulseSequence
+    peak: float  # the trajectory's coupler_peak(), fidelity's denominator
 
 
 @dataclass(frozen=True)
 class ReadResult:
     recovered_fraction: float
     trajectory: Trajectory
-    pulses: PulseSequence
 
 
 def write_pulses(system: CoupledModeSystem, rf: RfPulse, gate_at: float | None = None,
@@ -657,12 +654,10 @@ def write_protocol(
     pulses, t_end = write_pulses(system, rf, gate_at, engage_gate)
     dt = dt_fraction * max_stable_dt(system, pulses)
     traj = evolve(system, pulses, (min(0.0, rf.start), t_end), dt)
-    peak = coupler_peak(system, pulses, traj.times, traj.x)
-    if peak == 0.0:
-        return WriteResult(fidelity=0.0, trajectory=traj, pulses=pulses)
+    peak = coupler_peak(traj)
     # |b(end)|^2 by e_b's own array ops, without e_b's full-length arrays
     stored = float((np.abs(traj.b[-1:]) ** 2)[0])
-    return WriteResult(fidelity=stored / peak, trajectory=traj, pulses=pulses)
+    return WriteResult(fidelity=stored / peak if peak else 0.0, trajectory=traj, peak=peak)
 
 
 def read_duration(system: CoupledModeSystem) -> float:
@@ -692,9 +687,9 @@ def read_protocol(system: CoupledModeSystem, dt_fraction: float = DT_FRACTION) -
     traj = evolve(system, pulses, (0.0, read_duration(system)), dt, a0=0.0, b0=1.0)
     # the emitted field of an undriven read is -sqrt(kappa_ext) a
     a, h = traj.a, np.diff(traj.times)
-    slopes = coupler_slopes(system, pulses, traj.times, traj.x)
+    slopes = coupler_slopes(traj)
     e = np.abs(a) ** 2
     de = 2.0 * ((a[:-1].conj() * slopes[:, 0]).real - (a[1:].conj() * slopes[:, 1]).real)
     energy = np.sum(0.5 * h * (e[:-1] + e[1:]) + (h * h / 12.0) * de)
     recovered = float(system.kappa_ext * energy)
-    return ReadResult(recovered_fraction=recovered, trajectory=traj, pulses=pulses)
+    return ReadResult(recovered_fraction=recovered, trajectory=traj)

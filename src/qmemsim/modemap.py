@@ -117,12 +117,16 @@ def _scan_rows(cell: MemoryCell, l_rows, band, n_scan: int, min_depth_db: float)
     """_read_rows() of the roots seeded at the upward Im Z crossings of an
     n_scan-point scan of the band, one row per inductance in l_rows."""
     f = np.linspace(band[0], band[1], n_scan)
-    # at most 8 fine rows' worth of points per network call: temporaries near 2 MB
+    # at most 8 fine rows' worth of points per network call, temporaries near
+    # 2 MB; only each call's crossings outlive it
     per_call = max(1, 8 * SCAN_POINTS // n_scan)
-    x = np.concatenate([cell_shunt_impedance(cell, l[:, None], f).imag
-                        for l in np.split(l_rows, range(per_call, len(l_rows), per_call))])
-    row, i = np.nonzero((x[:, :-1] < 0) & (x[:, 1:] >= 0))  # row by row, f ascending
-    seeds = f[i] - x[row, i] * (f[i + 1] - f[i]) / (x[row, i + 1] - x[row, i])
+    found = []
+    for first in range(0, len(l_rows), per_call):
+        x = cell_shunt_impedance(cell, l_rows[first:first + per_call, None], f).imag
+        row, i = np.nonzero((x[:, :-1] < 0) & (x[:, 1:] >= 0))  # row by row, f ascending
+        found.append((first + row, i,
+                      f[i] - x[row, i] * (f[i + 1] - f[i]) / (x[row, i + 1] - x[row, i])))
+    row, i, seeds = (np.concatenate(c) for c in zip(*found))
     # scan intervals widened by half a step: disjoint brackets
     lo, hi = f[i] - 0.5 * (f[1] - f[0]), f[i + 1] + 0.5 * (f[1] - f[0])
     l_j = l_rows[row]

@@ -162,6 +162,21 @@ def evolve_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def peak_calls(monkeypatch):
+    """Every coupler_peak call made during the test, by dynamics or array."""
+    calls = []
+    original = dynamics.coupler_peak
+
+    def counted(traj):
+        calls.append(len(traj.times))
+        return original(traj)
+
+    for module in (dynamics, array_module):
+        monkeypatch.setattr(module, "coupler_peak", counted)
+    return calls
+
+
 class TestSchedule:
     def test_empty_schedule(self, array):
         report = run_schedule(array, AccessSchedule())
@@ -275,6 +290,14 @@ class TestRepeatedOps:
         w0, r0 = AccessOp(op="write", cell_index=0), AccessOp(op="read", cell_index=0)
         run_schedule(array, self.spaced(w0, r0, w0, r0), models=array_models)
         assert len(evolve_calls) == 8
+
+    def test_each_trajectory_is_reduced_once(self, array, array_models, evolve_calls,
+                                             peak_calls):
+        # one coupler_peak per integration: the addressed cell's, which the
+        # write's fidelity and the crosstalk row share, and each neighbour's
+        w0, r0 = AccessOp(op="write", cell_index=0), AccessOp(op="read", cell_index=0)
+        run_schedule(array, self.spaced(w0, r0, w0, r0), models=array_models)
+        assert len(peak_calls) == len(evolve_calls) == 8
 
     def test_ops_differing_beyond_start_are_not_merged(self, array, array_models,
                                                        evolve_calls):
@@ -451,9 +474,9 @@ class TestStepConvergence:
                     result = write_protocol(system, rf, gate_at=gate_at, dt_fraction=fraction)
                 else:
                     result = read_protocol(system, dt_fraction=fraction)
-                times = result.trajectory.times
-                assert_piece_steps(system, result.pulses, times,
-                                   fraction * max_stable_dt(system, result.pulses))
+                times, pulses = result.trajectory.times, result.trajectory.pulses
+                assert_piece_steps(system, pulses, times,
+                                   fraction * max_stable_dt(system, pulses))
                 assert steps == len(times) - 1 and largest == float(np.max(np.diff(times)))
                 assert steps * largest >= array_module._op_duration(op, system)
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -687,7 +688,7 @@ def test_coupler_peak_converges_at_fourth_order():
     errors, sampled = [], []
     for n in (25, 51, 101):
         traj = evolve(system, IDLE, span, span[1] / n, a0=0.0, b0=1.0)
-        errors.append(abs(coupler_peak(system, IDLE, traj.times, traj.x) - 1.0))
+        errors.append(abs(coupler_peak(traj) - 1.0))
         sampled.append(abs(np.max(traj.e_a) - 1.0))
     assert errors[0] >= 12.0 * errors[1] and errors[1] >= 12.0 * errors[2]
     # the largest sample alone is second order, and 1000x off at the guard
@@ -701,10 +702,10 @@ def test_coupler_peak_is_the_interpolant_maximum(name):
     # no sample exceeds
     system, pulses, span, _, _ = _named_case(name)
     traj = evolve(system, pulses, span, max_stable_dt(system, pulses))
-    peak = coupler_peak(system, pulses, traj.times, traj.x)
+    peak = coupler_peak(traj)
     k = int(np.argmax(traj.e_a))
     w = slice(max(k - 1, 0), k + 2)
-    slopes = coupler_slopes(system, pulses, traj.times[w], traj.x[w])
+    slopes = coupler_slopes(replace(traj, times=traj.times[w], x=traj.x[w]))
     fine = 0.0
     for h, a0, a1, (s0, s1) in zip(np.diff(traj.times[w]), traj.a[w][:-1], traj.a[w][1:],
                                    slopes):
@@ -719,7 +720,7 @@ def test_coupler_slopes_take_each_steps_own_coupling():
     # their own g: the slopes differ by i (g_on - g_off) b there
     system, pulses, span, a0, b0 = _named_case("edge_on_sample")
     traj = evolve(system, pulses, span, max_stable_dt(system, pulses), a0=a0, b0=b0)
-    slopes = coupler_slopes(system, pulses, traj.times, traj.x)
+    slopes = coupler_slopes(traj)
     times = traj.times.tolist()
     for edge, sign in ((pulses.gate_pulses[0].start, 1.0), (pulses.gate_pulses[0].end, -1.0)):
         k = times.index(edge)
@@ -736,12 +737,23 @@ def test_coupler_slopes_take_each_steps_own_drive():
     # sqrt(kappa_ext) times the envelope at the end
     system, pulses, span, a0, b0 = _named_case("gaussian")
     traj = evolve(system, pulses, span, max_stable_dt(system, pulses), a0=a0, b0=b0)
-    slopes = coupler_slopes(system, pulses, traj.times, traj.x)
+    slopes = coupler_slopes(traj)
     rf = pulses.rf
     k = traj.times.tolist().index(rf.end)
     expected = math.sqrt(system.kappa_ext) * rf.envelope(rf.end)
     assert expected > 0.04 * rf.amplitude * math.sqrt(system.kappa_ext)
     assert slopes[k - 1, 1] - slopes[k, 0] == pytest.approx(expected, rel=1e-9)
+
+
+def test_one_sample_trajectory_under_a_drive():
+    # a trajectory cut to its first sample has no step: no slopes, and its
+    # peak is that sample's |a|^2, though an RF pulse drives the span
+    system, pulses, span, _, _ = _named_case("gaussian")
+    traj = evolve(system, pulses, span, max_stable_dt(system, pulses), a0=0.6, b0=0.8j)
+    one = replace(traj, times=traj.times[:1], x=traj.x[:1])
+    assert pulses.rf is not None
+    assert coupler_slopes(one).shape == (0, 2)
+    assert coupler_peak(one) == float(np.abs(one.a[0]) ** 2) == abs(0.6) ** 2
 
 
 def _bad_integrations():
@@ -862,7 +874,8 @@ class TestWriteProtocol:
         assert result.fidelity >= 0.99
         # read off b's last sample, the same bits as the energy trace's
         traj = result.trajectory
-        peak = coupler_peak(sys_, result.pulses, traj.times, traj.x)
+        peak = coupler_peak(traj)
+        assert result.peak == peak
         assert result.fidelity == float(traj.e_b[-1]) / peak
 
     def test_rectangular_write_at_the_guard(self):

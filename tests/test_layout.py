@@ -51,6 +51,23 @@ def test_runtime_imports_are_the_declared_dependencies():
     assert {re.match(r"[A-Za-z0-9_.-]+", d).group() for d in declared} == third_party_imports()
 
 
+def python_floor() -> tuple[int, int]:
+    """The oldest Python that pyproject.toml's requires-python admits."""
+    text = PYPROJECT.read_text(encoding="utf-8")
+    major, minor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.M).groups()
+    return int(major), int(minor)
+
+
+def test_every_python_file_parses_under_the_floor():
+    # a newer construct (except*, a type statement, ...) fails to parse
+    # under the oldest grammar the project admits
+    root = PYPROJECT.parent
+    paths = sorted(p for d in ("src", "tests", "bench", "demos") for p in (root / d).rglob("*.py"))
+    assert python_floor() == (3, 10) and len(paths) >= 42
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=python_floor())
+
+
 def hand_built_impedances():
     """'module:line' for every terminate(chain_abcd(...)) call outside twoport,
     which input_impedance(chain, z_load, f) spells once."""
@@ -291,6 +308,23 @@ def test_coupler_peaks_come_from_one_helper():
     for path in sorted(Path(qmemsim.__file__).parent.glob("*.py")):
         found |= coupler_energy_maxima(path.read_text(encoding="utf-8"), path.stem)
     assert found == {"dynamics.coupler_peak"}
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    path = Path(qmemsim.__file__).with_name(f"{module}.py")
+    return next(fn for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(fn, ast.FunctionDef) and fn.name == name)
+
+
+def test_slopes_build_one_generator_for_every_step():
+    # every step's coupling goes into one _generator call: no loop over the
+    # couplings, or over anything else, rebuilds it
+    fn = _function("dynamics", "coupler_slopes")
+    calls = [node for node in ast.walk(fn) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "_generator"]
+    loops = [node for node in ast.walk(fn)
+             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert len(calls) == 1 and loops == []
 
 
 #: the RfPulse methods that evaluate the drive

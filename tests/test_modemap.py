@@ -1,4 +1,5 @@
 """Mode map and avoided-crossing fit."""
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -307,6 +308,22 @@ class TestValidation:
             mode_map(cell, np.array([5e-12]))
         with pytest.raises(ValueError):
             mode_map(cell, np.array([2e-10, 1e-10]))
+
+
+def test_a_long_rescan_never_holds_its_whole_scan(cell):
+    # no notch of the lossy cell is 1000 dB deep, so all 1,000 rows are
+    # rescanned at SCAN_POINTS: each network call's Im Z is read for its
+    # crossings and dropped, so the peak stays under half of the rescan's
+    # Im Z alone (12.8 MB); holding the whole scan peaked at 36.8 MiB
+    n_rows = 1000
+    tracemalloc.start()
+    try:
+        mm = mode_map(cell, np.linspace(10e-12, 500e-12, n_rows), min_depth_db=1e3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(mm.flagged) == n_rows
+    assert peak < 0.5 * n_rows * modemap.SCAN_POINTS * 8
 
 
 def fine_only_map(monkeypatch, cell, l_grid):

@@ -50,8 +50,13 @@ SCHEDULES = {
     ]},
 }
 
-#: name -> the `dynamics` keys a command's config sets over the seed config's
-DYNAMICS = {"protocol-four-op-quarter-guard": {"dt_fraction_of_guard": 0.25}}
+#: name -> {section: keys} that a command's config sets over the seed config's
+OVERRIDES = {
+    "protocol-four-op-quarter-guard": {"dynamics": {"dt_fraction_of_guard": 0.25}},
+    # the first two targets 100 kHz apart, under ten linewidths
+    "protocol-not-addressable": {"array": {"targets": ["6.55 GHz", "6.5501 GHz", "6.7 GHz",
+                                                      "6.75 GHz"]}},
+}
 
 #: name -> (argv after the config path, files written besides the report).
 #: "{name}" in a file name is the command's name.
@@ -80,6 +85,16 @@ COMMANDS = {
                                        ["{name}.csv", "{name}.xt.csv"]),
     "array-spectrum-on": (["array-spectrum", "--state", "on"], ["{name}.csv"]),
     "array-spectrum-off": (["array-spectrum", "--state", "off"], ["{name}.csv"]),
+    # error exits: a band plan the array cannot address (exit 2), and inputs
+    # refused before any work (exit 1)
+    "protocol-not-addressable": (["protocol", "{dir}/schedule.json",
+                                  "--crosstalk-out", "{dir}/{name}.xt.csv"],
+                                 ["{name}.csv", "{name}.xt.csv"]),
+    "spectrum-on-0pH": (["spectrum", "--state", "on:0pH"], ["{name}.csv"]),
+    "spectrum-band-reversed": (["spectrum", "--state", "on:220pH", "--band", "7GHz,6GHz"],
+                               ["{name}.csv"]),
+    "array-spectrum-band-one-end": (["array-spectrum", "--band", "1GHz"], ["{name}.csv"]),
+    "swap-g-zero": (["swap", "--g", "0MHz"], ["{name}.csv"]),
 }
 
 
@@ -112,9 +127,10 @@ def run_commands() -> dict:
             args = [a.format(dir=tmp, name=name) for a in args]
             written = [w.format(name=name) for w in written]
             config = seed
-            if name in DYNAMICS:
+            if name in OVERRIDES:
                 raw = json.loads(seed.read_text(encoding="utf-8"))
-                raw["dynamics"].update(DYNAMICS[name])
+                for section, keys in OVERRIDES[name].items():
+                    raw[section].update(keys)
                 config = d / f"{name}.config.json"
                 config.write_text(json.dumps(raw), encoding="utf-8")
             result = _run([args[0], str(config), *args[1:], "--out", str(d / written[0]),
