@@ -745,6 +745,39 @@ def test_coupler_slopes_take_each_steps_own_drive():
     assert slopes[k - 1, 1] - slopes[k, 0] == pytest.approx(expected, rel=1e-9)
 
 
+def loop_slopes(system, pulses, times, x):
+    """coupler_slopes() as a loop over the couplings a trajectory takes, one
+    generator row each, summing the nonzero terms as Python numbers: the
+    reference its one generator for every step must equal."""
+    w_d = dynamics._frame_carrier(system, pulses)
+    mids = 0.5 * (times[:-1] + times[1:])
+    g = dynamics._couplings(system, pulses, mids)
+    m = x.shape[1] - 2
+    slopes = np.empty((len(times) - 1, 2), dtype=complex)
+    for coupling in set(g.tolist()):
+        row = dynamics._generator(system, w_d, coupling)[m, :-1].tolist()
+        s = row[m] * x[:, m]
+        for j, c in enumerate(row):
+            if c and j != m:
+                s = s + c * x[:, j]
+        steps = g == coupling
+        slopes[steps, 0] = s[:-1][steps]
+        slopes[steps, 1] = s[1:][steps]
+    if pulses.rf is not None:
+        on = dynamics._driven(pulses, mids)
+        f = complex(dynamics._generator(system, w_d, 0.0)[m, -1]) * pulses.rf.envelope(times)
+        slopes[on, 0] += f[:-1][on]
+        slopes[on, 1] += f[1:][on]
+    return slopes
+
+
+@pytest.mark.parametrize("name", NAMED_CASES)
+def test_slopes_equal_the_loop_over_couplings(name):
+    system, pulses, span, a0, b0 = _named_case(name)
+    traj = evolve(system, pulses, span, max_stable_dt(system, pulses), a0=a0, b0=b0)
+    slopes = coupler_slopes(traj)
+    assert np.array_equal(slopes, loop_slopes(system, pulses, traj.times, traj.x))
+
 def test_one_sample_trajectory_under_a_drive():
     # a trajectory cut to its first sample has no step: no slopes, and its
     # peak is that sample's |a|^2, though an RF pulse drives the span
