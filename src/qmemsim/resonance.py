@@ -3,20 +3,15 @@
 Dips are located as local minima of |S21| in dB, refined by parabolic
 interpolation (trace_dips()).  A trace alone is fit to the complex notch model
 
-    S21(f) = 1 - (Q_l / Q_c) / (1 + 2j Q_l (f - f0) / f0)
+    S21(f) = 1 - (Q_l / Q_c) / (1 + 2j Q_l (f - f0) / f0) = (f - f_zero) / (f - f_pole)
 
 with loaded quality factor Q_l, coupling quality factor Q_c and resonance
-frequency f0 (find_resonances()).  The internal quality factor follows from
-1/Q_i = 1/Q_l - 1/Q_c.
-
-Each fit is seeded in closed form by the inverse-S21 linearization
-1/(1 - S21) = Q_c/Q_l + 2j Q_c (f - f0)/f0 (Megrant et al., APL 100,
-113510 (2012)) and refined with an analytic Jacobian by levenberg_marquardt(),
-which the crossing fit shares.  The seed alone is not the answer: the cell is
-not an exact Lorentzian, and the seed's Q values can be off by parts in 1e3.
-The circuit itself gives the same parameters as complex roots (Pozar,
-Microwave Engineering, 6.1): see complex_zeros(), notch_roots() and
-notch_readout(), which reads any number of roots at once as columns;
+frequency f0 (find_resonances()), as its zero f_zero = f0 (1 + j/2Q_i) and
+pole f_pole = f0 (1 + j/2Q_l), refined with an analytic Jacobian by
+levenberg_marquardt(), which the crossing fit shares.  The circuit itself
+gives the same roots (Pozar, Microwave Engineering, 6.1): see
+complex_zeros() and notch_roots().  Fitted and circuit roots alike are read
+by notch_readout(), which reads any number of roots at once as columns;
 peak_from_roots() is its one-element case.  A trace of a known shunt branch
 takes each dip's values from those roots, with no fit (peaks_from_roots()).
 Real roots are refined by find_root() inside brackets its callers supply;
@@ -223,82 +218,55 @@ def _checked_trace(freqs, s21, min_depth_db):
     return freqs, s21
 
 
-# (f0 scale, log10 Q_l, log10 Q_c) box an accepted fit must lie in
-_BOX_LO = np.array([0.5, 0.0, 0.0])
-_BOX_HI = np.array([1.5, 12.0, 14.0])
-
-
-def _in_box(p):
-    return bool(np.all((_BOX_LO <= p) & (p <= _BOX_HI)))
-
-
-def _linear_seed(f, s21):
-    """Closed-form (f0, Q_l, Q_c) from the inverse-S21 linearization.
-
-    The notch model inverts to a straight line in f,
-    1/(1 - S21) = Q_c/Q_l + 2j Q_c (f - f0)/f0, solved here by one
-    |1 - S21|-weighted complex least squares in x = (f - f_c)/f_c about the
-    window centre f_c.  None when 1 - S21 has an exact zero or a non-finite
-    sample, or when the line gives no finite positive Q.
-    """
-    d = 1.0 - s21
-    if not np.all(np.isfinite(d) & (d != 0)):
-        return None
-    f_c = 0.5 * (f[0] + f[-1])
-    x = (f - f_c) / f_c
-    w = np.abs(d)
-    (a, b), *_ = np.linalg.lstsq(
-        np.stack([w, w * x], axis=1).astype(complex), w / d, rcond=None
-    )
-    # a = Q_c/Q_l + 2j Q_c (f_c - f0)/f0 and b = 2j Q_c f_c/f0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        qc = 0.5 * (b.imag - a.imag)
-        ql = qc / a.real
-        f0 = f_c * (1.0 - a.imag / b.imag)
-    if not (np.isfinite([f0, ql, qc]).all() and ql > 0 and qc > 0):
-        return None
-    return f0, ql, qc
-
-
-def _notch_jacobian(p, f, f0_init):
-    """Jacobian of the stacked (real, imag) notch residuals of :func:`_fit_notch`.
-
-    Columns are the derivatives in p = (f0 / f0_init, log10 Q_l, log10 Q_c).
-    """
-    f0, ql, qc = p[0] * f0_init, 10.0 ** p[1], 10.0 ** p[2]
-    u = 1.0 + 2j * ql * (f - f0) / f0
-    k = (ql / qc) / u  # the model is 1 - k
-    ln10 = np.log(10.0)
-    cols = np.stack([-2j * ql * f / (p[0] * f0) * k / u, -ln10 * k / u, ln10 * k], axis=1)
-    return np.concatenate([cols.real, cols.imag])
-
-
 def _fit_notch(f, s21, f0_init, ql_init, qc_init):
-    """Least-squares fit of the complex notch model; None on failure.
+    """(f_zero, f_pole) of notch_s21_model() fit to the trace as
+    S21 = (f - f_zero) / (f - f_pole), f_zero = f0 + j a and f_pole = f0 + j b,
+    where a = f0/2Q_i and b = f0/2Q_l; None on failure.
 
-    Parameters are (f0 / f0_init, log10 Q_l, log10 Q_c).  The start is the
-    closed-form :func:`_linear_seed` when it lies in the box, else the
-    caller's estimate; :func:`levenberg_marquardt` with the analytic Jacobian
-    then refines it.  No convergence, or a start or result outside the box, fails.
+    Parameters are (f0 / f0_init, ln(b / h), ln(c / h)) with h = f0_init / ql_init
+    and c = b - a = f0/2Q_c, so S21 = 1 + j c / (f - f_pole).  The start is one
+    |1 - S21|-weighted real least squares of the identity
+    S21 (f - f_pole) = f - f_zero, exact for an exact notch, on a finite trace
+    where it gives b > a and b > 0; else the caller's estimate.
+    levenberg_marquardt() with the analytic Jacobian refines it, its steps
+    through non-finite residuals rejected quietly.  The fit fails unless it
+    converged with 0 <= a < b; a zero within 1e-9 b of the axis is lossless (a = 0).
     """
+    h = f0_init / ql_init
+
+    def model(p):
+        """(1 / (f - f_pole), S21 - 1) at p."""
+        inv = 1.0 / (f - p[0] * f0_init - 1j * h * np.exp(p[1]))
+        return inv, 1j * h * np.exp(p[2]) * inv
 
     def residuals(p):
-        model = notch_s21_model(f, p[0] * f0_init, 10.0 ** p[1], 10.0 ** p[2])
-        r = model - s21
+        r = 1.0 + model(p)[1] - s21
         return np.concatenate([r.real, r.imag])
 
-    seed = _linear_seed(f, s21)
-    if seed is not None:
-        p0 = np.array([seed[0] / f0_init, np.log10(seed[1]), np.log10(seed[2])])
-    if seed is None or not _in_box(p0):
-        p0 = np.array([1.0, np.log10(ql_init), np.log10(qc_init)])
-        if not _in_box(p0):
-            return None
-    p, _, converged = levenberg_marquardt(
-        residuals, lambda p: _notch_jacobian(p, f, f0_init), p0)
-    if not (converged and _in_box(p)):
+    def jacobian(p):
+        inv, k = model(p)  # dS/dp: f0_init k / (f - f_pole), j b k / (f - f_pole), k
+        cols = np.stack([f0_init * k * inv, 1j * h * np.exp(p[1]) * k * inv, k], axis=1)
+        return np.concatenate([cols.real, cols.imag])
+
+    p0 = np.array([1.0, np.log(0.5), np.log(0.5 * ql_init / qc_init)])
+    if np.isfinite(s21).all():  # lstsq raises on a non-finite sample
+        # (S - 1)(f - f0_init) = (f0 - f0_init)(S - 1) + j b S - j a, in units of h
+        w = np.abs(1.0 - s21)
+        cols = np.stack([s21 - 1.0, np.full_like(s21, -1j), 1j * s21], axis=1) * w[:, None]
+        rhs = w * (s21 - 1.0) * (f - f0_init) / h
+        (df0, a, b), *_ = np.linalg.lstsq(np.concatenate([cols.real, cols.imag]),
+                                          np.concatenate([rhs.real, rhs.imag]), rcond=None)
+        if b > max(a, 0.0):
+            p0 = np.array([1.0 + df0 * h / f0_init, np.log(b), np.log(b - a)])
+    with np.errstate(all="ignore"):
+        p, _, converged = levenberg_marquardt(residuals, jacobian, p0)
+        f0, b = p[0] * f0_init, h * np.exp(p[1])
+        a = b - h * np.exp(p[2])
+    if abs(a) <= 1e-9 * b:
+        a = 0.0
+    if not (converged and 0.0 <= a < b):
         return None
-    return p[0] * f0_init, 10.0 ** p[1], 10.0 ** p[2]
+    return complex(f0, a), complex(f0, b)
 
 
 def find_resonances(freqs, s21, min_depth_db: float = 0.05):
@@ -319,8 +287,9 @@ def find_resonances(freqs, s21, min_depth_db: float = 0.05):
     stops at a saddle toward a neighbouring dip.  A dip whose fit fails, or
     lands off its own dip (a shallow dip's fit drawn onto a deeper
     neighbour), keeps its parabolic f0 with the Q fields absent; no dip is
-    merged into another.  A trace of a known shunt branch has exact values
-    in peaks_from_roots() instead.
+    merged into another.  A kept fit's roots give f0 and the Q values through
+    peak_from_roots(), with the trace's depth.  A trace of a known shunt
+    branch has exact values in peaks_from_roots() instead.
     """
     freqs, s21 = _checked_trace(freqs, s21, min_depth_db)
     s21_db = db(s21)
@@ -337,17 +306,10 @@ def find_resonances(freqs, s21, min_depth_db: float = 0.05):
         depth_lin = 1.0 - 10.0 ** (s21_db[i] / 20.0)
         qc_init = ql_init / min(max(depth_lin, 1e-6), 1.0)
         fit = _fit_notch(freqs[wlo:whi], s21[wlo:whi], f0_par, ql_init, qc_init)
-        if fit is None or not f_lo <= fit[0] <= f_hi:
+        if fit is None or not f_lo <= fit[0].real <= f_hi:
             peaks.append(ResonancePeak(f0=f0_par, depth_db=-s21_db[i]))
-            continue
-        f0, ql, qc = fit
-        inv_qi = 1.0 / ql - 1.0 / qc
-        qi = 1.0 / inv_qi if inv_qi > 1e-9 / ql else None
-        peaks.append(
-            ResonancePeak(
-                f0=f0, depth_db=-s21_db[i], q_loaded=ql, q_coupling=qc, q_internal=qi
-            )
-        )
+        else:
+            peaks.append(replace(peak_from_roots(*fit), depth_db=-s21_db[i]))
 
     peaks.sort(key=lambda p: p.f0)
     return peaks

@@ -118,6 +118,16 @@ class TestResidualCoupling:
         ref = off_state_residual_coupling(cell, kappa_a=1e7)
         assert res.kappa_sc_ext < 1e-6 * ref.kappa_sc_ext
 
+    def test_decay_falls_to_the_cavity_rate_as_r_off_grows(self, cell):
+        # on the --seed-config cell the loop decays at 1.76e7 /s through a
+        # 1 kohm junction and falls toward the cavity branch's own gamma_b
+        # (1.119e5 /s), 0.31% above it at 100 Mohm
+        gammas = [off_state_residual_coupling(replace(cell, jj=replace(cell.jj, r_off=r_off)),
+                                              kappa_a=1e7).gamma_off
+                  for r_off in (1e3, 1e4, 1e5, 1e6, 1e7, 1e8)]
+        assert np.all(np.diff(gammas) < 0)
+        assert gammas[-1] == pytest.approx(_cavity_internal_rate(cell), rel=0.01)
+
     def test_purcell_inversion_consistency(self, cell):
         res = off_state_residual_coupling(cell, kappa_a=2e7)
         assert 4.0 * res.g_off**2 / 2e7 == pytest.approx(res.kappa_sc_ext, rel=1e-9)

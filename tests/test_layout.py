@@ -465,10 +465,17 @@ def test_mode_map_reads_roots_as_columns():
     assert names_used(source, {"notch_readout"}) == {"notch_readout"}
 
 
+def reciprocal(node) -> bool:
+    """Whether node is 1 / x, the literal 1 int or float."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and isinstance(node.left, ast.Constant) and node.left.value == 1)
+
+
 def readout_formulas(source: str, module: str) -> list:
     """'module.function: kind' of every Q = Re f / (2 Im f) ("q": a division
-    of a .real by an expression holding a .imag) and every notch depth
-    -dB(Q_l/Q_i) ("depth": a db() call of a quotient) in source, by the
+    of a .real by an expression holding a .imag), every notch depth
+    -dB(Q_l/Q_i) ("depth": a db() call of a quotient) and every Q relation
+    1/Q_c = 1/Q_l - 1/Q_i ("relation": 1 / x - 1 / y) in source, by the
     innermost function around it."""
     found = []
 
@@ -483,6 +490,9 @@ def readout_formulas(source: str, module: str) -> list:
                 and any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Div)
                         for a in node.args for n in ast.walk(a))):
             found.append(f"{where}: depth")
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                and reciprocal(node.left) and reciprocal(node.right)):
+            found.append(f"{where}: relation")
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
@@ -499,10 +509,19 @@ def test_readout_formulas_are_found():
     assert readout_formulas("f0 = f_c * (1.0 - a.imag / b.imag)\ny = db(s21)\n", "m") == []
 
 
+def test_q_relations_are_found():
+    source = ("def fit(ql, qc):\n    inv_qi = 1.0 / ql - 1.0 / qc\n"
+              "qc = np.where(ok, 1 / (1 / ql - 1 / qi), np.nan)\n")
+    assert readout_formulas(source, "m") == ["m.fit: relation", "m: relation"]
+    assert readout_formulas("x = 1.0 - 1.0 / q\ny = 2.0 / a - 1.0 / b\nz = 1.0 / a + 1.0 / b\n",
+                            "m") == []
+
+
 def test_the_readout_formula_is_written_once():
-    # Q_l and Q_i of each root and the notch depth, in one function of src/
+    # Q_l and Q_i of each root, the notch depth and Q_c from the two, in one
+    # function of src/: a trace fit reads its roots through it too
     found = []
     for path in sorted((ROOT / "src").rglob("*.py")):
         found += readout_formulas(path.read_text(encoding="utf-8"), path.stem)
     assert found == ["resonance.notch_readout: depth", "resonance.notch_readout: q",
-                     "resonance.notch_readout: q"]
+                     "resonance.notch_readout: q", "resonance.notch_readout: relation"]

@@ -1,5 +1,6 @@
 """Notch-model fitting and complex-frequency roots, against closed forms."""
 import contextlib
+import warnings
 
 import numpy as np
 import pytest
@@ -16,8 +17,6 @@ from qmemsim.resonance import (
     LM_TOL,
     ResonancePeak,
     _fit_notch,
-    _linear_seed,
-    _notch_jacobian,
     complex_zeros,
     db,
     find_resonances,
@@ -111,6 +110,31 @@ class TestTraceHandling:
         with pytest.raises(ValueError):
             find_resonances(freqs, np.ones(3, dtype=complex))
 
+    def test_non_finite_sample_keeps_a_parabolic_peak(self, capfd):
+        # a nan inside the fit window fails the fit: the dip keeps its
+        # parabolic f0 and no Q, and nothing is raised or printed
+        f0, ql, qc = 6.55e9, 1e4, 2e4
+        freqs = synth_grid(f0, ql)
+        s21 = notch_s21_model(freqs, f0, ql, qc)
+        s21[590] = np.nan
+        [peak] = find_resonances(freqs, s21)
+        assert peak.f0 == pytest.approx(f0, rel=1e-6)
+        assert (peak.q_loaded, peak.q_coupling, peak.q_internal) == (None, None, None)
+        assert capfd.readouterr().err == ""
+
+    def test_noisy_trace_fits_without_warnings(self):
+        # a fit's trial steps through overflowing or non-finite residuals are
+        # rejected, not reported: this trace's fits once warned of overflow
+        f0, ql, qc = 6.55e9, 1e4, 2e4
+        freqs = synth_grid(f0, ql)
+        rng = np.random.default_rng(1)
+        s21 = notch_s21_model(freqs, f0, ql, qc) + 5e-3 * (
+            rng.standard_normal(freqs.size) + 1j * rng.standard_normal(freqs.size))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            peaks = find_resonances(freqs, s21)
+        assert any(p.q_loaded == pytest.approx(ql, rel=0.1) for p in peaks)
+
     def test_full_notch_zero_magnitude(self):
         # an exact |S21| = 0 sample must not break the dB conversion
         f0, ql = 6.5e9, 1e4
@@ -129,24 +153,42 @@ class TestFitNotch:
         freqs = synth_grid(self.f0, self.ql, span_lw=5.0, n=201)
         return freqs, notch_s21_model(freqs, self.f0, self.ql, self.qc)
 
-    def test_start_outside_bounds_returns_none(self):
-        # an exact S21 = 1 sample leaves no closed-form seed, so the caller's
-        # start is used; log10(1e20) lies beyond the Q_c bound
-        freqs, s21 = self.trace()
-        s21[0] = 1.0
-        assert _linear_seed(freqs, s21) is None
-        assert _fit_notch(freqs, s21, self.f0, self.ql, self.qc) is not None
-        assert _fit_notch(freqs, s21, self.f0, self.ql, 1e20) is None
+    def test_zero_below_the_axis_fails(self):
+        # Q_c < Q_l: a converged fit whose zero f0 + j a has a < 0
+        freqs = synth_grid(self.f0, self.ql, span_lw=5.0, n=201)
+        b = self.f0 / (2.0 * self.ql)
+        s21 = (freqs - self.f0 + 0.2j * b) / (freqs - self.f0 - 1j * b)
+        assert _fit_notch(freqs, s21, self.f0, self.ql, self.qc) is None
 
-    def test_result_outside_bounds_returns_none(self, monkeypatch):
-        # the exact optimum Q_l = 0.5 lies below the log10 Q_l >= 0 bound
+    @pytest.mark.parametrize("c_over_b, im_zero", [
+        (1e-17, None),  # b - c rounds to b: the zero at the pole, no dip
+        (1.0 + 1.1e-9, None),  # below the axis
+        (1.0 + 0.9e-9, 0.0),  # within 1e-9 b of the axis: lossless
+        (1.0 - 0.9e-9, 0.0),
+        (0.5, 0.5),
+    ])
+    def test_zero_lies_between_the_axis_and_the_pole(self, monkeypatch, c_over_b, im_zero):
+        # the converged result is set to f_zero = f0 + j (b - c), f_pole = f0 + j b
+        # with b = h / 2, h = f0_init / ql_init
+        freqs, s21 = self.trace()
+        monkeypatch.setattr(resonance, "levenberg_marquardt", lambda r, j, p0: (
+            np.array([1.0, np.log(0.5), np.log(0.5 * c_over_b)]), r(p0), True))
+        fit = _fit_notch(freqs, s21, self.f0, self.ql, self.qc)
+        b = self.f0 / (2.0 * self.ql)
+        if im_zero is None:
+            assert fit is None
+        else:
+            assert fit[0] == pytest.approx(self.f0 + 1j * im_zero * b, rel=1e-15)
+            assert fit[1] == pytest.approx(self.f0 + 1j * b, rel=1e-15)
+            assert (fit[0].imag == 0.0) == (im_zero == 0.0)
+
+    def test_low_q_optimum_is_returned(self):
+        # Q_l = 0.5, Q_c = 1: the pole f0 (1 + j) and the zero f0 (1 + j/2)
         freqs = np.linspace(0.7 * self.f0, 1.3 * self.f0, 201)
         s21 = notch_s21_model(freqs, self.f0, 0.5, 1.0)
-        results = recorded_fits(monkeypatch, resonance)
-        assert _fit_notch(freqs, s21, self.f0, 10.0, 20.0) is None
-        p, _, converged = results[-1][-1]
-        assert converged
-        assert p[1] == pytest.approx(np.log10(0.5))
+        f_zero, f_pole = _fit_notch(freqs, s21, self.f0, 10.0, 20.0)
+        assert f_zero == pytest.approx(self.f0 * (1.0 + 0.5j), rel=1e-9)
+        assert f_pole == pytest.approx(self.f0 * (1.0 + 1.0j), rel=1e-9)
 
     def test_unconverged_fit_returns_none(self, monkeypatch):
         freqs, s21 = self.trace()
@@ -156,10 +198,16 @@ class TestFitNotch:
         assert _fit_notch(freqs, s21, self.f0, self.ql, self.qc) is None
 
     def test_programming_error_propagates(self, monkeypatch):
-        def broken_model(*args):
-            raise AttributeError("bug in the residuals")
+        real = resonance.levenberg_marquardt
 
-        monkeypatch.setattr(resonance, "notch_s21_model", broken_model)
+        def broken_residuals(residuals, jacobian, p0):
+            def residuals_with_bug(p):
+                residuals(p)
+                raise AttributeError("bug in the residuals")
+
+            return real(residuals_with_bug, jacobian, p0)
+
+        monkeypatch.setattr(resonance, "levenberg_marquardt", broken_residuals)
         freqs, s21 = self.trace()
         with pytest.raises(AttributeError, match="bug"):
             _fit_notch(freqs, s21, self.f0, self.ql, self.qc)
@@ -212,7 +260,7 @@ class TestLevenbergMarquardt:
         traces.append((freqs, notch_s21(_tcr_branch_impedance(cell, ANCHOR, freqs), cell.z0)))
         for freqs, s21 in traces:
             find_resonances(freqs, s21, min_depth_db=1e-4)
-        # TestFitNotch's direct fits: the caller's start, an optimum off the box
+        # TestFitNotch's direct fits: one S21 = 1 sample, the Q_l = 0.5 optimum
         freqs, s21 = TestFitNotch().trace()
         s21[0] = 1.0
         _fit_notch(freqs, s21, 6.55e9, 1e4, 2e4)
@@ -231,27 +279,32 @@ class TestLevenbergMarquardt:
             if converged and not (cost <= 1e-20 and ref_cost <= 1e-20):
                 assert cost == pytest.approx(ref_cost, rel=1e-10)
 
-    def test_invariant_to_parameter_scale(self):
+    def test_invariant_to_parameter_scale(self, monkeypatch):
         # Marquardt's column scaling: rescaled parameters take the same steps,
         # up to rounding; with plain damping the third scale takes more
         freqs, s21 = TestFitNotch().trace()
         f0_init = 6.55e9 * (1.0 + 0.3e-4)
+        calls = recorded_fits(monkeypatch, resonance)
+        _fit_notch(freqs, s21, f0_init, 1e4, 2e4)
+        [(residuals, jacobian, _, _)] = calls
         evals = []
 
-        def residuals(p):
+        def counted(p):
             evals[-1] += 1
-            r = notch_s21_model(freqs, p[0] * f0_init, 10.0 ** p[1], 10.0 ** p[2]) - s21
-            return np.concatenate([r.real, r.imag])
+            return residuals(p)
 
-        p0 = np.array([1.0, 4.3, np.log10(2e4) - 0.2])
+        # (f0 / f0_init, ln(b / h), ln(c / h)), h = f0_init / 1e4, from Q_l = 2e4
+        # and Q_c = 1.26e4; the optimum has Q_l = 1e4 and Q_c = 2e4
+        p0 = np.array([1.0, np.log(0.5e4 / 10.0**4.3), np.log(0.5e4 / 10.0 ** (np.log10(2e4) - 0.2))])
         for scale in ([1.0, 1.0, 1.0], [1e6, 1.0, 1e-6], [1e-6, 1e3, 1.0]):
             scale = np.asarray(scale)
             evals.append(0)
             p, r, converged = levenberg_marquardt(
-                lambda q: residuals(q / scale),
-                lambda q: _notch_jacobian(q / scale, freqs, f0_init) / scale, scale * p0)
+                lambda q: counted(q / scale), lambda q: jacobian(q / scale) / scale, scale * p0)
             assert converged and r @ r <= 1e-20
-            assert p / scale == pytest.approx([6.55e9 / f0_init, 4.0, np.log10(2e4)], rel=1e-12)
+            ratio = 6.55e9 / f0_init
+            assert p / scale == pytest.approx([ratio, np.log(0.5 * ratio), np.log(0.25 * ratio)],
+                                              rel=1e-12)
         assert evals == [evals[0]] * 3
 
     def test_non_finite_start_has_not_converged(self):
@@ -284,29 +337,37 @@ class TestLevenbergMarquardt:
     shift=st.floats(-3.0, 3.0),  # window centre offset from f0, in linewidths
 )
 def test_linear_seed_recovers_exact_model(f0, ql, ratio, n, shift):
+    # the seed is the fit's start (f0 / f0_init, ln(b / h), ln(c / h)), h = f0_init / ql_init;
+    # f0_init is the window centre, ql_init a tenth of the true Q_l
     freqs = synth_grid(f0, ql, span_lw=5.0, n=n) + shift * f0 / ql
-    seed = _linear_seed(freqs, notch_s21_model(freqs, f0, ql, ql * ratio))
+    f0_init = 0.5 * (freqs[0] + freqs[-1])
+    h = f0_init / (0.1 * ql)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = recorded_fits(monkeypatch, resonance)
+        _fit_notch(freqs, notch_s21_model(freqs, f0, ql, ql * ratio), f0_init, 0.1 * ql, ql)
+    p0 = calls[0][2]
+    seed_f0, b, c = p0[0] * f0_init, h * np.exp(p0[1]), h * np.exp(p0[2])
+    seed = (seed_f0, seed_f0 / (2.0 * b), seed_f0 / (2.0 * c))
     assert seed == pytest.approx((f0, ql, ql * ratio), rel=1e-9)
 
 
 @pytest.mark.parametrize("ql, ratio", [(52.0, 1.3), (1e4, 2.0), (1e6, 1e3)])
-def test_jacobian_matches_central_differences(ql, ratio):
+def test_jacobian_matches_central_differences(monkeypatch, ql, ratio):
     f0 = 6.55e9
     freqs = synth_grid(f0, ql, span_lw=5.0, n=101)
     s21 = notch_s21_model(freqs, f0, ql, ql * ratio)
     f0_init = f0 * (1.0 + 0.1 / ql)
-    p = np.array([1.0 - 0.2 / ql, np.log10(ql) + 0.01, np.log10(ql * ratio) - 0.02])
-
-    def residuals(p):
-        r = notch_s21_model(freqs, p[0] * f0_init, 10.0 ** p[1], 10.0 ** p[2]) - s21
-        return np.concatenate([r.real, r.imag])
-
+    calls = recorded_fits(monkeypatch, resonance)
+    _fit_notch(freqs, s21, f0_init, ql, ql * ratio)
+    [(residuals, jacobian, _, _)] = calls
+    # (f0 / f0_init, ln(b / h), ln(c / h)) off the optimum, h = f0_init / ql
+    p = np.array([1.0 - 0.2 / ql, np.log(0.5) + 0.01, np.log(0.5 / ratio) - 0.02])
     steps = (1e-4 / ql, 1e-4, 1e-4)
     fd = np.stack(
         [(residuals(p + h * e) - residuals(p - h * e)) / (2.0 * h) for h, e in zip(steps, np.eye(3))],
         axis=1,
     )
-    err = np.max(np.abs(_notch_jacobian(p, freqs, f0_init) - fd), axis=0)
+    err = np.max(np.abs(jacobian(p) - fd), axis=0)
     assert np.all(err <= 1e-6 * np.max(np.abs(fd), axis=0))
 
 
