@@ -124,16 +124,18 @@ class TestTraceHandling:
 
     def test_noisy_trace_fits_without_warnings(self):
         # a fit's trial steps through overflowing or non-finite residuals are
-        # rejected, not reported: this trace's fits once warned of overflow
+        # rejected, not reported: this trace's fits once warned of overflow.
+        # Each peak keeps the trace's depth, not its roots'
         f0, ql, qc = 6.55e9, 1e4, 2e4
         freqs = synth_grid(f0, ql)
-        rng = np.random.default_rng(1)
+        rng = np.random.default_rng(44)
         s21 = notch_s21_model(freqs, f0, ql, qc) + 5e-3 * (
             rng.standard_normal(freqs.size) + 1j * rng.standard_normal(freqs.size))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             peaks = find_resonances(freqs, s21)
         assert any(p.q_loaded == pytest.approx(ql, rel=0.1) for p in peaks)
+        assert {p.depth_db for p in peaks} <= set(-db(s21))
 
     def test_full_notch_zero_magnitude(self):
         # an exact |S21| = 0 sample must not break the dB conversion
