@@ -30,7 +30,8 @@ from qmemsim.cli import main
 MANIFEST = Path(__file__).with_name("outputs.json")
 
 #: file name -> the schedule `protocol` runs; README.md shows the two-op
-#: one and times the four-op one
+#: one and times the four-op one, and the user-drive one is a write that
+#: sets its own carrier and duration
 SCHEDULES = {
     "schedule.json": {"ops": [
         {"op": "write", "cell_index": 0},
@@ -47,6 +48,10 @@ SCHEDULES = {
         {"op": "read", "cell_index": 1, "start": "5000 ns"},
         {"op": "write", "cell_index": 3},
         {"op": "read", "cell_index": 2},
+    ]},
+    "user-drive.json": {"ops": [
+        {"op": "write", "cell_index": 1, "rf_carrier": "6.65 GHz", "rf_duration": "1500 ns"},
+        {"op": "read", "cell_index": 1, "start": "5000 ns"},
     ]},
 }
 
@@ -83,6 +88,9 @@ COMMANDS = {
     "protocol-four-op-quarter-guard": (["protocol", "{dir}/four-op.json",
                                         "--crosstalk-out", "{dir}/{name}.xt.csv"],
                                        ["{name}.csv", "{name}.xt.csv"]),
+    "protocol-user-drive": (["protocol", "{dir}/user-drive.json",
+                             "--crosstalk-out", "{dir}/{name}.xt.csv"],
+                            ["{name}.csv", "{name}.xt.csv"]),
     "array-spectrum-on": (["array-spectrum", "--state", "on"], ["{name}.csv"]),
     "array-spectrum-off": (["array-spectrum", "--state", "off"], ["{name}.csv"]),
     # error exits: a band plan the array cannot address (exit 2), and inputs
