@@ -191,24 +191,24 @@ def _cell_models(array: MemoryArray) -> list[_CellModel]:
     return models
 
 
-def _write_drive(op: AccessOp, system: CoupledModeSystem) -> tuple[RfPulse, float]:
-    """A write op's RF pulse (unit amplitude: reports are energy ratios) and its gate time."""
+def _write_drive(op: AccessOp, system: CoupledModeSystem) -> RfPulse:
+    """A write op's RF pulse (unit amplitude: reports are energy ratios): a
+    gaussian, so write_pulses() fires the gate at its peak, where idle
+    neighbours respond quasi-statically and the addressed coupler is fully
+    loaded."""
     # slow envelope (kappa * sigma ~ 5): the addressed coupler tracks the drive
     # quasi-statically, keeping the crosstalk near the steady-state Lorentzian
     duration = op.rf_duration if op.rf_duration is not None else 24.0 / system.kappa_ext
     # the fitted crossing sits a few MHz off the bare target: drive the
     # cavity where the reduced model places it
     carrier = op.rf_carrier if op.rf_carrier is not None else system.omega_b / TWO_PI
-    rf = RfPulse(carrier=carrier, amplitude=1.0, start=0.0, duration=duration,
-                 sigma=duration / 5.0)
-    # gate at the envelope peak: idle neighbors respond quasi-statically
-    # and the addressed coupler is fully loaded when the swap fires
-    return rf, 0.5 * duration
+    return RfPulse(carrier=carrier, amplitude=1.0, start=0.0, duration=duration,
+                   sigma=duration / 5.0)
 
 
 def _op_duration(op: AccessOp, system: CoupledModeSystem) -> float:
     if op.op == "write":
-        return write_pulses(system, *_write_drive(op, system))[1]
+        return write_pulses(system, _write_drive(op, system))[1]
     return read_duration(system)
 
 
@@ -249,8 +249,8 @@ def _run_op(
     sys_i = models[i].system
 
     if op.op == "write":
-        rf, gate_at = _write_drive(op, sys_i)
-        result = write_protocol(sys_i, rf, gate_at=gate_at, dt_fraction=dt_fraction)
+        rf = _write_drive(op, sys_i)
+        result = write_protocol(sys_i, rf, dt_fraction=dt_fraction)
         fidelity, deposit_i = result.fidelity, result.peak
         # the neighbours see the write's drive on the feedline, from empty
         pulses, b0 = PulseSequence(rf=rf), 0.0

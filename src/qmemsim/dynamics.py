@@ -131,16 +131,6 @@ class PulseSequence:
             if right.start < left.end:
                 raise ValueError("gate pulses must not overlap")
 
-    def span(self) -> tuple[float, float]:
-        starts = [p.start for p in self.gate_pulses]
-        ends = [p.end for p in self.gate_pulses]
-        if self.rf is not None:
-            starts.append(self.rf.start)
-            ends.append(self.rf.end)
-        if not starts:
-            return 0.0, 0.0
-        return min(starts), max(ends)
-
 
 # ------------------------- coupled-mode system -------------------------
 
@@ -411,23 +401,20 @@ def _pieces(system, pulses, t_span, dt):
         raise ValueError(
             f"dt={dt:.3e} s violates the resolution guard; use dt <= {guard:.3e} s"
         )
-    lo, hi = pulses.span()
-    if pulses.gate_pulses or pulses.rf is not None:
-        if lo < t0 - 1e-18 or hi > t1 + 1e-18:
-            raise ValueError("t_span must cover all pulses")
-
     # g(t) changes only at the gate edges and the drive only at the RF
     # edges: each piece has one coupling and is wholly driven or undriven
     rf = pulses.rf
     edges = {t for p in pulses.gate_pulses for t in (p.start, p.end)}
     edges |= set() if rf is None else {rf.start, rf.end}
+    if edges and (min(edges) < t0 - 1e-18 or max(edges) > t1 + 1e-18):
+        raise ValueError("t_span must cover all pulses")
     cuts = [t0, *sorted(t for t in edges if t0 < t < t1), t1]
     mids = 0.5 * (np.array(cuts[:-1]) + np.array(cuts[1:]))
     w_d = _frame_carrier(system, pulses)
     cells = _cells(system)
     pieces = []
-    for ta, tb, g, on in zip(cuts, cuts[1:], _couplings(system, pulses, mids).tolist(),
-                             _driven(pulses, mids).tolist()):
+    couplings, driven = _timeline(system, pulses, mids)
+    for ta, tb, g, on in zip(cuts, cuts[1:], couplings.tolist(), driven.tolist()):
         rates = [g, *(c.g_off for c in cells[1:]), 1.0 / rf.sigma if on else 0.0]
         # with no rate at all the guard is infinite and dt the step throughout
         h = dt if guard == math.inf else dt * (_guard(system, w_d, rates) / guard)
@@ -436,22 +423,16 @@ def _pieces(system, pulses, t_span, dt):
     return pieces
 
 
-def _couplings(system, pulses, t):
-    """The first cell's g at time(s) t: g_on inside a gate pulse, the g_off
-    floor outside."""
-    gated = _cells(system)[0]
+def _timeline(system, pulses, t):
+    """(g, driven) at time(s) t: the first cell's coupling, g_on inside a
+    gate pulse and the g_off floor outside, and whether the RF pulse drives,
+    inside [start, end)."""
+    gated, rf = _cells(system)[0], pulses.rf
     on = np.zeros(np.shape(t), dtype=bool)
     for p in pulses.gate_pulses:
         on |= (p.start <= t) & (t < p.end)
-    return np.where(on, gated.g_on, gated.g_off)
-
-
-def _driven(pulses, t):
-    """Whether the RF pulse drives at time(s) t: inside [start, end)."""
-    rf = pulses.rf
-    if rf is None:
-        return np.zeros(np.shape(t), dtype=bool)
-    return (rf.start <= t) & (t < rf.end)
+    driven = np.zeros(np.shape(t), dtype=bool) if rf is None else (rf.start <= t) & (t < rf.end)
+    return np.where(on, gated.g_on, gated.g_off), driven
 
 
 def evolve(
@@ -486,9 +467,6 @@ def evolve(
     x = np.empty((n_steps + _BLOCK_STEPS, width), dtype=complex)
     x[0] = 0.0
     x[0, :2] = a0, b0
-    longest = min(max(n for _, n, *_ in pieces), _CHUNK_STEPS)
-    grid = np.empty(2 * longest + 1)
-    drive = np.empty(2 * longest + 1, dtype=complex)
     # every piece's step map and lifts, built once for the whole call
     _, counts, steps, couplings, _, _ = zip(*pieces)
     maps = _step_maps(_generator(system, _frame_carrier(system, pulses), couplings), steps)
@@ -515,12 +493,11 @@ def evolve(
                 # the drive at each step's ends and midpoint, the midpoint
                 # being the mean of the step's ends as returned in times:
                 # ta + h (n + 1/2) can round to the other side of a drive edge
-                half = grid[:2 * m + 1]
+                half = np.empty(2 * m + 1)
                 half[0::2] = t
                 np.add(t[:-1], t[1:], out=half[1::2])
                 half[1::2] *= 0.5
-                ain = drive[:2 * m + 1]
-                ain[...] = rf.envelope(half)
+                ain = rf.envelope(half)
             _scan_chunk(x[s:], m, step_map, lift, ain)
             if not np.isfinite(x[s:s + m + 1]).all():
                 raise ArithmeticError("trajectory diverged; reduce dt")
@@ -545,14 +522,14 @@ def coupler_slopes(traj: Trajectory):
     mids = 0.5 * (times[:-1] + times[1:])
     width = x.shape[1]
     m = width - 2
+    g, on = _timeline(system, pulses, mids)
     # the coupler's row of every step's [A | B], and (x, a_in) at both ends
-    row = _generator(system, _frame_carrier(system, pulses), _couplings(system, pulses, mids))[:, m]
+    row = _generator(system, _frame_carrier(system, pulses), g)[:, m]
     ends = np.zeros((len(times) - 1, 2, width + 1), dtype=complex)
     ends[:, 0, :-1] = x[:-1]
     ends[:, 1, :-1] = x[1:]
     if pulses.rf is not None:
         # a driven step takes the drive from inside the pulse at both ends
-        on = _driven(pulses, mids)
         f = pulses.rf.envelope(times)
         ends[on, 0, -1] = f[:-1][on]
         ends[on, 1, -1] = f[1:][on]
@@ -620,13 +597,15 @@ class ReadResult:
     trajectory: Trajectory
 
 
-def write_pulses(system: CoupledModeSystem, rf: RfPulse, gate_at: float | None = None,
+def write_pulses(system: CoupledModeSystem, rf: RfPulse,
                  engage_gate: bool = True) -> tuple[PulseSequence, float]:
     """Pulses of write_protocol() and the time (s) it ends: a gate ON for one
-    swap from gate_at (default: the RF end) unless engage_gate is False, then
-    max(2 t_swap, 0.02 rf.duration) after the later pulse end."""
-    t_swap = swap_duration(system.g_on) if system.g_on > 0 else rf.duration
-    t_gate = gate_at if gate_at is not None else rf.end
+    swap from the envelope's peak, the RF end for a rectangle and its middle
+    for a gaussian, unless engage_gate is False, then max(2 t_swap, 0.02
+    rf.duration) after the later pulse end.  A write needs a swap: g_on = 0
+    raises ValueError."""
+    t_swap = swap_duration(system.g_on)
+    t_gate = rf.end if rf.sigma == math.inf else rf.start + 0.5 * rf.duration
     gates = (GatePulse(start=t_gate, duration=t_swap),) if engage_gate else ()
     settle = max(2.0 * t_swap, 0.02 * rf.duration)
     t_end = max(rf.end, t_gate + (t_swap if engage_gate else 0.0)) + settle
@@ -636,7 +615,6 @@ def write_pulses(system: CoupledModeSystem, rf: RfPulse, gate_at: float | None =
 def write_protocol(
     system: CoupledModeSystem,
     rf: RfPulse,
-    gate_at: float | None = None,
     engage_gate: bool = True,
     dt_fraction: float = DT_FRACTION,
 ) -> WriteResult:
@@ -644,14 +622,13 @@ def write_protocol(
 
     The RF pulse loads mode a while the gate stays OFF; a DC gate pulse of
     one swap duration transfers the excitation into mode b.  The gate
-    fires at the RF pulse end (rectangular envelopes) unless gate_at
-    overrides it, e.g. to the envelope peak of a gaussian pulse.  Fidelity
-    is |b(end)|^2 normalized to the peak loaded energy max_t |a(t)|^2 of
-    coupler_peak().
+    fires at the envelope's peak (write_pulses()): the middle of a gaussian
+    pulse, the end of a rectangular one.  Fidelity is |b(end)|^2 normalized
+    to the peak loaded energy max_t |a(t)|^2 of coupler_peak().
     With engage_gate=False the gate pulse is omitted (isolation
     measurement).  The step is dt_fraction of the resolution guard.
     """
-    pulses, t_end = write_pulses(system, rf, gate_at, engage_gate)
+    pulses, t_end = write_pulses(system, rf, engage_gate)
     dt = dt_fraction * max_stable_dt(system, pulses)
     traj = evolve(system, pulses, (min(0.0, rf.start), t_end), dt)
     peak = coupler_peak(traj)
@@ -679,8 +656,6 @@ def read_protocol(system: CoupledModeSystem, dt_fraction: float = DT_FRACTION) -
     coupler_slopes(), exact for a cubic and fourth order like the steps.
     The step is dt_fraction of the resolution guard.
     """
-    if system.g_on <= 0:
-        raise ValueError("read protocol requires a positive gate-ON coupling")
     gate = GatePulse(start=0.0, duration=swap_duration(system.g_on))
     pulses = PulseSequence(rf=None, gate_pulses=(gate,))
     dt = dt_fraction * max_stable_dt(system, pulses)

@@ -470,8 +470,8 @@ class TestStepConvergence:
             for op, steps, largest in zip(schedule.ops, report.steps, report.largest_steps):
                 system = array_models[op.cell_index].system
                 if kind == "write":
-                    rf, gate_at = array_module._write_drive(op, system)
-                    result = write_protocol(system, rf, gate_at=gate_at, dt_fraction=fraction)
+                    rf = array_module._write_drive(op, system)
+                    result = write_protocol(system, rf, dt_fraction=fraction)
                 else:
                     result = read_protocol(system, dt_fraction=fraction)
                 times, pulses = result.trajectory.times, result.trajectory.pulses
@@ -496,8 +496,8 @@ class TestStepConvergence:
         # DOP853 at rtol 1e-13 (rtol 1e-12 moves them by at most 3.4e-14)
         op = AccessOp(op="write", cell_index=0)
         systems = [m.system for m in array_models]
-        rf, gate_at = array_module._write_drive(op, systems[0])
-        pulses, t_end = write_pulses(systems[0], rf, gate_at)
+        rf = array_module._write_drive(op, systems[0])
+        pulses, t_end = write_pulses(systems[0], rf)
         peak, stored = _ivp_peak_and_end(systems[0], pulses, t_end)
         row = [_ivp_peak_and_end(s, PulseSequence(rf=rf), t_end)[0] / peak for s in systems[1:]]
         report = run_schedule(array, AccessSchedule(ops=(op,)), models=array_models)

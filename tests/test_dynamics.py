@@ -30,7 +30,10 @@ from qmemsim.dynamics import (
     read_protocol,
     swap_duration,
     write_protocol,
+    write_pulses,
 )
+from qmemsim import array as array_module
+from qmemsim.array import AccessOp
 from tests.conftest import assert_piece_steps
 
 W0 = TWO_PI * 6.55e9
@@ -751,7 +754,7 @@ def loop_slopes(system, pulses, times, x):
     reference its one generator for every step must equal."""
     w_d = dynamics._frame_carrier(system, pulses)
     mids = 0.5 * (times[:-1] + times[1:])
-    g = dynamics._couplings(system, pulses, mids)
+    g, on = dynamics._timeline(system, pulses, mids)
     m = x.shape[1] - 2
     slopes = np.empty((len(times) - 1, 2), dtype=complex)
     for coupling in set(g.tolist()):
@@ -764,7 +767,6 @@ def loop_slopes(system, pulses, times, x):
         slopes[steps, 0] = s[:-1][steps]
         slopes[steps, 1] = s[1:][steps]
     if pulses.rf is not None:
-        on = dynamics._driven(pulses, mids)
         f = complex(dynamics._generator(system, w_d, 0.0)[m, -1]) * pulses.rf.envelope(times)
         slopes[on, 0] += f[:-1][on]
         slopes[on, 1] += f[1:][on]
@@ -932,6 +934,30 @@ class TestWriteProtocol:
         result = write_protocol(sys_, rf, engage_gate=False)
         assert result.fidelity <= 1e-4
 
+    def test_gate_fires_at_a_rectangle_end(self):
+        sys_ = self.make_system()
+        rf = RfPulse(carrier=W0 / TWO_PI, amplitude=1.0, start=20e-9, duration=100e-9)
+        pulses, _ = write_pulses(sys_, rf)
+        (gate,) = pulses.gate_pulses
+        assert (gate.start, gate.duration) == (rf.end, swap_duration(sys_.g_on))
+
+    def test_gate_fires_at_a_gaussian_peak(self):
+        sys_ = self.make_system()
+        rf = RfPulse(carrier=W0 / TWO_PI, amplitude=1.0, start=-30e-9, duration=100e-9,
+                     sigma=20e-9)
+        pulses, _ = write_pulses(sys_, rf)
+        (gate,) = pulses.gate_pulses
+        assert gate.start == rf.start + rf.duration / 2
+        assert rf.envelope(gate.start) == rf.amplitude
+
+    def test_seed_write_fires_at_the_peak(self, array_models):
+        # cell 0 of the seed array under its schedule drive (gaussian, sigma =
+        # duration / 5): the fidelity `protocol` reports; a gate at the
+        # pulse's end, after the coupler has emptied, stores 0.0228
+        system = array_models[0].system
+        rf = array_module._write_drive(AccessOp(op="write", cell_index=0), system)
+        assert write_protocol(system, rf).fidelity == pytest.approx(0.9741, abs=5e-5)
+
     def test_storage_leakage_during_hold(self):
         # hold a stored excitation for 100 swap durations, gate OFF the
         # whole time: leakage is set by the residual coupling floor
@@ -969,6 +995,17 @@ class TestReadProtocol:
         assert written.fidelity * read.recovered_fraction >= written.fidelity**2
 
 
+def test_protocols_need_a_coupling():
+    # a write and a read each swap once: without a gate-ON coupling there
+    # is no swap duration
+    sys_ = CoupledModeSystem(omega_a=W0, omega_b=W0, kappa_ext=TWO_PI * 3e6)
+    rf = RfPulse(carrier=W0 / TWO_PI, amplitude=1.0, start=0.0, duration=100e-9)
+    with pytest.raises(ValueError, match="^coupling rate must be positive$"):
+        write_protocol(sys_, rf)
+    with pytest.raises(ValueError, match="^coupling rate must be positive$"):
+        read_protocol(sys_)
+
+
 def test_gated_protocols_converge_in_step():
     # a cell-0-like seed-array write (gaussian drive, gate at its peak) and
     # read: with the gate edges on the step grid, a 4x finer step moves
@@ -978,7 +1015,7 @@ def test_gated_protocols_converge_in_step():
                              kappa_int_a=TWO_PI * 25e3, gamma_b=TWO_PI * 18e3,
                              g_on=TWO_PI * 240e6, g_off=TWO_PI * 9.5e3)
     rf = RfPulse(carrier=w / TWO_PI, amplitude=1.0, start=0.0, duration=1.2e-6, sigma=0.24e-6)
-    coarse, fine = (write_protocol(sys_, rf, gate_at=0.6e-6, dt_fraction=f).fidelity
+    coarse, fine = (write_protocol(sys_, rf, dt_fraction=f).fidelity
                     for f in (0.25, 0.0625))
     assert coarse == pytest.approx(fine, rel=1e-7)
     coarse, fine = (read_protocol(sys_, dt_fraction=f).recovered_fraction

@@ -525,3 +525,52 @@ def test_the_readout_formula_is_written_once():
         found += readout_formulas(path.read_text(encoding="utf-8"), path.stem)
     assert found == ["resonance.notch_readout: depth", "resonance.notch_readout: q",
                      "resonance.notch_readout: q", "resonance.notch_readout: relation"]
+
+
+def attribute_readers(source: str, module: str, attr: str) -> set:
+    """'module.function' of every function in source that reads the
+    attribute attr of anything, by the innermost function around the read;
+    a method is 'module.Class.method', and a read outside any function is
+    'module'."""
+    found = set()
+
+    def visit(node, scope, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+            where = scope if isinstance(node, ast.FunctionDef) else where
+        if isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.ctx, ast.Load):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, where)
+
+    visit(ast.parse(source), module, module)
+    return found
+
+
+def test_attribute_readers_are_found():
+    source = ("class Seq:\n    def check(self):\n        return sorted(self.gate_pulses)\n"
+              "def cut(pulses):\n    return [p.end for p in pulses.gate_pulses]\n"
+              "edges = seq.gate_pulses\n")
+    assert attribute_readers(source, "m", "gate_pulses") == {"m.Seq.check", "m.cut", "m"}
+    source = ("class Seq:\n    gate_pulses: tuple = ()\n"
+              "def make(gate_pulses):\n    return Seq(gate_pulses=gate_pulses), seq.rf\n")
+    assert attribute_readers(source, "m", "gate_pulses") == set()
+
+
+def test_the_pulse_timeline_is_read_in_one_place():
+    # the gate pulses are read by the overlap check, the cut into pieces and
+    # the one (g, driven) helper that the cut and the slopes share
+    found = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        found |= attribute_readers(path.read_text(encoding="utf-8"), path.stem, "gate_pulses")
+    assert found == {"dynamics.PulseSequence.__post_init__", "dynamics._pieces",
+                     "dynamics._timeline"}
+
+
+def test_a_write_takes_its_gate_time_from_its_pulse():
+    # write_pulses decides the gate time from the RF pulse: no caller passes one
+    for name in ("write_pulses", "write_protocol"):
+        args = _function("dynamics", name).args
+        names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                 *filter(None, (args.vararg, args.kwarg)))]
+        assert set(names) <= {"system", "rf", "engage_gate", "dt_fraction"}, name
