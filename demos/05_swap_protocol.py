@@ -54,7 +54,8 @@ print(f"  g_off        = {system.g_off:.1e} rad/s")
 print(f"  swap duration= {swap_duration(system.g_on) * 1e9:.3f} ns")
 
 # %% [markdown]
-# A full write: rectangular RF pulse, gate pulse at its end.
+# A full write: a rectangular RF pulse.  The gate fires at the envelope's
+# peak, which for a rectangle is the pulse's end (for a gaussian, its middle).
 
 # %%
 rf = RfPulse(

@@ -192,10 +192,9 @@ def _cell_models(array: MemoryArray) -> list[_CellModel]:
 
 
 def _write_drive(op: AccessOp, system: CoupledModeSystem) -> RfPulse:
-    """A write op's RF pulse (unit amplitude: reports are energy ratios): a
-    gaussian, so write_pulses() fires the gate at its peak, where idle
-    neighbours respond quasi-statically and the addressed coupler is fully
-    loaded."""
+    """A write op's RF pulse (unit amplitude: reports are energy ratios), a
+    gaussian: write_pulses() fires the gate at its peak, where idle neighbours
+    respond quasi-statically and the addressed coupler is fully loaded."""
     # slow envelope (kappa * sigma ~ 5): the addressed coupler tracks the drive
     # quasi-statically, keeping the crosstalk near the steady-state Lorentzian
     duration = op.rf_duration if op.rf_duration is not None else 24.0 / system.kappa_ext

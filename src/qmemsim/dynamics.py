@@ -455,9 +455,9 @@ def evolve(
     exact recurrence (see the module docstring); results are deterministic.
     The samples run from t_span's start to its end exactly, every edge
     inside it among them.
-    A driven piece takes its drive from RfPulse.envelope(), so a step that
-    ends on the pulse's end sees the drive from inside.  A non-finite state
-    raises ArithmeticError.
+    A driven chunk takes its drive straight from RfPulse.envelope() on its
+    half-step grid, so a step that ends on the pulse's end sees the drive
+    from inside.  A non-finite state raises ArithmeticError.
     """
     pieces = _pieces(system, pulses, t_span, dt)
     width = 2 * len(_cells(system))
@@ -654,7 +654,8 @@ def read_protocol(system: CoupledModeSystem, dt_fraction: float = DT_FRACTION) -
     the dense output by the corrected trapezoid: per step h/2 (e0 + e1) +
     h^2/12 (e0' - e1'), e = |a|^2 and e' = 2 Re(conj(a) a') with a' from
     coupler_slopes(), exact for a cubic and fourth order like the steps.
-    The step is dt_fraction of the resolution guard.
+    The step is dt_fraction of the resolution guard; g_on = 0 raises
+    ValueError.
     """
     gate = GatePulse(start=0.0, duration=swap_duration(system.g_on))
     pulses = PulseSequence(rf=None, gate_pulses=(gate,))

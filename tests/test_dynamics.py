@@ -12,7 +12,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qmemsim
+from qmemsim import array as array_module
 from qmemsim import dynamics
+from qmemsim.array import AccessOp
 from qmemsim.dynamics import (
     TWO_PI,
     CoupledModeSystem,
@@ -32,8 +34,6 @@ from qmemsim.dynamics import (
     write_protocol,
     write_pulses,
 )
-from qmemsim import array as array_module
-from qmemsim.array import AccessOp
 from tests.conftest import assert_piece_steps
 
 W0 = TWO_PI * 6.55e9
@@ -1015,8 +1015,7 @@ def test_gated_protocols_converge_in_step():
                              kappa_int_a=TWO_PI * 25e3, gamma_b=TWO_PI * 18e3,
                              g_on=TWO_PI * 240e6, g_off=TWO_PI * 9.5e3)
     rf = RfPulse(carrier=w / TWO_PI, amplitude=1.0, start=0.0, duration=1.2e-6, sigma=0.24e-6)
-    coarse, fine = (write_protocol(sys_, rf, dt_fraction=f).fidelity
-                    for f in (0.25, 0.0625))
+    coarse, fine = (write_protocol(sys_, rf, dt_fraction=f).fidelity for f in (0.25, 0.0625))
     assert coarse == pytest.approx(fine, rel=1e-7)
     coarse, fine = (read_protocol(sys_, dt_fraction=f).recovered_fraction
                     for f in (0.25, 0.0625))
